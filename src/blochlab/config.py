@@ -11,6 +11,7 @@ matrices nest row-major.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,11 +20,9 @@ import numpy as np
 from .errors import ConfigError
 from .floquet import DriveSpec, DriveTerm, PeriodicObservableSpec
 from .lattice import LatticeSpec, PotentialSpec
-from .observables import ObservableSpec, ObservableTerm
+from .observables import NAMED_OBSERVABLES, ObservableSpec, ObservableTerm
 
 KINDS = ("bands", "superselect", "wannier", "floquet")
-
-NAMED_OBSERVABLES = ("identity", "cos_a", "sin_a", "momentum", "momentum_sq")
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     # lattice side
@@ -131,17 +130,33 @@ def _get_int(obj: dict, key: str, pointer: str, default=None, minimum=None, maxi
     return value
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(value, pointer: str) -> float:
+    """float(value), rejecting NaN and infinities (JSON parsing lets them in)."""
+    try:
+        out = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(f"expected a finite number, got {value!r}", pointer)
+    return out
+
+
 def _get_float(obj: dict, key: str, pointer: str, default=None, positive=False):
     if key not in obj:
         if default is not None:
             return default
         raise ConfigError(f"missing required key {key!r}", pointer)
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError("expected a number", f"{pointer}/{key}")
+    value = _finite(value, f"{pointer}/{key}")
     if positive and value <= 0:
         raise ConfigError(f"must be positive, got {value}", f"{pointer}/{key}")
-    return float(value)
+    return value
 
 
 def _get_str(obj: dict, key: str, pointer: str, default=None, choices=None):
@@ -158,16 +173,10 @@ def _get_str(obj: dict, key: str, pointer: str, default=None, choices=None):
 
 
 def _parse_complex_entry(value, pointer: str) -> complex:
-    if isinstance(value, bool):
-        raise ConfigError("expected a number or [re, im] pair", pointer)
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        return complex(value[0], value[1])
+    if _is_number(value):
+        return complex(_finite(value, pointer))
+    if isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value):
+        return complex(_finite(value[0], f"{pointer}/0"), _finite(value[1], f"{pointer}/1"))
     raise ConfigError("expected a number or [re, im] pair", pointer)
 
 
@@ -207,24 +216,31 @@ def _parse_lattice(obj, pointer: str) -> LatticeSpec:
         raise ConfigError(str(exc), f"{pointer}/cutoff") from exc
 
 
-def _parse_potential(obj, pointer: str) -> PotentialSpec:
-    obj = _expect_mapping(obj, pointer)
-    _check_keys(obj, {"v0", "harmonics"}, pointer)
-    harmonics = []
-    raw = obj.get("harmonics", [])
+def _parse_harmonics(raw, pointer: str) -> tuple[tuple[int, complex], ...]:
+    """[{"j": int, "re": 0, "im": 0}, ...] for potentials and custom terms alike;
+    each caller applies its own j = 0 policy."""
     if not isinstance(raw, list):
-        raise ConfigError("expected an array of harmonic objects", f"{pointer}/harmonics")
+        raise ConfigError("expected an array of harmonic objects", pointer)
+    harmonics = []
     for i, item in enumerate(raw):
-        hp = f"{pointer}/harmonics/{i}"
+        hp = f"{pointer}/{i}"
         item = _expect_mapping(item, hp)
         _check_keys(item, {"j", "re", "im"}, hp)
         j = _get_int(item, "j", hp)
-        if j == 0:
-            raise ConfigError("harmonic index must be nonzero; use v0", f"{hp}/j")
         harmonics.append(
             (j, complex(_get_float(item, "re", hp, default=0.0), _get_float(item, "im", hp, default=0.0)))
         )
-    return PotentialSpec(harmonics=tuple(harmonics), v0=_get_float(obj, "v0", pointer, default=0.0))
+    return tuple(harmonics)
+
+
+def _parse_potential(obj, pointer: str) -> PotentialSpec:
+    obj = _expect_mapping(obj, pointer)
+    _check_keys(obj, {"v0", "harmonics"}, pointer)
+    harmonics = _parse_harmonics(obj.get("harmonics", []), f"{pointer}/harmonics")
+    for i, (j, _) in enumerate(harmonics):
+        if j == 0:
+            raise ConfigError("harmonic index must be nonzero; use v0", f"{pointer}/harmonics/{i}/j")
+    return PotentialSpec(harmonics=harmonics, v0=_get_float(obj, "v0", pointer, default=0.0))
 
 
 def observable_spec_from_json(data, pointer: str = "") -> ObservableSpec:
@@ -245,32 +261,13 @@ def observable_spec_from_json(data, pointer: str = "") -> ObservableSpec:
         tp = f"{pointer}/terms/{i}"
         raw = _expect_mapping(raw, tp)
         _check_keys(raw, {"f", "p_poly"}, tp)
-        harmonics = []
-        f_raw = raw.get("f", [])
-        if not isinstance(f_raw, list):
-            raise ConfigError("expected an array of harmonic objects", f"{tp}/f")
-        for k, item in enumerate(f_raw):
-            hp = f"{tp}/f/{k}"
-            item = _expect_mapping(item, hp)
-            _check_keys(item, {"j", "re", "im"}, hp)
-            harmonics.append(
-                (
-                    _get_int(item, "j", hp),
-                    complex(
-                        _get_float(item, "re", hp, default=0.0),
-                        _get_float(item, "im", hp, default=0.0),
-                    ),
-                )
-            )
+        harmonics = _parse_harmonics(raw.get("f", []), f"{tp}/f")
         poly = raw.get("p_poly", [])
-        if not isinstance(poly, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in poly
-        ):
+        if not isinstance(poly, list) or not all(_is_number(v) for v in poly):
             raise ConfigError("expected an array of real coefficients", f"{tp}/p_poly")
+        poly = tuple(_finite(v, f"{tp}/p_poly/{k}") for k, v in enumerate(poly))
         try:
-            terms.append(
-                ObservableTerm(f_harmonics=tuple(harmonics), p_poly=tuple(float(v) for v in poly))
-            )
+            terms.append(ObservableTerm(f_harmonics=harmonics, p_poly=poly))
         except ValueError as exc:
             raise ConfigError(str(exc), tp) from exc
     return ObservableSpec(terms=tuple(terms), symmetrize=symmetrize)
@@ -425,9 +422,9 @@ def _parse_tolerances(obj, pointer: str) -> dict[str, float]:
     for key, value in obj.items():
         if key not in DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance {key!r}", f"{pointer}/{key}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+        if not _is_number(value) or value <= 0:
             raise ConfigError("expected a positive number", f"{pointer}/{key}")
-        out[key] = float(value)
+        out[key] = _finite(value, f"{pointer}/{key}")
     return out
 
 
@@ -490,6 +487,11 @@ def validate_config(data: dict) -> ScenarioConfig:
         if lattice is not None and shift % lattice.cells == 0:
             raise ConfigError(
                 f"shift {shift} is a multiple of {lattice.cells}: not periodicity-breaking",
+                "/negative_control/s",
+            )
+        if lattice is not None and shift > 2 * lattice.cutoff:
+            raise ConfigError(
+                f"shift must lie in [1, {2 * lattice.cutoff}] for this lattice, got {shift}",
                 "/negative_control/s",
             )
 
@@ -556,6 +558,7 @@ def apply_overrides(
                 value = float(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad tolerance value {raw!r}", f"/tolerances/{key}") from exc
+            value = _finite(value, f"/tolerances/{key}")
             if value <= 0:
                 raise ConfigError("tolerance must be positive", f"/tolerances/{key}")
             merged[key] = value

@@ -110,9 +110,6 @@ class PlaneWaveBasis:
     def hbar(self) -> float:
         return self.spec.hbar
 
-    def class_of(self, m: int) -> int:
-        return m % self.spec.cells
-
     def row_of(self, m: int) -> int:
         row = int(m) + self.spec.cutoff
         if not 0 <= row < self.dim or self.indices[row] != m:
@@ -131,6 +128,32 @@ class PlaneWaveBasis:
         return 2.0 * np.pi * sector / self.spec.circumference
 
 
+def fold_harmonics(harmonics) -> tuple[tuple[int, complex], ...]:
+    """Sorted (j, c) pairs of a real function: j < 0 becomes conj(c) at |j|.
+
+    Entries on the same index are summed in input order.  Index 0 passes
+    through untouched; each caller applies its own policy to it.
+    """
+    folded: dict[int, complex] = {}
+    for j, c in harmonics:
+        j, c = int(j), complex(c)
+        if j < 0:
+            j, c = -j, np.conj(c)
+        folded[j] = folded.get(j, 0j) + c
+    return tuple(sorted(folded.items()))
+
+
+def add_offset_diagonal(matrix: np.ndarray, offset: int, c: complex) -> None:
+    """Add c at (m + offset, m) and conj(c) at (m, m + offset) for every valid m.
+
+    Harmonic j of a cell-periodic function sits at offset j*N; nothing is
+    written when offset >= dim.  ``offset`` must be positive.
+    """
+    m = np.arange(matrix.shape[0] - offset)
+    matrix[m + offset, m] += c
+    matrix[m, m + offset] += np.conj(c)
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Real periodic potential given by its Fourier data.
@@ -146,17 +169,9 @@ class PotentialSpec:
     v0: float = 0.0
 
     def __post_init__(self):
-        folded: dict[int, complex] = {}
-        for j, c in self.harmonics:
-            j = int(j)
-            if j == 0:
-                raise ValueError("harmonic index 0 is the constant offset; use v0")
-            if j > 0:
-                folded[j] = folded.get(j, 0j) + complex(c)
-            else:
-                folded[-j] = folded.get(-j, 0j) + np.conj(complex(c))
-        canonical = tuple(sorted(folded.items()))
-        object.__setattr__(self, "harmonics", canonical)
+        if any(int(j) == 0 for j, _ in self.harmonics):
+            raise ValueError("harmonic index 0 is the constant offset; use v0")
+        object.__setattr__(self, "harmonics", fold_harmonics(self.harmonics))
         object.__setattr__(self, "v0", float(self.v0))
 
     @classmethod
@@ -241,12 +256,7 @@ def build_hamiltonian(spec: LatticeSpec, potential: PotentialSpec) -> HermitianO
     kinetic = (spec.hbar * basis.momenta) ** 2 / (2.0 * spec.mass)
     np.fill_diagonal(h, kinetic + potential.v0)
     for j, c in potential.harmonics:
-        dm = j * spec.cells
-        for row in range(d):
-            col = row - dm
-            if 0 <= col < d:
-                h[row, col] = h[row, col] + c
-                h[col, row] = np.conj(h[row, col])
+        add_offset_diagonal(h, j * spec.cells, c)
     return HermitianOperator(matrix=h, periodicity="cell-periodic", label="hamiltonian")
 
 

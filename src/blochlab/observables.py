@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .lattice import HermitianOperator, PlaneWaveBasis
+from .lattice import HermitianOperator, PlaneWaveBasis, add_offset_diagonal, fold_harmonics
 
 MAX_POLY_DEGREE = 6  # numerical-range guard on momentum polynomials
 PERIODICITY_RTOL = 1e-12
@@ -62,23 +62,12 @@ class ObservableTerm:
     p_poly: tuple[float, ...] = ()
 
     def __post_init__(self):
-        folded: dict[int, complex] = {}
-        constant = 0.0
-        for j, c in self.f_harmonics:
-            j, c = int(j), complex(c)
-            if j == 0:
-                if abs(c.imag) > 0.0:
-                    raise ValueError("constant part of a real function must be real")
-                constant += c.real
-            elif j > 0:
-                folded[j] = folded.get(j, 0j) + c
-            else:
-                folded[-j] = folded.get(-j, 0j) + np.conj(c)
-        canonical = []
-        if constant != 0.0:
-            canonical.append((0, complex(constant)))
-        canonical.extend(sorted(folded.items()))
-        object.__setattr__(self, "f_harmonics", tuple(canonical))
+        if any(int(j) == 0 and complex(c).imag != 0.0 for j, c in self.f_harmonics):
+            raise ValueError("constant part of a real function must be real")
+        folded = fold_harmonics(self.f_harmonics)
+        if folded and folded[0] == (0, 0j):
+            folded = folded[1:]  # a constant that sums to zero is no term
+        object.__setattr__(self, "f_harmonics", folded)
         poly = tuple(float(p) for p in self.p_poly)
         if len(poly) > MAX_POLY_DEGREE + 1:
             raise ValueError(
@@ -114,27 +103,22 @@ class PeriodicityReport:
 
 def _function_matrix(term: ObservableTerm, basis: PlaneWaveBasis) -> np.ndarray:
     d = basis.dim
-    n = basis.cells
     out = np.zeros((d, d), dtype=complex)
     for j, c in term.f_harmonics:
         if j == 0:
             out[np.diag_indices(d)] += c
-            continue
-        dm = j * n
-        for row in range(d):
-            col = row - dm
-            if 0 <= col < d:
-                out[row, col] += c
-                out[col, row] += np.conj(c)
+        else:
+            add_offset_diagonal(out, j * basis.cells, c)
     return out
 
 
-def _polynomial_matrix(term: ObservableTerm, basis: PlaneWaveBasis) -> np.ndarray:
+def _polynomial_diagonal(term: ObservableTerm, basis: PlaneWaveBasis) -> np.ndarray:
+    """Diagonal of P: the polynomial in hbar*q_m, one real entry per plane wave."""
     hq = basis.hbar * basis.momenta
     diag = np.zeros(basis.dim)
     for power, coeff in enumerate(term.p_poly):
         diag = diag + coeff * hq**power
-    return np.diag(diag).astype(complex)
+    return diag
 
 
 def build_observable(
@@ -144,7 +128,8 @@ def build_observable(
 
     Mixed terms use (F*P + P*F)/2 when ``symmetrize`` is set; with it off the
     plain product F*P is kept and must already be Hermitian (constant F or P),
-    otherwise InvariantViolation is raised.
+    otherwise InvariantViolation is raised.  P is diagonal, so it is held as
+    its diagonal vector p: F*P scales the columns of F by p and P*F its rows.
     """
     d = basis.dim
     total = np.zeros((d, d), dtype=complex)
@@ -153,11 +138,11 @@ def build_observable(
             raise ValueError("observable term needs a function part or a polynomial part")
         if term.has_function and term.has_polynomial:
             f = _function_matrix(term, basis)
-            p = _polynomial_matrix(term, basis)
+            p = _polynomial_diagonal(term, basis)
             if spec.symmetrize:
-                total += 0.5 * (f @ p + p @ f)
+                total += 0.5 * (f * p + p[:, None] * f)
             else:
-                prod = f @ p
+                prod = f * p
                 defect = float(np.max(np.abs(prod - prod.conj().T)))
                 scale = max(float(np.max(np.abs(prod))), 1e-300)
                 if defect > 1e-12 * scale:
@@ -168,7 +153,7 @@ def build_observable(
         elif term.has_function:
             total += _function_matrix(term, basis)
         else:
-            total += _polynomial_matrix(term, basis)
+            total += np.diag(_polynomial_diagonal(term, basis))
     return HermitianOperator(matrix=total, periodicity="cell-periodic", label=label)
 
 
@@ -245,33 +230,49 @@ def breaking_observable(shift: int, basis: PlaneWaveBasis) -> HermitianOperator:
         raise ValueError(f"shift {shift} is a multiple of {n}: operator would be cell-periodic")
     if not 1 <= shift <= 2 * basis.spec.cutoff:
         raise ValueError(f"shift must lie in [1, {2 * basis.spec.cutoff}], got {shift}")
-    d = basis.dim
-    out = np.zeros((d, d), dtype=complex)
-    for row in range(shift, d):
-        out[row, row - shift] = 1.0
-        out[row - shift, row] = 1.0
+    out = np.zeros((basis.dim, basis.dim), dtype=complex)
+    add_offset_diagonal(out, shift, 1.0)
     return HermitianOperator(matrix=out, periodicity="breaking", label=f"breaking:s={shift}")
+
+
+_NAMED_SPECS = {
+    "identity": ObservableSpec(terms=(ObservableTerm(p_poly=(1.0,)),)),
+    "cos_a": ObservableSpec(terms=(ObservableTerm(f_harmonics=((1, 0.5 + 0j),)),)),
+    "sin_a": ObservableSpec(terms=(ObservableTerm(f_harmonics=((1, -0.5j),)),)),
+    "momentum": ObservableSpec(terms=(ObservableTerm(p_poly=(0.0, 1.0)),)),
+    "momentum_sq": ObservableSpec(terms=(ObservableTerm(p_poly=(0.0, 0.0, 1.0)),)),
+}
+
+NAMED_OBSERVABLES = tuple(_NAMED_SPECS)
 
 
 def named_observables(basis: PlaneWaveBasis) -> dict[str, HermitianOperator]:
     """The five fixed battery members: identity, cos, sin, p, p^2."""
-    specs = {
-        "identity": ObservableSpec(terms=(ObservableTerm(p_poly=(1.0,)),)),
-        "cos_a": ObservableSpec(terms=(ObservableTerm(f_harmonics=((1, 0.5 + 0j),)),)),
-        "sin_a": ObservableSpec(terms=(ObservableTerm(f_harmonics=((1, -0.5j),)),)),
-        "momentum": ObservableSpec(terms=(ObservableTerm(p_poly=(0.0, 1.0)),)),
-        "momentum_sq": ObservableSpec(terms=(ObservableTerm(p_poly=(0.0, 0.0, 1.0)),)),
-    }
-    return {name: build_observable(spec, basis, label=name) for name, spec in specs.items()}
+    return {name: build_observable(spec, basis, label=name) for name, spec in _NAMED_SPECS.items()}
 
 
 def standard_battery(
-    basis: PlaneWaveBasis, seeds: int = 20, max_harmonic: int = 1, degree: int = 2
+    basis: PlaneWaveBasis, seeds: int = 20, max_harmonic: int = 1, degree: int = 2,
+    named: tuple[str, ...] = NAMED_OBSERVABLES, custom: tuple[ObservableSpec, ...] = (),
 ) -> list[HermitianOperator]:
-    """Named observables followed by ``seeds`` seeded ones (seed = 1..seeds)."""
-    battery = list(named_observables(basis).values())
+    """``named`` members in order, then seeds 1..seeds, then ``custom`` (custom:<i>).
+
+    An empty battery raises ValueError.  Leakage is measured relative to each
+    member's max-entry norm, so a member that is zero on this basis (say a
+    harmonic whose offset j*N reaches past it) raises ValueError naming it.
+    """
+    built = named_observables(basis)
+    battery = [built[name] for name in named]
     battery.extend(
         random_cell_periodic(seed, basis, max_harmonic=max_harmonic, degree=degree)
         for seed in range(1, seeds + 1)
     )
+    battery.extend(
+        build_observable(spec, basis, label=f"custom:{i}") for i, spec in enumerate(custom)
+    )
+    if not battery:
+        raise ValueError("battery is empty: no named, seeded or custom members")
+    for op in battery:
+        if op.norm_max == 0.0:
+            raise ValueError(f"battery member {op.label!r} is the zero operator on this basis")
     return battery

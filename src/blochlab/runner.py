@@ -27,13 +27,7 @@ from .floquet import (
     temporal_overlap_probe,
 )
 from .lattice import HermitianOperator, build_basis, build_hamiltonian, build_translation
-from .observables import (
-    breaking_observable,
-    build_observable,
-    check_cell_periodicity,
-    named_observables,
-    random_cell_periodic,
-)
+from .observables import breaking_observable, check_cell_periodicity, standard_battery
 from .reports import (
     atomic_write_text,
     bands_csv,
@@ -91,22 +85,6 @@ def stable_report_bytes(report: RunReport) -> bytes:
     return (render_json(jsonable(payload)) + "\n").encode()
 
 
-def _battery(cfg: ScenarioConfig, basis) -> list[HermitianOperator]:
-    named = named_observables(basis)
-    ops = [named[name] for name in cfg.battery.named]
-    ops.extend(
-        random_cell_periodic(
-            seed, basis, max_harmonic=cfg.battery.max_harmonic, degree=cfg.battery.degree
-        )
-        for seed in range(1, cfg.battery.seeds + 1)
-    )
-    ops.extend(
-        build_observable(spec, basis, label=f"custom:{i}")
-        for i, spec in enumerate(cfg.battery.custom)
-    )
-    return ops
-
-
 def _solve_lattice(cfg: ScenarioConfig):
     spec = cfg.lattice
     basis = build_basis(spec)
@@ -114,6 +92,18 @@ def _solve_lattice(cfg: ScenarioConfig):
     t = build_translation(spec)
     structure, states = solve_bands(h, spec)
     return spec, basis, h, t, structure, states
+
+
+def _configured_battery(cfg: ScenarioConfig, basis) -> list[HermitianOperator]:
+    """standard_battery for the config's battery section; its rejections are config errors."""
+    b = cfg.battery
+    try:
+        return standard_battery(
+            basis, seeds=b.seeds, max_harmonic=b.max_harmonic, degree=b.degree,
+            named=b.named, custom=b.custom,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc), "/battery") from exc
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
@@ -206,7 +196,7 @@ def _solver_quality_checks(cfg: ScenarioConfig, h, t, states):
 
 def _run_superselect(cfg: ScenarioConfig):
     spec, basis, h, t, structure, states = _solve_lattice(cfg)
-    battery = _battery(cfg, basis)
+    battery = _configured_battery(cfg, basis)
     bands_per_class = basis.dim // spec.cells
 
     sector_report = sector_decomposition_report(states, battery)
@@ -299,7 +289,7 @@ def _run_superselect(cfg: ScenarioConfig):
 
 def _run_wannier(cfg: ScenarioConfig):
     spec, basis, h, t, structure, states = _solve_lattice(cfg)
-    battery = _battery(cfg, basis)
+    battery = _configured_battery(cfg, basis)
     bands_per_class = basis.dim // spec.cells
     for band in cfg.wannier.bands:
         if band >= bands_per_class:

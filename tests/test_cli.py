@@ -196,3 +196,124 @@ def test_module_invocation_end_to_end(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+# ---------------------------------------------------------------------------
+# inputs that must stop at validation: exit 1, a JSON pointer, no traceback
+
+NAN, INF = float("nan"), float("inf")
+
+
+def lattice_config(kind="superselect", **sections):
+    return {"kind": kind, "lattice": {"cells": 3, "cutoff": 4}, "battery": {"seeds": 2}, **sections}
+
+
+REJECTED = {
+    "tolerance_infinity": (
+        lattice_config(tolerances={"structural_zero": INF}), [], "/tolerances/structural_zero",
+    ),
+    "tolerance_nan": (
+        lattice_config(tolerances={"solver_zero": NAN}), [], "/tolerances/solver_zero",
+    ),
+    "potential_harmonic_nan": (
+        lattice_config(potential={"harmonics": [{"j": 1, "re": NAN}]}),
+        [],
+        "/potential/harmonics/0/re",
+    ),
+    "lattice_constant_infinity": (
+        {"kind": "bands", "lattice": {"cells": 3, "cutoff": 4, "a": INF}}, [], "/lattice/a",
+    ),
+    "custom_p_poly_nan": (
+        lattice_config(battery={"seeds": 2, "custom": [{"terms": [{"p_poly": [0.0, NAN]}]}]}),
+        [],
+        "/battery/custom/0/terms/0/p_poly/1",
+    ),
+    "custom_f_infinity": (
+        lattice_config(
+            battery={"seeds": 2, "custom": [{"terms": [{"f": [{"j": 1, "im": -INF}]}]}]}
+        ),
+        [],
+        "/battery/custom/0/terms/0/f/0/im",
+    ),
+    "floquet_h0_nan_pair": (
+        {"kind": "floquet", "floquet": {"omega": 1.0, "h0": [[[NAN, 0.0], 0.0], [0.0, -0.3]]}},
+        [],
+        "/floquet/h0/0/0/0",
+    ),
+    "floquet_h0_nan_number": (
+        {"kind": "floquet", "floquet": {"omega": 1.0, "h0": [[0.3, 0.0], [0.0, NAN]]}},
+        [],
+        "/floquet/h0/1/1",
+    ),
+    "tol_override_infinity": (
+        lattice_config(), ["--tol-override", "structural_zero=inf"], "/tolerances/structural_zero",
+    ),
+    "tol_override_nan": (
+        lattice_config(), ["--tol-override", "solver_zero=nan"], "/tolerances/solver_zero",
+    ),
+    "negative_control_shift_past_basis": (
+        lattice_config(negative_control={"s": 20}), [], "/negative_control/s",
+    ),
+    "battery_member_zero_on_small_basis": (
+        # cells=3, cutoff=1: d = 3, so cos_a's offset 1*3 reaches past the basis
+        {
+            "kind": "superselect",
+            "lattice": {"cells": 3, "cutoff": 1},
+            "battery": {"seeds": 2, "max_harmonic": 0},
+        },
+        [],
+        "/battery",
+    ),
+    "battery_custom_zero_polynomial": (
+        lattice_config(battery={"seeds": 2, "custom": [{"terms": [{"p_poly": [0.0]}]}]}),
+        [],
+        "/battery",
+    ),
+    "battery_empty": (
+        lattice_config(battery={"seeds": 0, "named": []}), [], "/battery",
+    ),
+    "battery_empty_wannier": (
+        lattice_config("wannier", battery={"seeds": 0, "named": []}), [], "/battery",
+    ),
+    "battery_custom_empty_term": (
+        lattice_config(battery={"seeds": 2, "custom": [{"terms": [{"f": [{"j": 0}]}]}]}),
+        [],
+        "/battery",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_invalid_input_exits_1_with_pointer(tmp_path, capsys, case):
+    data, extra, pointer = REJECTED[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))  # writes NaN / Infinity tokens, as a user file may hold
+    report = tmp_path / "report.json"
+    code = main([data["kind"], "--config", str(path), "--report", str(report), *extra])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"(at {pointer})" in err
+    assert "Traceback" not in err
+    assert not report.exists()
+
+
+def test_zero_battery_member_is_named(tmp_path, capsys):
+    data, _, _ = REJECTED["battery_member_zero_on_small_basis"]
+    assert main(["superselect", "--config", write_json(tmp_path / "c.json", data)]) == 1
+    assert "'cos_a'" in capsys.readouterr().err
+    data, _, _ = REJECTED["battery_custom_zero_polynomial"]
+    assert main(["superselect", "--config", write_json(tmp_path / "c.json", data)]) == 1
+    assert "'custom:0'" in capsys.readouterr().err
+
+
+def test_negative_control_shift_past_basis_is_a_subprocess_exit_1(tmp_path):
+    # the same check through the real entry point: no traceback on stderr
+    data, _, _ = REJECTED["negative_control_shift_past_basis"]
+    cfg = write_json(tmp_path / "c.json", data)
+    proc = subprocess.run(
+        [sys.executable, "-m", "blochlab", "superselect", "--config", cfg],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "/negative_control/s" in proc.stderr and "Traceback" not in proc.stderr
