@@ -76,14 +76,20 @@ class CellPeriodicState:
 
 @dataclass(frozen=True)
 class BandStructure:
-    """Energies E[sector, band] with k_values[sector], bands sorted ascending."""
+    """Every Bloch state of the lattice as one (sector, band, d) block.
+
+    ``coeffs[l, n]`` is psi_{n k_l} in the plane-wave basis, with literal
+    zeros outside class l; ``energies[l, n]`` is its energy and
+    ``k_values[l]`` its wavevector.  Bands are sorted ascending per class.
+    """
 
     k_values: np.ndarray
     energies: np.ndarray
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        for name in ("k_values", "energies"):
-            arr = np.array(getattr(self, name), dtype=float)
+        for name, dtype in (("k_values", float), ("energies", float), ("coeffs", complex)):
+            arr = np.array(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -95,13 +101,15 @@ class BandStructure:
     def bands(self) -> int:
         return self.energies.shape[1]
 
-    def rows(self):
-        """Yield (sector, k, band, energy) in lexicographic order."""
-        for sector in range(self.sectors):
-            for band in range(self.bands):
-                yield sector, float(self.k_values[sector]), band, float(
-                    self.energies[sector, band]
-                )
+    def state(self, sector: int, band: int) -> BlochState:
+        """The Bloch state psi_{band, k_sector}."""
+        return BlochState(
+            band=band,
+            sector=sector,
+            wavevector=float(self.k_values[sector]),
+            energy=float(self.energies[sector, band]),
+            coeffs=self.coeffs[sector, band],
+        )
 
 
 def _phase_fix(vec: np.ndarray) -> np.ndarray:
@@ -159,15 +167,12 @@ def _canonical_eigenbasis(energies: np.ndarray, vectors: np.ndarray) -> np.ndarr
     return out
 
 
-def solve_bands(
-    h: HermitianOperator, spec: LatticeSpec
-) -> tuple[BandStructure, list[BlochState]]:
+def solve_bands(h: HermitianOperator, spec: LatticeSpec) -> BandStructure:
     """Diagonalize every wavevector-class block of a cell-periodic H.
 
-    Returns the band table and the full list of Bloch states, ordered by
-    (sector, band).  Raises InvariantViolation if H carries weight between
-    different classes (it then is not cell-periodic and has no common
-    eigenbasis with T), and NumericalFailure if a block eigensolve fails.
+    Raises InvariantViolation if H carries weight between different classes
+    (it then is not cell-periodic and has no common eigenbasis with T), and
+    NumericalFailure if a block eigensolve fails.
     """
     basis = build_basis(spec)
     if h.dim != basis.dim:
@@ -178,7 +183,7 @@ def solve_bands(
     bands_per_class = basis.dim // n_cells
     k_values = np.array([basis.wavevector(l) for l in range(n_cells)])
     energies = np.zeros((n_cells, bands_per_class))
-    states: list[BlochState] = []
+    coeffs = np.zeros((n_cells, bands_per_class, basis.dim), dtype=complex)
     for sector in range(n_cells):
         rows = basis.class_rows(sector)
         block = h.matrix[np.ix_(rows, rows)]
@@ -186,21 +191,9 @@ def solve_bands(
             vals, vecs = np.linalg.eigh(block)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise NumericalFailure(f"eigensolver failed in class {sector}: {exc}") from exc
-        vecs = _canonical_eigenbasis(vals, vecs)
         energies[sector] = vals
-        for band in range(bands_per_class):
-            full = np.zeros(basis.dim, dtype=complex)
-            full[rows] = vecs[:, band]
-            states.append(
-                BlochState(
-                    band=band,
-                    sector=sector,
-                    wavevector=float(k_values[sector]),
-                    energy=float(vals[band]),
-                    coeffs=full,
-                )
-            )
-    return BandStructure(k_values=k_values, energies=energies), states
+        coeffs[sector][:, rows] = _canonical_eigenbasis(vals, vecs).T
+    return BandStructure(k_values=k_values, energies=energies, coeffs=coeffs)
 
 
 def _require_block_structure(h: HermitianOperator, basis: PlaneWaveBasis) -> None:
@@ -280,7 +273,7 @@ def ring_phase_samples(winding: int, points: int) -> np.ndarray:
 
 
 def wannier_state(
-    band: int, home_cell: int, states: list[BlochState], spec: LatticeSpec
+    band: int, home_cell: int, bands: BandStructure, spec: LatticeSpec
 ) -> np.ndarray:
     """Localized combination of all same-band Bloch states.
 
@@ -289,15 +282,5 @@ def wannier_state(
     (T itself maps w_{n,r} to w_{n,r-1}, indices mod N).  Unit norm follows
     from orthonormality of the Bloch states.
     """
-    n_cells = spec.cells
-    by_sector = {s.sector: s for s in states if s.band == band}
-    missing = [l for l in range(n_cells) if l not in by_sector]
-    if missing:
-        raise ValueError(f"band {band} is missing wavevector classes {missing}")
-    dim = len(by_sector[0].coeffs)
-    out = np.zeros(dim, dtype=complex)
-    shift = home_cell * spec.a
-    for sector in range(n_cells):
-        state = by_sector[sector]
-        out += np.exp(-1j * state.wavevector * shift) * state.coeffs
-    return out / np.sqrt(n_cells)
+    phases = np.exp(-1j * bands.k_values * (home_cell * spec.a))
+    return (phases[:, None] * bands.coeffs[:, band]).sum(axis=0) / np.sqrt(spec.cells)

@@ -24,6 +24,14 @@ from .observables import NAMED_OBSERVABLES, ObservableSpec, ObservableTerm
 
 KINDS = ("bands", "superselect", "wannier", "floquet")
 
+# Upper bounds on the fields that set a run's length, so that a typo such as
+# 10**9 probe periods is a config error instead of a run that takes hours.
+MAX_STEPS = 65536
+MAX_TRAJECTORY_POINTS = 4097
+MAX_GRID_POINTS = 4096  # probe.grid and fringe_points
+MAX_PROBE_PERIODS = 1024
+MAX_BATTERY_SEEDS = 200
+
 DEFAULT_TOLERANCES: dict[str, float] = {
     # lattice side
     "structural_zero": 1e-12,  # cross-sector leakage, relative to ||O||_max
@@ -293,7 +301,7 @@ def _parse_battery(obj, pointer: str) -> BatteryConfig:
         for i, item in enumerate(custom_raw)
     )
     return BatteryConfig(
-        seeds=_get_int(obj, "seeds", pointer, default=20, minimum=0),
+        seeds=_get_int(obj, "seeds", pointer, default=20, minimum=0, maximum=MAX_BATTERY_SEEDS),
         named=tuple(named),
         max_harmonic=_get_int(obj, "max_harmonic", pointer, default=1, minimum=0),
         degree=_get_int(obj, "degree", pointer, default=2, minimum=0, maximum=6),
@@ -307,10 +315,12 @@ def _parse_wannier(obj, pointer: str) -> WannierConfig:
 
     def int_list(key, default):
         raw = obj.get(key, default)
-        if not isinstance(raw, list) or not all(
+        if not isinstance(raw, list) or not raw or not all(
             isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in raw
         ):
-            raise ConfigError("expected an array of non-negative integers", f"{pointer}/{key}")
+            raise ConfigError(
+                "expected a non-empty array of non-negative integers", f"{pointer}/{key}"
+            )
         return tuple(raw)
 
     return WannierConfig(bands=int_list("bands", [0, 1]), home_cells=int_list("home_cells", [0, 1]))
@@ -360,6 +370,11 @@ def _parse_probe(obj, pointer: str, dim: int) -> ProbeConfig:
         raise ConfigError(
             "expected a non-empty array of positive period counts", f"{pointer}/periods"
         )
+    for i, count in enumerate(periods):
+        if count > MAX_PROBE_PERIODS:
+            raise ConfigError(
+                f"must be <= {MAX_PROBE_PERIODS}, got {count}", f"{pointer}/periods/{i}"
+            )
     observable = None
     if "observable" in obj:
         op = f"{pointer}/observable"
@@ -377,7 +392,7 @@ def _parse_probe(obj, pointer: str, dim: int) -> ProbeConfig:
     return ProbeConfig(
         pair=(pair[0], pair[1]),
         periods=tuple(periods),
-        grid=_get_int(obj, "grid", pointer, default=256, minimum=8),
+        grid=_get_int(obj, "grid", pointer, default=256, minimum=8, maximum=MAX_GRID_POINTS),
         observable=observable,
     )
 
@@ -400,7 +415,7 @@ def _parse_floquet(obj, pointer: str) -> FloquetConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc), pointer) from exc
-    steps = _get_int(obj, "steps", pointer, default=4096, minimum=64)
+    steps = _get_int(obj, "steps", pointer, default=4096, minimum=64, maximum=MAX_STEPS)
     method = _get_str(
         obj, "method", pointer, default="midpoint-exponential",
         choices={"midpoint-exponential", "fourth-order"},
@@ -410,7 +425,10 @@ def _parse_floquet(obj, pointer: str) -> FloquetConfig:
         drive=drive,
         steps=steps,
         method=method,
-        trajectory_points=_get_int(obj, "trajectory_points", pointer, default=257, minimum=2),
+        trajectory_points=_get_int(
+            obj, "trajectory_points", pointer, default=257, minimum=2,
+            maximum=MAX_TRAJECTORY_POINTS,
+        ),
         sambe_hmax=_get_int(obj, "sambe_hmax", pointer, default=12, minimum=4),
         probe=probe,
     )
@@ -495,7 +513,9 @@ def validate_config(data: dict) -> ScenarioConfig:
                 "/negative_control/s",
             )
 
-    fringe_points = _get_int(data, "fringe_points", "", default=64, minimum=8)
+    fringe_points = _get_int(
+        data, "fringe_points", "", default=64, minimum=8, maximum=MAX_GRID_POINTS
+    )
 
     if battery.max_harmonic and lattice is not None:
         if battery.max_harmonic * lattice.cells > lattice.cutoff:
@@ -504,6 +524,14 @@ def validate_config(data: dict) -> ScenarioConfig:
                 f"(need j*cells <= cutoff)",
                 "/battery/max_harmonic",
             )
+
+    if kind == "wannier":
+        for key, limit in (("bands", lattice.dim // lattice.cells), ("home_cells", lattice.cells)):
+            for i, index in enumerate(getattr(wannier, key)):
+                if index >= limit:
+                    raise ConfigError(
+                        f"must be < {limit} on this lattice, got {index}", f"/wannier/{key}/{i}"
+                    )
 
     return ScenarioConfig(
         kind=kind,
@@ -543,8 +571,10 @@ def apply_overrides(
     from dataclasses import replace
 
     if seed_battery is not None:
-        if seed_battery < 0:
-            raise ConfigError("--seed-battery must be >= 0", "/battery/seeds")
+        if not 0 <= seed_battery <= MAX_BATTERY_SEEDS:
+            raise ConfigError(
+                f"--seed-battery must lie in [0, {MAX_BATTERY_SEEDS}]", "/battery/seeds"
+            )
         config = replace(config, battery=replace(config.battery, seeds=seed_battery))
     if tol_overrides:
         merged = dict(config.tolerances)

@@ -223,12 +223,10 @@ def propagate_period(
     """
     if steps < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} steps, got {steps}")
-    if method in ("midpoint-exponential", "midpoint"):
+    if method == "midpoint-exponential":
         u = _propagate_midpoint(spec, steps)
-        method = "midpoint-exponential"
-    elif method in ("fourth-order", "rk4"):
+    elif method == "fourth-order":
         u = _propagate_rk4(spec, steps)
-        method = "fourth-order"
     else:
         raise ValueError(f"unknown method {method!r}")
     drift = float(np.max(np.abs(u.conj().T @ u - np.eye(spec.dim))))

@@ -4,7 +4,7 @@ Reports must be byte-identical across reruns (modulo the timing block), so
 floats are rendered explicitly at 17 significant digits (enough to round-trip
 any double) instead of relying on repr, complex numbers become two-element
 [re, im] arrays, matrices nest row-major, and files are written atomically
-(temp file + rename).
+(unique temp file, fsync, rename).
 """
 
 from __future__ import annotations
@@ -12,9 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
+
+_UMASK = os.umask(0)
+os.umask(_UMASK)
 
 
 def format_float(x: float) -> str:
@@ -87,17 +91,29 @@ def canonical_hash(obj) -> str:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write through a unique, fsynced temp file in the target's directory,
+    then rename it over the target; a failed write leaves the target as it
+    was and removes the temp file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            os.fchmod(fd, 0o666 & ~_UMASK)  # mkstemp creates 0600; match a plain open()
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def bands_csv(band_structure) -> str:
     """CSV table `l,k,band,energy`, one row per state, lexicographic order."""
     lines = ["l,k,band,energy"]
-    for sector, k, band, energy in band_structure.rows():
+    for (sector, band), energy in np.ndenumerate(band_structure.energies):
+        k = band_structure.k_values[sector]
         lines.append(f"{sector},{format_float(k)},{band},{format_float(energy)}")
     return "\n".join(lines) + "\n"
 

@@ -19,6 +19,7 @@ from .bloch import solve_bands, wannier_state
 from .config import ScenarioConfig
 from .errors import ConfigError, NumericalFailure
 from .floquet import (
+    DriveTerm,
     PeriodicObservableSpec,
     mode_trajectory,
     propagate_period,
@@ -90,8 +91,7 @@ def _solve_lattice(cfg: ScenarioConfig):
     basis = build_basis(spec)
     h = build_hamiltonian(spec, cfg.potential)
     t = build_translation(spec)
-    structure, states = solve_bands(h, spec)
-    return spec, basis, h, t, structure, states
+    return spec, basis, h, t, solve_bands(h, spec)
 
 
 def _configured_battery(cfg: ScenarioConfig, basis) -> list[HermitianOperator]:
@@ -135,12 +135,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
 
 
 def _run_bands(cfg: ScenarioConfig):
-    spec, basis, h, t, structure, states = _solve_lattice(cfg)
-    quality = _solver_quality_checks(cfg, h, t, states)
+    spec, basis, h, t, structure = _solve_lattice(cfg)
+    quality = _solver_quality_checks(cfg, h, t, structure)
 
     results = {
         "dimension": basis.dim,
-        "bands_per_class": basis.dim // spec.cells,
+        "bands_per_class": structure.bands,
         "k_values": list(structure.k_values),
         "energies": [list(row) for row in structure.energies],
         "deviations": quality["deviations"],
@@ -161,22 +161,15 @@ def _run_bands(cfg: ScenarioConfig):
     return results, checks
 
 
-def _solver_quality_checks(cfg: ScenarioConfig, h, t, states):
-    psi = np.column_stack([s.coeffs for s in states])
-    gram = psi.conj().T @ psi
-    ortho = float(np.max(np.abs(gram - np.eye(len(states)))))
-    eig_resid = max(
-        float(np.linalg.norm(h.matrix @ s.coeffs - s.energy * s.coeffs)) for s in states
-    ) / max(h.norm_max, 1e-300)
-    spec = cfg.lattice
-    trans_resid = max(
-        float(
-            np.linalg.norm(
-                t @ s.coeffs - np.exp(1j * s.wavevector * spec.a) * s.coeffs
-            )
-        )
-        for s in states
-    )
+def _solver_quality_checks(cfg: ScenarioConfig, h, t, bands):
+    psi = bands.coeffs.reshape(-1, h.dim)  # one state per row
+    gram = psi.conj() @ psi.T
+    ortho = float(np.max(np.abs(gram - np.eye(len(psi)))))
+    energies = bands.energies.reshape(-1, 1)
+    eig_resid = float(np.max(np.linalg.norm(psi @ h.matrix.T - energies * psi, axis=1)))
+    eig_resid /= max(h.norm_max, 1e-300)
+    eigenphases = np.repeat(np.exp(1j * bands.k_values * cfg.lattice.a), bands.bands)[:, None]
+    trans_resid = float(np.max(np.linalg.norm(psi @ t.T - eigenphases * psi, axis=1)))
     deviations = {
         "orthonormality": ortho,
         "eigen_residual": eig_resid,
@@ -195,15 +188,11 @@ def _solver_quality_checks(cfg: ScenarioConfig, h, t, states):
 
 
 def _run_superselect(cfg: ScenarioConfig):
-    spec, basis, h, t, structure, states = _solve_lattice(cfg)
+    spec, basis, h, t, bands = _solve_lattice(cfg)
     battery = _configured_battery(cfg, basis)
-    bands_per_class = basis.dim // spec.cells
 
-    sector_report = sector_decomposition_report(states, battery)
+    sector_report = sector_decomposition_report(bands, battery)
     max_leak = sector_report.max_offdiagonal
-
-    by_sector = {l: sorted((s for s in states if s.sector == l), key=lambda s: s.band)
-                 for l in range(spec.cells)}
 
     results: dict = {
         "dimension": basis.dim,
@@ -213,14 +202,9 @@ def _run_superselect(cfg: ScenarioConfig):
     }
     checks = {"cross_sector_leakage": max_leak < cfg.tolerance("structural_zero")}
 
-    scan_observable = battery[0]
-    for op in battery:
-        if op.label == "cos_a":
-            scan_observable = op
-            break
-
+    scan_observable = next((op for op in battery if op.label == "cos_a"), battery[0])
     cross_scan = fringe_scan(
-        scan_observable, by_sector[0][0], by_sector[1][0], cfg.fringe_points
+        scan_observable, bands.state(0, 0), bands.state(1, 0), cfg.fringe_points
     )
     results["fringe_cross"] = {
         "observable": cross_scan.observable,
@@ -230,19 +214,19 @@ def _run_superselect(cfg: ScenarioConfig):
     }
     checks["fringe_flat"] = cross_scan.amplitude < cfg.tolerance("solver_zero")
 
-    if bands_per_class >= 2:
-        worst_sector = None
-        for sector in range(spec.cells):
-            a, b = by_sector[sector][0], by_sector[sector][1]
-            best = max(matrix_element(op, a, b).magnitude for op in battery)
-            if worst_sector is None or best < worst_sector:
-                worst_sector = best
+    if bands.bands >= 2:
+        def strongest(a, b):
+            return max(matrix_element(op, a, b).magnitude for op in battery)
+
+        worst_sector = min(
+            strongest(bands.state(sector, 0), bands.state(sector, 1)) for sector in range(spec.cells)
+        )
         results["positive_control_min"] = worst_sector
         checks["positive_control"] = worst_sector > cfg.tolerance("positive_control")
 
         # scan the battery member with the strongest within-sector element, so
         # the fringe-vs-element comparison runs away from parity-forced zeros
-        a, b = by_sector[0][0], by_sector[0][1]
+        a, b = bands.state(0, 0), bands.state(0, 1)
         within_observable = max(
             battery, key=lambda op: matrix_element(op, a, b).magnitude
         )
@@ -267,9 +251,9 @@ def _run_superselect(cfg: ScenarioConfig):
         shift = cfg.negative_control_shift
         breaker = breaking_observable(shift, basis)
         periodicity = check_cell_periodicity(breaker, t)
-        a = by_sector[0][0]
-        b = by_sector[shift % spec.cells][0]
-        breaking_scan = fringe_scan(breaker, a, b, cfg.fringe_points)
+        breaking_scan = fringe_scan(
+            breaker, bands.state(0, 0), bands.state(shift % spec.cells, 0), cfg.fringe_points
+        )
         results["negative_control"] = {
             "shift": shift,
             "periodicity_violation": periodicity.max_violation,
@@ -288,38 +272,24 @@ def _run_superselect(cfg: ScenarioConfig):
 
 
 def _run_wannier(cfg: ScenarioConfig):
-    spec, basis, h, t, structure, states = _solve_lattice(cfg)
+    spec, basis, h, t, bands = _solve_lattice(cfg)
     battery = _configured_battery(cfg, basis)
-    bands_per_class = basis.dim // spec.cells
-    for band in cfg.wannier.bands:
-        if band >= bands_per_class:
-            raise ConfigError(
-                f"band {band} out of range (this lattice has {bands_per_class} bands)",
-                "/wannier/bands",
-            )
-    for cell in cfg.wannier.home_cells:
-        if cell >= spec.cells:
-            raise ConfigError(
-                f"home cell {cell} out of range ({spec.cells} cells)", "/wannier/home_cells"
-            )
 
     norm_dev = 0.0
     covariance = 0.0
     mixture = 0.0
     per_band = {}
     for band in cfg.wannier.bands:
-        band_states = [s for s in states if s.band == band]
-        w0 = wannier_state(band, 0, states, spec)
-        w1 = wannier_state(band, 1, states, spec)
+        w0 = wannier_state(band, 0, bands, spec)
+        w1 = wannier_state(band, 1, bands, spec)
         covariance = max(covariance, float(np.linalg.norm(t.conj().T @ w0 - w1)))
-        band_mixture = 0.0
-        for cell in cfg.wannier.home_cells:
-            w = wannier_state(band, cell, states, spec)
-            norm_dev = max(norm_dev, abs(float(np.linalg.norm(w)) - 1.0))
-            band_mixture = max(
-                band_mixture,
-                max(wannier_mixture_residual(w, band_states, op) for op in battery),
-            )
+        wanniers = np.array(
+            [wannier_state(band, cell, bands, spec) for cell in cfg.wannier.home_cells]
+        )
+        norm_dev = max(norm_dev, float(np.max(np.abs(np.linalg.norm(wanniers, axis=1) - 1.0))))
+        band_mixture = max(
+            wannier_mixture_residual(wanniers, bands.coeffs[:, band], op) for op in battery
+        )
         mixture = max(mixture, band_mixture)
         per_band[str(band)] = {"mixture_residual": band_mixture}
 
@@ -345,8 +315,6 @@ def _run_wannier(cfg: ScenarioConfig):
 
 def _default_probe_observable(dim: int) -> PeriodicObservableSpec:
     """Generic time-dependent Hermitian probe: fixed, documented choice."""
-    from .floquet import DriveTerm
-
     static = np.zeros((dim, dim), dtype=complex)
     static[0, 1] = static[1, 0] = 1.0
     modulated = np.diag([1.0 if i % 2 == 0 else -1.0 for i in range(dim)]).astype(complex)

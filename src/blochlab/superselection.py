@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochState
+from .bloch import BandStructure, BlochState
 from .lattice import HermitianOperator
 
 ORTHOGONALITY_ATOL = 1e-10
@@ -187,47 +187,48 @@ def mixture_diagnostic(
 
 
 def sector_decomposition_report(
-    states: list[BlochState], battery: list[HermitianOperator]
+    bands: BandStructure, battery: list[HermitianOperator]
 ) -> SectorDecompositionReport:
     """Maximal normalized cross-class matrix element for every class pair.
 
-    Pairs are visited in lexicographic order and mirrored, so repeat runs
-    produce identical reports.
+    Per battery member, Psi^* O (one row per state) meets each class's kets in
+    one stacked product; entry [j, l] is maximized over both band axes.  Only
+    the j < l entries (bras from the lower class) are kept and then mirrored,
+    so the table is symmetric to the last bit and equals a pairwise loop over
+    class pairs bit for bit.
     """
-    sectors = sorted({s.sector for s in states})
-    n = len(sectors)
-    leakage = np.full((n, n), np.nan)
-    by_sector = {l: [s for s in states if s.sector == l] for l in sectors}
-    for j in sectors:
-        bras = np.column_stack([s.coeffs for s in by_sector[j]])
-        for l in sectors:
-            if l <= j:
-                continue
-            kets = np.column_stack([s.coeffs for s in by_sector[l]])
-            worst = 0.0
-            for op in battery:
-                elements = np.abs(bras.conj().T @ op.matrix @ kets) / op.norm_max
-                worst = max(worst, float(np.max(elements)))
-            leakage[j, l] = worst
-            leakage[l, j] = worst
+    n_sectors, n_bands, dim = bands.coeffs.shape
+    bras = bands.coeffs.reshape(n_sectors * n_bands, dim).conj()
+    kets = bands.coeffs.transpose(0, 2, 1)  # (ket class, d, ket band)
+    worst = np.zeros((n_sectors, n_sectors))
+    for op in battery:
+        # (ket class, bra class * bra band, ket band) -> [ket class, bra class]
+        elements = np.abs(bras @ op.matrix @ kets) / op.norm_max
+        elements = elements.reshape(n_sectors, n_sectors, -1).max(axis=2)
+        np.maximum(worst, elements.T, out=worst)
+    upper = np.triu(worst, 1)
+    leakage = upper + upper.T
+    np.fill_diagonal(leakage, np.nan)
     return SectorDecompositionReport(
         leakage=leakage, battery_labels=tuple(op.label for op in battery)
     )
 
 
-def wannier_mixture_residual(
-    wannier: np.ndarray, band_states: list[BlochState], operator: HermitianOperator
-) -> float:
-    """|<w|O|w> - mean_l <psi_l|O|psi_l>| for one band's Wannier state.
+def _expectations(rows: np.ndarray, operator: HermitianOperator) -> np.ndarray:
+    """Re <v|O|v> for every row v of ``rows``."""
+    return np.real(np.sum((rows.conj() @ operator.matrix) * rows, axis=1))
 
-    The Wannier state is an equal-weight phase combination of the band's
-    Bloch states, so for cell-periodic O its expectation must equal the
-    uniform classical average over the band.
+
+def wannier_mixture_residual(
+    wanniers: np.ndarray, band_coeffs: np.ndarray, operator: HermitianOperator
+) -> float:
+    """max_r |<w_r|O|w_r> - mean_l <psi_l|O|psi_l>| over one band's Wannier states.
+
+    ``wanniers`` holds one home cell's Wannier vector per row and
+    ``band_coeffs`` the band's Bloch states, one class per row.  Each Wannier
+    state is an equal-weight phase combination of those Bloch states, so for
+    cell-periodic O its expectation must equal the uniform classical average
+    over the band.
     """
-    w_avg = float(np.real(wannier.conj() @ operator.matrix @ wannier))
-    band_avg = float(
-        np.mean(
-            [np.real(s.coeffs.conj() @ operator.matrix @ s.coeffs) for s in band_states]
-        )
-    )
-    return abs(w_avg - band_avg)
+    band_avg = float(np.mean(_expectations(band_coeffs, operator)))
+    return float(np.max(np.abs(_expectations(wanniers, operator) - band_avg)))

@@ -23,15 +23,13 @@ def mathieu_potential():
 @pytest.fixture(scope="session")
 def mathieu_solution(lattice_n3, mathieu_potential):
     h = bl.build_hamiltonian(lattice_n3, mathieu_potential)
-    structure, states = bl.solve_bands(h, lattice_n3)
-    return h, structure, states
+    return h, bl.solve_bands(h, lattice_n3)
 
 
 @pytest.fixture(scope="session")
 def free_solution(lattice_n3):
     h = bl.build_hamiltonian(lattice_n3, bl.PotentialSpec())
-    structure, states = bl.solve_bands(h, lattice_n3)
-    return h, structure, states
+    return h, bl.solve_bands(h, lattice_n3)
 
 
 @pytest.fixture(scope="session")
@@ -39,12 +37,9 @@ def battery_n3(basis_n3):
     return bl.standard_battery(basis_n3, seeds=20)
 
 
-def states_by_sector(states):
-    sectors = sorted({s.sector for s in states})
-    return {
-        l: sorted((s for s in states if s.sector == l), key=lambda s: s.band)
-        for l in sectors
-    }
+def every_state(bands):
+    """All Bloch states of a BandStructure as BlochState objects, (sector, band) order."""
+    return [bands.state(l, n) for l in range(bands.sectors) for n in range(bands.bands)]
 
 
 @pytest.fixture(scope="session")

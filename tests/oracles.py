@@ -134,3 +134,43 @@ def loop_breaking_observable(shift: int, basis) -> np.ndarray:
         out[row, row - shift] = 1.0
         out[row - shift, row] = 1.0
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-state measurements: the leakage table one class pair at a time, and the
+# Wannier band average one Bloch state at a time, both over lists of
+# BlochState.  The package computes one Psi^* O Psi^T product per operator on
+# the (sector, band, d) coefficient block; these loops are the reference it
+# must reproduce.
+
+
+def pairwise_leakage(states, battery) -> np.ndarray:
+    """Max over bands and battery of |bras^H O kets| / ||O||_max per class pair j < l, mirrored."""
+    sectors = sorted({s.sector for s in states})
+    n = len(sectors)
+    leakage = np.full((n, n), np.nan)
+    by_sector = {l: [s for s in states if s.sector == l] for l in sectors}
+    for j in sectors:
+        bras = np.column_stack([s.coeffs for s in by_sector[j]])
+        for l in sectors:
+            if l <= j:
+                continue
+            kets = np.column_stack([s.coeffs for s in by_sector[l]])
+            worst = 0.0
+            for op in battery:
+                elements = np.abs(bras.conj().T @ op.matrix @ kets) / op.norm_max
+                worst = max(worst, float(np.max(elements)))
+            leakage[j, l] = worst
+            leakage[l, j] = worst
+    return leakage
+
+
+def state_mixture_residual(wannier: np.ndarray, band_states, operator) -> float:
+    """|<w|O|w> - mean_l <psi_l|O|psi_l>| for one Wannier vector, band average per state."""
+    w_avg = float(np.real(wannier.conj() @ operator.matrix @ wannier))
+    band_avg = float(
+        np.mean(
+            [np.real(s.coeffs.conj() @ operator.matrix @ s.coeffs) for s in band_states]
+        )
+    )
+    return abs(w_avg - band_avg)

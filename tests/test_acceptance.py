@@ -16,7 +16,6 @@ import blochlab as bl
 from blochlab.config import validate_config
 from blochlab.observables import Lcg
 from blochlab.runner import run_scenario, stable_report_bytes
-from conftest import states_by_sector
 from oracles import fd_ring_energies
 
 ACCEPTANCE_LATTICES = ((3, 4), (5, 7), (7, 10))
@@ -49,9 +48,9 @@ def build_config(cells, cutoff, potential):
     spec = bl.LatticeSpec(cells=cells, cutoff=cutoff)
     basis = bl.build_basis(spec)
     h = bl.build_hamiltonian(spec, potential)
-    structure, states = bl.solve_bands(h, spec)
+    bands = bl.solve_bands(h, spec)
     battery = bl.standard_battery(basis, seeds=20)
-    return spec, basis, h, structure, states, battery
+    return spec, basis, h, bands, battery
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +70,8 @@ def test_criterion_1_bloch_superselection():
         worst = 0.0
         for name, pot in POTENTIALS:
             for cells, cutoff in ACCEPTANCE_LATTICES:
-                _, _, _, _, states, battery = build_config(cells, cutoff, pot)
-                report = bl.sector_decomposition_report(states, battery)
+                _, _, _, bands, battery = build_config(cells, cutoff, pot)
+                report = bl.sector_decomposition_report(bands, battery)
                 worst = max(worst, report.max_offdiagonal)
         elapsed = time.perf_counter() - started
         detail["max_leakage"] = worst
@@ -85,10 +84,9 @@ def test_criterion_2_positive_control(solved):
     with criterion(2, "within-sector coherence") as detail:
         weakest = None
         worst_mismatch = 0.0
-        for (name, cells), (spec, basis, h, structure, states, battery) in solved.items():
-            by = states_by_sector(states)
+        for (name, cells), (spec, basis, h, bands, battery) in solved.items():
             for sector in range(spec.cells):
-                a, b = by[sector][0], by[sector][1]
+                a, b = bands.state(sector, 0), bands.state(sector, 1)
                 best_op = max(battery, key=lambda op: bl.matrix_element(op, a, b).magnitude)
                 element = bl.matrix_element(best_op, a, b).magnitude
                 weakest = element if weakest is None else min(weakest, element)
@@ -104,13 +102,12 @@ def test_criterion_2_positive_control(solved):
 def test_criterion_3_negative_control(solved):
     with criterion(3, "periodicity-breaking control") as detail:
         weakest_fringe = None
-        for (name, cells), (spec, basis, h, structure, states, battery) in solved.items():
+        for (name, cells), (spec, basis, h, bands, battery) in solved.items():
             t = bl.build_translation(spec)
             breaker = bl.breaking_observable(1, basis)
             report = bl.check_cell_periodicity(breaker, t)
             assert not report.is_cell_periodic, (name, cells)
-            by = states_by_sector(states)
-            scan = bl.fringe_scan(breaker, by[0][0], by[1][0], 64)
+            scan = bl.fringe_scan(breaker, bands.state(0, 0), bands.state(1, 0), 64)
             weakest_fringe = (
                 scan.amplitude if weakest_fringe is None else min(weakest_fringe, scan.amplitude)
             )
@@ -123,7 +120,7 @@ def test_criterion_4_band_structure_correctness(solved):
         # free-particle closed form at every acceptance lattice
         worst_free = 0.0
         for cells, cutoff in ACCEPTANCE_LATTICES:
-            spec, basis, h, structure, states, _ = solved[("free", cells)]
+            spec, basis, h, structure, _ = solved[("free", cells)]
             for sector in range(cells):
                 kinetic = np.sort(basis.momenta[basis.class_rows(sector)] ** 2 / 2.0)
                 worst_free = max(
@@ -136,7 +133,7 @@ def test_criterion_4_band_structure_correctness(solved):
         # truncation is out of the way (see test_bloch for the M=4 floor)
         pot = dict(POTENTIALS)["cos"]
         spec = bl.LatticeSpec(cells=3, cutoff=13)
-        structure, _ = bl.solve_bands(bl.build_hamiltonian(spec, pot), spec)
+        structure = bl.solve_bands(bl.build_hamiltonian(spec, pot), spec)
         lowest = np.sort(structure.energies.ravel())[:9]
         oracle = fd_ring_energies(spec, pot, points=2048, count=9)
         rel = float(np.max(np.abs(lowest - oracle) / np.abs(oracle)))
@@ -165,13 +162,13 @@ def test_criterion_5_winding_numbers():
 def test_criterion_6_wannier_mixture_identity(solved):
     with criterion(6, "Wannier mixture identity") as detail:
         worst = 0.0
-        for (name, cells), (spec, basis, h, structure, states, battery) in solved.items():
+        for (name, cells), (spec, basis, h, bands, battery) in solved.items():
             for band in (0, 1):
-                band_states = [s for s in states if s.band == band]
-                for cell in (0, 1):
-                    w = bl.wannier_state(band, cell, states, spec)
-                    for op in battery:
-                        worst = max(worst, bl.wannier_mixture_residual(w, band_states, op))
+                wanniers = np.array([bl.wannier_state(band, cell, bands, spec) for cell in (0, 1)])
+                for op in battery:
+                    worst = max(
+                        worst, bl.wannier_mixture_residual(wanniers, bands.coeffs[:, band], op)
+                    )
         detail["max_residual"] = worst
         assert worst < 1e-10
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import blochlab as bl
 from blochlab.observables import Lcg
-from conftest import states_by_sector
+from conftest import every_state
 from oracles import fd_ring_energies
 
 # measured once against the 2048-point oracle: with cutoff M=4 the plane-wave
@@ -17,7 +17,7 @@ M4_TRUNCATION_FLOOR = (1e-4, 2e-4)
 
 
 def test_free_particle_band_heads(free_solution):
-    _, structure, _ = free_solution
+    _, structure = free_solution
     assert structure.bands == 3  # D/N = 9/3
     assert structure.energies[0, 0] == pytest.approx(0.0, abs=1e-15)
     assert structure.energies[1, 0] == pytest.approx((2 * np.pi / 3) ** 2 / 2, rel=1e-12)
@@ -26,7 +26,7 @@ def test_free_particle_band_heads(free_solution):
 
 def test_free_particle_closed_form(lattice_n3, free_solution, basis_n3):
     # every energy must be some hbar^2 q_m^2 / (2 mass), essentially exactly
-    _, structure, _ = free_solution
+    _, structure = free_solution
     for sector in range(3):
         kinetic = np.sort(basis_n3.momenta[basis_n3.class_rows(sector)] ** 2 / 2.0)
         assert np.max(np.abs(structure.energies[sector] - kinetic)) < 1e-12
@@ -42,7 +42,7 @@ def test_band_energies_match_real_space_oracle_when_converged(
 ):
     # cutoff 13 leaves plane-wave truncation far below the comparison scale
     spec = bl.LatticeSpec(cells=3, cutoff=13)
-    structure, _ = bl.solve_bands(bl.build_hamiltonian(spec, mathieu_potential), spec)
+    structure = bl.solve_bands(bl.build_hamiltonian(spec, mathieu_potential), spec)
     lowest = np.sort(structure.energies.ravel())[:9]
     rel = np.abs(lowest - fd_oracle_energies) / np.abs(fd_oracle_energies)
     assert float(np.max(rel)) < 1e-6
@@ -51,40 +51,39 @@ def test_band_energies_match_real_space_oracle_when_converged(
 def test_m4_truncation_floor_against_oracle(mathieu_solution, fd_oracle_energies):
     # regression guard: at M=4 the same comparison is limited by basis
     # truncation, not by the solver; the floor was measured and frozen
-    _, structure, _ = mathieu_solution
+    _, structure = mathieu_solution
     lowest = np.sort(structure.energies.ravel())
     rel = float(np.max(np.abs(lowest - fd_oracle_energies) / np.abs(fd_oracle_energies)))
     assert M4_TRUNCATION_FLOOR[0] < rel < M4_TRUNCATION_FLOOR[1]
 
 
 def test_simultaneous_eigenvector_property(lattice_n3, mathieu_solution):
-    h, _, states = mathieu_solution
+    h, bands = mathieu_solution
     t = bl.build_translation(lattice_n3)
-    for s in states:
+    for s in every_state(bands):
         assert np.linalg.norm(h.matrix @ s.coeffs - s.energy * s.coeffs) < 1e-9 * h.norm_max
         phase = np.exp(1j * s.wavevector * lattice_n3.a)
         assert np.linalg.norm(t @ s.coeffs - phase * s.coeffs) < 1e-10
 
 
 def test_states_form_orthonormal_set(mathieu_solution):
-    _, _, states = mathieu_solution
-    psi = np.column_stack([s.coeffs for s in states])
+    _, bands = mathieu_solution
+    psi = np.column_stack([s.coeffs for s in every_state(bands)])
     gram = psi.conj().T @ psi
-    assert float(np.max(np.abs(gram - np.eye(len(states))))) < 1e-10
+    assert float(np.max(np.abs(gram - np.eye(psi.shape[1])))) < 1e-10
 
 
 def test_solver_is_bitwise_deterministic(lattice_n3, mathieu_potential):
     h = bl.build_hamiltonian(lattice_n3, mathieu_potential)
-    _, first = bl.solve_bands(h, lattice_n3)
-    _, second = bl.solve_bands(h, lattice_n3)
-    for a, b in zip(first, second):
-        assert np.array_equal(a.coeffs, b.coeffs)
-        assert a.energy == b.energy
+    first = bl.solve_bands(h, lattice_n3)
+    second = bl.solve_bands(h, lattice_n3)
+    assert np.array_equal(first.coeffs, second.coeffs)
+    assert np.array_equal(first.energies, second.energies)
 
 
 def test_gauge_fixing_makes_dominant_coefficient_real_positive(free_solution):
-    _, _, states = free_solution
-    for s in states:
+    _, bands = free_solution
+    for s in every_state(bands):
         pivot = s.coeffs[np.argmax(np.abs(s.coeffs))]
         assert pivot.imag == pytest.approx(0.0, abs=1e-14)
         assert pivot.real > 0.0
@@ -93,9 +92,8 @@ def test_gauge_fixing_makes_dominant_coefficient_real_positive(free_solution):
 def test_degenerate_free_pair_resolved_by_plane_wave_pivot(free_solution, basis_n3):
     # class 0 bands 1 and 2 are degenerate at |m| = 3; the canonical basis
     # pins them to the m = -3 and m = +3 axes, in that order
-    _, _, states = free_solution
-    by = states_by_sector(states)
-    b1, b2 = by[0][1], by[0][2]
+    _, bands = free_solution
+    b1, b2 = bands.state(0, 1), bands.state(0, 2)
     assert abs(b1.coeffs[basis_n3.row_of(-3)]) == pytest.approx(1.0, abs=1e-12)
     assert abs(b2.coeffs[basis_n3.row_of(3)]) == pytest.approx(1.0, abs=1e-12)
 
@@ -110,21 +108,20 @@ def test_solver_rejects_class_coupling_operator(lattice_n3, basis_n3):
 
 
 def test_cell_periodic_reindexing(free_solution, basis_n3):
-    _, _, states = free_solution
-    by = states_by_sector(states)
+    _, bands = free_solution
     # band 0 of class 1 is the single plane wave m=1 -> constant u (j=0)
-    u = bl.cell_periodic_part(by[1][0], basis_n3)
+    u = bl.cell_periodic_part(bands.state(1, 0), basis_n3)
     weights = dict(zip(u.g_indices.tolist(), np.abs(u.coeffs).tolist()))
     assert weights[0] == pytest.approx(1.0, abs=1e-12)
     # band 2 of class 1 is m=4 -> j = (4-1)/3 = 1
-    u2 = bl.cell_periodic_part(by[1][2], basis_n3)
+    u2 = bl.cell_periodic_part(bands.state(1, 2), basis_n3)
     weights2 = dict(zip(u2.g_indices.tolist(), np.abs(u2.coeffs).tolist()))
     assert weights2[1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cell_periodic_part_preserves_norm(mathieu_solution, basis_n3):
-    _, _, states = mathieu_solution
-    for s in states:
+    _, bands = mathieu_solution
+    for s in every_state(bands):
         u = bl.cell_periodic_part(s, basis_n3)
         assert np.linalg.norm(u.coeffs) == pytest.approx(np.linalg.norm(s.coeffs), abs=1e-15)
         # coefficient-level reconstruction of psi from u: exact index shift
@@ -135,8 +132,8 @@ def test_cell_periodic_part_preserves_norm(mathieu_solution, basis_n3):
 
 
 def test_cell_periodic_part_rejects_stray_support(free_solution, basis_n3):
-    _, _, states = free_solution
-    bad = states_by_sector(states)[1][0]
+    _, bands = free_solution
+    bad = bands.state(1, 0)
     coeffs = bad.coeffs.copy()
     coeffs[basis_n3.row_of(0)] = 1e-6  # class-0 weight on a class-1 state
     tampered = bl.BlochState(
@@ -196,8 +193,8 @@ def test_wannier_free_band0_is_equal_weight_combination(
 ):
     # direct-summation oracle: band 0 states are the phase-fixed plane waves
     # m = 0, 1, -1, so w at home cell 0 weights them equally
-    _, _, states = free_solution
-    w = bl.wannier_state(0, 0, states, lattice_n3)
+    _, bands = free_solution
+    w = bl.wannier_state(0, 0, bands, lattice_n3)
     expected = np.zeros(9, dtype=complex)
     for m in (0, 1, -1):
         expected[basis_n3.row_of(m)] = 1.0 / np.sqrt(3.0)
@@ -205,10 +202,10 @@ def test_wannier_free_band0_is_equal_weight_combination(
 
 
 def test_wannier_unit_norm(mathieu_solution, lattice_n3):
-    _, _, states = mathieu_solution
+    _, bands = mathieu_solution
     for band in (0, 1):
         for cell in range(3):
-            w = bl.wannier_state(band, cell, states, lattice_n3)
+            w = bl.wannier_state(band, cell, bands, lattice_n3)
             assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -216,31 +213,23 @@ def test_wannier_translation_covariance(mathieu_solution, lattice_n3):
     # the translation that moves wavepackets forward by one cell is the
     # adjoint of build_translation's T (which shifts arguments by +a), so
     # T^dagger advances the home cell and T itself lowers it
-    _, _, states = mathieu_solution
+    _, bands = mathieu_solution
     t = bl.build_translation(lattice_n3)
-    w0 = bl.wannier_state(0, 0, states, lattice_n3)
-    w1 = bl.wannier_state(0, 1, states, lattice_n3)
-    w2 = bl.wannier_state(0, 2, states, lattice_n3)
+    w0 = bl.wannier_state(0, 0, bands, lattice_n3)
+    w1 = bl.wannier_state(0, 1, bands, lattice_n3)
+    w2 = bl.wannier_state(0, 2, bands, lattice_n3)
     assert np.linalg.norm(t.conj().T @ w0 - w1) < 1e-10
     assert np.linalg.norm(t @ w0 - w2) < 1e-10  # r-1 mod 3 = 2
 
 
 def test_wannier_direct_summation_oracle(mathieu_solution, lattice_n3):
-    _, _, states = mathieu_solution
-    by = states_by_sector(states)
+    _, bands = mathieu_solution
     r = 2
     expected = sum(
-        np.exp(-1j * by[l][1].wavevector * r * lattice_n3.a) * by[l][1].coeffs
+        np.exp(-1j * bands.state(l, 1).wavevector * r * lattice_n3.a) * bands.state(l, 1).coeffs
         for l in range(3)
     ) / np.sqrt(3.0)
-    assert np.allclose(bl.wannier_state(1, r, states, lattice_n3), expected, atol=1e-15)
-
-
-def test_wannier_missing_class_error(mathieu_solution, lattice_n3):
-    _, _, states = mathieu_solution
-    partial = [s for s in states if not (s.band == 0 and s.sector == 1)]
-    with pytest.raises(ValueError, match=r"\[1\]"):
-        bl.wannier_state(0, 0, partial, lattice_n3)
+    assert np.allclose(bl.wannier_state(1, r, bands, lattice_n3), expected, atol=1e-15)
 
 
 def test_lcg_stream_is_stable():

@@ -9,7 +9,14 @@ import pytest
 
 import blochlab as bl
 from blochlab.cli import main
-from blochlab.config import validate_config
+from blochlab.config import (
+    MAX_BATTERY_SEEDS,
+    MAX_GRID_POINTS,
+    MAX_PROBE_PERIODS,
+    MAX_STEPS,
+    MAX_TRAJECTORY_POINTS,
+    validate_config,
+)
 from blochlab.runner import run_scenario, stable_report_bytes
 
 
@@ -166,11 +173,9 @@ def test_fringe_series_fft_has_single_cycle(tmp_path):
 
 def test_emit_fringe_series_row_count(tmp_path, mathieu_solution, basis_n3):
     from blochlab.reports import emit_fringe_series
-    from conftest import states_by_sector
 
-    _, _, states = mathieu_solution
-    by = states_by_sector(states)
-    scan = bl.fringe_scan(bl.named_observables(basis_n3)["cos_a"], by[1][0], by[1][1], 8)
+    _, bands = mathieu_solution
+    scan = bl.fringe_scan(bl.named_observables(basis_n3)["cos_a"], bands.state(1, 0), bands.state(1, 1), 8)
     path = tmp_path / "scan.csv"
     emit_fringe_series(scan, path)
     rows = path.read_text().strip().splitlines()
@@ -280,6 +285,19 @@ REJECTED = {
         [],
         "/battery",
     ),
+    "wannier_bands_empty": (
+        lattice_config("wannier", wannier={"bands": []}), [], "/wannier/bands",
+    ),
+    "wannier_home_cells_empty": (
+        lattice_config("wannier", wannier={"home_cells": []}), [], "/wannier/home_cells",
+    ),
+    "wannier_band_out_of_range": (
+        # cells=3, cutoff=4: 9 plane waves, 3 bands per class
+        lattice_config("wannier", wannier={"bands": [0, 3]}), [], "/wannier/bands/1",
+    ),
+    "wannier_home_cell_out_of_range": (
+        lattice_config("wannier", wannier={"home_cells": [3]}), [], "/wannier/home_cells/0",
+    ),
 }
 
 
@@ -317,3 +335,60 @@ def test_negative_control_shift_past_basis_is_a_subprocess_exit_1(tmp_path):
     )
     assert proc.returncode == 1
     assert "/negative_control/s" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_wannier_index_out_of_range_stops_before_any_eigensolve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solve_bands reached")
+
+    monkeypatch.setattr("blochlab.runner.solve_bands", no_solve)
+    data, _, _ = REJECTED["wannier_band_out_of_range"]
+    assert main(["wannier", "--config", write_json(tmp_path / "c.json", data)]) == 1
+    assert "must be < 3 on this lattice, got 3" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# caps on the fields that set a run's length: the cap passes, cap + 1 exits 1
+
+FLOQUET_BASE = {"omega": 1.0, "h0": [[0.3, 0.0], [0.0, -0.3]]}
+
+
+def _floquet(**fields):
+    return {"kind": "floquet", "floquet": {**FLOQUET_BASE, **fields}}
+
+
+CAPPED = {
+    "steps": (lambda n: _floquet(steps=n), MAX_STEPS, "/floquet/steps"),
+    "trajectory_points": (
+        lambda n: _floquet(trajectory_points=n), MAX_TRAJECTORY_POINTS,
+        "/floquet/trajectory_points",
+    ),
+    "probe_grid": (lambda n: _floquet(probe={"grid": n}), MAX_GRID_POINTS, "/floquet/probe/grid"),
+    "probe_periods": (
+        lambda n: _floquet(probe={"periods": [8, n]}), MAX_PROBE_PERIODS,
+        "/floquet/probe/periods/1",
+    ),
+    "fringe_points": (lambda n: lattice_config(fringe_points=n), MAX_GRID_POINTS, "/fringe_points"),
+    "battery_seeds": (
+        lambda n: lattice_config(battery={"seeds": n}), MAX_BATTERY_SEEDS, "/battery/seeds",
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(CAPPED))
+def test_field_above_its_cap_exits_1_with_pointer(tmp_path, capsys, field):
+    build, cap, pointer = CAPPED[field]
+    validate_config(build(cap))  # the cap itself is accepted
+    data = build(cap + 1)
+    code = main([data["kind"], "--config", write_json(tmp_path / "c.json", data)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"(at {pointer})" in err and f"<= {cap}" in err
+    assert "Traceback" not in err
+
+
+def test_seed_battery_override_above_cap_exits_1(tmp_path, capsys):
+    path = write_json(tmp_path / "c.json", lattice_config())
+    code = main(["superselect", "--config", path, "--seed-battery", str(MAX_BATTERY_SEEDS + 1)])
+    err = capsys.readouterr().err
+    assert code == 1 and "(at /battery/seeds)" in err and "Traceback" not in err

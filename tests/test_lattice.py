@@ -76,7 +76,7 @@ def test_cosine_coupling_placement():
 
 
 def test_hamiltonian_exactly_hermitian_and_block_structured(basis_n3, mathieu_solution):
-    h, _, _ = mathieu_solution
+    h, _ = mathieu_solution
     assert float(np.max(np.abs(h.matrix - h.matrix.conj().T))) == 0.0
     classes = basis_n3.indices % 3
     off = classes[:, None] != classes[None, :]
@@ -94,7 +94,7 @@ def test_translation_is_unitary_diagonal_with_unit_roots():
 
 def test_translation_commutes_with_hamiltonian(mathieu_solution):
     # direct matrix-product oracle for the symmetry relation
-    h, _, _ = mathieu_solution
+    h, _ = mathieu_solution
     spec = bl.LatticeSpec(cells=3, cutoff=4)
     t = bl.build_translation(spec)
     assert float(np.max(np.abs(h.matrix @ t - t @ h.matrix))) < 1e-12
@@ -134,7 +134,7 @@ def test_hermitian_operator_rejects_non_hermitian():
 
 
 def test_operator_matrices_are_frozen(mathieu_solution):
-    h, _, _ = mathieu_solution
+    h, _ = mathieu_solution
     with pytest.raises(ValueError):
         h.matrix[0, 0] = 99.0
 

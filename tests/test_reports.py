@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -65,6 +66,33 @@ def test_atomic_write_creates_parents_and_replaces(tmp_path):
     atomic_write_text(target, "two\n")
     assert target.read_text() == "two\n"
     assert not list(target.parent.glob("*.tmp"))
+
+
+def test_failed_atomic_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    atomic_write_text(target, "old\n")
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("blochlab.reports.os.fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write_text(target, "new\n")
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_atomic_write_leaves_a_concurrent_writers_temp_file_alone(tmp_path):
+    # a fixed temp name such as <name>.tmp would be shared by two writers of one path
+    target = tmp_path / "report.json"
+    other = tmp_path / "report.json.tmp"
+    other.write_text("half-written by another run")
+    atomic_write_text(target, "mine\n")
+    assert other.read_text() == "half-written by another run"
+    assert target.read_text() == "mine\n"
+    umask = os.umask(0)
+    os.umask(umask)
+    assert target.stat().st_mode & 0o777 == 0o666 & ~umask  # as a plain open() creates it
 
 
 def test_infinity_never_silently_rendered():
