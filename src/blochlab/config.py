@@ -78,7 +78,6 @@ class ProbeConfig:
 class FloquetConfig:
     drive: DriveSpec
     steps: int = 4096
-    method: str = "midpoint-exponential"
     trajectory_points: int = 257
     sambe_hmax: int = 12
     probe: ProbeConfig = field(default_factory=ProbeConfig)
@@ -401,7 +400,7 @@ def _parse_floquet(obj, pointer: str) -> FloquetConfig:
     obj = _expect_mapping(obj, pointer)
     _check_keys(
         obj,
-        {"omega", "hbar", "h0", "drives", "steps", "method", "trajectory_points", "sambe_hmax", "probe"},
+        {"omega", "hbar", "h0", "drives", "steps", "trajectory_points", "sambe_hmax", "probe"},
         pointer,
     )
     if "h0" not in obj:
@@ -416,15 +415,10 @@ def _parse_floquet(obj, pointer: str) -> FloquetConfig:
     except ValueError as exc:
         raise ConfigError(str(exc), pointer) from exc
     steps = _get_int(obj, "steps", pointer, default=4096, minimum=64, maximum=MAX_STEPS)
-    method = _get_str(
-        obj, "method", pointer, default="midpoint-exponential",
-        choices={"midpoint-exponential", "fourth-order"},
-    )
     probe = _parse_probe(obj.get("probe", {}), f"{pointer}/probe", drive.dim)
     return FloquetConfig(
         drive=drive,
         steps=steps,
-        method=method,
         trajectory_points=_get_int(
             obj, "trajectory_points", pointer, default=257, minimum=2,
             maximum=MAX_TRAJECTORY_POINTS,

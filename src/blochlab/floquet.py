@@ -7,7 +7,7 @@ principal zone [-hbar*omega/2, hbar*omega/2), and the Floquet modes phi(0).
 Trajectories phi(t) = U(t,0) phi(0) factor into exp(-i eps t/hbar) times a
 T-periodic part v(t), the temporal analogue of a cell-periodic Bloch factor.
 
-Two independent routes are kept deliberately: the default propagator is the
+Two independent routes are kept deliberately: the propagator is the
 midpoint-exponential product (every factor exactly unitary), cross-checked
 by a classical fourth-order Runge-Kutta integrator with re-unitarization
 off, and the propagator quasienergies are cross-checked against the
@@ -40,6 +40,7 @@ UNITARITY_LIMIT = 1e-6  # propagation aborts beyond this drift
 DEGENERATE_SPLITTING = 1e-8
 
 _VALID_KINDS = ("cos", "sin")
+_FACTOR_CHUNK = 4096  # midpoint factors and RK4 H values are built this many steps at a time
 
 
 def _require_hermitian(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -69,6 +70,18 @@ class DriveTerm:
         object.__setattr__(self, "matrix", _require_hermitian(self.matrix, "drive matrix"))
 
 
+def _trig_series(
+    static: np.ndarray, terms: tuple[DriveTerm, ...], omega: float, t: float | np.ndarray
+) -> np.ndarray:
+    """static + sum_i trig(h_i omega t) V_i at a time or, stacked, at an array of times."""
+    out = np.broadcast_to(static, np.shape(t) + static.shape)
+    for term in terms:
+        phase = term.harmonic * omega * np.asarray(t)
+        factor = np.cos(phase) if term.kind == "cos" else np.sin(phase)
+        out = out + np.multiply.outer(factor, term.matrix)
+    return np.array(out)  # own writable copy, also when there are no terms
+
+
 @dataclass(frozen=True)
 class DriveSpec:
     """T-periodic Hamiltonian H(t) = H0 + sum_i trig(h_i omega t) V_i."""
@@ -96,13 +109,9 @@ class DriveSpec:
     def period(self) -> float:
         return 2.0 * np.pi / self.omega
 
-    def hamiltonian(self, t: float) -> np.ndarray:
-        h = np.array(self.h0)
-        for term in self.drives:
-            phase = term.harmonic * self.omega * t
-            factor = np.cos(phase) if term.kind == "cos" else np.sin(phase)
-            h = h + factor * term.matrix
-        return h
+    def hamiltonian(self, t: float | np.ndarray) -> np.ndarray:
+        """H(t); an array of times gives the stack of H values on axis 0."""
+        return _trig_series(self.h0, self.drives, self.omega, t)
 
     def fourier_blocks(self) -> dict[int, np.ndarray]:
         """Components H_q of H(t) = sum_q H_q exp(i q omega t)."""
@@ -133,13 +142,9 @@ class PeriodicObservableSpec:
             if term.matrix.shape != self.static.shape:
                 raise ValueError("harmonic matrix dimension differs from static part")
 
-    def value(self, t: float, omega: float) -> np.ndarray:
-        o = np.array(self.static)
-        for term in self.harmonics:
-            phase = term.harmonic * omega * t
-            factor = np.cos(phase) if term.kind == "cos" else np.sin(phase)
-            o = o + factor * term.matrix
-        return o
+    def value(self, t: float | np.ndarray, omega: float) -> np.ndarray:
+        """O(t); an array of times gives the stack of O values on axis 0."""
+        return _trig_series(self.static, self.harmonics, omega, t)
 
 
 @dataclass(frozen=True)
@@ -177,25 +182,28 @@ class TemporalOverlapReport:
     monodromy_commuting_element: float  # |F(0)| for the U(T)-polynomial observable
 
 
-def _step_unitary(h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
-    """exp(-i H dt / hbar) through the eigendecomposition; exactly unitary."""
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * vals * dt / hbar)) @ vecs.conj().T
+def _midpoint_snapshots(spec: DriveSpec, steps: int, every: int) -> np.ndarray:
+    """U(t_i, 0) at t_i = i * every * T / steps for i = 0 .. steps / every.
 
-
-def _midpoint_factors(spec: DriveSpec, steps: int) -> list[np.ndarray]:
+    The midpoint product over ``steps`` steps of dt = T / steps; ``every``
+    must divide ``steps``.  Each factor exp(-i H((s + 1/2) dt) dt / hbar) is
+    exactly unitary.  The factors come from one stacked eigendecomposition
+    per chunk of _FACTOR_CHUNK steps, which bounds the memory at the step
+    cap, and are multiplied one at a time in step order.
+    """
     dt = spec.period / steps
-    return [
-        _step_unitary(spec.hamiltonian((s + 0.5) * dt), dt, spec.hbar)
-        for s in range(steps)
-    ]
-
-
-def _propagate_midpoint(spec: DriveSpec, steps: int) -> np.ndarray:
-    u = np.eye(spec.dim, dtype=complex)
-    for factor in _midpoint_factors(spec, steps):
-        u = factor @ u
-    return u
+    snapshots = np.empty((steps // every + 1, spec.dim, spec.dim), dtype=complex)
+    u = snapshots[0] = np.eye(spec.dim, dtype=complex)
+    for start in range(0, steps, _FACTOR_CHUNK):
+        s = np.arange(start, min(start + _FACTOR_CHUNK, steps))
+        vals, vecs = np.linalg.eigh(spec.hamiltonian((s + 0.5) * dt))
+        phases = np.exp(-1j * vals * dt / spec.hbar)[:, None, :]
+        factors = (vecs * phases) @ vecs.conj().transpose(0, 2, 1)
+        for step, factor in enumerate(factors, start + 1):
+            u = factor @ u
+            if step % every == 0:
+                snapshots[step // every] = u
+    return snapshots
 
 
 def _propagate_rk4(spec: DriveSpec, steps: int) -> np.ndarray:
@@ -203,13 +211,15 @@ def _propagate_rk4(spec: DriveSpec, steps: int) -> np.ndarray:
     dt = spec.period / steps
     scale = -1j / spec.hbar
     u = np.eye(spec.dim, dtype=complex)
-    for s in range(steps):
-        t = s * dt
-        k1 = scale * (spec.hamiltonian(t) @ u)
-        k2 = scale * (spec.hamiltonian(t + 0.5 * dt) @ (u + 0.5 * dt * k1))
-        k3 = scale * (spec.hamiltonian(t + 0.5 * dt) @ (u + 0.5 * dt * k2))
-        k4 = scale * (spec.hamiltonian(t + dt) @ (u + dt * k3))
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for start in range(0, steps, _FACTOR_CHUNK):
+        t = np.arange(start, min(start + _FACTOR_CHUNK, steps)) * dt
+        h_start, h_mid, h_end = (spec.hamiltonian(x) for x in (t, t + 0.5 * dt, t + dt))
+        for h0, hm, h1 in zip(h_start, h_mid, h_end):
+            k1 = scale * (h0 @ u)
+            k2 = scale * (hm @ (u + 0.5 * dt * k1))
+            k3 = scale * (hm @ (u + 0.5 * dt * k2))
+            k4 = scale * (h1 @ (u + dt * k3))
+            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return u
 
 
@@ -224,7 +234,7 @@ def propagate_period(
     if steps < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} steps, got {steps}")
     if method == "midpoint-exponential":
-        u = _propagate_midpoint(spec, steps)
+        u = _midpoint_snapshots(spec, steps, steps)[-1]
     elif method == "fourth-order":
         u = _propagate_rk4(spec, steps)
     else:
@@ -279,11 +289,9 @@ def _canonicalize_modes(eps: np.ndarray, modes: np.ndarray, zone: float) -> np.n
     return _canonical_eigenbasis(eps / max(zone, 1e-300), modes)
 
 
-def solve_floquet(
-    spec: DriveSpec, steps: int = 4096, method: str = "midpoint-exponential"
-) -> FloquetSolution:
-    """propagate_period followed by the quasienergy extraction."""
-    sol = propagate_period(spec, steps=steps, method=method)
+def solve_floquet(spec: DriveSpec, steps: int = 4096) -> FloquetSolution:
+    """Midpoint propagate_period followed by the quasienergy extraction."""
+    sol = propagate_period(spec, steps=steps)
     eps, modes = quasienergies(sol.monodromy, spec.omega, spec.hbar)
     return replace(sol, quasienergies=eps, modes=modes)
 
@@ -337,19 +345,9 @@ def mode_trajectory(
     eps, modes = solution.quasienergies, solution.modes
     segments = n_t - 1
     per_segment = max(1, -(-solution.steps // segments))  # ceil division
-    dt = spec.period / (segments * per_segment)
+    snapshots = _midpoint_snapshots(spec, segments * per_segment, per_segment)
     times = np.linspace(0.0, spec.period, n_t)
-    d = spec.dim
-    trajectories = np.empty((d, n_t, d), dtype=complex)
-    trajectories[:, 0, :] = modes.T
-    u = np.eye(d, dtype=complex)
-    step = 0
-    for seg in range(segments):
-        for _ in range(per_segment):
-            h = spec.hamiltonian((step + 0.5) * dt)
-            u = _step_unitary(h, dt, spec.hbar) @ u
-            step += 1
-        trajectories[:, seg + 1, :] = (u @ modes).T
+    trajectories = (snapshots @ modes).transpose(2, 0, 1)  # [mode, time, component]
     phase = np.exp(1j * np.outer(eps, times) / spec.hbar)  # [mode, time]
     periodic_parts = trajectories * phase[:, :, None]
     residuals = np.linalg.norm(periodic_parts[:, -1, :] - periodic_parts[:, 0, :], axis=1)
@@ -419,26 +417,12 @@ def temporal_overlap_probe(
             f"(splitting {folded:.3e})"
         )
     period = spec.period
-    steps = solution.steps
-    per_point = max(1, -(-steps // grid_points))
-    dt = period / (grid_points * per_point)
-    d = spec.dim
+    per_point = max(1, -(-solution.steps // grid_points))
 
     # snapshots of U(t_i, 0) on the grid t_i = i * T / grid_points (t < T)
-    snapshots = np.empty((grid_points, d, d), dtype=complex)
-    u = np.eye(d, dtype=complex)
-    step = 0
-    for i in range(grid_points):
-        snapshots[i] = u
-        for _ in range(per_point):
-            h = spec.hamiltonian((step + 0.5) * dt)
-            u = _step_unitary(h, dt, spec.hbar) @ u
-            step += 1
-    u_period = u
-
-    obs_grid = np.empty((grid_points, d, d), dtype=complex)
-    for i in range(grid_points):
-        obs_grid[i] = observable.value(i * period / grid_points, spec.omega)
+    snapshots = _midpoint_snapshots(spec, grid_points * per_point, per_point)
+    snapshots, u_period = snapshots[:-1], snapshots[-1]
+    obs_grid = observable.value(np.arange(grid_points) * period / grid_points, spec.omega)
 
     phi_j0, phi_jp0 = modes[:, j], modes[:, jp]
 

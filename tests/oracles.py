@@ -174,3 +174,35 @@ def state_mixture_residual(wannier: np.ndarray, band_states, operator) -> float:
         )
     )
     return abs(w_avg - band_avg)
+
+
+# ---------------------------------------------------------------------------
+# Floquet stepping one step at a time: H(t) summed term by term at one time,
+# one 2-D eigendecomposition per midpoint factor, and the running product
+# kept at every ``every``-th step.  The package evaluates H on a whole array
+# of times and decomposes a chunk of factors in one stacked call; these loops
+# are the reference it must reproduce bit for bit.
+
+
+def termwise_trig_series(static: np.ndarray, terms, omega: float, t: float) -> np.ndarray:
+    """static + sum trig(h omega t) V at one time, one term after another."""
+    out = np.array(static)
+    for term in terms:
+        phase = term.harmonic * omega * t
+        factor = np.cos(phase) if term.kind == "cos" else np.sin(phase)
+        out = out + factor * term.matrix
+    return out
+
+
+def stepwise_midpoint_snapshots(spec, steps: int, every: int) -> np.ndarray:
+    """U(t_i, 0) at every ``every``-th of ``steps`` midpoint steps, U(0, 0) first."""
+    dt = spec.period / steps
+    u = np.eye(spec.dim, dtype=complex)
+    snapshots = [u]
+    for s in range(steps):
+        h = termwise_trig_series(spec.h0, spec.drives, spec.omega, (s + 0.5) * dt)
+        vals, vecs = np.linalg.eigh(h)
+        u = ((vecs * np.exp(-1j * vals * dt / spec.hbar)) @ vecs.conj().T) @ u
+        if (s + 1) % every == 0:
+            snapshots.append(u)
+    return np.array(snapshots)

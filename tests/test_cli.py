@@ -113,9 +113,17 @@ def test_numerical_failure_exit_code(tmp_path):
         h0=((0.3, 0.0), (0.0, -0.3)),
         drives=[{"harmonic": 1, "kind": "sin", "matrix": [[0.0, 2.0], [2.0, 0.0]]}],
         steps=64,
-        method="fourth-order",
     )
     assert main(["floquet", "--config", cfg]) == 2
+
+
+def test_floquet_method_key_is_unknown(tmp_path, capsys):
+    # midpoint is the one propagator; RK4 runs only as the cross-check
+    cfg = floquet_config(tmp_path, steps=256, method="fourth-order")
+    assert main(["floquet", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "unknown key 'method'" in err and "(at /floquet/method)" in err
+    assert "Traceback" not in err
 
 
 def test_seed_battery_override(tmp_path):
