@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .config import KINDS, apply_overrides, parse_config
+from .config import KINDS, parse_config
 from .errors import ConfigError, InvariantViolation, NumericalFailure
 from .reports import atomic_write_text
 from .runner import render_report, run_scenario
@@ -54,15 +54,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_edits(args: argparse.Namespace) -> tuple[tuple[str, str, object], ...]:
+    """--seed-battery and --tol-override as (section, key, value) edits of the config tree."""
+    edits = [] if args.seed_battery is None else [("battery", "seeds", args.seed_battery)]
+    for item in args.tol_override:
+        key, sep, raw = item.partition("=")
+        if not sep:
+            raise ConfigError(f"expected key=value, got {item!r}", "/tolerances")
+        try:
+            edits.append(("tolerances", key, float(raw)))
+        except ValueError as exc:
+            raise ConfigError(f"bad tolerance value {raw!r}", f"/tolerances/{key}") from exc
+    return tuple(edits)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config)
+        cfg = parse_config(args.config, _config_edits(args))
         if cfg.kind != args.command:
             raise ConfigError(
                 f"config kind {cfg.kind!r} does not match command {args.command!r}", "/kind"
             )
-        cfg = apply_overrides(cfg, seed_battery=args.seed_battery, tol_overrides=args.tol_override)
         output = dict(cfg.output)
         if getattr(args, "out", None):
             output["csv"] = args.out

@@ -511,7 +511,7 @@ def validate_config(data: dict) -> ScenarioConfig:
         data, "fringe_points", "", default=64, minimum=8, maximum=MAX_GRID_POINTS
     )
 
-    if battery.max_harmonic and lattice is not None:
+    if battery.max_harmonic and "battery" in allowed:  # bands builds no battery
         if battery.max_harmonic * lattice.cells > lattice.cutoff:
             raise ConfigError(
                 f"max_harmonic {battery.max_harmonic} unreachable for this lattice "
@@ -542,8 +542,15 @@ def validate_config(data: dict) -> ScenarioConfig:
     )
 
 
-def parse_config(path: str | Path) -> ScenarioConfig:
-    """Read, parse and validate a scenario file."""
+def parse_config(
+    path: str | Path, edits: tuple[tuple[str, str, object], ...] = ()
+) -> ScenarioConfig:
+    """Read, parse and validate a scenario file.
+
+    ``edits`` are (section, key, value) settings written into the parsed JSON
+    tree before validation, so they pass the file's own checks and appear in
+    the echoed config and its hash.
+    """
     path = Path(path)
     try:
         text = path.read_text()
@@ -553,38 +560,8 @@ def parse_config(path: str | Path) -> ScenarioConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON: {exc}", "") from exc
+    for section, key, value in edits:
+        # a tree or section that is not an object is left for validation to reject
+        if isinstance(data, dict) and isinstance(data.setdefault(section, {}), dict):
+            data[section][key] = value
     return validate_config(data)
-
-
-def apply_overrides(
-    config: ScenarioConfig,
-    seed_battery: int | None = None,
-    tol_overrides: list[str] | None = None,
-) -> ScenarioConfig:
-    """Apply CLI-level overrides (--seed-battery, --tol-override key=value)."""
-    from dataclasses import replace
-
-    if seed_battery is not None:
-        if not 0 <= seed_battery <= MAX_BATTERY_SEEDS:
-            raise ConfigError(
-                f"--seed-battery must lie in [0, {MAX_BATTERY_SEEDS}]", "/battery/seeds"
-            )
-        config = replace(config, battery=replace(config.battery, seeds=seed_battery))
-    if tol_overrides:
-        merged = dict(config.tolerances)
-        for item in tol_overrides:
-            key, sep, raw = item.partition("=")
-            if not sep:
-                raise ConfigError(f"expected key=value, got {item!r}", "/tolerances")
-            if key not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance {key!r}", f"/tolerances/{key}")
-            try:
-                value = float(raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad tolerance value {raw!r}", f"/tolerances/{key}") from exc
-            value = _finite(value, f"/tolerances/{key}")
-            if value <= 0:
-                raise ConfigError("tolerance must be positive", f"/tolerances/{key}")
-            merged[key] = value
-        config = replace(config, tolerances=merged)
-    return config

@@ -11,7 +11,9 @@ Two independent routes are kept deliberately: the propagator is the
 midpoint-exponential product (every factor exactly unitary), cross-checked
 by a classical fourth-order Runge-Kutta integrator with re-unitarization
 off, and the propagator quasienergies are cross-checked against the
-time-Fourier block eigenproblem on the extended space.
+time-Fourier block eigenproblem on the extended space.  The two integrators
+share only the ordered product of their step matrices: exact exponentials for
+the midpoint rule, a polynomial in A = -iH/hbar for RK4 (U' = A U is linear).
 
 The temporal-overlap probe reports three quantities for a pair of modes with
 quasienergy splitting Delta: the one-period phase relation
@@ -31,6 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
+from .bloch import _canonical_eigenbasis  # same gauge rules as the lattice solver
 from .errors import NumericalFailure
 
 MIN_DIM, MAX_DIM = 2, 16
@@ -40,7 +43,7 @@ UNITARITY_LIMIT = 1e-6  # propagation aborts beyond this drift
 DEGENERATE_SPLITTING = 1e-8
 
 _VALID_KINDS = ("cos", "sin")
-_FACTOR_CHUNK = 4096  # midpoint factors and RK4 H values are built this many steps at a time
+_FACTOR_CHUNK = 4096  # step matrices are built this many steps at a time
 
 
 def _require_hermitian(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -164,8 +167,7 @@ class FloquetSolution:
 
     @property
     def unitarity_defect(self) -> float:
-        u = self.monodromy
-        return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+        return _unitarity_defect(self.monodromy)
 
 
 @dataclass(frozen=True)
@@ -182,64 +184,85 @@ class TemporalOverlapReport:
     monodromy_commuting_element: float  # |F(0)| for the U(T)-polynomial observable
 
 
-def _midpoint_snapshots(spec: DriveSpec, steps: int, every: int) -> np.ndarray:
-    """U(t_i, 0) at t_i = i * every * T / steps for i = 0 .. steps / every.
+def _midpoint_factors(spec: DriveSpec, s: np.ndarray, dt: float) -> np.ndarray:
+    """Exactly unitary exp(-i H((s + 1/2) dt) dt / hbar) per step s, from one stacked eigh."""
+    vals, vecs = np.linalg.eigh(spec.hamiltonian((s + 0.5) * dt))
+    phases = np.exp(-1j * vals * dt / spec.hbar)[:, None, :]
+    return (vecs * phases) @ vecs.conj().transpose(0, 2, 1)
 
-    The midpoint product over ``steps`` steps of dt = T / steps; ``every``
-    must divide ``steps``.  Each factor exp(-i H((s + 1/2) dt) dt / hbar) is
-    exactly unitary.  The factors come from one stacked eigendecomposition
-    per chunk of _FACTOR_CHUNK steps, which bounds the memory at the step
-    cap, and are multiplied one at a time in step order.
+
+def _rk4_factors(spec: DriveSpec, s: np.ndarray, dt: float) -> np.ndarray:
+    """RK4 step matrix per step s for U' = A(t) U, A = -(i/hbar) H; never re-unitarized.
+
+    U' is linear in U, so the step from t = s dt is U -> M U with
+    M = I + dt/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A(t), K2 = A(t + dt/2)(I + dt/2 K1),
+    K3 = A(t + dt/2)(I + dt/2 K2) and K4 = A(t + dt)(I + dt K3).  Built in
+    place, with A(t + dt) made after A(t + dt/2) is dropped, so that at most
+    four chunk-sized stacks are alive at once.
     """
+    scale = -1j / spec.hbar
+    t = s * dt
+    eye = np.eye(spec.dim)
+    m = k = scale * spec.hamiltonian(t)  # m: K1, then the sum K1 + 2 K2 + 2 K3 + K4
+    a_mid = scale * spec.hamiltonian(t + 0.5 * dt)
+    for _ in range(2):  # K2, then K3
+        k = k * (0.5 * dt)  # a new stack: on the first pass k is m
+        k += eye
+        k = a_mid @ k
+        m += 2.0 * k
+    del a_mid
+    k *= dt
+    k += eye
+    m += scale * spec.hamiltonian(t + dt) @ k  # K4
+    m *= dt / 6.0
+    m += eye
+    return m
+
+
+def _ordered_product(spec: DriveSpec, steps: int, segments: int, factors) -> np.ndarray:
+    """U(t_i, 0) at t_i = i T / segments, i = 0 .. segments, as a product in step order.
+
+    ``steps`` is rounded up to a multiple of ``segments``.  ``factors(spec, s, dt)``
+    builds the step matrices for a chunk of _FACTOR_CHUNK step indices s at a
+    time, which bounds the memory at the step cap.
+    """
+    every = -(-steps // segments)  # steps per segment, ceil division
+    steps = segments * every
     dt = spec.period / steps
-    snapshots = np.empty((steps // every + 1, spec.dim, spec.dim), dtype=complex)
+    snapshots = np.empty((segments + 1, spec.dim, spec.dim), dtype=complex)
     u = snapshots[0] = np.eye(spec.dim, dtype=complex)
     for start in range(0, steps, _FACTOR_CHUNK):
         s = np.arange(start, min(start + _FACTOR_CHUNK, steps))
-        vals, vecs = np.linalg.eigh(spec.hamiltonian((s + 0.5) * dt))
-        phases = np.exp(-1j * vals * dt / spec.hbar)[:, None, :]
-        factors = (vecs * phases) @ vecs.conj().transpose(0, 2, 1)
-        for step, factor in enumerate(factors, start + 1):
+        for step, factor in enumerate(factors(spec, s, dt), start + 1):
             u = factor @ u
             if step % every == 0:
                 snapshots[step // every] = u
+        del factor  # a view that keeps this chunk's stack alive while the next is built
     return snapshots
 
 
-def _propagate_rk4(spec: DriveSpec, steps: int) -> np.ndarray:
-    """Classical RK4 on U' = -(i/hbar) H(t) U, no re-unitarization."""
-    dt = spec.period / steps
-    scale = -1j / spec.hbar
-    u = np.eye(spec.dim, dtype=complex)
-    for start in range(0, steps, _FACTOR_CHUNK):
-        t = np.arange(start, min(start + _FACTOR_CHUNK, steps)) * dt
-        h_start, h_mid, h_end = (spec.hamiltonian(x) for x in (t, t + 0.5 * dt, t + dt))
-        for h0, hm, h1 in zip(h_start, h_mid, h_end):
-            k1 = scale * (h0 @ u)
-            k2 = scale * (hm @ (u + 0.5 * dt * k1))
-            k3 = scale * (hm @ (u + 0.5 * dt * k2))
-            k4 = scale * (h1 @ (u + dt * k3))
-            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return u
+_FACTOR_BUILDERS = {"midpoint-exponential": _midpoint_factors, "fourth-order": _rk4_factors}
+
+
+def _unitarity_defect(u: np.ndarray) -> float:
+    """max |U^dagger U - I|."""
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
 def propagate_period(
     spec: DriveSpec, steps: int = 4096, method: str = "midpoint-exponential"
 ) -> FloquetSolution:
-    """Monodromy U(T) by the chosen integrator.
+    """Monodromy U(T) by the chosen integrator: "midpoint-exponential" or "fourth-order".
 
     Raises NumericalFailure when the result drifts off the unitary group by
     more than 1e-6 (advice: increase ``steps``).
     """
     if steps < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} steps, got {steps}")
-    if method == "midpoint-exponential":
-        u = _midpoint_snapshots(spec, steps, steps)[-1]
-    elif method == "fourth-order":
-        u = _propagate_rk4(spec, steps)
-    else:
+    if method not in _FACTOR_BUILDERS:
         raise ValueError(f"unknown method {method!r}")
-    drift = float(np.max(np.abs(u.conj().T @ u - np.eye(spec.dim))))
+    u = _ordered_product(spec, steps, 1, _FACTOR_BUILDERS[method])[-1]
+    drift = _unitarity_defect(u)
     if drift > UNITARITY_LIMIT:
         raise NumericalFailure(
             f"monodromy unitarity drift {drift:.3e} exceeds {UNITARITY_LIMIT:.0e}; "
@@ -266,7 +289,7 @@ def quasienergies(
     deterministic.
     """
     u = np.asarray(monodromy, dtype=complex)
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    defect = _unitarity_defect(u)
     if defect > 1e-8:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     t, z = scipy.linalg.schur(u, output="complex")
@@ -278,22 +301,21 @@ def quasienergies(
     eps = fold_quasienergy(-(hbar / period) * np.angle(lams), omega, hbar)
     order = np.argsort(eps, kind="stable")
     eps = eps[order]
-    modes = z[:, order]
-    modes = _canonicalize_modes(eps, modes, hbar * omega)
+    modes = _canonical_eigenbasis(eps / max(hbar * omega, 1e-300), z[:, order])
     return eps, modes
 
 
-def _canonicalize_modes(eps: np.ndarray, modes: np.ndarray, zone: float) -> np.ndarray:
-    from .bloch import _canonical_eigenbasis  # same gauge rules as the lattice solver
-
-    return _canonical_eigenbasis(eps / max(zone, 1e-300), modes)
+def _with_modes(spec: DriveSpec, solution: FloquetSolution) -> FloquetSolution:
+    """The solution with its quasienergies and modes filled in when missing."""
+    if solution.quasienergies is None or solution.modes is None:
+        eps, modes = quasienergies(solution.monodromy, spec.omega, spec.hbar)
+        solution = replace(solution, quasienergies=eps, modes=modes)
+    return solution
 
 
 def solve_floquet(spec: DriveSpec, steps: int = 4096) -> FloquetSolution:
     """Midpoint propagate_period followed by the quasienergy extraction."""
-    sol = propagate_period(spec, steps=steps)
-    eps, modes = quasienergies(sol.monodromy, spec.omega, spec.hbar)
-    return replace(sol, quasienergies=eps, modes=modes)
+    return _with_modes(spec, propagate_period(spec, steps=steps))
 
 
 def sambe_quasienergies(spec: DriveSpec, h_max: int = 12) -> np.ndarray:
@@ -313,9 +335,8 @@ def sambe_quasienergies(spec: DriveSpec, h_max: int = 12) -> np.ndarray:
     big = np.zeros((d * n_blocks, d * n_blocks), dtype=complex)
     for bi, h in enumerate(range(-h_max, h_max + 1)):
         for bj, hp in enumerate(range(-h_max, h_max + 1)):
-            q = h - hp
-            if q in blocks:
-                big[bi * d : (bi + 1) * d, bj * d : (bj + 1) * d] = blocks[q]
+            if h - hp in blocks:
+                big[bi * d : (bi + 1) * d, bj * d : (bj + 1) * d] = blocks[h - hp]
         big[bi * d : (bi + 1) * d, bi * d : (bi + 1) * d] += (
             h * spec.hbar * spec.omega * np.eye(d)
         )
@@ -339,13 +360,9 @@ def mode_trajectory(
     """
     if n_t < 2:
         raise ValueError("need at least 2 grid points")
-    if solution.quasienergies is None or solution.modes is None:
-        eps, modes = quasienergies(solution.monodromy, spec.omega, spec.hbar)
-        solution = replace(solution, quasienergies=eps, modes=modes)
+    solution = _with_modes(spec, solution)
     eps, modes = solution.quasienergies, solution.modes
-    segments = n_t - 1
-    per_segment = max(1, -(-solution.steps // segments))  # ceil division
-    snapshots = _midpoint_snapshots(spec, segments * per_segment, per_segment)
+    snapshots = _ordered_product(spec, solution.steps, n_t - 1, _midpoint_factors)
     times = np.linspace(0.0, spec.period, n_t)
     trajectories = (snapshots @ modes).transpose(2, 0, 1)  # [mode, time, component]
     phase = np.exp(1j * np.outer(eps, times) / spec.hbar)  # [mode, time]
@@ -405,9 +422,7 @@ def temporal_overlap_probe(
         raise ValueError("need at least one period count")
     if grid_points < 8:
         raise ValueError("need at least 8 grid points per period")
-    if solution.quasienergies is None or solution.modes is None:
-        eps, modes = quasienergies(solution.monodromy, spec.omega, spec.hbar)
-        solution = replace(solution, quasienergies=eps, modes=modes)
+    solution = _with_modes(spec, solution)
     eps, modes = solution.quasienergies, solution.modes
     delta = float(eps[j] - eps[jp])
     folded = float(np.abs(fold_quasienergy(delta, spec.omega, spec.hbar)))
@@ -416,13 +431,11 @@ def temporal_overlap_probe(
             f"modes {pair} are quasienergy-degenerate modulo hbar*omega "
             f"(splitting {folded:.3e})"
         )
-    period = spec.period
-    per_point = max(1, -(-solution.steps // grid_points))
 
     # snapshots of U(t_i, 0) on the grid t_i = i * T / grid_points (t < T)
-    snapshots = _midpoint_snapshots(spec, grid_points * per_point, per_point)
+    snapshots = _ordered_product(spec, solution.steps, grid_points, _midpoint_factors)
     snapshots, u_period = snapshots[:-1], snapshots[-1]
-    obs_grid = observable.value(np.arange(grid_points) * period / grid_points, spec.omega)
+    obs_grid = observable.value(np.arange(grid_points) * spec.period / grid_points, spec.omega)
 
     phi_j0, phi_jp0 = modes[:, j], modes[:, jp]
 
@@ -433,34 +446,23 @@ def temporal_overlap_probe(
 
     f_first = overlaps(phi_j0, phi_jp0)
     f_second = overlaps(u_period @ phi_j0, u_period @ phi_jp0)
-    z = np.exp(1j * delta * period / spec.hbar)
+    z = np.exp(1j * delta * spec.period / spec.hbar)
     phase_residual = float(np.max(np.abs(f_second - z * f_first)))
 
     # running averages over [0, K T]: modes advanced period by period
-    max_k = max(periods)
     running = 0j
     averages: dict[int, float] = {}
-    vec_j, vec_jp = phi_j0.copy(), phi_jp0.copy()
-    wanted = set(periods)
-    for k in range(1, max_k + 1):
-        if k == 1:
-            running += np.sum(f_first)
-        else:
-            running += np.sum(overlaps(vec_j, vec_jp))
-        if k in wanted:
+    vec_j, vec_jp = phi_j0, phi_jp0
+    for k in range(1, max(periods) + 1):
+        running += np.sum(overlaps(vec_j, vec_jp))
+        if k in periods:
             averages[k] = float(abs(running / (k * grid_points)))
         vec_j = u_period @ vec_j
         vec_jp = u_period @ vec_jp
 
-    mean_first = complex(np.mean(f_first))
-    bounds: dict[int, float] = {}
-    for k in periods:
-        geom = abs((1.0 - z**k) / (1.0 - z))
-        bounds[k] = float(geom * abs(mean_first) / k)
-    coefficient = max(k * averages[k] for k in periods)
-
-    commuting = monodromy_polynomial(solution.monodromy)
-    f0 = complex(phi_j0.conj() @ commuting @ phi_jp0)
+    mean_first = abs(complex(np.mean(f_first)))
+    bounds = {k: float(abs((1.0 - z**k) / (1.0 - z)) * mean_first / k) for k in periods}
+    f0 = complex(phi_j0.conj() @ monodromy_polynomial(solution.monodromy) @ phi_jp0)
 
     return TemporalOverlapReport(
         pair=(j, jp),
@@ -469,6 +471,6 @@ def temporal_overlap_probe(
         phase_relation_residual=phase_residual,
         period_averages=tuple(sorted(averages.items())),
         geometric_bounds=tuple(sorted(bounds.items())),
-        bound_coefficient=float(coefficient),
+        bound_coefficient=float(max(k * averages[k] for k in periods)),
         monodromy_commuting_element=abs(f0),
     )

@@ -14,7 +14,7 @@ zeros, never as computed sums, so the block structure is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -192,19 +192,21 @@ class PotentialSpec:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class HermitianOperator:
     """Dense self-adjoint operator in the plane-wave basis.
 
     ``periodicity`` records the declared cell-periodicity status:
     'cell-periodic' for operators invariant under conjugation by the unit-cell
     translation, 'breaking' for deliberate counterexamples, 'unverified'
-    otherwise.  The matrix is frozen after validation.
+    otherwise.  The operator and its matrix are frozen after validation, so
+    the ``norm_max`` stored then cannot go stale.
     """
 
     matrix: np.ndarray
     periodicity: str = "unverified"
     label: str = ""
+    _norm_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)  # own copy; frozen below
@@ -218,7 +220,8 @@ class HermitianOperator:
                     f"matrix is not Hermitian: defect {defect:.3e} exceeds "
                     f"{_HERMITICITY_RTOL:.0e} * scale {scale:.3e}"
                 )
-        self.matrix = _freeze(m)
+        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "_norm_max", scale)
 
     @property
     def dim(self) -> int:
@@ -227,7 +230,7 @@ class HermitianOperator:
     @property
     def norm_max(self) -> float:
         """Largest entry magnitude; the scale used by relative tolerances."""
-        return float(np.max(np.abs(self.matrix)))
+        return self._norm_max
 
 
 def build_basis(spec: LatticeSpec) -> PlaneWaveBasis:

@@ -178,10 +178,12 @@ def state_mixture_residual(wannier: np.ndarray, band_states, operator) -> float:
 
 # ---------------------------------------------------------------------------
 # Floquet stepping one step at a time: H(t) summed term by term at one time,
-# one 2-D eigendecomposition per midpoint factor, and the running product
-# kept at every ``every``-th step.  The package evaluates H on a whole array
-# of times and decomposes a chunk of factors in one stacked call; these loops
-# are the reference it must reproduce bit for bit.
+# one 2-D eigendecomposition per midpoint factor, RK4 stages applied to the
+# running U, and the running product kept at every ``every``-th step.  The
+# package evaluates H on a whole array of times and builds a chunk of step
+# matrices at once; the midpoint loop is the reference it must reproduce bit
+# for bit, the RK4 loop (the same arithmetic grouped per stage on U rather
+# than into one step matrix) to rounding.
 
 
 def termwise_trig_series(static: np.ndarray, terms, omega: float, t: float) -> np.ndarray:
@@ -206,3 +208,21 @@ def stepwise_midpoint_snapshots(spec, steps: int, every: int) -> np.ndarray:
         if (s + 1) % every == 0:
             snapshots.append(u)
     return np.array(snapshots)
+
+
+def stepwise_rk4_monodromy(spec, steps: int) -> np.ndarray:
+    """Classical RK4 on U' = -(i/hbar) H(t) U over one period, no re-unitarization."""
+    dt = spec.period / steps
+    scale = -1j / spec.hbar
+    u = np.eye(spec.dim, dtype=complex)
+    for s in range(steps):
+        h0, hm, h1 = (
+            termwise_trig_series(spec.h0, spec.drives, spec.omega, x)
+            for x in (s * dt, s * dt + 0.5 * dt, s * dt + dt)
+        )
+        k1 = scale * (h0 @ u)
+        k2 = scale * (hm @ (u + 0.5 * dt * k1))
+        k3 = scale * (hm @ (u + 0.5 * dt * k2))
+        k4 = scale * (h1 @ (u + dt * k3))
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return u

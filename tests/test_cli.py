@@ -61,6 +61,12 @@ def test_bands_writes_csv_with_one_row_per_state(tmp_path, capsys):
     assert float(energy) == pytest.approx(19.739208802178716, rel=1e-15)
 
 
+def test_bands_ignores_the_battery_defaults(tmp_path):
+    # 5 cells, cutoff 2: the default battery's max_harmonic 1 is unreachable,
+    # which must not matter to a kind that builds no battery
+    assert main(["bands", "--config", bands_config(tmp_path, cells=5, cutoff=2)]) == 0
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfg = bands_config(tmp_path, cells=1)
     assert main(["bands", "--config", cfg]) == 1
@@ -127,18 +133,21 @@ def test_floquet_method_key_is_unknown(tmp_path, capsys):
 
 
 def test_seed_battery_override(tmp_path):
-    report_path = tmp_path / "rep.json"
+    # the overrides are edits of the config tree: they show in the echo and its hash
     cfg = superselect_config(tmp_path, seeds=5)
-    assert (
-        main([
-            "superselect", "--config", cfg, "--report", str(report_path),
-            "--seed-battery", "2",
-        ])
-        == 0
-    )
-    report = json.loads(report_path.read_text())
-    labels = report["results"]["battery"]
+    plain, edited = tmp_path / "plain.json", tmp_path / "edited.json"
+    assert main(["superselect", "--config", cfg, "--report", str(plain)]) == 0
+    argv = ["--seed-battery", "2", "--tol-override", "solver_zero=1e-9"]
+    assert main(["superselect", "--config", cfg, "--report", str(edited), *argv]) == 0
+    plain, edited = (json.loads(p.read_text()) for p in (plain, edited))
+    labels = edited["results"]["battery"]
     assert labels.count("seed:1") == 1 and "seed:3" not in labels
+    assert plain["config"]["battery"] == {"seeds": 5} and "tolerances" not in plain["config"]
+    assert edited["config"]["battery"] == {"seeds": 2}
+    assert edited["config"]["tolerances"] == {"solver_zero": 1e-9}
+    assert edited["tolerances"]["solver_zero"] == 1e-9
+    assert edited["config_sha256"] != plain["config_sha256"]
+    assert "output" not in edited["config"]  # output paths stay out of the echo
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -263,6 +272,27 @@ REJECTED = {
     ),
     "tol_override_nan": (
         lattice_config(), ["--tol-override", "solver_zero=nan"], "/tolerances/solver_zero",
+    ),
+    "tol_override_missing_equals": (
+        lattice_config(), ["--tol-override", "solver_zero"], "/tolerances",
+    ),
+    "tol_override_unknown_key": (
+        lattice_config(), ["--tol-override", "bogus=1"], "/tolerances/bogus",
+    ),
+    "tol_override_not_a_number": (
+        lattice_config(), ["--tol-override", "solver_zero=abc"], "/tolerances/solver_zero",
+    ),
+    "tol_override_not_positive": (
+        lattice_config(), ["--tol-override", "solver_zero=0"], "/tolerances/solver_zero",
+    ),
+    "seed_battery_on_bands": (
+        {"kind": "bands", "lattice": {"cells": 3, "cutoff": 4}}, ["--seed-battery", "2"],
+        "/battery",
+    ),
+    "seed_battery_on_floquet": (
+        {"kind": "floquet", "floquet": {"omega": 1.0, "h0": [[0.3, 0.0], [0.0, -0.3]]}},
+        ["--seed-battery", "2"],
+        "/battery",
     ),
     "negative_control_shift_past_basis": (
         lattice_config(negative_control={"s": 20}), [], "/negative_control/s",

@@ -7,7 +7,6 @@ import pytest
 import blochlab as bl
 from blochlab.config import (
     DEFAULT_TOLERANCES,
-    apply_overrides,
     parse_config,
     validate_config,
 )
@@ -184,19 +183,6 @@ def test_parse_config_roundtrip(tmp_path):
     cfg = parse_config(path)
     assert cfg.kind == "bands"
     assert cfg.echo == minimal_bands()
-
-
-def test_apply_overrides():
-    cfg = validate_config(minimal_bands())
-    out = apply_overrides(cfg, seed_battery=7, tol_overrides=["solver_zero=1e-9"])
-    assert out.battery.seeds == 7
-    assert out.tolerance("solver_zero") == 1e-9
-    with pytest.raises(ConfigError, match="key=value"):
-        apply_overrides(cfg, tol_overrides=["solver_zero"])
-    with pytest.raises(ConfigError, match="unknown tolerance"):
-        apply_overrides(cfg, tol_overrides=["bogus=1"])
-    with pytest.raises(ConfigError, match="bad tolerance"):
-        apply_overrides(cfg, tol_overrides=["solver_zero=abc"])
 
 
 def test_custom_battery_observable_schema():

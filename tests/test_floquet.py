@@ -76,6 +76,18 @@ def test_midpoint_is_second_order(two_level_drive):
     assert 3.0 < err_coarse / err_fine < 5.0
 
 
+def test_rk4_is_fourth_order(two_level_drive):
+    # a wrong coefficient in the step matrix can leave cross_method within
+    # 1e-6 while dropping the order to two (ratio 4)
+    def monodromy(steps):
+        return bl.propagate_period(two_level_drive, steps=steps, method="fourth-order").monodromy
+
+    ref = monodromy(8192)
+    err_coarse = np.max(np.abs(monodromy(128) - ref))
+    err_fine = np.max(np.abs(monodromy(256) - ref))
+    assert 12.0 < err_coarse / err_fine < 20.0
+
+
 def test_unitarity_drift_raises_with_advice():
     rough = bl.DriveSpec(
         h0=0.3 * SZ, omega=1.0, drives=(bl.DriveTerm(harmonic=1, kind="sin", matrix=2.0 * SX),)
@@ -84,6 +96,8 @@ def test_unitarity_drift_raises_with_advice():
         bl.propagate_period(rough, steps=64, method="fourth-order")
     with pytest.raises(ValueError, match="steps"):
         bl.propagate_period(rough, steps=32)
+    with pytest.raises(ValueError, match="unknown method"):
+        bl.propagate_period(rough, steps=64, method="rk4")
 
 
 def test_sambe_no_drive_reproduces_folded_spectrum():

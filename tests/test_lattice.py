@@ -1,5 +1,7 @@
 """Basis construction, Hamiltonian assembly and translation-operator structure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,14 @@ def test_operator_matrices_are_frozen(mathieu_solution):
     h, _ = mathieu_solution
     with pytest.raises(ValueError):
         h.matrix[0, 0] = 99.0
+
+
+def test_operator_norm_max_is_stored_and_cannot_go_stale(mathieu_solution):
+    h, _ = mathieu_solution
+    assert h.norm_max == float(np.max(np.abs(h.matrix)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.matrix = np.zeros_like(h.matrix)
+    assert h.norm_max == float(np.max(np.abs(h.matrix)))
 
 
 @st.composite

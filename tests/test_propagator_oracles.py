@@ -1,8 +1,10 @@
-"""The chunked midpoint propagator against the one-step-at-a-time loop.
+"""The chunked ordered product against the one-step-at-a-time loops.
 
-The snapshots, the array evaluation of H(t) and O(t), and the report fields
-built on them must equal the per-step reference bit for bit, including step
-counts that end a chunk early or cross a chunk edge.
+The midpoint snapshots, the array evaluation of H(t) and O(t), and the
+report fields built on them must equal the per-step reference bit for bit,
+including step counts that end a chunk early or cross a chunk edge.  The RK4
+monodromy regroups the same arithmetic into one step matrix, so it must
+match the per-step RK4 loop to rounding.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import blochlab as bl
 from blochlab import floquet
-from oracles import stepwise_midpoint_snapshots, termwise_trig_series
+from oracles import stepwise_midpoint_snapshots, stepwise_rk4_monodromy, termwise_trig_series
 
 
 def random_drive(dim: int, seed: int) -> bl.DriveSpec:
@@ -48,9 +50,21 @@ def stepping(draw):
 def test_midpoint_snapshots_match_stepwise_loop(case):
     dim, steps, every, seed = case
     spec = random_drive(dim, seed)
-    snapshots = floquet._midpoint_snapshots(spec, steps, every)
+    snapshots = floquet._ordered_product(spec, steps, steps // every, floquet._midpoint_factors)
     assert snapshots.shape == (steps // every + 1, dim, dim)
     assert np.array_equal(snapshots, stepwise_midpoint_snapshots(spec, steps, every))
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=stepping())
+@example(case=(2, 4096, 4096, 0))
+@example(case=(3, 4097, 4097, 1))
+@example(case=(8, 8193, 8193, 2))
+def test_rk4_monodromy_matches_stepwise_loop(case):
+    dim, steps, _, seed = case
+    spec = random_drive(dim, seed)
+    monodromy = floquet._ordered_product(spec, steps, 1, floquet._rk4_factors)[-1]
+    assert np.max(np.abs(monodromy - stepwise_rk4_monodromy(spec, steps))) < 1e-13
 
 
 @pytest.mark.parametrize("dim", [2, 8, 16])
