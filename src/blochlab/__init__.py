@@ -25,6 +25,7 @@ from .floquet import (
     monodromy_polynomial,
     propagate_period,
     quasienergies,
+    quasienergy_distance,
     sambe_quasienergies,
     solve_floquet,
     temporal_overlap_probe,
@@ -81,7 +82,8 @@ __all__ = [
     "sector_decomposition_report", "wannier_mixture_residual",
     # floquet
     "DriveSpec", "DriveTerm", "PeriodicObservableSpec", "FloquetSolution",
-    "propagate_period", "quasienergies", "fold_quasienergy", "solve_floquet",
+    "propagate_period", "quasienergies", "quasienergy_distance", "fold_quasienergy",
+    "solve_floquet",
     "sambe_quasienergies", "mode_trajectory", "temporal_overlap_probe",
     "floquet_expansion", "monodromy_polynomial",
     # errors

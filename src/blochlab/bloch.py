@@ -81,14 +81,19 @@ class BandStructure:
     ``coeffs[l, n]`` is psi_{n k_l} in the plane-wave basis, with literal
     zeros outside class l; ``energies[l, n]`` is its energy and
     ``k_values[l]`` its wavevector.  Bands are sorted ascending per class.
+    ``rows[l]`` holds the d/N plane-wave rows of class l, ascending: the only
+    rows where ``coeffs[l]`` can be nonzero.
     """
 
     k_values: np.ndarray
     energies: np.ndarray
     coeffs: np.ndarray
+    rows: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("k_values", float), ("energies", float), ("coeffs", complex)):
+        for name, dtype in (
+            ("k_values", float), ("energies", float), ("coeffs", complex), ("rows", int)
+        ):
             arr = np.array(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -170,6 +175,11 @@ def _canonical_eigenbasis(energies: np.ndarray, vectors: np.ndarray) -> np.ndarr
 def solve_bands(h: HermitianOperator, spec: LatticeSpec) -> BandStructure:
     """Diagonalize every wavevector-class block of a cell-periodic H.
 
+    Each class's rows (``basis.class_rows``) give one (d/N, d/N) block; its
+    eigenvectors are scattered back onto those rows of the (sector, band, d)
+    coefficient block, and the rows themselves are kept as the (N, d/N)
+    ``rows`` table so that matrix elements can be taken on class blocks.
+
     Raises InvariantViolation if H carries weight between different classes
     (it then is not cell-periodic and has no common eigenbasis with T), and
     NumericalFailure if a block eigensolve fails.
@@ -184,8 +194,8 @@ def solve_bands(h: HermitianOperator, spec: LatticeSpec) -> BandStructure:
     k_values = np.array([basis.wavevector(l) for l in range(n_cells)])
     energies = np.zeros((n_cells, bands_per_class))
     coeffs = np.zeros((n_cells, bands_per_class, basis.dim), dtype=complex)
-    for sector in range(n_cells):
-        rows = basis.class_rows(sector)
+    class_rows = np.array([basis.class_rows(sector) for sector in range(n_cells)])
+    for sector, rows in enumerate(class_rows):
         block = h.matrix[np.ix_(rows, rows)]
         try:
             vals, vecs = np.linalg.eigh(block)
@@ -193,7 +203,7 @@ def solve_bands(h: HermitianOperator, spec: LatticeSpec) -> BandStructure:
             raise NumericalFailure(f"eigensolver failed in class {sector}: {exc}") from exc
         energies[sector] = vals
         coeffs[sector][:, rows] = _canonical_eigenbasis(vals, vecs).T
-    return BandStructure(k_values=k_values, energies=energies, coeffs=coeffs)
+    return BandStructure(k_values=k_values, energies=energies, coeffs=coeffs, rows=class_rows)
 
 
 def _require_block_structure(h: HermitianOperator, basis: PlaneWaveBasis) -> None:

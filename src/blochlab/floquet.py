@@ -35,6 +35,7 @@ import scipy.linalg
 
 from .bloch import _canonical_eigenbasis  # same gauge rules as the lattice solver
 from .errors import NumericalFailure
+from .lattice import hermiticity_defect
 
 MIN_DIM, MAX_DIM = 2, 16
 MIN_STEPS = 64
@@ -51,7 +52,7 @@ def _require_hermitian(matrix: np.ndarray, what: str) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix")
     scale = max(float(np.max(np.abs(m))), 1.0)
-    if float(np.max(np.abs(m - m.conj().T))) > HERMITICITY_ATOL * scale:
+    if hermiticity_defect(m) > HERMITICITY_ATOL * scale:
         raise ValueError(f"{what} is not Hermitian")
     m.setflags(write=False)
     return m
@@ -322,10 +323,16 @@ def sambe_quasienergies(spec: DriveSpec, h_max: int = 12) -> np.ndarray:
     """Quasienergies from the time-Fourier block eigenproblem.
 
     Builds K[(h),(h')] = H_{h-h'} + delta_{hh'} h hbar omega on the extended
-    space truncated at |h| <= h_max, folds the spectrum to the principal
-    zone, and returns the dim values whose eigenvectors carry the most
-    weight in the central (h = 0) block, sorted ascending.  These converge
-    to the propagator quasienergies as h_max grows.
+    space truncated at |h| <= h_max and folds the whole spectrum to the
+    principal zone.  Replicas of one quasienergy (shifted by multiples of
+    hbar omega) fold onto one point, so the folded values are clustered on
+    the circle of circumference hbar omega (neighbours within
+    DEGENERATE_SPLITTING join a cluster).  A cluster's eigenvectors carry
+    central (h = 0) block weight summing to its multiplicity; rounding those
+    sums, largest remainder first so that they add up to dim, gives each
+    cluster its member count, filled with its heaviest eigenvalues.  The dim
+    values come back sorted ascending and converge to the propagator
+    quasienergies as h_max grows; the propagator is never consulted.
     """
     if h_max < 4:
         raise ValueError("need h_max >= 4")
@@ -343,9 +350,41 @@ def sambe_quasienergies(spec: DriveSpec, h_max: int = 12) -> np.ndarray:
     vals, vecs = np.linalg.eigh(big)
     central = h_max * d
     weights = np.sum(np.abs(vecs[central : central + d, :]) ** 2, axis=0)
-    chosen = np.sort(np.argsort(-weights, kind="stable")[:d])
-    folded = fold_quasienergy(vals[chosen], spec.omega, spec.hbar)
-    return np.sort(folded)
+
+    # clusters on the circle: sorted folded values, cut where the gap to the
+    # next value (the last one wrapping round to the first) exceeds the limit
+    folded = fold_quasienergy(vals, spec.omega, spec.hbar)
+    order = np.argsort(folded, kind="stable")
+    folded, weights = folded[order], weights[order]
+    cut = np.diff(folded, append=folded[0] + spec.hbar * spec.omega) > DEGENERATE_SPLITTING
+    start = (int(np.argmax(cut)) + 1) % len(cut)  # a cluster begins after the first cut
+    folded, weights, cut = (np.roll(a, -start) for a in (folded, weights, cut))
+    labels = np.concatenate(([0], np.cumsum(cut[:-1])))
+
+    # member counts: cluster weights rounded, largest remainder first
+    total = np.bincount(labels, weights=weights)
+    counts = np.floor(total).astype(int)
+    counts[np.argsort(counts - total, kind="stable")[: d - int(counts.sum())]] += 1
+    chosen = []
+    for label, count in enumerate(counts):
+        members = np.flatnonzero(labels == label)
+        chosen.extend(members[np.argsort(-weights[members], kind="stable")[:count]])
+    return np.sort(folded[chosen])
+
+
+def quasienergy_distance(a: np.ndarray, b: np.ndarray, omega: float, hbar: float = 1.0) -> float:
+    """Largest gap between two quasienergy spectra of equal size, matched on the circle.
+
+    Quasienergies live on a circle of circumference hbar*omega, so a value
+    just below +hbar*omega/2 and one just above -hbar*omega/2 are neighbours.
+    Both spectra are sorted and matched by the cyclic shift with the smallest
+    largest gap; each gap is taken modulo hbar*omega.  Without wrap-around
+    this is max|sort(a) - sort(b)|, digit for digit.
+    """
+    zone = hbar * omega
+    a, b = np.sort(a), np.sort(b)
+    gaps = (a - np.roll(b, shift) for shift in range(len(b)))
+    return min(float(np.max(np.abs(g - zone * np.round(g / zone)))) for g in gaps)
 
 
 def mode_trajectory(

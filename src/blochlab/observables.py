@@ -162,19 +162,26 @@ def check_cell_periodicity(
 ) -> PeriodicityReport:
     """Measure || T O T^dagger - O ||_max / ||O||_max.
 
-    For operators with support at plane-wave distance dm, conjugation by the
-    diagonal translation multiplies entries by exp(2 pi i dm / N); entries
-    with dm not divisible by N therefore show up scaled by at least
+    The translation T is diagonal in the plane-wave basis (``build_translation``),
+    so T O T^dagger scales entry (m, m') by t_m conj(t_m') and needs no matrix
+    product; a T with any off-diagonal entry is rejected.  For operators with
+    support at plane-wave distance dm that factor is exp(2 pi i dm / N);
+    entries with dm not divisible by N therefore show up scaled by at least
     2 sin(pi/N) in the violation.
     """
     o = operator.matrix if isinstance(operator, HermitianOperator) else np.asarray(operator)
     if o.shape != translation.shape:
         raise ValueError(f"dimension mismatch: {o.shape} vs {translation.shape}")
+    phases = np.diagonal(translation)
+    if np.any(translation != np.diag(phases)):
+        raise ValueError("translation must be diagonal in the plane-wave basis")
     scale = float(np.max(np.abs(o)))
     if scale == 0.0:
         return PeriodicityReport(max_violation=0.0, is_cell_periodic=True)
-    conjugated = translation @ o @ translation.conj().T
-    violation = float(np.max(np.abs(conjugated - o))) / scale
+    defect = phases[:, None] * o  # T O T^dagger - O, built in place
+    defect *= phases.conj()
+    defect -= o
+    violation = float(np.max(np.abs(defect))) / scale
     return PeriodicityReport(
         max_violation=violation, is_cell_periodic=violation < PERIODICITY_RTOL
     )

@@ -23,6 +23,7 @@ from .floquet import (
     PeriodicObservableSpec,
     mode_trajectory,
     propagate_period,
+    quasienergy_distance,
     sambe_quasienergies,
     solve_floquet,
     temporal_overlap_probe,
@@ -37,12 +38,7 @@ from .reports import (
     jsonable,
     render_json,
 )
-from .superselection import (
-    fringe_scan,
-    matrix_element,
-    sector_decomposition_report,
-    wannier_mixture_residual,
-)
+from .superselection import fringe_scan, sector_decomposition_report, wannier_mixture_residual
 
 TOOL_NAME = "blochlab"
 
@@ -148,11 +144,8 @@ def _run_bands(cfg: ScenarioConfig):
     checks = dict(quality["checks"])
 
     if cfg.potential.is_free:
-        worst = 0.0
-        for sector in range(spec.cells):
-            rows = basis.class_rows(sector)
-            kinetic = np.sort((spec.hbar * basis.momenta[rows]) ** 2 / (2.0 * spec.mass))
-            worst = max(worst, float(np.max(np.abs(structure.energies[sector] - kinetic))))
+        kinetic = (spec.hbar * basis.momenta[structure.rows]) ** 2 / (2.0 * spec.mass)
+        worst = float(np.max(np.abs(structure.energies - np.sort(kinetic, axis=1))))
         results["deviations"]["free_particle"] = worst
         checks["free_particle_exact"] = worst < 1e-12 * max(1.0, h.norm_max)
 
@@ -187,6 +180,15 @@ def _solver_quality_checks(cfg: ScenarioConfig, h, t, bands):
 # superselect
 
 
+def _scan_fields(scan) -> dict:
+    return {
+        "observable": scan.observable,
+        "phases": list(scan.phases),
+        "averages": list(scan.averages),
+        "amplitude": scan.amplitude,
+    }
+
+
 def _run_superselect(cfg: ScenarioConfig):
     spec, basis, h, t, bands = _solve_lattice(cfg)
     battery = _configured_battery(cfg, basis)
@@ -206,38 +208,23 @@ def _run_superselect(cfg: ScenarioConfig):
     cross_scan = fringe_scan(
         scan_observable, bands.state(0, 0), bands.state(1, 0), cfg.fringe_points
     )
-    results["fringe_cross"] = {
-        "observable": cross_scan.observable,
-        "phases": list(cross_scan.phases),
-        "averages": list(cross_scan.averages),
-        "amplitude": cross_scan.amplitude,
-    }
+    results["fringe_cross"] = _scan_fields(cross_scan)
     checks["fringe_flat"] = cross_scan.amplitude < cfg.tolerance("solver_zero")
 
-    if bands.bands >= 2:
-        # elements[l][i] = |<l,0|O_i|l,1>|, the within-sector element of each member
-        elements = [
-            [matrix_element(op, bands.state(sector, 0), bands.state(sector, 1)).magnitude
-             for op in battery]
-            for sector in range(spec.cells)
-        ]
-        worst_sector = min(max(row) for row in elements)
+    within = sector_report.within_sector  # [sector, member], None for one band
+    if within is not None:
+        worst_sector = float(np.min(np.max(within, axis=1)))
         results["positive_control_min"] = worst_sector
         checks["positive_control"] = worst_sector > cfg.tolerance("positive_control")
 
         # scan the battery member with the strongest within-sector element, so
         # the fringe-vs-element comparison runs away from parity-forced zeros
-        element = max(elements[0])
-        within_observable = battery[elements[0].index(element)]
-        a, b = bands.state(0, 0), bands.state(0, 1)
-        within_scan = fringe_scan(within_observable, a, b, cfg.fringe_points)
-        results["fringe_within"] = {
-            "observable": within_scan.observable,
-            "phases": list(within_scan.phases),
-            "averages": list(within_scan.averages),
-            "amplitude": within_scan.amplitude,
-            "cross_element": element,
-        }
+        member = int(np.argmax(within[0]))
+        element = float(within[0, member])
+        within_scan = fringe_scan(
+            battery[member], bands.state(0, 0), bands.state(0, 1), cfg.fringe_points
+        )
+        results["fringe_within"] = {**_scan_fields(within_scan), "cross_element": element}
         if element > cfg.tolerance("positive_control"):
             ratio_error = abs(within_scan.amplitude - 2.0 * element) / (2.0 * element)
             results["fringe_within"]["relative_mismatch"] = ratio_error
@@ -332,7 +319,7 @@ def _run_floquet(cfg: ScenarioConfig):
     cross = float(np.max(np.abs(solution.monodromy - other.monodromy)))
 
     sambe = sambe_quasienergies(drive, fl.sambe_hmax)
-    sambe_diff = float(np.max(np.abs(np.sort(solution.quasienergies) - sambe)))
+    sambe_diff = quasienergy_distance(solution.quasienergies, sambe, drive.omega, drive.hbar)
 
     solution = mode_trajectory(drive, solution, fl.trajectory_points)
     periodicity = float(np.max(solution.periodicity_residuals))

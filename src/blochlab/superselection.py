@@ -87,20 +87,26 @@ class MixtureDiagnostic:
 
 @dataclass(frozen=True)
 class SectorDecompositionReport:
-    """Pairwise cross-class leakage, maximized over bands and battery.
+    """Pairwise cross-class leakage and the within-sector elements.
 
     ``leakage[j][l]`` is the largest |<psi_{m k_j}|O|psi_{n k_l}>| / ||O||_max
     over all bands m, n and battery members O; the diagonal (within-sector
-    coherence, which is allowed) is not computed and stays NaN.
+    coherence, which is allowed) is not part of the table and stays NaN.
+    ``within_sector[l, i]`` is |<psi_{0 k_l}|O_i|psi_{1 k_l}>| for battery
+    member i, unnormalized: the element the positive control needs.  It is
+    None when a class holds a single band.
     """
 
     leakage: np.ndarray
     battery_labels: tuple[str, ...]
+    within_sector: np.ndarray | None = None
 
     def __post_init__(self):
-        leakage = np.array(self.leakage, dtype=float)
-        leakage.setflags(write=False)
-        object.__setattr__(self, "leakage", leakage)
+        for name in ("leakage", "within_sector"):
+            if getattr(self, name) is not None:
+                arr = np.array(getattr(self, name), dtype=float)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
     @property
     def max_offdiagonal(self) -> float:
@@ -189,29 +195,36 @@ def mixture_diagnostic(
 def sector_decomposition_report(
     bands: BandStructure, battery: list[HermitianOperator]
 ) -> SectorDecompositionReport:
-    """Maximal normalized cross-class matrix element for every class pair.
+    """Cross-class leakage table and within-sector elements, on class blocks.
 
-    Per battery member, Psi^* O (one row per state) meets each class's kets in
-    one stacked product; entry [j, l] is maximized over both band axes.  Only
-    the j < l entries (bras from the lower class) are kept and then mirrored,
-    so the table is symmetric to the last bit and equals a pairwise loop over
-    class pairs bit for bit.
+    With C_l the class-l states restricted to their d/N rows (``bands.rows``),
+    <psi_{m k_j}|O|psi_{n k_l}> is entry (m, n) of C_j^* O[rows_j, rows_l] C_l^T.
+    Per battery member all blocks j <= l, zero or not, are multiplied in one
+    stacked product: ~2 d^3 / N flops instead of 2 d^3 on full-length states.
+    Leakage entry [j, l] (bras from the lower class, mirrored) is maximized
+    over both band axes and equals a pairwise class loop bit for bit; the
+    diagonal blocks give ``within_sector`` at bands (0, 1).
     """
     n_sectors, n_bands, dim = bands.coeffs.shape
-    bras = bands.coeffs.reshape(n_sectors * n_bands, dim).conj()
-    kets = bands.coeffs.transpose(0, 2, 1)  # (ket class, d, ket band)
-    worst = np.zeros((n_sectors, n_sectors))
-    for op in battery:
-        # (ket class, bra class * bra band, ket band) -> [ket class, bra class]
-        elements = np.abs(bras @ op.matrix @ kets) / op.norm_max
-        elements = elements.reshape(n_sectors, n_sectors, -1).max(axis=2)
-        np.maximum(worst, elements.T, out=worst)
-    upper = np.triu(worst, 1)
-    leakage = upper + upper.T
-    np.fill_diagonal(leakage, np.nan)
-    return SectorDecompositionReport(
-        leakage=leakage, battery_labels=tuple(op.label for op in battery)
-    )
+    rows = bands.rows
+    compact = np.take_along_axis(bands.coeffs, rows[:, None, :], axis=2)  # (class, band, row)
+    bra_class, ket_class = np.triu_indices(n_sectors)
+    flat = rows[bra_class][:, :, None] * dim + rows[ket_class][:, None, :]
+    bras = compact[bra_class].conj()
+    kets = compact[ket_class].transpose(0, 2, 1)
+    cross = bra_class < ket_class
+    worst = np.zeros(int(np.count_nonzero(cross)))
+    within = np.empty((n_sectors, len(battery))) if n_bands >= 2 else None
+    for i, op in enumerate(battery):
+        # (block, bra band, ket band) for every class block j <= l
+        elements = np.abs(bras @ np.take(op.matrix, flat) @ kets)
+        np.maximum(worst, elements[cross].max(axis=(1, 2)) / op.norm_max, out=worst)
+        if within is not None:
+            within[:, i] = elements[~cross, 0, 1]
+    leakage = np.full((n_sectors, n_sectors), np.nan)
+    leakage[bra_class[cross], ket_class[cross]] = worst
+    leakage[ket_class[cross], bra_class[cross]] = worst
+    return SectorDecompositionReport(leakage, tuple(op.label for op in battery), within)
 
 
 def _expectations(rows: np.ndarray, operator: HermitianOperator) -> np.ndarray:

@@ -42,6 +42,13 @@ def every_state(bands):
     return [bands.state(l, n) for l in range(bands.sectors) for n in range(bands.bands)]
 
 
+def random_hermitian(rng, dim, spectral_norm):
+    """A random complex Hermitian matrix scaled to the given spectral norm."""
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = a + a.conj().T
+    return spectral_norm * h / np.linalg.norm(h, 2)
+
+
 @pytest.fixture(scope="session")
 def two_level_drive():
     sz = np.diag([1.0, -1.0]).astype(complex)

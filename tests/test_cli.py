@@ -18,6 +18,7 @@ from blochlab.config import (
     validate_config,
 )
 from blochlab.runner import run_scenario, stable_report_bytes
+from conftest import random_hermitian
 
 
 def write_json(path, data):
@@ -102,6 +103,49 @@ def test_floquet_no_drive_folding_report(tmp_path):
     report = json.loads(report_path.read_text())
     eps = report["results"]["quasienergies"]
     assert eps == pytest.approx([-0.3, 0.3], abs=1e-9)
+
+
+def test_superselect_one_band_lattice_skips_positive_control(tmp_path):
+    # d = 3 on 3 cells: one band per class, so no within-sector pair exists
+    cfg = write_json(
+        tmp_path / "one_band.json",
+        {
+            "kind": "superselect",
+            "lattice": {"cells": 3, "cutoff": 1},
+            "battery": {"seeds": 2, "max_harmonic": 0, "named": []},
+            "negative_control": {"s": 1},
+        },
+    )
+    report_path = tmp_path / "report.json"
+    assert main(["superselect", "--config", cfg, "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert set(report["checks"]) == {"cross_sector_leakage", "fringe_flat", "negative_control"}
+    assert "positive_control_min" not in report["results"]
+    assert "fringe_within" not in report["results"]
+
+
+def complex_pairs(matrix):
+    """A complex matrix in the config's row-major [re, im] form."""
+    return [[[z.real, z.imag] for z in row] for row in matrix]
+
+
+def test_floquet_wide_spectrum_drive_passes_sambe_match(tmp_path):
+    # the static spectrum spans ~3 hbar*omega, so replicas of one mode outweigh
+    # another mode's in the Sambe central block; this drive exited 3 when the
+    # replicas were picked by weight alone
+    rng = np.random.default_rng(5)
+    h0, v = random_hermitian(rng, 16, 1.5), random_hermitian(rng, 16, 0.4)
+    section = {
+        "omega": 1.0,
+        "h0": complex_pairs(h0),
+        "drives": [{"harmonic": 1, "kind": "cos", "matrix": complex_pairs(v)}],
+    }
+    cfg = write_json(tmp_path / "wide.json", {"kind": "floquet", "floquet": section})
+    report_path = tmp_path / "rep.json"
+    assert main(["floquet", "--config", cfg, "--report", str(report_path)]) == 0
+    results = json.loads(report_path.read_text())["results"]
+    assert len(set(results["sambe_quasienergies"])) == 16
+    assert results["sambe_disagreement"] < 1e-6
 
 
 def test_invariant_violation_exit_code(tmp_path, capsys):

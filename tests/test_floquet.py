@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import blochlab as bl
 from blochlab.errors import NumericalFailure
+from conftest import random_hermitian
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -129,6 +132,49 @@ def test_sambe_truncation_converges_monotonically(two_level_drive):
         for h in (4, 6, 8, 10)
     ]
     assert all(a > b for a, b in zip(strong_errors, strong_errors[1:]))
+
+
+@given(
+    dim=st.integers(2, 16),
+    seed=st.integers(0, 2**32 - 1),
+    width=st.floats(1.0, 3.0),  # ||H0||_2 / (hbar omega): the spectrum spans 2-6 zones
+    strength=st.floats(0.05, 0.8),  # ||V||_2 / (hbar omega)
+    omega=st.floats(0.5, 2.0),
+    second_harmonic=st.booleans(),
+)
+# a drive on which picking replicas by weight alone returned 15 distinct values
+@example(dim=16, seed=5, width=1.5, strength=0.4, omega=1.0, second_harmonic=False)
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_sambe_matches_propagator_on_wide_spectrum_drives(
+    dim, seed, width, strength, omega, second_harmonic
+):
+    rng = np.random.default_rng(seed)
+    h0 = random_hermitian(rng, dim, width * omega)
+    drives = [bl.DriveTerm(1, "cos", random_hermitian(rng, dim, strength * omega))]
+    if second_harmonic:
+        drives.append(bl.DriveTerm(2, "sin", random_hermitian(rng, dim, strength * omega / 2)))
+    spec = bl.DriveSpec(h0=h0, omega=omega, drives=tuple(drives))
+    solution = bl.solve_floquet(spec, steps=4096)
+    sambe = bl.sambe_quasienergies(spec, h_max=12)
+    assert len(sambe) == dim
+    assert bl.quasienergy_distance(solution.quasienergies, sambe, omega) < 1e-6
+
+
+def test_sambe_keeps_degenerate_quasienergies():
+    # 0.2 and 1.2 fold onto one quasienergy: one cluster of multiplicity 3
+    spec = bl.DriveSpec(h0=np.diag([0.2, 0.2, 1.2]).astype(complex), omega=1.0)
+    assert np.allclose(bl.sambe_quasienergies(spec, h_max=6), [0.2, 0.2, 0.2], atol=1e-12)
+
+
+def test_quasienergy_distance_matches_across_the_zone_edge():
+    a = np.array([-0.4999, 0.1])
+    b = np.array([0.1, 0.4999])  # 0.4999 and -0.4999 are 2e-4 apart on the circle
+    assert bl.quasienergy_distance(a, b, omega=1.0) == pytest.approx(2e-4, abs=1e-15)
+    assert float(np.max(np.abs(np.sort(a) - np.sort(b)))) > 0.5  # sorted lines misread it
+    c = np.array([0.1 + 3e-9, -0.2])
+    assert bl.quasienergy_distance(c, [-0.2, 0.1], omega=1.0) == float(
+        np.max(np.abs(np.sort(c) - np.array([-0.2, 0.1])))
+    )
 
 
 def test_sambe_requires_enough_blocks(two_level_drive):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blochlab as bl
+from blochlab.lattice import hermiticity_defect
 
 
 def test_basis_n3_m4_layout():
@@ -133,6 +134,14 @@ def test_hermitian_operator_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="Hermitian"):
         bl.HermitianOperator(matrix=bad)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 63, 64, 65, 130, 495])
+def test_hermiticity_defect_is_the_direct_formula_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    for matrix in (m, m + m.conj().T, m + m.conj().T + 1e-13 * rng.normal(size=(dim, dim))):
+        assert hermiticity_defect(matrix) == float(np.max(np.abs(matrix - matrix.conj().T)))
 
 
 def test_operator_matrices_are_frozen(mathieu_solution):

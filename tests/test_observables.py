@@ -120,6 +120,12 @@ def test_identity_passes_periodicity(translation_n3):
     assert report.max_violation < 1e-15  # |phase|^2 rounding only
 
 
+def test_periodicity_check_rejects_non_diagonal_translation(translation_n3):
+    shifted = np.roll(np.array(translation_n3), 1, axis=1)  # a permutation, not diagonal
+    with pytest.raises(ValueError, match="diagonal"):
+        bl.check_cell_periodicity(np.eye(9, dtype=complex), shifted)
+
+
 def test_random_battery_is_deterministic(basis_n3):
     a = bl.random_cell_periodic(1, basis_n3)
     b = bl.random_cell_periodic(1, basis_n3)

@@ -56,3 +56,37 @@ def test_wannier_mixture_residual_matches_per_state_loop(solved):
             expected = max(state_mixture_residual(w, band_states, op) for w in wanniers)
             got = bl.wannier_mixture_residual(wanniers, bands.coeffs[:, band], op)
             assert abs(got - expected) < 1e-14
+
+
+def test_within_sector_elements_match_matrix_element(solved):
+    _, bands, battery = solved
+    within = bl.sector_decomposition_report(bands, battery).within_sector
+    assert within.shape == (bands.sectors, len(battery))
+    for l in range(bands.sectors):
+        for i, op in enumerate(battery):
+            ref = bl.matrix_element(op, bands.state(l, 0), bands.state(l, 1)).magnitude
+            if ref > 1e-12 * op.norm_max:
+                assert abs(within[l, i] - ref) <= 1e-14 * ref
+            else:  # a parity-forced zero: both values are rounding noise
+                assert abs(within[l, i] - ref) <= 1e-15 * op.norm_max
+
+
+def test_row_table_is_frozen_and_matches_class_rows(solved):
+    spec, bands, _ = solved
+    basis = bl.build_basis(spec)
+    assert bands.rows.shape == (spec.cells, spec.dim // spec.cells)
+    for l in range(spec.cells):
+        assert np.array_equal(bands.rows[l], basis.class_rows(l))
+        outside = np.setdiff1d(np.arange(spec.dim), bands.rows[l])
+        assert not np.any(bands.coeffs[l][:, outside])
+    with pytest.raises(ValueError):
+        bands.rows[0, 0] = 1
+
+
+def test_one_band_lattice_has_no_within_sector_elements():
+    spec = bl.LatticeSpec(cells=3, cutoff=1)  # d = 3: one band per class
+    bands = bl.solve_bands(bl.build_hamiltonian(spec, bl.PotentialSpec()), spec)
+    battery = bl.standard_battery(bl.build_basis(spec), seeds=2, max_harmonic=0, named=())
+    report = bl.sector_decomposition_report(bands, battery)
+    assert report.within_sector is None
+    assert report.leakage.shape == (3, 3)
