@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .bloch import _canonical_eigenbasis  # same gauge rules as the lattice solver
 from .errors import NumericalFailure
@@ -278,14 +277,44 @@ def fold_quasienergy(value: float | np.ndarray, omega: float, hbar: float = 1.0)
     return ((np.asarray(value) + 0.5 * zone) % zone) - 0.5 * zone
 
 
+def _unitary_eigenpairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and an orthonormal eigenbasis of a unitary matrix, numpy only.
+
+    U is normal, so it shares its eigenvectors with the Hermitian Cayley
+    transform C = i (I - V)(I + V)^-1 of V = exp(i phi) U (Golub & Van Loan,
+    Matrix Computations, 4th ed.).  phi turns the middle of the widest gap
+    between U's eigenphases, at least 2 pi / d wide, onto -1, which keeps
+    I + V well conditioned.  eigh of C's Hermitian part gives an orthonormal
+    basis, also inside degenerate clusters.  C's eigenvalue tan(theta / 2)
+    grows with V's eigenphase theta, so eigh's column order is the order of
+    U's eigenphases counted from the gap; the eigenvalues from ``eigvals``
+    (the diagonal of U's complex Schur form, the same Hessenberg QR) are
+    paired with the columns in that order.
+    """
+    eye = np.eye(u.shape[0])
+    lams = np.linalg.eigvals(u)
+    phases = np.angle(lams)
+    ordered = np.sort(phases)
+    gaps = np.diff(ordered, append=ordered[0] + 2.0 * np.pi)
+    widest = int(np.argmax(gaps))
+    middle = ordered[widest] + 0.5 * gaps[widest]
+    v = np.exp(1j * (np.pi - middle)) * u
+    c = 1j * np.linalg.solve(eye + v, eye - v)
+    _, z = np.linalg.eigh(0.5 * (c + c.conj().T))
+    return lams[np.argsort((phases - middle) % (2.0 * np.pi), kind="stable")], z
+
+
 def quasienergies(
     monodromy: np.ndarray, omega: float, hbar: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quasienergies and Floquet modes of a monodromy matrix.
 
-    Uses the complex Schur form (diagonal for a unitary matrix) so the modes
-    come out orthonormal even inside degenerate clusters.  Output is sorted
-    by ascending quasienergy; clusters are canonicalized and every mode is
+    The modes are the eigenvectors of the monodromy's Hermitian Cayley
+    transform (see ``_unitary_eigenpairs``), so they come out orthonormal
+    even inside degenerate clusters.  Raises ValueError for a matrix that is
+    not unitary, and NumericalFailure when the eigensolve fails or its
+    residual max |U Z - Z Lambda| exceeds 1e-8.  Output is sorted by
+    ascending quasienergy; clusters are canonicalized and every mode is
     phased with its largest coefficient real positive, making the result
     deterministic.
     """
@@ -293,11 +322,13 @@ def quasienergies(
     defect = _unitarity_defect(u)
     if defect > 1e-8:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-    t, z = scipy.linalg.schur(u, output="complex")
-    lams = np.diag(t)
-    residual = float(np.max(np.abs(t - np.diag(lams))))
-    if residual > 1e-8:
-        raise NumericalFailure(f"Schur form of monodromy not diagonal: {residual:.3e}")
+    try:
+        lams, z = _unitary_eigenpairs(u)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"monodromy eigensolve failed: {exc}") from exc
+    residual = float(np.max(np.abs(u @ z - z * lams)))
+    if not residual <= 1e-8:
+        raise NumericalFailure(f"monodromy eigenbasis residual {residual:.3e} exceeds 1e-8")
     period = 2.0 * np.pi / omega
     eps = fold_quasienergy(-(hbar / period) * np.angle(lams), omega, hbar)
     order = np.argsort(eps, kind="stable")

@@ -210,6 +210,8 @@ def _run_superselect(cfg: ScenarioConfig):
     )
     results["fringe_cross"] = _scan_fields(cross_scan)
     checks["fringe_flat"] = cross_scan.amplitude < cfg.tolerance("solver_zero")
+    if "fringe_prefix" in cfg.output:
+        emit_fringe_series(cross_scan, cfg.output["fringe_prefix"] + "_cross.csv")
 
     within = sector_report.within_sector  # [sector, member], None for one band
     if within is not None:
@@ -230,7 +232,6 @@ def _run_superselect(cfg: ScenarioConfig):
             results["fringe_within"]["relative_mismatch"] = ratio_error
             checks["fringe_matches_element"] = ratio_error < 0.01
         if "fringe_prefix" in cfg.output:
-            emit_fringe_series(cross_scan, cfg.output["fringe_prefix"] + "_cross.csv")
             emit_fringe_series(within_scan, cfg.output["fringe_prefix"] + "_within.csv")
 
     if cfg.negative_control_shift is not None:

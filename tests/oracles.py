@@ -8,8 +8,10 @@ periodic fourth-order finite-difference Laplacian and diagonalizes that.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
-from blochlab import LatticeSpec, PotentialSpec
+from blochlab import LatticeSpec, PotentialSpec, fold_quasienergy
+from blochlab.bloch import _canonical_eigenbasis
 
 
 def fd_ring_hamiltonian(
@@ -226,3 +228,24 @@ def stepwise_rk4_monodromy(spec, steps: int) -> np.ndarray:
         k4 = scale * (h1 @ (u + dt * k3))
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return u
+
+
+# ---------------------------------------------------------------------------
+# Floquet modes from the complex Schur form U = Z T Z^H, whose T is diagonal
+# for a unitary U.  The package extracts the modes with numpy alone, through
+# the Hermitian Cayley transform of U; this route is the reference for its
+# quasienergies, modes and orthonormality.
+
+
+def schur_quasienergies(monodromy, omega: float, hbar: float = 1.0):
+    """Sorted folded quasienergies and canonical modes from scipy.linalg.schur."""
+    t, z = scipy.linalg.schur(np.asarray(monodromy, dtype=complex), output="complex")
+    lams = np.diag(t)
+    residual = float(np.max(np.abs(t - np.diag(lams))))
+    if residual > 1e-8:
+        raise AssertionError(f"Schur form of monodromy not diagonal: {residual:.3e}")
+    period = 2.0 * np.pi / omega
+    eps = fold_quasienergy(-(hbar / period) * np.angle(lams), omega, hbar)
+    order = np.argsort(eps, kind="stable")
+    eps = eps[order]
+    return eps, _canonical_eigenbasis(eps / max(hbar * omega, 1e-300), z[:, order])

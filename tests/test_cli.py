@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,14 +115,21 @@ def test_superselect_one_band_lattice_skips_positive_control(tmp_path):
             "lattice": {"cells": 3, "cutoff": 1},
             "battery": {"seeds": 2, "max_harmonic": 0, "named": []},
             "negative_control": {"s": 1},
+            "fringe_points": 16,
         },
     )
     report_path = tmp_path / "report.json"
-    assert main(["superselect", "--config", cfg, "--report", str(report_path)]) == 0
+    prefix = tmp_path / "fringe"
+    argv = ["--config", cfg, "--report", str(report_path), "--fringe-prefix", str(prefix)]
+    assert main(["superselect", *argv]) == 0
     report = json.loads(report_path.read_text())
     assert set(report["checks"]) == {"cross_sector_leakage", "fringe_flat", "negative_control"}
     assert "positive_control_min" not in report["results"]
     assert "fringe_within" not in report["results"]
+    # the cross-class scan still ran, so its series is written; no within series
+    cross = (tmp_path / "fringe_cross.csv").read_text().strip().splitlines()
+    assert len(cross) == 1 + 16
+    assert not (tmp_path / "fringe_within.csv").exists()
 
 
 def complex_pairs(matrix):
@@ -165,6 +173,26 @@ def test_numerical_failure_exit_code(tmp_path):
         steps=64,
     )
     assert main(["floquet", "--config", cfg]) == 2
+
+
+def test_floquet_eigenbasis_residual_guard_exits_2(tmp_path, monkeypatch, capsys):
+    # eigh hands back a Fourier-mixed, non-eigen basis for the 2-D Cayley
+    # transform of the monodromy; the stacked (3-D) midpoint eigh calls pass
+    eigh = np.linalg.eigh
+
+    def mixed(a):
+        vals, vecs = eigh(a)
+        if np.ndim(a) != 2:
+            return vals, vecs
+        n = np.arange(len(vals))
+        return vals, vecs @ (np.exp(2j * np.pi * np.outer(n, n) / len(n)) / np.sqrt(len(n)))
+
+    monkeypatch.setattr(np.linalg, "eigh", mixed)
+    spec = bl.DriveSpec(h0=np.diag([0.7, -0.7]).astype(complex), omega=1.0)
+    with pytest.raises(bl.NumericalFailure, match="residual"):
+        bl.quasienergies(bl.propagate_period(spec, steps=256).monodromy, omega=1.0)
+    assert main(["floquet", "--config", floquet_config(tmp_path, steps=256)]) == 2
+    assert "residual" in capsys.readouterr().err
 
 
 def test_floquet_method_key_is_unknown(tmp_path, capsys):
@@ -262,6 +290,58 @@ def test_module_invocation_end_to_end(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+# ---------------------------------------------------------------------------
+# scipy is not a runtime dependency: neither importing the CLI nor running any
+# shipped config may load it
+
+SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+NO_SCIPY = """
+import runpy, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+runpy.run_module("blochlab", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = (
+        "import sys, blochlab.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("config", SHIPPED, ids=lambda p: p.stem)
+def test_shipped_config_runs_with_scipy_blocked(config, tmp_path):
+    kind = json.loads(config.read_text())["kind"]
+    extra = {"bands": "--out", "superselect": "--fringe-prefix"}
+
+    def argv(directory):
+        directory.mkdir()
+        out = [kind, "--config", str(config), "--report", str(directory / "report.json")]
+        return out + ([extra[kind], str(directory / "series")] if kind in extra else [])
+
+    blocked, plain = tmp_path / "blocked", tmp_path / "plain"
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, *argv(blocked)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(argv(plain)) == 0
+    reports = [json.loads((d / "report.json").read_text()) for d in (blocked, plain)]
+    for report in reports:
+        report.pop("timing")
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------

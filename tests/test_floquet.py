@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 import blochlab as bl
 from blochlab.errors import NumericalFailure
 from conftest import random_hermitian
+from oracles import schur_quasienergies
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+DEGENERATE_H0 = np.zeros((4, 4), dtype=complex)  # levels 2 and 3 stay at 0
+DEGENERATE_H0[0, 1] = DEGENERATE_H0[1, 0] = 0.25
 
 
 def no_drive(eps):
@@ -284,16 +287,66 @@ def test_monodromy_eigenrelation_and_mode_orthonormality(
 
 
 def test_degenerate_monodromy_modes_stay_orthonormal():
-    # a drive whose monodromy has a degenerate eigenphase pair: the complex
-    # Schur route must still hand back an orthonormal mode set
-    h0 = np.zeros((4, 4), dtype=complex)
-    h0[0, 1] = h0[1, 0] = 0.25
-    spec = bl.DriveSpec(h0=h0, omega=1.0)
+    # a drive whose monodromy has a degenerate eigenphase pair: the Cayley
+    # transform's eigh must still hand back an orthonormal mode set
+    spec = bl.DriveSpec(h0=DEGENERATE_H0, omega=1.0)
     eps, modes = bl.quasienergies(
         bl.propagate_period(spec, steps=128).monodromy, omega=1.0
     )
     assert float(np.max(np.abs(modes.conj().T @ modes - np.eye(4)))) < 1e-12
     assert eps[1] == pytest.approx(eps[2], abs=1e-12)  # the two decoupled levels
+
+
+def assert_matches_schur(u, omega):
+    """quasienergies(U) against the complex Schur route, at preset tolerances."""
+    eps, modes = bl.quasienergies(u, omega)
+    ref_eps, ref_modes = schur_quasienergies(u, omega)
+    assert float(np.max(np.abs(eps - ref_eps))) <= 1e-14 * omega
+    assert float(np.max(np.abs(modes - ref_modes))) <= 1e-12
+    assert float(np.max(np.abs(modes.conj().T @ modes - np.eye(len(eps))))) < 1e-13
+
+
+@given(
+    dim=st.sampled_from([2, 3, 8, 16]),
+    seed=st.integers(0, 2**32 - 1),
+    cluster=st.integers(1, 16),  # size of one degenerate eigenphase cluster
+    omega=st.floats(0.5, 2.0),
+)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_quasienergies_match_the_schur_route(dim, seed, cluster, omega):
+    # U = Q diag(exp(i theta)) Q^H with a random unitary Q; distinct levels are
+    # at least 0.05 rad apart, so no mode is ill-conditioned beyond 1e-14
+    rng = np.random.default_rng(seed)
+    cluster = min(cluster, dim)
+    levels = dim - cluster + 1
+    gaps = 0.05 + rng.dirichlet(np.ones(levels)) * (2.0 * np.pi - 0.05 * levels)
+    theta = rng.uniform(-np.pi, np.pi) + np.cumsum(gaps)
+    theta = np.concatenate((np.repeat(theta[:1], cluster - 1), theta))
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    assert_matches_schur((q * np.exp(1j * theta)) @ q.conj().T, omega)
+
+
+@pytest.mark.parametrize(
+    "h0",
+    [
+        0.2 * np.eye(3),  # a 3-fold cluster: U is a multiple of I
+        DEGENERATE_H0,  # two decoupled levels
+        np.diag([0.5, 0.1]),  # quasienergy 0.5 sits on the zone edge
+    ],
+    ids=["scalar", "degenerate_pair", "zone_edge"],
+)
+def test_quasienergies_match_the_schur_route_on_degenerate_and_edge_drives(h0):
+    spec = bl.DriveSpec(h0=np.asarray(h0, dtype=complex), omega=1.0)
+    assert_matches_schur(bl.propagate_period(spec, steps=128).monodromy, 1.0)
+
+
+def test_monodromy_eigensolve_failure_is_numerical(monkeypatch):
+    def singular(_):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", singular)
+    with pytest.raises(NumericalFailure, match="eigensolve"):
+        bl.quasienergies(np.eye(2, dtype=complex), omega=1.0)
 
 
 def test_monodromy_polynomial_commutes(two_level_solution):
