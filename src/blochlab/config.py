@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .floquet import DriveSpec, DriveTerm, PeriodicObservableSpec
+from .floquet import MIN_STEPS, DriveSpec, DriveTerm, PeriodicObservableSpec
 from .lattice import LatticeSpec, PotentialSpec
-from .observables import NAMED_OBSERVABLES, ObservableSpec, ObservableTerm
+from .observables import MAX_POLY_DEGREE, NAMED_OBSERVABLES, ObservableSpec, ObservableTerm
 
 KINDS = ("bands", "superselect", "wannier", "floquet")
 
@@ -303,7 +303,7 @@ def _parse_battery(obj, pointer: str) -> BatteryConfig:
         seeds=_get_int(obj, "seeds", pointer, default=20, minimum=0, maximum=MAX_BATTERY_SEEDS),
         named=tuple(named),
         max_harmonic=_get_int(obj, "max_harmonic", pointer, default=1, minimum=0),
-        degree=_get_int(obj, "degree", pointer, default=2, minimum=0, maximum=6),
+        degree=_get_int(obj, "degree", pointer, default=2, minimum=0, maximum=MAX_POLY_DEGREE),
         custom=custom,
     )
 
@@ -414,7 +414,7 @@ def _parse_floquet(obj, pointer: str) -> FloquetConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc), pointer) from exc
-    steps = _get_int(obj, "steps", pointer, default=4096, minimum=64, maximum=MAX_STEPS)
+    steps = _get_int(obj, "steps", pointer, default=4096, minimum=MIN_STEPS, maximum=MAX_STEPS)
     probe = _parse_probe(obj.get("probe", {}), f"{pointer}/probe", drive.dim)
     return FloquetConfig(
         drive=drive,

@@ -314,9 +314,10 @@ def quasienergies(
     even inside degenerate clusters.  Raises ValueError for a matrix that is
     not unitary, and NumericalFailure when the eigensolve fails or its
     residual max |U Z - Z Lambda| exceeds 1e-8.  Output is sorted by
-    ascending quasienergy; clusters are canonicalized and every mode is
-    phased with its largest coefficient real positive, making the result
-    deterministic.
+    ascending quasienergy; degenerate clusters, found on the circle of
+    circumference hbar*omega so that one straddling the zone edge is whole,
+    are canonicalized and every mode is phased with its largest coefficient
+    real positive, making the result deterministic.
     """
     u = np.asarray(monodromy, dtype=complex)
     defect = _unitarity_defect(u)
@@ -333,8 +334,13 @@ def quasienergies(
     eps = fold_quasienergy(-(hbar / period) * np.angle(lams), omega, hbar)
     order = np.argsort(eps, kind="stable")
     eps = eps[order]
-    modes = _canonical_eigenbasis(eps / max(hbar * omega, 1e-300), z[:, order])
-    return eps, modes
+    # clusters live on the quasienergy circle: scan them from just after the
+    # widest gap, with the values before it unwrapped by one zone
+    x = eps / max(hbar * omega, 1e-300)
+    start = (int(np.argmax(np.diff(x, append=x[0] + 1.0))) + 1) % len(x)
+    x = np.concatenate((x[start:], x[:start] + 1.0))
+    modes = _canonical_eigenbasis(x, np.roll(z[:, order], -start, axis=1))
+    return eps, np.roll(modes, start, axis=1)
 
 
 def _with_modes(spec: DriveSpec, solution: FloquetSolution) -> FloquetSolution:

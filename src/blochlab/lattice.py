@@ -8,8 +8,11 @@ operators are dense complex matrices indexed by the integer m.
 Because the potential only carries harmonics of 2*pi/a = 2*pi*N/L, the
 Hamiltonian couples m to m' only when N divides (m - m'): the basis splits
 into N wavevector classes c(m) = m mod N, and every class is an invariant
-block.  Matrix entries between different classes are written as literal
-zeros, never as computed sums, so the block structure is exact.
+block.  A cell-periodic operator is therefore a few offset diagonals at
+multiples of N, and ``add_offset_diagonal`` is the one place that writes
+the diagonals of every lattice operator.  Matrix entries between different
+classes are never written, so they stay literal zeros and the block
+structure is exact.
 """
 
 from __future__ import annotations
@@ -160,15 +163,16 @@ def fold_harmonics(harmonics) -> tuple[tuple[int, complex], ...]:
     return tuple(sorted(folded.items()))
 
 
-def add_offset_diagonal(matrix: np.ndarray, offset: int, c: complex) -> None:
-    """Add c at (m + offset, m) and conj(c) at (m, m + offset) for every valid m.
+def add_offset_diagonal(matrix: np.ndarray, offset: int, values) -> None:
+    """Add ``values`` at (m + offset, m) and their conjugates at (m, m + offset).
 
-    Harmonic j of a cell-periodic function sits at offset j*N; nothing is
-    written when offset >= dim.  ``offset`` must be positive.
+    ``values`` is a scalar or one entry per m < dim - offset.  Offset 0 is the
+    main diagonal, written once as given; offset >= dim writes nothing.
     """
     m = np.arange(matrix.shape[0] - offset)
-    matrix[m + offset, m] += c
-    matrix[m, m + offset] += np.conj(c)
+    matrix[m + offset, m] += values
+    if offset:
+        matrix[m, m + offset] += np.conj(values)
 
 
 @dataclass(frozen=True)
@@ -213,15 +217,12 @@ class PotentialSpec:
 class HermitianOperator:
     """Dense self-adjoint operator in the plane-wave basis.
 
-    ``periodicity`` records the declared cell-periodicity status:
-    'cell-periodic' for operators invariant under conjugation by the unit-cell
-    translation, 'breaking' for deliberate counterexamples, 'unverified'
-    otherwise.  The operator and its matrix are frozen after validation, so
+    Whether it is cell-periodic is measured (``check_cell_periodicity``), not
+    declared.  The operator and its matrix are frozen after validation, so
     the ``norm_max`` stored then cannot go stale.
     """
 
     matrix: np.ndarray
-    periodicity: str = "unverified"
     label: str = ""
     _norm_max: float = field(init=False, repr=False, compare=False)
 
@@ -274,10 +275,10 @@ def build_hamiltonian(spec: LatticeSpec, potential: PotentialSpec) -> HermitianO
     d = basis.dim
     h = np.zeros((d, d), dtype=complex)
     kinetic = (spec.hbar * basis.momenta) ** 2 / (2.0 * spec.mass)
-    np.fill_diagonal(h, kinetic + potential.v0)
+    add_offset_diagonal(h, 0, kinetic + potential.v0)
     for j, c in potential.harmonics:
         add_offset_diagonal(h, j * spec.cells, c)
-    return HermitianOperator(matrix=h, periodicity="cell-periodic", label="hamiltonian")
+    return HermitianOperator(matrix=h, label="hamiltonian")
 
 
 def build_translation(spec: LatticeSpec) -> np.ndarray:
@@ -295,8 +296,6 @@ def build_translation(spec: LatticeSpec) -> np.ndarray:
 def build_momentum(spec: LatticeSpec) -> HermitianOperator:
     """Momentum operator hbar*q_m, diagonal hence commuting exactly with T."""
     basis = build_basis(spec)
-    return HermitianOperator(
-        matrix=np.diag(spec.hbar * basis.momenta).astype(complex),
-        periodicity="cell-periodic",
-        label="momentum",
-    )
+    p = np.zeros((basis.dim, basis.dim), dtype=complex)
+    add_offset_diagonal(p, 0, spec.hbar * basis.momenta)
+    return HermitianOperator(matrix=p, label="momentum")

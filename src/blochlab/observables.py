@@ -5,7 +5,10 @@ conjugation by the unit-cell translation T.  Operators assembled from
 periodic functions of position (harmonics of 2*pi/a) and polynomials in the
 momentum satisfy this structurally: position harmonics couple plane waves
 only within a wavevector class, and momentum is diagonal.  Self-adjointness
-of mixed terms is restored by the symmetrized product (F*P + P*F)/2.
+of mixed terms is restored by the symmetrized product (F*P + P*F)/2.  Every
+term is assembled straight onto its offset diagonals: harmonic j at offset
+j*N, the momentum polynomial as a vector along them, so no dense F or P is
+formed.
 
 The randomized battery uses a small integer recurrence (64-bit MMIX linear
 congruential generator, x -> 6364136223846793005*x + 1442695040888963407
@@ -75,14 +78,6 @@ class ObservableTerm:
             )
         object.__setattr__(self, "p_poly", poly)
 
-    @property
-    def has_function(self) -> bool:
-        return bool(self.f_harmonics)
-
-    @property
-    def has_polynomial(self) -> bool:
-        return bool(self.p_poly)
-
 
 @dataclass(frozen=True)
 class ObservableSpec:
@@ -101,17 +96,6 @@ class PeriodicityReport:
     tolerance: float = PERIODICITY_RTOL
 
 
-def _function_matrix(term: ObservableTerm, basis: PlaneWaveBasis) -> np.ndarray:
-    d = basis.dim
-    out = np.zeros((d, d), dtype=complex)
-    for j, c in term.f_harmonics:
-        if j == 0:
-            out[np.diag_indices(d)] += c
-        else:
-            add_offset_diagonal(out, j * basis.cells, c)
-    return out
-
-
 def _polynomial_diagonal(term: ObservableTerm, basis: PlaneWaveBasis) -> np.ndarray:
     """Diagonal of P: the polynomial in hbar*q_m, one real entry per plane wave."""
     hq = basis.hbar * basis.momenta
@@ -124,37 +108,42 @@ def _polynomial_diagonal(term: ObservableTerm, basis: PlaneWaveBasis) -> np.ndar
 def build_observable(
     spec: ObservableSpec, basis: PlaneWaveBasis, label: str = ""
 ) -> HermitianOperator:
-    """Realize an ObservableSpec as a dense Hermitian matrix.
+    """Realize an ObservableSpec as a dense Hermitian matrix, diagonal by diagonal.
 
-    Mixed terms use (F*P + P*F)/2 when ``symmetrize`` is set; with it off the
-    plain product F*P is kept and must already be Hermitian (constant F or P),
-    otherwise InvariantViolation is raised.  P is diagonal, so it is held as
-    its diagonal vector p: F*P scales the columns of F by p and P*F its rows.
+    P is diagonal (its vector p) and harmonic (j, c) of F fills offset k = j*N,
+    so a term's entry at (m + k, m) is c without polynomial, 0.5*(c*p[m] +
+    p[m + k]*c) for (F*P + P*F)/2 and c*p[m] for F*P; ``add_offset_diagonal``
+    writes it and its conjugate.  A term without function part is p itself.
+    Unsymmetrized, F*P must already be Hermitian (constant F or P): when its
+    entry at (m, m + k), conj(c)*p[m + k], is off the conjugate of (m + k, m)
+    by more than 1e-12 of the term's largest entry, InvariantViolation is raised.
     """
     d = basis.dim
     total = np.zeros((d, d), dtype=complex)
     for term in spec.terms:
-        if not term.has_function and not term.has_polynomial:
+        if not term.f_harmonics and not term.p_poly:
             raise ValueError("observable term needs a function part or a polynomial part")
-        if term.has_function and term.has_polynomial:
-            f = _function_matrix(term, basis)
-            p = _polynomial_diagonal(term, basis)
-            if spec.symmetrize:
-                total += 0.5 * (f * p + p[:, None] * f)
+        p = _polynomial_diagonal(term, basis)
+        if not term.f_harmonics:
+            add_offset_diagonal(total, 0, p)
+            continue
+        defect, scale = 0.0, 1e-300
+        for j, c in term.f_harmonics:
+            k = j * basis.cells
+            if k >= d:
+                continue  # the harmonic reaches past the basis
+            if not term.p_poly:
+                values = c
+            elif spec.symmetrize:
+                values = 0.5 * (c * p[: d - k] + p[k:] * c)
             else:
-                prod = f * p
-                defect = float(np.max(np.abs(prod - prod.conj().T)))
-                scale = max(float(np.max(np.abs(prod))), 1e-300)
-                if defect > 1e-12 * scale:
-                    raise InvariantViolation(
-                        "unsymmetrized F*P term is not Hermitian; enable symmetrize"
-                    )
-                total += prod
-        elif term.has_function:
-            total += _function_matrix(term, basis)
-        else:
-            total += np.diag(_polynomial_diagonal(term, basis))
-    return HermitianOperator(matrix=total, periodicity="cell-periodic", label=label)
+                values, mirror = c * p[: d - k], c * p[k:]  # mirror: conj of F*P at (m, m + k)
+                defect = max(defect, float(np.max(np.abs(values - mirror))))
+                scale = max(scale, float(np.max(np.abs(values))), float(np.max(np.abs(mirror))))
+            add_offset_diagonal(total, k, values)
+        if defect > 1e-12 * scale:
+            raise InvariantViolation("unsymmetrized F*P term is not Hermitian; enable symmetrize")
+    return HermitianOperator(matrix=total, label=label)
 
 
 def check_cell_periodicity(
@@ -218,9 +207,7 @@ def random_cell_periodic(
     op = build_observable(spec, basis, label=f"seed:{seed}")
     norm = op.norm_max
     if not NORM_WINDOW[0] <= norm <= NORM_WINDOW[1]:
-        op = HermitianOperator(
-            matrix=op.matrix / norm, periodicity="cell-periodic", label=op.label
-        )
+        op = HermitianOperator(matrix=op.matrix / norm, label=op.label)
     return op
 
 
@@ -239,7 +226,7 @@ def breaking_observable(shift: int, basis: PlaneWaveBasis) -> HermitianOperator:
         raise ValueError(f"shift must lie in [1, {2 * basis.spec.cutoff}], got {shift}")
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
     add_offset_diagonal(out, shift, 1.0)
-    return HermitianOperator(matrix=out, periodicity="breaking", label=f"breaking:s={shift}")
+    return HermitianOperator(matrix=out, label=f"breaking:s={shift}")
 
 
 _NAMED_SPECS = {
@@ -268,8 +255,7 @@ def standard_battery(
     member's max-entry norm, so a member that is zero on this basis (say a
     harmonic whose offset j*N reaches past it) raises ValueError naming it.
     """
-    built = named_observables(basis)
-    battery = [built[name] for name in named]
+    battery = [build_observable(_NAMED_SPECS[name], basis, label=name) for name in named]
     battery.extend(
         random_cell_periodic(seed, basis, max_harmonic=max_harmonic, degree=degree)
         for seed in range(1, seeds + 1)

@@ -238,7 +238,11 @@ def stepwise_rk4_monodromy(spec, steps: int) -> np.ndarray:
 
 
 def schur_quasienergies(monodromy, omega: float, hbar: float = 1.0):
-    """Sorted folded quasienergies and canonical modes from scipy.linalg.schur."""
+    """Sorted folded quasienergies and canonical modes from scipy.linalg.schur.
+
+    Degenerate clusters are found on the circle of circumference hbar*omega,
+    so a cluster that straddles the zone edge is canonicalized whole.
+    """
     t, z = scipy.linalg.schur(np.asarray(monodromy, dtype=complex), output="complex")
     lams = np.diag(t)
     residual = float(np.max(np.abs(t - np.diag(lams))))
@@ -247,5 +251,12 @@ def schur_quasienergies(monodromy, omega: float, hbar: float = 1.0):
     period = 2.0 * np.pi / omega
     eps = fold_quasienergy(-(hbar / period) * np.angle(lams), omega, hbar)
     order = np.argsort(eps, kind="stable")
-    eps = eps[order]
-    return eps, _canonical_eigenbasis(eps / max(hbar * omega, 1e-300), z[:, order])
+    eps, z = eps[order], z[:, order]
+    # clusters on the circle: cut at the widest gap, the part below it moved up a zone
+    x = eps / max(hbar * omega, 1e-300)
+    cut = int(np.argmax(np.append(np.diff(x), x[0] + 1.0 - x[-1]))) + 1
+    if cut < len(x):
+        turned = np.hstack((z[:, cut:], z[:, :cut]))
+        modes = _canonical_eigenbasis(np.append(x[cut:], x[:cut] + 1.0), turned)
+        return eps, np.hstack((modes[:, len(x) - cut:], modes[:, : len(x) - cut]))
+    return eps, _canonical_eigenbasis(x, z)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,8 @@ from blochlab.config import (
     MAX_TRAJECTORY_POINTS,
     validate_config,
 )
+from blochlab.floquet import MIN_STEPS
+from blochlab.observables import MAX_POLY_DEGREE
 from blochlab.runner import run_scenario, stable_report_bytes
 from conftest import random_hermitian
 
@@ -272,10 +275,18 @@ def test_emit_fringe_series_row_count(tmp_path, mathieu_solution, basis_n3):
     assert len(rows) == 1 + 8
 
 
+def run_python(*args):
+    """``python *args`` in a child that imports the same blochlab as this process.
+
+    ``src/`` is put on the child's PYTHONPATH, so the suite needs no install.
+    """
+    path = [str(Path(bl.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def test_version_flag():
-    proc = subprocess.run(
-        [sys.executable, "-m", "blochlab", "--version"], capture_output=True, text=True
-    )
+    proc = run_python("-m", "blochlab", "--version")
     assert proc.returncode == 0
     assert "blochlab 0.1.0" in proc.stdout
 
@@ -283,11 +294,7 @@ def test_version_flag():
 def test_module_invocation_end_to_end(tmp_path):
     cfg = bands_config(tmp_path)
     out = tmp_path / "cli_bands.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "blochlab", "bands", "--config", cfg, "--out", str(out)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python("-m", "blochlab", "bands", "--config", cfg, "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
 
@@ -317,7 +324,7 @@ def test_importing_the_cli_loads_no_scipy():
         "import sys, blochlab.cli; "
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -333,9 +340,7 @@ def test_shipped_config_runs_with_scipy_blocked(config, tmp_path):
         return out + ([extra[kind], str(directory / "series")] if kind in extra else [])
 
     blocked, plain = tmp_path / "blocked", tmp_path / "plain"
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY, *argv(blocked)], capture_output=True, text=True
-    )
+    proc = run_python("-c", NO_SCIPY, *argv(blocked))
     assert proc.returncode == 0, proc.stderr
     assert main(argv(plain)) == 0
     reports = [json.loads((d / "report.json").read_text()) for d in (blocked, plain)]
@@ -490,11 +495,7 @@ def test_negative_control_shift_past_basis_is_a_subprocess_exit_1(tmp_path):
     # the same check through the real entry point: no traceback on stderr
     data, _, _ = REJECTED["negative_control_shift_past_basis"]
     cfg = write_json(tmp_path / "c.json", data)
-    proc = subprocess.run(
-        [sys.executable, "-m", "blochlab", "superselect", "--config", cfg],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python("-m", "blochlab", "superselect", "--config", cfg)
     assert proc.returncode == 1
     assert "/negative_control/s" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -510,7 +511,8 @@ def test_wannier_index_out_of_range_stops_before_any_eigensolve(tmp_path, capsys
 
 
 # ---------------------------------------------------------------------------
-# caps on the fields that set a run's length: the cap passes, cap + 1 exits 1
+# bounds on the fields that set a run's length or its numerical range: the
+# bound passes, one step beyond it exits 1
 
 FLOQUET_BASE = {"omega": 1.0, "h0": [[0.3, 0.0], [0.0, -0.3]]}
 
@@ -519,33 +521,42 @@ def _floquet(**fields):
     return {"kind": "floquet", "floquet": {**FLOQUET_BASE, **fields}}
 
 
+# field: (config builder, bound, pointer, step beyond the bound)
 CAPPED = {
-    "steps": (lambda n: _floquet(steps=n), MAX_STEPS, "/floquet/steps"),
+    "steps": (lambda n: _floquet(steps=n), MAX_STEPS, "/floquet/steps", 1),
+    "steps_floor": (lambda n: _floquet(steps=n), MIN_STEPS, "/floquet/steps", -1),
     "trajectory_points": (
         lambda n: _floquet(trajectory_points=n), MAX_TRAJECTORY_POINTS,
-        "/floquet/trajectory_points",
+        "/floquet/trajectory_points", 1,
     ),
-    "probe_grid": (lambda n: _floquet(probe={"grid": n}), MAX_GRID_POINTS, "/floquet/probe/grid"),
+    "probe_grid": (
+        lambda n: _floquet(probe={"grid": n}), MAX_GRID_POINTS, "/floquet/probe/grid", 1,
+    ),
     "probe_periods": (
         lambda n: _floquet(probe={"periods": [8, n]}), MAX_PROBE_PERIODS,
-        "/floquet/probe/periods/1",
+        "/floquet/probe/periods/1", 1,
     ),
-    "fringe_points": (lambda n: lattice_config(fringe_points=n), MAX_GRID_POINTS, "/fringe_points"),
+    "fringe_points": (
+        lambda n: lattice_config(fringe_points=n), MAX_GRID_POINTS, "/fringe_points", 1,
+    ),
     "battery_seeds": (
-        lambda n: lattice_config(battery={"seeds": n}), MAX_BATTERY_SEEDS, "/battery/seeds",
+        lambda n: lattice_config(battery={"seeds": n}), MAX_BATTERY_SEEDS, "/battery/seeds", 1,
+    ),
+    "battery_degree": (
+        lambda n: lattice_config(battery={"degree": n}), MAX_POLY_DEGREE, "/battery/degree", 1,
     ),
 }
 
 
 @pytest.mark.parametrize("field", sorted(CAPPED))
 def test_field_above_its_cap_exits_1_with_pointer(tmp_path, capsys, field):
-    build, cap, pointer = CAPPED[field]
-    validate_config(build(cap))  # the cap itself is accepted
-    data = build(cap + 1)
+    build, bound, pointer, beyond = CAPPED[field]
+    validate_config(build(bound))  # the bound itself is accepted
+    data = build(bound + beyond)
     code = main([data["kind"], "--config", write_json(tmp_path / "c.json", data)])
     err = capsys.readouterr().err
     assert code == 1, err
-    assert f"(at {pointer})" in err and f"<= {cap}" in err
+    assert f"(at {pointer})" in err and f"{'<=' if beyond > 0 else '>='} {bound}" in err
     assert "Traceback" not in err
 
 

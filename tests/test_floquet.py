@@ -14,6 +14,8 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 DEGENERATE_H0 = np.zeros((4, 4), dtype=complex)  # levels 2 and 3 stay at 0
 DEGENERATE_H0[0, 1] = DEGENERATE_H0[1, 0] = 0.25
+EDGE_Q = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
+EDGE_PAIR_H0 = EDGE_Q @ np.diag([0.5, 1.5]) @ EDGE_Q.conj().T  # U(T) = -I at omega = 1
 
 
 def no_drive(eps):
@@ -332,12 +334,36 @@ def test_quasienergies_match_the_schur_route(dim, seed, cluster, omega):
         0.2 * np.eye(3),  # a 3-fold cluster: U is a multiple of I
         DEGENERATE_H0,  # two decoupled levels
         np.diag([0.5, 0.1]),  # quasienergy 0.5 sits on the zone edge
+        EDGE_PAIR_H0,  # a degenerate pair on the zone edge, folded to both ends
     ],
-    ids=["scalar", "degenerate_pair", "zone_edge"],
+    ids=["scalar", "degenerate_pair", "zone_edge", "zone_edge_pair"],
 )
 def test_quasienergies_match_the_schur_route_on_degenerate_and_edge_drives(h0):
     spec = bl.DriveSpec(h0=np.asarray(h0, dtype=complex), omega=1.0)
     assert_matches_schur(bl.propagate_period(spec, steps=128).monodromy, 1.0)
+
+
+def test_zone_edge_pair_gets_the_canonical_basis_whatever_eigh_returns(monkeypatch):
+    # U(T) = -I: both quasienergies sit on the zone edge, and rounding folds
+    # one to -hbar*omega/2 and the other just below +hbar*omega/2.  On the
+    # circle they are one cluster, so the modes are its canonical basis (e_0,
+    # e_1 in cluster order, which starts at +hbar*omega/2), not eigh's basis.
+    u = bl.propagate_period(bl.DriveSpec(h0=EDGE_PAIR_H0, omega=1.0), steps=128).monodromy
+    eps, modes = bl.quasienergies(u, omega=1.0)
+    assert eps[0] == pytest.approx(-0.5, abs=1e-12) and eps[1] == pytest.approx(0.5, abs=1e-12)
+    assert float(np.max(np.abs(modes - np.eye(2)[:, ::-1]))) < 1e-12
+
+    eigh = np.linalg.eigh
+    rotation = np.array([[np.cos(0.7), -1j * np.sin(0.7)], [-1j * np.sin(0.7), np.cos(0.7)]])
+
+    def rotated(a):
+        w, v = eigh(a)
+        return w, v @ rotation
+
+    monkeypatch.setattr(np.linalg, "eigh", rotated)
+    rotated_eps, rotated_modes = bl.quasienergies(u, omega=1.0)
+    assert np.array_equal(rotated_eps, eps)
+    assert float(np.max(np.abs(rotated_modes - modes))) < 1e-12
 
 
 def test_monodromy_eigensolve_failure_is_numerical(monkeypatch):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import blochlab as bl
@@ -91,6 +91,55 @@ def test_build_observable_matches_row_loop(lattice, name):
     spec = OBSERVABLE_SPECS[name]
     built = bl.build_observable(spec, basis).matrix
     assert_bitwise(built, loop_observable(spec, basis))
+
+
+def test_offset_diagonal_takes_one_value_per_entry():
+    matrix = np.zeros((4, 4), dtype=complex)
+    bl.lattice.add_offset_diagonal(matrix, 2, np.array([1.0 + 1.0j, 2.0 - 3.0j]))
+    bl.lattice.add_offset_diagonal(matrix, 0, np.arange(4.0))  # main diagonal, written once
+    expected = np.diag(np.arange(4.0)).astype(complex)
+    expected[2, 0], expected[3, 1] = 1.0 + 1.0j, 2.0 - 3.0j
+    expected[0, 2], expected[1, 3] = 1.0 - 1.0j, 2.0 + 3.0j
+    assert_exact(matrix, expected)
+
+
+# the shipped lattices plus the largest lattice of the benchmark sweeps
+DRAWN_LATTICES = {**LATTICES, "n15_d495": bl.LatticeSpec(cells=15, cutoff=247)}
+
+real_coefficients = st.floats(-10.0, 10.0, allow_nan=False)
+complex_coefficients = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def observable_specs(draw, basis):
+    """One to three terms F*P on this basis.
+
+    F mixes real j = 0 constants with harmonics of either sign, up to an
+    offset j*N past the basis; P has degree up to 6.  An unsymmetrized spec
+    keeps F or P constant in each term, so that F*P is Hermitian.
+    """
+    reach = basis.dim // basis.cells + 1  # offset reach*N lies past the basis
+    constants = st.tuples(st.just(0), real_coefficients.map(complex))
+    harmonics = st.tuples(st.integers(-reach, reach).filter(bool), complex_coefficients)
+    symmetrize = draw(st.booleans())
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        constant = None if symmetrize else draw(st.sampled_from(["f", "p"]))
+        f = draw(st.lists(constants if constant == "f" else constants | harmonics, max_size=5))
+        p = draw(st.lists(real_coefficients, max_size=1 if constant == "p" else 7))
+        term = ObservableTerm(f_harmonics=tuple(f), p_poly=tuple(p))
+        assume(term.f_harmonics or term.p_poly)
+        terms.append(term)
+    return ObservableSpec(terms=tuple(terms), symmetrize=symmetrize)
+
+
+@pytest.mark.parametrize("lattice", sorted(DRAWN_LATTICES))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_build_observable_matches_row_loop_on_drawn_specs(lattice, data):
+    basis = bl.build_basis(DRAWN_LATTICES[lattice])
+    spec = data.draw(observable_specs(basis))
+    assert_bitwise(bl.build_observable(spec, basis).matrix, loop_observable(spec, basis))
 
 
 def test_named_battery_matches_row_loop():

@@ -92,6 +92,20 @@ def test_term_canonicalization():
         )
 
 
+def test_battery_builds_only_the_named_members_it_returns(basis_n3, monkeypatch):
+    built = []
+    build = bl.observables.build_observable
+
+    def counting(spec, basis, label=""):
+        built.append(label)
+        return build(spec, basis, label)
+
+    monkeypatch.setattr(bl.observables, "build_observable", counting)
+    battery = bl.standard_battery(basis_n3, seeds=2, named=("cos_a",))
+    assert [op.label for op in battery] == ["cos_a", "seed:1", "seed:2"]
+    assert [label for label in built if label in bl.observables.NAMED_OBSERVABLES] == ["cos_a"]
+
+
 def test_built_observables_pass_periodicity(basis_n3, battery_n3, translation_n3):
     for op in battery_n3:
         report = bl.check_cell_periodicity(op, translation_n3)
