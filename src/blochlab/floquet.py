@@ -152,7 +152,14 @@ class PeriodicObservableSpec:
 
 @dataclass(frozen=True)
 class FloquetSolution:
-    """Monodromy and (optionally) quasienergies, modes, and trajectories."""
+    """Monodromy, quasienergies and modes, and the midpoint product they came from.
+
+    ``solve_floquet`` fills all but the trajectory fields: ``snapshots`` holds
+    U(s T / steps, 0) at the ascending step indices s in ``marks``, the last
+    of them ``steps`` itself, so ``monodromy`` is the last snapshot.
+    ``mode_trajectory`` and ``temporal_overlap_probe`` read their grids from
+    these snapshots.  ``propagate_period`` fills only the monodromy.
+    """
 
     spec: DriveSpec
     method: str
@@ -160,6 +167,8 @@ class FloquetSolution:
     monodromy: np.ndarray
     quasienergies: np.ndarray | None = None
     modes: np.ndarray | None = None  # columns phi_j(0), orthonormal
+    marks: np.ndarray | None = None  # step indices of the snapshots, ascending
+    snapshots: np.ndarray | None = None  # [mark, row, column]
     times: np.ndarray | None = None
     trajectories: np.ndarray | None = None  # [mode, time, component]
     periodic_parts: np.ndarray | None = None
@@ -219,26 +228,45 @@ def _rk4_factors(spec: DriveSpec, s: np.ndarray, dt: float) -> np.ndarray:
     return m
 
 
-def _ordered_product(spec: DriveSpec, steps: int, segments: int, factors) -> np.ndarray:
-    """U(t_i, 0) at t_i = i T / segments, i = 0 .. segments, as a product in step order.
+def _ordered_product(spec: DriveSpec, steps: int, marks, factors) -> np.ndarray:
+    """U(s dt, 0), dt = T / steps, at each step index s of the ascending ``marks``.
 
-    ``steps`` is rounded up to a multiple of ``segments``.  ``factors(spec, s, dt)``
-    builds the step matrices for a chunk of _FACTOR_CHUNK step indices s at a
-    time, which bounds the memory at the step cap.
+    The product runs in step order; a mark may repeat, and mark 0 is the
+    identity.  ``factors(spec, s, dt)`` builds the step matrices for a chunk
+    of _FACTOR_CHUNK step indices s at a time, which bounds the memory at the
+    step cap.  Raises ValueError below MIN_STEPS, and NumericalFailure when
+    U(T, 0) drifts off the unitary group by more than 1e-6 (advice: increase
+    ``steps``).
     """
-    every = -(-steps // segments)  # steps per segment, ceil division
-    steps = segments * every
+    if steps < MIN_STEPS:
+        raise ValueError(f"need at least {MIN_STEPS} steps, got {steps}")
+    marks = np.asarray(marks)
     dt = spec.period / steps
-    snapshots = np.empty((segments + 1, spec.dim, spec.dim), dtype=complex)
-    u = snapshots[0] = np.eye(spec.dim, dtype=complex)
+    snapshots = np.empty((len(marks), spec.dim, spec.dim), dtype=complex)
+    u = np.eye(spec.dim, dtype=complex)
+    taken = int(np.searchsorted(marks, 0, side="right"))  # marks[:taken] are recorded
+    snapshots[:taken] = u
     for start in range(0, steps, _FACTOR_CHUNK):
         s = np.arange(start, min(start + _FACTOR_CHUNK, steps))
-        for step, factor in enumerate(factors(spec, s, dt), start + 1):
-            u = factor @ u
-            if step % every == 0:
-                snapshots[step // every] = u
+        ends = np.searchsorted(marks, s + 1, side="right").tolist()
+        for factor, end in zip(factors(spec, s, dt), ends):
+            u = factor @ u  # U((s + 1) dt, 0)
+            if end > taken:
+                snapshots[taken:end] = u
+                taken = end
         del factor  # a view that keeps this chunk's stack alive while the next is built
+    drift = _unitarity_defect(u)
+    if drift > UNITARITY_LIMIT:
+        raise NumericalFailure(
+            f"monodromy unitarity drift {drift:.3e} exceeds {UNITARITY_LIMIT:.0e}; "
+            "increase steps"
+        )
     return snapshots
+
+
+def _nearest_steps(steps: int, grid: int) -> np.ndarray:
+    """The step index nearest each grid time i T / grid, i = 0 .. grid (halves round up)."""
+    return (np.arange(grid + 1) * steps + grid // 2) // grid
 
 
 _FACTOR_BUILDERS = {"midpoint-exponential": _midpoint_factors, "fourth-order": _rk4_factors}
@@ -257,17 +285,9 @@ def propagate_period(
     Raises NumericalFailure when the result drifts off the unitary group by
     more than 1e-6 (advice: increase ``steps``).
     """
-    if steps < MIN_STEPS:
-        raise ValueError(f"need at least {MIN_STEPS} steps, got {steps}")
     if method not in _FACTOR_BUILDERS:
         raise ValueError(f"unknown method {method!r}")
-    u = _ordered_product(spec, steps, 1, _FACTOR_BUILDERS[method])[-1]
-    drift = _unitarity_defect(u)
-    if drift > UNITARITY_LIMIT:
-        raise NumericalFailure(
-            f"monodromy unitarity drift {drift:.3e} exceeds {UNITARITY_LIMIT:.0e}; "
-            "increase steps"
-        )
+    u = _ordered_product(spec, steps, [steps], _FACTOR_BUILDERS[method])[-1]
     return FloquetSolution(spec=spec, method=method, steps=steps, monodromy=u)
 
 
@@ -343,17 +363,47 @@ def quasienergies(
     return eps, np.roll(modes, start, axis=1)
 
 
-def _with_modes(spec: DriveSpec, solution: FloquetSolution) -> FloquetSolution:
-    """The solution with its quasienergies and modes filled in when missing."""
-    if solution.quasienergies is None or solution.modes is None:
-        eps, modes = quasienergies(solution.monodromy, spec.omega, spec.hbar)
-        solution = replace(solution, quasienergies=eps, modes=modes)
-    return solution
+def solve_floquet(
+    spec: DriveSpec, steps: int = 4096, grids: tuple[int, ...] = (256,)
+) -> FloquetSolution:
+    """One midpoint product over the period, then the quasienergy extraction.
+
+    The product is kept at the step nearest every grid time i T / g,
+    i = 0 .. g, of every g in ``grids``: ``mode_trajectory`` with n_t - 1 in
+    ``grids`` and ``temporal_overlap_probe`` with grid_points in ``grids`` read
+    these snapshots.  The monodromy is the last of them, bit for bit the one
+    ``propagate_period`` gives.
+    """
+    if any(g < 1 for g in grids):
+        raise ValueError(f"every grid needs at least one interval, got {grids}")
+    marks = np.unique(np.concatenate([[steps], *(_nearest_steps(steps, g) for g in grids)]))
+    snapshots = _ordered_product(spec, steps, marks, _midpoint_factors)
+    eps, modes = quasienergies(snapshots[-1], spec.omega, spec.hbar)
+    return FloquetSolution(
+        spec=spec, method="midpoint-exponential", steps=steps, monodromy=snapshots[-1],
+        quasienergies=eps, modes=modes, marks=marks, snapshots=snapshots,
+    )
 
 
-def solve_floquet(spec: DriveSpec, steps: int = 4096) -> FloquetSolution:
-    """Midpoint propagate_period followed by the quasienergy extraction."""
-    return _with_modes(spec, propagate_period(spec, steps=steps))
+def _on_grid(solution: FloquetSolution, grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kept U(s_i dt, 0) at the steps s_i nearest i T / grid, i = 0 .. grid.
+
+    Also returns the time offsets s_i dt - i T / grid, exactly 0.0 where the
+    grid time is a step (everywhere when ``grid`` divides the step count).
+    Raises ValueError when the solution did not keep those steps.
+    """
+    want = _nearest_steps(solution.steps, grid)
+    if solution.snapshots is not None:
+        at = np.searchsorted(solution.marks, want)  # marks end at steps, so at is in range
+        if np.array_equal(solution.marks[at], want):
+            offsets = (want * grid - np.arange(grid + 1) * solution.steps) * (
+                solution.spec.period / (solution.steps * grid)
+            )
+            return solution.snapshots[at], offsets
+    raise ValueError(
+        f"the solution kept no snapshots on a {grid}-interval grid; "
+        "pass that grid to solve_floquet"
+    )
 
 
 def sambe_quasienergies(spec: DriveSpec, h_max: int = 12) -> np.ndarray:
@@ -424,23 +474,22 @@ def quasienergy_distance(a: np.ndarray, b: np.ndarray, omega: float, hbar: float
     return min(float(np.max(np.abs(g - zone * np.round(g / zone)))) for g in gaps)
 
 
-def mode_trajectory(
-    spec: DriveSpec, solution: FloquetSolution, n_t: int = 257
-) -> FloquetSolution:
+def mode_trajectory(solution: FloquetSolution, n_t: int = 257) -> FloquetSolution:
     """Sample phi_j(t) and v_j(t) = exp(i eps_j t/hbar) phi_j(t) over [0, T].
 
-    The grid has n_t points including both endpoints.  For the periodicity
-    residual || v(T) - v(0) || to reflect only integration accuracy, n_t - 1
-    should divide the solution's step count (the default 257 matches 4096
-    steps); otherwise the step count is rounded up to the next multiple.
+    The n_t points, both endpoints included, are the midpoint steps nearest
+    t_i = i T / (n_t - 1), read from the product that ``solve_floquet`` kept
+    for the grid n_t - 1 (ValueError if it kept none); ``times`` holds the
+    times of those steps, to rounding.  The endpoints are exact steps and U(T, 0) is the
+    monodromy itself, so the periodicity residual || v(T) - v(0) || measures
+    how well the modes are eigenvectors of the monodromy.
     """
     if n_t < 2:
         raise ValueError("need at least 2 grid points")
-    solution = _with_modes(spec, solution)
-    eps, modes = solution.quasienergies, solution.modes
-    snapshots = _ordered_product(spec, solution.steps, n_t - 1, _midpoint_factors)
-    times = np.linspace(0.0, spec.period, n_t)
-    trajectories = (snapshots @ modes).transpose(2, 0, 1)  # [mode, time, component]
+    snapshots, offsets = _on_grid(solution, n_t - 1)
+    spec, eps = solution.spec, solution.quasienergies
+    times = np.linspace(0.0, spec.period, n_t) + offsets
+    trajectories = (snapshots @ solution.modes).transpose(2, 0, 1)  # [mode, time, component]
     phase = np.exp(1j * np.outer(eps, times) / spec.hbar)  # [mode, time]
     periodic_parts = trajectories * phase[:, :, None]
     residuals = np.linalg.norm(periodic_parts[:, -1, :] - periodic_parts[:, 0, :], axis=1)
@@ -478,7 +527,6 @@ def monodromy_polynomial(
 
 
 def temporal_overlap_probe(
-    spec: DriveSpec,
     solution: FloquetSolution,
     observable: PeriodicObservableSpec,
     pair: tuple[int, int] = (0, 1),
@@ -487,9 +535,12 @@ def temporal_overlap_probe(
 ) -> TemporalOverlapReport:
     """Probe the cross-quasienergy overlap F(t) = <phi_j(t)|O(t)|phi_j'(t)>.
 
-    See the module docstring for the three reported quantities.  The pair
-    must be non-degenerate modulo hbar*omega (beyond 1e-8), otherwise the
-    splitting phase is undefined and the probe is rejected.
+    See the module docstring for the three reported quantities.  The grid
+    points are the midpoint steps nearest t_i = i T / grid_points, read from
+    the product that ``solve_floquet`` kept for that grid (ValueError if it
+    kept none), and O is evaluated at those steps' times.  The pair must be
+    non-degenerate modulo hbar*omega (beyond 1e-8), otherwise the splitting
+    phase is undefined and the probe is rejected.
     """
     j, jp = pair
     if j == jp:
@@ -498,8 +549,10 @@ def temporal_overlap_probe(
         raise ValueError("need at least one period count")
     if grid_points < 8:
         raise ValueError("need at least 8 grid points per period")
-    solution = _with_modes(spec, solution)
-    eps, modes = solution.quasienergies, solution.modes
+    snapshots, offsets = _on_grid(solution, grid_points)
+    snapshots = snapshots[:-1]  # t < T
+    spec, eps, modes = solution.spec, solution.quasienergies, solution.modes
+    u_period = solution.monodromy
     delta = float(eps[j] - eps[jp])
     folded = float(np.abs(fold_quasienergy(delta, spec.omega, spec.hbar)))
     if folded <= DEGENERATE_SPLITTING:
@@ -508,10 +561,8 @@ def temporal_overlap_probe(
             f"(splitting {folded:.3e})"
         )
 
-    # snapshots of U(t_i, 0) on the grid t_i = i * T / grid_points (t < T)
-    snapshots = _ordered_product(spec, solution.steps, grid_points, _midpoint_factors)
-    snapshots, u_period = snapshots[:-1], snapshots[-1]
-    obs_grid = observable.value(np.arange(grid_points) * spec.period / grid_points, spec.omega)
+    times = np.arange(grid_points) * spec.period / grid_points + offsets[:-1]
+    obs_grid = observable.value(times, spec.omega)
 
     phi_j0, phi_jp0 = modes[:, j], modes[:, jp]
 

@@ -108,7 +108,12 @@ def _polynomial_diagonal(term: ObservableTerm, basis: PlaneWaveBasis) -> np.ndar
 def build_observable(
     spec: ObservableSpec, basis: PlaneWaveBasis, label: str = ""
 ) -> HermitianOperator:
-    """Realize an ObservableSpec as a dense Hermitian matrix, diagonal by diagonal.
+    """Realize an ObservableSpec as a dense Hermitian operator (see ``_observable_matrix``)."""
+    return HermitianOperator(matrix=_observable_matrix(spec, basis), label=label)
+
+
+def _observable_matrix(spec: ObservableSpec, basis: PlaneWaveBasis) -> np.ndarray:
+    """The dense matrix of an ObservableSpec, assembled diagonal by diagonal.
 
     P is diagonal (its vector p) and harmonic (j, c) of F fills offset k = j*N,
     so a term's entry at (m + k, m) is c without polynomial, 0.5*(c*p[m] +
@@ -143,7 +148,7 @@ def build_observable(
             add_offset_diagonal(total, k, values)
         if defect > 1e-12 * scale:
             raise InvariantViolation("unsymmetrized F*P term is not Hermitian; enable symmetrize")
-    return HermitianOperator(matrix=total, label=label)
+    return total
 
 
 def check_cell_periodicity(
@@ -204,11 +209,11 @@ def random_cell_periodic(
         terms=(ObservableTerm(f_harmonics=tuple(harmonics), p_poly=poly),),
         symmetrize=True,
     )
-    op = build_observable(spec, basis, label=f"seed:{seed}")
-    norm = op.norm_max
+    matrix = _observable_matrix(spec, basis)
+    norm = float(np.max(np.abs(matrix)))
     if not NORM_WINDOW[0] <= norm <= NORM_WINDOW[1]:
-        op = HermitianOperator(matrix=op.matrix / norm, label=op.label)
-    return op
+        matrix /= norm
+    return HermitianOperator(matrix=matrix, label=f"seed:{seed}")
 
 
 def breaking_observable(shift: int, basis: PlaneWaveBasis) -> HermitianOperator:

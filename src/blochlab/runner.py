@@ -313,7 +313,9 @@ def _default_probe_observable(dim: int) -> PeriodicObservableSpec:
 def _run_floquet(cfg: ScenarioConfig):
     fl = cfg.floquet
     drive = fl.drive
-    solution = solve_floquet(drive, steps=fl.steps)
+    solution = solve_floquet(
+        drive, steps=fl.steps, grids=(fl.trajectory_points - 1, fl.probe.grid)
+    )
     unitarity = solution.unitarity_defect
 
     other = propagate_period(drive, steps=fl.steps, method="fourth-order")
@@ -322,7 +324,7 @@ def _run_floquet(cfg: ScenarioConfig):
     sambe = sambe_quasienergies(drive, fl.sambe_hmax)
     sambe_diff = quasienergy_distance(solution.quasienergies, sambe, drive.omega, drive.hbar)
 
-    solution = mode_trajectory(drive, solution, fl.trajectory_points)
+    solution = mode_trajectory(solution, fl.trajectory_points)
     periodicity = float(np.max(solution.periodicity_residuals))
 
     results = {
@@ -346,7 +348,6 @@ def _run_floquet(cfg: ScenarioConfig):
     observable = fl.probe.observable or _default_probe_observable(drive.dim)
     try:
         probe = temporal_overlap_probe(
-            drive,
             solution,
             observable,
             pair=fl.probe.pair,

@@ -59,10 +59,6 @@ class FringeScan:
     def amplitude(self) -> float:
         return float(np.max(self.averages) - np.min(self.averages))
 
-    @property
-    def mean_level(self) -> float:
-        return float(np.mean(self.averages))
-
 
 @dataclass(frozen=True)
 class MixtureDiagnostic:

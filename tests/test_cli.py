@@ -8,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import blochlab as bl
+from blochlab import floquet
 from blochlab.cli import main
 from blochlab.config import (
     MAX_BATTERY_SEEDS,
@@ -157,6 +160,54 @@ def test_floquet_wide_spectrum_drive_passes_sambe_match(tmp_path):
     results = json.loads(report_path.read_text())["results"]
     assert len(set(results["sambe_quasienergies"])) == 16
     assert results["sambe_disagreement"] < 1e-6
+
+
+SHIPPED_DRIVE = Path(__file__).resolve().parents[1] / "configs" / "floquet_two_level.json"
+
+
+def shipped_drive(**fields):
+    """The shipped two-level drive config with some floquet fields replaced."""
+    data = json.loads(SHIPPED_DRIVE.read_text())
+    data.pop("output")
+    data["floquet"].update(fields)
+    return data
+
+
+@pytest.mark.parametrize("steps", [3000, 4097])
+def test_shipped_drive_exits_0_when_its_grids_do_not_divide_the_steps(tmp_path, steps):
+    # the trajectory reads the product the modes came from, so v(T) - v(0) is
+    # the modes' eigen-residual; re-stepping the period on a rounded-up step
+    # count (3072 for 3000) read 1.1e-8 here against the 1e-8 tolerance
+    cfg = write_json(tmp_path / "drive.json", shipped_drive(steps=steps))
+    report_path = tmp_path / "rep.json"
+    assert main(["floquet", "--config", cfg, "--report", str(report_path)]) == 0
+    assert json.loads(report_path.read_text())["results"]["mode_periodicity_residual"] < 1e-12
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    steps=st.integers(64, 8192), points=st.integers(2, 600), grid=st.integers(8, 600)
+)
+@example(steps=3000, points=257, grid=256)
+@example(steps=64, points=600, grid=600)
+def test_shipped_drive_temporal_checks_pass_on_any_grid(steps, points, grid):
+    probe = {**shipped_drive()["floquet"]["probe"], "grid": grid}
+    cfg = validate_config(shipped_drive(steps=steps, trajectory_points=points, probe=probe))
+    checks = run_scenario(cfg).checks
+    assert checks["mode_periodicity"] and checks["phase_relation"] and checks["average_bound"]
+
+
+def test_floquet_run_integrates_the_period_once_per_integrator(monkeypatch):
+    seen = []
+    product = floquet._ordered_product
+
+    def recording_product(spec, steps, marks, factors):
+        seen.append(factors)
+        return product(spec, steps, marks, factors)
+
+    monkeypatch.setattr(floquet, "_ordered_product", recording_product)
+    assert run_scenario(validate_config(shipped_drive())).passed
+    assert seen == [floquet._midpoint_factors, floquet._rk4_factors]
 
 
 def test_invariant_violation_exit_code(tmp_path, capsys):

@@ -188,8 +188,8 @@ def test_sambe_requires_enough_blocks(two_level_drive):
 
 
 def test_mode_trajectory_stationary_for_no_drive():
-    sol = bl.solve_floquet(no_drive(0.3), steps=256)
-    sol = bl.mode_trajectory(no_drive(0.3), sol, n_t=65)
+    sol = bl.solve_floquet(no_drive(0.3), steps=256, grids=(64,))
+    sol = bl.mode_trajectory(sol, n_t=65)
     # eps equals the unfolded eigenvalue, so v(t) is constant
     spread = np.max(np.abs(sol.periodic_parts - sol.periodic_parts[:, :1, :]))
     assert spread < 1e-10
@@ -197,7 +197,7 @@ def test_mode_trajectory_stationary_for_no_drive():
 
 
 def test_mode_trajectory_driven_config(two_level_drive, two_level_solution):
-    sol = bl.mode_trajectory(two_level_drive, two_level_solution, n_t=257)
+    sol = bl.mode_trajectory(two_level_solution, n_t=257)
     assert np.max(sol.periodicity_residuals) < 1e-8
     norms = np.linalg.norm(sol.trajectories, axis=2)
     assert np.max(np.abs(norms - 1.0)) < 1e-9
@@ -232,9 +232,9 @@ def test_expansion_coefficients_evolve_by_quasienergy_phase(
 
 def test_probe_static_observable_no_drive():
     spec = no_drive(0.3)
-    sol = bl.solve_floquet(spec, steps=256)
+    sol = bl.solve_floquet(spec, steps=256, grids=(128,))
     probe = bl.temporal_overlap_probe(
-        spec, sol, bl.PeriodicObservableSpec(static=SX), pair=(0, 1),
+        sol, bl.PeriodicObservableSpec(static=SX), pair=(0, 1),
         periods=(8, 16, 32, 64), grid_points=128,
     )
     # F oscillates at the splitting; the K-period average obeys both the
@@ -253,7 +253,7 @@ def test_probe_driven_config(two_level_drive, two_level_solution):
         static=SX, harmonics=(bl.DriveTerm(harmonic=1, kind="cos", matrix=0.3 * SZ),)
     )
     probe = bl.temporal_overlap_probe(
-        two_level_drive, two_level_solution, obs, pair=(0, 1),
+        two_level_solution, obs, pair=(0, 1),
         periods=(8, 16, 32, 64), grid_points=256,
     )
     assert probe.phase_relation_residual < 1e-7
@@ -269,11 +269,11 @@ def test_probe_driven_config(two_level_drive, two_level_solution):
 def test_probe_rejects_bad_pairs(two_level_drive, two_level_solution):
     obs = bl.PeriodicObservableSpec(static=SX)
     with pytest.raises(ValueError, match="distinct"):
-        bl.temporal_overlap_probe(two_level_drive, two_level_solution, obs, pair=(1, 1))
+        bl.temporal_overlap_probe(two_level_solution, obs, pair=(1, 1))
     degenerate = bl.DriveSpec(h0=0.0 * SZ, omega=1.0)
     sol = bl.solve_floquet(degenerate, steps=128)
     with pytest.raises(ValueError, match="degenerate"):
-        bl.temporal_overlap_probe(degenerate, sol, obs, pair=(0, 1))
+        bl.temporal_overlap_probe(sol, obs, pair=(0, 1))
 
 
 def test_monodromy_eigenrelation_and_mode_orthonormality(

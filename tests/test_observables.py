@@ -156,6 +156,20 @@ def test_random_battery_regression_values(basis_n3):
     assert diff > 0.0
 
 
+def test_rescaled_random_member_is_built_once(basis_n3, monkeypatch):
+    built = []
+    post_init = bl.HermitianOperator.__post_init__
+
+    def counting(self):
+        built.append(self.label)
+        post_init(self)
+
+    monkeypatch.setattr(bl.HermitianOperator, "__post_init__", counting)
+    op = bl.random_cell_periodic(1, basis_n3)  # its raw max-entry norm is outside NORM_WINDOW
+    assert op.norm_max == pytest.approx(1.0, rel=1e-15)
+    assert built == ["seed:1"]
+
+
 def test_random_battery_structure(basis_n3):
     classes = basis_n3.indices % 3
     off = classes[:, None] != classes[None, :]

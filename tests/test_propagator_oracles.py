@@ -1,10 +1,11 @@
 """The chunked ordered product against the one-step-at-a-time loops.
 
-The midpoint snapshots, the array evaluation of H(t) and O(t), and the
-report fields built on them must equal the per-step reference bit for bit,
-including step counts that end a chunk early or cross a chunk edge.  The RK4
-monodromy regroups the same arithmetic into one step matrix, so it must
-match the per-step RK4 loop to rounding.
+The midpoint snapshots at any marked steps, the array evaluation of H(t) and
+O(t), and the report fields built on them must equal the per-step reference
+bit for bit, including step counts that end a chunk early or cross a chunk
+edge and grids that do not divide the step count.  The RK4 monodromy
+regroups the same arithmetic into one step matrix, so it must match the
+per-step RK4 loop to rounding.
 """
 
 import numpy as np
@@ -38,32 +39,45 @@ def random_drive(dim: int, seed: int) -> bl.DriveSpec:
 @st.composite
 def stepping(draw):
     steps = draw(st.integers(min_value=64, max_value=9000))
-    every = draw(st.sampled_from([k for k in range(1, steps + 1) if steps % k == 0]))
-    return draw(st.sampled_from((2, 3, 8))), steps, every, draw(st.integers(0, 2**16))
+    return draw(st.sampled_from((2, 3, 8))), steps, draw(st.integers(0, 2**16))
 
 
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=stepping())
-@example(case=(2, 4096, 16, 0))
-@example(case=(3, 4097, 17, 1))
-@example(case=(8, 8193, 8193, 2))
+@st.composite
+def marked_stepping(draw):
+    """Steps and marks: a grid's nearest steps (dividing ``steps`` or not) or any multiset."""
+    dim, steps, seed = draw(stepping())
+    if draw(st.booleans()):
+        marks = floquet._nearest_steps(steps, draw(st.integers(1, 600)))
+    else:
+        marks = np.sort(draw(st.lists(st.integers(0, steps), min_size=1, max_size=40)))
+    return dim, steps, np.asarray(marks), seed
+
+
+@settings(
+    max_examples=25, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(case=marked_stepping())
+@example(case=(2, 4096, np.arange(17) * 256, 0))
+@example(case=(3, 4097, floquet._nearest_steps(4097, 17), 1))
+@example(case=(2, 300, np.array([0, 0, 5, 5, 5, 299, 300, 300]), 3))
+@example(case=(8, 8193, np.array([8193]), 2))
 def test_midpoint_snapshots_match_stepwise_loop(case):
-    dim, steps, every, seed = case
+    dim, steps, marks, seed = case
     spec = random_drive(dim, seed)
-    snapshots = floquet._ordered_product(spec, steps, steps // every, floquet._midpoint_factors)
-    assert snapshots.shape == (steps // every + 1, dim, dim)
-    assert np.array_equal(snapshots, stepwise_midpoint_snapshots(spec, steps, every))
+    snapshots = floquet._ordered_product(spec, steps, marks, floquet._midpoint_factors)
+    assert snapshots.shape == (len(marks), dim, dim)
+    assert np.array_equal(snapshots, stepwise_midpoint_snapshots(spec, steps, 1)[marks])
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=stepping())
-@example(case=(2, 4096, 4096, 0))
-@example(case=(3, 4097, 4097, 1))
-@example(case=(8, 8193, 8193, 2))
+@example(case=(2, 4096, 0))
+@example(case=(3, 4097, 1))
+@example(case=(8, 8193, 2))
 def test_rk4_monodromy_matches_stepwise_loop(case):
-    dim, steps, _, seed = case
+    dim, steps, seed = case
     spec = random_drive(dim, seed)
-    monodromy = floquet._ordered_product(spec, steps, 1, floquet._rk4_factors)[-1]
+    monodromy = floquet._ordered_product(spec, steps, [steps], floquet._rk4_factors)[-1]
     assert np.max(np.abs(monodromy - stepwise_rk4_monodromy(spec, steps))) < 1e-13
 
 
@@ -108,11 +122,46 @@ def test_eigh_stacks_stay_within_the_chunk(monkeypatch):
 
 def test_propagator_fields_match_stepwise_loop():
     spec = random_drive(3, 7)
-    solution = bl.solve_floquet(spec, steps=300)
-    reference = stepwise_midpoint_snapshots(spec, 300, 300)
+    solution = bl.solve_floquet(spec, steps=300, grids=(7, 9))
+    reference = stepwise_midpoint_snapshots(spec, 300, 1)
     assert np.array_equal(solution.monodromy, reference[-1])
-    # 300 steps on 7 segments rounds up to 43 steps per segment
-    traj = bl.mode_trajectory(spec, solution, n_t=8)
-    snapshots = stepwise_midpoint_snapshots(spec, 7 * 43, 43)
-    expected = np.array([(u @ solution.modes).T for u in snapshots]).transpose(1, 0, 2)
+    assert np.array_equal(solution.monodromy, bl.propagate_period(spec, steps=300).monodromy)
+    # 7 does not divide 300: each grid time i T / 7 takes its nearest step
+    marks = [0, 43, 86, 129, 171, 214, 257, 300]
+    assert np.array_equal(floquet._nearest_steps(300, 7), marks)
+    traj = bl.mode_trajectory(solution, n_t=8)
+    expected = np.array([(reference[s] @ solution.modes).T for s in marks]).transpose(1, 0, 2)
     assert np.array_equal(traj.trajectories, expected)
+    # the sampled steps' times: exact at the ends, within half a step of i T / 7
+    dt = spec.period / 300
+    assert traj.times[0] == 0.0 and traj.times[-1] == spec.period
+    assert np.allclose(traj.times, np.array(marks) * dt, rtol=0, atol=1e-14)
+    assert np.max(np.abs(traj.times - np.linspace(0, spec.period, 8))) <= 0.5 * dt
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(steps=st.integers(64, 65536), grid=st.integers(1, 4096))
+def test_nearest_steps_are_at_most_half_a_step_off(steps, grid):
+    marks = floquet._nearest_steps(steps, grid)
+    exact = np.arange(grid + 1) * steps / grid
+    assert marks[0] == 0 and marks[-1] == steps
+    assert np.all(np.diff(marks) >= 0)
+    assert np.max(np.abs(marks - exact)) <= 0.5
+    if steps % grid == 0:
+        assert np.array_equal(marks, np.arange(grid + 1) * (steps // grid))
+
+
+def test_grids_the_solution_did_not_keep_are_rejected():
+    spec = random_drive(2, 4)
+    solution = bl.solve_floquet(spec, steps=256, grids=(16,))
+    observable = bl.PeriodicObservableSpec(static=spec.h0)
+    bl.mode_trajectory(solution, n_t=17)
+    bl.mode_trajectory(solution, n_t=9)  # every step of the 8-grid was kept as well
+    with pytest.raises(ValueError, match="12-interval grid"):
+        bl.mode_trajectory(solution, n_t=13)
+    with pytest.raises(ValueError, match="32-interval grid"):
+        bl.temporal_overlap_probe(solution, observable, grid_points=32)
+    with pytest.raises(ValueError, match="kept no snapshots"):
+        bl.mode_trajectory(bl.propagate_period(spec, steps=256), n_t=17)
+    with pytest.raises(ValueError, match="at least one interval"):
+        bl.solve_floquet(spec, steps=256, grids=(0,))
