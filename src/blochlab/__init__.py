@@ -41,6 +41,7 @@ from .lattice import (
     build_translation,
 )
 from .observables import (
+    Battery,
     ObservableSpec,
     ObservableTerm,
     PeriodicityReport,
@@ -73,7 +74,7 @@ __all__ = [
     "solve_bands", "cell_periodic_part", "winding_number", "ring_phase_samples",
     "wannier_state",
     # observables
-    "ObservableSpec", "ObservableTerm", "PeriodicityReport",
+    "Battery", "ObservableSpec", "ObservableTerm", "PeriodicityReport",
     "build_observable", "check_cell_periodicity", "random_cell_periodic",
     "breaking_observable", "named_observables", "standard_battery",
     # superselection

@@ -33,6 +33,17 @@ def _freeze(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
+def _adoptable(m) -> bool:
+    """True for an owning, C-contiguous, writable complex128 ndarray."""
+    return (
+        type(m) is np.ndarray
+        and m.dtype == np.complex128
+        and m.base is None
+        and m.flags.c_contiguous
+        and m.flags.writeable
+    )
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     """max |m - m^H| over the entries of a square complex matrix.
 
@@ -220,6 +231,14 @@ class HermitianOperator:
     Whether it is cell-periodic is measured (``check_cell_periodicity``), not
     declared.  The operator and its matrix are frozen after validation, so
     the ``norm_max`` stored then cannot go stale.
+
+    Ownership: a matrix that is a C-contiguous, writable complex128 ndarray
+    owning its data (what every builder here hands over) is adopted without
+    a copy and made read-only in place once it validates; the caller must
+    not expect to write to it again.  Anything else (a list, a view, another
+    dtype, a Fortran-ordered or read-only array) is copied to a C-ordered
+    complex128 array first, so later writes to the input never reach the
+    operator.  A rejected matrix is left as it was.
     """
 
     matrix: np.ndarray
@@ -227,7 +246,9 @@ class HermitianOperator:
     _norm_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)  # own copy; frozen below
+        m = self.matrix
+        if not _adoptable(m):
+            m = np.array(m, dtype=complex, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {m.shape}")
         scale = float(np.max(np.abs(m))) if m.size else 0.0

@@ -19,6 +19,7 @@ seed -> operator map is reproducible across platforms and library versions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -250,27 +251,67 @@ def named_observables(basis: PlaneWaveBasis) -> dict[str, HermitianOperator]:
     return {name: build_observable(spec, basis, label=name) for name, spec in _NAMED_SPECS.items()}
 
 
+@dataclass(frozen=True, eq=False)
+class Battery:
+    """The observable battery, each member built on demand by index.
+
+    Members are the ``named`` ones in order, then seeds 1..seeds
+    (``random_cell_periodic``, label seed:<s>), then ``custom`` (label
+    custom:<i>); ``labels`` lists them without building any.  Iterating
+    builds one member at a time, so a caller that drops each member before
+    taking the next holds one d x d matrix, not the whole battery.  An empty
+    battery raises ValueError.  Leakage is measured relative to each member's
+    max-entry norm, so ``member`` raises ValueError naming a member that is
+    zero on this basis (say a harmonic whose offset j*N reaches past it).
+    """
+
+    basis: PlaneWaveBasis
+    seeds: int = 20
+    max_harmonic: int = 1
+    degree: int = 2
+    named: tuple[str, ...] = NAMED_OBSERVABLES
+    custom: tuple[ObservableSpec, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "named", tuple(self.named))
+        object.__setattr__(self, "custom", tuple(self.custom))
+        if not len(self):
+            raise ValueError("battery is empty: no named, seeded or custom members")
+
+    def __len__(self) -> int:
+        return len(self.named) + self.seeds + len(self.custom)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        seeded = tuple(f"seed:{seed}" for seed in range(1, self.seeds + 1))
+        return self.named + seeded + tuple(f"custom:{i}" for i in range(len(self.custom)))
+
+    def member(self, index: int) -> HermitianOperator:
+        """Build member ``index`` (0-based, in ``labels`` order)."""
+        if not 0 <= index < len(self):
+            raise IndexError(f"battery member {index} outside 0..{len(self) - 1}")
+        seeded = index - len(self.named)
+        if seeded < 0:
+            name = self.named[index]
+            op = build_observable(_NAMED_SPECS[name], self.basis, label=name)
+        elif seeded < self.seeds:
+            op = random_cell_periodic(
+                seeded + 1, self.basis, max_harmonic=self.max_harmonic, degree=self.degree
+            )
+        else:
+            i = seeded - self.seeds
+            op = build_observable(self.custom[i], self.basis, label=f"custom:{i}")
+        if op.norm_max == 0.0:
+            raise ValueError(f"battery member {op.label!r} is the zero operator on this basis")
+        return op
+
+    def __iter__(self) -> Iterator[HermitianOperator]:
+        return (self.member(i) for i in range(len(self)))
+
+
 def standard_battery(
     basis: PlaneWaveBasis, seeds: int = 20, max_harmonic: int = 1, degree: int = 2,
     named: tuple[str, ...] = NAMED_OBSERVABLES, custom: tuple[ObservableSpec, ...] = (),
 ) -> list[HermitianOperator]:
-    """``named`` members in order, then seeds 1..seeds, then ``custom`` (custom:<i>).
-
-    An empty battery raises ValueError.  Leakage is measured relative to each
-    member's max-entry norm, so a member that is zero on this basis (say a
-    harmonic whose offset j*N reaches past it) raises ValueError naming it.
-    """
-    battery = [build_observable(_NAMED_SPECS[name], basis, label=name) for name in named]
-    battery.extend(
-        random_cell_periodic(seed, basis, max_harmonic=max_harmonic, degree=degree)
-        for seed in range(1, seeds + 1)
-    )
-    battery.extend(
-        build_observable(spec, basis, label=f"custom:{i}") for i, spec in enumerate(custom)
-    )
-    if not battery:
-        raise ValueError("battery is empty: no named, seeded or custom members")
-    for op in battery:
-        if op.norm_max == 0.0:
-            raise ValueError(f"battery member {op.label!r} is the zero operator on this basis")
-    return battery
+    """Every member of ``Battery(...)``, built at once; its errors are Battery's."""
+    return list(Battery(basis, seeds, max_harmonic, degree, named, custom))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import Iterator
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .floquet import (
     temporal_overlap_probe,
 )
 from .lattice import HermitianOperator, build_basis, build_hamiltonian, build_translation
-from .observables import breaking_observable, check_cell_periodicity, standard_battery
+from .observables import Battery, breaking_observable, check_cell_periodicity
 from .reports import (
     atomic_write_text,
     bands_csv,
@@ -90,16 +91,30 @@ def _solve_lattice(cfg: ScenarioConfig):
     return spec, basis, h, t, solve_bands(h, spec)
 
 
-def _configured_battery(cfg: ScenarioConfig, basis) -> list[HermitianOperator]:
-    """standard_battery for the config's battery section; its rejections are config errors."""
+def _configured_battery(cfg: ScenarioConfig, basis) -> Battery:
+    """The config's battery section as a Battery; its rejections are config errors."""
     b = cfg.battery
     try:
-        return standard_battery(
+        return Battery(
             basis, seeds=b.seeds, max_harmonic=b.max_harmonic, degree=b.degree,
             named=b.named, custom=b.custom,
         )
     except ValueError as exc:
         raise ConfigError(str(exc), "/battery") from exc
+
+
+def _stream(battery: Battery) -> Iterator[HermitianOperator]:
+    """The members one at a time; a member the basis rejects is a config error.
+
+    A consumer that drops each member before taking the next holds one d x d
+    matrix at a time instead of the whole battery.
+    """
+    for i in range(len(battery)):
+        try:
+            op = battery.member(i)
+        except ValueError as exc:
+            raise ConfigError(str(exc), "/battery") from exc
+        yield op
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
@@ -193,7 +208,7 @@ def _run_superselect(cfg: ScenarioConfig):
     spec, basis, h, t, bands = _solve_lattice(cfg)
     battery = _configured_battery(cfg, basis)
 
-    sector_report = sector_decomposition_report(bands, battery)
+    sector_report = sector_decomposition_report(bands, _stream(battery))
     max_leak = sector_report.max_offdiagonal
 
     results: dict = {
@@ -204,9 +219,10 @@ def _run_superselect(cfg: ScenarioConfig):
     }
     checks = {"cross_sector_leakage": max_leak < cfg.tolerance("structural_zero")}
 
-    scan_observable = next((op for op in battery if op.label == "cos_a"), battery[0])
+    # the stream is spent: the scanned members are built again, one at a time
+    scan_member = battery.labels.index("cos_a") if "cos_a" in battery.labels else 0
     cross_scan = fringe_scan(
-        scan_observable, bands.state(0, 0), bands.state(1, 0), cfg.fringe_points
+        battery.member(scan_member), bands.state(0, 0), bands.state(1, 0), cfg.fringe_points
     )
     results["fringe_cross"] = _scan_fields(cross_scan)
     checks["fringe_flat"] = cross_scan.amplitude < cfg.tolerance("solver_zero")
@@ -224,7 +240,7 @@ def _run_superselect(cfg: ScenarioConfig):
         member = int(np.argmax(within[0]))
         element = float(within[0, member])
         within_scan = fringe_scan(
-            battery[member], bands.state(0, 0), bands.state(0, 1), cfg.fringe_points
+            battery.member(member), bands.state(0, 0), bands.state(0, 1), cfg.fringe_points
         )
         results["fringe_within"] = {**_scan_fields(within_scan), "cross_element": element}
         if element > cfg.tolerance("positive_control"):
@@ -264,21 +280,25 @@ def _run_wannier(cfg: ScenarioConfig):
 
     norm_dev = 0.0
     covariance = 0.0
-    mixture = 0.0
-    per_band = {}
+    wanniers = []  # (band, home cell, d)
     for band in cfg.wannier.bands:
         w0 = wannier_state(band, 0, bands, spec)
         w1 = wannier_state(band, 1, bands, spec)
         covariance = max(covariance, float(np.linalg.norm(t.conj().T @ w0 - w1)))
-        wanniers = np.array(
-            [wannier_state(band, cell, bands, spec) for cell in cfg.wannier.home_cells]
-        )
-        norm_dev = max(norm_dev, float(np.max(np.abs(np.linalg.norm(wanniers, axis=1) - 1.0))))
-        band_mixture = max(
-            wannier_mixture_residual(wanniers, bands.coeffs[:, band], op) for op in battery
-        )
-        mixture = max(mixture, band_mixture)
-        per_band[str(band)] = {"mixture_residual": band_mixture}
+        rows = np.array([wannier_state(band, cell, bands, spec) for cell in cfg.wannier.home_cells])
+        norm_dev = max(norm_dev, float(np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0))))
+        wanniers.append(rows)
+    wanniers = np.array(wanniers)
+    band_coeffs = bands.coeffs[:, list(cfg.wannier.bands)].transpose(1, 0, 2)  # (band, class, d)
+    per_band_mixture = np.zeros(len(cfg.wannier.bands))
+    for op in _stream(battery):
+        residual = wannier_mixture_residual(wanniers, band_coeffs, op)
+        np.maximum(per_band_mixture, residual, out=per_band_mixture)
+    mixture = float(np.max(per_band_mixture))
+    per_band = {
+        str(band): {"mixture_residual": float(value)}
+        for band, value in zip(cfg.wannier.bands, per_band_mixture)
+    }
 
     results = {
         "bands": list(cfg.wannier.bands),

@@ -13,6 +13,7 @@ are part of the battery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -138,22 +139,26 @@ def fringe_scan(
     """Sweep the relative phase of |a> + e^{i lambda} |b> and average O.
 
     The unnormalized cross term is 2 |<a|O|b>| cos(lambda + Arg<a|O|b>), so a
-    vanishing cross element makes the scan flat.  Raises ValueError when a
-    grid point makes the superposition collapse (anti-parallel states).
+    vanishing cross element makes the scan flat.  All superpositions are
+    stacked as rows and averaged with one product against O.  Raises
+    ValueError naming the first grid point where the superposition collapses
+    (anti-parallel states).
     """
     if n_phases < 8:
         raise ValueError("need at least 8 phase points")
     phases = 2.0 * np.pi * np.arange(n_phases) / n_phases
-    averages = np.empty(n_phases)
-    o = operator.matrix
-    for i, lam in enumerate(phases):
-        combined = a.coeffs + np.exp(1j * lam) * b.coeffs
-        norm_sq = float(np.real(combined.conj() @ combined))
-        if norm_sq < DEGENERATE_NORM_ATOL:
-            raise ValueError(
-                f"degenerate superposition at lambda={lam:.6f}: states anti-parallel"
-            )
-        averages[i] = float(np.real(combined.conj() @ o @ combined)) / norm_sq
+    combined = a.coeffs + np.exp(1j * phases)[:, None] * b.coeffs  # one row per phase
+    norm_sq = np.array([np.real(c.conj() @ c) for c in combined])
+    degenerate = np.flatnonzero(norm_sq < DEGENERATE_NORM_ATOL)
+    if degenerate.size:
+        raise ValueError(
+            f"degenerate superposition at lambda={phases[degenerate[0]]:.6f}: states anti-parallel"
+        )
+    # one (n_phases, d) @ (d, d) product; the norms above and the row dots
+    # below stay vector dots as in a per-phase loop, so only the product's
+    # rounding differs from one
+    products = combined.conj() @ operator.matrix
+    averages = np.array([np.real(p @ c) for p, c in zip(products, combined)]) / norm_sq
     return FringeScan(phases=phases, averages=averages, observable=operator.label)
 
 
@@ -189,7 +194,7 @@ def mixture_diagnostic(
 
 
 def sector_decomposition_report(
-    bands: BandStructure, battery: list[HermitianOperator]
+    bands: BandStructure, battery: Iterable[HermitianOperator]
 ) -> SectorDecompositionReport:
     """Cross-class leakage table and within-sector elements, on class blocks.
 
@@ -199,7 +204,9 @@ def sector_decomposition_report(
     stacked product: ~2 d^3 / N flops instead of 2 d^3 on full-length states.
     Leakage entry [j, l] (bras from the lower class, mirrored) is maximized
     over both band axes and equals a pairwise class loop bit for bit; the
-    diagonal blocks give ``within_sector`` at bands (0, 1).
+    diagonal blocks give ``within_sector`` at bands (0, 1).  ``battery`` is
+    any iterable and is read once, one member at a time, so a generator that
+    builds each member on demand keeps one operator alive.
     """
     n_sectors, n_bands, dim = bands.coeffs.shape
     rows = bands.rows
@@ -210,34 +217,38 @@ def sector_decomposition_report(
     kets = compact[ket_class].transpose(0, 2, 1)
     cross = bra_class < ket_class
     worst = np.zeros(int(np.count_nonzero(cross)))
-    within = np.empty((n_sectors, len(battery))) if n_bands >= 2 else None
-    for i, op in enumerate(battery):
+    labels, within = [], []
+    for op in battery:
         # (block, bra band, ket band) for every class block j <= l
         elements = np.abs(bras @ np.take(op.matrix, flat) @ kets)
         np.maximum(worst, elements[cross].max(axis=(1, 2)) / op.norm_max, out=worst)
-        if within is not None:
-            within[:, i] = elements[~cross, 0, 1]
+        labels.append(op.label)
+        if n_bands >= 2:
+            within.append(elements[~cross, 0, 1])
     leakage = np.full((n_sectors, n_sectors), np.nan)
     leakage[bra_class[cross], ket_class[cross]] = worst
     leakage[ket_class[cross], bra_class[cross]] = worst
-    return SectorDecompositionReport(leakage, tuple(op.label for op in battery), within)
-
-
-def _expectations(rows: np.ndarray, operator: HermitianOperator) -> np.ndarray:
-    """Re <v|O|v> for every row v of ``rows``."""
-    return np.real(np.sum((rows.conj() @ operator.matrix) * rows, axis=1))
+    within_sector = (
+        np.reshape(within, (len(labels), n_sectors)).T if n_bands >= 2 else None
+    )
+    return SectorDecompositionReport(leakage, tuple(labels), within_sector)
 
 
 def wannier_mixture_residual(
     wanniers: np.ndarray, band_coeffs: np.ndarray, operator: HermitianOperator
-) -> float:
-    """max_r |<w_r|O|w_r> - mean_l <psi_l|O|psi_l>| over one band's Wannier states.
+) -> np.ndarray:
+    """Per band b: max_r |<w_br|O|w_br> - mean_l <psi_bl|O|psi_bl>|.
 
-    ``wanniers`` holds one home cell's Wannier vector per row and
-    ``band_coeffs`` the band's Bloch states, one class per row.  Each Wannier
-    state is an equal-weight phase combination of those Bloch states, so for
-    cell-periodic O its expectation must equal the uniform classical average
-    over the band.
+    ``wanniers`` is (bands, home cells, d), one home cell's Wannier vector per
+    row, and ``band_coeffs`` is (bands, N, d), each band's Bloch states, one
+    class per row.  Each Wannier state is an equal-weight phase combination
+    of its band's Bloch states, so for cell-periodic O its expectation must
+    equal the uniform classical average over the band.  All rows go through
+    one (bands * (cells + N), d) @ (d, d) product, so O is read once.
     """
-    band_avg = float(np.mean(_expectations(band_coeffs, operator)))
-    return float(np.max(np.abs(_expectations(wanniers, operator) - band_avg)))
+    n_bands, n_cells, dim = wanniers.shape
+    stacked = np.concatenate((wanniers, band_coeffs), axis=1).reshape(-1, dim)
+    values = np.real(np.sum((stacked.conj() @ operator.matrix) * stacked, axis=1))  # Re <v|O|v>
+    values = values.reshape(n_bands, -1)
+    band_avg = np.mean(values[:, n_cells:], axis=1, keepdims=True)
+    return np.max(np.abs(values[:, :n_cells] - band_avg), axis=1)

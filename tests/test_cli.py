@@ -542,6 +542,33 @@ def test_zero_battery_member_is_named(tmp_path, capsys):
     assert "'custom:0'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["superselect", "wannier"])
+@pytest.mark.parametrize(
+    "case, member",
+    [("battery_member_zero_on_small_basis", "cos_a"), ("battery_custom_zero_polynomial", "custom:0")],
+)
+def test_zero_member_found_mid_stream_exits_1_and_writes_nothing(
+    tmp_path, capsys, kind, case, member
+):
+    # members are built while the battery is measured, so a zero member
+    # stops the run part-way; nothing is written and the error is a config one
+    data, _, _ = REJECTED[case]
+    data = {**data, "kind": kind}
+    if kind == "wannier":
+        data["wannier"] = {"bands": [0], "home_cells": [0, 1]}
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [kind, "--config", write_json(tmp_path / "c.json", data), "--report", str(out / "r.json")]
+    if kind == "superselect":
+        argv += ["--fringe-prefix", str(out / "fringe")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "(at /battery)" in err and f"'{member}' is the zero operator" in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_negative_control_shift_past_basis_is_a_subprocess_exit_1(tmp_path):
     # the same check through the real entry point: no traceback on stderr
     data, _, _ = REJECTED["negative_control_shift_past_basis"]

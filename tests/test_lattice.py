@@ -136,6 +136,67 @@ def test_hermitian_operator_rejects_non_hermitian():
         bl.HermitianOperator(matrix=bad)
 
 
+def test_hermitian_operator_adopts_a_builders_array():
+    # an owning, C-contiguous, writable complex128 array is taken over as is
+    # and frozen in place
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 1], m[1, 0] = 2.0 - 1.0j, 2.0 + 1.0j
+    op = bl.HermitianOperator(matrix=m)
+    assert np.shares_memory(op.matrix, m)
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
+    assert op.norm_max == abs(2.0 - 1.0j)
+
+
+def _hermitian_base():
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 1], m[1, 0] = 3.0j, -3.0j
+    m[2, 2] = 1.0
+    return m
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda base: base[:, :],  # a view
+        lambda base: base.T,  # a Fortran-ordered view (the transpose is Hermitian too)
+        lambda base: np.asfortranarray(base),  # an owning Fortran-ordered array
+        lambda base: base.tolist(),  # a list
+    ],
+    ids=["view", "transposed_view", "fortran", "list"],
+)
+def test_hermitian_operator_copies_what_it_does_not_own(make):
+    base = _hermitian_base()
+    source = make(base)
+    op = bl.HermitianOperator(matrix=source)
+    norm = op.norm_max
+    before = op.matrix.copy()
+    assert op.matrix.flags.c_contiguous and op.matrix.dtype == np.complex128
+    assert base.flags.writeable
+    if isinstance(source, np.ndarray):
+        assert not np.shares_memory(op.matrix, source) and source.flags.writeable
+    base[:] = 7.0
+    assert np.array_equal(op.matrix, before)
+    assert op.norm_max == norm == 3.0
+
+
+def test_hermitian_operator_copies_a_real_array():
+    real = np.diag([1.0, -2.0, 0.5])
+    op = bl.HermitianOperator(matrix=real)
+    assert op.matrix.dtype == np.complex128
+    assert not np.shares_memory(op.matrix, real) and real.flags.writeable
+    real[1, 1] = 9.0
+    assert op.matrix[1, 1] == -2.0 and op.norm_max == 2.0
+
+
+def test_rejected_matrix_is_left_writable():
+    bad = np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match="matrix is not Hermitian: defect 5.000e-01"):
+        bl.HermitianOperator(matrix=bad)
+    assert bad.flags.writeable
+
+
 @pytest.mark.parametrize("dim", [1, 2, 63, 64, 65, 130, 495])
 def test_hermiticity_defect_is_the_direct_formula_bit_for_bit(dim):
     rng = np.random.default_rng(dim)

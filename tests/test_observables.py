@@ -210,6 +210,32 @@ def test_battery_composition(basis_n3):
     assert labels[5:] == ["seed:1", "seed:2", "seed:3", "seed:4"]
 
 
+def test_battery_builds_each_member_on_demand(basis_n3):
+    custom = (bl.ObservableSpec(terms=(bl.ObservableTerm(p_poly=(0.5, 1.0)),)),)
+    battery = bl.Battery(basis_n3, seeds=3, named=("sin_a", "identity"), custom=custom)
+    expected = ("sin_a", "identity", "seed:1", "seed:2", "seed:3", "custom:0")
+    assert len(battery) == len(expected) and battery.labels == expected
+    listed = bl.standard_battery(basis_n3, seeds=3, named=("sin_a", "identity"), custom=custom)
+    for i, op in enumerate(battery):
+        assert op.label == expected[i]
+        assert np.array_equal(op.matrix, listed[i].matrix)
+        assert np.array_equal(battery.member(i).matrix, op.matrix)
+    with pytest.raises(IndexError):
+        battery.member(len(expected))
+    with pytest.raises(ValueError, match="empty"):
+        bl.Battery(basis_n3, seeds=0, named=())
+
+
+def test_zero_battery_member_raises_when_it_is_built():
+    # cells=3, cutoff=1: cos_a's offset 3 reaches past the 3-dim basis
+    basis = bl.build_basis(bl.LatticeSpec(cells=3, cutoff=1))
+    battery = bl.Battery(basis, seeds=1, max_harmonic=0, named=("identity", "cos_a"))
+    assert battery.member(0).label == "identity"
+    with pytest.raises(ValueError, match="'cos_a' is the zero operator"):
+        battery.member(1)
+    assert battery.member(2).label == "seed:1"
+
+
 def test_named_observables_match_their_functions(basis_n3):
     named = bl.named_observables(basis_n3)
     assert np.allclose(named["identity"].matrix, np.eye(9))

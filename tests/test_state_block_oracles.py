@@ -6,6 +6,8 @@ cross-class entry is a literal 0.0, which no reshape or mirroring error could
 change.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -45,17 +47,39 @@ def test_leakage_table_equals_pairwise_loop_bit_for_bit(solved):
     assert all(expected[l, (l + 1) % n] > 1e-6 for l in range(n))
 
 
-def test_wannier_mixture_residual_matches_per_state_loop(solved):
+def test_leakage_report_reads_a_generator_like_the_list(solved):
+    # members built one at a time on demand give the same report bit for bit
     spec, bands, battery = solved
-    for band in range(2):
-        band_states = [bands.state(l, band) for l in range(bands.sectors)]
-        wanniers = np.array(
-            [bl.wannier_state(band, cell, bands, spec) for cell in range(spec.cells)]
-        )
-        for op in battery:
-            expected = max(state_mixture_residual(w, band_states, op) for w in wanniers)
-            got = bl.wannier_mixture_residual(wanniers, bands.coeffs[:, band], op)
-            assert abs(got - expected) < 1e-14
+    basis = bl.build_basis(spec)
+    streamed = itertools.chain(
+        bl.Battery(basis, seeds=5), (bl.breaking_observable(s, basis) for s in (1, 2))
+    )
+    got = bl.sector_decomposition_report(bands, streamed)
+    expected = bl.sector_decomposition_report(bands, battery)
+    assert got.battery_labels == expected.battery_labels
+    assert np.array_equal(got.leakage, expected.leakage, equal_nan=True)
+    assert np.array_equal(got.within_sector, expected.within_sector)
+
+
+def test_wannier_mixture_residual_matches_per_state_loop(solved):
+    # one stacked call per member gives every band's residual; the breaking
+    # members are not cell-periodic, so their residuals are far from zero and
+    # the comparison is not between zeros
+    spec, bands, battery = solved
+    band_list = [0, 1]
+    wanniers = np.array(
+        [[bl.wannier_state(band, cell, bands, spec) for cell in range(spec.cells)] for band in band_list]
+    )
+    band_coeffs = bands.coeffs[:, band_list].transpose(1, 0, 2)
+    for op in battery:
+        got = bl.wannier_mixture_residual(wanniers, band_coeffs, op)
+        assert got.shape == (len(band_list),)
+        for i, band in enumerate(band_list):
+            band_states = [bands.state(l, band) for l in range(bands.sectors)]
+            expected = max(state_mixture_residual(w, band_states, op) for w in wanniers[i])
+            assert abs(got[i] - expected) < 1e-14
+            if op.label.startswith("breaking:"):
+                assert expected > 1e-6, (op.label, band)
 
 
 def test_within_sector_elements_match_matrix_element(solved):

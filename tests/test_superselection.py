@@ -152,10 +152,13 @@ def test_wannier_expectation_equals_band_average(
     mathieu_solution, battery_n3, lattice_n3
 ):
     _, bands = mathieu_solution
-    for band in (0, 1):
-        wanniers = np.array([bl.wannier_state(band, cell, bands, lattice_n3) for cell in range(3)])
-        for op in battery_n3:
-            assert bl.wannier_mixture_residual(wanniers, bands.coeffs[:, band], op) < 1e-10
+    wanniers = np.array(
+        [[bl.wannier_state(band, cell, bands, lattice_n3) for cell in range(3)] for band in (0, 1)]
+    )
+    for op in battery_n3:
+        residuals = bl.wannier_mixture_residual(wanniers, bands.coeffs[:, [0, 1]].transpose(1, 0, 2), op)
+        assert residuals.shape == (2,)
+        assert np.all(residuals < 1e-10)
 
 
 def test_superselection_survives_on_padded_even_lattice():
