@@ -37,7 +37,6 @@ from .lattice import (
     PotentialSpec,
     build_basis,
     build_hamiltonian,
-    build_momentum,
     build_translation,
 )
 from .observables import (
@@ -68,7 +67,7 @@ __all__ = [
     "__version__",
     # lattice
     "LatticeSpec", "PotentialSpec", "PlaneWaveBasis", "HermitianOperator",
-    "build_basis", "build_hamiltonian", "build_translation", "build_momentum",
+    "build_basis", "build_hamiltonian", "build_translation",
     # bloch
     "BlochState", "CellPeriodicState", "BandStructure",
     "solve_bands", "cell_periodic_part", "winding_number", "ring_phase_samples",

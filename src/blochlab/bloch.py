@@ -175,10 +175,10 @@ def _canonical_eigenbasis(energies: np.ndarray, vectors: np.ndarray) -> np.ndarr
 def solve_bands(h: HermitianOperator, spec: LatticeSpec) -> BandStructure:
     """Diagonalize every wavevector-class block of a cell-periodic H.
 
-    Each class's rows (``basis.class_rows``) give one (d/N, d/N) block; its
-    eigenvectors are scattered back onto those rows of the (sector, band, d)
-    coefficient block, and the rows themselves are kept as the (N, d/N)
-    ``rows`` table so that matrix elements can be taken on class blocks.
+    Each class's rows (``basis.class_rows``) give one (d/N, d/N) block
+    (``HermitianOperator.class_blocks``); its eigenvectors are scattered back
+    onto those rows of the (sector, band, d) coefficient block, and the rows
+    are kept as the (N, d/N) ``rows`` table for later class blocks.
 
     Raises InvariantViolation if H carries weight between different classes
     (it then is not cell-periodic and has no common eigenbasis with T), and
@@ -195,8 +195,8 @@ def solve_bands(h: HermitianOperator, spec: LatticeSpec) -> BandStructure:
     energies = np.zeros((n_cells, bands_per_class))
     coeffs = np.zeros((n_cells, bands_per_class, basis.dim), dtype=complex)
     class_rows = np.array([basis.class_rows(sector) for sector in range(n_cells)])
-    for sector, rows in enumerate(class_rows):
-        block = h.matrix[np.ix_(rows, rows)]
+    blocks = h.class_blocks(class_rows, *np.diag_indices(n_cells))  # the pairs (l, l)
+    for sector, (rows, block) in enumerate(zip(class_rows, blocks)):
         try:
             vals, vecs = np.linalg.eigh(block)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -207,9 +207,9 @@ def solve_bands(h: HermitianOperator, spec: LatticeSpec) -> BandStructure:
 
 
 def _require_block_structure(h: HermitianOperator, basis: PlaneWaveBasis) -> None:
-    classes = basis.indices % basis.cells
-    off_class = classes[:, None] != classes[None, :]
-    leakage = float(np.max(np.abs(h.matrix[off_class]))) if off_class.any() else 0.0
+    # an entry couples two classes exactly when its offset is not a multiple of N
+    off_class = [float(np.max(np.abs(v))) for o, v in h.diagonals.items() if o % basis.cells]
+    leakage = max(off_class, default=0.0)
     if leakage > SUPPORT_ATOL * max(h.norm_max, 1.0):
         raise InvariantViolation(
             f"operator couples different wavevector classes (leakage {leakage:.3e})"

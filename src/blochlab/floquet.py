@@ -34,7 +34,6 @@ import numpy as np
 
 from .bloch import _canonical_eigenbasis  # same gauge rules as the lattice solver
 from .errors import NumericalFailure
-from .lattice import hermiticity_defect
 
 MIN_DIM, MAX_DIM = 2, 16
 MIN_STEPS = 64
@@ -51,7 +50,7 @@ def _require_hermitian(matrix: np.ndarray, what: str) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix")
     scale = max(float(np.max(np.abs(m))), 1.0)
-    if hermiticity_defect(m) > HERMITICITY_ATOL * scale:
+    if float(np.max(np.abs(m - m.conj().T))) > HERMITICITY_ATOL * scale:
         raise ValueError(f"{what} is not Hermitian")
     m.setflags(write=False)
     return m

@@ -2,62 +2,35 @@
 
 The configuration space is a ring of circumference L = N*a (N unit cells of
 lattice constant a, periodic boundary conditions).  Everything is expanded in
-the orthonormal plane waves exp(i*q_m*x)/sqrt(L) with q_m = 2*pi*m/L, so all
-operators are dense complex matrices indexed by the integer m.
+the orthonormal plane waves exp(i*q_m*x)/sqrt(L) with q_m = 2*pi*m/L, so an
+operator is a complex matrix indexed by the integer m.
 
 Because the potential only carries harmonics of 2*pi/a = 2*pi*N/L, the
 Hamiltonian couples m to m' only when N divides (m - m'): the basis splits
 into N wavevector classes c(m) = m mod N, and every class is an invariant
 block.  A cell-periodic operator is therefore a few offset diagonals at
-multiples of N, and ``add_offset_diagonal`` is the one place that writes
-the diagonals of every lattice operator.  Matrix entries between different
-classes are never written, so they stay literal zeros and the block
-structure is exact.
+multiples of N, and ``HermitianOperator`` holds every lattice operator as
+its offset diagonals only (the DIA sparse format): entries between classes
+are never stored, so the block structure is exact.  The translation is
+diagonal and is held as its phase vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
-MAX_DIMENSION = 512  # dense desk-scale problems only
+MAX_DIMENSION = 512  # desk scale: operators are O(d), but all Bloch states form a d x d block
 
 _HERMITICITY_RTOL = 1e-12
-_HERMITICITY_SLAB = 64  # rows per slab of the Hermiticity scan
 
 
 def _freeze(matrix: np.ndarray) -> np.ndarray:
     matrix.setflags(write=False)
     return matrix
-
-
-def _adoptable(m) -> bool:
-    """True for an owning, C-contiguous, writable complex128 ndarray."""
-    return (
-        type(m) is np.ndarray
-        and m.dtype == np.complex128
-        and m.base is None
-        and m.flags.c_contiguous
-        and m.flags.writeable
-    )
-
-
-def hermiticity_defect(m: np.ndarray) -> float:
-    """max |m - m^H| over the entries of a square complex matrix.
-
-    |m - m^H| is symmetric, so only the upper triangle is formed, one slab of
-    rows against the matching columns at a time: the transposed read then
-    stays within a cache-sized block instead of striding over the whole
-    matrix.  Each entry is the same subtraction and abs as in the direct
-    formula, so the value is bit for bit the same.
-    """
-    s = _HERMITICITY_SLAB
-    slabs = [
-        np.max(np.abs(m[i : i + s, i:] - m[i:, i : i + s].conj().T)) for i in range(0, len(m), s)
-    ]
-    return float(np.max(slabs))
 
 
 @dataclass(frozen=True)
@@ -226,50 +199,91 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Dense self-adjoint operator in the plane-wave basis.
+    """Self-adjoint operator in the plane-wave basis, held as its offset diagonals.
 
-    Whether it is cell-periodic is measured (``check_cell_periodicity``), not
-    declared.  The operator and its matrix are frozen after validation, so
-    the ``norm_max`` stored then cannot go stale.
+    ``diagonals[o]`` holds the entries at (m + o, m), m = 0 .. dim - o - 1,
+    for offsets 0 <= o < dim: a scalar for a constant diagonal or one value
+    per entry.  The entries at (m, m + o) are their conjugates and are not
+    stored, and every other entry is zero, so an off-diagonal entry cannot be
+    non-Hermitian.  The main diagonal must be real: it is rejected when
+    max |m_ii - conj(m_ii)| exceeds 1e-12 of the largest entry.  The values
+    are copied to frozen complex arrays, so later writes to the inputs never
+    reach the operator, and ``norm_max`` cannot go stale.
 
-    Ownership: a matrix that is a C-contiguous, writable complex128 ndarray
-    owning its data (what every builder here hands over) is adopted without
-    a copy and made read-only in place once it validates; the caller must
-    not expect to write to it again.  Anything else (a list, a view, another
-    dtype, a Fortran-ordered or read-only array) is copied to a C-ordered
-    complex128 array first, so later writes to the input never reach the
-    operator.  A rejected matrix is left as it was.
+    Callers use ``apply`` (O v) and ``class_blocks`` (O[rows_j, rows_l]);
+    ``matrix`` forms the dense d x d matrix on request.
     """
 
-    matrix: np.ndarray
+    dim: int
+    diagonals: Mapping[int, np.ndarray]
     label: str = ""
     _norm_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = self.matrix
-        if not _adoptable(m):
-            m = np.array(m, dtype=complex, order="C")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator matrix must be square, got shape {m.shape}")
-        scale = float(np.max(np.abs(m))) if m.size else 0.0
-        if scale > 0.0:
-            defect = hermiticity_defect(m)
-            if defect > _HERMITICITY_RTOL * scale:
-                raise ValueError(
-                    f"matrix is not Hermitian: defect {defect:.3e} exceeds "
-                    f"{_HERMITICITY_RTOL:.0e} * scale {scale:.3e}"
-                )
-        object.__setattr__(self, "matrix", _freeze(m))
+        dim, diagonals = self.dim, {}
+        for offset, values in sorted(dict(self.diagonals).items()):
+            if not 0 <= offset < dim:
+                raise ValueError(f"diagonal offset {offset} outside 0..{dim - 1}")
+            if np.shape(values) not in ((), (dim - offset,)):
+                raise ValueError(f"diagonal {offset} must have {dim - offset} entries")
+            # summed onto zeros, as a dense matrix is assembled: +0.0, never -0.0
+            diagonals[offset] = _freeze(np.zeros(dim - offset, complex) + values)
+        scale = max((float(np.max(np.abs(v))) for v in diagonals.values()), default=0.0)
+        main = diagonals.get(0, np.zeros(1))
+        defect = float(np.max(np.abs(main - main.conj())))
+        if defect > _HERMITICITY_RTOL * scale:
+            raise ValueError(
+                f"matrix is not Hermitian: defect {defect:.3e} exceeds "
+                f"{_HERMITICITY_RTOL:.0e} * scale {scale:.3e}"
+            )
+        object.__setattr__(self, "diagonals", MappingProxyType(diagonals))
         object.__setattr__(self, "_norm_max", scale)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     @property
     def norm_max(self) -> float:
         """Largest entry magnitude; the scale used by relative tolerances."""
         return self._norm_max
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense d x d matrix, formed anew on each request and read-only."""
+        m = np.zeros((self.dim, self.dim), dtype=complex)
+        for offset, values in self.diagonals.items():
+            add_offset_diagonal(m, offset, values)
+        return _freeze(m)
+
+    def apply(self, vectors: np.ndarray) -> np.ndarray:
+        """O v for every vector v along the last axis of ``vectors``."""
+        v = np.asarray(vectors)
+        out = np.zeros(v.shape, dtype=complex)
+        for offset, values in self.diagonals.items():
+            n = self.dim - offset
+            out[..., offset:] += values * v[..., :n]
+            if offset:
+                out[..., :n] += values.conj() * v[..., offset:]
+        return out
+
+    def class_blocks(self, rows, bra_class, ket_class) -> np.ndarray:
+        """The (pairs, b, b) stack of blocks O[rows[bra_class[p]], rows[ket_class[p]]].
+
+        ``rows`` is a (classes, b) table of plane-wave rows, one class per row
+        (``BandStructure.rows``).  Each entry is gathered from its diagonal
+        (its conjugate above the main diagonal), so the blocks are bit for
+        bit the entries of ``matrix``.
+        """
+        rows = np.asarray(rows, dtype=np.int32)  # int32 indices: half the index traffic
+        bra, ket = rows[bra_class][:, :, None], rows[ket_class][:, None, :]
+        k = len(self.diagonals)
+        table = np.zeros((2 * k + 1, self.dim), dtype=complex)  # the last row stays zero
+        slot = np.full(2 * self.dim - 1, 2 * k, dtype=np.int32)  # table row of offset r - c
+        for i, (offset, values) in enumerate(self.diagonals.items()):
+            table[i, : self.dim - offset] += values
+            table[k + i, : self.dim - offset] += values.conj()  # zeros + conj, as ``matrix``
+            slot[self.dim - 1 - offset] = k + i
+            slot[self.dim - 1 + offset] = i
+        # entry (r, c) is column min(r, c) of the table row of offset r - c
+        index = np.take(slot, bra - ket + (self.dim - 1)) * self.dim + np.minimum(bra, ket)
+        return np.take(table, index)
 
 
 def build_basis(spec: LatticeSpec) -> PlaneWaveBasis:
@@ -287,36 +301,26 @@ def build_basis(spec: LatticeSpec) -> PlaneWaveBasis:
 def build_hamiltonian(spec: LatticeSpec, potential: PotentialSpec) -> HermitianOperator:
     """Kinetic-plus-periodic-potential Hamiltonian, exact block structure.
 
-    Diagonal: hbar^2 q_m^2 / (2 mass) + v0.  Off-diagonal: the potential
-    harmonic c_j lands at every (m, m') with m - m' = j*N; the conjugate is
-    written explicitly at the mirrored position, so the matrix is Hermitian
-    by construction (exactly, not to rounding).
+    Main diagonal: hbar^2 q_m^2 / (2 mass) + v0.  The potential harmonic c_j
+    is the diagonal at offset j*N (its conjugate mirror is implied), so the
+    operator is Hermitian by construction; a harmonic whose offset reaches
+    past the basis has no entry.
     """
     basis = build_basis(spec)
-    d = basis.dim
-    h = np.zeros((d, d), dtype=complex)
     kinetic = (spec.hbar * basis.momenta) ** 2 / (2.0 * spec.mass)
-    add_offset_diagonal(h, 0, kinetic + potential.v0)
+    diagonals = {0: kinetic + potential.v0}
     for j, c in potential.harmonics:
-        add_offset_diagonal(h, j * spec.cells, c)
-    return HermitianOperator(matrix=h, label="hamiltonian")
+        if j * spec.cells < basis.dim:
+            diagonals[j * spec.cells] = c
+    return HermitianOperator(basis.dim, diagonals, label="hamiltonian")
 
 
 def build_translation(spec: LatticeSpec) -> np.ndarray:
-    """Unit-cell translation operator, diagonal in the plane-wave basis.
+    """Unit-cell translation T as its diagonal: the phase vector t.
 
-    T shifts wavefunction arguments by +a, so T e_m = exp(i q_m a) e_m with
-    q_m a = 2*pi*m/N.  Returned as a plain (frozen) unitary matrix; it is not
-    Hermitian, so it does not use the HermitianOperator container.
+    T shifts wavefunction arguments by +a, so T e_m = t_m e_m with
+    t_m = exp(i q_m a) = exp(2 pi i m / N).  T v is ``t * v`` and T^dagger v
+    is ``t.conj() * v``; the returned vector is frozen.
     """
     basis = build_basis(spec)
-    phases = np.exp(2j * np.pi * basis.indices / spec.cells)
-    return _freeze(np.diag(phases))
-
-
-def build_momentum(spec: LatticeSpec) -> HermitianOperator:
-    """Momentum operator hbar*q_m, diagonal hence commuting exactly with T."""
-    basis = build_basis(spec)
-    p = np.zeros((basis.dim, basis.dim), dtype=complex)
-    add_offset_diagonal(p, 0, spec.hbar * basis.momenta)
-    return HermitianOperator(matrix=p, label="momentum")
+    return _freeze(np.exp(2j * np.pi * basis.indices / spec.cells))

@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InvariantViolation
-from .lattice import HermitianOperator, PlaneWaveBasis, add_offset_diagonal, fold_harmonics
+from .lattice import HermitianOperator, PlaneWaveBasis, fold_harmonics
 
 MAX_POLY_DEGREE = 6  # numerical-range guard on momentum polynomials
 PERIODICITY_RTOL = 1e-12
@@ -109,29 +109,29 @@ def _polynomial_diagonal(term: ObservableTerm, basis: PlaneWaveBasis) -> np.ndar
 def build_observable(
     spec: ObservableSpec, basis: PlaneWaveBasis, label: str = ""
 ) -> HermitianOperator:
-    """Realize an ObservableSpec as a dense Hermitian operator (see ``_observable_matrix``)."""
-    return HermitianOperator(matrix=_observable_matrix(spec, basis), label=label)
+    """Realize an ObservableSpec as a Hermitian operator (see ``_observable_diagonals``)."""
+    return HermitianOperator(basis.dim, _observable_diagonals(spec, basis), label=label)
 
 
-def _observable_matrix(spec: ObservableSpec, basis: PlaneWaveBasis) -> np.ndarray:
-    """The dense matrix of an ObservableSpec, assembled diagonal by diagonal.
+def _observable_diagonals(spec: ObservableSpec, basis: PlaneWaveBasis) -> dict:
+    """The offset diagonals of an ObservableSpec, summed term by term.
 
-    P is diagonal (its vector p) and harmonic (j, c) of F fills offset k = j*N,
+    P is diagonal (its vector p) and harmonic (j, c) of F is offset k = j*N,
     so a term's entry at (m + k, m) is c without polynomial, 0.5*(c*p[m] +
-    p[m + k]*c) for (F*P + P*F)/2 and c*p[m] for F*P; ``add_offset_diagonal``
-    writes it and its conjugate.  A term without function part is p itself.
+    p[m + k]*c) for (F*P + P*F)/2 and c*p[m] for F*P; terms that share an
+    offset are added in order.  A term without function part is p itself.
     Unsymmetrized, F*P must already be Hermitian (constant F or P): when its
     entry at (m, m + k), conj(c)*p[m + k], is off the conjugate of (m + k, m)
     by more than 1e-12 of the term's largest entry, InvariantViolation is raised.
     """
     d = basis.dim
-    total = np.zeros((d, d), dtype=complex)
+    diagonals: dict = {}
     for term in spec.terms:
         if not term.f_harmonics and not term.p_poly:
             raise ValueError("observable term needs a function part or a polynomial part")
         p = _polynomial_diagonal(term, basis)
         if not term.f_harmonics:
-            add_offset_diagonal(total, 0, p)
+            diagonals[0] = diagonals.get(0, 0.0) + p
             continue
         defect, scale = 0.0, 1e-300
         for j, c in term.f_harmonics:
@@ -146,37 +146,35 @@ def _observable_matrix(spec: ObservableSpec, basis: PlaneWaveBasis) -> np.ndarra
                 values, mirror = c * p[: d - k], c * p[k:]  # mirror: conj of F*P at (m, m + k)
                 defect = max(defect, float(np.max(np.abs(values - mirror))))
                 scale = max(scale, float(np.max(np.abs(values))), float(np.max(np.abs(mirror))))
-            add_offset_diagonal(total, k, values)
+            diagonals[k] = diagonals.get(k, 0.0) + values
         if defect > 1e-12 * scale:
             raise InvariantViolation("unsymmetrized F*P term is not Hermitian; enable symmetrize")
-    return total
+    return diagonals
 
 
 def check_cell_periodicity(
-    operator: HermitianOperator | np.ndarray, translation: np.ndarray
+    operator: HermitianOperator, translation: np.ndarray
 ) -> PeriodicityReport:
     """Measure || T O T^dagger - O ||_max / ||O||_max.
 
-    The translation T is diagonal in the plane-wave basis (``build_translation``),
-    so T O T^dagger scales entry (m, m') by t_m conj(t_m') and needs no matrix
-    product; a T with any off-diagonal entry is rejected.  For operators with
-    support at plane-wave distance dm that factor is exp(2 pi i dm / N);
-    entries with dm not divisible by N therefore show up scaled by at least
-    2 sin(pi/N) in the violation.
+    ``translation`` is T's phase vector t (``build_translation``), so
+    T O T^dagger scales the entry (m + o, m) of each stored diagonal by
+    t[m + o] conj(t[m]); the mirrored entries are their conjugates and are
+    not visited.  For operators with support at plane-wave distance dm that
+    factor is exp(2 pi i dm / N); entries with dm not divisible by N
+    therefore show up scaled by at least 2 sin(pi/N) in the violation.
     """
-    o = operator.matrix if isinstance(operator, HermitianOperator) else np.asarray(operator)
-    if o.shape != translation.shape:
-        raise ValueError(f"dimension mismatch: {o.shape} vs {translation.shape}")
-    phases = np.diagonal(translation)
-    if np.any(translation != np.diag(phases)):
-        raise ValueError("translation must be diagonal in the plane-wave basis")
-    scale = float(np.max(np.abs(o)))
+    t = np.asarray(translation)
+    if t.shape != (operator.dim,):
+        raise ValueError(f"dimension mismatch: operator {operator.dim} vs translation {t.shape}")
+    scale = operator.norm_max
     if scale == 0.0:
         return PeriodicityReport(max_violation=0.0, is_cell_periodic=True)
-    defect = phases[:, None] * o  # T O T^dagger - O, built in place
-    defect *= phases.conj()
-    defect -= o
-    violation = float(np.max(np.abs(defect))) / scale
+    worst = 0.0
+    for offset, values in operator.diagonals.items():
+        defect = t[offset:] * values * t[: operator.dim - offset].conj() - values
+        worst = max(worst, float(np.max(np.abs(defect))))
+    violation = worst / scale
     return PeriodicityReport(
         max_violation=violation, is_cell_periodic=violation < PERIODICITY_RTOL
     )
@@ -210,11 +208,11 @@ def random_cell_periodic(
         terms=(ObservableTerm(f_harmonics=tuple(harmonics), p_poly=poly),),
         symmetrize=True,
     )
-    matrix = _observable_matrix(spec, basis)
-    norm = float(np.max(np.abs(matrix)))
+    diagonals = _observable_diagonals(spec, basis)
+    norm = max(float(np.max(np.abs(v))) for v in diagonals.values())
     if not NORM_WINDOW[0] <= norm <= NORM_WINDOW[1]:
-        matrix /= norm
-    return HermitianOperator(matrix=matrix, label=f"seed:{seed}")
+        diagonals = {offset: v / norm for offset, v in diagonals.items()}
+    return HermitianOperator(basis.dim, diagonals, label=f"seed:{seed}")
 
 
 def breaking_observable(shift: int, basis: PlaneWaveBasis) -> HermitianOperator:
@@ -230,9 +228,7 @@ def breaking_observable(shift: int, basis: PlaneWaveBasis) -> HermitianOperator:
         raise ValueError(f"shift {shift} is a multiple of {n}: operator would be cell-periodic")
     if not 1 <= shift <= 2 * basis.spec.cutoff:
         raise ValueError(f"shift must lie in [1, {2 * basis.spec.cutoff}], got {shift}")
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    add_offset_diagonal(out, shift, 1.0)
-    return HermitianOperator(matrix=out, label=f"breaking:s={shift}")
+    return HermitianOperator(basis.dim, {shift: 1.0}, label=f"breaking:s={shift}")
 
 
 _NAMED_SPECS = {
@@ -259,7 +255,7 @@ class Battery:
     (``random_cell_periodic``, label seed:<s>), then ``custom`` (label
     custom:<i>); ``labels`` lists them without building any.  Iterating
     builds one member at a time, so a caller that drops each member before
-    taking the next holds one d x d matrix, not the whole battery.  An empty
+    taking the next holds one member, not the whole battery.  An empty
     battery raises ValueError.  Leakage is measured relative to each member's
     max-entry norm, so ``member`` raises ValueError naming a member that is
     zero on this basis (say a harmonic whose offset j*N reaches past it).

@@ -106,8 +106,8 @@ def _configured_battery(cfg: ScenarioConfig, basis) -> Battery:
 def _stream(battery: Battery) -> Iterator[HermitianOperator]:
     """The members one at a time; a member the basis rejects is a config error.
 
-    A consumer that drops each member before taking the next holds one d x d
-    matrix at a time instead of the whole battery.
+    A consumer that drops each member before taking the next holds one
+    member at a time instead of the whole battery.
     """
     for i in range(len(battery)):
         try:
@@ -174,10 +174,10 @@ def _solver_quality_checks(cfg: ScenarioConfig, h, t, bands):
     gram = psi.conj() @ psi.T
     ortho = float(np.max(np.abs(gram - np.eye(len(psi)))))
     energies = bands.energies.reshape(-1, 1)
-    eig_resid = float(np.max(np.linalg.norm(psi @ h.matrix.T - energies * psi, axis=1)))
+    eig_resid = float(np.max(np.linalg.norm(h.apply(psi) - energies * psi, axis=1)))
     eig_resid /= max(h.norm_max, 1e-300)
     eigenphases = np.repeat(np.exp(1j * bands.k_values * cfg.lattice.a), bands.bands)[:, None]
-    trans_resid = float(np.max(np.linalg.norm(psi @ t.T - eigenphases * psi, axis=1)))
+    trans_resid = float(np.max(np.linalg.norm(t * psi - eigenphases * psi, axis=1)))
     deviations = {
         "orthonormality": ortho,
         "eigen_residual": eig_resid,
@@ -284,7 +284,7 @@ def _run_wannier(cfg: ScenarioConfig):
     for band in cfg.wannier.bands:
         w0 = wannier_state(band, 0, bands, spec)
         w1 = wannier_state(band, 1, bands, spec)
-        covariance = max(covariance, float(np.linalg.norm(t.conj().T @ w0 - w1)))
+        covariance = max(covariance, float(np.linalg.norm(t.conj() * w0 - w1)))
         rows = np.array([wannier_state(band, cell, bands, spec) for cell in cfg.wannier.home_cells])
         norm_dev = max(norm_dev, float(np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0))))
         wanniers.append(rows)

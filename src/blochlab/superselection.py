@@ -117,7 +117,7 @@ def matrix_element(
     """<bra| O |ket> in the plane-wave basis."""
     if len(bra.coeffs) != operator.dim or len(ket.coeffs) != operator.dim:
         raise ValueError("state and operator dimensions disagree")
-    value = complex(bra.coeffs.conj() @ operator.matrix @ ket.coeffs)
+    value = complex(bra.coeffs.conj() @ operator.apply(ket.coeffs))
     return OverlapRecord(
         bra_band=bra.band,
         bra_sector=bra.sector,
@@ -140,7 +140,7 @@ def fringe_scan(
 
     The unnormalized cross term is 2 |<a|O|b>| cos(lambda + Arg<a|O|b>), so a
     vanishing cross element makes the scan flat.  All superpositions are
-    stacked as rows and averaged with one product against O.  Raises
+    stacked as rows and O is applied to all of them at once.  Raises
     ValueError naming the first grid point where the superposition collapses
     (anti-parallel states).
     """
@@ -154,11 +154,8 @@ def fringe_scan(
         raise ValueError(
             f"degenerate superposition at lambda={phases[degenerate[0]]:.6f}: states anti-parallel"
         )
-    # one (n_phases, d) @ (d, d) product; the norms above and the row dots
-    # below stay vector dots as in a per-phase loop, so only the product's
-    # rounding differs from one
-    products = combined.conj() @ operator.matrix
-    averages = np.array([np.real(p @ c) for p, c in zip(products, combined)]) / norm_sq
+    applied = operator.apply(combined)  # row dots below, as for the norms above
+    averages = np.array([np.real(oc.conj() @ c) for oc, c in zip(applied, combined)]) / norm_sq
     return FringeScan(phases=phases, averages=averages, observable=operator.label)
 
 
@@ -200,19 +197,19 @@ def sector_decomposition_report(
 
     With C_l the class-l states restricted to their d/N rows (``bands.rows``),
     <psi_{m k_j}|O|psi_{n k_l}> is entry (m, n) of C_j^* O[rows_j, rows_l] C_l^T.
-    Per battery member all blocks j <= l, zero or not, are multiplied in one
-    stacked product: ~2 d^3 / N flops instead of 2 d^3 on full-length states.
+    Per battery member all blocks j <= l (``HermitianOperator.class_blocks``),
+    zero or not, are multiplied in one stacked product: ~2 d^3 / N flops
+    instead of 2 d^3 on full-length states.
     Leakage entry [j, l] (bras from the lower class, mirrored) is maximized
     over both band axes and equals a pairwise class loop bit for bit; the
     diagonal blocks give ``within_sector`` at bands (0, 1).  ``battery`` is
     any iterable and is read once, one member at a time, so a generator that
     builds each member on demand keeps one operator alive.
     """
-    n_sectors, n_bands, dim = bands.coeffs.shape
+    n_sectors, n_bands, _ = bands.coeffs.shape
     rows = bands.rows
     compact = np.take_along_axis(bands.coeffs, rows[:, None, :], axis=2)  # (class, band, row)
     bra_class, ket_class = np.triu_indices(n_sectors)
-    flat = rows[bra_class][:, :, None] * dim + rows[ket_class][:, None, :]
     bras = compact[bra_class].conj()
     kets = compact[ket_class].transpose(0, 2, 1)
     cross = bra_class < ket_class
@@ -220,7 +217,7 @@ def sector_decomposition_report(
     labels, within = [], []
     for op in battery:
         # (block, bra band, ket band) for every class block j <= l
-        elements = np.abs(bras @ np.take(op.matrix, flat) @ kets)
+        elements = np.abs(bras @ op.class_blocks(rows, bra_class, ket_class) @ kets)
         np.maximum(worst, elements[cross].max(axis=(1, 2)) / op.norm_max, out=worst)
         labels.append(op.label)
         if n_bands >= 2:
@@ -243,12 +240,12 @@ def wannier_mixture_residual(
     row, and ``band_coeffs`` is (bands, N, d), each band's Bloch states, one
     class per row.  Each Wannier state is an equal-weight phase combination
     of its band's Bloch states, so for cell-periodic O its expectation must
-    equal the uniform classical average over the band.  All rows go through
-    one (bands * (cells + N), d) @ (d, d) product, so O is read once.
+    equal the uniform classical average over the band.  O is applied to all
+    bands * (cells + N) rows at once, so it is read once.
     """
     n_bands, n_cells, dim = wanniers.shape
     stacked = np.concatenate((wanniers, band_coeffs), axis=1).reshape(-1, dim)
-    values = np.real(np.sum((stacked.conj() @ operator.matrix) * stacked, axis=1))  # Re <v|O|v>
+    values = np.real(np.sum(stacked.conj() * operator.apply(stacked), axis=1))  # Re <v|O|v>
     values = values.reshape(n_bands, -1)
     band_avg = np.mean(values[:, n_cells:], axis=1, keepdims=True)
     return np.max(np.abs(values[:, :n_cells] - band_avg), axis=1)

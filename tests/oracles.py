@@ -138,6 +138,28 @@ def loop_breaking_observable(shift: int, basis) -> np.ndarray:
     return out
 
 
+def dense_to_diagonals(matrix) -> dict:
+    """The offset diagonals of a dense matrix's lower triangle: entries (m + o, m).
+
+    This is what ``HermitianOperator`` stores; the upper triangle is implied
+    as their conjugates and is not read.  All-zero diagonals are left out.
+    The main diagonal is kept as given, so a complex one reaches the
+    operator's Hermiticity check.
+    """
+    m = np.asarray(matrix)
+    diagonals = {o: np.diagonal(m, -o) for o in range(len(m))}
+    return {o: v for o, v in diagonals.items() if v.any()}
+
+
+def dense_cell_periodicity(matrix: np.ndarray, phases: np.ndarray) -> float:
+    """max |T O T^dagger - O| / max |O| over every entry of a dense O, T = diag(phases)."""
+    scale = float(np.max(np.abs(matrix)))
+    if scale == 0.0:
+        return 0.0
+    defect = phases[:, None] * matrix * phases.conj() - matrix
+    return float(np.max(np.abs(defect))) / scale
+
+
 # ---------------------------------------------------------------------------
 # Per-state measurements: the leakage table one class pair at a time, and the
 # Wannier band average one Bloch state at a time, both over lists of

@@ -9,6 +9,7 @@ import blochlab as bl
 from blochlab.observables import ObservableSpec, ObservableTerm
 
 from oracles import (
+    dense_cell_periodicity,
     loop_breaking_observable,
     loop_fold,
     loop_hamiltonian,
@@ -158,6 +159,65 @@ def test_breaking_observable_matches_row_loop(lattice):
         if shift % basis.cells:
             built = bl.breaking_observable(shift, basis).matrix
             assert_bitwise(built, loop_breaking_observable(shift, basis))
+
+
+@st.composite
+def operator_diagonals(draw, basis):
+    """Offset diagonals on this basis: multiples of N and others, scalars and vectors.
+
+    The main diagonal is real, every other diagonal real or complex (a real
+    one has conjugates that differ only in the sign of a zero).  Magnitudes
+    span six decades, so small diagonals sit beside large ones.
+    """
+    d, n = basis.dim, basis.cells
+    periodic = st.sampled_from(range(0, d, n))
+    breaking = st.integers(0, d - 1).filter(lambda o: o % n)
+    offsets = draw(st.sets(periodic | breaking, min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    diagonals = {}
+    for offset in sorted(offsets):
+        scale = 10.0 ** draw(st.integers(-3, 3))
+        shape = () if draw(st.booleans()) else (d - offset,)
+        values = scale * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+        diagonals[offset] = values.real if offset == 0 or draw(st.booleans()) else values
+    return diagonals
+
+
+@pytest.mark.parametrize("lattice", sorted(DRAWN_LATTICES))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_operator_matches_its_dense_view(lattice, data):
+    spec = DRAWN_LATTICES[lattice]
+    basis = bl.build_basis(spec)
+    d, n = basis.dim, basis.cells
+    diagonals = data.draw(operator_diagonals(basis))
+    op = bl.HermitianOperator(d, diagonals, label="drawn")
+    dense = op.matrix
+    # later writes to the inputs do not reach the operator
+    for values in diagonals.values():
+        if np.ndim(values):
+            values[...] = 99.0
+    assert_bitwise(op.matrix, dense)
+
+    rows = np.array([basis.class_rows(l) for l in range(n)])
+    bra, ket = (axis.ravel() for axis in np.indices((n, n)))
+    blocks = op.class_blocks(rows, bra, ket)
+    for block, j, l in zip(blocks, bra, ket):
+        assert_bitwise(block, dense[np.ix_(rows[j], rows[l])])
+
+    rng = np.random.default_rng(d)
+    vectors = rng.uniform(-1, 1, (3, d)) + 1j * rng.uniform(-1, 1, (3, d))
+    error = float(np.max(np.abs(op.apply(vectors) - vectors @ dense.T)))
+    assert error <= 1e-14 * op.norm_max
+
+    t = bl.build_translation(spec)
+    violation = bl.check_cell_periodicity(op, t).max_violation
+    assert abs(violation - dense_cell_periodicity(dense, t)) <= 1e-15
+
+    length = d - max(op.diagonals)
+    for bad in ({-1: 1.0}, {d: 1.0}, {max(op.diagonals): np.ones(length + 1)}, {0: 1j}):
+        with pytest.raises(ValueError):
+            bl.HermitianOperator(d, bad)
 
 
 harmonic_entries = st.lists(

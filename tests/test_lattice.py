@@ -1,6 +1,7 @@
 """Basis construction, Hamiltonian assembly and translation-operator structure."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blochlab as bl
-from blochlab.lattice import hermiticity_defect
+
+from oracles import dense_to_diagonals
 
 
 def test_basis_n3_m4_layout():
@@ -89,7 +91,7 @@ def test_hamiltonian_exactly_hermitian_and_block_structured(basis_n3, mathieu_so
 def test_translation_is_unitary_diagonal_with_unit_roots():
     spec = bl.LatticeSpec(cells=3, cutoff=4)
     basis = bl.build_basis(spec)
-    t = bl.build_translation(spec)
+    t = np.diag(bl.build_translation(spec))
     assert t[basis.row_of(3), basis.row_of(3)] == pytest.approx(1.0)
     assert t[basis.row_of(1), basis.row_of(1)] == pytest.approx(-0.5 + 0.8660254j, abs=1e-6)
     assert float(np.max(np.abs(t.conj().T @ t - np.eye(9)))) < 1e-14
@@ -99,15 +101,15 @@ def test_translation_commutes_with_hamiltonian(mathieu_solution):
     # direct matrix-product oracle for the symmetry relation
     h, _ = mathieu_solution
     spec = bl.LatticeSpec(cells=3, cutoff=4)
-    t = bl.build_translation(spec)
+    t = np.diag(bl.build_translation(spec))
     assert float(np.max(np.abs(h.matrix @ t - t @ h.matrix))) < 1e-12
     assert float(np.max(np.abs(t.conj().T @ h.matrix @ t - h.matrix))) < 1e-12 * h.norm_max
 
 
 def test_momentum_commutes_with_translation_exactly():
     spec = bl.LatticeSpec(cells=3, cutoff=4)
-    p = bl.build_momentum(spec)
-    t = bl.build_translation(spec)
+    p = bl.Battery(bl.build_basis(spec), seeds=0, named=("momentum",)).member(0)
+    t = np.diag(bl.build_translation(spec))
     assert float(np.max(np.abs(p.matrix @ t - t @ p.matrix))) == 0.0
 
 
@@ -131,22 +133,11 @@ def test_potential_value_matches_cosine_sum():
 
 
 def test_hermitian_operator_rejects_non_hermitian():
-    bad = np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex)
+    # off the main diagonal the stored type cannot be non-Hermitian; a
+    # complex main diagonal can
+    bad = np.array([[0.0, 1.0], [1.0, 0.5j]])
     with pytest.raises(ValueError, match="Hermitian"):
-        bl.HermitianOperator(matrix=bad)
-
-
-def test_hermitian_operator_adopts_a_builders_array():
-    # an owning, C-contiguous, writable complex128 array is taken over as is
-    # and frozen in place
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 1], m[1, 0] = 2.0 - 1.0j, 2.0 + 1.0j
-    op = bl.HermitianOperator(matrix=m)
-    assert np.shares_memory(op.matrix, m)
-    assert not m.flags.writeable
-    with pytest.raises(ValueError):
-        m[0, 0] = 1.0
-    assert op.norm_max == abs(2.0 - 1.0j)
+        bl.HermitianOperator(2, dense_to_diagonals(bad))
 
 
 def _hermitian_base():
@@ -167,42 +158,59 @@ def _hermitian_base():
     ids=["view", "transposed_view", "fortran", "list"],
 )
 def test_hermitian_operator_copies_what_it_does_not_own(make):
+    # the diagonals handed over are read-only views into the source when it
+    # is an array; the operator keeps its own copies
     base = _hermitian_base()
     source = make(base)
-    op = bl.HermitianOperator(matrix=source)
+    op = bl.HermitianOperator(4, dense_to_diagonals(source))
     norm = op.norm_max
     before = op.matrix.copy()
-    assert op.matrix.flags.c_contiguous and op.matrix.dtype == np.complex128
-    assert base.flags.writeable
+    assert all(v.dtype == np.complex128 and v.flags.c_contiguous for v in op.diagonals.values())
     if isinstance(source, np.ndarray):
-        assert not np.shares_memory(op.matrix, source) and source.flags.writeable
+        assert not any(np.shares_memory(v, source) for v in op.diagonals.values())
+    assert base.flags.writeable
     base[:] = 7.0
     assert np.array_equal(op.matrix, before)
     assert op.norm_max == norm == 3.0
 
 
 def test_hermitian_operator_copies_a_real_array():
-    real = np.diag([1.0, -2.0, 0.5])
-    op = bl.HermitianOperator(matrix=real)
-    assert op.matrix.dtype == np.complex128
-    assert not np.shares_memory(op.matrix, real) and real.flags.writeable
-    real[1, 1] = 9.0
+    real = np.array([1.0, -2.0, 0.5])
+    op = bl.HermitianOperator(3, {0: real})
+    assert op.diagonals[0].dtype == np.complex128 and op.matrix.dtype == np.complex128
+    assert not np.shares_memory(op.diagonals[0], real) and real.flags.writeable
+    real[1] = 9.0
     assert op.matrix[1, 1] == -2.0 and op.norm_max == 2.0
 
 
 def test_rejected_matrix_is_left_writable():
-    bad = np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex)
+    main = np.array([0.0, 0.25j])
     with pytest.raises(ValueError, match="matrix is not Hermitian: defect 5.000e-01"):
-        bl.HermitianOperator(matrix=bad)
-    assert bad.flags.writeable
+        bl.HermitianOperator(2, {0: main, 1: 1.0})
+    assert main.flags.writeable and main[1] == 0.25j
 
 
 @pytest.mark.parametrize("dim", [1, 2, 63, 64, 65, 130, 495])
 def test_hermiticity_defect_is_the_direct_formula_bit_for_bit(dim):
+    # only the main diagonal can be non-Hermitian, so the constructor's
+    # defect max |d - conj(d)| on it is max |m - m^H| over the dense matrix
     rng = np.random.default_rng(dim)
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    for matrix in (m, m + m.conj().T, m + m.conj().T + 1e-13 * rng.normal(size=(dim, dim))):
-        assert hermiticity_defect(matrix) == float(np.max(np.abs(matrix - matrix.conj().T)))
+    for imag in (1.0, 1e-13, 0.0):
+        diagonals = {
+            o: rng.normal(size=dim - o) + 1j * rng.normal(size=dim - o) for o in {0, dim // 2}
+        }
+        main = diagonals[0] = diagonals[0].real + 1j * imag * rng.normal(size=dim)
+        dense = np.zeros((dim, dim), dtype=complex)
+        for offset, values in diagonals.items():
+            bl.lattice.add_offset_diagonal(dense, offset, values)
+        direct = float(np.max(np.abs(dense - dense.conj().T)))
+        assert float(np.max(np.abs(main - main.conj()))) == direct
+        scale = float(np.max(np.abs(dense)))
+        if imag == 1.0:
+            with pytest.raises(ValueError, match=re.escape(f"defect {direct:.3e} exceeds")):
+                bl.HermitianOperator(dim, diagonals)
+        else:
+            assert bl.HermitianOperator(dim, diagonals).norm_max == scale
 
 
 def test_operator_matrices_are_frozen(mathieu_solution):
@@ -244,7 +252,7 @@ def test_construction_invariants_hold_for_random_inputs(case):
     basis = bl.build_basis(spec)
     assert basis.dim % spec.cells == 0
     h = bl.build_hamiltonian(spec, pot)
-    t = bl.build_translation(spec)
+    t = np.diag(bl.build_translation(spec))
     assert float(np.max(np.abs(h.matrix - h.matrix.conj().T))) == 0.0
     assert float(np.max(np.abs(t.conj().T @ t - np.eye(basis.dim)))) < 1e-14
     scale = max(h.norm_max, 1.0)

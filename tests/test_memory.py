@@ -1,22 +1,28 @@
-"""Peak memory of the largest lattice runs.
+"""Peak memory of the largest lattice runs, and no dense operator on any run path.
 
-The battery is consumed as a stream: each member is built, measured and
-dropped before the next one is built.  At N = 15, d = 495 (the largest
-lattice of the benchmark sweeps) a run therefore holds a few d x d matrices
-at a time (Hamiltonian, translation, one member and the temporaries of its
-measurement), far fewer than the 25 members of the battery.
+Every lattice operator is held as its offset diagonals, O(d) values, and the
+battery is consumed as a stream: each member is built, measured and dropped
+before the next one is built.  At N = 15, d = 495 (the largest lattice of
+the benchmark sweeps) what is d x d in a run is the block of Bloch states,
+its Gram matrix in the solver checks, and the class-block stack of one
+member; no run forms an operator's dense matrix.
 """
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from blochlab.config import validate_config
+from blochlab.lattice import HermitianOperator
 from blochlab.runner import run_scenario
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 DIM = 495
 OPERATOR_BYTES = DIM * DIM * 16  # one dense complex128 d x d matrix, 3.74 MiB
-PEAK_OPERATORS = 10
+PEAK_OPERATORS = 5
 
 BASE = {
     "lattice": {"cells": 15, "cutoff": (DIM - 1) // 2},
@@ -24,6 +30,7 @@ BASE = {
     "battery": {"seeds": 20},
 }
 CONFIGS = {
+    "bands": {"lattice": BASE["lattice"], "potential": BASE["potential"]},
     "superselect": {**BASE, "negative_control": {"s": 1}, "fringe_points": 64},
     "wannier": {**BASE, "wannier": {"bands": [0, 1], "home_cells": [0, 1, 2]}},
 }
@@ -40,3 +47,21 @@ def test_largest_lattice_run_holds_few_operators(kind):
         tracemalloc.stop()
     assert report.passed, report.checks
     assert peak < PEAK_OPERATORS * OPERATOR_BYTES, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _refuse_dense(self):
+    raise AssertionError(f"dense matrix of {self.label!r} formed on a run path")
+
+
+@pytest.mark.parametrize(
+    "source", ["bands_free", "superselect_mathieu", "wannier_mathieu", *sorted(CONFIGS)]
+)
+def test_no_run_path_forms_a_dense_operator(source, monkeypatch, tmp_path):
+    if source in CONFIGS:
+        data = {"kind": source, **CONFIGS[source]}
+    else:
+        data = json.loads((CONFIG_DIR / f"{source}.json").read_text())
+        data["output"] = {key: str(tmp_path / Path(p).name) for key, p in data["output"].items()}
+    monkeypatch.setattr(HermitianOperator, "matrix", property(_refuse_dense))
+    report = run_scenario(validate_config(data))
+    assert report.passed, report.checks

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import blochlab as bl
 from blochlab.observables import ObservableSpec, ObservableTerm
 
+from oracles import dense_to_diagonals
+
 # frozen regression values for the documented LCG battery (computed once)
 SEED1_ENTRY_00 = -0.014689191527796948
 SEED1_ENTRY_30 = -0.1934387847366229 + 0.11129520784170528j
@@ -120,7 +122,8 @@ def test_ring_harmonic_fails_periodicity(translation_n3):
     for row in range(1, d):
         ring[row, row - 1] = 1.0
         ring[row - 1, row] = 1.0
-    report = bl.check_cell_periodicity(bl.HermitianOperator(matrix=ring), translation_n3)
+    op = bl.HermitianOperator(d, dense_to_diagonals(ring))
+    report = bl.check_cell_periodicity(op, translation_n3)
     assert not report.is_cell_periodic
     # conjugation scales the entries by exp(2 pi i/3), so the violation is
     # |exp(2 pi i/3) - 1| = sqrt(3)
@@ -129,15 +132,17 @@ def test_ring_harmonic_fails_periodicity(translation_n3):
 
 
 def test_identity_passes_periodicity(translation_n3):
-    report = bl.check_cell_periodicity(np.eye(9, dtype=complex), translation_n3)
+    identity = bl.HermitianOperator(9, dense_to_diagonals(np.eye(9)))
+    report = bl.check_cell_periodicity(identity, translation_n3)
     assert report.is_cell_periodic
     assert report.max_violation < 1e-15  # |phase|^2 rounding only
 
 
-def test_periodicity_check_rejects_non_diagonal_translation(translation_n3):
-    shifted = np.roll(np.array(translation_n3), 1, axis=1)  # a permutation, not diagonal
-    with pytest.raises(ValueError, match="diagonal"):
-        bl.check_cell_periodicity(np.eye(9, dtype=complex), shifted)
+def test_periodicity_check_rejects_translation_of_wrong_shape(translation_n3):
+    identity = bl.HermitianOperator(9, {0: 1.0})
+    for wrong in (np.diag(translation_n3), translation_n3[:-1], translation_n3[None]):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            bl.check_cell_periodicity(identity, wrong)
 
 
 def test_random_battery_is_deterministic(basis_n3):
@@ -255,8 +260,10 @@ def test_algebra_closure_under_sum_and_symmetrized_product(seed_a, seed_b):
     t = bl.build_translation(spec)
     a = bl.random_cell_periodic(seed_a, basis)
     b = bl.random_cell_periodic(seed_b, basis)
-    total = bl.HermitianOperator(matrix=a.matrix + b.matrix)
-    sym = bl.HermitianOperator(matrix=0.5 * (a.matrix @ b.matrix + b.matrix @ a.matrix))
+    total = bl.HermitianOperator(9, dense_to_diagonals(a.matrix + b.matrix))
+    sym = bl.HermitianOperator(
+        9, dense_to_diagonals(0.5 * (a.matrix @ b.matrix + b.matrix @ a.matrix))
+    )
     assert bl.check_cell_periodicity(total, t).is_cell_periodic
     assert bl.check_cell_periodicity(sym, t).is_cell_periodic
 
