@@ -6,8 +6,6 @@ __version__ = "0.1.0"
 from .bloch import (
     BandStructure,
     BlochState,
-    CellPeriodicState,
-    cell_periodic_part,
     ring_phase_samples,
     solve_bands,
     wannier_state,
@@ -19,7 +17,6 @@ from .floquet import (
     DriveTerm,
     FloquetSolution,
     PeriodicObservableSpec,
-    floquet_expansion,
     fold_quasienergy,
     mode_trajectory,
     monodromy_polynomial,
@@ -49,16 +46,13 @@ from .observables import (
     check_cell_periodicity,
     named_observables,
     random_cell_periodic,
-    standard_battery,
 )
 from .superselection import (
     FringeScan,
-    MixtureDiagnostic,
     OverlapRecord,
     SectorDecompositionReport,
     fringe_scan,
     matrix_element,
-    mixture_diagnostic,
     sector_decomposition_report,
     wannier_mixture_residual,
 )
@@ -69,23 +63,22 @@ __all__ = [
     "LatticeSpec", "PotentialSpec", "PlaneWaveBasis", "HermitianOperator",
     "build_basis", "build_hamiltonian", "build_translation",
     # bloch
-    "BlochState", "CellPeriodicState", "BandStructure",
-    "solve_bands", "cell_periodic_part", "winding_number", "ring_phase_samples",
-    "wannier_state",
+    "BlochState", "BandStructure",
+    "solve_bands", "winding_number", "ring_phase_samples", "wannier_state",
     # observables
     "Battery", "ObservableSpec", "ObservableTerm", "PeriodicityReport",
     "build_observable", "check_cell_periodicity", "random_cell_periodic",
-    "breaking_observable", "named_observables", "standard_battery",
+    "breaking_observable", "named_observables",
     # superselection
-    "OverlapRecord", "FringeScan", "MixtureDiagnostic", "SectorDecompositionReport",
-    "matrix_element", "fringe_scan", "mixture_diagnostic",
-    "sector_decomposition_report", "wannier_mixture_residual",
+    "OverlapRecord", "FringeScan", "SectorDecompositionReport",
+    "matrix_element", "fringe_scan", "sector_decomposition_report",
+    "wannier_mixture_residual",
     # floquet
     "DriveSpec", "DriveTerm", "PeriodicObservableSpec", "FloquetSolution",
     "propagate_period", "quasienergies", "quasienergy_distance", "fold_quasienergy",
     "solve_floquet",
     "sambe_quasienergies", "mode_trajectory", "temporal_overlap_probe",
-    "floquet_expansion", "monodromy_polynomial",
+    "monodromy_polynomial",
     # errors
     "ConfigError", "NumericalFailure", "InvariantViolation",
 ]

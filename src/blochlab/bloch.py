@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, NumericalFailure
-from .lattice import HermitianOperator, LatticeSpec, PlaneWaveBasis, build_basis
+from .lattice import HermitianOperator, LatticeSpec, PlaneWaveBasis, build_basis, class_shift
 
 DEGENERACY_ATOL = 1e-10
 SUPPORT_ATOL = 1e-12
@@ -49,29 +49,6 @@ class BlochState:
         coeffs = np.array(self.coeffs, dtype=complex)  # own copy; frozen
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
-
-
-@dataclass(frozen=True)
-class CellPeriodicState:
-    """The cell-periodic factor u of a Bloch state.
-
-    Coefficients live on reciprocal-lattice momenta G_j = 2*pi*j/a; the
-    original state is exp(i k x) u(x), which at the coefficient level is the
-    index shift m = sector + j*N.
-    """
-
-    band: int
-    sector: int
-    wavevector: float
-    energy: float
-    g_indices: np.ndarray
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        for name, dtype in (("g_indices", int), ("coeffs", complex)):
-            arr = np.array(getattr(self, name), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -207,42 +184,14 @@ def solve_bands(h: HermitianOperator, spec: LatticeSpec) -> BandStructure:
 
 
 def _require_block_structure(h: HermitianOperator, basis: PlaneWaveBasis) -> None:
-    # an entry couples two classes exactly when its offset is not a multiple of N
-    off_class = [float(np.max(np.abs(v))) for o, v in h.diagonals.items() if o % basis.cells]
+    off_class = [
+        float(np.max(np.abs(v))) for o, v in h.diagonals.items() if class_shift(o, basis.cells)
+    ]
     leakage = max(off_class, default=0.0)
     if leakage > SUPPORT_ATOL * max(h.norm_max, 1.0):
         raise InvariantViolation(
             f"operator couples different wavevector classes (leakage {leakage:.3e})"
         )
-
-
-def cell_periodic_part(state: BlochState, basis: PlaneWaveBasis) -> CellPeriodicState:
-    """Strip the exp(i k x) factor off a Bloch state.
-
-    Pure reindexing m -> j = (m - sector)/N onto reciprocal-lattice harmonics,
-    so the norm is preserved exactly.  Raises ValueError if the state carries
-    weight outside its declared class.
-    """
-    n_cells = basis.cells
-    rows = basis.class_rows(state.sector)
-    mask = np.ones(basis.dim, dtype=bool)
-    mask[rows] = False
-    stray = float(np.max(np.abs(state.coeffs[mask]))) if mask.any() else 0.0
-    if stray > SUPPORT_ATOL:
-        raise ValueError(
-            f"state support inconsistent with class {state.sector}: "
-            f"off-class weight {stray:.3e}"
-        )
-    members = basis.indices[rows]
-    g_indices = (members - state.sector) // n_cells
-    return CellPeriodicState(
-        band=state.band,
-        sector=state.sector,
-        wavevector=state.wavevector,
-        energy=state.energy,
-        g_indices=g_indices.astype(int),
-        coeffs=state.coeffs[rows].copy(),
-    )
 
 
 def winding_number(samples: np.ndarray) -> int:

@@ -19,8 +19,14 @@ import numpy as np
 
 from .errors import ConfigError
 from .floquet import MIN_STEPS, DriveSpec, DriveTerm, PeriodicObservableSpec
-from .lattice import LatticeSpec, PotentialSpec
-from .observables import MAX_POLY_DEGREE, NAMED_OBSERVABLES, ObservableSpec, ObservableTerm
+from .lattice import LatticeSpec, PotentialSpec, build_basis
+from .observables import (
+    MAX_POLY_DEGREE,
+    NAMED_OBSERVABLES,
+    Battery,
+    ObservableSpec,
+    ObservableTerm,
+)
 
 KINDS = ("bands", "superselect", "wannier", "floquet")
 
@@ -52,15 +58,6 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 
 
 @dataclass(frozen=True)
-class BatteryConfig:
-    seeds: int = 20
-    named: tuple[str, ...] = NAMED_OBSERVABLES
-    max_harmonic: int = 1
-    degree: int = 2
-    custom: tuple["ObservableSpec", ...] = ()
-
-
-@dataclass(frozen=True)
 class WannierConfig:
     bands: tuple[int, ...] = (0, 1)
     home_cells: tuple[int, ...] = (0, 1)
@@ -88,7 +85,7 @@ class ScenarioConfig:
     kind: str
     lattice: LatticeSpec | None = None
     potential: PotentialSpec = field(default_factory=PotentialSpec)
-    battery: BatteryConfig = field(default_factory=BatteryConfig)
+    battery: Battery | None = None  # superselect and wannier only
     wannier: WannierConfig = field(default_factory=WannierConfig)
     floquet: FloquetConfig | None = None
     negative_control_shift: int | None = None
@@ -280,32 +277,50 @@ def observable_spec_from_json(data, pointer: str = "") -> ObservableSpec:
     return ObservableSpec(terms=tuple(terms), symmetrize=symmetrize)
 
 
-def _parse_battery(obj, pointer: str) -> BatteryConfig:
+def _parse_battery(obj, pointer: str, lattice: LatticeSpec) -> Battery:
+    """The battery section as a Battery on the lattice's basis.
+
+    Only the keys the section sets are passed, so every default is Battery's.
+    An empty battery, and a ``max_harmonic`` whose offset j*N reaches past
+    the cutoff, are config errors.
+    """
     obj = _expect_mapping(obj, pointer)
     _check_keys(obj, {"seeds", "named", "max_harmonic", "degree", "custom"}, pointer)
-    named = obj.get("named", list(NAMED_OBSERVABLES))
-    if not isinstance(named, list) or not all(isinstance(n, str) for n in named):
-        raise ConfigError("expected an array of observable names", f"{pointer}/named")
-    for i, name in enumerate(named):
-        if name not in NAMED_OBSERVABLES:
-            raise ConfigError(
-                f"unknown named observable {name!r}; choices {list(NAMED_OBSERVABLES)}",
-                f"{pointer}/named/{i}",
-            )
-    custom_raw = obj.get("custom", [])
-    if not isinstance(custom_raw, list):
-        raise ConfigError("expected an array of observable specs", f"{pointer}/custom")
-    custom = tuple(
-        observable_spec_from_json(item, f"{pointer}/custom/{i}")
-        for i, item in enumerate(custom_raw)
-    )
-    return BatteryConfig(
-        seeds=_get_int(obj, "seeds", pointer, default=20, minimum=0, maximum=MAX_BATTERY_SEEDS),
-        named=tuple(named),
-        max_harmonic=_get_int(obj, "max_harmonic", pointer, default=1, minimum=0),
-        degree=_get_int(obj, "degree", pointer, default=2, minimum=0, maximum=MAX_POLY_DEGREE),
-        custom=custom,
-    )
+    settings = {}
+    if "named" in obj:
+        named = obj["named"]
+        if not isinstance(named, list) or not all(isinstance(n, str) for n in named):
+            raise ConfigError("expected an array of observable names", f"{pointer}/named")
+        for i, name in enumerate(named):
+            if name not in NAMED_OBSERVABLES:
+                raise ConfigError(
+                    f"unknown named observable {name!r}; choices {list(NAMED_OBSERVABLES)}",
+                    f"{pointer}/named/{i}",
+                )
+        settings["named"] = tuple(named)
+    if "custom" in obj:
+        if not isinstance(obj["custom"], list):
+            raise ConfigError("expected an array of observable specs", f"{pointer}/custom")
+        settings["custom"] = tuple(
+            observable_spec_from_json(item, f"{pointer}/custom/{i}")
+            for i, item in enumerate(obj["custom"])
+        )
+    for key, maximum in (
+        ("seeds", MAX_BATTERY_SEEDS), ("max_harmonic", None), ("degree", MAX_POLY_DEGREE)
+    ):
+        if key in obj:
+            settings[key] = _get_int(obj, key, pointer, minimum=0, maximum=maximum)
+    try:
+        battery = Battery(build_basis(lattice), **settings)
+    except ValueError as exc:
+        raise ConfigError(str(exc), pointer) from exc
+    if battery.max_harmonic * lattice.cells > lattice.cutoff:
+        raise ConfigError(
+            f"max_harmonic {battery.max_harmonic} unreachable for this lattice "
+            f"(need j*cells <= cutoff)",
+            f"{pointer}/max_harmonic",
+        )
+    return battery
 
 
 def _parse_wannier(obj, pointer: str) -> WannierConfig:
@@ -482,7 +497,9 @@ def validate_config(data: dict) -> ScenarioConfig:
         lattice = _parse_lattice(data["lattice"], "/lattice")
 
     potential = _parse_potential(data.get("potential", {}), "/potential")
-    battery = _parse_battery(data.get("battery", {}), "/battery")
+    battery = None
+    if "battery" in allowed:  # bands and floquet build no battery
+        battery = _parse_battery(data.get("battery", {}), "/battery", lattice)
     wannier = _parse_wannier(data.get("wannier", {}), "/wannier")
 
     floquet_cfg = None
@@ -510,14 +527,6 @@ def validate_config(data: dict) -> ScenarioConfig:
     fringe_points = _get_int(
         data, "fringe_points", "", default=64, minimum=8, maximum=MAX_GRID_POINTS
     )
-
-    if battery.max_harmonic and "battery" in allowed:  # bands builds no battery
-        if battery.max_harmonic * lattice.cells > lattice.cutoff:
-            raise ConfigError(
-                f"max_harmonic {battery.max_harmonic} unreachable for this lattice "
-                f"(need j*cells <= cutoff)",
-                "/battery/max_harmonic",
-            )
 
     if kind == "wannier":
         for key, limit in (("bands", lattice.dim // lattice.cells), ("home_cells", lattice.cells)):

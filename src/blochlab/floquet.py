@@ -234,8 +234,8 @@ def _ordered_product(spec: DriveSpec, steps: int, marks, factors) -> np.ndarray:
     identity.  ``factors(spec, s, dt)`` builds the step matrices for a chunk
     of _FACTOR_CHUNK step indices s at a time, which bounds the memory at the
     step cap.  Raises ValueError below MIN_STEPS, and NumericalFailure when
-    U(T, 0) drifts off the unitary group by more than 1e-6 (advice: increase
-    ``steps``).
+    U(T, 0) drifts off the unitary group by more than 1e-6 or is not finite
+    (advice: increase ``steps``).
     """
     if steps < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} steps, got {steps}")
@@ -245,17 +245,18 @@ def _ordered_product(spec: DriveSpec, steps: int, marks, factors) -> np.ndarray:
     u = np.eye(spec.dim, dtype=complex)
     taken = int(np.searchsorted(marks, 0, side="right"))  # marks[:taken] are recorded
     snapshots[:taken] = u
-    for start in range(0, steps, _FACTOR_CHUNK):
-        s = np.arange(start, min(start + _FACTOR_CHUNK, steps))
-        ends = np.searchsorted(marks, s + 1, side="right").tolist()
-        for factor, end in zip(factors(spec, s, dt), ends):
-            u = factor @ u  # U((s + 1) dt, 0)
-            if end > taken:
-                snapshots[taken:end] = u
-                taken = end
-        del factor  # a view that keeps this chunk's stack alive while the next is built
-    drift = _unitarity_defect(u)
-    if drift > UNITARITY_LIMIT:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in NaN, caught below
+        for start in range(0, steps, _FACTOR_CHUNK):
+            s = np.arange(start, min(start + _FACTOR_CHUNK, steps))
+            ends = np.searchsorted(marks, s + 1, side="right").tolist()
+            for factor, end in zip(factors(spec, s, dt), ends):
+                u = factor @ u  # U((s + 1) dt, 0)
+                if end > taken:
+                    snapshots[taken:end] = u
+                    taken = end
+            del factor  # a view that keeps this chunk's stack alive while the next is built
+        drift = _unitarity_defect(u)
+    if not drift <= UNITARITY_LIMIT:  # NaN compares False, so a NaN product fails too
         raise NumericalFailure(
             f"monodromy unitarity drift {drift:.3e} exceeds {UNITARITY_LIMIT:.0e}; "
             "increase steps"
@@ -499,13 +500,6 @@ def mode_trajectory(solution: FloquetSolution, n_t: int = 257) -> FloquetSolutio
         periodic_parts=periodic_parts,
         periodicity_residuals=residuals,
     )
-
-
-def floquet_expansion(state: np.ndarray, solution: FloquetSolution) -> np.ndarray:
-    """Coefficients of a state in the Floquet-mode basis at t = 0."""
-    if solution.modes is None:
-        raise ValueError("solution has no modes; call solve_floquet or quasienergies")
-    return solution.modes.conj().T @ np.asarray(state, dtype=complex)
 
 
 def monodromy_polynomial(

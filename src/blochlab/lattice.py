@@ -124,9 +124,6 @@ class PlaneWaveBasis:
         """Row positions of all plane waves in wavevector class ``sector``."""
         return np.nonzero(self.indices % self.spec.cells == sector % self.spec.cells)[0]
 
-    def class_members(self, sector: int) -> list[int]:
-        return [int(self.indices[r]) for r in self.class_rows(sector)]
-
     def wavevector(self, sector: int) -> float:
         """k_l = 2*pi*l / (N*a) for class label l."""
         return 2.0 * np.pi * sector / self.spec.circumference
@@ -145,6 +142,17 @@ def fold_harmonics(harmonics) -> tuple[tuple[int, complex], ...]:
             j, c = -j, np.conj(c)
         folded[j] = folded.get(j, 0j) + c
     return tuple(sorted(folded.items()))
+
+
+def class_shift(offset: int, cells: int) -> int:
+    """The class step (mod N) of the entries (m + offset, m) of an operator.
+
+    Plane wave m lies in class m mod N, so those entries couple class l to
+    class l + offset, and their conjugate mirror class l to l - offset: a
+    block O[rows_j, rows_l] can hold diagonal ``offset`` only when j - l is
+    +-``class_shift(offset, N)`` mod N.  A shift of 0 keeps every class.
+    """
+    return offset % cells
 
 
 def add_offset_diagonal(matrix: np.ndarray, offset: int, values) -> None:

@@ -23,7 +23,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import InvariantViolation
 from .lattice import HermitianOperator, PlaneWaveBasis, fold_harmonics
 
 MAX_POLY_DEGREE = 6  # numerical-range guard on momentum polynomials
@@ -122,7 +121,7 @@ def _observable_diagonals(spec: ObservableSpec, basis: PlaneWaveBasis) -> dict:
     offset are added in order.  A term without function part is p itself.
     Unsymmetrized, F*P must already be Hermitian (constant F or P): when its
     entry at (m, m + k), conj(c)*p[m + k], is off the conjugate of (m + k, m)
-    by more than 1e-12 of the term's largest entry, InvariantViolation is raised.
+    by more than 1e-12 of the term's largest entry, ValueError is raised.
     """
     d = basis.dim
     diagonals: dict = {}
@@ -148,7 +147,7 @@ def _observable_diagonals(spec: ObservableSpec, basis: PlaneWaveBasis) -> dict:
                 scale = max(scale, float(np.max(np.abs(values))), float(np.max(np.abs(mirror))))
             diagonals[k] = diagonals.get(k, 0.0) + values
         if defect > 1e-12 * scale:
-            raise InvariantViolation("unsymmetrized F*P term is not Hermitian; enable symmetrize")
+            raise ValueError("unsymmetrized F*P term is not Hermitian; enable symmetrize")
     return diagonals
 
 
@@ -258,7 +257,8 @@ class Battery:
     taking the next holds one member, not the whole battery.  An empty
     battery raises ValueError.  Leakage is measured relative to each member's
     max-entry norm, so ``member`` raises ValueError naming a member that is
-    zero on this basis (say a harmonic whose offset j*N reaches past it).
+    zero on this basis (say a harmonic whose offset j*N reaches past it); a
+    custom member that is not Hermitian raises ValueError too.
     """
 
     basis: PlaneWaveBasis
@@ -304,10 +304,3 @@ class Battery:
     def __iter__(self) -> Iterator[HermitianOperator]:
         return (self.member(i) for i in range(len(self)))
 
-
-def standard_battery(
-    basis: PlaneWaveBasis, seeds: int = 20, max_harmonic: int = 1, degree: int = 2,
-    named: tuple[str, ...] = NAMED_OBSERVABLES, custom: tuple[ObservableSpec, ...] = (),
-) -> list[HermitianOperator]:
-    """Every member of ``Battery(...)``, built at once; its errors are Battery's."""
-    return list(Battery(basis, seeds, max_harmonic, degree, named, custom))

@@ -91,18 +91,6 @@ def _solve_lattice(cfg: ScenarioConfig):
     return spec, basis, h, t, solve_bands(h, spec)
 
 
-def _configured_battery(cfg: ScenarioConfig, basis) -> Battery:
-    """The config's battery section as a Battery; its rejections are config errors."""
-    b = cfg.battery
-    try:
-        return Battery(
-            basis, seeds=b.seeds, max_harmonic=b.max_harmonic, degree=b.degree,
-            named=b.named, custom=b.custom,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), "/battery") from exc
-
-
 def _stream(battery: Battery) -> Iterator[HermitianOperator]:
     """The members one at a time; a member the basis rejects is a config error.
 
@@ -206,7 +194,7 @@ def _scan_fields(scan) -> dict:
 
 def _run_superselect(cfg: ScenarioConfig):
     spec, basis, h, t, bands = _solve_lattice(cfg)
-    battery = _configured_battery(cfg, basis)
+    battery = cfg.battery
 
     sector_report = sector_decomposition_report(bands, _stream(battery))
     max_leak = sector_report.max_offdiagonal
@@ -276,7 +264,6 @@ def _run_superselect(cfg: ScenarioConfig):
 
 def _run_wannier(cfg: ScenarioConfig):
     spec, basis, h, t, bands = _solve_lattice(cfg)
-    battery = _configured_battery(cfg, basis)
 
     norm_dev = 0.0
     covariance = 0.0
@@ -291,7 +278,7 @@ def _run_wannier(cfg: ScenarioConfig):
     wanniers = np.array(wanniers)
     band_coeffs = bands.coeffs[:, list(cfg.wannier.bands)].transpose(1, 0, 2)  # (band, class, d)
     per_band_mixture = np.zeros(len(cfg.wannier.bands))
-    for op in _stream(battery):
+    for op in _stream(cfg.battery):
         residual = wannier_mixture_residual(wanniers, band_coeffs, op)
         np.maximum(per_band_mixture, residual, out=per_band_mixture)
     mixture = float(np.max(per_band_mixture))

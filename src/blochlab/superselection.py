@@ -18,9 +18,8 @@ from typing import Iterable
 import numpy as np
 
 from .bloch import BandStructure, BlochState
-from .lattice import HermitianOperator
+from .lattice import HermitianOperator, class_shift
 
-ORTHOGONALITY_ATOL = 1e-10
 DEGENERATE_NORM_ATOL = 1e-12
 
 
@@ -59,27 +58,6 @@ class FringeScan:
     @property
     def amplitude(self) -> float:
         return float(np.max(self.averages) - np.min(self.averages))
-
-
-@dataclass(frozen=True)
-class MixtureDiagnostic:
-    """Superposition-vs-mixture density matrices and their separability.
-
-    ``distinguishability`` is max over the battery of
-    |Tr((rho_sup - rho_mix) O)| / ||O||_max; zero means no valid measurement
-    tells the equal-weight superposition from the classical mixture.
-    """
-
-    rho_superposition: np.ndarray
-    rho_mixture: np.ndarray
-    distinguishability: float
-    per_observable: tuple[tuple[str, float], ...]
-
-    def __post_init__(self):
-        for name in ("rho_superposition", "rho_mixture"):
-            arr = np.array(getattr(self, name), dtype=complex)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -159,37 +137,6 @@ def fringe_scan(
     return FringeScan(phases=phases, averages=averages, observable=operator.label)
 
 
-def mixture_diagnostic(
-    a: BlochState, b: BlochState, battery: list[HermitianOperator]
-) -> MixtureDiagnostic:
-    """Compare |a>+|b> (equal weights) against the 50/50 classical mixture.
-
-    Requires orthogonal unit-norm inputs so the mixture weights are exactly
-    one half and the superposition normalizes to <Phi|Phi> = 2.
-    """
-    overlap = abs(complex(a.coeffs.conj() @ b.coeffs))
-    if overlap > ORTHOGONALITY_ATOL:
-        raise ValueError(f"states are not orthogonal: |<a|b>| = {overlap:.3e}")
-    combined = a.coeffs + b.coeffs
-    norm_sq = float(np.real(combined.conj() @ combined))
-    rho_sup = np.outer(combined, combined.conj()) / norm_sq
-    rho_mix = 0.5 * (
-        np.outer(a.coeffs, a.coeffs.conj()) + np.outer(b.coeffs, b.coeffs.conj())
-    )
-    delta = rho_sup - rho_mix
-    per_obs = []
-    for op in battery:
-        value = abs(complex(np.trace(delta @ op.matrix))) / op.norm_max
-        per_obs.append((op.label, float(value)))
-    best = max((v for _, v in per_obs), default=0.0)
-    return MixtureDiagnostic(
-        rho_superposition=rho_sup,
-        rho_mixture=rho_mix,
-        distinguishability=best,
-        per_observable=tuple(per_obs),
-    )
-
-
 def sector_decomposition_report(
     bands: BandStructure, battery: Iterable[HermitianOperator]
 ) -> SectorDecompositionReport:
@@ -197,9 +144,11 @@ def sector_decomposition_report(
 
     With C_l the class-l states restricted to their d/N rows (``bands.rows``),
     <psi_{m k_j}|O|psi_{n k_l}> is entry (m, n) of C_j^* O[rows_j, rows_l] C_l^T.
-    Per battery member all blocks j <= l (``HermitianOperator.class_blocks``),
-    zero or not, are multiplied in one stacked product: ~2 d^3 / N flops
-    instead of 2 d^3 on full-length states.
+    Per battery member, the blocks (``HermitianOperator.class_blocks``) it can
+    fill are multiplied in one stacked product: the N diagonal blocks, and the
+    blocks j < l with j - l = +-``class_shift(o, N)`` mod N for a stored offset
+    o.  Every other block is an exact zero and is skipped, so a cell-periodic
+    member costs N blocks of (d/N)^3 products instead of N(N+1)/2.
     Leakage entry [j, l] (bras from the lower class, mirrored) is maximized
     over both band axes and equals a pairwise class loop bit for bit; the
     diagonal blocks give ``within_sector`` at bands (0, 1).  ``battery`` is
@@ -209,22 +158,29 @@ def sector_decomposition_report(
     n_sectors, n_bands, _ = bands.coeffs.shape
     rows = bands.rows
     compact = np.take_along_axis(bands.coeffs, rows[:, None, :], axis=2)  # (class, band, row)
-    bra_class, ket_class = np.triu_indices(n_sectors)
-    bras = compact[bra_class].conj()
-    kets = compact[ket_class].transpose(0, 2, 1)
-    cross = bra_class < ket_class
-    worst = np.zeros(int(np.count_nonzero(cross)))
+    sectors = np.arange(n_sectors)
+    bra_class, ket_class = np.triu_indices(n_sectors, k=1)  # the cross blocks j < l
+    step = (ket_class - bra_class) % n_sectors
+    worst = np.zeros(len(bra_class))
     labels, within = [], []
     for op in battery:
-        # (block, bra band, ket band) for every class block j <= l
-        elements = np.abs(bras @ op.class_blocks(rows, bra_class, ket_class) @ kets)
-        np.maximum(worst, elements[cross].max(axis=(1, 2)) / op.norm_max, out=worst)
+        reach = [class_shift(s, n_sectors) for o in op.diagonals for s in (o, -o)]
+        filled = np.flatnonzero(np.isin(step, reach))
+        bra = np.concatenate((sectors, bra_class[filled]))
+        ket = np.concatenate((sectors, ket_class[filled]))
+        # (block, bra band, ket band): the diagonal blocks, then the filled cross blocks
+        elements = np.abs(
+            compact[bra].conj() @ op.class_blocks(rows, bra, ket)
+            @ compact[ket].transpose(0, 2, 1)
+        )
+        cross = elements[n_sectors:].max(axis=(1, 2)) / op.norm_max
+        worst[filled] = np.maximum(worst[filled], cross)
         labels.append(op.label)
         if n_bands >= 2:
-            within.append(elements[~cross, 0, 1])
+            within.append(elements[:n_sectors, 0, 1])
     leakage = np.full((n_sectors, n_sectors), np.nan)
-    leakage[bra_class[cross], ket_class[cross]] = worst
-    leakage[ket_class[cross], bra_class[cross]] = worst
+    leakage[bra_class, ket_class] = worst
+    leakage[ket_class, bra_class] = worst
     within_sector = (
         np.reshape(within, (len(labels), n_sectors)).T if n_bands >= 2 else None
     )

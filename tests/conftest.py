@@ -34,7 +34,7 @@ def free_solution(lattice_n3):
 
 @pytest.fixture(scope="session")
 def battery_n3(basis_n3):
-    return bl.standard_battery(basis_n3, seeds=20)
+    return list(bl.Battery(basis_n3, seeds=20))
 
 
 def every_state(bands):

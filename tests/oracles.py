@@ -7,6 +7,8 @@ periodic fourth-order finite-difference Laplacian and diagonalizes that.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg
 
@@ -198,6 +200,44 @@ def state_mixture_residual(wannier: np.ndarray, band_states, operator) -> float:
         )
     )
     return abs(w_avg - band_avg)
+
+
+@dataclass(frozen=True)
+class MixtureDiagnostic:
+    """Superposition-vs-mixture density matrices and their separability.
+
+    ``distinguishability`` is max over the battery of
+    |Tr((rho_sup - rho_mix) O)| / ||O||_max; zero means no valid measurement
+    tells the equal-weight superposition from the classical mixture.
+    """
+
+    rho_superposition: np.ndarray
+    rho_mixture: np.ndarray
+    distinguishability: float
+    per_observable: tuple[tuple[str, float], ...]
+
+
+def mixture_diagnostic(a, b, battery) -> MixtureDiagnostic:
+    """Compare |a>+|b> (equal weights) against the 50/50 classical mixture, densely.
+
+    Requires orthogonal unit-norm BlochStates, so the mixture weights are
+    exactly one half and the superposition normalizes to <Phi|Phi> = 2.  For
+    such a, b the difference under O is Re<a|O|b>, which the leakage table
+    bounds.
+    """
+    overlap = abs(complex(a.coeffs.conj() @ b.coeffs))
+    if overlap > 1e-10:
+        raise ValueError(f"states are not orthogonal: |<a|b>| = {overlap:.3e}")
+    combined = a.coeffs + b.coeffs
+    norm_sq = float(np.real(combined.conj() @ combined))
+    rho_sup = np.outer(combined, combined.conj()) / norm_sq
+    rho_mix = 0.5 * (np.outer(a.coeffs, a.coeffs.conj()) + np.outer(b.coeffs, b.coeffs.conj()))
+    delta = rho_sup - rho_mix
+    per_obs = tuple(
+        (op.label, abs(complex(np.trace(delta @ op.matrix))) / op.norm_max) for op in battery
+    )
+    best = max((v for _, v in per_obs), default=0.0)
+    return MixtureDiagnostic(rho_sup, rho_mix, best, per_obs)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ def build_config(cells, cutoff, potential):
     basis = bl.build_basis(spec)
     h = bl.build_hamiltonian(spec, potential)
     bands = bl.solve_bands(h, spec)
-    battery = bl.standard_battery(basis, seeds=20)
+    battery = list(bl.Battery(basis, seeds=20))
     return spec, basis, h, bands, battery
 
 

@@ -104,46 +104,6 @@ def test_solver_rejects_class_coupling_operator(lattice_n3, basis_n3):
         bl.solve_bands(broken, lattice_n3)
 
 
-# --- cell-periodic parts ---------------------------------------------------
-
-
-def test_cell_periodic_reindexing(free_solution, basis_n3):
-    _, bands = free_solution
-    # band 0 of class 1 is the single plane wave m=1 -> constant u (j=0)
-    u = bl.cell_periodic_part(bands.state(1, 0), basis_n3)
-    weights = dict(zip(u.g_indices.tolist(), np.abs(u.coeffs).tolist()))
-    assert weights[0] == pytest.approx(1.0, abs=1e-12)
-    # band 2 of class 1 is m=4 -> j = (4-1)/3 = 1
-    u2 = bl.cell_periodic_part(bands.state(1, 2), basis_n3)
-    weights2 = dict(zip(u2.g_indices.tolist(), np.abs(u2.coeffs).tolist()))
-    assert weights2[1] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cell_periodic_part_preserves_norm(mathieu_solution, basis_n3):
-    _, bands = mathieu_solution
-    for s in every_state(bands):
-        u = bl.cell_periodic_part(s, basis_n3)
-        assert np.linalg.norm(u.coeffs) == pytest.approx(np.linalg.norm(s.coeffs), abs=1e-15)
-        # coefficient-level reconstruction of psi from u: exact index shift
-        rebuilt = np.zeros_like(s.coeffs)
-        for j, c in zip(u.g_indices, u.coeffs):
-            rebuilt[basis_n3.row_of(int(j) * 3 + s.sector)] = c
-        assert np.array_equal(rebuilt, s.coeffs)
-
-
-def test_cell_periodic_part_rejects_stray_support(free_solution, basis_n3):
-    _, bands = free_solution
-    bad = bands.state(1, 0)
-    coeffs = bad.coeffs.copy()
-    coeffs[basis_n3.row_of(0)] = 1e-6  # class-0 weight on a class-1 state
-    tampered = bl.BlochState(
-        band=bad.band, sector=bad.sector, wavevector=bad.wavevector,
-        energy=bad.energy, coeffs=coeffs,
-    )
-    with pytest.raises(ValueError, match="support"):
-        bl.cell_periodic_part(tampered, basis_n3)
-
-
 # --- winding numbers --------------------------------------------------------
 
 

@@ -184,6 +184,18 @@ def test_shipped_drive_exits_0_when_its_grids_do_not_divide_the_steps(tmp_path, 
     assert json.loads(report_path.read_text())["results"]["mode_periodicity_residual"] < 1e-12
 
 
+def test_overflowed_rk4_monodromy_exits_2(tmp_path, capsys):
+    # omega 1e-3 over 64 steps: each RK4 step spans ~98 time units, the
+    # product overflows to a NaN monodromy, and a NaN drift must not pass
+    report = tmp_path / "rep.json"
+    cfg = write_json(tmp_path / "drive.json", shipped_drive(omega=1e-3, steps=64))
+    code = main(["floquet", "--config", cfg, "--report", str(report)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "unitarity drift" in err and "Traceback" not in err
+    assert not report.exists()
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     steps=st.integers(64, 8192), points=st.integers(2, 600), grid=st.integers(8, 600)
@@ -410,6 +422,10 @@ def lattice_config(kind="superselect", **sections):
     return {"kind": kind, "lattice": {"cells": 3, "cutoff": 4}, "battery": {"seeds": 2}, **sections}
 
 
+NON_HERMITIAN_CUSTOM = {
+    "terms": [{"f": [{"j": 1, "re": 0.5}], "p_poly": [0, 1]}], "symmetrize": False,
+}
+
 REJECTED = {
     "tolerance_infinity": (
         lattice_config(tolerances={"structural_zero": INF}), [], "/tolerances/structural_zero",
@@ -500,6 +516,15 @@ REJECTED = {
     ),
     "battery_custom_empty_term": (
         lattice_config(battery={"seeds": 2, "custom": [{"terms": [{"f": [{"j": 0}]}]}]}),
+        [],
+        "/battery",
+    ),
+    # F*P with F = cos and P = p is not Hermitian unless symmetrized
+    "battery_custom_non_hermitian": (
+        lattice_config(battery={"seeds": 2, "custom": [NON_HERMITIAN_CUSTOM]}), [], "/battery",
+    ),
+    "battery_custom_non_hermitian_wannier": (
+        lattice_config("wannier", battery={"seeds": 2, "custom": [NON_HERMITIAN_CUSTOM]}),
         [],
         "/battery",
     ),

@@ -145,7 +145,7 @@ def test_build_observable_matches_row_loop_on_drawn_specs(lattice, data):
 
 def test_named_battery_matches_row_loop():
     basis = bl.build_basis(LATTICES["odd_n5_a2"])
-    battery = bl.standard_battery(basis, seeds=5)
+    battery = list(bl.Battery(basis, seeds=5))
     named = [op for op in battery if not op.label.startswith("seed:")]
     assert [op.label for op in named] == list(bl.observables.NAMED_OBSERVABLES)
     for op, spec in zip(named, bl.observables._NAMED_SPECS.values()):

@@ -18,9 +18,9 @@ def test_basis_n3_m4_layout():
     basis = bl.build_basis(spec)
     assert basis.dim == 9
     assert basis.momenta[basis.row_of(1)] == pytest.approx(2.0 * np.pi / 3.0)
-    assert basis.class_members(0) == [-3, 0, 3]
-    assert basis.class_members(1) == [-2, 1, 4]
-    assert basis.class_members(2) == [-4, -1, 2]
+    assert basis.indices[basis.class_rows(0)].tolist() == [-3, 0, 3]
+    assert basis.indices[basis.class_rows(1)].tolist() == [-2, 1, 4]
+    assert basis.indices[basis.class_rows(2)].tolist() == [-4, -1, 2]
 
 
 def test_basis_rejects_indivisible_dimension():

@@ -65,7 +65,7 @@ def test_unsymmetrized_mixed_term_requires_commuting_factors(basis_n3):
         terms=(ObservableTerm(f_harmonics=((1, 0.5),), p_poly=(0.0, 1.0)),),
         symmetrize=False,
     )
-    with pytest.raises(bl.InvariantViolation, match="symmetrize"):
+    with pytest.raises(ValueError, match="symmetrize"):
         bl.build_observable(spec, basis_n3)
     # constant polynomial commutes, so the flag is fine there
     ok = ObservableSpec(
@@ -103,7 +103,7 @@ def test_battery_builds_only_the_named_members_it_returns(basis_n3, monkeypatch)
         return build(spec, basis, label)
 
     monkeypatch.setattr(bl.observables, "build_observable", counting)
-    battery = bl.standard_battery(basis_n3, seeds=2, named=("cos_a",))
+    battery = list(bl.Battery(basis_n3, seeds=2, named=("cos_a",)))
     assert [op.label for op in battery] == ["cos_a", "seed:1", "seed:2"]
     assert [label for label in built if label in bl.observables.NAMED_OBSERVABLES] == ["cos_a"]
 
@@ -209,7 +209,7 @@ def test_breaking_observable_rejects_cell_periodic_shift(basis_n3):
 
 
 def test_battery_composition(basis_n3):
-    battery = bl.standard_battery(basis_n3, seeds=4)
+    battery = list(bl.Battery(basis_n3, seeds=4))
     labels = [op.label for op in battery]
     assert labels[:5] == ["identity", "cos_a", "sin_a", "momentum", "momentum_sq"]
     assert labels[5:] == ["seed:1", "seed:2", "seed:3", "seed:4"]
@@ -220,7 +220,7 @@ def test_battery_builds_each_member_on_demand(basis_n3):
     battery = bl.Battery(basis_n3, seeds=3, named=("sin_a", "identity"), custom=custom)
     expected = ("sin_a", "identity", "seed:1", "seed:2", "seed:3", "custom:0")
     assert len(battery) == len(expected) and battery.labels == expected
-    listed = bl.standard_battery(basis_n3, seeds=3, named=("sin_a", "identity"), custom=custom)
+    listed = list(bl.Battery(basis_n3, seeds=3, named=("sin_a", "identity"), custom=custom))
     for i, op in enumerate(battery):
         assert op.label == expected[i]
         assert np.array_equal(op.matrix, listed[i].matrix)
@@ -273,7 +273,7 @@ def test_periodicity_pass_implies_small_off_class_entries(basis_n3, translation_
     # violation / (2 sin(pi/N)); built operators have the entries exactly zero
     classes = basis_n3.indices % 3
     off = classes[:, None] != classes[None, :]
-    for op in bl.standard_battery(basis_n3, seeds=10):
+    for op in bl.Battery(basis_n3, seeds=10):
         report = bl.check_cell_periodicity(op, translation_n3)
         assert report.is_cell_periodic
         bound = report.max_violation * op.norm_max / (2.0 * np.sin(np.pi / 3.0))

@@ -29,7 +29,7 @@ def solved(request):
     spec = request.param
     basis = bl.build_basis(spec)
     bands = bl.solve_bands(bl.build_hamiltonian(spec, POTENTIAL), spec)
-    battery = bl.standard_battery(basis, seeds=5) + [
+    battery = list(bl.Battery(basis, seeds=5)) + [
         bl.breaking_observable(1, basis),
         bl.breaking_observable(2, basis),
     ]
@@ -110,7 +110,7 @@ def test_row_table_is_frozen_and_matches_class_rows(solved):
 def test_one_band_lattice_has_no_within_sector_elements():
     spec = bl.LatticeSpec(cells=3, cutoff=1)  # d = 3: one band per class
     bands = bl.solve_bands(bl.build_hamiltonian(spec, bl.PotentialSpec()), spec)
-    battery = bl.standard_battery(bl.build_basis(spec), seeds=2, max_harmonic=0, named=())
+    battery = list(bl.Battery(bl.build_basis(spec), seeds=2, max_harmonic=0, named=()))
     report = bl.sector_decomposition_report(bands, battery)
     assert report.within_sector is None
     assert report.leakage.shape == (3, 3)

@@ -5,6 +5,7 @@ import pytest
 
 import blochlab as bl
 from conftest import every_state
+from oracles import mixture_diagnostic
 
 # frozen from a direct computation on the 0.5*cos lattice (cells=3, cutoff=4):
 # distinguishability of the (band0, band1) pair at k=0 over the 25-member battery
@@ -101,7 +102,7 @@ def test_free_particle_breaking_ground_pair_element(free_solution, basis_n3):
 
 def test_mixture_cross_sector_is_indistinguishable(mathieu_solution, battery_n3):
     _, bands = mathieu_solution
-    diag = bl.mixture_diagnostic(bands.state(0, 0), bands.state(1, 0), battery_n3)
+    diag = mixture_diagnostic(bands.state(0, 0), bands.state(1, 0), battery_n3)
     assert diag.distinguishability < 1e-10
     assert np.trace(diag.rho_superposition).real == pytest.approx(1.0, abs=1e-12)
     assert np.trace(diag.rho_mixture).real == pytest.approx(1.0, abs=1e-12)
@@ -109,7 +110,7 @@ def test_mixture_cross_sector_is_indistinguishable(mathieu_solution, battery_n3)
 
 def test_mixture_within_sector_is_distinguishable(mathieu_solution, battery_n3):
     _, bands = mathieu_solution
-    diag = bl.mixture_diagnostic(bands.state(0, 0), bands.state(0, 1), battery_n3)
+    diag = mixture_diagnostic(bands.state(0, 0), bands.state(0, 1), battery_n3)
     assert diag.distinguishability > 1e-4
     assert diag.distinguishability == pytest.approx(
         MATHIEU_K0_DISTINGUISHABILITY, rel=1e-9
@@ -119,7 +120,7 @@ def test_mixture_within_sector_is_distinguishable(mathieu_solution, battery_n3):
 def test_mixture_identity_battery_cannot_distinguish(mathieu_solution, basis_n3):
     _, bands = mathieu_solution
     identity = bl.named_observables(basis_n3)["identity"]
-    diag = bl.mixture_diagnostic(bands.state(0, 0), bands.state(2, 1), [identity])
+    diag = mixture_diagnostic(bands.state(0, 0), bands.state(2, 1), [identity])
     assert diag.distinguishability < 1e-14
 
 
@@ -127,7 +128,7 @@ def test_mixture_rejects_non_orthogonal_states(mathieu_solution, battery_n3):
     _, bands = mathieu_solution
     a = bands.state(0, 0)
     with pytest.raises(ValueError, match="orthogonal"):
-        bl.mixture_diagnostic(a, a, battery_n3)
+        mixture_diagnostic(a, a, battery_n3)
 
 
 def test_sector_decomposition_structurally_clean(free_solution, battery_n3):
@@ -168,7 +169,7 @@ def test_superselection_survives_on_padded_even_lattice():
     basis = bl.build_basis(spec)
     h = bl.build_hamiltonian(spec, bl.PotentialSpec.from_cosines([(1, 0.5)]))
     bands = bl.solve_bands(h, spec)
-    battery = bl.standard_battery(basis, seeds=10)
+    battery = list(bl.Battery(basis, seeds=10))
     report = bl.sector_decomposition_report(bands, battery)
     assert report.leakage.shape == (4, 4)
     assert report.max_offdiagonal < 1e-12
@@ -215,3 +216,26 @@ def test_phase_redefinition_covariance(mathieu_solution, basis_n3, beta):
     )
     assert ket_shift.magnitude == pytest.approx(base.magnitude, abs=1e-14)
     assert bra_shift.magnitude == pytest.approx(base.magnitude, abs=1e-14)
+
+
+def test_each_member_multiplies_only_the_class_blocks_it_can_fill(monkeypatch):
+    # block (j, l) holds only offsets = j - l (mod N): a cell-periodic member
+    # fills the N diagonal blocks, breaking_observable(s) also the j - l = +-s ones
+    spec = bl.LatticeSpec(cells=5, cutoff=7)
+    basis = bl.build_basis(spec)
+    potential = bl.PotentialSpec.from_cosines([(1, 0.5)])
+    bands = bl.solve_bands(bl.build_hamiltonian(spec, potential), spec)
+    asked = []
+    class_blocks = bl.HermitianOperator.class_blocks
+
+    def counting(self, rows, bra_class, ket_class):
+        asked.append(sorted(zip(np.asarray(bra_class).tolist(), np.asarray(ket_class).tolist())))
+        return class_blocks(self, rows, bra_class, ket_class)
+
+    monkeypatch.setattr(bl.HermitianOperator, "class_blocks", counting)
+    members = [bl.random_cell_periodic(1, basis), bl.breaking_observable(1, basis)]
+    report = bl.sector_decomposition_report(bands, members)
+    diagonal = [(l, l) for l in range(5)]
+    assert asked[0] == diagonal  # N(N+1)/2 = 15 blocks when every j <= l is multiplied
+    assert asked[1] == sorted(diagonal + [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    assert report.leakage[0, 2] == 0.0 and report.leakage[0, 1] > 0.5
