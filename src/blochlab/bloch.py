@@ -94,15 +94,6 @@ class BandStructure:
         )
 
 
-def _phase_fix(vec: np.ndarray) -> np.ndarray:
-    """Rotate a unit vector so its largest-magnitude entry is real positive."""
-    pivot = int(np.argmax(np.abs(vec)))
-    z = vec[pivot]
-    if abs(z) == 0.0:
-        return vec
-    return vec * (np.conj(z) / abs(z))
-
-
 def _canonicalize_cluster(vectors: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis for a degenerate eigenspace.
 
@@ -144,8 +135,10 @@ def _canonical_eigenbasis(energies: np.ndarray, vectors: np.ndarray) -> np.ndarr
         if stop - start > 1:
             out[:, start:stop] = _canonicalize_cluster(out[:, start:stop])
         start = stop
-    for i in range(n):
-        out[:, i] = _phase_fix(out[:, i])
+    # rotate each column so its largest-magnitude entry is real positive; each
+    # factor is a scalar quotient (an array-wide np.abs rounds some pivots apart)
+    pivots = out[np.argmax(np.abs(out), axis=0), np.arange(n)]
+    out *= np.array([np.conj(z) / abs(z) if z else 1.0 for z in pivots])
     return out
 
 

@@ -42,8 +42,10 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     # lattice side
     "structural_zero": 1e-12,  # cross-sector leakage, relative to ||O||_max
     "solver_zero": 1e-10,  # eigensolver-mediated zeros (orthonormality, flat fringes)
+    "free_particle": 1e-12,  # free band energies vs q^2 / 2m, relative to max(1, ||H||_max)
     "eigen_residual": 1e-9,  # ||H psi - E psi|| relative to ||H||_max
     "positive_control": 1e-4,
+    "fringe_match": 0.01,  # within-sector fringe amplitude vs 2 |element|, relative
     "negative_control": 1e-6,
     "wannier_mixture": 1e-10,
     # driven side
@@ -53,6 +55,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "mode_periodicity": 1e-8,
     "phase_relation": 1e-7,
     "average_slack": 0.10,
+    "average_floor": 1e-12,  # absolute allowance on the K-period averages, times max_t |F(t)|
     "monodromy_commuting": 1e-10,
 }
 

@@ -189,6 +189,7 @@ class TemporalOverlapReport:
     period_averages: tuple[tuple[int, float], ...]  # (K, |avg over [0, K T]|)
     geometric_bounds: tuple[tuple[int, float], ...]
     bound_coefficient: float  # fitted C with |avg_K| <= C / K
+    max_overlap: float  # max_t |F(t)| over the first period's grid: the averages' scale
     monodromy_commuting_element: float  # |F(0)| for the U(T)-polynomial observable
 
 
@@ -592,5 +593,6 @@ def temporal_overlap_probe(
         period_averages=tuple(sorted(averages.items())),
         geometric_bounds=tuple(sorted(bounds.items())),
         bound_coefficient=float(max(k * averages[k] for k in periods)),
+        max_overlap=float(np.max(np.abs(f_first))),
         monodromy_commuting_element=abs(f0),
     )

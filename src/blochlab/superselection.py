@@ -140,25 +140,25 @@ def fringe_scan(
 def sector_decomposition_report(
     bands: BandStructure, battery: Iterable[HermitianOperator]
 ) -> SectorDecompositionReport:
-    """Cross-class leakage table and within-sector elements, on class blocks.
+    """Cross-class leakage table on class blocks, within-sector elements by apply.
 
     With C_l the class-l states restricted to their d/N rows (``bands.rows``),
     <psi_{m k_j}|O|psi_{n k_l}> is entry (m, n) of C_j^* O[rows_j, rows_l] C_l^T.
-    Per battery member, the blocks (``HermitianOperator.class_blocks``) it can
-    fill are multiplied in one stacked product: the N diagonal blocks, and the
-    blocks j < l with j - l = +-``class_shift(o, N)`` mod N for a stored offset
-    o.  Every other block is an exact zero and is skipped, so a cell-periodic
-    member costs N blocks of (d/N)^3 products instead of N(N+1)/2.
-    Leakage entry [j, l] (bras from the lower class, mirrored) is maximized
-    over both band axes and equals a pairwise class loop bit for bit; the
-    diagonal blocks give ``within_sector`` at bands (0, 1).  ``battery`` is
-    any iterable and is read once, one member at a time, so a generator that
-    builds each member on demand keeps one operator alive.
+    A diagonal at offset o couples class l only to l +- ``class_shift(o, N)``
+    mod N, so per battery member only the cross blocks j < l it can fill
+    (``HermitianOperator.class_blocks``) are multiplied, in one stacked
+    product; every other block is an exact zero and is skipped, and a
+    cell-periodic member takes no block at all.  Leakage entry [j, l] (bras
+    from the lower class, mirrored) is maximized over both band axes and
+    equals a pairwise class loop bit for bit.  ``within_sector`` needs only
+    bands 0 and 1 of each class: O is applied once to the N band-1 rows, and
+    each is dotted with its class's band-0 row.  ``battery`` is any iterable
+    and is read once, one member at a time, so a generator that builds each
+    member on demand keeps one operator alive.
     """
     n_sectors, n_bands, _ = bands.coeffs.shape
     rows = bands.rows
     compact = np.take_along_axis(bands.coeffs, rows[:, None, :], axis=2)  # (class, band, row)
-    sectors = np.arange(n_sectors)
     bra_class, ket_class = np.triu_indices(n_sectors, k=1)  # the cross blocks j < l
     step = (ket_class - bra_class) % n_sectors
     worst = np.zeros(len(bra_class))
@@ -166,18 +166,18 @@ def sector_decomposition_report(
     for op in battery:
         reach = [class_shift(s, n_sectors) for o in op.diagonals for s in (o, -o)]
         filled = np.flatnonzero(np.isin(step, reach))
-        bra = np.concatenate((sectors, bra_class[filled]))
-        ket = np.concatenate((sectors, ket_class[filled]))
-        # (block, bra band, ket band): the diagonal blocks, then the filled cross blocks
-        elements = np.abs(
-            compact[bra].conj() @ op.class_blocks(rows, bra, ket)
-            @ compact[ket].transpose(0, 2, 1)
-        )
-        cross = elements[n_sectors:].max(axis=(1, 2)) / op.norm_max
-        worst[filled] = np.maximum(worst[filled], cross)
+        if filled.size:
+            bra, ket = bra_class[filled], ket_class[filled]
+            # (block, bra band, ket band)
+            elements = np.abs(
+                compact[bra].conj() @ op.class_blocks(rows, bra, ket)
+                @ compact[ket].transpose(0, 2, 1)
+            )
+            worst[filled] = np.maximum(worst[filled], elements.max(axis=(1, 2)) / op.norm_max)
         labels.append(op.label)
         if n_bands >= 2:
-            within.append(elements[:n_sectors, 0, 1])
+            applied = op.apply(bands.coeffs[:, 1])  # O psi_{1 k_l}, one class per row
+            within.append(np.abs(np.sum(bands.coeffs[:, 0].conj() * applied, axis=1)))
     leakage = np.full((n_sectors, n_sectors), np.nan)
     leakage[bra_class, ket_class] = worst
     leakage[ket_class, bra_class] = worst

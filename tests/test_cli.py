@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blochlab as bl
-from blochlab import floquet
+from blochlab import floquet, runner
 from blochlab.cli import main
 from blochlab.config import (
     MAX_BATTERY_SEEDS,
@@ -207,6 +207,82 @@ def test_shipped_drive_temporal_checks_pass_on_any_grid(steps, points, grid):
     cfg = validate_config(shipped_drive(steps=steps, trajectory_points=points, probe=probe))
     checks = run_scenario(cfg).checks
     assert checks["mode_periodicity"] and checks["phase_relation"] and checks["average_bound"]
+
+
+def commensurate_drive(e):
+    """h0 = diag(e, -e) driven by 0.01 diag(1, -1) cos(omega t): splitting 2e (mod 1)."""
+    h0 = [[[e, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-e, 0.0]]]
+    matrix = [[[0.01, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.01, 0.0]]]
+    drive = {"harmonic": 1, "kind": "cos", "matrix": matrix}
+    return shipped_drive(h0=h0, drives=[drive])
+
+
+def test_commensurate_drive_exits_0(tmp_path):
+    # Delta T / hbar = 2 pi / 8: every geometric bound is zero up to rounding,
+    # and the averages (~6e-15) failed a purely relative comparison (exit 3)
+    cfg = write_json(tmp_path / "drive.json", commensurate_drive(1 / 16))
+    report_path = tmp_path / "rep.json"
+    assert main(["floquet", "--config", cfg, "--report", str(report_path)]) == 0
+    probe = json.loads(report_path.read_text())["results"]["probe"]
+    assert max(bound for _, bound in probe["geometric_bounds"]) < 1e-14
+    assert probe["max_overlap"] == pytest.approx(1.0)
+
+
+PROBE_PERIODS = tuple(shipped_drive()["floquet"]["probe"]["periods"])
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    kp=st.sampled_from(PROBE_PERIODS).flatmap(
+        lambda k: st.tuples(st.just(k), st.integers(1, k - 1))
+    )
+)
+@example(kp=(8, 1))
+@example(kp=(16, 3))
+@example(kp=(32, 31))
+@example(kp=(64, 5))
+def test_commensurate_splittings_pass_average_bound(kp):
+    # omega = hbar = 1, T = 2 pi: splitting 2e gives Delta T / hbar = 2 pi p / K at e = p / 2K
+    k, p = kp
+    report = run_scenario(validate_config(commensurate_drive(p / (2 * k))))
+    assert report.passed, report.checks
+
+
+def test_fringe_match_override_reaches_its_check(tmp_path):
+    # the shipped superselect config reads a relative mismatch of ~1.7e-5
+    config = str(SHIPPED_DRIVE.parent / "superselect_mathieu.json")
+    runs = {}
+    for tol in ("0.01", "1e-6"):
+        report = tmp_path / f"rep_{tol}.json"
+        argv = ["--config", config, "--report", str(report), "--fringe-prefix", str(tmp_path / tol)]
+        argv += ["--tol-override", f"fringe_match={tol}"]
+        runs[tol] = main(["superselect", *argv]), json.loads(report.read_text())
+    assert runs["0.01"][0] == 0 and runs["1e-6"][0] == 3
+    assert runs["1e-6"][1]["tolerances"]["fringe_match"] == 1e-6
+    assert not runs["1e-6"][1]["checks"]["fringe_matches_element"]
+
+
+def test_free_particle_override_reaches_its_check(tmp_path, monkeypatch):
+    # eigh returns a diagonal block's entries exactly, so the shipped free
+    # lattice reads a deviation of 0; the energies are shifted by 1e-11
+    # (||H||_max ~ 35) so that the tolerance has something to compare
+    solve = runner.solve_bands
+
+    def shifted(h, spec):
+        b = solve(h, spec)
+        return bl.BandStructure(b.k_values, b.energies + 1e-11, b.coeffs, b.rows)
+
+    monkeypatch.setattr(runner, "solve_bands", shifted)
+    config = str(SHIPPED_DRIVE.parent / "bands_free.json")
+    runs = {}
+    for tol in ("1e-12", "1e-14"):
+        report = tmp_path / f"rep_{tol}.json"
+        argv = ["--config", config, "--report", str(report), "--out", str(tmp_path / f"{tol}.csv")]
+        argv += ["--tol-override", f"free_particle={tol}"]
+        runs[tol] = main(["bands", *argv]), json.loads(report.read_text())
+    assert runs["1e-12"][0] == 0 and runs["1e-14"][0] == 3
+    assert runs["1e-14"][1]["tolerances"]["free_particle"] == 1e-14
+    assert not runs["1e-14"][1]["checks"]["free_particle_exact"]
 
 
 def test_floquet_run_integrates_the_period_once_per_integrator(monkeypatch):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import blochlab as bl
+from blochlab.config import validate_config
+from blochlab.runner import run_scenario
 from conftest import every_state
 from oracles import mixture_diagnostic
 
@@ -218,13 +220,8 @@ def test_phase_redefinition_covariance(mathieu_solution, basis_n3, beta):
     assert bra_shift.magnitude == pytest.approx(base.magnitude, abs=1e-14)
 
 
-def test_each_member_multiplies_only_the_class_blocks_it_can_fill(monkeypatch):
-    # block (j, l) holds only offsets = j - l (mod N): a cell-periodic member
-    # fills the N diagonal blocks, breaking_observable(s) also the j - l = +-s ones
-    spec = bl.LatticeSpec(cells=5, cutoff=7)
-    basis = bl.build_basis(spec)
-    potential = bl.PotentialSpec.from_cosines([(1, 0.5)])
-    bands = bl.solve_bands(bl.build_hamiltonian(spec, potential), spec)
+def _count_class_blocks(monkeypatch):
+    """Patch ``class_blocks`` to record each call's sorted (bra, ket) class pairs."""
     asked = []
     class_blocks = bl.HermitianOperator.class_blocks
 
@@ -233,9 +230,37 @@ def test_each_member_multiplies_only_the_class_blocks_it_can_fill(monkeypatch):
         return class_blocks(self, rows, bra_class, ket_class)
 
     monkeypatch.setattr(bl.HermitianOperator, "class_blocks", counting)
+    return asked
+
+
+def test_each_member_multiplies_only_the_class_blocks_it_can_fill(monkeypatch):
+    # block (j, l) holds only offsets = j - l (mod N): a cell-periodic member
+    # fills no cross block, breaking_observable(s) the j - l = +-s ones; the
+    # within-sector elements come from apply, not from the diagonal blocks
+    spec = bl.LatticeSpec(cells=5, cutoff=7)
+    basis = bl.build_basis(spec)
+    potential = bl.PotentialSpec.from_cosines([(1, 0.5)])
+    bands = bl.solve_bands(bl.build_hamiltonian(spec, potential), spec)
+    asked = _count_class_blocks(monkeypatch)
     members = [bl.random_cell_periodic(1, basis), bl.breaking_observable(1, basis)]
     report = bl.sector_decomposition_report(bands, members)
-    diagonal = [(l, l) for l in range(5)]
-    assert asked[0] == diagonal  # N(N+1)/2 = 15 blocks when every j <= l is multiplied
-    assert asked[1] == sorted(diagonal + [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    assert asked == [[(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]]
     assert report.leakage[0, 2] == 0.0 and report.leakage[0, 1] > 0.5
+    assert np.all(report.within_sector[:, 0] > 0.0)  # the breaking member has none
+
+
+def test_superselect_run_takes_class_blocks_only_for_the_eigensolve(monkeypatch):
+    # N = 15, d = 495 with the default battery: every member is cell-periodic,
+    # so the one call is solve_bands' N diagonal blocks
+    cfg = validate_config(
+        {
+            "kind": "superselect",
+            "lattice": {"cells": 15, "cutoff": 247},
+            "potential": {"harmonics": [{"j": 1, "re": 0.2, "im": 0.1}]},
+            "negative_control": {"s": 1},
+        }
+    )
+    asked = _count_class_blocks(monkeypatch)
+    report = run_scenario(cfg)
+    assert report.passed, report.checks
+    assert asked == [[(l, l) for l in range(15)]]
