@@ -166,10 +166,8 @@ def _get_float(obj: dict, key: str, pointer: str, default=None, positive=False):
     return value
 
 
-def _get_str(obj: dict, key: str, pointer: str, default=None, choices=None):
+def _get_str(obj: dict, key: str, pointer: str, choices=None):
     if key not in obj:
-        if default is not None:
-            return default
         raise ConfigError(f"missing required key {key!r}", pointer)
     value = obj[key]
     if not isinstance(value, str):

@@ -369,21 +369,20 @@ def _run_floquet(cfg: ScenarioConfig):
     # a commensurate splitting makes bound_K zero up to rounding, so the
     # averages are also allowed an absolute floor on the scale of |F|
     floor = cfg.tolerance("average_floor") * probe.max_overlap
-    averages = dict(probe.period_averages)
-    bounds = dict(probe.geometric_bounds)
     results["probe"] = {
         "pair": list(probe.pair),
         "splitting": probe.splitting,
         "grid_points": probe.grid_points,
         "phase_relation_residual": probe.phase_relation_residual,
-        "period_averages": [[k, averages[k]] for k in sorted(averages)],
-        "geometric_bounds": [[k, bounds[k]] for k in sorted(bounds)],
+        "period_averages": [list(item) for item in probe.period_averages],
+        "geometric_bounds": [list(item) for item in probe.geometric_bounds],
         "bound_coefficient": probe.bound_coefficient,
         "max_overlap": probe.max_overlap,
         "monodromy_commuting_element": probe.monodromy_commuting_element,
     }
     checks["phase_relation"] = probe.phase_relation_residual < cfg.tolerance("phase_relation")
-    checks["average_bound"] = all(averages[k] <= slack * bounds[k] + floor for k in averages)
+    pairs = zip(probe.period_averages, probe.geometric_bounds)
+    checks["average_bound"] = all(avg <= slack * bound + floor for (_, avg), (_, bound) in pairs)
     checks["monodromy_commuting"] = (
         probe.monodromy_commuting_element < cfg.tolerance("monodromy_commuting")
     )

@@ -14,6 +14,7 @@ import scipy.linalg
 
 from blochlab import LatticeSpec, PotentialSpec, fold_quasienergy
 from blochlab.bloch import _canonical_eigenbasis
+from blochlab.floquet import _on_grid
 
 
 def fd_ring_hamiltonian(
@@ -322,3 +323,42 @@ def schur_quasienergies(monodromy, omega: float, hbar: float = 1.0):
         modes = _canonical_eigenbasis(np.append(x[cut:], x[:cut] + 1.0), turned)
         return eps, np.hstack((modes[:, len(x) - cut:], modes[:, : len(x) - cut]))
     return eps, _canonical_eigenbasis(x, z)
+
+
+# ---------------------------------------------------------------------------
+# Temporal-probe averages re-evaluated period by period: both modes advanced by
+# U(T), propagated through every grid snapshot and contracted with O(t_i) on
+# the whole grid once per period.  The package forms the Heisenberg stack
+# U(t_i)^dagger O(t_i) U(t_i) once and takes one bilinear form per period; this
+# loop is the reference its K-period averages must reproduce to rounding.
+
+
+def loop_period_averages(solution, observable, pair, periods, grid_points) -> dict:
+    """{K: |average of F(t) over [0, K T]|} for F(t) = <phi_j(t)|O(t)|phi_j'(t)>."""
+    j, jp = pair
+    snapshots, offsets = _on_grid(solution, grid_points)
+    snapshots = snapshots[:-1]  # t < T
+    spec, modes = solution.spec, solution.modes
+    u_period = solution.monodromy
+
+    times = np.arange(grid_points) * spec.period / grid_points + offsets[:-1]
+    obs_grid = observable.value(times, spec.omega)
+
+    phi_j0, phi_jp0 = modes[:, j], modes[:, jp]
+
+    def overlaps(vec_j: np.ndarray, vec_jp: np.ndarray) -> np.ndarray:
+        left = snapshots @ vec_j  # [grid, d]
+        right = snapshots @ vec_jp
+        return np.einsum("id,idk,ik->i", left.conj(), obs_grid, right)
+
+    # running averages over [0, K T]: modes advanced period by period
+    running = 0j
+    averages: dict[int, float] = {}
+    vec_j, vec_jp = phi_j0, phi_jp0
+    for k in range(1, max(periods) + 1):
+        running += np.sum(overlaps(vec_j, vec_jp))
+        if k in periods:
+            averages[k] = float(abs(running / (k * grid_points)))
+        vec_j = u_period @ vec_j
+        vec_jp = u_period @ vec_jp
+    return averages

@@ -307,6 +307,21 @@ def test_invariant_violation_exit_code(tmp_path, capsys):
     assert "FAIL" in out.out
 
 
+def test_raised_invariant_violation_exits_3_without_a_report(tmp_path, capsys, monkeypatch):
+    # solve_bands raises InvariantViolation on cross-class weight in H
+    def violating(h, spec):
+        raise bl.InvariantViolation("H couples classes 0 and 1")
+
+    monkeypatch.setattr(runner, "solve_bands", violating)
+    report = tmp_path / "report.json"
+    code = main(["bands", "--config", bands_config(tmp_path), "--report", str(report)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "invariant violation: H couples classes 0 and 1" in err
+    assert "Traceback" not in err
+    assert not report.exists()
+
+
 def test_numerical_failure_exit_code(tmp_path):
     cfg = floquet_config(
         tmp_path,
@@ -498,6 +513,13 @@ def lattice_config(kind="superselect", **sections):
     return {"kind": kind, "lattice": {"cells": 3, "cutoff": 4}, "battery": {"seeds": 2}, **sections}
 
 
+FLOQUET_BASE = {"omega": 1.0, "h0": [[0.3, 0.0], [0.0, -0.3]]}
+
+
+def _floquet(**fields):
+    return {"kind": "floquet", "floquet": {**FLOQUET_BASE, **fields}}
+
+
 NON_HERMITIAN_CUSTOM = {
     "terms": [{"f": [{"j": 1, "re": 0.5}], "p_poly": [0, 1]}], "symmetrize": False,
 }
@@ -617,6 +639,74 @@ REJECTED = {
     "wannier_home_cell_out_of_range": (
         lattice_config("wannier", wannier={"home_cells": [3]}), [], "/wannier/home_cells/0",
     ),
+    "lattice_constant_400_digits": (
+        # float() of the integer overflows: not finite
+        {"kind": "bands", "lattice": {"cells": 3, "cutoff": 4, "a": 10**400}}, [], "/lattice/a",
+    ),
+    "lattice_mass_zero": (
+        {"kind": "bands", "lattice": {"cells": 3, "cutoff": 4, "mass": 0}}, [], "/lattice/mass",
+    ),
+    "lattice_pad_basis_not_boolean": (
+        {"kind": "bands", "lattice": {"cells": 3, "cutoff": 4, "pad_basis": 1}},
+        [],
+        "/lattice/pad_basis",
+    ),
+    "potential_harmonics_not_array": (
+        lattice_config(potential={"harmonics": {"j": 1}}), [], "/potential/harmonics",
+    ),
+    "battery_custom_not_array": (
+        lattice_config(battery={"seeds": 2, "custom": {"terms": []}}), [], "/battery/custom",
+    ),
+    "custom_terms_empty": (
+        lattice_config(battery={"seeds": 2, "custom": [{"terms": []}]}),
+        [],
+        "/battery/custom/0/terms",
+    ),
+    "custom_symmetrize_not_boolean": (
+        lattice_config(
+            battery={"seeds": 2, "custom": [{"terms": [{"p_poly": [0, 1]}], "symmetrize": 1}]}
+        ),
+        [],
+        "/battery/custom/0/symmetrize",
+    ),
+    "custom_p_poly_not_array": (
+        lattice_config(battery={"seeds": 2, "custom": [{"terms": [{"p_poly": 1.0}]}]}),
+        [],
+        "/battery/custom/0/terms/0/p_poly",
+    ),
+    "custom_p_poly_degree_7": (
+        lattice_config(battery={"seeds": 2, "custom": [{"terms": [{"p_poly": [0] * 7 + [1]}]}]}),
+        [],
+        "/battery/custom/0/terms/0",
+    ),
+    "floquet_without_h0": ({"kind": "floquet", "floquet": {"omega": 1.0}}, [], "/floquet"),
+    "floquet_h0_empty": (_floquet(h0=[]), [], "/floquet/h0"),
+    "floquet_without_omega": (
+        {"kind": "floquet", "floquet": {"h0": FLOQUET_BASE["h0"]}}, [], "/floquet",
+    ),
+    "floquet_drives_not_array": (
+        _floquet(drives={"matrix": [[0, 1], [1, 0]]}), [], "/floquet/drives",
+    ),
+    "drive_term_without_matrix": (_floquet(drives=[{"kind": "cos"}]), [], "/floquet/drives/0"),
+    "drive_kind_not_string": (
+        _floquet(drives=[{"kind": 1, "matrix": [[0, 1], [1, 0]]}]), [], "/floquet/drives/0/kind",
+    ),
+    "drive_matrix_not_hermitian": (
+        _floquet(drives=[{"kind": "cos", "matrix": [[0, 1], [0, 0]]}]),
+        [],
+        "/floquet/drives/0/matrix",
+    ),
+    "probe_observable_without_static": (
+        _floquet(probe={"observable": {"harmonics": []}}), [], "/floquet/probe/observable",
+    ),
+    "probe_static_not_hermitian": (
+        _floquet(probe={"observable": {"static": [[0, 1], [0, 0]]}}),
+        [],
+        "/floquet/probe/observable",
+    ),
+    "probe_periods_empty": (_floquet(probe={"periods": []}), [], "/floquet/probe/periods"),
+    "probe_periods_zero": (_floquet(probe={"periods": [0]}), [], "/floquet/probe/periods"),
+    "output_path_empty": (lattice_config(output={"report": ""}), [], "/output/report"),
 }
 
 
@@ -692,13 +782,6 @@ def test_wannier_index_out_of_range_stops_before_any_eigensolve(tmp_path, capsys
 # ---------------------------------------------------------------------------
 # bounds on the fields that set a run's length or its numerical range: the
 # bound passes, one step beyond it exits 1
-
-FLOQUET_BASE = {"omega": 1.0, "h0": [[0.3, 0.0], [0.0, -0.3]]}
-
-
-def _floquet(**fields):
-    return {"kind": "floquet", "floquet": {**FLOQUET_BASE, **fields}}
-
 
 # field: (config builder, bound, pointer, step beyond the bound)
 CAPPED = {

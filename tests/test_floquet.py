@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import blochlab as bl
 from blochlab.errors import NumericalFailure
+from blochlab.runner import _default_probe_observable
 from conftest import random_hermitian
-from oracles import schur_quasienergies
+from oracles import loop_period_averages, schur_quasienergies
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -265,6 +266,37 @@ def test_probe_driven_config(two_level_drive, two_level_solution):
     assert probe.bound_coefficient == pytest.approx(
         max(k * averages[k] for k in averages)
     )
+
+
+# (h0, drive terms) from a seeded generator: the shipped two-level drive, the
+# commensurate drive whose splitting makes every 8-period sum vanish, and a
+# random d = 8 drive
+PROBE_ORACLE_DRIVES = {
+    "shipped": lambda rng: (0.3 * SZ, (bl.DriveTerm(harmonic=1, kind="sin", matrix=0.5 * SX),)),
+    "commensurate": lambda rng: (
+        SZ / 16, (bl.DriveTerm(harmonic=1, kind="cos", matrix=0.01 * SZ),)
+    ),
+    "random_d8": lambda rng: (
+        random_hermitian(rng, 8, 0.3),
+        (bl.DriveTerm(harmonic=1, kind="cos", matrix=random_hermitian(rng, 8, 0.3)),),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_ORACLE_DRIVES))
+def test_probe_averages_match_the_per_period_loop(name):
+    h0, drives = PROBE_ORACLE_DRIVES[name](np.random.default_rng(3))
+    spec = bl.DriveSpec(h0=h0, omega=1.0, drives=drives)
+    solution = bl.solve_floquet(spec, steps=4096, grids=(256,))
+    observable = _default_probe_observable(spec.dim)
+    periods = (1, 8, 16, 32, 64, 1024)
+    probe = bl.temporal_overlap_probe(solution, observable, periods=periods, grid_points=256)
+    reference = loop_period_averages(solution, observable, (0, 1), periods, 256)
+    assert [k for k, _ in probe.period_averages] == sorted(reference)
+    # an average far below max |F| carries rounding of order eps max |F|
+    floor = 1e-15 * probe.max_overlap
+    for k, average in probe.period_averages:
+        assert abs(average - reference[k]) <= max(1e-13 * reference[k], floor), (k, average)
 
 
 def test_probe_rejects_bad_pairs(two_level_drive, two_level_solution):

@@ -3,9 +3,10 @@
 Every lattice operator is held as its offset diagonals, O(d) values, and the
 battery is consumed as a stream: each member is built, measured and dropped
 before the next one is built.  At N = 15, d = 495 (the largest lattice of
-the benchmark sweeps) what is d x d in a run is the block of Bloch states,
-its Gram matrix in the solver checks, and the class-block stack of one
-member; no run forms an operator's dense matrix.
+the benchmark sweeps) what is d x d in a run is the block of Bloch states
+and its Gram matrix in the solver checks.  No default battery member takes
+a class block (only the eigensolve does: H's 15 diagonal 33 x 33 blocks),
+and no run forms an operator's dense matrix.
 """
 
 import json
