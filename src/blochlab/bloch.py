@@ -10,8 +10,10 @@ class and band, so every band holds N states).
 Eigenvector gauge is pinned deterministically: degenerate clusters are
 re-spanned by greedy pivoting of the cluster projector onto plane-wave axes
 (ordered by the plane-wave index of the dominant coefficient), and every
-vector is phased so its largest-magnitude coefficient is real positive.
-Repeat runs are then bitwise comparable on one platform.
+vector is phased so its largest-magnitude coefficient is real positive; of
+coefficients equal in magnitude to within PIVOT_RTOL, the first one is used,
+so a tie that symmetry makes is not broken by rounding.  Repeat runs are
+then bitwise comparable on one platform.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .lattice import HermitianOperator, LatticeSpec, PlaneWaveBasis, build_basis
 
 DEGENERACY_ATOL = 1e-10
 SUPPORT_ATOL = 1e-12
+PIVOT_RTOL = 1e-12  # entries this close to a column's largest magnitude tie for its pivot
 
 # winding extraction: phase steps at or beyond this are treated as undersampled
 MAX_PHASE_STEP = np.pi / 2
@@ -135,9 +138,13 @@ def _canonical_eigenbasis(energies: np.ndarray, vectors: np.ndarray) -> np.ndarr
         if stop - start > 1:
             out[:, start:stop] = _canonicalize_cluster(out[:, start:stop])
         start = stop
-    # rotate each column so its largest-magnitude entry is real positive; each
-    # factor is a scalar quotient (an array-wide np.abs rounds some pivots apart)
-    pivots = out[np.argmax(np.abs(out), axis=0), np.arange(n)]
+    # rotate each column so its largest-magnitude entry is real positive; entries
+    # equal in magnitude up to rounding (by symmetry, say) tie, and the first
+    # of them is the pivot.  Each factor is a scalar quotient (an array-wide
+    # np.abs rounds some pivots apart)
+    magnitudes = np.abs(out)
+    tied = magnitudes >= (1.0 - PIVOT_RTOL) * magnitudes.max(axis=0, initial=0.0)
+    pivots = out[np.argmax(tied, axis=0), np.arange(n)]
     out *= np.array([np.conj(z) / abs(z) if z else 1.0 for z in pivots])
     return out
 

@@ -14,6 +14,9 @@ off, and the propagator quasienergies are cross-checked against the
 time-Fourier block eigenproblem on the extended space.  The two integrators
 share only the ordered product of their step matrices: exact exponentials for
 the midpoint rule, a polynomial in A = -iH/hbar for RK4 (U' = A U is linear).
+The product is associative, so it is taken in aligned blocks of 2^k steps
+(one stacked numpy call per level, as in a parallel prefix scan): n - 1
+matrix products per chunk of n steps, like the step loop, in log2 n calls.
 
 The temporal-overlap probe reports three quantities for a pair of modes with
 quasienergy splitting Delta: the one-period phase relation
@@ -230,34 +233,68 @@ def _rk4_factors(spec: DriveSpec, s: np.ndarray, dt: float) -> np.ndarray:
     return m
 
 
+def _aligned_blocks(deviations: np.ndarray) -> list[np.ndarray]:
+    """Products of a chunk's step matrices I + deviations[s] over aligned blocks.
+
+    I + levels[k][i] is the product over steps [i 2^k, (i + 1) 2^k), later
+    steps on the left; level k + 1 takes the pairs of level k in one stacked
+    call, n - 1 products in log2 n calls.  A block is kept as its deviation
+    from I, (I + a)(I + b) = I + (a b + a + b): the small part of a product
+    of near-identity matrices keeps its relative precision, where rounding
+    next to the unit diagonal would add up coherently over neighbouring steps.
+    """
+    levels = [deviations]
+    while len(levels[-1]) > 1:
+        pairs = len(levels[-1]) // 2 * 2
+        a, b = levels[-1][1:pairs:2], levels[-1][0:pairs:2]
+        block = a @ b
+        block += a
+        block += b
+        levels.append(block)
+    return levels
+
+
 def _ordered_product(spec: DriveSpec, steps: int, marks, factors) -> np.ndarray:
     """U(s dt, 0), dt = T / steps, at each step index s of the ascending ``marks``.
 
-    The product runs in step order; a mark may repeat, and mark 0 is the
-    identity.  ``factors(spec, s, dt)`` builds the step matrices for a chunk
-    of _FACTOR_CHUNK step indices s at a time, which bounds the memory at the
-    step cap.  Raises ValueError below MIN_STEPS, and NumericalFailure when
-    U(T, 0) drifts off the unitary group by more than 1e-6 or is not finite
-    (advice: increase ``steps``).
+    A mark may repeat, and mark 0 is the identity.  ``factors(spec, s, dt)``
+    builds the step matrices for a chunk of _FACTOR_CHUNK step indices s at a
+    time, which bounds the memory at the step cap; ``_aligned_blocks``
+    multiplies them in log-depth stacked calls.  U at a mark inside the chunk,
+    and at the chunk end (carried into the next chunk), is the carried U times
+    the blocks of its offset's binary digits, highest digit first, in one
+    stacked call per digit over the marks that have it.  So each snapshot's
+    rounding depends on its own step index only, never on which other marks
+    were asked for.  Raises ValueError below MIN_STEPS, and NumericalFailure
+    when U(T, 0) drifts off the unitary group by more than 1e-6 or is not
+    finite (advice: increase ``steps``).
     """
     if steps < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} steps, got {steps}")
     marks = np.asarray(marks)
     dt = spec.period / steps
     snapshots = np.empty((len(marks), spec.dim, spec.dim), dtype=complex)
-    u = np.eye(spec.dim, dtype=complex)
-    taken = int(np.searchsorted(marks, 0, side="right"))  # marks[:taken] are recorded
-    snapshots[:taken] = u
+    eye = np.eye(spec.dim)
+    u = eye.astype(complex)
+    snapshots[marks == 0] = u
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in NaN, caught below
         for start in range(0, steps, _FACTOR_CHUNK):
-            s = np.arange(start, min(start + _FACTOR_CHUNK, steps))
-            ends = np.searchsorted(marks, s + 1, side="right").tolist()
-            for factor, end in zip(factors(spec, s, dt), ends):
-                u = factor @ u  # U((s + 1) dt, 0)
-                if end > taken:
-                    snapshots[taken:end] = u
-                    taken = end
-            del factor  # a view that keeps this chunk's stack alive while the next is built
+            stop = min(start + _FACTOR_CHUNK, steps)
+            deviations = factors(spec, np.arange(start, stop), dt)  # a fresh stack: ours
+            deviations -= eye
+            levels = _aligned_blocks(deviations)
+            inside = (marks > start) & (marks <= stop)
+            offsets, where = np.unique(
+                np.append(marks[inside] - start, stop - start), return_inverse=True
+            )
+            prefix = np.repeat(u[None], len(offsets), axis=0)
+            for k in reversed(range(len(levels))):
+                digit = np.flatnonzero((offsets >> k) & 1)
+                if digit.size:
+                    prefix[digit] += levels[k][(offsets[digit] >> k) - 1] @ prefix[digit]
+            snapshots[inside] = prefix[where[:-1]]
+            u = prefix[-1].copy()  # U(stop dt, 0): the chunk end is the last offset
+            del deviations, levels, prefix  # dropped before the next chunk's factors are built
         drift = _unitarity_defect(u)
     if not drift <= UNITARITY_LIMIT:  # NaN compares False, so a NaN product fails too
         raise NumericalFailure(
@@ -393,7 +430,9 @@ def _on_grid(solution: FloquetSolution, grid: int) -> tuple[np.ndarray, np.ndarr
 
     Also returns the time offsets s_i dt - i T / grid, exactly 0.0 where the
     grid time is a step (everywhere when ``grid`` divides the step count).
-    Raises ValueError when the solution did not keep those steps.
+    When the grid's snapshots are consecutive in the kept stack, they come as
+    a read-only view of it, not a copy.  Raises ValueError when the solution
+    did not keep those steps.
     """
     want = _nearest_steps(solution.steps, grid)
     if solution.snapshots is not None:
@@ -402,6 +441,10 @@ def _on_grid(solution: FloquetSolution, grid: int) -> tuple[np.ndarray, np.ndarr
             offsets = (want * grid - np.arange(grid + 1) * solution.steps) * (
                 solution.spec.period / (solution.steps * grid)
             )
+            if np.all(np.diff(at) == 1):
+                view = solution.snapshots[at[0] : at[-1] + 1]
+                view.flags.writeable = False
+                return view, offsets
             return solution.snapshots[at], offsets
     raise ValueError(
         f"the solution kept no snapshots on a {grid}-interval grid; "

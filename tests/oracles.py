@@ -245,10 +245,12 @@ def mixture_diagnostic(a, b, battery) -> MixtureDiagnostic:
 # Floquet stepping one step at a time: H(t) summed term by term at one time,
 # one 2-D eigendecomposition per midpoint factor, RK4 stages applied to the
 # running U, and the running product kept at every ``every``-th step.  The
-# package evaluates H on a whole array of times and builds a chunk of step
-# matrices at once; the midpoint loop is the reference it must reproduce bit
-# for bit, the RK4 loop (the same arithmetic grouped per stage on U rather
-# than into one step matrix) to rounding.
+# package evaluates H on a whole array of times, builds a chunk of step
+# matrices at once and multiplies them in aligned blocks; both loops are
+# references it must reproduce to rounding (the RK4 loop groups the same
+# arithmetic per stage on U rather than into one step matrix).  The running
+# product of given step matrices, in float64 or in extended precision, is
+# the reference for the accuracy of the block product itself.
 
 
 def termwise_trig_series(static: np.ndarray, terms, omega: float, t: float) -> np.ndarray:
@@ -273,6 +275,25 @@ def stepwise_midpoint_snapshots(spec, steps: int, every: int) -> np.ndarray:
         if (s + 1) % every == 0:
             snapshots.append(u)
     return np.array(snapshots)
+
+
+def running_product(factors: np.ndarray, marks, dtype=complex) -> np.ndarray:
+    """factors[s - 1] ... factors[0] at each step index s of the ascending ``marks``.
+
+    The step matrices are multiplied one at a time in ``dtype``: complex for
+    the per-step loop, np.clongdouble for a reference whose own rounding is
+    far below float64's.
+    """
+    u = np.eye(factors.shape[-1], dtype=dtype)
+    out = np.empty((len(marks),) + u.shape, dtype=dtype)
+    taken = 0
+    for s in range(len(factors) + 1):
+        if s:
+            u = factors[s - 1].astype(dtype) @ u
+        while taken < len(marks) and marks[taken] == s:
+            out[taken] = u
+            taken += 1
+    return out
 
 
 def stepwise_rk4_monodromy(spec, steps: int) -> np.ndarray:

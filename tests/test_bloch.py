@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blochlab as bl
+from blochlab.bloch import PIVOT_RTOL, _canonical_eigenbasis
 from blochlab.observables import Lcg
 from conftest import every_state
 from oracles import fd_ring_energies
@@ -87,6 +88,21 @@ def test_gauge_fixing_makes_dominant_coefficient_real_positive(free_solution):
         pivot = s.coeffs[np.argmax(np.abs(s.coeffs))]
         assert pivot.imag == pytest.approx(0.0, abs=1e-14)
         assert pivot.real > 0.0
+
+
+def test_gauge_pivot_is_the_first_of_entries_tied_to_rounding():
+    # (1, -i)/sqrt(2): a tie in magnitude, as symmetry makes them; whichever
+    # entry rounding makes a few ulps larger, the first one is the pivot
+    tied = np.array([1.0, -1.0j]) / np.sqrt(2.0)
+    for bumped in (0, 1):
+        v = tied.copy()
+        v[bumped] *= 1.0 + 4.0 * np.finfo(float).eps
+        out = _canonical_eigenbasis(np.zeros(1), v[:, None])[:, 0]
+        assert abs(out[0].imag) < 1e-15 and out[0].real > 0.0
+    # beyond PIVOT_RTOL the larger entry is the pivot
+    v = tied * np.array([1.0, 1.0 + 100.0 * PIVOT_RTOL])
+    out = _canonical_eigenbasis(np.zeros(1), v[:, None])[:, 0]
+    assert abs(out[1].imag) < 1e-15 and out[1].real > 0.0
 
 
 def test_degenerate_free_pair_resolved_by_plane_wave_pivot(free_solution, basis_n3):

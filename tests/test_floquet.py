@@ -1,11 +1,16 @@
 """Monodromy, quasienergies, Sambe cross-validation and temporal probes."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blochlab as bl
+from blochlab import floquet
+from blochlab.config import validate_config
 from blochlab.errors import NumericalFailure
 from blochlab.runner import _default_probe_observable
 from conftest import random_hermitian
@@ -17,6 +22,7 @@ DEGENERATE_H0 = np.zeros((4, 4), dtype=complex)  # levels 2 and 3 stay at 0
 DEGENERATE_H0[0, 1] = DEGENERATE_H0[1, 0] = 0.25
 EDGE_Q = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
 EDGE_PAIR_H0 = EDGE_Q @ np.diag([0.5, 1.5]) @ EDGE_Q.conj().T  # U(T) = -I at omega = 1
+SHIPPED_DRIVE = Path(__file__).resolve().parents[1] / "configs" / "floquet_two_level.json"
 
 
 def no_drive(eps):
@@ -299,6 +305,37 @@ def test_probe_averages_match_the_per_period_loop(name):
         assert abs(average - reference[k]) <= max(1e-13 * reference[k], floor), (k, average)
 
 
+def test_consecutive_grid_snapshots_are_read_as_a_view():
+    # the shipped config's trajectory and probe grids are one 256-interval
+    # grid, whose steps are all the kept marks: both read a view of the stack.
+    # An extra 255-interval grid interleaves its marks, so the same steps are
+    # gathered as a copy; the results must not tell the two apart.
+    fl = validate_config(json.loads(SHIPPED_DRIVE.read_text())).floquet
+    grids = (fl.trajectory_points - 1, fl.probe.grid)
+    viewed = bl.solve_floquet(fl.drive, steps=fl.steps, grids=grids)
+    gathered = bl.solve_floquet(fl.drive, steps=fl.steps, grids=(*grids, 255))
+    observable = fl.probe.observable or _default_probe_observable(fl.drive.dim)
+    for grid in grids:
+        view, offsets = floquet._on_grid(viewed, grid)
+        copy, copy_offsets = floquet._on_grid(gathered, grid)
+        assert np.shares_memory(view, viewed.snapshots) and not view.flags.writeable
+        assert not np.shares_memory(copy, gathered.snapshots)
+        assert np.array_equal(view, copy) and np.array_equal(offsets, copy_offsets)
+
+    a = bl.mode_trajectory(viewed, fl.trajectory_points)
+    b = bl.mode_trajectory(gathered, fl.trajectory_points)
+    for name in ("times", "trajectories", "periodic_parts", "periodicity_residuals"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    probes = [
+        bl.temporal_overlap_probe(
+            solution, observable, pair=fl.probe.pair, periods=fl.probe.periods,
+            grid_points=fl.probe.grid,
+        )
+        for solution in (viewed, gathered)
+    ]
+    assert probes[0] == probes[1]
+
+
 def test_probe_rejects_bad_pairs(two_level_drive, two_level_solution):
     obs = bl.PeriodicObservableSpec(static=SX)
     with pytest.raises(ValueError, match="distinct"):
@@ -377,13 +414,17 @@ def test_quasienergies_match_the_schur_route_on_degenerate_and_edge_drives(h0):
 
 
 def test_zone_edge_pair_gets_the_canonical_basis_whatever_eigh_returns(monkeypatch):
-    # U(T) = -I: both quasienergies sit on the zone edge, and rounding folds
-    # one to -hbar*omega/2 and the other just below +hbar*omega/2.  On the
-    # circle they are one cluster, so the modes are its canonical basis (e_0,
-    # e_1 in cluster order, which starts at +hbar*omega/2), not eigh's basis.
-    u = bl.propagate_period(bl.DriveSpec(h0=EDGE_PAIR_H0, omega=1.0), steps=128).monodromy
+    # U = Q diag(exp(-i pi (1 -+ delta))) Q^dagger, a few ulps either side of
+    # -I: one quasienergy folds to just above -hbar*omega/2 and the other to
+    # just below +hbar*omega/2, so the pair straddles the zone edge by
+    # construction.  On the circle they are one cluster, so the modes are its
+    # canonical basis (e_0, e_1 in cluster order, which starts at
+    # +hbar*omega/2), not eigh's basis.
+    delta = 4 * np.finfo(float).eps
+    phases = np.exp(-1j * np.pi * np.array([1.0 - delta, 1.0 + delta]))
+    u = (EDGE_Q * phases) @ EDGE_Q.conj().T
     eps, modes = bl.quasienergies(u, omega=1.0)
-    assert eps[0] == pytest.approx(-0.5, abs=1e-12) and eps[1] == pytest.approx(0.5, abs=1e-12)
+    assert -0.5 < eps[0] < -0.5 + 1e-12 and 0.5 - 1e-12 < eps[1] < 0.5
     assert float(np.max(np.abs(modes - np.eye(2)[:, ::-1]))) < 1e-12
 
     eigh = np.linalg.eigh

@@ -1,11 +1,16 @@
 """The chunked ordered product against the one-step-at-a-time loops.
 
-The midpoint snapshots at any marked steps, the array evaluation of H(t) and
-O(t), and the report fields built on them must equal the per-step reference
-bit for bit, including step counts that end a chunk early or cross a chunk
-edge and grids that do not divide the step count.  The RK4 monodromy
-regroups the same arithmetic into one step matrix, so it must match the
-per-step RK4 loop to rounding.
+The product multiplies each chunk's step matrices in aligned blocks, so its
+rounding differs from the per-step loop's: the midpoint snapshots at any
+marked steps, and the report fields built on them, must match the per-step
+reference to rounding (1e-13), including step counts that end a chunk early
+or cross a chunk edge and grids that do not divide the step count.  Against
+the product of the same float64 step matrices in extended precision the
+blocks must be no less accurate than the loop, and they must take a number
+of stacked products logarithmic in the chunk.  The array evaluation of H(t)
+and O(t) must equal the per-step evaluation bit for bit; the RK4 monodromy
+regroups the same arithmetic into one step matrix, so it matches the per-step
+RK4 loop to rounding.
 """
 
 import numpy as np
@@ -15,7 +20,12 @@ from hypothesis import strategies as st
 
 import blochlab as bl
 from blochlab import floquet
-from oracles import stepwise_midpoint_snapshots, stepwise_rk4_monodromy, termwise_trig_series
+from oracles import (
+    running_product,
+    stepwise_midpoint_snapshots,
+    stepwise_rk4_monodromy,
+    termwise_trig_series,
+)
 
 
 def random_drive(dim: int, seed: int) -> bl.DriveSpec:
@@ -66,7 +76,9 @@ def test_midpoint_snapshots_match_stepwise_loop(case):
     spec = random_drive(dim, seed)
     snapshots = floquet._ordered_product(spec, steps, marks, floquet._midpoint_factors)
     assert snapshots.shape == (len(marks), dim, dim)
-    assert np.array_equal(snapshots, stepwise_midpoint_snapshots(spec, steps, 1)[marks])
+    reference = stepwise_midpoint_snapshots(spec, steps, 1)[marks]
+    assert np.max(np.abs(snapshots - reference)) < 1e-13
+    assert np.array_equal(snapshots[marks == 0], reference[marks == 0])  # the identity, exactly
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -86,6 +98,74 @@ def test_rk4_monodromy_matches_stepwise_loop(case):
         return
     monodromy = floquet._ordered_product(spec, steps, [steps], floquet._rk4_factors)[-1]
     assert np.max(np.abs(monodromy - expected)) < 1e-13
+
+
+def chunked_factors(spec, steps: int, builder) -> np.ndarray:
+    """Every step matrix of the period, built chunk by chunk as the product builds them."""
+    dt = spec.period / steps
+    return np.concatenate([
+        builder(spec, np.arange(start, min(start + floquet._FACTOR_CHUNK, steps)), dt)
+        for start in range(0, steps, floquet._FACTOR_CHUNK)
+    ])
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision"
+)
+@pytest.mark.parametrize(
+    "drive, dim, steps, grid, method",
+    [
+        ("two-level", 2, 65536, 256, "midpoint-exponential"),  # the shipped drive
+        ("random", 2, 65536, 300, "midpoint-exponential"),  # 300 does not divide the steps
+        ("random", 3, 40000, 7, "fourth-order"),
+        ("random", 8, 16384, 4096, "midpoint-exponential"),
+        ("random", 16, 8193, 17, "midpoint-exponential"),
+    ],
+)
+def test_block_product_is_as_accurate_as_the_loop(drive, dim, steps, grid, method, request):
+    # both products of the same float64 step matrices, against their product
+    # in extended precision: regrouping must not cost accuracy
+    if drive == "two-level":
+        spec = request.getfixturevalue("two_level_drive")
+    else:
+        spec = random_drive(dim, dim)
+    builder = floquet._FACTOR_BUILDERS[method]
+    factors = chunked_factors(spec, steps, builder)
+    marks = floquet._nearest_steps(steps, grid)
+    exact = running_product(factors, marks, np.clongdouble)
+    loop_error = np.max(np.abs(running_product(factors, marks) - exact))
+    block_error = np.max(np.abs(floquet._ordered_product(spec, steps, marks, builder) - exact))
+    assert block_error <= 4.0 * loop_error + 1e-15, (block_error, loop_error)
+
+
+def test_each_chunk_takes_logarithmically_many_stacked_products():
+    class CountingStack(np.ndarray):
+        """A step-matrix stack that logs the size of each product it is the left operand of."""
+
+        def __matmul__(self, other):
+            sizes[-1].append(self.shape[0])
+            return super().__matmul__(other)
+
+    def counting_factors(spec, s, dt):
+        sizes.append([])  # one log per chunk
+        return floquet._midpoint_factors(spec, s, dt).view(CountingStack)
+
+    sizes: list[list[int]] = []
+    spec = random_drive(3, 5)
+    steps = 2 * floquet._FACTOR_CHUNK + 1000
+    marks = np.unique(np.concatenate(([steps], floquet._nearest_steps(steps, 600))))
+    snapshots = floquet._ordered_product(spec, steps, marks, counting_factors)
+    assert np.array_equal(
+        snapshots, floquet._ordered_product(spec, steps, marks, floquet._midpoint_factors)
+    )
+    starts = range(0, steps, floquet._FACTOR_CHUNK)
+    assert len(sizes) == len(starts)
+    for start, chunk in zip(starts, sizes):
+        n = min(floquet._FACTOR_CHUNK, steps - start)
+        depth = n.bit_length() - 1  # floor(log2 n) levels above the step matrices
+        inside = int(np.count_nonzero((marks > start) & (marks <= start + n)))
+        assert len(chunk) <= 2 * depth + 1  # the up-sweep, then one call per binary digit
+        assert sum(chunk) <= (n - 1) + (inside + 1) * (depth + 1)  # O(steps) products in all
 
 
 @pytest.mark.parametrize("dim", [2, 8, 16])
@@ -131,14 +211,14 @@ def test_propagator_fields_match_stepwise_loop():
     spec = random_drive(3, 7)
     solution = bl.solve_floquet(spec, steps=300, grids=(7, 9))
     reference = stepwise_midpoint_snapshots(spec, 300, 1)
-    assert np.array_equal(solution.monodromy, reference[-1])
+    assert np.max(np.abs(solution.monodromy - reference[-1])) < 1e-13
     assert np.array_equal(solution.monodromy, bl.propagate_period(spec, steps=300).monodromy)
     # 7 does not divide 300: each grid time i T / 7 takes its nearest step
     marks = [0, 43, 86, 129, 171, 214, 257, 300]
     assert np.array_equal(floquet._nearest_steps(300, 7), marks)
     traj = bl.mode_trajectory(solution, n_t=8)
     expected = np.array([(reference[s] @ solution.modes).T for s in marks]).transpose(1, 0, 2)
-    assert np.array_equal(traj.trajectories, expected)
+    assert np.max(np.abs(traj.trajectories - expected)) < 1e-13
     # the sampled steps' times: exact at the ends, within half a step of i T / 7
     dt = spec.period / 300
     assert traj.times[0] == 0.0 and traj.times[-1] == spec.period
