@@ -18,7 +18,6 @@ from .floquet import (
     FloquetSolution,
     PeriodicObservableSpec,
     fold_quasienergy,
-    mode_trajectory,
     monodromy_polynomial,
     propagate_period,
     quasienergies,
@@ -77,7 +76,7 @@ __all__ = [
     "DriveSpec", "DriveTerm", "PeriodicObservableSpec", "FloquetSolution",
     "propagate_period", "quasienergies", "quasienergy_distance", "fold_quasienergy",
     "solve_floquet",
-    "sambe_quasienergies", "mode_trajectory", "temporal_overlap_probe",
+    "sambe_quasienergies", "temporal_overlap_probe",
     "monodromy_polynomial",
     # errors
     "ConfigError", "NumericalFailure", "InvariantViolation",

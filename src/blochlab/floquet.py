@@ -6,6 +6,8 @@ eps = -(hbar/T) arg(lambda), defined modulo hbar*omega and folded to the
 principal zone [-hbar*omega/2, hbar*omega/2), and the Floquet modes phi(0).
 Trajectories phi(t) = U(t,0) phi(0) factor into exp(-i eps t/hbar) times a
 T-periodic part v(t), the temporal analogue of a cell-periodic Bloch factor.
+The lab reports v(T) - v(0) = exp(i eps T/hbar) U(T) phi(0) - phi(0) alone,
+which is the modes' eigen-residual of the monodromy.
 
 Two independent routes are kept deliberately: the propagator is the
 midpoint-exponential product (every factor exactly unitary), cross-checked
@@ -33,7 +35,7 @@ those the suppression shows up as the averaged decay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,11 +160,10 @@ class PeriodicObservableSpec:
 class FloquetSolution:
     """Monodromy, quasienergies and modes, and the midpoint product they came from.
 
-    ``solve_floquet`` fills all but the trajectory fields: ``snapshots`` holds
-    U(s T / steps, 0) at the ascending step indices s in ``marks``, the last
-    of them ``steps`` itself, so ``monodromy`` is the last snapshot.
-    ``mode_trajectory`` and ``temporal_overlap_probe`` read their grids from
-    these snapshots.  ``propagate_period`` fills only the monodromy.
+    ``solve_floquet`` fills every field: ``snapshots`` holds U(s_i T / steps, 0)
+    at the steps s_i nearest the probe grid times i T / grid, i = 0 .. grid, so
+    ``monodromy`` is the last snapshot and ``temporal_overlap_probe`` reads its
+    grid from them.  ``propagate_period`` fills only the monodromy.
     """
 
     spec: DriveSpec
@@ -171,16 +172,22 @@ class FloquetSolution:
     monodromy: np.ndarray
     quasienergies: np.ndarray | None = None
     modes: np.ndarray | None = None  # columns phi_j(0), orthonormal
-    marks: np.ndarray | None = None  # step indices of the snapshots, ascending
-    snapshots: np.ndarray | None = None  # [mark, row, column]
-    times: np.ndarray | None = None
-    trajectories: np.ndarray | None = None  # [mode, time, component]
-    periodic_parts: np.ndarray | None = None
-    periodicity_residuals: np.ndarray | None = None
+    snapshots: np.ndarray | None = None  # [grid point, row, column], read-only
 
     @property
     def unitarity_defect(self) -> float:
         return _unitarity_defect(self.monodromy)
+
+    @property
+    def periodicity_residuals(self) -> np.ndarray:
+        """|| v_j(T) - v_j(0) || = || exp(i eps_j T/hbar) U(T) phi_j - phi_j || per mode.
+
+        This restates the monodromy eigen-residual that ``quasienergies``
+        already bounds by 1e-8; it is no independent evidence of periodicity.
+        """
+        spec = self.spec
+        phase = np.exp(1j * np.outer(self.quasienergies, [spec.period]) / spec.hbar)
+        return np.linalg.norm((self.monodromy @ self.modes).T * phase - self.modes.T, axis=1)
 
 
 @dataclass(frozen=True)
@@ -403,52 +410,22 @@ def quasienergies(
     return eps, np.roll(modes, start, axis=1)
 
 
-def solve_floquet(
-    spec: DriveSpec, steps: int = 4096, grids: tuple[int, ...] = (256,)
-) -> FloquetSolution:
+def solve_floquet(spec: DriveSpec, steps: int = 4096, grid: int = 256) -> FloquetSolution:
     """One midpoint product over the period, then the quasienergy extraction.
 
-    The product is kept at the step nearest every grid time i T / g,
-    i = 0 .. g, of every g in ``grids``: ``mode_trajectory`` with n_t - 1 in
-    ``grids`` and ``temporal_overlap_probe`` with grid_points in ``grids`` read
-    these snapshots.  The monodromy is the last of them, bit for bit the one
-    ``propagate_period`` gives.
+    The product is kept at the step nearest each probe grid time i T / grid,
+    i = 0 .. grid (a step repeats when grid > steps), as a read-only stack that
+    ``temporal_overlap_probe`` reads.  The monodromy is the last snapshot, bit
+    for bit the one ``propagate_period`` gives.
     """
-    if any(g < 1 for g in grids):
-        raise ValueError(f"every grid needs at least one interval, got {grids}")
-    marks = np.unique(np.concatenate([[steps], *(_nearest_steps(steps, g) for g in grids)]))
-    snapshots = _ordered_product(spec, steps, marks, _midpoint_factors)
+    if grid < 1:
+        raise ValueError(f"the grid needs at least one interval, got {grid}")
+    snapshots = _ordered_product(spec, steps, _nearest_steps(steps, grid), _midpoint_factors)
+    snapshots.setflags(write=False)
     eps, modes = quasienergies(snapshots[-1], spec.omega, spec.hbar)
     return FloquetSolution(
         spec=spec, method="midpoint-exponential", steps=steps, monodromy=snapshots[-1],
-        quasienergies=eps, modes=modes, marks=marks, snapshots=snapshots,
-    )
-
-
-def _on_grid(solution: FloquetSolution, grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """The kept U(s_i dt, 0) at the steps s_i nearest i T / grid, i = 0 .. grid.
-
-    Also returns the time offsets s_i dt - i T / grid, exactly 0.0 where the
-    grid time is a step (everywhere when ``grid`` divides the step count).
-    When the grid's snapshots are consecutive in the kept stack, they come as
-    a read-only view of it, not a copy.  Raises ValueError when the solution
-    did not keep those steps.
-    """
-    want = _nearest_steps(solution.steps, grid)
-    if solution.snapshots is not None:
-        at = np.searchsorted(solution.marks, want)  # marks end at steps, so at is in range
-        if np.array_equal(solution.marks[at], want):
-            offsets = (want * grid - np.arange(grid + 1) * solution.steps) * (
-                solution.spec.period / (solution.steps * grid)
-            )
-            if np.all(np.diff(at) == 1):
-                view = solution.snapshots[at[0] : at[-1] + 1]
-                view.flags.writeable = False
-                return view, offsets
-            return solution.snapshots[at], offsets
-    raise ValueError(
-        f"the solution kept no snapshots on a {grid}-interval grid; "
-        "pass that grid to solve_floquet"
+        quasienergies=eps, modes=modes, snapshots=snapshots,
     )
 
 
@@ -520,34 +497,6 @@ def quasienergy_distance(a: np.ndarray, b: np.ndarray, omega: float, hbar: float
     return min(float(np.max(np.abs(g - zone * np.round(g / zone)))) for g in gaps)
 
 
-def mode_trajectory(solution: FloquetSolution, n_t: int = 257) -> FloquetSolution:
-    """Sample phi_j(t) and v_j(t) = exp(i eps_j t/hbar) phi_j(t) over [0, T].
-
-    The n_t points, both endpoints included, are the midpoint steps nearest
-    t_i = i T / (n_t - 1), read from the product that ``solve_floquet`` kept
-    for the grid n_t - 1 (ValueError if it kept none); ``times`` holds the
-    times of those steps, to rounding.  The endpoints are exact steps and U(T, 0) is the
-    monodromy itself, so the periodicity residual || v(T) - v(0) || measures
-    how well the modes are eigenvectors of the monodromy.
-    """
-    if n_t < 2:
-        raise ValueError("need at least 2 grid points")
-    snapshots, offsets = _on_grid(solution, n_t - 1)
-    spec, eps = solution.spec, solution.quasienergies
-    times = np.linspace(0.0, spec.period, n_t) + offsets
-    trajectories = (snapshots @ solution.modes).transpose(2, 0, 1)  # [mode, time, component]
-    phase = np.exp(1j * np.outer(eps, times) / spec.hbar)  # [mode, time]
-    periodic_parts = trajectories * phase[:, :, None]
-    residuals = np.linalg.norm(periodic_parts[:, -1, :] - periodic_parts[:, 0, :], axis=1)
-    return replace(
-        solution,
-        times=times,
-        trajectories=trajectories,
-        periodic_parts=periodic_parts,
-        periodicity_residuals=residuals,
-    )
-
-
 def monodromy_polynomial(
     monodromy: np.ndarray, coefficients: tuple[float, ...] = (0.4, 0.3, 0.2)
 ) -> np.ndarray:
@@ -575,26 +524,24 @@ def temporal_overlap_probe(
     observable: PeriodicObservableSpec,
     pair: tuple[int, int] = (0, 1),
     periods: tuple[int, ...] = (8, 16, 32, 64),
-    grid_points: int = 256,
 ) -> TemporalOverlapReport:
     """Probe the cross-quasienergy overlap F(t) = <phi_j(t)|O(t)|phi_j'(t)>.
 
     See the module docstring for the three reported quantities.  The grid
-    points are the midpoint steps nearest t_i = i T / grid_points, read from
-    the product that ``solve_floquet`` kept for that grid (ValueError if it
-    kept none), and O is evaluated at those steps' times.  The pair must be
-    non-degenerate modulo hbar*omega (beyond 1e-8), otherwise the splitting
-    phase is undefined and the probe is rejected.
+    points are the midpoint steps nearest t_i = i T / grid that
+    ``solve_floquet`` kept, and O is evaluated at those steps' times.  The
+    pair must be non-degenerate modulo hbar*omega (beyond 1e-8), otherwise
+    the splitting phase is undefined and the probe is rejected.
     """
     j, jp = pair
     if j == jp:
         raise ValueError("need two distinct mode indices")
     if not periods:
         raise ValueError("need at least one period count")
+    grid_points = len(solution.snapshots) - 1
     if grid_points < 8:
         raise ValueError("need at least 8 grid points per period")
-    snapshots, offsets = _on_grid(solution, grid_points)
-    snapshots = snapshots[:-1]  # t < T
+    snapshots = solution.snapshots[:-1]  # t < T
     spec, eps, modes = solution.spec, solution.quasienergies, solution.modes
     u_period = solution.monodromy
     delta = float(eps[j] - eps[jp])
@@ -605,8 +552,13 @@ def temporal_overlap_probe(
             f"(splitting {folded:.3e})"
         )
 
-    # H_i = U(t_i)^dagger O(t_i) U(t_i) as conj(U^T conj(O U)): no conjugate copy of U
+    # the kept steps' time offsets s_i dt - i T / grid: 0.0 where a grid time is a step
+    marks = _nearest_steps(solution.steps, grid_points)
+    offsets = (marks * grid_points - np.arange(grid_points + 1) * solution.steps) * (
+        spec.period / (solution.steps * grid_points)
+    )
     times = np.arange(grid_points) * spec.period / grid_points + offsets[:-1]
+    # H_i = U(t_i)^dagger O(t_i) U(t_i) as conj(U^T conj(O U)): no conjugate copy of U
     heisenberg = observable.value(times, spec.omega) @ snapshots
     np.conj(heisenberg, out=heisenberg)
     heisenberg = snapshots.transpose(0, 2, 1) @ heisenberg

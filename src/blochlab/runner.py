@@ -22,7 +22,6 @@ from .errors import ConfigError, NumericalFailure
 from .floquet import (
     DriveTerm,
     PeriodicObservableSpec,
-    mode_trajectory,
     propagate_period,
     quasienergy_distance,
     sambe_quasienergies,
@@ -147,7 +146,12 @@ def _run_bands(cfg: ScenarioConfig):
     checks = dict(quality["checks"])
 
     if cfg.potential.is_free:
-        kinetic = (spec.hbar * basis.momenta[structure.rows]) ** 2 / (2.0 * spec.mass)
+        # class l holds the plane waves k_l + 2 pi n / a, n = (m - l) / N: an
+        # expression apart from the q_m = 2 pi m / L that H was built from
+        labels = np.arange(spec.cells)[:, None]
+        n = (basis.indices[structure.rows] - labels) // spec.cells
+        q = basis.wavevector(labels) + 2.0 * np.pi * n / spec.a
+        kinetic = (spec.hbar * q) ** 2 / (2.0 * spec.mass)
         worst = float(np.max(np.abs(structure.energies - np.sort(kinetic, axis=1))))
         results["deviations"]["free_particle"] = worst
         scale = max(1.0, h.norm_max)
@@ -321,9 +325,7 @@ def _default_probe_observable(dim: int) -> PeriodicObservableSpec:
 def _run_floquet(cfg: ScenarioConfig):
     fl = cfg.floquet
     drive = fl.drive
-    solution = solve_floquet(
-        drive, steps=fl.steps, grids=(fl.trajectory_points - 1, fl.probe.grid)
-    )
+    solution = solve_floquet(drive, steps=fl.steps, grid=fl.probe.grid)
     unitarity = solution.unitarity_defect
 
     other = propagate_period(drive, steps=fl.steps, method="fourth-order")
@@ -332,7 +334,6 @@ def _run_floquet(cfg: ScenarioConfig):
     sambe = sambe_quasienergies(drive, fl.sambe_hmax)
     sambe_diff = quasienergy_distance(solution.quasienergies, sambe, drive.omega, drive.hbar)
 
-    solution = mode_trajectory(solution, fl.trajectory_points)
     periodicity = float(np.max(solution.periodicity_residuals))
 
     results = {
@@ -356,11 +357,7 @@ def _run_floquet(cfg: ScenarioConfig):
     observable = fl.probe.observable or _default_probe_observable(drive.dim)
     try:
         probe = temporal_overlap_probe(
-            solution,
-            observable,
-            pair=fl.probe.pair,
-            periods=fl.probe.periods,
-            grid_points=fl.probe.grid,
+            solution, observable, pair=fl.probe.pair, periods=fl.probe.periods
         )
     except ValueError as exc:
         raise NumericalFailure(f"temporal probe rejected: {exc}") from exc

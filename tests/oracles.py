@@ -14,7 +14,7 @@ import scipy.linalg
 
 from blochlab import LatticeSpec, PotentialSpec, fold_quasienergy
 from blochlab.bloch import _canonical_eigenbasis
-from blochlab.floquet import _on_grid
+from blochlab.floquet import _nearest_steps
 
 
 def fd_ring_hamiltonian(
@@ -354,15 +354,20 @@ def schur_quasienergies(monodromy, omega: float, hbar: float = 1.0):
 # loop is the reference its K-period averages must reproduce to rounding.
 
 
-def loop_period_averages(solution, observable, pair, periods, grid_points) -> dict:
+def loop_period_averages(solution, observable, pair, periods) -> dict:
     """{K: |average of F(t) over [0, K T]|} for F(t) = <phi_j(t)|O(t)|phi_j'(t)>."""
     j, jp = pair
-    snapshots, offsets = _on_grid(solution, grid_points)
-    snapshots = snapshots[:-1]  # t < T
-    spec, modes = solution.spec, solution.modes
+    grid_points = len(solution.snapshots) - 1
+    snapshots = solution.snapshots[:-1]  # t < T
+    spec, modes, steps = solution.spec, solution.modes, solution.steps
     u_period = solution.monodromy
 
-    times = np.arange(grid_points) * spec.period / grid_points + offsets[:-1]
+    # each kept step s_i sits s_i dt - i T / grid off its grid time
+    marks = _nearest_steps(steps, grid_points)[:-1]
+    offsets = (marks * grid_points - np.arange(grid_points) * steps) * (
+        spec.period / (steps * grid_points)
+    )
+    times = np.arange(grid_points) * spec.period / grid_points + offsets
     obs_grid = observable.value(times, spec.omega)
 
     phi_j0, phi_jp0 = modes[:, j], modes[:, jp]

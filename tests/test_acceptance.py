@@ -203,9 +203,7 @@ def test_criterion_8_temporal_superselection():
         observable = bl.PeriodicObservableSpec(
             static=SX, harmonics=(bl.DriveTerm(harmonic=1, kind="cos", matrix=0.3 * SZ),)
         )
-        probe = bl.temporal_overlap_probe(
-            sol, observable, pair=(0, 1), periods=(8, 16, 32, 64), grid_points=256
-        )
+        probe = bl.temporal_overlap_probe(sol, observable, pair=(0, 1), periods=(8, 16, 32, 64))
         detail["phase_residual"] = probe.phase_relation_residual
         assert probe.phase_relation_residual < 1e-7
         averages = dict(probe.period_averages)

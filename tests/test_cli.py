@@ -18,6 +18,7 @@ from blochlab.config import (
     MAX_BATTERY_SEEDS,
     MAX_GRID_POINTS,
     MAX_PROBE_PERIODS,
+    MAX_SAMBE_HMAX,
     MAX_STEPS,
     MAX_TRAJECTORY_POINTS,
     validate_config,
@@ -175,7 +176,7 @@ def shipped_drive(**fields):
 
 @pytest.mark.parametrize("steps", [3000, 4097])
 def test_shipped_drive_exits_0_when_its_grids_do_not_divide_the_steps(tmp_path, steps):
-    # the trajectory reads the product the modes came from, so v(T) - v(0) is
+    # v(T) - v(0) is taken from the monodromy the modes came from, so it is
     # the modes' eigen-residual; re-stepping the period on a rounded-up step
     # count (3072 for 3000) read 1.1e-8 here against the 1e-8 tolerance
     cfg = write_json(tmp_path / "drive.json", shipped_drive(steps=steps))
@@ -196,15 +197,22 @@ def test_overflowed_rk4_monodromy_exits_2(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_retired_trajectory_points_changes_nothing():
+    # still accepted and range-checked (see CAPPED), but read by nothing
+    assert "trajectory_points" not in shipped_drive()["floquet"]
+    base = run_scenario(validate_config(shipped_drive()))
+    for n in (2, 257, 4097):
+        report = run_scenario(validate_config(shipped_drive(trajectory_points=n)))
+        assert report.results == base.results and report.checks == base.checks
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(
-    steps=st.integers(64, 8192), points=st.integers(2, 600), grid=st.integers(8, 600)
-)
-@example(steps=3000, points=257, grid=256)
-@example(steps=64, points=600, grid=600)
-def test_shipped_drive_temporal_checks_pass_on_any_grid(steps, points, grid):
+@given(steps=st.integers(64, 8192), grid=st.integers(8, 600))
+@example(steps=3000, grid=256)
+@example(steps=64, grid=600)
+def test_shipped_drive_temporal_checks_pass_on_any_grid(steps, grid):
     probe = {**shipped_drive()["floquet"]["probe"], "grid": grid}
-    cfg = validate_config(shipped_drive(steps=steps, trajectory_points=points, probe=probe))
+    cfg = validate_config(shipped_drive(steps=steps, probe=probe))
     checks = run_scenario(cfg).checks
     assert checks["mode_periodicity"] and checks["phase_relation"] and checks["average_bound"]
 
@@ -263,8 +271,8 @@ def test_fringe_match_override_reaches_its_check(tmp_path):
 
 
 def test_free_particle_override_reaches_its_check(tmp_path, monkeypatch):
-    # eigh returns a diagonal block's entries exactly, so the shipped free
-    # lattice reads a deviation of 0; the energies are shifted by 1e-11
+    # the shipped free lattice reads a deviation of ~1e-14 against its
+    # independent reference; the energies are shifted by 1e-11
     # (||H||_max ~ 35) so that the tolerance has something to compare
     solve = runner.solve_bands
 
@@ -283,6 +291,27 @@ def test_free_particle_override_reaches_its_check(tmp_path, monkeypatch):
     assert runs["1e-12"][0] == 0 and runs["1e-14"][0] == 3
     assert runs["1e-14"][1]["tolerances"]["free_particle"] == 1e-14
     assert not runs["1e-14"][1]["checks"]["free_particle_exact"]
+
+
+def test_one_mistaken_free_energy_fails_only_free_particle_exact(monkeypatch):
+    # the first band of class 1 (E ~ 2.2, ||H||_max ~ 35) scaled by 1 + 1e-9:
+    # 6e-11 of eigen-residual stays under 1e-9, 2.2e-9 of deviation does not
+    # stay under 1e-12 ||H||_max
+    solve = runner.solve_bands
+
+    def mistaken(h, spec):
+        b = solve(h, spec)
+        energies = b.energies.copy()
+        energies[1, 0] *= 1.0 + 1e-9
+        return bl.BandStructure(b.k_values, energies, b.coeffs, b.rows)
+
+    data = json.loads((SHIPPED_DRIVE.parent / "bands_free.json").read_text())
+    data.pop("output")
+    cfg = validate_config(data)
+    assert run_scenario(cfg).passed
+    monkeypatch.setattr(runner, "solve_bands", mistaken)
+    checks = run_scenario(cfg).checks
+    assert [name for name, ok in checks.items() if not ok] == ["free_particle_exact"]
 
 
 def test_floquet_run_integrates_the_period_once_per_integrator(monkeypatch):
@@ -790,6 +819,9 @@ CAPPED = {
     "trajectory_points": (
         lambda n: _floquet(trajectory_points=n), MAX_TRAJECTORY_POINTS,
         "/floquet/trajectory_points", 1,
+    ),
+    "sambe_hmax": (
+        lambda n: _floquet(sambe_hmax=n), MAX_SAMBE_HMAX, "/floquet/sambe_hmax", 1,
     ),
     "probe_grid": (
         lambda n: _floquet(probe={"grid": n}), MAX_GRID_POINTS, "/floquet/probe/grid", 1,

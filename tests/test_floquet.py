@@ -14,7 +14,7 @@ from blochlab.config import validate_config
 from blochlab.errors import NumericalFailure
 from blochlab.runner import _default_probe_observable
 from conftest import random_hermitian
-from oracles import loop_period_averages, schur_quasienergies
+from oracles import loop_period_averages, schur_quasienergies, stepwise_midpoint_snapshots
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -194,19 +194,32 @@ def test_sambe_requires_enough_blocks(two_level_drive):
         bl.sambe_quasienergies(two_level_drive, h_max=3)
 
 
-def test_mode_trajectory_stationary_for_no_drive():
-    sol = bl.solve_floquet(no_drive(0.3), steps=256, grids=(64,))
-    sol = bl.mode_trajectory(sol, n_t=65)
+def sampled_modes(solution):
+    """phi_j(t_i) and v_j(t_i) = exp(i eps_j t_i / hbar) phi_j(t_i) on the kept grid.
+
+    Both come as [mode, time, component].
+    """
+    grid = len(solution.snapshots) - 1
+    times = np.linspace(0.0, solution.spec.period, grid + 1)  # the grids below divide the steps
+    phi = (solution.snapshots @ solution.modes).transpose(2, 0, 1)
+    phase = np.exp(1j * np.outer(solution.quasienergies, times) / solution.spec.hbar)
+    return phi, phi * phase[:, :, None]
+
+
+def test_modes_stationary_for_no_drive():
+    sol = bl.solve_floquet(no_drive(0.3), steps=256, grid=64)
+    _, parts = sampled_modes(sol)
     # eps equals the unfolded eigenvalue, so v(t) is constant
-    spread = np.max(np.abs(sol.periodic_parts - sol.periodic_parts[:, :1, :]))
+    spread = np.max(np.abs(parts - parts[:, :1, :]))
     assert spread < 1e-10
     assert np.max(sol.periodicity_residuals) < 1e-10
 
 
-def test_mode_trajectory_driven_config(two_level_drive, two_level_solution):
-    sol = bl.mode_trajectory(two_level_solution, n_t=257)
+def test_mode_periodicity_driven_config(two_level_drive, two_level_solution):
+    sol = two_level_solution
     assert np.max(sol.periodicity_residuals) < 1e-8
-    norms = np.linalg.norm(sol.trajectories, axis=2)
+    phi, _ = sampled_modes(sol)
+    norms = np.linalg.norm(phi, axis=2)
     assert np.max(np.abs(norms - 1.0)) < 1e-9
 
 
@@ -240,10 +253,9 @@ def test_expansion_coefficients_evolve_by_quasienergy_phase(
 
 def test_probe_static_observable_no_drive():
     spec = no_drive(0.3)
-    sol = bl.solve_floquet(spec, steps=256, grids=(128,))
+    sol = bl.solve_floquet(spec, steps=256, grid=128)
     probe = bl.temporal_overlap_probe(
-        sol, bl.PeriodicObservableSpec(static=SX), pair=(0, 1),
-        periods=(8, 16, 32, 64), grid_points=128,
+        sol, bl.PeriodicObservableSpec(static=SX), pair=(0, 1), periods=(8, 16, 32, 64)
     )
     # F oscillates at the splitting; the K-period average obeys both the
     # geometric bound and the cruder (1.1/K) * max|F| envelope here
@@ -260,10 +272,7 @@ def test_probe_driven_config(two_level_drive, two_level_solution):
     obs = bl.PeriodicObservableSpec(
         static=SX, harmonics=(bl.DriveTerm(harmonic=1, kind="cos", matrix=0.3 * SZ),)
     )
-    probe = bl.temporal_overlap_probe(
-        two_level_solution, obs, pair=(0, 1),
-        periods=(8, 16, 32, 64), grid_points=256,
-    )
+    probe = bl.temporal_overlap_probe(two_level_solution, obs, pair=(0, 1), periods=(8, 16, 32, 64))
     assert probe.phase_relation_residual < 1e-7
     averages = dict(probe.period_averages)
     bounds = dict(probe.geometric_bounds)
@@ -293,11 +302,11 @@ PROBE_ORACLE_DRIVES = {
 def test_probe_averages_match_the_per_period_loop(name):
     h0, drives = PROBE_ORACLE_DRIVES[name](np.random.default_rng(3))
     spec = bl.DriveSpec(h0=h0, omega=1.0, drives=drives)
-    solution = bl.solve_floquet(spec, steps=4096, grids=(256,))
+    solution = bl.solve_floquet(spec, steps=4096, grid=256)
     observable = _default_probe_observable(spec.dim)
     periods = (1, 8, 16, 32, 64, 1024)
-    probe = bl.temporal_overlap_probe(solution, observable, periods=periods, grid_points=256)
-    reference = loop_period_averages(solution, observable, (0, 1), periods, 256)
+    probe = bl.temporal_overlap_probe(solution, observable, periods=periods)
+    reference = loop_period_averages(solution, observable, (0, 1), periods)
     assert [k for k, _ in probe.period_averages] == sorted(reference)
     # an average far below max |F| carries rounding of order eps max |F|
     floor = 1e-15 * probe.max_overlap
@@ -305,35 +314,16 @@ def test_probe_averages_match_the_per_period_loop(name):
         assert abs(average - reference[k]) <= max(1e-13 * reference[k], floor), (k, average)
 
 
-def test_consecutive_grid_snapshots_are_read_as_a_view():
-    # the shipped config's trajectory and probe grids are one 256-interval
-    # grid, whose steps are all the kept marks: both read a view of the stack.
-    # An extra 255-interval grid interleaves its marks, so the same steps are
-    # gathered as a copy; the results must not tell the two apart.
-    fl = validate_config(json.loads(SHIPPED_DRIVE.read_text())).floquet
-    grids = (fl.trajectory_points - 1, fl.probe.grid)
-    viewed = bl.solve_floquet(fl.drive, steps=fl.steps, grids=grids)
-    gathered = bl.solve_floquet(fl.drive, steps=fl.steps, grids=(*grids, 255))
-    observable = fl.probe.observable or _default_probe_observable(fl.drive.dim)
-    for grid in grids:
-        view, offsets = floquet._on_grid(viewed, grid)
-        copy, copy_offsets = floquet._on_grid(gathered, grid)
-        assert np.shares_memory(view, viewed.snapshots) and not view.flags.writeable
-        assert not np.shares_memory(copy, gathered.snapshots)
-        assert np.array_equal(view, copy) and np.array_equal(offsets, copy_offsets)
-
-    a = bl.mode_trajectory(viewed, fl.trajectory_points)
-    b = bl.mode_trajectory(gathered, fl.trajectory_points)
-    for name in ("times", "trajectories", "periodic_parts", "periodicity_residuals"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    probes = [
-        bl.temporal_overlap_probe(
-            solution, observable, pair=fl.probe.pair, periods=fl.probe.periods,
-            grid_points=fl.probe.grid,
-        )
-        for solution in (viewed, gathered)
-    ]
-    assert probes[0] == probes[1]
+@pytest.mark.parametrize("steps, grid", [(64, 256), (300, 7)])
+def test_snapshots_are_the_stepwise_product_on_the_probe_grid(steps, grid):
+    # the shipped drive: a 256-interval grid on 64 steps repeats every step,
+    # and 7 does not divide 300
+    spec = validate_config(json.loads(SHIPPED_DRIVE.read_text())).floquet.drive
+    solution = bl.solve_floquet(spec, steps=steps, grid=grid)
+    reference = stepwise_midpoint_snapshots(spec, steps, 1)[floquet._nearest_steps(steps, grid)]
+    assert solution.snapshots.shape == reference.shape
+    assert np.max(np.abs(solution.snapshots - reference)) < 1e-13
+    assert not solution.snapshots.flags.writeable
 
 
 def test_probe_rejects_bad_pairs(two_level_drive, two_level_solution):

@@ -209,21 +209,32 @@ def test_eigh_stacks_stay_within_the_chunk(monkeypatch):
 
 def test_propagator_fields_match_stepwise_loop():
     spec = random_drive(3, 7)
-    solution = bl.solve_floquet(spec, steps=300, grids=(7, 9))
+    solution = bl.solve_floquet(spec, steps=300, grid=7)
     reference = stepwise_midpoint_snapshots(spec, 300, 1)
     assert np.max(np.abs(solution.monodromy - reference[-1])) < 1e-13
     assert np.array_equal(solution.monodromy, bl.propagate_period(spec, steps=300).monodromy)
     # 7 does not divide 300: each grid time i T / 7 takes its nearest step
     marks = [0, 43, 86, 129, 171, 214, 257, 300]
     assert np.array_equal(floquet._nearest_steps(300, 7), marks)
-    traj = bl.mode_trajectory(solution, n_t=8)
+    phi = (solution.snapshots @ solution.modes).transpose(2, 0, 1)  # [mode, time, component]
     expected = np.array([(reference[s] @ solution.modes).T for s in marks]).transpose(1, 0, 2)
-    assert np.max(np.abs(traj.trajectories - expected)) < 1e-13
-    # the sampled steps' times: exact at the ends, within half a step of i T / 7
+    assert np.max(np.abs(phi - expected)) < 1e-13
+    # the times the probe evaluates O(t) at on a 9-grid, which does not divide
+    # 300 either: the kept steps' times, within half a step of i T / 9
+    seen = []
+
+    class Recording(bl.PeriodicObservableSpec):
+        def value(self, t, omega):
+            seen.append(np.array(t))
+            return super().value(t, omega)
+
+    probed = bl.solve_floquet(spec, steps=300, grid=9)
+    bl.temporal_overlap_probe(probed, Recording(static=spec.h0), periods=(1,))
+    (times,) = seen
     dt = spec.period / 300
-    assert traj.times[0] == 0.0 and traj.times[-1] == spec.period
-    assert np.allclose(traj.times, np.array(marks) * dt, rtol=0, atol=1e-14)
-    assert np.max(np.abs(traj.times - np.linspace(0, spec.period, 8))) <= 0.5 * dt
+    assert times[0] == 0.0
+    assert np.allclose(times, floquet._nearest_steps(300, 9)[:-1] * dt, rtol=0, atol=1e-14)
+    assert np.max(np.abs(times - np.linspace(0, spec.period, 10)[:-1])) <= 0.5 * dt
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -239,16 +250,10 @@ def test_nearest_steps_are_at_most_half_a_step_off(steps, grid):
 
 
 def test_grids_the_solution_did_not_keep_are_rejected():
+    # the probe reads the one grid the solution kept, and needs 8 points on it
     spec = random_drive(2, 4)
-    solution = bl.solve_floquet(spec, steps=256, grids=(16,))
     observable = bl.PeriodicObservableSpec(static=spec.h0)
-    bl.mode_trajectory(solution, n_t=17)
-    bl.mode_trajectory(solution, n_t=9)  # every step of the 8-grid was kept as well
-    with pytest.raises(ValueError, match="12-interval grid"):
-        bl.mode_trajectory(solution, n_t=13)
-    with pytest.raises(ValueError, match="32-interval grid"):
-        bl.temporal_overlap_probe(solution, observable, grid_points=32)
-    with pytest.raises(ValueError, match="kept no snapshots"):
-        bl.mode_trajectory(bl.propagate_period(spec, steps=256), n_t=17)
+    with pytest.raises(ValueError, match="at least 8 grid points"):
+        bl.temporal_overlap_probe(bl.solve_floquet(spec, steps=256, grid=4), observable)
     with pytest.raises(ValueError, match="at least one interval"):
-        bl.solve_floquet(spec, steps=256, grids=(0,))
+        bl.solve_floquet(spec, steps=256, grid=0)
