@@ -1,9 +1,10 @@
 """Scenario configuration: strict JSON schema with pointer-carrying errors.
 
 Configs drive the four scenario kinds (bands, superselect, wannier, floquet).
-Validation is strict: unknown keys are rejected anywhere in the tree, and
-every error names the offending location as a JSON pointer so misspelled
-keys cannot silently disable a check.  Complex matrix entries are written as
+Validation is strict: each JSON object is read by one table of its keys, so
+unknown keys are rejected anywhere in the tree, and every error names the
+offending location as a JSON pointer so misspelled keys cannot silently
+disable a check.  Complex matrix entries are written as
 two-element [re, im] arrays (a bare number is accepted as a real entry);
 matrices nest row-major.
 """
@@ -13,19 +14,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
 from .floquet import MIN_STEPS, DriveSpec, DriveTerm, PeriodicObservableSpec
-from .lattice import LatticeSpec, PotentialSpec, build_basis
+from .lattice import LatticeSpec, PlaneWaveBasis, PotentialSpec, build_basis
 from .observables import (
     MAX_POLY_DEGREE,
     NAMED_OBSERVABLES,
     Battery,
     ObservableSpec,
     ObservableTerm,
+    breaking_observable,
 )
 
 KINDS = ("bands", "superselect", "wannier", "floquet")
@@ -107,33 +110,57 @@ class ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# low-level validated readers; every one threads the JSON pointer through
+# readers: reader(value, pointer) returns the value read, or raises a
+# ConfigError at ``pointer``.  Each JSON object is read by one table of
+# key -> (reader, default); ``_read`` documents the defaults.
+
+_REQUIRED = object()  # the table default of a key that must be given
 
 
-def _expect_mapping(value, pointer: str) -> dict:
+def _read(value, pointer: str, table: dict) -> dict:
+    """The values of one JSON object, read by its table.
+
+    Unknown keys are rejected before any value is read, then the keys are read
+    in table order.  An absent key reads its default, is a missing-key error
+    when the default is ``_REQUIRED``, and is left out when the default is
+    None, so that the constructor the values go to supplies it.
+    """
     if not isinstance(value, dict):
         raise ConfigError(f"expected an object, got {type(value).__name__}", pointer)
-    return value
-
-
-def _check_keys(obj: dict, allowed: set[str], pointer: str) -> None:
-    for key in obj:
-        if key not in allowed:
+    for key in value:
+        if key not in table:
             raise ConfigError(f"unknown key {key!r}", f"{pointer}/{key}")
+    values = {}
+    for key, (reader, default) in table.items():
+        if key in value:
+            values[key] = reader(value[key], f"{pointer}/{key}")
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r}", pointer)
+        elif default is not None:
+            values[key] = reader(default, f"{pointer}/{key}")
+    return values
 
 
-def _get_int(obj: dict, key: str, pointer: str, default=None, minimum=None, maximum=None):
-    if key not in obj:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing required key {key!r}", pointer)
-    value = obj[key]
+def _built(build, pointer: str, **values):
+    """build(**values), its ValueError turned into a ConfigError at ``pointer``."""
+    try:
+        return build(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc), pointer) from exc
+
+
+def _object(value, pointer: str, table: dict, build, at: str = ""):
+    """The object that ``build`` makes of a table's values; its errors point at pointer + at."""
+    return _built(build, pointer + at, **_read(value, pointer, table))
+
+
+def _int(value, pointer: str, minimum=None, maximum=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError("expected an integer", f"{pointer}/{key}")
+        raise ConfigError("expected an integer", pointer)
     if minimum is not None and value < minimum:
-        raise ConfigError(f"must be >= {minimum}, got {value}", f"{pointer}/{key}")
+        raise ConfigError(f"must be >= {minimum}, got {value}", pointer)
     if maximum is not None and value > maximum:
-        raise ConfigError(f"must be <= {maximum}, got {value}", f"{pointer}/{key}")
+        raise ConfigError(f"must be <= {maximum}, got {value}", pointer)
     return value
 
 
@@ -141,418 +168,273 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _finite(value, pointer: str) -> float:
+def _float(value, pointer: str, positive: bool = False) -> float:
     """float(value), rejecting NaN and infinities (JSON parsing lets them in)."""
+    if not _is_number(value):
+        raise ConfigError("expected a number", pointer)
     try:
         out = float(value)
     except OverflowError:  # an integer literal beyond the float range
         out = math.inf
     if not math.isfinite(out):
         raise ConfigError(f"expected a finite number, got {value!r}", pointer)
+    if positive and out <= 0:
+        raise ConfigError(f"must be positive, got {out}", pointer)
     return out
 
 
-def _get_float(obj: dict, key: str, pointer: str, default=None, positive=False):
-    if key not in obj:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing required key {key!r}", pointer)
-    value = obj[key]
-    if not _is_number(value):
-        raise ConfigError("expected a number", f"{pointer}/{key}")
-    value = _finite(value, f"{pointer}/{key}")
-    if positive and value <= 0:
-        raise ConfigError(f"must be positive, got {value}", f"{pointer}/{key}")
+_positive = partial(_float, positive=True)
+
+
+def _bool(value, pointer: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError("expected a boolean", pointer)
     return value
 
 
-def _get_str(obj: dict, key: str, pointer: str, choices=None):
-    if key not in obj:
-        raise ConfigError(f"missing required key {key!r}", pointer)
-    value = obj[key]
-    if not isinstance(value, str):
-        raise ConfigError("expected a string", f"{pointer}/{key}")
+def _str(value, pointer: str, choices=None) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError("expected a non-empty string", pointer)
     if choices is not None and value not in choices:
-        raise ConfigError(f"must be one of {sorted(choices)}, got {value!r}", f"{pointer}/{key}")
+        raise ConfigError(f"must be one of {list(choices)}, got {value!r}", pointer)
     return value
 
 
-def _parse_complex_entry(value, pointer: str) -> complex:
+def _list(value, pointer: str, item, nonempty: bool = False) -> tuple:
+    if not isinstance(value, list) or (nonempty and not value):
+        raise ConfigError(f"expected {'a non-empty' if nonempty else 'an'} array", pointer)
+    return tuple(item(v, f"{pointer}/{i}") for i, v in enumerate(value))
+
+
+def _complex(value, pointer: str) -> complex:
     if _is_number(value):
-        return complex(_finite(value, pointer))
+        return complex(_float(value, pointer))
     if isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value):
-        return complex(_finite(value[0], f"{pointer}/0"), _finite(value[1], f"{pointer}/1"))
+        return complex(_float(value[0], f"{pointer}/0"), _float(value[1], f"{pointer}/1"))
     raise ConfigError("expected a number or [re, im] pair", pointer)
 
 
-def _parse_matrix(value, pointer: str) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        raise ConfigError("expected a non-empty nested array (row-major matrix)", pointer)
-    rows = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != len(value):
+def _matrix(value, pointer: str) -> np.ndarray:
+    rows = _list(value, pointer, partial(_list, item=_complex), nonempty=True)
+    for i, row in enumerate(rows):
+        if len(row) != len(rows):
             raise ConfigError("matrix must be square, rows of equal length", f"{pointer}/{i}")
-        rows.append([_parse_complex_entry(v, f"{pointer}/{i}/{j}") for j, v in enumerate(row)])
     return np.array(rows, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
-# section parsers
+# builders, and the rules that span more than one key
 
 
-def _parse_lattice(obj, pointer: str) -> LatticeSpec:
-    obj = _expect_mapping(obj, pointer)
-    _check_keys(obj, {"cells", "cutoff", "a", "mass", "hbar", "pad_basis"}, pointer)
-    cells = _get_int(obj, "cells", pointer, minimum=2)
-    cutoff = _get_int(obj, "cutoff", pointer, minimum=1)
-    pad = obj.get("pad_basis", False)
-    if not isinstance(pad, bool):
-        raise ConfigError("expected a boolean", f"{pointer}/pad_basis")
-    try:
-        return LatticeSpec(
-            cells=cells,
-            cutoff=cutoff,
-            a=_get_float(obj, "a", pointer, default=1.0, positive=True),
-            mass=_get_float(obj, "mass", pointer, default=1.0, positive=True),
-            hbar=_get_float(obj, "hbar", pointer, default=1.0, positive=True),
-            pad_basis=pad,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), f"{pointer}/cutoff") from exc
+def _check_momentum_scale(basis: PlaneWaveBasis, v0: float) -> None:
+    """Refuse a lattice whose operators overflow at the largest |q| of its basis.
 
-
-def _parse_harmonics(raw, pointer: str) -> tuple[tuple[int, complex], ...]:
-    """[{"j": int, "re": 0, "im": 0}, ...] for potentials and custom terms alike;
-    each caller applies its own j = 0 policy."""
-    if not isinstance(raw, list):
-        raise ConfigError("expected an array of harmonic objects", pointer)
-    harmonics = []
-    for i, item in enumerate(raw):
-        hp = f"{pointer}/{i}"
-        item = _expect_mapping(item, hp)
-        _check_keys(item, {"j", "re", "im"}, hp)
-        j = _get_int(item, "j", hp)
-        harmonics.append(
-            (j, complex(_get_float(item, "re", hp, default=0.0), _get_float(item, "im", hp, default=0.0)))
-        )
-    return tuple(harmonics)
-
-
-def _parse_potential(obj, pointer: str) -> PotentialSpec:
-    obj = _expect_mapping(obj, pointer)
-    _check_keys(obj, {"v0", "harmonics"}, pointer)
-    harmonics = _parse_harmonics(obj.get("harmonics", []), f"{pointer}/harmonics")
-    for i, (j, _) in enumerate(harmonics):
-        if j == 0:
-            raise ConfigError("harmonic index must be nonzero; use v0", f"{pointer}/harmonics/{i}/j")
-    return PotentialSpec(harmonics=harmonics, v0=_get_float(obj, "v0", pointer, default=0.0))
-
-
-def observable_spec_from_json(data, pointer: str = "") -> ObservableSpec:
-    """Parse the documented observable schema:
-    {"terms": [{"f": [{"j": 1, "re": 0.5, "im": 0.0}], "p_poly": [0.0, 1.0]}],
-     "symmetrize": true}
+    The Hamiltonian's diagonal (hbar q)^2 / 2m + v0 and the battery's momentum
+    powers up to MAX_POLY_DEGREE must stay finite floats.
     """
-    data = _expect_mapping(data, pointer)
-    _check_keys(data, {"terms", "symmetrize"}, pointer)
-    raw_terms = data.get("terms", [])
-    if not isinstance(raw_terms, list) or not raw_terms:
-        raise ConfigError("expected a non-empty array of terms", f"{pointer}/terms")
-    symmetrize = data.get("symmetrize", True)
-    if not isinstance(symmetrize, bool):
-        raise ConfigError("expected a boolean", f"{pointer}/symmetrize")
-    terms = []
-    for i, raw in enumerate(raw_terms):
-        tp = f"{pointer}/terms/{i}"
-        raw = _expect_mapping(raw, tp)
-        _check_keys(raw, {"f", "p_poly"}, tp)
-        harmonics = _parse_harmonics(raw.get("f", []), f"{tp}/f")
-        poly = raw.get("p_poly", [])
-        if not isinstance(poly, list) or not all(_is_number(v) for v in poly):
-            raise ConfigError("expected an array of real coefficients", f"{tp}/p_poly")
-        poly = tuple(_finite(v, f"{tp}/p_poly/{k}") for k, v in enumerate(poly))
-        try:
-            terms.append(ObservableTerm(f_harmonics=harmonics, p_poly=poly))
-        except ValueError as exc:
-            raise ConfigError(str(exc), tp) from exc
-    return ObservableSpec(terms=tuple(terms), symmetrize=symmetrize)
+    spec = basis.spec
+    with np.errstate(over="ignore"):
+        p = spec.hbar * np.max(np.abs(basis.momenta))
+        if not np.isfinite([p * p / (2.0 * spec.mass) + v0, p**MAX_POLY_DEGREE]).all():
+            raise ConfigError(
+                f"momentum scale hbar*q_max = {p:.3g} overflows the kinetic energy "
+                f"plus v0, or the momentum power {MAX_POLY_DEGREE}",
+                "/lattice",
+            )
 
 
-def _parse_battery(obj, pointer: str, lattice: LatticeSpec) -> Battery:
-    """The battery section as a Battery on the lattice's basis.
+def _harmonic(j: int, re: float, im: float) -> tuple[int, complex]:
+    return j, complex(re, im)
 
-    Only the keys the section sets are passed, so every default is Battery's.
-    An empty battery, and a ``max_harmonic`` whose offset j*N reaches past
-    the cutoff, are config errors.
+
+def _potential_harmonic(j: int, re: float, im: float) -> tuple[int, complex]:
+    # PotentialSpec refuses j = 0 too, but only this check can point at the item
+    if j == 0:
+        raise ValueError("harmonic index must be nonzero; use v0")
+    return _harmonic(j, re, im)
+
+
+def _floquet(probe: ProbeConfig, trajectory_points=None, **values) -> FloquetConfig:
+    """The floquet section, its probe checked against the drive's dimension.
+
+    ``trajectory_points`` is retired: no result reads it, but the benchmark's
+    generated configs still set it and an unknown key is a config error, so it
+    is range-checked by the table and dropped here.
     """
-    obj = _expect_mapping(obj, pointer)
-    _check_keys(obj, {"seeds", "named", "max_harmonic", "degree", "custom"}, pointer)
-    settings = {}
-    if "named" in obj:
-        named = obj["named"]
-        if not isinstance(named, list) or not all(isinstance(n, str) for n in named):
-            raise ConfigError("expected an array of observable names", f"{pointer}/named")
-        for i, name in enumerate(named):
-            if name not in NAMED_OBSERVABLES:
-                raise ConfigError(
-                    f"unknown named observable {name!r}; choices {list(NAMED_OBSERVABLES)}",
-                    f"{pointer}/named/{i}",
-                )
-        settings["named"] = tuple(named)
-    if "custom" in obj:
-        if not isinstance(obj["custom"], list):
-            raise ConfigError("expected an array of observable specs", f"{pointer}/custom")
-        settings["custom"] = tuple(
-            observable_spec_from_json(item, f"{pointer}/custom/{i}")
-            for i, item in enumerate(obj["custom"])
-        )
-    for key, maximum in (
-        ("seeds", MAX_BATTERY_SEEDS), ("max_harmonic", None), ("degree", MAX_POLY_DEGREE)
-    ):
-        if key in obj:
-            settings[key] = _get_int(obj, key, pointer, minimum=0, maximum=maximum)
-    try:
-        battery = Battery(build_basis(lattice), **settings)
-    except ValueError as exc:
-        raise ConfigError(str(exc), pointer) from exc
-    if battery.max_harmonic * lattice.cells > lattice.cutoff:
+    run = {key: values.pop(key) for key in ("steps", "sambe_hmax") if key in values}
+    drive = DriveSpec(**values)
+    d, pair = drive.dim, probe.pair
+    if len(pair) != 2 or pair[0] == pair[1] or max(pair) >= d:
+        raise ConfigError(f"expected two distinct mode indices in [0, {d})", "/floquet/probe/pair")
+    observable = probe.observable
+    if observable is not None and observable.static.shape != drive.h0.shape:
         raise ConfigError(
-            f"max_harmonic {battery.max_harmonic} unreachable for this lattice "
-            f"(need j*cells <= cutoff)",
-            f"{pointer}/max_harmonic",
+            f"observable dimension {len(observable.static)} differs from the drive's {d}",
+            "/floquet/probe/observable",
         )
-    return battery
+    return FloquetConfig(drive=drive, probe=probe, **run)
 
 
-def _parse_wannier(obj, pointer: str) -> WannierConfig:
-    obj = _expect_mapping(obj, pointer)
-    _check_keys(obj, {"bands", "home_cells"}, pointer)
+# ---------------------------------------------------------------------------
+# the schema: one table per JSON object
 
-    def int_list(key, default):
-        raw = obj.get(key, default)
-        if not isinstance(raw, list) or not raw or not all(
-            isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in raw
-        ):
-            raise ConfigError(
-                "expected a non-empty array of non-negative integers", f"{pointer}/{key}"
-            )
-        return tuple(raw)
+_HARMONIC = {"j": (_int, _REQUIRED), "re": (_float, 0.0), "im": (_float, 0.0)}
 
-    return WannierConfig(bands=int_list("bands", [0, 1]), home_cells=int_list("home_cells", [0, 1]))
+_TERM = {
+    "f": (partial(_list, item=partial(_object, table=_HARMONIC, build=_harmonic)), []),
+    "p_poly": (partial(_list, item=_float), []),
+}
 
-
-def _parse_drive_terms(raw, pointer: str) -> tuple[DriveTerm, ...]:
-    if not isinstance(raw, list):
-        raise ConfigError("expected an array of drive terms", pointer)
-    terms = []
-    for i, item in enumerate(raw):
-        tp = f"{pointer}/{i}"
-        item = _expect_mapping(item, tp)
-        _check_keys(item, {"harmonic", "kind", "matrix"}, tp)
-        if "matrix" not in item:
-            raise ConfigError("missing required key 'matrix'", tp)
-        try:
-            terms.append(
-                DriveTerm(
-                    harmonic=_get_int(item, "harmonic", tp, default=1, minimum=1),
-                    kind=_get_str(item, "kind", tp, choices={"cos", "sin"}),
-                    matrix=_parse_matrix(item["matrix"], f"{tp}/matrix"),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc), f"{tp}/matrix") from exc
-    return tuple(terms)
-
-
-def _parse_probe(obj, pointer: str, dim: int) -> ProbeConfig:
-    obj = _expect_mapping(obj, pointer)
-    _check_keys(obj, {"pair", "periods", "grid", "observable"}, pointer)
-    pair = obj.get("pair", [0, 1])
-    if (
-        not isinstance(pair, list)
-        or len(pair) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
-        or not all(0 <= v < dim for v in pair)
-        or pair[0] == pair[1]
-    ):
-        raise ConfigError(f"expected two distinct mode indices in [0, {dim})", f"{pointer}/pair")
-    periods = obj.get("periods", [8, 16, 32, 64])
-    if (
-        not isinstance(periods, list)
-        or not periods
-        or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in periods)
-    ):
-        raise ConfigError(
-            "expected a non-empty array of positive period counts", f"{pointer}/periods"
-        )
-    for i, count in enumerate(periods):
-        if count > MAX_PROBE_PERIODS:
-            raise ConfigError(
-                f"must be <= {MAX_PROBE_PERIODS}, got {count}", f"{pointer}/periods/{i}"
-            )
-    observable = None
-    if "observable" in obj:
-        op = f"{pointer}/observable"
-        oraw = _expect_mapping(obj["observable"], op)
-        _check_keys(oraw, {"static", "harmonics"}, op)
-        if "static" not in oraw:
-            raise ConfigError("missing required key 'static'", op)
-        try:
-            observable = PeriodicObservableSpec(
-                static=_parse_matrix(oraw["static"], f"{op}/static"),
-                harmonics=_parse_drive_terms(oraw.get("harmonics", []), f"{op}/harmonics"),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc), op) from exc
-    return ProbeConfig(
-        pair=(pair[0], pair[1]),
-        periods=tuple(periods),
-        grid=_get_int(obj, "grid", pointer, default=256, minimum=8, maximum=MAX_GRID_POINTS),
-        observable=observable,
-    )
-
-
-def _parse_floquet(obj, pointer: str) -> FloquetConfig:
-    obj = _expect_mapping(obj, pointer)
-    _check_keys(
-        obj,
-        {"omega", "hbar", "h0", "drives", "steps", "trajectory_points", "sambe_hmax", "probe"},
-        pointer,
-    )
-    if "h0" not in obj:
-        raise ConfigError("missing required key 'h0'", pointer)
-    try:
-        drive = DriveSpec(
-            h0=_parse_matrix(obj["h0"], f"{pointer}/h0"),
-            omega=_get_float(obj, "omega", pointer, positive=True),
-            drives=_parse_drive_terms(obj.get("drives", []), f"{pointer}/drives"),
-            hbar=_get_float(obj, "hbar", pointer, default=1.0, positive=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), pointer) from exc
-    steps = _get_int(obj, "steps", pointer, default=4096, minimum=MIN_STEPS, maximum=MAX_STEPS)
-    probe = _parse_probe(obj.get("probe", {}), f"{pointer}/probe", drive.dim)
-    # retired: no result reads it, but the benchmark's generated configs still
-    # set it and an unknown key is a config error, so it is range-checked only
-    _get_int(
-        obj, "trajectory_points", pointer, default=257, minimum=2, maximum=MAX_TRAJECTORY_POINTS
-    )
-    return FloquetConfig(
-        drive=drive,
-        steps=steps,
-        sambe_hmax=_get_int(
-            obj, "sambe_hmax", pointer, default=12, minimum=4, maximum=MAX_SAMBE_HMAX
+# {"terms": [{"f": [{"j": 1, "re": 0.5, "im": 0.0}], "p_poly": [0.0, 1.0]}], "symmetrize": true}
+_OBSERVABLE = {
+    "terms": (
+        partial(
+            _list,
+            item=partial(_object, table=_TERM, build=lambda f, p_poly: ObservableTerm(f, p_poly)),
+            nonempty=True,
         ),
-        probe=probe,
-    )
+        [],
+    ),
+    "symmetrize": (_bool, None),
+}
 
+_LATTICE = {
+    "cells": (partial(_int, minimum=2), _REQUIRED),
+    "cutoff": (partial(_int, minimum=1), _REQUIRED),
+    "a": (_positive, None),
+    "mass": (_positive, None),
+    "hbar": (_positive, None),
+    "pad_basis": (_bool, None),
+}
 
-def _parse_tolerances(obj, pointer: str) -> dict[str, float]:
-    obj = _expect_mapping(obj, pointer)
-    out = {}
-    for key, value in obj.items():
-        if key not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"unknown tolerance {key!r}", f"{pointer}/{key}")
-        if not _is_number(value) or value <= 0:
-            raise ConfigError("expected a positive number", f"{pointer}/{key}")
-        out[key] = _finite(value, f"{pointer}/{key}")
-    return out
+_POTENTIAL = {
+    "v0": (_float, None),
+    "harmonics": (
+        partial(
+            _list, item=partial(_object, table=_HARMONIC, build=_potential_harmonic, at="/j")
+        ),
+        None,
+    ),
+}
 
+_BATTERY = {  # no defaults: Battery keeps the only ones
+    "seeds": (partial(_int, minimum=0, maximum=MAX_BATTERY_SEEDS), None),
+    "named": (partial(_list, item=partial(_str, choices=NAMED_OBSERVABLES)), None),
+    "max_harmonic": (partial(_int, minimum=0), None),
+    "degree": (partial(_int, minimum=0, maximum=MAX_POLY_DEGREE), None),
+    "custom": (
+        partial(_list, item=partial(_object, table=_OBSERVABLE, build=ObservableSpec)), None
+    ),
+}
 
-def _parse_output(obj, pointer: str) -> dict[str, str]:
-    obj = _expect_mapping(obj, pointer)
-    _check_keys(obj, {"csv", "report", "fringe_prefix"}, pointer)
-    out = {}
-    for key, value in obj.items():
-        if not isinstance(value, str) or not value:
-            raise ConfigError("expected a non-empty path string", f"{pointer}/{key}")
-        out[key] = value
-    return out
+_indices = partial(_list, item=partial(_int, minimum=0), nonempty=True)
+_WANNIER = {"bands": (_indices, None), "home_cells": (_indices, None)}
 
+_DRIVE_TERM = {
+    "harmonic": (partial(_int, minimum=1), 1),
+    "kind": (partial(_str, choices=("cos", "sin")), _REQUIRED),
+    "matrix": (_matrix, _REQUIRED),
+}
+_drive_terms = partial(
+    _list, item=partial(_object, table=_DRIVE_TERM, build=DriveTerm, at="/matrix")
+)
+
+_PROBE = {
+    "pair": (partial(_list, item=partial(_int, minimum=0)), None),
+    "periods": (
+        partial(_list, item=partial(_int, minimum=1, maximum=MAX_PROBE_PERIODS), nonempty=True),
+        None,
+    ),
+    "grid": (partial(_int, minimum=8, maximum=MAX_GRID_POINTS), None),
+    "observable": (
+        partial(
+            _object,
+            table={"static": (_matrix, _REQUIRED), "harmonics": (_drive_terms, None)},
+            build=PeriodicObservableSpec,
+        ),
+        None,
+    ),
+}
+
+_FLOQUET = {
+    "h0": (_matrix, _REQUIRED),
+    "omega": (_positive, _REQUIRED),
+    "drives": (_drive_terms, None),
+    "hbar": (_positive, None),
+    "steps": (partial(_int, minimum=MIN_STEPS, maximum=MAX_STEPS), None),
+    "trajectory_points": (partial(_int, minimum=2, maximum=MAX_TRAJECTORY_POINTS), None),
+    "sambe_hmax": (partial(_int, minimum=4, maximum=MAX_SAMBE_HMAX), None),
+    "probe": (partial(_object, table=_PROBE, build=ProbeConfig), {}),
+}
+
+_TOLERANCES = {key: (_positive, None) for key in DEFAULT_TOLERANCES}
+_OUTPUT = {key: (_str, None) for key in ("csv", "report", "fringe_prefix")}
+
+_SECTIONS = {
+    "kind": (partial(_str, choices=KINDS), _REQUIRED),
+    # LatticeSpec's own errors are divisibility and the dimension cap
+    "lattice": (partial(_object, table=_LATTICE, build=LatticeSpec, at="/cutoff"), _REQUIRED),
+    "potential": (partial(_object, table=_POTENTIAL, build=PotentialSpec), {}),
+    "battery": (partial(_read, table=_BATTERY), {}),  # built on the lattice's basis
+    "negative_control": (
+        partial(_read, table={"s": (partial(_int, minimum=1), _REQUIRED)}), None
+    ),
+    "fringe_points": (partial(_int, minimum=8, maximum=MAX_GRID_POINTS), None),
+    "wannier": (partial(_object, table=_WANNIER, build=WannierConfig), {}),
+    "floquet": (partial(_object, table=_FLOQUET, build=_floquet), _REQUIRED),
+    "tolerances": (partial(_read, table=_TOLERANCES), None),
+    "output": (partial(_read, table=_OUTPUT), None),
+}
 
 _SECTIONS_BY_KIND = {
-    "bands": {"kind", "lattice", "potential", "tolerances", "output"},
-    "superselect": {
+    "bands": ("kind", "lattice", "potential", "tolerances", "output"),
+    "superselect": (
         "kind", "lattice", "potential", "battery", "negative_control",
         "fringe_points", "tolerances", "output",
-    },
-    "wannier": {"kind", "lattice", "potential", "battery", "wannier", "tolerances", "output"},
-    "floquet": {"kind", "floquet", "tolerances", "output"},
+    ),
+    "wannier": ("kind", "lattice", "potential", "battery", "wannier", "tolerances", "output"),
+    "floquet": ("kind", "floquet", "tolerances", "output"),
 }
 
 
 def validate_config(data: dict) -> ScenarioConfig:
     """Validate a parsed JSON document into a ScenarioConfig."""
-    data = _expect_mapping(data, "")
-    kind = _get_str(data, "kind", "", choices=set(KINDS))
-    allowed = _SECTIONS_BY_KIND[kind]
-    known = set().union(*_SECTIONS_BY_KIND.values())
+    if not isinstance(data, dict):
+        raise ConfigError(f"expected an object, got {type(data).__name__}", "")
+    if "kind" not in data:
+        raise ConfigError("missing required key 'kind'", "")
+    kind = _str(data["kind"], "/kind", choices=KINDS)
+    sections = _SECTIONS_BY_KIND[kind]
     for key in data:
-        if key in allowed:
-            continue
-        if key in known:
+        if key in _SECTIONS and key not in sections:
             raise ConfigError(f"section {key!r} not allowed for kind {kind!r}", f"/{key}")
-        raise ConfigError(f"unknown key {key!r}", f"/{key}")
+    values = _read(data, "", {key: _SECTIONS[key] for key in sections})
 
-    lattice = None
-    if kind in ("bands", "superselect", "wannier"):
-        if "lattice" not in data:
-            raise ConfigError("missing required section 'lattice'", "")
-        lattice = _parse_lattice(data["lattice"], "/lattice")
-
-    potential = _parse_potential(data.get("potential", {}), "/potential")
-    battery = None
-    if "battery" in allowed:  # bands and floquet build no battery
-        battery = _parse_battery(data.get("battery", {}), "/battery", lattice)
-    wannier = _parse_wannier(data.get("wannier", {}), "/wannier")
-
-    floquet_cfg = None
-    if kind == "floquet":
-        if "floquet" not in data:
-            raise ConfigError("missing required section 'floquet'", "")
-        floquet_cfg = _parse_floquet(data["floquet"], "/floquet")
-
-    shift = None
-    if "negative_control" in data:
-        nc = _expect_mapping(data["negative_control"], "/negative_control")
-        _check_keys(nc, {"s"}, "/negative_control")
-        shift = _get_int(nc, "s", "/negative_control", minimum=1)
-        if lattice is not None and shift % lattice.cells == 0:
+    lattice = values.get("lattice")
+    if lattice is not None:
+        basis = build_basis(lattice)
+        _check_momentum_scale(basis, values["potential"].v0)
+    if "battery" in values:  # superselect and wannier
+        battery = _built(partial(Battery, basis), "/battery", **values["battery"])
+        values["battery"] = battery
+        if battery.max_harmonic * lattice.cells > lattice.cutoff:
             raise ConfigError(
-                f"shift {shift} is a multiple of {lattice.cells}: not periodicity-breaking",
-                "/negative_control/s",
+                f"max_harmonic {battery.max_harmonic} unreachable for this lattice "
+                f"(need j*cells <= cutoff)",
+                "/battery/max_harmonic",
             )
-        if lattice is not None and shift > 2 * lattice.cutoff:
-            raise ConfigError(
-                f"shift must lie in [1, {2 * lattice.cutoff}] for this lattice, got {shift}",
-                "/negative_control/s",
-            )
-
-    fringe_points = _get_int(
-        data, "fringe_points", "", default=64, minimum=8, maximum=MAX_GRID_POINTS
-    )
-
+    if "negative_control" in values:
+        shift = values.pop("negative_control")["s"]
+        _built(breaking_observable, "/negative_control/s", shift=shift, basis=basis)
+        values["negative_control_shift"] = shift
     if kind == "wannier":
         for key, limit in (("bands", lattice.dim // lattice.cells), ("home_cells", lattice.cells)):
-            for i, index in enumerate(getattr(wannier, key)):
+            for i, index in enumerate(getattr(values["wannier"], key)):
                 if index >= limit:
                     raise ConfigError(
                         f"must be < {limit} on this lattice, got {index}", f"/wannier/{key}/{i}"
                     )
-
-    return ScenarioConfig(
-        kind=kind,
-        lattice=lattice,
-        potential=potential,
-        battery=battery,
-        wannier=wannier,
-        floquet=floquet_cfg,
-        negative_control_shift=shift,
-        fringe_points=fringe_points,
-        tolerances=_parse_tolerances(data.get("tolerances", {}), "/tolerances"),
-        output=_parse_output(data.get("output", {}), "/output"),
-        echo=data,
-    )
+    return ScenarioConfig(**values, echo=data)
 
 
 def parse_config(

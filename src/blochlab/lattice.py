@@ -213,10 +213,11 @@ class HermitianOperator:
     for offsets 0 <= o < dim: a scalar for a constant diagonal or one value
     per entry.  The entries at (m, m + o) are their conjugates and are not
     stored, and every other entry is zero, so an off-diagonal entry cannot be
-    non-Hermitian.  The main diagonal must be real: it is rejected when
-    max |m_ii - conj(m_ii)| exceeds 1e-12 of the largest entry.  The values
-    are copied to frozen complex arrays, so later writes to the inputs never
-    reach the operator, and ``norm_max`` cannot go stale.
+    non-Hermitian.  Every entry must be finite, and the main diagonal must be
+    real: it is rejected when max |m_ii - conj(m_ii)| exceeds 1e-12 of the
+    largest entry.  The values are copied to frozen complex arrays, so later
+    writes to the inputs never reach the operator, and ``norm_max`` cannot go
+    stale.
 
     Callers use ``apply`` (O v) and ``class_blocks`` (O[rows_j, rows_l]);
     ``matrix`` forms the dense d x d matrix on request.
@@ -236,7 +237,10 @@ class HermitianOperator:
                 raise ValueError(f"diagonal {offset} must have {dim - offset} entries")
             # summed onto zeros, as a dense matrix is assembled: +0.0, never -0.0
             diagonals[offset] = _freeze(np.zeros(dim - offset, complex) + values)
-        scale = max((float(np.max(np.abs(v))) for v in diagonals.values()), default=0.0)
+        peaks = [float(np.max(np.abs(v))) for v in diagonals.values()]
+        if not np.isfinite(peaks).all():
+            raise ValueError("matrix has a non-finite entry")
+        scale = max(peaks, default=0.0)
         main = diagonals.get(0, np.zeros(1))
         defect = float(np.max(np.abs(main - main.conj())))
         if defect > _HERMITICITY_RTOL * scale:

@@ -734,8 +734,39 @@ REJECTED = {
         "/floquet/probe/observable",
     ),
     "probe_periods_empty": (_floquet(probe={"periods": []}), [], "/floquet/probe/periods"),
-    "probe_periods_zero": (_floquet(probe={"periods": [0]}), [], "/floquet/probe/periods"),
+    "probe_periods_zero": (_floquet(probe={"periods": [0]}), [], "/floquet/probe/periods/0"),
     "output_path_empty": (lattice_config(output={"report": ""}), [], "/output/report"),
+    # the observable must match the drive: a 3 x 3 one on a two-level drive
+    # failed in the probe, after the propagation, RK4 and Sambe (exit 2)
+    "probe_observable_wrong_size": (
+        _floquet(probe={"observable": {"static": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}),
+        [],
+        "/floquet/probe/observable",
+    ),
+    # momentum scales whose kinetic energy or momentum power 6 overflows: the
+    # battery's q_scale**power raised OverflowError, the bands report held nulls
+    "lattice_hbar_1e160": (
+        lattice_config(lattice={"cells": 3, "cutoff": 4, "hbar": 1e160}), [], "/lattice",
+    ),
+    "lattice_a_1e-160_wannier": (
+        lattice_config("wannier", lattice={"cells": 5, "cutoff": 7, "a": 1e-160}), [], "/lattice",
+    ),
+    "lattice_a_1e-55_degree_6": (
+        lattice_config(lattice={"cells": 3, "cutoff": 4, "a": 1e-55}, battery={"degree": 6}),
+        [],
+        "/lattice",
+    ),
+    "lattice_a_1e-300_bands": (
+        {"kind": "bands", "lattice": {"cells": 3, "cutoff": 4, "a": 1e-300}}, [], "/lattice",
+    ),
+    # a finite kinetic energy plus v0 overflowed on the diagonal: H held inf and passed
+    "lattice_kinetic_plus_v0": (
+        lattice_config(
+            lattice={"cells": 3, "cutoff": 4, "mass": 3.5e-307}, potential={"v0": 1e308}
+        ),
+        [],
+        "/lattice",
+    ),
 }
 
 

@@ -1,10 +1,13 @@
 """Strict schema validation and JSON-pointer error reporting."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 import blochlab as bl
+from blochlab import config
 from blochlab.config import (
     DEFAULT_TOLERANCES,
     parse_config,
@@ -47,6 +50,27 @@ def test_unknown_nested_key_named():
     with pytest.raises(ConfigError) as err:
         validate_config(data)
     assert err.value.pointer == "/lattice/cellz"
+
+
+@pytest.mark.parametrize(
+    "data, pointer",
+    [
+        ({"kind": "bands", "lattice": {"cells": 1}, "latice": {}}, "/latice"),
+        ({"kind": "bands", "lattice": {"cells": 1, "cutoff": 4, "cellz": 3}}, "/lattice/cellz"),
+        (
+            {**minimal_bands(), "tolerances": {"solver_zero": -1.0, "bogus": 1.0}},
+            "/tolerances/bogus",
+        ),
+        (
+            {"kind": "floquet", "floquet": {"omega": 1.0, "h0": [[1.0]], "steps": 1, "stepz": 1}},
+            "/floquet/stepz",
+        ),
+    ],
+)
+def test_unknown_key_is_reported_before_a_bad_value(data, pointer):
+    with pytest.raises(ConfigError, match="unknown key") as err:
+        validate_config(data)
+    assert err.value.pointer == pointer
 
 
 def test_divisibility_violation_is_config_error():
@@ -221,3 +245,55 @@ def test_fringe_points_minimum():
     with pytest.raises(ConfigError) as err:
         validate_config(data)
     assert err.value.pointer == "/fringe_points"
+
+
+# ---------------------------------------------------------------------------
+# the schema as data: every integer key the tables read, with its maximum
+
+# integer keys without a maximum, each with the bound that makes one needless
+UNCAPPED = {
+    "lattice.cells": "the basis dimension is capped at MAX_DIMENSION",
+    "lattice.cutoff": "the basis dimension is capped at MAX_DIMENSION",
+    "potential.harmonics.j": "an offset past the basis adds nothing",
+    "battery.custom.terms.f.j": "an offset past the basis adds nothing",
+    "battery.max_harmonic": "at most cutoff / cells",
+    "negative_control.s": "at most 2 * cutoff",
+    "wannier.bands": "below the bands per class",
+    "wannier.home_cells": "below the cells",
+    "floquet.drives.harmonic": "the run's cost does not depend on it",
+    "floquet.probe.observable.harmonics.harmonic": "the run's cost does not depend on it",
+    "floquet.probe.pair": "below the drive dimension",
+}
+
+
+def integer_keys(table=config._SECTIONS, path=""):
+    """(dotted path, maximum) of every integer key read below ``table``."""
+
+    def walk(reader, path):
+        keywords = getattr(reader, "keywords", {})
+        if getattr(reader, "func", reader) is config._int:
+            yield path, keywords.get("maximum")
+        elif "item" in keywords:  # a list: its items sit at the list's path
+            yield from walk(keywords["item"], path)
+        elif "table" in keywords:
+            yield from integer_keys(keywords["table"], f"{path}.")
+
+    for key, (reader, _) in table.items():
+        yield from walk(reader, path + key)
+
+
+def test_every_integer_key_has_a_cap_or_a_reason():
+    keys = dict(integer_keys())
+    assert {path for path, maximum in keys.items() if maximum is None} == set(UNCAPPED)
+    assert keys["floquet.steps"] == config.MAX_STEPS  # the walk reaches nested tables
+
+
+def test_readme_caps_table_matches_the_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = readme.split("| field | cap |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in rows.splitlines():
+        field, cap = row.strip("| ").split(" | ")
+        documented[re.search(r"`([^`]+)`", field).group(1)] = int(cap)
+    capped = {path: maximum for path, maximum in integer_keys() if maximum is not None}
+    assert documented == capped

@@ -22,8 +22,8 @@ from blochlab.config import DEFAULT_TOLERANCES
 from blochlab.observables import NAMED_OBSERVABLES
 
 HOSTILE = (
-    float("nan"), float("inf"), -float("inf"), 1e308, -1, 0, 0.0, 10**9, -(10**20), 2.5,
-    True, None, "x", [], {}, [[1.0]],
+    float("nan"), float("inf"), -float("inf"), 1e308, 1e160, 1e-160, -1, 0, 0.0, 10**9,
+    -(10**20), 2.5, True, None, "x", [], {}, [[1.0]],
 )
 
 amplitudes = st.floats(-1.0, 1.0)

@@ -261,3 +261,14 @@ def test_construction_invariants_hold_for_random_inputs(case):
     off = classes[:, None] != classes[None, :]
     if off.any():
         assert np.all(h.matrix[off] == 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("offset", [0, 2])
+def test_non_finite_entry_is_rejected(bad, offset):
+    # NaN fails every comparison, so the Hermiticity test alone let it
+    # through; a NaN on a later diagonal also hid from max() over the peaks
+    diagonals = {0: np.ones(4, complex), 2: np.ones(2, complex)}
+    diagonals[offset][1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        bl.HermitianOperator(4, diagonals)
