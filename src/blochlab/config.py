@@ -412,6 +412,10 @@ def validate_config(data: dict) -> ScenarioConfig:
 
     lattice = values.get("lattice")
     if lattice is not None:
+        if not math.isfinite(lattice.circumference):  # every momentum would read 0
+            raise ConfigError(
+                f"circumference cells * a overflows for a = {lattice.a!r}", "/lattice/a"
+            )
         basis = build_basis(lattice)
         _check_momentum_scale(basis, values["potential"].v0)
     if "battery" in values:  # superselect and wannier

@@ -14,11 +14,14 @@ midpoint-exponential product (every factor exactly unitary), cross-checked
 by a classical fourth-order Runge-Kutta integrator with re-unitarization
 off, and the propagator quasienergies are cross-checked against the
 time-Fourier block eigenproblem on the extended space.  The two integrators
-share only the ordered product of their step matrices: exact exponentials for
-the midpoint rule, a polynomial in A = -iH/hbar for RK4 (U' = A U is linear).
-The product is associative, so it is taken in aligned blocks of 2^k steps
-(one stacked numpy call per level, as in a parallel prefix scan): n - 1
-matrix products per chunk of n steps, like the step loop, in log2 n calls.
+share only the ordered product of their step matrices: exact exponentials of
+H sampled once per step for the midpoint rule, a degree-4 polynomial in
+A = -iH/hbar sampled three times for RK4 (U' = A U is linear).  A step and
+every block of steps is held as its deviation D from I, never as I + D, so
+no low bits are rounded away next to the unit diagonal.  The product is
+associative, so it is taken in aligned blocks of 2^k steps (one stacked
+numpy call per level, as in a parallel prefix scan): n - 1 matrix products
+per chunk of n steps, like the step loop, in log2 n calls.
 
 The temporal-overlap probe reports three quantities for a pair of modes with
 quasienergy splitting Delta: the one-period phase relation
@@ -158,21 +161,22 @@ class PeriodicObservableSpec:
 
 @dataclass(frozen=True)
 class FloquetSolution:
-    """Monodromy, quasienergies and modes, and the midpoint product they came from.
+    """Quasienergies and modes, and the midpoint product they came from.
 
-    ``solve_floquet`` fills every field: ``snapshots`` holds U(s_i T / steps, 0)
-    at the steps s_i nearest the probe grid times i T / grid, i = 0 .. grid, so
-    ``monodromy`` is the last snapshot and ``temporal_overlap_probe`` reads its
-    grid from them.  ``propagate_period`` fills only the monodromy.
+    ``snapshots`` holds U(s_i T / steps, 0) at the steps s_i nearest the probe
+    grid times i T / grid, i = 0 .. grid; ``temporal_overlap_probe`` reads its
+    grid from them.
     """
 
     spec: DriveSpec
-    method: str
     steps: int
-    monodromy: np.ndarray
-    quasienergies: np.ndarray | None = None
-    modes: np.ndarray | None = None  # columns phi_j(0), orthonormal
-    snapshots: np.ndarray | None = None  # [grid point, row, column], read-only
+    quasienergies: np.ndarray
+    modes: np.ndarray  # columns phi_j(0), orthonormal
+    snapshots: np.ndarray  # [grid point, row, column], read-only
+
+    @property
+    def monodromy(self) -> np.ndarray:
+        return self.snapshots[-1]
 
     @property
     def unitarity_defect(self) -> float:
@@ -206,37 +210,39 @@ class TemporalOverlapReport:
 
 
 def _midpoint_factors(spec: DriveSpec, s: np.ndarray, dt: float) -> np.ndarray:
-    """Exactly unitary exp(-i H((s + 1/2) dt) dt / hbar) per step s, from one stacked eigh."""
+    """exp(-i H((s + 1/2) dt) dt / hbar) - I per step s: V expm1(-i theta) V^dagger.
+
+    One stacked eigh gives V and theta = E dt / hbar for the whole chunk.
+    """
     vals, vecs = np.linalg.eigh(spec.hamiltonian((s + 0.5) * dt))
-    phases = np.exp(-1j * vals * dt / spec.hbar)[:, None, :]
+    phases = np.expm1(-1j * vals * dt / spec.hbar)[:, None, :]
     return (vecs * phases) @ vecs.conj().transpose(0, 2, 1)
 
 
 def _rk4_factors(spec: DriveSpec, s: np.ndarray, dt: float) -> np.ndarray:
-    """RK4 step matrix per step s for U' = A(t) U, A = -(i/hbar) H; never re-unitarized.
+    """RK4 step matrix minus I per step s for U' = A(t) U, A = -(i/hbar) H; never re-unitarized.
 
-    U' is linear in U, so the step from t = s dt is U -> M U with
-    M = I + dt/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A(t), K2 = A(t + dt/2)(I + dt/2 K1),
-    K3 = A(t + dt/2)(I + dt/2 K2) and K4 = A(t + dt)(I + dt K3).  Built in
-    place, with A(t + dt) made after A(t + dt/2) is dropped, so that at most
-    four chunk-sized stacks are alive at once.
+    U' is linear in U, so the step from t = s dt is U -> (I + D) U with
+    D = dt/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A(t), K2 = A(t + dt/2) + dt/2 A(t + dt/2) K1,
+    K3 = A(t + dt/2) + dt/2 A(t + dt/2) K2 and K4 = A(t + dt) + dt A(t + dt) K3.
+    Built in place, with A(t + dt) made after A(t + dt/2) is dropped, so that
+    at most four chunk-sized stacks are alive at once.
     """
     scale = -1j / spec.hbar
     t = s * dt
-    eye = np.eye(spec.dim)
     m = k = scale * spec.hamiltonian(t)  # m: K1, then the sum K1 + 2 K2 + 2 K3 + K4
     a_mid = scale * spec.hamiltonian(t + 0.5 * dt)
     for _ in range(2):  # K2, then K3
-        k = k * (0.5 * dt)  # a new stack: on the first pass k is m
-        k += eye
-        k = a_mid @ k
+        k = a_mid @ k  # a new stack: on the first pass k is m
+        k *= 0.5 * dt
+        k += a_mid
         m += 2.0 * k
     del a_mid
+    a_end = scale * spec.hamiltonian(t + dt)
+    k = a_end @ k
     k *= dt
-    k += eye
-    m += scale * spec.hamiltonian(t + dt) @ k  # K4
+    m += k + a_end  # K4
     m *= dt / 6.0
-    m += eye
     return m
 
 
@@ -245,10 +251,10 @@ def _aligned_blocks(deviations: np.ndarray) -> list[np.ndarray]:
 
     I + levels[k][i] is the product over steps [i 2^k, (i + 1) 2^k), later
     steps on the left; level k + 1 takes the pairs of level k in one stacked
-    call, n - 1 products in log2 n calls.  A block is kept as its deviation
-    from I, (I + a)(I + b) = I + (a b + a + b): the small part of a product
-    of near-identity matrices keeps its relative precision, where rounding
-    next to the unit diagonal would add up coherently over neighbouring steps.
+    call, n - 1 products in log2 n calls.  Like a step, a block is kept as its
+    deviation from I, (I + a)(I + b) = I + (a b + a + b): the small part of a
+    product of near-identity matrices keeps its relative precision, where
+    rounding next to the unit diagonal would add up over neighbouring steps.
     """
     levels = [deviations]
     while len(levels[-1]) > 1:
@@ -265,7 +271,7 @@ def _ordered_product(spec: DriveSpec, steps: int, marks, factors) -> np.ndarray:
     """U(s dt, 0), dt = T / steps, at each step index s of the ascending ``marks``.
 
     A mark may repeat, and mark 0 is the identity.  ``factors(spec, s, dt)``
-    builds the step matrices for a chunk of _FACTOR_CHUNK step indices s at a
+    builds the steps' deviations from I, _FACTOR_CHUNK step indices s at a
     time, which bounds the memory at the step cap; ``_aligned_blocks``
     multiplies them in log-depth stacked calls.  U at a mark inside the chunk,
     and at the chunk end (carried into the next chunk), is the carried U times
@@ -281,15 +287,12 @@ def _ordered_product(spec: DriveSpec, steps: int, marks, factors) -> np.ndarray:
     marks = np.asarray(marks)
     dt = spec.period / steps
     snapshots = np.empty((len(marks), spec.dim, spec.dim), dtype=complex)
-    eye = np.eye(spec.dim)
-    u = eye.astype(complex)
+    u = np.eye(spec.dim, dtype=complex)
     snapshots[marks == 0] = u
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in NaN, caught below
         for start in range(0, steps, _FACTOR_CHUNK):
             stop = min(start + _FACTOR_CHUNK, steps)
-            deviations = factors(spec, np.arange(start, stop), dt)  # a fresh stack: ours
-            deviations -= eye
-            levels = _aligned_blocks(deviations)
+            levels = _aligned_blocks(factors(spec, np.arange(start, stop), dt))
             inside = (marks > start) & (marks <= stop)
             offsets, where = np.unique(
                 np.append(marks[inside] - start, stop - start), return_inverse=True
@@ -301,7 +304,7 @@ def _ordered_product(spec: DriveSpec, steps: int, marks, factors) -> np.ndarray:
                     prefix[digit] += levels[k][(offsets[digit] >> k) - 1] @ prefix[digit]
             snapshots[inside] = prefix[where[:-1]]
             u = prefix[-1].copy()  # U(stop dt, 0): the chunk end is the last offset
-            del deviations, levels, prefix  # dropped before the next chunk's factors are built
+            del levels, prefix  # dropped before the next chunk's factors are built
         drift = _unitarity_defect(u)
     if not drift <= UNITARITY_LIMIT:  # NaN compares False, so a NaN product fails too
         raise NumericalFailure(
@@ -326,7 +329,7 @@ def _unitarity_defect(u: np.ndarray) -> float:
 
 def propagate_period(
     spec: DriveSpec, steps: int = 4096, method: str = "midpoint-exponential"
-) -> FloquetSolution:
+) -> np.ndarray:
     """Monodromy U(T) by the chosen integrator: "midpoint-exponential" or "fourth-order".
 
     Raises NumericalFailure when the result drifts off the unitary group by
@@ -334,8 +337,7 @@ def propagate_period(
     """
     if method not in _FACTOR_BUILDERS:
         raise ValueError(f"unknown method {method!r}")
-    u = _ordered_product(spec, steps, [steps], _FACTOR_BUILDERS[method])[-1]
-    return FloquetSolution(spec=spec, method=method, steps=steps, monodromy=u)
+    return _ordered_product(spec, steps, [steps], _FACTOR_BUILDERS[method])[-1]
 
 
 def fold_quasienergy(value: float | np.ndarray, omega: float, hbar: float = 1.0):
@@ -423,10 +425,7 @@ def solve_floquet(spec: DriveSpec, steps: int = 4096, grid: int = 256) -> Floque
     snapshots = _ordered_product(spec, steps, _nearest_steps(steps, grid), _midpoint_factors)
     snapshots.setflags(write=False)
     eps, modes = quasienergies(snapshots[-1], spec.omega, spec.hbar)
-    return FloquetSolution(
-        spec=spec, method="midpoint-exponential", steps=steps, monodromy=snapshots[-1],
-        quasienergies=eps, modes=modes, snapshots=snapshots,
-    )
+    return FloquetSolution(spec, steps, eps, modes, snapshots)
 
 
 def sambe_quasienergies(spec: DriveSpec, h_max: int = 12) -> np.ndarray:

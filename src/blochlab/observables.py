@@ -112,6 +112,7 @@ def build_observable(
     return HermitianOperator(basis.dim, _observable_diagonals(spec, basis), label=label)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # HermitianOperator rejects what overflows
 def _observable_diagonals(spec: ObservableSpec, basis: PlaneWaveBasis) -> dict:
     """The offset diagonals of an ObservableSpec, summed term by term.
 

@@ -9,7 +9,7 @@ written atomically next to the report.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Iterator
 
@@ -329,7 +329,7 @@ def _run_floquet(cfg: ScenarioConfig):
     unitarity = solution.unitarity_defect
 
     other = propagate_period(drive, steps=fl.steps, method="fourth-order")
-    cross = float(np.max(np.abs(solution.monodromy - other.monodromy)))
+    cross = float(np.max(np.abs(solution.monodromy - other)))
 
     sambe = sambe_quasienergies(drive, fl.sambe_hmax)
     sambe_diff = quasienergy_distance(solution.quasienergies, sambe, drive.omega, drive.hbar)
@@ -338,7 +338,7 @@ def _run_floquet(cfg: ScenarioConfig):
 
     results = {
         "dimension": drive.dim,
-        "method": solution.method,
+        "method": "midpoint-exponential",
         "steps": fl.steps,
         "quasienergies": list(solution.quasienergies),
         "sambe_quasienergies": list(sambe),
@@ -366,17 +366,7 @@ def _run_floquet(cfg: ScenarioConfig):
     # a commensurate splitting makes bound_K zero up to rounding, so the
     # averages are also allowed an absolute floor on the scale of |F|
     floor = cfg.tolerance("average_floor") * probe.max_overlap
-    results["probe"] = {
-        "pair": list(probe.pair),
-        "splitting": probe.splitting,
-        "grid_points": probe.grid_points,
-        "phase_relation_residual": probe.phase_relation_residual,
-        "period_averages": [list(item) for item in probe.period_averages],
-        "geometric_bounds": [list(item) for item in probe.geometric_bounds],
-        "bound_coefficient": probe.bound_coefficient,
-        "max_overlap": probe.max_overlap,
-        "monodromy_commuting_element": probe.monodromy_commuting_element,
-    }
+    results["probe"] = asdict(probe)
     checks["phase_relation"] = probe.phase_relation_residual < cfg.tolerance("phase_relation")
     pairs = zip(probe.period_averages, probe.geometric_bounds)
     checks["average_bound"] = all(avg <= slack * bound + floor for (_, avg), (_, bound) in pairs)

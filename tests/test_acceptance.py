@@ -191,7 +191,7 @@ def test_criterion_7_floquet_structure():
         detail["sambe_diff"] = sambe_diff
         assert sambe_diff < 1e-6
         other = bl.propagate_period(DRIVEN, steps=4096, method="fourth-order")
-        cross = float(np.max(np.abs(sol.monodromy - other.monodromy)))
+        cross = float(np.max(np.abs(sol.monodromy - other)))
         detail["cross_method"] = cross
         assert cross < 1e-6
 

@@ -376,7 +376,7 @@ def test_floquet_eigenbasis_residual_guard_exits_2(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(np.linalg, "eigh", mixed)
     spec = bl.DriveSpec(h0=np.diag([0.7, -0.7]).astype(complex), omega=1.0)
     with pytest.raises(bl.NumericalFailure, match="residual"):
-        bl.quasienergies(bl.propagate_period(spec, steps=256).monodromy, omega=1.0)
+        bl.quasienergies(bl.propagate_period(spec, steps=256), omega=1.0)
     assert main(["floquet", "--config", floquet_config(tmp_path, steps=256)]) == 2
     assert "residual" in capsys.readouterr().err
 
@@ -758,6 +758,33 @@ REJECTED = {
     ),
     "lattice_a_1e-300_bands": (
         {"kind": "bands", "lattice": {"cells": 3, "cutoff": 4, "a": 1e-300}}, [], "/lattice",
+    ),
+    # cells * a overflowed to inf: every momentum read 0 and translation_eigen failed (exit 3)
+    "lattice_circumference_overflow_bands": (
+        {"kind": "bands", "lattice": {"cells": 3, "cutoff": 4, "a": 1e308}}, [], "/lattice/a",
+    ),
+    "lattice_circumference_overflow_superselect": (
+        lattice_config(lattice={"cells": 3, "cutoff": 4, "a": 1e308}), [], "/lattice/a",
+    ),
+    "lattice_circumference_overflow_wannier": (
+        lattice_config("wannier", lattice={"cells": 5, "cutoff": 7, "a": 1e308}), [], "/lattice/a",
+    ),
+    # a custom term that overflows raised numpy's RuntimeWarning before the
+    # member's finite-entry check: in the polynomial, then in the F*P product
+    "custom_p_poly_overflow": (
+        lattice_config(battery={"seeds": 2, "custom": [{"terms": [{"p_poly": [0, 1e308]}]}]}),
+        [],
+        "/battery",
+    ),
+    "custom_symmetrized_product_overflow": (
+        lattice_config(
+            battery={
+                "seeds": 2,
+                "custom": [{"terms": [{"f": [{"j": 1, "re": 1e308}], "p_poly": [0, 10]}]}],
+            }
+        ),
+        [],
+        "/battery",
     ),
     # a finite kinetic energy plus v0 overflowed on the diagonal: H held inf and passed
     "lattice_kinetic_plus_v0": (

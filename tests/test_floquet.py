@@ -43,22 +43,18 @@ def test_drive_spec_validation():
 
 
 def test_no_drive_monodromy_is_static_exponential():
-    sol = bl.propagate_period(no_drive(0.3), steps=256)
+    u = bl.propagate_period(no_drive(0.3), steps=256)
     expected = np.diag([np.exp(-0.6j * np.pi), np.exp(0.6j * np.pi)])
-    assert np.allclose(sol.monodromy, expected, atol=1e-12)
+    assert np.allclose(u, expected, atol=1e-12)
 
 
 def test_no_drive_quasienergies_below_folding():
-    eps, _ = bl.quasienergies(
-        bl.propagate_period(no_drive(0.3), steps=256).monodromy, omega=1.0
-    )
+    eps, _ = bl.quasienergies(bl.propagate_period(no_drive(0.3), steps=256), omega=1.0)
     assert np.allclose(eps, [-0.3, 0.3], atol=1e-12)
 
 
 def test_folding_wraps_larger_energies():
-    eps, _ = bl.quasienergies(
-        bl.propagate_period(no_drive(0.7), steps=256).monodromy, omega=1.0
-    )
+    eps, _ = bl.quasienergies(bl.propagate_period(no_drive(0.7), steps=256), omega=1.0)
     assert np.allclose(eps, [-0.3, 0.3], atol=1e-12)
 
 
@@ -77,7 +73,7 @@ def test_quasienergies_require_unitary_input():
 
 def test_cross_method_agreement(two_level_drive, two_level_solution):
     other = bl.propagate_period(two_level_drive, steps=4096, method="fourth-order")
-    assert float(np.max(np.abs(two_level_solution.monodromy - other.monodromy))) < 1e-6
+    assert float(np.max(np.abs(two_level_solution.monodromy - other))) < 1e-6
 
 
 def test_monodromy_unitarity_at_default_steps(two_level_solution):
@@ -85,9 +81,9 @@ def test_monodromy_unitarity_at_default_steps(two_level_solution):
 
 
 def test_midpoint_is_second_order(two_level_drive):
-    ref = bl.propagate_period(two_level_drive, steps=2048).monodromy
-    err_coarse = np.max(np.abs(bl.propagate_period(two_level_drive, steps=256).monodromy - ref))
-    err_fine = np.max(np.abs(bl.propagate_period(two_level_drive, steps=512).monodromy - ref))
+    ref = bl.propagate_period(two_level_drive, steps=2048)
+    err_coarse = np.max(np.abs(bl.propagate_period(two_level_drive, steps=256) - ref))
+    err_fine = np.max(np.abs(bl.propagate_period(two_level_drive, steps=512) - ref))
     assert 3.0 < err_coarse / err_fine < 5.0
 
 
@@ -95,7 +91,7 @@ def test_rk4_is_fourth_order(two_level_drive):
     # a wrong coefficient in the step matrix can leave cross_method within
     # 1e-6 while dropping the order to two (ratio 4)
     def monodromy(steps):
-        return bl.propagate_period(two_level_drive, steps=steps, method="fourth-order").monodromy
+        return bl.propagate_period(two_level_drive, steps=steps, method="fourth-order")
 
     ref = monodromy(8192)
     err_coarse = np.max(np.abs(monodromy(128) - ref))
@@ -352,9 +348,7 @@ def test_degenerate_monodromy_modes_stay_orthonormal():
     # a drive whose monodromy has a degenerate eigenphase pair: the Cayley
     # transform's eigh must still hand back an orthonormal mode set
     spec = bl.DriveSpec(h0=DEGENERATE_H0, omega=1.0)
-    eps, modes = bl.quasienergies(
-        bl.propagate_period(spec, steps=128).monodromy, omega=1.0
-    )
+    eps, modes = bl.quasienergies(bl.propagate_period(spec, steps=128), omega=1.0)
     assert float(np.max(np.abs(modes.conj().T @ modes - np.eye(4)))) < 1e-12
     assert eps[1] == pytest.approx(eps[2], abs=1e-12)  # the two decoupled levels
 
@@ -400,7 +394,7 @@ def test_quasienergies_match_the_schur_route(dim, seed, cluster, omega):
 )
 def test_quasienergies_match_the_schur_route_on_degenerate_and_edge_drives(h0):
     spec = bl.DriveSpec(h0=np.asarray(h0, dtype=complex), omega=1.0)
-    assert_matches_schur(bl.propagate_period(spec, steps=128).monodromy, 1.0)
+    assert_matches_schur(bl.propagate_period(spec, steps=128), 1.0)
 
 
 def test_zone_edge_pair_gets_the_canonical_basis_whatever_eigh_returns(monkeypatch):
@@ -447,9 +441,7 @@ def test_monodromy_polynomial_commutes(two_level_solution):
 
 
 def test_traceless_quasienergy_sum_vanishes():
-    eps, _ = bl.quasienergies(
-        bl.propagate_period(no_drive(0.3), steps=128).monodromy, omega=1.0
-    )
+    eps, _ = bl.quasienergies(bl.propagate_period(no_drive(0.3), steps=128), omega=1.0)
     assert float(np.sum(eps)) == pytest.approx(0.0, abs=1e-10)
 
 

@@ -5,12 +5,12 @@ rounding differs from the per-step loop's: the midpoint snapshots at any
 marked steps, and the report fields built on them, must match the per-step
 reference to rounding (1e-13), including step counts that end a chunk early
 or cross a chunk edge and grids that do not divide the step count.  Against
-the product of the same float64 step matrices in extended precision the
-blocks must be no less accurate than the loop, and they must take a number
-of stacked products logarithmic in the chunk.  The array evaluation of H(t)
-and O(t) must equal the per-step evaluation bit for bit; the RK4 monodromy
-regroups the same arithmetic into one step matrix, so it matches the per-step
-RK4 loop to rounding.
+the product of the same float64 step deviations D plus I in extended
+precision the blocks must be no less accurate than the float64 loop over
+I + D, and they must take a number of stacked products logarithmic in the
+chunk.  The array evaluation of H(t) and O(t) must equal the per-step
+evaluation bit for bit; the RK4 monodromy regroups the same arithmetic into
+one step matrix, so it matches the per-step RK4 loop to rounding.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import blochlab as bl
-from blochlab import floquet
+from blochlab import floquet, runner
 from oracles import (
     running_product,
     stepwise_midpoint_snapshots,
@@ -101,7 +101,7 @@ def test_rk4_monodromy_matches_stepwise_loop(case):
 
 
 def chunked_factors(spec, steps: int, builder) -> np.ndarray:
-    """Every step matrix of the period, built chunk by chunk as the product builds them."""
+    """Every step's deviation from I over the period, built chunk by chunk as the product does."""
     dt = spec.period / steps
     return np.concatenate([
         builder(spec, np.arange(start, min(start + floquet._FACTOR_CHUNK, steps)), dt)
@@ -123,19 +123,46 @@ def chunked_factors(spec, steps: int, builder) -> np.ndarray:
     ],
 )
 def test_block_product_is_as_accurate_as_the_loop(drive, dim, steps, grid, method, request):
-    # both products of the same float64 step matrices, against their product
-    # in extended precision: regrouping must not cost accuracy
+    # the block product of the float64 step deviations D, and the loop over
+    # the float64 step matrices I + D, against the product of I + D formed in
+    # extended precision: keeping D apart from I must not cost accuracy
     if drive == "two-level":
         spec = request.getfixturevalue("two_level_drive")
     else:
         spec = random_drive(dim, dim)
     builder = floquet._FACTOR_BUILDERS[method]
-    factors = chunked_factors(spec, steps, builder)
+    deviations = chunked_factors(spec, steps, builder)
     marks = floquet._nearest_steps(steps, grid)
-    exact = running_product(factors, marks, np.clongdouble)
-    loop_error = np.max(np.abs(running_product(factors, marks) - exact))
+    eye = np.eye(dim)
+    exact = running_product(deviations.astype(np.clongdouble) + eye, marks, np.clongdouble)
+    loop_error = np.max(np.abs(running_product(deviations + eye, marks) - exact))
     block_error = np.max(np.abs(floquet._ordered_product(spec, steps, marks, builder) - exact))
     assert block_error <= 4.0 * loop_error + 1e-15, (block_error, loop_error)
+
+
+@pytest.mark.parametrize(
+    "drive, dim, steps",
+    [
+        ("two-level", 2, 2048),
+        ("two-level", 2, 4096),
+        ("two-level", 2, 16384),
+        ("random", 3, 40000),
+        ("random", 16, 8192),
+    ],
+)
+def test_floquet_residuals_sit_at_rounding(drive, dim, steps, request):
+    # the steps' deviations from I are never rounded next to the unit
+    # diagonal, so the residuals of the checks built on the product stay at
+    # a few ulps however many steps the period takes
+    if drive == "two-level":
+        spec = request.getfixturevalue("two_level_drive")
+    else:
+        spec = random_drive(dim, dim)
+    solution = bl.solve_floquet(spec, steps=steps, grid=256)
+    probe = bl.temporal_overlap_probe(solution, runner._default_probe_observable(dim))
+    assert solution.unitarity_defect <= 1e-15
+    assert probe.phase_relation_residual <= 2e-15
+    assert float(np.max(solution.periodicity_residuals)) <= 4e-15
 
 
 def test_each_chunk_takes_logarithmically_many_stacked_products():
@@ -212,7 +239,7 @@ def test_propagator_fields_match_stepwise_loop():
     solution = bl.solve_floquet(spec, steps=300, grid=7)
     reference = stepwise_midpoint_snapshots(spec, 300, 1)
     assert np.max(np.abs(solution.monodromy - reference[-1])) < 1e-13
-    assert np.array_equal(solution.monodromy, bl.propagate_period(spec, steps=300).monodromy)
+    assert np.array_equal(solution.monodromy, bl.propagate_period(spec, steps=300))
     # 7 does not divide 300: each grid time i T / 7 takes its nearest step
     marks = [0, 43, 86, 129, 171, 214, 257, 300]
     assert np.array_equal(floquet._nearest_steps(300, 7), marks)
