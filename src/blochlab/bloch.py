@@ -56,23 +56,23 @@ class BlochState:
 
 @dataclass(frozen=True)
 class BandStructure:
-    """Every Bloch state of the lattice as one (sector, band, d) block.
+    """Every Bloch state of the lattice as its (sector, band, row) class block.
 
-    ``coeffs[l, n]`` is psi_{n k_l} in the plane-wave basis, with literal
-    zeros outside class l; ``energies[l, n]`` is its energy and
-    ``k_values[l]`` its wavevector.  Bands are sorted ascending per class.
-    ``rows[l]`` holds the d/N plane-wave rows of class l, ascending: the only
-    rows where ``coeffs[l]`` can be nonzero.
+    ``rows[l]`` holds the b = d/N plane-wave rows of class l, ascending, and
+    ``blocks[l, n]`` is psi_{n k_l} on those rows: a Bloch state is zero on
+    every other row, so nothing else is stored.  ``energies[l, n]`` is its
+    energy and ``k_values[l]`` its wavevector; bands are sorted ascending per
+    class.  ``dense``, ``state`` and ``coeffs`` form plane-wave vectors on request.
     """
 
     k_values: np.ndarray
     energies: np.ndarray
-    coeffs: np.ndarray
+    blocks: np.ndarray
     rows: np.ndarray
 
     def __post_init__(self):
         for name, dtype in (
-            ("k_values", float), ("energies", float), ("coeffs", complex), ("rows", int)
+            ("k_values", float), ("energies", float), ("blocks", complex), ("rows", int)
         ):
             arr = np.array(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
@@ -86,101 +86,103 @@ class BandStructure:
     def bands(self) -> int:
         return self.energies.shape[1]
 
+    def dense(self, sector, band) -> np.ndarray:
+        """Plane-wave vectors of psi_{band, k_sector}, zero off their class rows.
+
+        ``sector`` and ``band`` are integer indices, broadcast together; the
+        result has their shape plus (d,) and is formed anew on each call.
+        """
+        sector, band = np.broadcast_arrays(sector, band)
+        out = np.zeros(sector.shape + (self.rows.size,), dtype=complex)
+        np.put_along_axis(out, self.rows[sector], self.blocks[sector, band], axis=-1)
+        return out
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """Every state as a (sector, band, d) dense block, formed anew."""
+        return self.dense(*np.indices(self.energies.shape))
+
     def state(self, sector: int, band: int) -> BlochState:
-        """The Bloch state psi_{band, k_sector}."""
+        """The Bloch state psi_{band, k_sector}, as a dense vector."""
         return BlochState(
             band=band,
             sector=sector,
             wavevector=float(self.k_values[sector]),
             energy=float(self.energies[sector, band]),
-            coeffs=self.coeffs[sector, band],
+            coeffs=self.dense(sector, band),
         )
 
 
-def _canonicalize_cluster(vectors: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis for a degenerate eigenspace.
-
-    Works on the basis-independent projector: repeatedly pick the axis with
-    the largest remaining diagonal weight, normalize its projection, deflate.
-    The resulting vectors are then ordered by the plane-wave row of their
-    dominant coefficient.
-    """
-    size = vectors.shape[1]
-    if size == 1:
-        return vectors
-    proj = vectors @ vectors.conj().T
-    picked = []
-    residual = proj.copy()
-    for _ in range(size):
-        pivot = int(np.argmax(np.real(np.diag(residual))))
-        col = residual[:, pivot]
-        nrm = np.linalg.norm(col)
-        if nrm < 1e-8:
-            raise NumericalFailure("degenerate-cluster pivoting lost rank")
-        vec = col / nrm
-        picked.append(vec)
-        residual = residual - np.outer(vec, vec.conj())
-    picked.sort(key=lambda v: int(np.argmax(np.abs(v))))
-    return np.column_stack(picked)
-
-
 def _canonical_eigenbasis(energies: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Apply cluster canonicalization and phase fixing to eigh output."""
-    scale = max(1.0, float(np.max(np.abs(energies))) if energies.size else 1.0)
-    atol = DEGENERACY_ATOL * scale
-    out = vectors.copy()
-    start = 0
-    n = len(energies)
-    while start < n:
-        stop = start + 1
-        while stop < n and energies[stop] - energies[stop - 1] < atol:
-            stop += 1
-        if stop - start > 1:
-            out[:, start:stop] = _canonicalize_cluster(out[:, start:stop])
-        start = stop
-    # rotate each column so its largest-magnitude entry is real positive; entries
-    # equal in magnitude up to rounding (by symmetry, say) tie, and the first
-    # of them is the pivot.  Each factor is a scalar quotient (an array-wide
-    # np.abs rounds some pivots apart)
+    """Cluster canonicalization and phase fixing of (..., n), (..., d, n) eigh output.
+
+    The clusters (neighbours closer than DEGENERACY_ATOL * max(1, max |E|))
+    of every system are found at once and re-spanned one by one, each with
+    one d x d projector.  Each column is then rotated so its largest-magnitude
+    entry is real positive; entries equal in magnitude up to rounding (by
+    symmetry, say) tie, and the first of them is the pivot.
+    """
+    *_, dim, n = vectors.shape
+    e = np.reshape(energies, (-1, n))
+    out = np.array(vectors, dtype=complex, order="C").reshape(-1, dim, n)
+    scale = np.maximum(1.0, np.abs(e).max(axis=1, initial=0.0))
+    starts = np.ones(e.shape, dtype=bool)  # a cluster starts at column 0 of each system
+    starts[:, 1:] = ~(np.diff(e, axis=1) < (DEGENERACY_ATOL * scale)[:, None])
+    first = np.flatnonzero(starts)  # flat (system, column) positions, row-major
+    sizes = np.diff(first, append=starts.size)
+    for flat, size in zip(first[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
+        system, col0 = divmod(flat, n)
+        cluster = out[system, :, col0 : col0 + size]  # a view
+        # greedy pivoting of the cluster projector: pick the axis of largest
+        # remaining diagonal weight, normalize its projection, deflate
+        residual = cluster @ cluster.conj().T
+        picked = []
+        for _ in range(size):
+            col = residual[:, int(np.argmax(np.real(np.diag(residual))))]
+            nrm = np.linalg.norm(col)
+            if nrm < 1e-8:
+                raise NumericalFailure("degenerate-cluster pivoting lost rank")
+            picked.append(col / nrm)
+            residual = residual - np.outer(picked[-1], picked[-1].conj())
+        picked.sort(key=lambda v: int(np.argmax(np.abs(v))))  # by dominant row
+        cluster[:] = np.column_stack(picked)
     magnitudes = np.abs(out)
-    tied = magnitudes >= (1.0 - PIVOT_RTOL) * magnitudes.max(axis=0, initial=0.0)
-    pivots = out[np.argmax(tied, axis=0), np.arange(n)]
-    out *= np.array([np.conj(z) / abs(z) if z else 1.0 for z in pivots])
-    return out
+    tied = magnitudes >= (1.0 - PIVOT_RTOL) * magnitudes.max(axis=1, keepdims=True, initial=0.0)
+    pivots = out[np.arange(len(out))[:, None], tied.argmax(axis=1), np.arange(n)]  # (system, n)
+    # conj(z) / |z| with |z| by hypot, as the scalar quotient forms it (an
+    # array-wide np.abs rounds some pivots apart); a zero column stays zero
+    radius = np.hypot(pivots.real, pivots.imag)
+    out *= (pivots.conj() / np.where(radius > 0.0, radius, 1.0))[:, None, :]
+    return out.reshape(vectors.shape)
 
 
 def solve_bands(h: HermitianOperator, spec: LatticeSpec) -> BandStructure:
-    """Diagonalize every wavevector-class block of a cell-periodic H.
+    """Diagonalize every wavevector-class block of a cell-periodic H at once.
 
     Each class's rows (``basis.class_rows``) give one (d/N, d/N) block
-    (``HermitianOperator.class_blocks``); its eigenvectors are scattered back
-    onto those rows of the (sector, band, d) coefficient block, and the rows
-    are kept as the (N, d/N) ``rows`` table for later class blocks.
+    (``HermitianOperator.class_blocks``); the N blocks go through one
+    stacked eigensolve and one stacked gauge fix, and their eigenvectors are
+    kept on those rows, with the rows as the (N, d/N) ``rows`` table.
 
     Raises InvariantViolation if H carries weight between different classes
     (it then is not cell-periodic and has no common eigenbasis with T), and
-    NumericalFailure if a block eigensolve fails.
+    NumericalFailure if the block eigensolve fails.
     """
     basis = build_basis(spec)
     if h.dim != basis.dim:
         raise ValueError(f"operator dimension {h.dim} does not match basis {basis.dim}")
     _require_block_structure(h, basis)
 
-    n_cells = spec.cells
-    bands_per_class = basis.dim // n_cells
-    k_values = np.array([basis.wavevector(l) for l in range(n_cells)])
-    energies = np.zeros((n_cells, bands_per_class))
-    coeffs = np.zeros((n_cells, bands_per_class, basis.dim), dtype=complex)
-    class_rows = np.array([basis.class_rows(sector) for sector in range(n_cells)])
-    blocks = h.class_blocks(class_rows, *np.diag_indices(n_cells))  # the pairs (l, l)
-    for sector, (rows, block) in enumerate(zip(class_rows, blocks)):
-        try:
-            vals, vecs = np.linalg.eigh(block)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise NumericalFailure(f"eigensolver failed in class {sector}: {exc}") from exc
-        energies[sector] = vals
-        coeffs[sector][:, rows] = _canonical_eigenbasis(vals, vecs).T
-    return BandStructure(k_values=k_values, energies=energies, coeffs=coeffs, rows=class_rows)
+    sectors = np.arange(spec.cells)
+    class_rows = np.array([basis.class_rows(sector) for sector in sectors])
+    try:
+        energies, vectors = np.linalg.eigh(h.class_blocks(class_rows, sectors, sectors))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalFailure(f"class-block eigensolver failed: {exc}") from exc
+    blocks = _canonical_eigenbasis(energies, vectors).swapaxes(1, 2)  # (class, band, row)
+    return BandStructure(
+        k_values=basis.wavevector(sectors), energies=energies, blocks=blocks, rows=class_rows
+    )
 
 
 def _require_block_structure(h: HermitianOperator, basis: PlaneWaveBasis) -> None:
@@ -239,7 +241,11 @@ def wannier_state(
     w_{n,r} = N^{-1/2} sum_l exp(-i k_l r a) psi_{n k_l}.  The inverse of the
     translation operator advances the home cell: T^dagger w_{n,r} = w_{n,r+1}
     (T itself maps w_{n,r} to w_{n,r-1}, indices mod N).  Unit norm follows
-    from orthonormality of the Bloch states.
+    from orthonormality of the Bloch states.  The N states lie on disjoint
+    class rows, so the sum is each phased block written on its own rows: the
+    dense sum's values, without forming N dense vectors.
     """
     phases = np.exp(-1j * bands.k_values * (home_cell * spec.a))
-    return (phases[:, None] * bands.coeffs[:, band]).sum(axis=0) / np.sqrt(spec.cells)
+    out = np.zeros(bands.rows.size, dtype=complex)
+    out[bands.rows] = phases[:, None] * bands.blocks[:, band]
+    return out / np.sqrt(spec.cells)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .floquet import MIN_STEPS, DriveSpec, DriveTerm, PeriodicObservableSpec
-from .lattice import LatticeSpec, PlaneWaveBasis, PotentialSpec, build_basis
+from .lattice import LatticeSpec, PotentialSpec, build_basis
 from .observables import (
     MAX_POLY_DEGREE,
     NAMED_OBSERVABLES,
@@ -41,6 +41,13 @@ MAX_SAMBE_HMAX = 64  # one dense eigh d (2 h + 1) wide: 2064, ~8 s at d = 16
 MAX_GRID_POINTS = 4096  # probe.grid and fringe_points
 MAX_PROBE_PERIODS = 1024
 MAX_BATTERY_SEEDS = 200
+
+# Bound on each Hamiltonian input: the kinetic energy at the largest |q|, v0,
+# and the real and imaginary part of every folded potential harmonic.  H's
+# entries then stay below 2e150, so ||H|| <= d max|H_ij| <= 1.1e153 for
+# d <= MAX_DIMENSION, and the solver-quality norms (||H psi - E psi||^2 <=
+# 4 ||H||^2 <= 5e306 the largest) stay finite, with no overflow warning.
+MAX_HAMILTONIAN_ENTRY = 1e150
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     # lattice side
@@ -226,21 +233,40 @@ def _matrix(value, pointer: str) -> np.ndarray:
 # builders, and the rules that span more than one key
 
 
-def _check_momentum_scale(basis: PlaneWaveBasis, v0: float) -> None:
+def _check_momentum_scale(spec: LatticeSpec) -> None:
     """Refuse a lattice whose operators overflow at the largest |q| of its basis.
 
-    The Hamiltonian's diagonal (hbar q)^2 / 2m + v0 and the battery's momentum
-    powers up to MAX_POLY_DEGREE must stay finite floats.
+    The kinetic energy (hbar q)^2 / 2m must stay within MAX_HAMILTONIAN_ENTRY,
+    and the battery's momentum powers up to MAX_POLY_DEGREE finite.  q_max =
+    2 pi max|m| / L is formed here as ``build_basis`` forms it, before any
+    basis exists, so a lattice constant that overflows it warns nowhere.
     """
-    spec = basis.spec
     with np.errstate(over="ignore"):
-        p = spec.hbar * np.max(np.abs(basis.momenta))
-        if not np.isfinite([p * p / (2.0 * spec.mass) + v0, p**MAX_POLY_DEGREE]).all():
+        p = spec.hbar * (2.0 * np.pi * (spec.cutoff + spec.pad) / spec.circumference)
+        kinetic = p * p / (2.0 * spec.mass)
+        power = np.float64(p) ** MAX_POLY_DEGREE
+        if not (kinetic <= MAX_HAMILTONIAN_ENTRY and np.isfinite(power)):
             raise ConfigError(
-                f"momentum scale hbar*q_max = {p:.3g} overflows the kinetic energy "
-                f"plus v0, or the momentum power {MAX_POLY_DEGREE}",
+                f"momentum scale hbar*q_max = {p:.3g} gives a kinetic energy beyond "
+                f"{MAX_HAMILTONIAN_ENTRY:.0e}, or overflows the momentum power {MAX_POLY_DEGREE}",
                 "/lattice",
             )
+
+
+def _check_potential_scale(potential: PotentialSpec) -> None:
+    """Refuse a potential with an entry beyond MAX_HAMILTONIAN_ENTRY.
+
+    Checked on v0 and on the folded harmonics, whose entries on one index are
+    summed: two finite inputs can fold to an infinite coefficient.
+    """
+    parts = [potential.v0] + [x for _, c in potential.harmonics for x in (c.real, c.imag)]
+    worst = max(abs(x) for x in parts)
+    if not worst <= MAX_HAMILTONIAN_ENTRY:
+        raise ConfigError(
+            f"potential entry of magnitude {worst:.3g} (v0 or a folded harmonic) "
+            f"exceeds {MAX_HAMILTONIAN_ENTRY:.0e}",
+            "/potential",
+        )
 
 
 def _harmonic(j: int, re: float, im: float) -> tuple[int, complex]:
@@ -416,8 +442,9 @@ def validate_config(data: dict) -> ScenarioConfig:
             raise ConfigError(
                 f"circumference cells * a overflows for a = {lattice.a!r}", "/lattice/a"
             )
+        _check_momentum_scale(lattice)
+        _check_potential_scale(values["potential"])
         basis = build_basis(lattice)
-        _check_momentum_scale(basis, values["potential"].v0)
     if "battery" in values:  # superselect and wannier
         battery = _built(partial(Battery, basis), "/battery", **values["battery"])
         values["battery"] = battery

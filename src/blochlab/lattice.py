@@ -139,7 +139,7 @@ def fold_harmonics(harmonics) -> tuple[tuple[int, complex], ...]:
     for j, c in harmonics:
         j, c = int(j), complex(c)
         if j < 0:
-            j, c = -j, np.conj(c)
+            j, c = -j, c.conjugate()  # Python complex: an overflowing sum does not warn
         folded[j] = folded.get(j, 0j) + c
     return tuple(sorted(folded.items()))
 
@@ -296,6 +296,23 @@ class HermitianOperator:
         # entry (r, c) is column min(r, c) of the table row of offset r - c
         index = np.take(slot, bra - ket + (self.dim - 1)) * self.dim + np.minimum(bra, ket)
         return np.take(table, index)
+
+    def class_form(self, rows, bra, ket) -> np.ndarray:
+        """The (..., N) forms <bra_l|O|ket_l> of (..., N, b) states on the rows (N, b).
+
+        Class rows step by N, so the diagonal at offset qN is offset q on them,
+        with values values[rows[:, :b-q]]; every other diagonal meets class-
+        supported states in exact zeros, so the form is exact for any operator.
+        O ket is summed on the class rows as ``apply`` sums it on all rows.
+        """
+        n, b = rows.shape
+        applied = np.zeros(ket.shape, dtype=complex)
+        for q, values in ((o // n, v) for o, v in self.diagonals.items() if o % n == 0):
+            v = values[rows[:, : b - q]]
+            applied[..., q:] += v * ket[..., : b - q]
+            if q:
+                applied[..., : b - q] += v.conj() * ket[..., q:]
+        return (bra.conj() * applied).sum(axis=-1)
 
 
 def build_basis(spec: LatticeSpec) -> PlaneWaveBasis:

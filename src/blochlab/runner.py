@@ -281,10 +281,10 @@ def _run_wannier(cfg: ScenarioConfig):
         norm_dev = max(norm_dev, float(np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0))))
         wanniers.append(rows)
     wanniers = np.array(wanniers)
-    band_coeffs = bands.coeffs[:, list(cfg.wannier.bands)].transpose(1, 0, 2)  # (band, class, d)
+    band_blocks = bands.blocks[:, list(cfg.wannier.bands)].swapaxes(0, 1)  # (band, class, row)
     per_band_mixture = np.zeros(len(cfg.wannier.bands))
     for op in _stream(cfg.battery):
-        residual = wannier_mixture_residual(wanniers, band_coeffs, op)
+        residual = wannier_mixture_residual(wanniers, band_blocks, bands.rows, op)
         np.maximum(per_band_mixture, residual, out=per_band_mixture)
     mixture = float(np.max(per_band_mixture))
     per_band = {

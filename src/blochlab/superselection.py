@@ -126,23 +126,25 @@ def fringe_scan(
         raise ValueError("need at least 8 phase points")
     phases = 2.0 * np.pi * np.arange(n_phases) / n_phases
     combined = a.coeffs + np.exp(1j * phases)[:, None] * b.coeffs  # one row per phase
-    norm_sq = np.array([np.real(c.conj() @ c) for c in combined])
+    # row dots as stacked (1, d) @ (d, 1) products: the same sums as one
+    # vector product per row
+    norm_sq = np.real(combined.conj()[:, None, :] @ combined[:, :, None])[:, 0, 0]
     degenerate = np.flatnonzero(norm_sq < DEGENERATE_NORM_ATOL)
     if degenerate.size:
         raise ValueError(
             f"degenerate superposition at lambda={phases[degenerate[0]]:.6f}: states anti-parallel"
         )
-    applied = operator.apply(combined)  # row dots below, as for the norms above
-    averages = np.array([np.real(oc.conj() @ c) for oc, c in zip(applied, combined)]) / norm_sq
+    applied = operator.apply(combined)
+    averages = np.real(applied.conj()[:, None, :] @ combined[:, :, None])[:, 0, 0] / norm_sq
     return FringeScan(phases=phases, averages=averages, observable=operator.label)
 
 
 def sector_decomposition_report(
     bands: BandStructure, battery: Iterable[HermitianOperator]
 ) -> SectorDecompositionReport:
-    """Cross-class leakage table on class blocks, within-sector elements by apply.
+    """Cross-class leakage table and within-sector elements, all on class blocks.
 
-    With C_l the class-l states restricted to their d/N rows (``bands.rows``),
+    With C_l the class-l states on their d/N rows (``bands.blocks[l]``),
     <psi_{m k_j}|O|psi_{n k_l}> is entry (m, n) of C_j^* O[rows_j, rows_l] C_l^T.
     A diagonal at offset o couples class l only to l +- ``class_shift(o, N)``
     mod N, so per battery member only the cross blocks j < l it can fill
@@ -151,14 +153,13 @@ def sector_decomposition_report(
     cell-periodic member takes no block at all.  Leakage entry [j, l] (bras
     from the lower class, mirrored) is maximized over both band axes and
     equals a pairwise class loop bit for bit.  ``within_sector`` needs only
-    bands 0 and 1 of each class: O is applied once to the N band-1 rows, and
-    each is dotted with its class's band-0 row.  ``battery`` is any iterable
-    and is read once, one member at a time, so a generator that builds each
-    member on demand keeps one operator alive.
+    bands 0 and 1 of each class: one ``HermitianOperator.class_form`` per
+    member.  ``battery`` is any iterable and is read once, one member at a
+    time, so a generator that builds each member on demand keeps one
+    operator alive.
     """
-    n_sectors, n_bands, _ = bands.coeffs.shape
-    rows = bands.rows
-    compact = np.take_along_axis(bands.coeffs, rows[:, None, :], axis=2)  # (class, band, row)
+    rows, blocks = bands.rows, bands.blocks  # blocks: (class, band, row)
+    n_sectors, n_bands, _ = blocks.shape
     bra_class, ket_class = np.triu_indices(n_sectors, k=1)  # the cross blocks j < l
     step = (ket_class - bra_class) % n_sectors
     worst = np.zeros(len(bra_class))
@@ -170,14 +171,13 @@ def sector_decomposition_report(
             bra, ket = bra_class[filled], ket_class[filled]
             # (block, bra band, ket band)
             elements = np.abs(
-                compact[bra].conj() @ op.class_blocks(rows, bra, ket)
-                @ compact[ket].transpose(0, 2, 1)
+                blocks[bra].conj() @ op.class_blocks(rows, bra, ket)
+                @ blocks[ket].transpose(0, 2, 1)
             )
             worst[filled] = np.maximum(worst[filled], elements.max(axis=(1, 2)) / op.norm_max)
         labels.append(op.label)
-        if n_bands >= 2:
-            applied = op.apply(bands.coeffs[:, 1])  # O psi_{1 k_l}, one class per row
-            within.append(np.abs(np.sum(bands.coeffs[:, 0].conj() * applied, axis=1)))
+        if n_bands >= 2:  # <psi_{0 k_l}|O|psi_{1 k_l}>, one per class
+            within.append(np.abs(op.class_form(rows, blocks[:, 0], blocks[:, 1])))
     leakage = np.full((n_sectors, n_sectors), np.nan)
     leakage[bra_class, ket_class] = worst
     leakage[ket_class, bra_class] = worst
@@ -188,20 +188,19 @@ def sector_decomposition_report(
 
 
 def wannier_mixture_residual(
-    wanniers: np.ndarray, band_coeffs: np.ndarray, operator: HermitianOperator
+    wanniers: np.ndarray, band_blocks: np.ndarray, rows: np.ndarray, operator: HermitianOperator
 ) -> np.ndarray:
     """Per band b: max_r |<w_br|O|w_br> - mean_l <psi_bl|O|psi_bl>|.
 
     ``wanniers`` is (bands, home cells, d), one home cell's Wannier vector per
-    row, and ``band_coeffs`` is (bands, N, d), each band's Bloch states, one
-    class per row.  Each Wannier state is an equal-weight phase combination
-    of its band's Bloch states, so for cell-periodic O its expectation must
-    equal the uniform classical average over the band.  O is applied to all
-    bands * (cells + N) rows at once, so it is read once.
+    row, and ``band_blocks`` is (bands, N, d/N), each band's Bloch states on
+    their class rows ``rows``.  Each Wannier state is an equal-weight phase
+    combination of its band's Bloch states, so for cell-periodic O its
+    expectation must equal the uniform classical average over the band.  The
+    two sides are computed apart: O is applied to the dense Wannier rows in
+    one call, and the band averages come from one
+    ``HermitianOperator.class_form``.
     """
-    n_bands, n_cells, dim = wanniers.shape
-    stacked = np.concatenate((wanniers, band_coeffs), axis=1).reshape(-1, dim)
-    values = np.real(np.sum(stacked.conj() * operator.apply(stacked), axis=1))  # Re <v|O|v>
-    values = values.reshape(n_bands, -1)
-    band_avg = np.mean(values[:, n_cells:], axis=1, keepdims=True)
-    return np.max(np.abs(values[:, :n_cells] - band_avg), axis=1)
+    values = (wanniers.conj() * operator.apply(wanniers)).sum(axis=-1).real  # Re <w|O|w>
+    band_avg = operator.class_form(rows, band_blocks, band_blocks).real.mean(axis=1)
+    return np.abs(values - band_avg[:, None]).max(axis=1)

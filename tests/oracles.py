@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from blochlab import LatticeSpec, PotentialSpec, fold_quasienergy
-from blochlab.bloch import _canonical_eigenbasis
+from blochlab import LatticeSpec, NumericalFailure, PotentialSpec, fold_quasienergy
+from blochlab.bloch import DEGENERACY_ATOL, PIVOT_RTOL
 from blochlab.floquet import _nearest_steps
 
 
@@ -164,10 +164,74 @@ def dense_cell_periodicity(matrix: np.ndarray, phases: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The eigenvector gauge one eigensystem and one degenerate cluster at a time.
+# The package finds the clusters of a whole stack of eigensystems at once and
+# fixes every phase in one array-wide pass; this loop is the reference it must
+# reproduce bit for bit.
+
+
+def _canonicalize_cluster(vectors: np.ndarray) -> np.ndarray:
+    """Deterministic orthonormal basis for one degenerate eigenspace (d, s).
+
+    Greedy pivoting of the basis-independent projector: pick the axis with
+    the largest remaining diagonal weight, normalize its projection, deflate;
+    then order the vectors by the row of their dominant coefficient.
+    """
+    size = vectors.shape[1]
+    if size == 1:
+        return vectors
+    proj = vectors @ vectors.conj().T
+    picked = []
+    residual = proj.copy()
+    for _ in range(size):
+        pivot = int(np.argmax(np.real(np.diag(residual))))
+        col = residual[:, pivot]
+        nrm = np.linalg.norm(col)
+        if nrm < 1e-8:
+            raise NumericalFailure("degenerate-cluster pivoting lost rank")
+        vec = col / nrm
+        picked.append(vec)
+        residual = residual - np.outer(vec, vec.conj())
+    picked.sort(key=lambda v: int(np.argmax(np.abs(v))))
+    return np.column_stack(picked)
+
+
+def loop_canonical_eigenbasis(energies: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The gauge of one eigensystem (n,), (d, n): cluster by cluster, then phase by phase."""
+    scale = max(1.0, float(np.max(np.abs(energies))) if energies.size else 1.0)
+    atol = DEGENERACY_ATOL * scale
+    out = vectors.copy()
+    start = 0
+    n = len(energies)
+    while start < n:
+        stop = start + 1
+        while stop < n and energies[stop] - energies[stop - 1] < atol:
+            stop += 1
+        if stop - start > 1:
+            out[:, start:stop] = _canonicalize_cluster(out[:, start:stop])
+        start = stop
+    magnitudes = np.abs(out)
+    tied = magnitudes >= (1.0 - PIVOT_RTOL) * magnitudes.max(axis=0, initial=0.0)
+    pivots = out[np.argmax(tied, axis=0), np.arange(n)]
+    out *= np.array([np.conj(z) / abs(z) if z else 1.0 for z in pivots])
+    return out
+
+
+def loop_solve_bands(h, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Energies (N, b) and class blocks (N, b, b): one eigh and one gauge per class."""
+    energies, blocks = [], []
+    for l in range(len(rows)):
+        vals, vecs = np.linalg.eigh(h.class_blocks(rows, [l], [l])[0])
+        energies.append(vals)
+        blocks.append(loop_canonical_eigenbasis(vals, vecs).T)
+    return np.array(energies), np.array(blocks)
+
+
+# ---------------------------------------------------------------------------
 # Per-state measurements: the leakage table one class pair at a time, and the
 # Wannier band average one Bloch state at a time, both over lists of
 # BlochState.  The package computes one Psi^* O Psi^T product per operator on
-# the (sector, band, d) coefficient block; these loops are the reference it
+# the (sector, band, row) class blocks; these loops are the reference it
 # must reproduce.
 
 
@@ -341,9 +405,9 @@ def schur_quasienergies(monodromy, omega: float, hbar: float = 1.0):
     cut = int(np.argmax(np.append(np.diff(x), x[0] + 1.0 - x[-1]))) + 1
     if cut < len(x):
         turned = np.hstack((z[:, cut:], z[:, :cut]))
-        modes = _canonical_eigenbasis(np.append(x[cut:], x[:cut] + 1.0), turned)
+        modes = loop_canonical_eigenbasis(np.append(x[cut:], x[:cut] + 1.0), turned)
         return eps, np.hstack((modes[:, len(x) - cut:], modes[:, : len(x) - cut]))
-    return eps, _canonical_eigenbasis(x, z)
+    return eps, loop_canonical_eigenbasis(x, z)
 
 
 # ---------------------------------------------------------------------------

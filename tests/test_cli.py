@@ -278,7 +278,7 @@ def test_free_particle_override_reaches_its_check(tmp_path, monkeypatch):
 
     def shifted(h, spec):
         b = solve(h, spec)
-        return bl.BandStructure(b.k_values, b.energies + 1e-11, b.coeffs, b.rows)
+        return bl.BandStructure(b.k_values, b.energies + 1e-11, b.blocks, b.rows)
 
     monkeypatch.setattr(runner, "solve_bands", shifted)
     config = str(SHIPPED_DRIVE.parent / "bands_free.json")
@@ -303,7 +303,7 @@ def test_one_mistaken_free_energy_fails_only_free_particle_exact(monkeypatch):
         b = solve(h, spec)
         energies = b.energies.copy()
         energies[1, 0] *= 1.0 + 1e-9
-        return bl.BandStructure(b.k_values, energies, b.coeffs, b.rows)
+        return bl.BandStructure(b.k_values, energies, b.blocks, b.rows)
 
     data = json.loads((SHIPPED_DRIVE.parent / "bands_free.json").read_text())
     data.pop("output")
@@ -794,7 +794,49 @@ REJECTED = {
         [],
         "/lattice",
     ),
+    # two finite harmonics on one index folded to inf: HermitianOperator raised
+    # ValueError from build_hamiltonian, a traceback
+    "potential_harmonics_fold_to_infinity": (
+        lattice_config(potential={"harmonics": [{"j": 1, "re": 1e308}, {"j": 1, "re": 1e308}]}),
+        [],
+        "/potential",
+    ),
+    # the cosine form j = +-1 folds through a conjugate; at 1e308 the fold
+    # overflowed with a RuntimeWarning, before any bound was checked
+    "potential_cosine_pair_folds_to_infinity": (
+        lattice_config(potential={"harmonics": [{"j": 1, "re": 1e308}, {"j": -1, "re": 1e308}]}),
+        [],
+        "/potential",
+    ),
+    "potential_negative_harmonics_fold_to_infinity": (
+        lattice_config(
+            potential={"harmonics": [{"j": -1, "re": 1e308}, {"j": -1, "re": 1e308}]}
+        ),
+        [],
+        "/potential",
+    ),
+    # a finite harmonic whose eigen-residual norm overflowed: a RuntimeWarning in
+    # the solver-quality checks, then exit 3 on eigen_residual
+    "potential_harmonic_beyond_hamiltonian_bound": (
+        {"kind": "bands", "lattice": {"cells": 3, "cutoff": 4},
+         "potential": {"harmonics": [{"j": 1, "re": 1e308}]}},
+        [],
+        "/potential",
+    ),
+    # a subnormal lattice constant overflowed 2 pi m / L while the basis was
+    # built, with a RuntimeWarning before the momentum scale was checked
+    "lattice_a_subnormal": (
+        {"kind": "bands", "lattice": {"cells": 3, "cutoff": 4, "a": 5e-324}}, [], "/lattice",
+    ),
 }
+
+HAMILTONIAN_SCALE_CASES = (
+    "potential_harmonics_fold_to_infinity",
+    "potential_cosine_pair_folds_to_infinity",
+    "potential_negative_harmonics_fold_to_infinity",
+    "potential_harmonic_beyond_hamiltonian_bound",
+    "lattice_a_subnormal",
+)
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED))
@@ -854,6 +896,17 @@ def test_negative_control_shift_past_basis_is_a_subprocess_exit_1(tmp_path):
     proc = run_python("-m", "blochlab", "superselect", "--config", cfg)
     assert proc.returncode == 1
     assert "/negative_control/s" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("case", HAMILTONIAN_SCALE_CASES)
+def test_hamiltonian_scale_is_a_subprocess_exit_1_without_warning(tmp_path, case):
+    # the plain interpreter with RuntimeWarning made an error, as a user may run it
+    data, _, pointer = REJECTED[case]
+    cfg = write_json(tmp_path / "c.json", data)
+    proc = run_python("-W", "error::RuntimeWarning", "-m", "blochlab", data["kind"], "--config", cfg)
+    assert proc.returncode == 1, proc.stderr
+    assert f"(at {pointer})" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_wannier_index_out_of_range_stops_before_any_eigensolve(tmp_path, capsys, monkeypatch):

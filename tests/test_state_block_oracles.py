@@ -1,19 +1,27 @@
-"""The (sector, band, d) coefficient block against per-state reference loops.
+"""The (sector, band, row) class blocks against per-class and per-state loops.
 
-The leakage table must equal the pairwise class loop bit for bit.  The
-battery carries a periodicity-breaking member: on cell-periodic members every
-cross-class entry is a literal 0.0, which no reshape or mirroring error could
-change.
+The stacked eigensolve and gauge must equal one eigh and one cluster-by-
+cluster gauge per class bit for bit, and the leakage table the pairwise class
+loop.  The battery carries a periodicity-breaking member: on cell-periodic
+members every cross-class entry is a literal 0.0, which no reshape or
+mirroring error could change.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import blochlab as bl
+from blochlab.bloch import DEGENERACY_ATOL, _canonical_eigenbasis
 from conftest import every_state
-from oracles import pairwise_leakage, state_mixture_residual
+from oracles import (
+    loop_canonical_eigenbasis,
+    loop_solve_bands,
+    pairwise_leakage,
+    state_mixture_residual,
+)
 
 POTENTIAL = bl.PotentialSpec(harmonics=((1, 0.25 + 0.1j), (2, 0.1 - 0.05j)))
 LATTICES = (
@@ -34,6 +42,108 @@ def solved(request):
         bl.breaking_observable(2, basis),
     ]
     return spec, bands, battery
+
+
+def _cluster_sizes(energies: np.ndarray) -> set[int]:
+    """Sizes of the degenerate clusters of each row of ascending energies."""
+    sizes = set()
+    for row in np.atleast_2d(energies):
+        atol = DEGENERACY_ATOL * max(1.0, float(np.max(np.abs(row))))
+        cuts = np.flatnonzero(~(np.diff(row) < atol)) + 1
+        sizes |= {len(c) for c in np.split(row, cuts)}
+    return sizes
+
+
+@pytest.mark.parametrize("potential", [POTENTIAL, bl.PotentialSpec()], ids=["mathieu", "free"])
+@pytest.mark.parametrize("spec", LATTICES, ids=lambda s: f"N{s.cells}_d{s.dim}")
+def test_stacked_solve_equals_per_class_loop_bit_for_bit(spec, potential):
+    h = bl.build_hamiltonian(spec, potential)
+    bands = bl.solve_bands(h, spec)
+    energies, blocks = loop_solve_bands(h, bands.rows)
+    assert np.array_equal(bands.energies, energies)
+    assert np.array_equal(bands.blocks, blocks)
+    if potential.is_free:  # class 0 pairs +-G: the cluster re-span runs
+        assert 2 in _cluster_sizes(bands.energies)
+
+
+def test_stacked_gauge_equals_per_system_loop_on_clusters_of_two_and_three():
+    # each system's clusters are measured on its own energy scale: the 1e-8
+    # split pair is two clusters next to a system of scale 6e4
+    rng = np.random.default_rng(20)
+    levels = (
+        [0.0, 0.0, 1.0, 2.0, 2.0, 2.0, 3.0, 4.0, 4.0],
+        [-1.0, -1.0, -1.0, 0.5, 0.5, 1.0, 2.0, 2.0, 3.0],
+        [5.0, 5.0, 5.0, 6.0, 7.0, 7.0, 7.0, 8.0, 9.0],
+        [0.1, 0.1 + 1e-8, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
+        [1e4, 1e4, 2e4, 3e4, 3e4, 3e4, 4e4, 5e4, 6e4],
+    )
+    stack = []
+    for ev in levels:
+        q, _ = np.linalg.qr(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+        stack.append((q * ev) @ q.conj().T)
+    vals, vecs = np.linalg.eigh(np.array(stack))
+    assert _cluster_sizes(vals) == {1, 2, 3}
+    got = _canonical_eigenbasis(vals, vecs)
+    for l in range(len(stack)):
+        assert np.array_equal(got[l], loop_canonical_eigenbasis(vals[l], vecs[l]))
+
+
+def test_free_lattice_solve_holds_one_cluster_projector_at_a_time():
+    # N=2, d=512 free: 255 pairs +-m, each a cluster of b=256 rows.  A b x b
+    # projector is 1 MB; a stack of all of them would hold ~270 MB
+    spec = bl.LatticeSpec(cells=2, cutoff=255, pad_basis=True)
+    h = bl.build_hamiltonian(spec, bl.PotentialSpec())
+    tracemalloc.start()
+    try:
+        bands = bl.solve_bands(h, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec.dim == 512 and _cluster_sizes(bands.energies) == {1, 2}
+    assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
+    assert np.array_equal(bands.blocks, loop_solve_bands(h, bands.rows)[1])
+
+
+def test_one_eigensolve_per_lattice_solve(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    spec = LATTICES[2]
+    bl.solve_bands(bl.build_hamiltonian(spec, POTENTIAL), spec)
+    b = spec.dim // spec.cells
+    assert shapes == [(spec.cells, b, b)]
+
+
+def test_class_form_matches_the_dense_form(solved):
+    # random states on the class rows, and an operator that is not cell-
+    # periodic but also carries class-preserving diagonals: only those enter
+    spec, bands, battery = solved
+    n, b = bands.rows.shape
+    rng = np.random.default_rng(11)
+    bra, ket = rng.normal(size=(2, 3, n, b)) + 1j * rng.normal(size=(2, 3, n, b))
+    mixed = bl.HermitianOperator(
+        spec.dim,
+        {o: rng.normal(size=spec.dim - o) + 1j * rng.normal(size=spec.dim - o) * (o > 0)
+         for o in (0, 1, n, 2 * n + 1)},
+        label="mixed",
+    )
+    dense_bra, dense_ket = (np.zeros((3, n, spec.dim), complex) for _ in range(2))
+    np.put_along_axis(dense_bra, bands.rows[None], bra, axis=2)
+    np.put_along_axis(dense_ket, bands.rows[None], ket, axis=2)
+    for op in [*battery, mixed]:
+        got = op.class_form(bands.rows, bra, ket)
+        assert got.shape == (3, n)
+        expected = np.sum((dense_bra.conj() @ op.matrix) * dense_ket, axis=-1)  # bra^H O ket
+        # both sum the same products in another order: relative to |bra|^T |O| |ket|
+        terms = np.sum((np.abs(dense_bra) @ np.abs(op.matrix)) * np.abs(dense_ket), axis=-1)
+        assert np.all(np.abs(got - expected) <= 1e-14 * terms), op.label
+        if op.label.startswith("breaking:"):  # every diagonal couples other classes
+            assert not np.any(got)
 
 
 def test_leakage_table_equals_pairwise_loop_bit_for_bit(solved):
@@ -70,9 +180,9 @@ def test_wannier_mixture_residual_matches_per_state_loop(solved):
     wanniers = np.array(
         [[bl.wannier_state(band, cell, bands, spec) for cell in range(spec.cells)] for band in band_list]
     )
-    band_coeffs = bands.coeffs[:, band_list].transpose(1, 0, 2)
+    band_blocks = bands.blocks[:, band_list].swapaxes(0, 1)
     for op in battery:
-        got = bl.wannier_mixture_residual(wanniers, band_coeffs, op)
+        got = bl.wannier_mixture_residual(wanniers, band_blocks, bands.rows, op)
         assert got.shape == (len(band_list),)
         for i, band in enumerate(band_list):
             band_states = [bands.state(l, band) for l in range(bands.sectors)]
@@ -101,10 +211,12 @@ def test_row_table_is_frozen_and_matches_class_rows(solved):
     assert bands.rows.shape == (spec.cells, spec.dim // spec.cells)
     for l in range(spec.cells):
         assert np.array_equal(bands.rows[l], basis.class_rows(l))
-        outside = np.setdiff1d(np.arange(spec.dim), bands.rows[l])
-        assert not np.any(bands.coeffs[l][:, outside])
+    # each class block holds a whole unit state: no weight is left off its rows
+    assert np.allclose(np.linalg.norm(bands.blocks, axis=2), 1.0, rtol=0, atol=1e-14)
     with pytest.raises(ValueError):
         bands.rows[0, 0] = 1
+    with pytest.raises(ValueError):
+        bands.blocks[0, 0, 0] = 1
 
 
 def test_one_band_lattice_has_no_within_sector_elements():

@@ -159,7 +159,8 @@ def test_wannier_expectation_equals_band_average(
         [[bl.wannier_state(band, cell, bands, lattice_n3) for cell in range(3)] for band in (0, 1)]
     )
     for op in battery_n3:
-        residuals = bl.wannier_mixture_residual(wanniers, bands.coeffs[:, [0, 1]].transpose(1, 0, 2), op)
+        band_blocks = bands.blocks[:, [0, 1]].swapaxes(0, 1)
+        residuals = bl.wannier_mixture_residual(wanniers, band_blocks, bands.rows, op)
         assert residuals.shape == (2,)
         assert np.all(residuals < 1e-10)
 
