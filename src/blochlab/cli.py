@@ -5,19 +5,20 @@
     blochlab wannier     --config C --report R
     blochlab floquet     --config C --report R
 
-Exit codes: 0 all invariant checks pass, 1 configuration error, 2 numerical
-failure, 3 invariant violation.  Reports are deterministic modulo their
-``timing`` block.
+Exit codes: 0 all invariant checks pass, 1 configuration error (an output
+path that cannot be written included), 2 numerical failure, 3 invariant
+violation.  Reports are deterministic modulo their ``timing`` block.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
 from . import __version__
-from .config import KINDS, parse_config
+from .config import KINDS, output_path, parse_config
 from .errors import ConfigError, InvariantViolation, NumericalFailure
 from .reports import atomic_write_text
 from .runner import render_report, run_scenario
@@ -27,7 +28,10 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_INVARIANT = 3
 
+_OUTPUT_FLAGS = {"csv": "--out", "report": "--report", "fringe_prefix": "--fringe-prefix"}
 
+
+@functools.cache  # built once per process: a caller may run many scenarios in one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blochlab",
@@ -39,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, help=f"run a {kind} scenario")
         p.add_argument("--config", required=True, help="scenario JSON file")
         if kind == "bands":
-            p.add_argument("--out", help="band-table CSV path (overrides config)")
+            p.add_argument("--out", dest="csv", help="band-table CSV path (overrides config)")
         p.add_argument("--report", help="report JSON path (overrides config)")
         if kind == "superselect":
             p.add_argument("--fringe-prefix", help="prefix for fringe CSV series")
@@ -77,12 +81,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"config kind {cfg.kind!r} does not match command {args.command!r}", "/kind"
             )
         output = dict(cfg.output)
-        if getattr(args, "out", None):
-            output["csv"] = args.out
-        if args.report:
-            output["report"] = args.report
-        if getattr(args, "fringe_prefix", None):
-            output["fringe_prefix"] = args.fringe_prefix
+        for key, flag in _OUTPUT_FLAGS.items():
+            value = getattr(args, key, None)  # each flag's dest is its output key
+            if value is not None:
+                output[key] = output_path(value, flag, key)
         cfg = replace(cfg, output=output)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -90,8 +92,13 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run_scenario(cfg)
+        if "report" in cfg.output:
+            atomic_write_text(cfg.output["report"], render_report(report))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # an output file that cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -100,8 +107,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
-    if "report" in cfg.output:
-        atomic_write_text(cfg.output["report"], render_report(report))
     for name, ok in report.checks.items():
         print(f"{report.kind}: {name}: {'pass' if ok else 'FAIL'}")
     if not report.passed:

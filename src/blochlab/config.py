@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -37,7 +38,7 @@ KINDS = ("bands", "superselect", "wannier", "floquet")
 # 10**9 probe periods is a config error instead of a run that takes hours.
 MAX_STEPS = 65536
 MAX_TRAJECTORY_POINTS = 4097
-MAX_SAMBE_HMAX = 64  # one dense eigh d (2 h + 1) wide: 2064, ~8 s at d = 16
+MAX_SAMBE_HMAX = 64  # one dense eigvalsh d (2 h + 1) wide: 2064, ~6 s at d = 16
 MAX_GRID_POINTS = 4096  # probe.grid and fringe_points
 MAX_PROBE_PERIODS = 1024
 MAX_BATTERY_SEEDS = 200
@@ -205,6 +206,38 @@ def _str(value, pointer: str, choices=None) -> str:
     if choices is not None and value not in choices:
         raise ConfigError(f"must be one of {list(choices)}, got {value!r}", pointer)
     return value
+
+
+# the files an output key names, as suffixes of its value
+OUTPUT_SUFFIXES = {"csv": ("",), "report": ("",), "fringe_prefix": ("_cross.csv", "_within.csv")}
+
+
+def output_path(value, pointer: str, key: str) -> str:
+    """An output path of ``key``, checked before any solve runs.
+
+    No file the key names may be a directory or end in a separator (pathlib
+    drops it, so "afile/" would replace the file afile), and the nearest
+    ancestor of each that exists must be a directory, so that the missing
+    ones can be made.
+    """
+    path = _str(value, pointer)
+    if "\0" in path:  # pathlib reads such a path as absent, and open() refuses it
+        raise ConfigError("output path holds a NUL byte", pointer)
+    for suffix in OUTPUT_SUFFIXES[key]:
+        if (path + suffix).endswith(("/", os.sep)):
+            raise ConfigError(f"output path {path + suffix!r} names a directory", pointer)
+        target = Path(path + suffix)
+        try:
+            if target.is_dir():
+                raise ConfigError(f"output path {str(target)!r} is a directory", pointer)
+            ancestor = next((p for p in target.parents if p.exists()), None)
+            if ancestor is not None and not ancestor.is_dir():
+                raise ConfigError(
+                    f"output path {str(target)!r} lies under the file {str(ancestor)!r}", pointer
+                )
+        except OSError as exc:  # e.g. a name too long
+            raise ConfigError(f"cannot use output path {path!r}: {exc}", pointer) from exc
+    return path
 
 
 def _list(value, pointer: str, item, nonempty: bool = False) -> tuple:
@@ -394,7 +427,7 @@ _FLOQUET = {
 }
 
 _TOLERANCES = {key: (_positive, None) for key in DEFAULT_TOLERANCES}
-_OUTPUT = {key: (_str, None) for key in ("csv", "report", "fringe_prefix")}
+_OUTPUT = {key: (partial(output_path, key=key), None) for key in OUTPUT_SUFFIXES}
 
 _SECTIONS = {
     "kind": (partial(_str, choices=KINDS), _REQUIRED),

@@ -28,33 +28,32 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def jsonable(obj):
-    """Normalize numpy scalars/arrays and complex values for rendering."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        z = complex(obj)
-        return [z.real, z.imag]
-    if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        return None if value != value else value
-    return obj
+# values that render as JSON arrays or objects: a list holding one is never inlined
+_NESTED = (dict, list, tuple, np.ndarray, complex, np.complexfloating)
 
 
 def render_json(obj, indent: int = 0) -> str:
-    """Render a normalized structure with explicit float formatting.
+    """Render a report structure with explicit float formatting, in one pass.
 
-    Dicts keep insertion order; the caller controls key order, which makes
-    the byte stream reproducible.
+    numpy scalars render as the Python values they hold, arrays and tuples as
+    lists, complex values as [re, im] pairs and NaN as null.  Dicts keep
+    insertion order; the caller controls key order, which makes the byte
+    stream reproducible.
     """
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return "null" if obj != obj else format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    elif isinstance(obj, (complex, np.complexfloating)):
+        obj = (obj.real, obj.imag)
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -65,29 +64,19 @@ def render_json(obj, indent: int = 0) -> str:
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         rendered = [render_json(v, indent + 1) for v in obj]
-        if all(not isinstance(v, (dict, list)) for v in obj) and sum(map(len, rendered)) < 72:
+        if not any(isinstance(v, _NESTED) for v in obj) and sum(map(len, rendered)) < 72:
             return "[" + ", ".join(rendered) + "]"
         return "[\n" + ",\n".join(f"{inner}{r}" for r in rendered) + f"\n{pad}]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
     raise TypeError(f"cannot render {type(obj).__name__} deterministically")
 
 
 def canonical_hash(obj) -> str:
     """SHA-256 of the canonical rendering; used to echo configs verifiably."""
-    return hashlib.sha256(render_json(jsonable(obj)).encode()).hexdigest()
+    return hashlib.sha256(render_json(obj).encode()).hexdigest()
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

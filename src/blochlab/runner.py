@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .bloch import solve_bands, wannier_state
-from .config import ScenarioConfig
+from .config import OUTPUT_SUFFIXES, ScenarioConfig
 from .errors import ConfigError, NumericalFailure
 from .floquet import (
     DriveTerm,
@@ -35,12 +35,12 @@ from .reports import (
     bands_csv,
     canonical_hash,
     emit_fringe_series,
-    jsonable,
     render_json,
 )
 from .superselection import fringe_scan, sector_decomposition_report, wannier_mixture_residual
 
 TOOL_NAME = "blochlab"
+CROSS_SUFFIX, WITHIN_SUFFIX = OUTPUT_SUFFIXES["fringe_prefix"]  # the two fringe series files
 
 
 @dataclass
@@ -72,14 +72,14 @@ class RunReport:
 
 
 def render_report(report: RunReport) -> str:
-    return render_json(jsonable(report.as_dict())) + "\n"
+    return render_json(report.as_dict()) + "\n"
 
 
 def stable_report_bytes(report: RunReport) -> bytes:
     """Rendering with the timing block dropped; the determinism contract."""
     payload = report.as_dict()
     payload.pop("timing")
-    return (render_json(jsonable(payload)) + "\n").encode()
+    return (render_json(payload) + "\n").encode()
 
 
 def _solve_lattice(cfg: ScenarioConfig):
@@ -220,7 +220,7 @@ def _run_superselect(cfg: ScenarioConfig):
     results["fringe_cross"] = _scan_fields(cross_scan)
     checks["fringe_flat"] = cross_scan.amplitude < cfg.tolerance("solver_zero")
     if "fringe_prefix" in cfg.output:
-        emit_fringe_series(cross_scan, cfg.output["fringe_prefix"] + "_cross.csv")
+        emit_fringe_series(cross_scan, cfg.output["fringe_prefix"] + CROSS_SUFFIX)
 
     within = sector_report.within_sector  # [sector, member], None for one band
     if within is not None:
@@ -241,7 +241,7 @@ def _run_superselect(cfg: ScenarioConfig):
             results["fringe_within"]["relative_mismatch"] = ratio_error
             checks["fringe_matches_element"] = ratio_error < cfg.tolerance("fringe_match")
         if "fringe_prefix" in cfg.output:
-            emit_fringe_series(within_scan, cfg.output["fringe_prefix"] + "_within.csv")
+            emit_fringe_series(within_scan, cfg.output["fringe_prefix"] + WITHIN_SUFFIX)
 
     if cfg.negative_control_shift is not None:
         shift = cfg.negative_control_shift

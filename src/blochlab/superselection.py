@@ -165,8 +165,9 @@ def sector_decomposition_report(
     worst = np.zeros(len(bra_class))
     labels, within = [], []
     for op in battery:
-        reach = [class_shift(s, n_sectors) for o in op.diagonals for s in (o, -o)]
-        filled = np.flatnonzero(np.isin(step, reach))
+        reaches = np.zeros(n_sectors, dtype=bool)  # by class step: can op fill it?
+        reaches[[class_shift(s, n_sectors) for o in op.diagonals for s in (o, -o)]] = True
+        filled = np.flatnonzero(reaches[step])
         if filled.size:
             bra, ket = bra_class[filled], ket_class[filled]
             # (block, bra band, ket band)

@@ -341,6 +341,21 @@ def stepwise_midpoint_snapshots(spec, steps: int, every: int) -> np.ndarray:
     return np.array(snapshots)
 
 
+def taylor_deviation(h: np.ndarray, theta: float, terms: int = 60) -> np.ndarray:
+    """exp(-i H theta) - I for a stack of H, summed as its Taylor series in clongdouble.
+
+    sum_{n >= 1} (-i theta H)^n / n!, with no 1 added or subtracted; for
+    ||H theta|| <= 4 sixty terms leave a remainder far below float64 rounding.
+    """
+    a = -1j * np.asarray(h, dtype=np.clongdouble) * np.longdouble(theta)
+    term = a
+    out = a.copy()
+    for n in range(2, terms + 1):
+        term = term @ a / np.longdouble(n)
+        out += term
+    return out
+
+
 def running_product(factors: np.ndarray, marks, dtype=complex) -> np.ndarray:
     """factors[s - 1] ... factors[0] at each step index s of the ascending ``marks``.
 

@@ -542,6 +542,10 @@ def lattice_config(kind="superselect", **sections):
     return {"kind": kind, "lattice": {"cells": 3, "cutoff": 4}, "battery": {"seeds": 2}, **sections}
 
 
+BANDS = {"kind": "bands", "lattice": {"cells": 3, "cutoff": 4}}
+TESTS_DIR = str(Path(__file__).resolve().parent)  # an existing directory
+UNDER_A_FILE = str(Path(__file__).resolve() / "out.csv")  # a path below a regular file
+
 FLOQUET_BASE = {"omega": 1.0, "h0": [[0.3, 0.0], [0.0, -0.3]]}
 
 
@@ -828,6 +832,25 @@ REJECTED = {
     "lattice_a_subnormal": (
         {"kind": "bands", "lattice": {"cells": 3, "cutoff": 4, "a": 5e-324}}, [], "/lattice",
     ),
+    # output paths are checked before any solve: an existing directory, and a
+    # path under a regular file (this test module), per output key and flag
+    "output_csv_is_a_directory": (
+        {**BANDS, "output": {"csv": TESTS_DIR}}, [], "/output/csv",
+    ),
+    "output_csv_is_empty": ({**BANDS, "output": {"csv": ""}}, [], "/output/csv"),
+    "output_report_under_a_file": (
+        lattice_config(output={"report": UNDER_A_FILE}), [], "/output/report",
+    ),
+    "output_fringe_prefix_under_a_file": (
+        lattice_config(output={"fringe_prefix": UNDER_A_FILE}), [], "/output/fringe_prefix",
+    ),
+    "flag_out_under_a_file": (BANDS, ["--out", UNDER_A_FILE], "--out"),
+    "flag_report_is_a_directory": (lattice_config(), ["--report", TESTS_DIR], "--report"),
+    "flag_report_is_empty": (lattice_config(), ["--report", ""], "--report"),
+    "flag_out_ends_in_a_separator": (BANDS, ["--out", "bands/"], "--out"),
+    "flag_fringe_prefix_under_a_file": (
+        lattice_config(), ["--fringe-prefix", UNDER_A_FILE], "--fringe-prefix",
+    ),
 }
 
 HAMILTONIAN_SCALE_CASES = (
@@ -970,3 +993,22 @@ def test_seed_battery_override_above_cap_exits_1(tmp_path, capsys):
     code = main(["superselect", "--config", path, "--seed-battery", str(MAX_BATTERY_SEEDS + 1)])
     err = capsys.readouterr().err
     assert code == 1 and "(at /battery/seeds)" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["report", "csv"])
+def test_failed_output_write_exits_1_without_traceback(tmp_path, capsys, monkeypatch, target):
+    # a path that passes validation and still cannot be written: one line, exit 1
+    def failing_replace(src, dst):
+        raise OSError(f"disk full writing {dst}")
+
+    monkeypatch.setattr("blochlab.reports.os.replace", failing_replace)
+    report, csv = tmp_path / "report.json", tmp_path / "bands.csv"
+    argv = ["bands", "--config", bands_config(tmp_path), "--report", str(report)]
+    code = main(argv + (["--out", str(csv)] if target == "csv" else []))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    failed = csv if target == "csv" else report  # the csv is written before the report
+    assert err.splitlines() == [f"output error: disk full writing {failed}"]
+    assert not report.exists() and not csv.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["bands.json"]  # no temp file left

@@ -4,7 +4,9 @@ A tree is drawn valid for one of the four kinds and then, in most examples,
 one of its values is replaced by a hostile one (NaN, infinities, wrong types,
 out-of-range numbers), a key is dropped or an unknown key is added.  Every
 tree must end in exit 0, 1, 2 or 3 without a traceback, and a report that is
-written holds no NaN in ``checks`` or ``results``.  The trees stay small
+written holds no NaN in ``checks`` or ``results``.  Hostile output paths,
+in the config or on the command line, exit 1 with a pointer before any
+solve.  The trees stay small
 (d <= 13 plane waves, floquet steps <= 256) so the derandomized run is
 reproducible and fast.
 """
@@ -18,7 +20,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from blochlab.cli import main
-from blochlab.config import DEFAULT_TOLERANCES
+from blochlab.config import DEFAULT_TOLERANCES, OUTPUT_SUFFIXES
 from blochlab.observables import NAMED_OBSERVABLES
 
 HOSTILE = (
@@ -218,3 +220,59 @@ def test_every_config_tree_keeps_the_exit_code_contract(capsys, tree, flags):
             assert list(non_finite_paths(written["results"])) == []
         else:
             assert not report.exists()
+
+
+# every kind reads each output key and takes --report; a flag names the key it sets
+OUTPUT_FLAGS = {
+    "bands": (("--out", "csv"),),
+    "superselect": (("--fringe-prefix", "fringe_prefix"),),
+}
+HOSTILE_PATHS = ("directory", "under a file", "empty", "nul byte", "name too long")
+
+
+def hostile_path(workdir: Path, key: str, kind: str) -> str:
+    """A path for output ``key`` that cannot be written, made in ``workdir``."""
+    if kind == "directory":  # the first file the key names is a directory
+        Path(f"{workdir / 'adir'}{OUTPUT_SUFFIXES[key][0]}").mkdir()
+        return str(workdir / "adir")
+    if kind == "under a file":
+        (workdir / "afile").write_text("")
+        return str(workdir / "afile" / "out")
+    if kind == "nul byte":
+        return str(workdir / "a\0b")
+    return "" if kind == "empty" else str(workdir / ("n" * 300))  # a name too long
+
+
+@settings(
+    max_examples=40,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_hostile_output_paths_exit_1_with_a_pointer(capsys, data):
+    kind = data.draw(st.sampled_from(("bands", "superselect", "wannier", "floquet")))
+    tree = data.draw(floquet_tree() if kind == "floquet" else lattice_sections(kind))
+    targets = [*OUTPUT_SUFFIXES, ("--report", "report"), *OUTPUT_FLAGS.get(kind, ())]
+    target = data.draw(st.sampled_from(targets))
+    hostile = data.draw(st.sampled_from(HOSTILE_PATHS))
+    capsys.readouterr()
+    with tempfile.TemporaryDirectory() as workdir:
+        workdir = Path(workdir)
+        report = workdir / "report.json"
+        argv = [kind, "--config", str(workdir / "config.json"), "--report", str(report)]
+        if isinstance(target, tuple):
+            flag, key = target
+            argv += [flag, hostile_path(workdir, key, hostile)]
+            pointer = flag
+        else:
+            tree["output"] = {target: hostile_path(workdir, target, hostile)}
+            pointer = f"/output/{target}"
+        (workdir / "config.json").write_text(json.dumps(tree))
+        code = main(argv)
+        err = capsys.readouterr().err
+        event(f"{hostile} at {pointer}")
+        assert code == 1, err
+        assert f"(at {pointer})" in err
+        assert "Traceback" not in err
+        assert not report.exists()

@@ -10,7 +10,10 @@ precision the blocks must be no less accurate than the float64 loop over
 I + D, and they must take a number of stacked products logarithmic in the
 chunk.  The array evaluation of H(t) and O(t) must equal the per-step
 evaluation bit for bit; the RK4 monodromy regroups the same arithmetic into
-one step matrix, so it matches the per-step RK4 loop to rounding.
+one step matrix, so it matches the per-step RK4 loop to rounding.  At d = 2
+the su(2) closed form of a midpoint step must match an extended-precision
+Taylor series of exp(-i H theta) - I, and the written-out 2 x 2 products
+must match matmul to rounding relative to sum_k |a_ik| |b_kj|.
 """
 
 import numpy as np
@@ -24,6 +27,7 @@ from oracles import (
     running_product,
     stepwise_midpoint_snapshots,
     stepwise_rk4_monodromy,
+    taylor_deviation,
     termwise_trig_series,
 )
 
@@ -165,34 +169,97 @@ def test_floquet_residuals_sit_at_rounding(drive, dim, steps, request):
     assert float(np.max(solution.periodicity_residuals)) <= 4e-15
 
 
-def test_each_chunk_takes_logarithmically_many_stacked_products():
-    class CountingStack(np.ndarray):
-        """A step-matrix stack that logs the size of each product it is the left operand of."""
+def test_each_chunk_takes_logarithmically_many_stacked_products(monkeypatch):
+    product = floquet._product
 
-        def __matmul__(self, other):
-            sizes[-1].append(self.shape[0])
-            return super().__matmul__(other)
+    def counting_product(a, b):
+        sizes[-1].append(a.shape[0])  # the stack size of each product
+        return product(a, b)
 
     def counting_factors(spec, s, dt):
         sizes.append([])  # one log per chunk
-        return floquet._midpoint_factors(spec, s, dt).view(CountingStack)
+        return floquet._midpoint_factors(spec, s, dt)
 
-    sizes: list[list[int]] = []
-    spec = random_drive(3, 5)
-    steps = 2 * floquet._FACTOR_CHUNK + 1000
-    marks = np.unique(np.concatenate(([steps], floquet._nearest_steps(steps, 600))))
-    snapshots = floquet._ordered_product(spec, steps, marks, counting_factors)
+    for dim in (2, 3):  # written-out products, and matmul
+        sizes: list[list[int]] = []
+        spec = random_drive(dim, 5)
+        steps = 2 * floquet._FACTOR_CHUNK + 1000
+        marks = np.unique(np.concatenate(([steps], floquet._nearest_steps(steps, 600))))
+        expected = floquet._ordered_product(spec, steps, marks, floquet._midpoint_factors)
+        with monkeypatch.context() as patch:
+            patch.setattr(floquet, "_product", counting_product)
+            snapshots = floquet._ordered_product(spec, steps, marks, counting_factors)
+        assert np.array_equal(snapshots, expected)
+        starts = range(0, steps, floquet._FACTOR_CHUNK)
+        assert len(sizes) == len(starts)
+        for start, chunk in zip(starts, sizes):
+            n = min(floquet._FACTOR_CHUNK, steps - start)
+            depth = n.bit_length() - 1  # floor(log2 n) levels above the step matrices
+            inside = int(np.count_nonzero((marks > start) & (marks <= start + n)))
+            assert len(chunk) <= 2 * depth + 1  # the up-sweep, then one call per binary digit
+            assert sum(chunk) <= (n - 1) + (inside + 1) * (depth + 1)  # O(steps) products in all
+
+
+def random_hermitian_stack(rng, n: int, scale: float) -> np.ndarray:
+    a = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    return scale * (a + a.conj().transpose(0, 2, 1))
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision"
+)
+def test_su2_closed_form_matches_the_taylor_series():
+    rng = np.random.default_rng(21)
+    eye = np.eye(2)
+    traceless = random_hermitian_stack(rng, 50, 1.0)
+    traceless -= np.trace(traceless, axis1=1, axis2=2)[:, None, None] / 2 * eye
+    stacks = {
+        "random": random_hermitian_stack(rng, 200, 1.0),
+        "b = 0": rng.normal(size=(50, 1, 1)) * eye,  # H = a I
+        "a = 0": traceless,
+        "tiny b": rng.normal(size=(50, 1, 1)) * eye + 1e-9 * random_hermitian_stack(rng, 50, 1.0),
+    }
+    for name, h in stacks.items():
+        h = h.astype(complex)
+        for theta in (1e-6, 1e-3, 0.1, 1.0):
+            got = floquet._su2_deviation(h.copy(), theta)
+            exact = taylor_deviation(h, theta)
+            # the series and the closed form agree to float64 rounding of D's size
+            scale = np.max(np.abs(h), axis=(1, 2)) * theta
+            error = np.max(np.abs(got - exact), axis=(1, 2))
+            assert np.all(error <= 1e-15 * scale * (1.0 + scale)), (name, theta)
+    h = stacks["b = 0"].astype(complex)
+    got = floquet._su2_deviation(h.copy(), 0.3)
+    assert np.array_equal(got[:, 0, 0], np.expm1(-0.3j * h[:, 0, 0].real))  # exactly E I
+    assert not np.any(got[:, 0, 1]) and not np.any(got[:, 1, 0])
+
+
+def test_su2_closed_form_reads_h_as_eigh_does():
+    # the lower triangle and the real diagonal: a drive Hermitian to 1e-12
+    # steps the same on the closed form as on the eigh route
+    rng = np.random.default_rng(4)
+    h = random_hermitian_stack(rng, 64, 0.5)
+    noisy = h + 1e-12 * (rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape))
+    read = np.tril(noisy) + np.conj(np.tril(noisy, -1)).transpose(0, 2, 1)
+    read[:, [0, 1], [0, 1]] = read[:, [0, 1], [0, 1]].real
     assert np.array_equal(
-        snapshots, floquet._ordered_product(spec, steps, marks, floquet._midpoint_factors)
+        floquet._su2_deviation(noisy.copy(), 0.05), floquet._su2_deviation(read, 0.05)
     )
-    starts = range(0, steps, floquet._FACTOR_CHUNK)
-    assert len(sizes) == len(starts)
-    for start, chunk in zip(starts, sizes):
-        n = min(floquet._FACTOR_CHUNK, steps - start)
-        depth = n.bit_length() - 1  # floor(log2 n) levels above the step matrices
-        inside = int(np.count_nonzero((marks > start) & (marks <= start + n)))
-        assert len(chunk) <= 2 * depth + 1  # the up-sweep, then one call per binary digit
-        assert sum(chunk) <= (n - 1) + (inside + 1) * (depth + 1)  # O(steps) products in all
+    vals, vecs = np.linalg.eigh(noisy)
+    via_eigh = (vecs * np.expm1(-0.05j * vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    # rounding of D (|D| ~ 0.1); the upper triangle would move D by ~5e-14
+    assert np.max(np.abs(floquet._su2_deviation(noisy.copy(), 0.05) - via_eigh)) < 1e-15
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_product_matches_matmul(dim):
+    rng = np.random.default_rng(dim)
+    a, b = rng.normal(size=(2, 500, dim, dim)) + 1j * rng.normal(size=(2, 500, dim, dim))
+    a[:7] *= 1e-9  # entries of very different sizes
+    got = floquet._product(a, b)
+    assert got.shape == (500, dim, dim)
+    # the same sums in another order: relative to sum_k |a_ik| |b_kj|
+    assert np.all(np.abs(got - a @ b) <= 4 * np.finfo(float).eps * (np.abs(a) @ np.abs(b)))
 
 
 @pytest.mark.parametrize("dim", [2, 8, 16])
@@ -220,18 +287,31 @@ def test_undriven_evaluator_returns_own_copies():
     assert np.array_equal(spec.hamiltonian(np.zeros(3)), np.broadcast_to(spec.h0, (3, 2, 2)))
 
 
-def test_eigh_stacks_stay_within_the_chunk(monkeypatch):
-    seen = []
-    eigh = np.linalg.eigh
+def test_factor_stacks_stay_within_the_chunk(monkeypatch):
+    # the step matrices, and every stack multiplied, hold at most one chunk
+    product, seen = floquet._product, []
 
-    def recording_eigh(a):
-        seen.append(np.shape(a)[:-2])
-        return eigh(a)
+    def recording_product(a, b):
+        seen.append(max(len(a), len(b)))
+        return product(a, b)
 
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(floquet, "_product", recording_product)
     steps = 3 * floquet._FACTOR_CHUNK + 5
-    bl.propagate_period(random_drive(2, 3), steps=steps)
-    assert [shape[0] for shape in seen] == [floquet._FACTOR_CHUNK] * 3 + [5]
+    for dim in (2, 3):
+        spec = random_drive(dim, 3)
+        for builder in floquet._FACTOR_BUILDERS.values():
+            built = []
+
+            def recording_factors(spec, s, dt, builder=builder):
+                factors = builder(spec, s, dt)
+                built.append(factors.shape)
+                return factors
+
+            seen.clear()
+            floquet._ordered_product(spec, steps, [steps], recording_factors)
+            chunks = [floquet._FACTOR_CHUNK] * 3 + [5]
+            assert built == [(n, dim, dim) for n in chunks]
+            assert max(seen) <= floquet._FACTOR_CHUNK
 
 
 def test_propagator_fields_match_stepwise_loop():

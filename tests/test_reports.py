@@ -11,7 +11,6 @@ from blochlab.reports import (
     atomic_write_text,
     canonical_hash,
     format_float,
-    jsonable,
     render_json,
 )
 
@@ -23,27 +22,46 @@ def test_float_rendering_roundtrips_doubles():
 
 
 def test_complex_values_become_pairs():
-    assert jsonable(1.5 - 2.0j) == [1.5, -2.0]
+    assert json.loads(render_json(1.5 - 2.0j)) == [1.5, -2.0]
+    assert render_json(np.complex64(0.5j)) == render_json([0.0, 0.5])
     matrix = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
-    assert jsonable(matrix) == [[[0.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [0.0, 0.0]]]
+    assert json.loads(render_json(matrix)) == [
+        [[0.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [0.0, 0.0]]
+    ]
 
 
 def test_nan_becomes_null():
-    rendered = render_json(jsonable({"diag": [float("nan"), 1.0]}))
-    parsed = json.loads(rendered)
-    assert parsed["diag"] == [None, 1.0]
+    for diag in ([float("nan"), 1.0], np.array([np.nan, 1.0]), (np.float64("nan"), 1.0)):
+        parsed = json.loads(render_json({"diag": diag}))
+        assert parsed["diag"] == [None, 1.0]
+    assert render_json(complex(float("nan"), 1.0)) == "[null, 1]"
 
 
 def test_numpy_scalars_normalize():
-    data = jsonable({"i": np.int64(3), "f": np.float64(0.25), "b": np.bool_(True)})
+    rendered = render_json({"i": np.int64(3), "f": np.float64(0.25), "b": np.bool_(True)})
+    assert rendered == render_json({"i": 3, "f": 0.25, "b": True})
+    data = json.loads(rendered)
     assert data == {"i": 3, "f": 0.25, "b": True}
     assert isinstance(data["i"], int) and isinstance(data["b"], bool)
+    assert render_json({1: np.float32(0.5)}) == render_json({"1": 0.5})  # keys as strings
+
+
+def test_arrays_and_tuples_render_as_the_lists_they_hold():
+    # the layout follows the rendered values: an entry that renders as an
+    # array (array, tuple, complex) keeps its list on separate lines
+    nested = [[1.0, 2.0], [3.0, 4.0]]
+    assert render_json(np.array(nested)) == render_json(nested)
+    assert render_json(((1.0, 2.0), (3.0, 4.0))) == render_json(nested)
+    assert render_json([np.array([1.0]), 2]) == render_json([[1.0], 2])
+    assert render_json([1j, 2]) == render_json([[0.0, 1.0], 2])
+    assert render_json((1, 2.5, "x")) == "[1, 2.5, \"x\"]"
+    assert render_json(np.arange(3)) == "[0, 1, 2]"
 
 
 def test_rendering_is_valid_json_and_stable():
     payload = {"b": [1, 2.5, "x"], "a": {"nested": [True, None]}}
-    first = render_json(jsonable(payload))
-    second = render_json(jsonable(payload))
+    first = render_json(payload)
+    second = render_json(payload)
     assert first == second
     assert json.loads(first) == payload  # insertion order kept, content equal
 

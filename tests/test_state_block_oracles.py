@@ -197,12 +197,13 @@ def test_within_sector_elements_match_matrix_element(solved):
     within = bl.sector_decomposition_report(bands, battery).within_sector
     assert within.shape == (bands.sectors, len(battery))
     for l in range(bands.sectors):
+        bra, ket = bands.state(l, 0), bands.state(l, 1)
         for i, op in enumerate(battery):
-            ref = bl.matrix_element(op, bands.state(l, 0), bands.state(l, 1)).magnitude
-            if ref > 1e-12 * op.norm_max:
-                assert abs(within[l, i] - ref) <= 1e-14 * ref
-            else:  # a parity-forced zero: both values are rounding noise
-                assert abs(within[l, i] - ref) <= 1e-15 * op.norm_max
+            ref = bl.matrix_element(op, bra, ket).magnitude
+            # both sum the same products in another order, and the element can
+            # be a cancellation (or a parity-forced zero): relative to |bra|^T |O| |ket|
+            terms = np.abs(bra.coeffs) @ np.abs(op.matrix) @ np.abs(ket.coeffs)
+            assert abs(within[l, i] - ref) <= 1e-14 * terms, (l, op.label)
 
 
 def test_row_table_is_frozen_and_matches_class_rows(solved):
