@@ -7,7 +7,8 @@
 
 Exit codes: 0 all invariant checks pass, 1 configuration error (an output
 path that cannot be written included), 2 numerical failure, 3 invariant
-violation.  Reports are deterministic modulo their ``timing`` block.
+violation.  Reports are deterministic modulo their ``timing`` block; a run's
+files are written after it, whatever its verdict, in one staged write.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 
 from . import __version__
-from .config import KINDS, output_path, parse_config
+from .config import KINDS, OUTPUT_KEYS, output_path, parse_config
 from .errors import ConfigError, InvariantViolation, NumericalFailure
-from .reports import atomic_write_text
-from .runner import render_report, run_scenario
+from .reports import atomic_write_text, bands_csv, fringe_csv
+from .runner import RunReport, render_report, run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -29,6 +29,7 @@ EXIT_NUMERICAL = 2
 EXIT_INVARIANT = 3
 
 _OUTPUT_FLAGS = {"csv": "--out", "report": "--report", "fringe_prefix": "--fringe-prefix"}
+_FRINGE_SERIES = {"_cross.csv": "fringe_cross", "_within.csv": "fringe_within"}  # results key
 
 
 @functools.cache  # built once per process: a caller may run many scenarios in one
@@ -42,11 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for kind in KINDS:
         p = sub.add_parser(kind, help=f"run a {kind} scenario")
         p.add_argument("--config", required=True, help="scenario JSON file")
-        if kind == "bands":
-            p.add_argument("--out", dest="csv", help="band-table CSV path (overrides config)")
-        p.add_argument("--report", help="report JSON path (overrides config)")
-        if kind == "superselect":
-            p.add_argument("--fringe-prefix", help="prefix for fringe CSV series")
+        for key in OUTPUT_KEYS[kind]:
+            p.add_argument(_OUTPUT_FLAGS[key], dest=key, help=f"{key} path (overrides config)")
         p.add_argument("--seed-battery", type=int, help="override battery seed count")
         p.add_argument(
             "--tol-override",
@@ -72,6 +70,20 @@ def _config_edits(args: argparse.Namespace) -> tuple[tuple[str, str, object], ..
     return tuple(edits)
 
 
+def _output_files(report: RunReport, output: dict[str, str]) -> dict[str, str]:
+    """Path -> text of each requested file, in OUTPUT_KEYS order, from the report."""
+    files = {}
+    for key, suffixes in OUTPUT_KEYS[report.kind].items():
+        for suffix in suffixes if key in output else ():
+            if key == "report":
+                files[output[key]] = render_report(report)
+            elif key == "csv":
+                files[output[key]] = bands_csv(report.results)
+            elif _FRINGE_SERIES[suffix] in report.results:  # no within scan on one band
+                files[output[key] + suffix] = fringe_csv(report.results[_FRINGE_SERIES[suffix]])
+    return files
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -81,19 +93,12 @@ def main(argv: list[str] | None = None) -> int:
                 f"config kind {cfg.kind!r} does not match command {args.command!r}", "/kind"
             )
         output = dict(cfg.output)
-        for key, flag in _OUTPUT_FLAGS.items():
-            value = getattr(args, key, None)  # each flag's dest is its output key
+        for key, suffixes in OUTPUT_KEYS[cfg.kind].items():
+            value = getattr(args, key)  # each flag's dest is its output key
             if value is not None:
-                output[key] = output_path(value, flag, key)
-        cfg = replace(cfg, output=output)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
+                output[key] = output_path(value, _OUTPUT_FLAGS[key], suffixes)
         report = run_scenario(cfg)
-        if "report" in cfg.output:
-            atomic_write_text(cfg.output["report"], render_report(report))
+        atomic_write_text(_output_files(report, output))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

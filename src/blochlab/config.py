@@ -57,7 +57,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "free_particle": 1e-12,  # free band energies vs q^2 / 2m, relative to max(1, ||H||_max)
     "eigen_residual": 1e-9,  # ||H psi - E psi|| relative to ||H||_max
     "positive_control": 1e-4,
-    "fringe_match": 0.01,  # within-sector fringe amplitude vs 2 |element|, relative
+    "fringe_match": 0.01,  # within-sector fringe's first harmonic vs |element|, relative
     "negative_control": 1e-6,
     "wannier_mixture": 1e-10,
     # driven side
@@ -208,14 +208,20 @@ def _str(value, pointer: str, choices=None) -> str:
     return value
 
 
-# the files an output key names, as suffixes of its value
-OUTPUT_SUFFIXES = {"csv": ("",), "report": ("",), "fringe_prefix": ("_cross.csv", "_within.csv")}
+# The output keys each kind writes, in the order their files are written
+# (the report last), and the files each key names, as suffixes of its value.
+OUTPUT_KEYS = {
+    "bands": {"csv": ("",), "report": ("",)},
+    "superselect": {"fringe_prefix": ("_cross.csv", "_within.csv"), "report": ("",)},
+    "wannier": {"report": ("",)},
+    "floquet": {"report": ("",)},
+}
 
 
-def output_path(value, pointer: str, key: str) -> str:
-    """An output path of ``key``, checked before any solve runs.
+def output_path(value, pointer: str, suffixes: tuple[str, ...]) -> str:
+    """An output path, naming its value plus each suffix, checked before any solve runs.
 
-    No file the key names may be a directory or end in a separator (pathlib
+    No file it names may be a directory or end in a separator (pathlib
     drops it, so "afile/" would replace the file afile), and the nearest
     ancestor of each that exists must be a directory, so that the missing
     ones can be made.
@@ -223,7 +229,7 @@ def output_path(value, pointer: str, key: str) -> str:
     path = _str(value, pointer)
     if "\0" in path:  # pathlib reads such a path as absent, and open() refuses it
         raise ConfigError("output path holds a NUL byte", pointer)
-    for suffix in OUTPUT_SUFFIXES[key]:
+    for suffix in suffixes:
         if (path + suffix).endswith(("/", os.sep)):
             raise ConfigError(f"output path {path + suffix!r} names a directory", pointer)
         target = Path(path + suffix)
@@ -427,7 +433,6 @@ _FLOQUET = {
 }
 
 _TOLERANCES = {key: (_positive, None) for key in DEFAULT_TOLERANCES}
-_OUTPUT = {key: (partial(output_path, key=key), None) for key in OUTPUT_SUFFIXES}
 
 _SECTIONS = {
     "kind": (partial(_str, choices=KINDS), _REQUIRED),
@@ -442,17 +447,17 @@ _SECTIONS = {
     "wannier": (partial(_object, table=_WANNIER, build=WannierConfig), {}),
     "floquet": (partial(_object, table=_FLOQUET, build=_floquet), _REQUIRED),
     "tolerances": (partial(_read, table=_TOLERANCES), None),
-    "output": (partial(_read, table=_OUTPUT), None),
 }
 
+# the sections each kind reads; each also reads "output", by its OUTPUT_KEYS table
 _SECTIONS_BY_KIND = {
-    "bands": ("kind", "lattice", "potential", "tolerances", "output"),
+    "bands": ("kind", "lattice", "potential", "tolerances"),
     "superselect": (
         "kind", "lattice", "potential", "battery", "negative_control",
-        "fringe_points", "tolerances", "output",
+        "fringe_points", "tolerances",
     ),
-    "wannier": ("kind", "lattice", "potential", "battery", "wannier", "tolerances", "output"),
-    "floquet": ("kind", "floquet", "tolerances", "output"),
+    "wannier": ("kind", "lattice", "potential", "battery", "wannier", "tolerances"),
+    "floquet": ("kind", "floquet", "tolerances"),
 }
 
 
@@ -467,7 +472,9 @@ def validate_config(data: dict) -> ScenarioConfig:
     for key in data:
         if key in _SECTIONS and key not in sections:
             raise ConfigError(f"section {key!r} not allowed for kind {kind!r}", f"/{key}")
-    values = _read(data, "", {key: _SECTIONS[key] for key in sections})
+    table = {key: _SECTIONS[key] for key in sections}
+    output = {key: (partial(output_path, suffixes=s), None) for key, s in OUTPUT_KEYS[kind].items()}
+    values = _read(data, "", {**table, "output": (partial(_read, table=output), None)})
 
     lattice = values.get("lattice")
     if lattice is not None:
@@ -510,14 +517,12 @@ def parse_config(
     tree before validation, so they pass the file's own checks and appear in
     the echoed config and its hash.
     """
-    path = Path(path)
     try:
-        text = path.read_text()
+        data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", "") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # bad JSON or UTF-8, an integer past Python's digit limit, or too deep a nesting
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"malformed JSON: {exc}", "") from exc
     for section, key, value in edits:
         # a tree or section that is not an object is left for validation to reject

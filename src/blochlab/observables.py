@@ -93,7 +93,6 @@ class PeriodicityReport:
 
     max_violation: float
     is_cell_periodic: bool
-    tolerance: float = PERIODICITY_RTOL
 
 
 def _polynomial_diagonal(term: ObservableTerm, basis: PlaneWaveBasis) -> np.ndarray:

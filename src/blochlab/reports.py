@@ -3,8 +3,8 @@
 Reports must be byte-identical across reruns (modulo the timing block), so
 floats are rendered explicitly at 17 significant digits (enough to round-trip
 any double) instead of relying on repr, complex numbers become two-element
-[re, im] arrays, matrices nest row-major, and files are written atomically
-(unique temp file, fsync, rename).
+[re, im] arrays, matrices nest row-major, and a run's files are written in
+one stage (a unique, fsynced temp file each, then the renames).
 """
 
 from __future__ import annotations
@@ -79,42 +79,44 @@ def canonical_hash(obj) -> str:
     return hashlib.sha256(render_json(obj).encode()).hexdigest()
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write through a unique, fsynced temp file in the target's directory,
-    then rename it over the target; a failed write leaves the target as it
-    was and removes the temp file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+def atomic_write_text(files: dict[str | Path, str]) -> None:
+    """Write ``files`` (path -> text) via unique, fsynced temps beside them, renamed in order.
+
+    A failure before the first rename leaves every target as it was, a failed
+    rename the ones before it replaced; no temp file is left either way."""
+    temps = []  # (temp, target)
     try:
-        with os.fdopen(fd, "w") as f:
-            os.fchmod(fd, 0o666 & ~_UMASK)  # mkstemp creates 0600; match a plain open()
-            f.write(text)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
+        for path, text in files.items():
+            path = Path(path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+            temps.append((tmp, path))
+            with os.fdopen(fd, "w") as f:
+                os.fchmod(fd, 0o666 & ~_UMASK)  # mkstemp creates 0600; match a plain open()
+                f.write(text)
+                f.flush()
+                os.fsync(f.fileno())
+        while temps:
+            os.replace(*temps[0])  # a renamed temp is its target: no longer ours to remove
+            del temps[0]
     except BaseException:
-        os.unlink(tmp)
+        for tmp, _ in temps:
+            os.unlink(tmp)
         raise
 
 
-def bands_csv(band_structure) -> str:
-    """CSV table `l,k,band,energy`, one row per state, lexicographic order."""
+def bands_csv(results: dict) -> str:
+    """CSV table `l,k,band,energy` of a bands run's results, one row per state."""
     lines = ["l,k,band,energy"]
-    for (sector, band), energy in np.ndenumerate(band_structure.energies):
-        k = band_structure.k_values[sector]
-        lines.append(f"{sector},{format_float(k)},{band},{format_float(energy)}")
+    for sector, (k, energies) in enumerate(zip(results["k_values"], results["energies"])):
+        for band, energy in enumerate(energies):
+            lines.append(f"{sector},{format_float(k)},{band},{format_float(energy)}")
     return "\n".join(lines) + "\n"
 
 
-def fringe_csv(scan) -> str:
-    """CSV series `lambda,average` for one relative-phase sweep."""
+def fringe_csv(scan: dict) -> str:
+    """CSV series `lambda,average` of one relative-phase sweep in a report's results."""
     lines = ["lambda,average"]
-    for lam, avg in zip(scan.phases, scan.averages):
+    for lam, avg in zip(scan["phases"], scan["averages"]):
         lines.append(f"{format_float(lam)},{format_float(avg)}")
     return "\n".join(lines) + "\n"
-
-
-def emit_fringe_series(scan, path: str | Path) -> None:
-    """Write a fringe scan as plot-ready CSV (atomic)."""
-    atomic_write_text(path, fringe_csv(scan))

@@ -1,9 +1,9 @@
-"""Scenario execution: compute, check invariants, emit reports.
+"""Scenario execution: compute and check invariants, and write nothing.
 
 Every run produces a RunReport that is self-contained (full config echo plus
 its hash, the tolerances actually used, per-invariant pass flags) and
-deterministic except for the trailing ``timing`` block.  Output files are
-written atomically next to the report.
+deterministic except for the trailing ``timing`` block.  Nothing is written
+here: ``cli.main`` renders a run's files from its report and writes them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .bloch import solve_bands, wannier_state
-from .config import OUTPUT_SUFFIXES, ScenarioConfig
+from .config import ScenarioConfig
 from .errors import ConfigError, NumericalFailure
 from .floquet import (
     DriveTerm,
@@ -30,17 +30,10 @@ from .floquet import (
 )
 from .lattice import HermitianOperator, build_basis, build_hamiltonian, build_translation
 from .observables import Battery, breaking_observable, check_cell_periodicity
-from .reports import (
-    atomic_write_text,
-    bands_csv,
-    canonical_hash,
-    emit_fringe_series,
-    render_json,
-)
+from .reports import canonical_hash, render_json
 from .superselection import fringe_scan, sector_decomposition_report, wannier_mixture_residual
 
 TOOL_NAME = "blochlab"
-CROSS_SUFFIX, WITHIN_SUFFIX = OUTPUT_SUFFIXES["fringe_prefix"]  # the two fringe series files
 
 
 @dataclass
@@ -157,8 +150,6 @@ def _run_bands(cfg: ScenarioConfig):
         scale = max(1.0, h.norm_max)
         checks["free_particle_exact"] = worst < cfg.tolerance("free_particle") * scale
 
-    if "csv" in cfg.output:
-        atomic_write_text(cfg.output["csv"], bands_csv(structure))
     return results, checks
 
 
@@ -219,8 +210,6 @@ def _run_superselect(cfg: ScenarioConfig):
     )
     results["fringe_cross"] = _scan_fields(cross_scan)
     checks["fringe_flat"] = cross_scan.amplitude < cfg.tolerance("solver_zero")
-    if "fringe_prefix" in cfg.output:
-        emit_fringe_series(cross_scan, cfg.output["fringe_prefix"] + CROSS_SUFFIX)
 
     within = sector_report.within_sector  # [sector, member], None for one band
     if within is not None:
@@ -237,11 +226,9 @@ def _run_superselect(cfg: ScenarioConfig):
         )
         results["fringe_within"] = {**_scan_fields(within_scan), "cross_element": element}
         if element > cfg.tolerance("positive_control"):
-            ratio_error = abs(within_scan.amplitude - 2.0 * element) / (2.0 * element)
+            ratio_error = abs(within_scan.first_harmonic - element) / element
             results["fringe_within"]["relative_mismatch"] = ratio_error
             checks["fringe_matches_element"] = ratio_error < cfg.tolerance("fringe_match")
-        if "fringe_prefix" in cfg.output:
-            emit_fringe_series(within_scan, cfg.output["fringe_prefix"] + WITHIN_SUFFIX)
 
     if cfg.negative_control_shift is not None:
         shift = cfg.negative_control_shift

@@ -59,6 +59,12 @@ class FringeScan:
     def amplitude(self) -> float:
         return float(np.max(self.averages) - np.min(self.averages))
 
+    @property
+    def first_harmonic(self) -> float:
+        """2 |sum_i averages_i e^{-i lambda_i}| / n: |<a|O|b>| for orthonormal a, b in any
+        gauge, where ``amplitude`` can miss 2 |<a|O|b>| by 1 - cos(pi / n)."""
+        return 2.0 * abs(np.sum(self.averages * np.exp(-1j * self.phases))) / len(self.phases)
+
 
 @dataclass(frozen=True)
 class SectorDecompositionReport:

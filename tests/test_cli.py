@@ -2,8 +2,10 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from blochlab.config import (
 )
 from blochlab.floquet import MIN_STEPS
 from blochlab.observables import MAX_POLY_DEGREE
+from blochlab.reports import fringe_csv
 from blochlab.runner import run_scenario, stable_report_bytes
 from conftest import random_hermitian
 
@@ -256,8 +259,17 @@ def test_commensurate_splittings_pass_average_bound(kp):
     assert report.passed, report.checks
 
 
-def test_fringe_match_override_reaches_its_check(tmp_path):
-    # the shipped superselect config reads a relative mismatch of ~1.7e-5
+def test_fringe_match_override_reaches_its_check(tmp_path, monkeypatch):
+    # the shipped superselect config's first harmonic matches its element to
+    # rounding, so every scan's averages are scaled by 1 + 1e-5: a relative
+    # mismatch of 1e-5 for the tolerance to compare
+    scan = runner.fringe_scan
+
+    def scaled(*args):
+        s = scan(*args)
+        return bl.FringeScan(s.phases, s.averages * (1 + 1e-5), s.observable)
+
+    monkeypatch.setattr(runner, "fringe_scan", scaled)
     config = str(SHIPPED_DRIVE.parent / "superselect_mathieu.json")
     runs = {}
     for tol in ("0.01", "1e-6"):
@@ -266,8 +278,42 @@ def test_fringe_match_override_reaches_its_check(tmp_path):
         argv += ["--tol-override", f"fringe_match={tol}"]
         runs[tol] = main(["superselect", *argv]), json.loads(report.read_text())
     assert runs["0.01"][0] == 0 and runs["1e-6"][0] == 3
+    assert runs["1e-6"][1]["results"]["fringe_within"]["relative_mismatch"] == pytest.approx(1e-5)
     assert runs["1e-6"][1]["tolerances"]["fringe_match"] == 1e-6
     assert not runs["1e-6"][1]["checks"]["fringe_matches_element"]
+
+
+# check -> (module, a line of it, its mutant): a named one-line perturbation
+# of the package that must flip that check and leave every other one true
+MUTANTS = {
+    # the second harmonic of a pure first-harmonic scan is zero
+    "fringe_matches_element": (
+        "superselection.py",
+        "return 2.0 * abs(np.sum(self.averages * np.exp(-1j * self.phases))) / len(self.phases)",
+        "return 2.0 * abs(np.sum(self.averages * np.exp(-2j * self.phases))) / len(self.phases)",
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(MUTANTS))
+def test_mutant_fails_its_check_alone(tmp_path, check):
+    module, line, mutant = MUTANTS[check]
+    package = tmp_path / "blochlab"
+    shutil.copytree(Path(bl.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+    source = (package / module).read_text()
+    assert source.count(line) == 1
+    (package / module).write_text(source.replace(line, mutant))
+    report = tmp_path / "report.json"
+    config = str(SHIPPED_DRIVE.parent / "superselect_mathieu.json")
+    argv = ["superselect", "--config", config, "--report", str(report)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "blochlab", *argv],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(tmp_path)},
+    )
+    assert proc.returncode == 3, proc.stderr
+    checks = json.loads(report.read_text())["checks"]
+    assert [name for name, ok in checks.items() if not ok] == [check]
 
 
 def test_free_particle_override_reaches_its_check(tmp_path, monkeypatch):
@@ -446,14 +492,10 @@ def test_fringe_series_fft_has_single_cycle(tmp_path):
     assert float(np.max(flat) - np.min(flat)) < 1e-10
 
 
-def test_emit_fringe_series_row_count(tmp_path, mathieu_solution, basis_n3):
-    from blochlab.reports import emit_fringe_series
-
+def test_fringe_csv_row_count(mathieu_solution, basis_n3):
     _, bands = mathieu_solution
     scan = bl.fringe_scan(bl.named_observables(basis_n3)["cos_a"], bands.state(1, 0), bands.state(1, 1), 8)
-    path = tmp_path / "scan.csv"
-    emit_fringe_series(scan, path)
-    rows = path.read_text().strip().splitlines()
+    rows = fringe_csv({"phases": scan.phases, "averages": scan.averages}).strip().splitlines()
     assert rows[0] == "lambda,average"
     assert len(rows) == 1 + 8
 
@@ -851,6 +893,19 @@ REJECTED = {
     "flag_fringe_prefix_under_a_file": (
         lattice_config(), ["--fringe-prefix", UNDER_A_FILE], "--fringe-prefix",
     ),
+    # an output key that its kind does not write is unknown, not silently ignored
+    "bands_output_fringe_prefix": (
+        {**BANDS, "output": {"fringe_prefix": "fr"}}, [], "/output/fringe_prefix",
+    ),
+    "superselect_output_csv": (lattice_config(output={"csv": "b.csv"}), [], "/output/csv"),
+    "wannier_output_csv": (lattice_config("wannier", output={"csv": "b.csv"}), [], "/output/csv"),
+    "wannier_output_fringe_prefix": (
+        lattice_config("wannier", output={"fringe_prefix": "fr"}), [], "/output/fringe_prefix",
+    ),
+    "floquet_output_csv": ({**_floquet(), "output": {"csv": "b.csv"}}, [], "/output/csv"),
+    "floquet_output_fringe_prefix": (
+        {**_floquet(), "output": {"fringe_prefix": "fr"}}, [], "/output/fringe_prefix",
+    ),
 }
 
 HAMILTONIAN_SCALE_CASES = (
@@ -1008,7 +1063,57 @@ def test_failed_output_write_exits_1_without_traceback(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert code == 1
     assert "Traceback" not in err
-    failed = csv if target == "csv" else report  # the csv is written before the report
+    failed = csv if target == "csv" else report  # the csv is renamed before the report
     assert err.splitlines() == [f"output error: disk full writing {failed}"]
     assert not report.exists() and not csv.exists()
     assert [p.name for p in tmp_path.iterdir()] == ["bands.json"]  # no temp file left
+
+
+# ---------------------------------------------------------------------------
+# the output stage: a run computes, and cli.main writes its files in one stage
+
+
+@pytest.mark.parametrize("config", SHIPPED, ids=lambda p: p.stem)
+def test_run_scenario_writes_no_file(config, tmp_path, monkeypatch):
+    data = json.loads(config.read_text())
+    data["output"] = {key: str(tmp_path / "out" / key) for key in data["output"]}
+    monkeypatch.chdir(tmp_path)  # nor at a path relative to the working directory
+    assert run_scenario(validate_config(data)).passed
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+def test_failed_report_fsync_leaves_no_fringe_file(tmp_path, capsys, monkeypatch, existing):
+    # only the report's temp file fails to fsync, and the report is written
+    # last: no fringe CSV may be renamed into place before it
+    out = tmp_path / "out"
+    out.mkdir()
+    report, prefix = out / "report.json", out / "fr"
+    targets = [report, out / "fr_cross.csv", out / "fr_within.csv"]
+    for target in targets if existing else ():
+        target.write_text(f"old {target.name}\n")
+    mkstemp, fsync = tempfile.mkstemp, os.fsync
+    report_fds = []
+
+    def recording_mkstemp(**kwargs):
+        fd, name = mkstemp(**kwargs)
+        if Path(name).name.startswith(".report.json."):
+            report_fds.append(fd)
+        return fd, name
+
+    def failing_fsync(fd):
+        if fd in report_fds:
+            raise OSError("disk full")
+        fsync(fd)
+
+    monkeypatch.setattr("blochlab.reports.tempfile.mkstemp", recording_mkstemp)
+    monkeypatch.setattr("blochlab.reports.os.fsync", failing_fsync)
+    config = str(SHIPPED_DRIVE.parent / "superselect_mathieu.json")
+    argv = ["--config", config, "--report", str(report), "--fringe-prefix", str(prefix)]
+    code = main(["superselect", *argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == ["output error: disk full"]
+    assert len(report_fds) == 1
+    old = {t.name: f"old {t.name}\n" for t in targets} if existing else {}
+    assert {p.name: p.read_text() for p in out.iterdir()} == old  # and no temp file

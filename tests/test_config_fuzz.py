@@ -6,7 +6,7 @@ out-of-range numbers), a key is dropped or an unknown key is added.  Every
 tree must end in exit 0, 1, 2 or 3 without a traceback, and a report that is
 written holds no NaN in ``checks`` or ``results``.  Hostile output paths,
 in the config or on the command line, exit 1 with a pointer before any
-solve.  The trees stay small
+solve, and so does a config file that cannot be decoded.  The trees stay small
 (d <= 13 plane waves, floquet steps <= 256) so the derandomized run is
 reproducible and fast.
 """
@@ -16,11 +16,12 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from blochlab.cli import main
-from blochlab.config import DEFAULT_TOLERANCES, OUTPUT_SUFFIXES
+from blochlab.config import DEFAULT_TOLERANCES, OUTPUT_KEYS
 from blochlab.observables import NAMED_OBSERVABLES
 
 HOSTILE = (
@@ -222,18 +223,15 @@ def test_every_config_tree_keeps_the_exit_code_contract(capsys, tree, flags):
             assert not report.exists()
 
 
-# every kind reads each output key and takes --report; a flag names the key it sets
-OUTPUT_FLAGS = {
-    "bands": (("--out", "csv"),),
-    "superselect": (("--fringe-prefix", "fringe_prefix"),),
-}
+# each kind reads the output keys it writes, and takes a flag for each
+OUTPUT_FLAGS = {"csv": "--out", "report": "--report", "fringe_prefix": "--fringe-prefix"}
 HOSTILE_PATHS = ("directory", "under a file", "empty", "nul byte", "name too long")
 
 
-def hostile_path(workdir: Path, key: str, kind: str) -> str:
-    """A path for output ``key`` that cannot be written, made in ``workdir``."""
+def hostile_path(workdir: Path, suffixes: tuple[str, ...], kind: str) -> str:
+    """A path for an output key naming ``suffixes`` that cannot be written, made in ``workdir``."""
     if kind == "directory":  # the first file the key names is a directory
-        Path(f"{workdir / 'adir'}{OUTPUT_SUFFIXES[key][0]}").mkdir()
+        Path(f"{workdir / 'adir'}{suffixes[0]}").mkdir()
         return str(workdir / "adir")
     if kind == "under a file":
         (workdir / "afile").write_text("")
@@ -253,21 +251,21 @@ def hostile_path(workdir: Path, key: str, kind: str) -> str:
 def test_hostile_output_paths_exit_1_with_a_pointer(capsys, data):
     kind = data.draw(st.sampled_from(("bands", "superselect", "wannier", "floquet")))
     tree = data.draw(floquet_tree() if kind == "floquet" else lattice_sections(kind))
-    targets = [*OUTPUT_SUFFIXES, ("--report", "report"), *OUTPUT_FLAGS.get(kind, ())]
-    target = data.draw(st.sampled_from(targets))
+    key = data.draw(st.sampled_from(sorted(OUTPUT_KEYS[kind])))
+    flag = data.draw(st.booleans())
     hostile = data.draw(st.sampled_from(HOSTILE_PATHS))
     capsys.readouterr()
     with tempfile.TemporaryDirectory() as workdir:
         workdir = Path(workdir)
         report = workdir / "report.json"
         argv = [kind, "--config", str(workdir / "config.json"), "--report", str(report)]
-        if isinstance(target, tuple):
-            flag, key = target
-            argv += [flag, hostile_path(workdir, key, hostile)]
-            pointer = flag
+        path = hostile_path(workdir, OUTPUT_KEYS[kind][key], hostile)
+        if flag:
+            argv += [OUTPUT_FLAGS[key], path]
+            pointer = OUTPUT_FLAGS[key]
         else:
-            tree["output"] = {target: hostile_path(workdir, target, hostile)}
-            pointer = f"/output/{target}"
+            tree["output"] = {key: path}
+            pointer = f"/output/{key}"
         (workdir / "config.json").write_text(json.dumps(tree))
         code = main(argv)
         err = capsys.readouterr().err
@@ -276,3 +274,25 @@ def test_hostile_output_paths_exit_1_with_a_pointer(capsys, data):
         assert f"(at {pointer})" in err
         assert "Traceback" not in err
         assert not report.exists()
+
+
+# files that json.loads or read_text cannot decode, each of which ended in a
+# traceback: RecursionError, ValueError past the int-string digit limit, and
+# UnicodeDecodeError
+UNDECODABLE = {
+    "nested_200000_deep": b"[" * 200_000,
+    "integer_of_5000_digits": b'{"kind": "bands", "lattice": {"cells": ' + b"9" * 5000 + b"}}",
+    "leading_byte_0xff": b'\xff{"kind": "bands"}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+def test_undecodable_config_exits_1_without_traceback(tmp_path, capsys, case):
+    config = tmp_path / "config.json"
+    config.write_bytes(UNDECODABLE[case])
+    code = main(["bands", "--config", str(config), "--report", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("config error: malformed JSON") and "(at /)" in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]

@@ -80,22 +80,22 @@ def test_render_rejects_unrenderable_types():
 
 def test_atomic_write_creates_parents_and_replaces(tmp_path):
     target = tmp_path / "deep" / "nested" / "file.txt"
-    atomic_write_text(target, "one\n")
-    atomic_write_text(target, "two\n")
+    atomic_write_text({target: "one\n"})
+    atomic_write_text({target: "two\n"})
     assert target.read_text() == "two\n"
     assert not list(target.parent.glob("*.tmp"))
 
 
 def test_failed_atomic_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
     target = tmp_path / "report.json"
-    atomic_write_text(target, "old\n")
+    atomic_write_text({target: "old\n"})
 
     def failing_fsync(fd):
         raise OSError("disk full")
 
     monkeypatch.setattr("blochlab.reports.os.fsync", failing_fsync)
     with pytest.raises(OSError, match="disk full"):
-        atomic_write_text(target, "new\n")
+        atomic_write_text({target: "new\n"})
     assert target.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
@@ -105,12 +105,53 @@ def test_atomic_write_leaves_a_concurrent_writers_temp_file_alone(tmp_path):
     target = tmp_path / "report.json"
     other = tmp_path / "report.json.tmp"
     other.write_text("half-written by another run")
-    atomic_write_text(target, "mine\n")
+    atomic_write_text({target: "mine\n"})
     assert other.read_text() == "half-written by another run"
     assert target.read_text() == "mine\n"
     umask = os.umask(0)
     os.umask(umask)
     assert target.stat().st_mode & 0o777 == 0o666 & ~umask  # as a plain open() creates it
+
+
+def test_staged_write_renames_nothing_until_every_file_is_fsynced(tmp_path, monkeypatch):
+    # the last file's fsync fails: the first file's temp is written, and
+    # neither target may change
+    first, last = tmp_path / "a.csv", tmp_path / "report.json"
+    atomic_write_text({first: "old a\n", last: "old report\n"})
+    fsync = os.fsync
+    synced = []
+
+    def failing_second_fsync(fd):
+        synced.append(fd)
+        if len(synced) == 2:
+            raise OSError("disk full")
+        fsync(fd)
+
+    monkeypatch.setattr("blochlab.reports.os.fsync", failing_second_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write_text({first: "new a\n", last: "new report\n"})
+    assert first.read_text() == "old a\n" and last.read_text() == "old report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "report.json"]
+
+
+def test_staged_write_renames_in_the_order_given(tmp_path, monkeypatch):
+    # a failed second rename leaves the first target replaced and no temp file
+    replace = os.replace
+    renamed = []
+
+    def failing_second_replace(src, dst):
+        renamed.append(dst)
+        if len(renamed) == 2:
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr("blochlab.reports.os.replace", failing_second_replace)
+    files = {tmp_path / name: name for name in ("b.csv", "a.csv", "report.json")}
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write_text(files)
+    assert renamed == [tmp_path / "b.csv", tmp_path / "a.csv"]
+    assert [p.name for p in tmp_path.iterdir()] == ["b.csv"]
+    assert (tmp_path / "b.csv").read_text() == "b.csv"
 
 
 def test_infinity_never_silently_rendered():
