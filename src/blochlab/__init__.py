@@ -29,6 +29,7 @@ from .floquet import (
 from .lattice import (
     HermitianOperator,
     LatticeSpec,
+    OperatorTable,
     PlaneWaveBasis,
     PotentialSpec,
     build_basis,
@@ -59,7 +60,7 @@ from .superselection import (
 __all__ = [
     "__version__",
     # lattice
-    "LatticeSpec", "PotentialSpec", "PlaneWaveBasis", "HermitianOperator",
+    "LatticeSpec", "PotentialSpec", "PlaneWaveBasis", "HermitianOperator", "OperatorTable",
     "build_basis", "build_hamiltonian", "build_translation",
     # bloch
     "BlochState", "BandStructure",

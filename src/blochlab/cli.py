@@ -5,10 +5,11 @@
     blochlab wannier     --config C --report R
     blochlab floquet     --config C --report R
 
-Exit codes: 0 all invariant checks pass, 1 configuration error (an output
-path that cannot be written included), 2 numerical failure, 3 invariant
-violation.  Reports are deterministic modulo their ``timing`` block; a run's
-files are written after it, whatever its verdict, in one staged write.
+Exit codes: 0 all invariant checks pass, 1 configuration error (a usage
+error and an output path that cannot be written included), 2 numerical
+failure, 3 invariant violation.  Reports are deterministic modulo their
+``timing`` block; a run's files are written after it, whatever its verdict,
+in one staged write.
 """
 
 from __future__ import annotations
@@ -32,9 +33,17 @@ _OUTPUT_FLAGS = {"csv": "--out", "report": "--report", "fringe_prefix": "--fring
 _FRINGE_SERIES = {"_cross.csv": "fringe_cross", "_within.csv": "fringe_within"}  # results key
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 1, a config error, not 2, a numerical failure."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache  # built once per process: a caller may run many scenarios in one
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blochlab",
         description="Band-structure and driven-system superselection experiments",
     )

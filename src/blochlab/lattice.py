@@ -33,6 +33,24 @@ def _freeze(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
+def _check_entries(scale: np.ndarray, main: np.ndarray) -> None:
+    """Raise ValueError unless each operator's entries are finite and its main diagonal real.
+
+    ``scale`` holds each operator's largest entry magnitude and ``main`` its
+    main diagonal, one row per operator; a diagonal is rejected when
+    max |m_ii - conj(m_ii)| exceeds 1e-12 of the operator's largest entry.
+    """
+    if not np.isfinite(scale).all():
+        raise ValueError("matrix has a non-finite entry")
+    defect = np.max(np.abs(main - main.conj()), axis=-1)
+    bad = np.flatnonzero(defect > _HERMITICITY_RTOL * scale)
+    if bad.size:
+        raise ValueError(
+            f"matrix is not Hermitian: defect {defect[bad[0]]:.3e} exceeds "
+            f"{_HERMITICITY_RTOL:.0e} * scale {scale[bad[0]]:.3e}"
+        )
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Ring geometry and basis resolution.
@@ -220,7 +238,8 @@ class HermitianOperator:
     stale.
 
     Callers use ``apply`` (O v) and ``class_blocks`` (O[rows_j, rows_l]);
-    ``matrix`` forms the dense d x d matrix on request.
+    ``matrix`` forms the dense d x d matrix on request.  An ``OperatorTable``
+    holds many operators at once, and its ``member`` is one of them.
     """
 
     dim: int
@@ -237,19 +256,10 @@ class HermitianOperator:
                 raise ValueError(f"diagonal {offset} must have {dim - offset} entries")
             # summed onto zeros, as a dense matrix is assembled: +0.0, never -0.0
             diagonals[offset] = _freeze(np.zeros(dim - offset, complex) + values)
-        peaks = [float(np.max(np.abs(v))) for v in diagonals.values()]
-        if not np.isfinite(peaks).all():
-            raise ValueError("matrix has a non-finite entry")
-        scale = max(peaks, default=0.0)
-        main = diagonals.get(0, np.zeros(1))
-        defect = float(np.max(np.abs(main - main.conj())))
-        if defect > _HERMITICITY_RTOL * scale:
-            raise ValueError(
-                f"matrix is not Hermitian: defect {defect:.3e} exceeds "
-                f"{_HERMITICITY_RTOL:.0e} * scale {scale:.3e}"
-            )
+        scale = np.max([np.max(np.abs(v)) for v in diagonals.values()], initial=0.0)
+        _check_entries(scale[None], diagonals.get(0, np.zeros(1))[None])
         object.__setattr__(self, "diagonals", MappingProxyType(diagonals))
-        object.__setattr__(self, "_norm_max", scale)
+        object.__setattr__(self, "_norm_max", float(scale))
 
     @property
     def norm_max(self) -> float:
@@ -297,18 +307,98 @@ class HermitianOperator:
         index = np.take(slot, bra - ket + (self.dim - 1)) * self.dim + np.minimum(bra, ket)
         return np.take(table, index)
 
+
+@dataclass(frozen=True, eq=False)
+class OperatorTable:
+    """A stack of Hermitian operators on one basis, held as one array of offset diagonals.
+
+    ``values[i, k, :dim - offsets[k]]`` holds member i's entries at (m + o, m)
+    for o = ``offsets[k]`` (sorted), as ``HermitianOperator.diagonals[o]``
+    does; the rest of each row is zero, and so is the diagonal of a member
+    that has none at o.  Member i is ``labels[i]`` and its largest entry
+    magnitude ``norm_max[i]``.  The table is checked once for all members:
+    every entry finite, each main diagonal real within 1e-12 of its member's
+    largest entry (as ``HermitianOperator`` checks), and no member zero
+    (ValueError naming the first).  ``values`` and ``norm_max`` are frozen.
+    """
+
+    labels: tuple[str, ...]
+    offsets: tuple[int, ...]
+    values: np.ndarray
+    norm_max: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        _freeze(self.values)
+        scale = np.max(np.abs(self.values), axis=(1, 2), initial=0.0)  # one per member
+        main = self.values[:, 0] if self.offsets[:1] == (0,) else np.zeros((len(scale), 1))
+        _check_entries(scale, main)
+        zero = np.flatnonzero(scale == 0.0)
+        if zero.size:
+            raise ValueError(
+                f"battery member {self.labels[zero[0]]!r} is the zero operator on this basis"
+            )
+        object.__setattr__(self, "norm_max", _freeze(scale))
+
+    @classmethod
+    def assemble(cls, dim: int, parts) -> "OperatorTable":
+        """One table from ``parts``, (labels, diagonals) pairs written into consecutive rows.
+
+        ``diagonals`` maps offsets 0 <= o < dim to values that broadcast onto
+        the part's (len(labels), dim - o) entries: a scalar, one diagonal, or
+        one diagonal per label.  Each is summed onto zeros, as
+        ``HermitianOperator`` stores it: +0.0, never -0.0.
+        """
+        parts = list(parts)
+        labels = tuple(label for names, _ in parts for label in names)
+        offsets = tuple(sorted({int(o) for _, diagonals in parts for o in diagonals}))
+        if offsets and not 0 <= offsets[0] <= offsets[-1] < dim:
+            raise ValueError(f"diagonal offsets {offsets} outside 0..{dim - 1}")
+        slot = {o: k for k, o in enumerate(offsets)}
+        values = np.zeros((len(labels), len(offsets), dim), dtype=complex)
+        row = 0
+        for names, diagonals in parts:
+            for offset, v in diagonals.items():
+                values[row : row + len(names), slot[offset], : dim - offset] += v
+            row += len(names)
+        return cls(labels, offsets, values)
+
+    @classmethod
+    def stack(cls, operators) -> "OperatorTable":
+        """The table of HermitianOperators on one basis, in order."""
+        operators = list(operators)
+        return cls.assemble(operators[0].dim, [((op.label,), op.diagonals) for op in operators])
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @property
+    def dim(self) -> int:
+        return self.values.shape[2]
+
+    def member(self, index: int) -> HermitianOperator:
+        """Member ``index`` as a HermitianOperator holding its nonzero diagonals."""
+        row = self.values[index]
+        diagonals = {o: row[k, : self.dim - o] for k, o in enumerate(self.offsets) if row[k].any()}
+        return HermitianOperator(self.dim, diagonals, label=self.labels[index])
+
     def class_form(self, rows, bra, ket) -> np.ndarray:
-        """The (..., N) forms <bra_l|O|ket_l> of (..., N, b) states on the rows (N, b).
+        """The (members, ..., N) forms <bra_l|O|ket_l> of (..., N, b) states on the rows (N, b).
 
         Class rows step by N, so the diagonal at offset qN is offset q on them,
-        with values values[rows[:, :b-q]]; every other diagonal meets class-
-        supported states in exact zeros, so the form is exact for any operator.
-        O ket is summed on the class rows as ``apply`` sums it on all rows.
+        with values values[:, k, rows[:, :b-q]]; every other diagonal meets
+        class-supported states in exact zeros, so the form is exact for any
+        member.  O ket is summed on the class rows as ``apply`` sums it on all
+        rows, every member at once; a member's zero diagonal adds exact zeros,
+        so each member's form is the one it has alone.
         """
         n, b = rows.shape
-        applied = np.zeros(ket.shape, dtype=complex)
-        for q, values in ((o // n, v) for o, v in self.diagonals.items() if o % n == 0):
-            v = values[rows[:, : b - q]]
+        lead = (len(self),) + (1,) * (np.ndim(ket) - 2)  # members, then ket's leading axes
+        applied = np.zeros(lead[:1] + np.shape(ket), dtype=complex)
+        for k, o in enumerate(self.offsets):
+            if o % n:
+                continue
+            q = o // n
+            v = self.values[:, k][:, rows[:, : b - q]].reshape(lead + (n, b - q))
             applied[..., q:] += v * ket[..., : b - q]
             if q:
                 applied[..., : b - q] += v.conj() * ket[..., q:]

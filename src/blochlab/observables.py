@@ -23,13 +23,18 @@ from typing import Iterator
 
 import numpy as np
 
-from .lattice import HermitianOperator, PlaneWaveBasis, fold_harmonics
+from .lattice import HermitianOperator, OperatorTable, PlaneWaveBasis, fold_harmonics
 
 MAX_POLY_DEGREE = 6  # numerical-range guard on momentum polynomials
 PERIODICITY_RTOL = 1e-12
 
 # target window for the max-entry norm of generated battery operators
 NORM_WINDOW = (0.5, 50.0)
+
+# entries (complex128) of one battery table: 4 MiB.  Members of two diagonals
+# (the named ones, seeds at max_harmonic 1) fill one table up to d = 512 and
+# 256 members, so the default battery is one table on every lattice.
+_TABLE_ENTRIES = 1 << 18
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -179,16 +184,15 @@ def check_cell_periodicity(
     )
 
 
-def random_cell_periodic(
-    seed: int, basis: PlaneWaveBasis, max_harmonic: int = 1, degree: int = 2
-) -> HermitianOperator:
-    """Seeded cell-periodic observable; pure function of its arguments.
+def _seeded_diagonals(seeds, basis: PlaneWaveBasis, max_harmonic: int, degree: int) -> dict:
+    """The offset diagonals of the seeded members, one row per seed, formed at once.
 
-    Draws harmonic coefficients and momentum-polynomial coefficients from the
-    documented LCG stream, symmetrizes, and rescales to max-entry norm 1 if
-    the raw norm falls outside the window [0.5, 50].  Higher powers of the
-    momentum are pre-damped by the basis momentum scale to keep the window
-    rescaling mild.
+    Each seed's LCG stream draws, in order, the real constant, the complex
+    coefficients of harmonics 1..max_harmonic and the momentum-polynomial
+    coefficients; power p is pre-damped by the basis momentum scale to the
+    p-th power, to keep the window rescaling mild.  Each member is the
+    symmetrized term (F*P + P*F)/2 of ``_observable_diagonals``, rescaled to
+    max-entry norm 1 if its raw norm falls outside the window [0.5, 50].
     """
     if max_harmonic < 0 or max_harmonic * basis.cells > basis.spec.cutoff:
         raise ValueError(
@@ -197,21 +201,42 @@ def random_cell_periodic(
         )
     if degree > MAX_POLY_DEGREE:
         raise ValueError(f"degree {degree} exceeds cap {MAX_POLY_DEGREE}")
-    rng = Lcg(seed)
-    harmonics = [(0, complex(rng.uniform()))]
-    for j in range(1, max_harmonic + 1):
-        harmonics.append((j, complex(rng.uniform(), rng.uniform())))
-    q_scale = max(1.0, float(np.max(np.abs(basis.hbar * basis.momenta))))
-    poly = tuple(rng.uniform() / q_scale**power for power in range(degree + 1))
-    spec = ObservableSpec(
-        terms=(ObservableTerm(f_harmonics=tuple(harmonics), p_poly=poly),),
-        symmetrize=True,
-    )
-    diagonals = _observable_diagonals(spec, basis)
-    norm = max(float(np.max(np.abs(v))) for v in diagonals.values())
-    if not NORM_WINDOW[0] <= norm <= NORM_WINDOW[1]:
-        diagonals = {offset: v / norm for offset, v in diagonals.items()}
-    return HermitianOperator(basis.dim, diagonals, label=f"seed:{seed}")
+    hq = basis.hbar * basis.momenta
+    q_scale = max(1.0, float(np.max(np.abs(hq))))
+    harmonics, poly = [], []  # the draws stay scalar Python: one stream per seed
+    for seed in seeds:
+        rng = Lcg(seed)
+        harmonics.append(
+            [complex(rng.uniform())]
+            + [complex(rng.uniform(), rng.uniform()) for _ in range(max_harmonic)]
+        )
+        poly.append([rng.uniform() / q_scale**power for power in range(degree + 1)])
+    harmonics, poly = np.array(harmonics), np.array(poly)
+    p = np.zeros((len(poly), basis.dim))
+    for power in range(degree + 1):
+        p = p + poly[:, power, None] * hq**power
+    d = basis.dim
+    diagonals = {}
+    for j in range(max_harmonic + 1):
+        k, c = j * basis.cells, harmonics[:, j, None]
+        diagonals[k] = 0.5 * (c * p[:, : d - k] + p[:, k:] * c)
+    norm = np.max([np.max(np.abs(v), axis=1) for v in diagonals.values()], axis=0)[:, None]
+    outside = ~((NORM_WINDOW[0] <= norm) & (norm <= NORM_WINDOW[1]))
+    for v in diagonals.values():
+        np.divide(v, norm, out=v, where=outside)
+    return diagonals
+
+
+def random_cell_periodic(
+    seed: int, basis: PlaneWaveBasis, max_harmonic: int = 1, degree: int = 2
+) -> HermitianOperator:
+    """Seeded cell-periodic observable; pure function of its arguments.
+
+    The one-seed case of the battery's seeded members (``_seeded_diagonals``),
+    labelled seed:<seed>.
+    """
+    diagonals = _seeded_diagonals((seed,), basis, max_harmonic, degree)
+    return OperatorTable.assemble(basis.dim, [((f"seed:{seed}",), diagonals)]).member(0)
 
 
 def breaking_observable(shift: int, basis: PlaneWaveBasis) -> HermitianOperator:
@@ -248,17 +273,20 @@ def named_observables(basis: PlaneWaveBasis) -> dict[str, HermitianOperator]:
 
 @dataclass(frozen=True, eq=False)
 class Battery:
-    """The observable battery, each member built on demand by index.
+    """The observable battery, built as stacked tables of its members.
 
     Members are the ``named`` ones in order, then seeds 1..seeds
     (``random_cell_periodic``, label seed:<s>), then ``custom`` (label
-    custom:<i>); ``labels`` lists them without building any.  Iterating
-    builds one member at a time, so a caller that drops each member before
-    taking the next holds one member, not the whole battery.  An empty
-    battery raises ValueError.  Leakage is measured relative to each member's
-    max-entry norm, so ``member`` raises ValueError naming a member that is
-    zero on this basis (say a harmonic whose offset j*N reaches past it); a
-    custom member that is not Hermitian raises ValueError too.
+    custom:<i>); ``labels`` lists them without building any.  ``tables``
+    builds them in order as ``OperatorTable``s: named and custom members
+    term by term, the seeded members of a table in one pass.  A table holds
+    at most _TABLE_ENTRIES entries (at least one member), so a caller that
+    drops each table before taking the next holds one table, not the whole
+    battery.  An empty battery raises ValueError.  Leakage is measured
+    relative to each member's max-entry norm, so building a table raises
+    ValueError naming a member that is zero on this basis (say a harmonic
+    whose offset j*N reaches past it); a custom member that is not Hermitian
+    raises ValueError too.
     """
 
     basis: PlaneWaveBasis
@@ -282,25 +310,41 @@ class Battery:
         seeded = tuple(f"seed:{seed}" for seed in range(1, self.seeds + 1))
         return self.named + seeded + tuple(f"custom:{i}" for i in range(len(self.custom)))
 
+    def tables(self) -> Iterator[OperatorTable]:
+        """The members in ``labels`` order, as consecutive tables built one at a time."""
+        specs = [_NAMED_SPECS[name] for name in self.named] + list(self.custom)
+        reach = max(
+            [self.max_harmonic if self.seeds else 0]
+            + [j for spec in specs for term in spec.terms for j, _ in term.f_harmonics]
+        )
+        d = self.basis.dim
+        width = min(reach, (d - 1) // self.basis.cells) + 1  # offsets j*N < d a member can fill
+        per_table = max(1, _TABLE_ENTRIES // (width * d))
+        for start in range(0, len(self), per_table):
+            yield self._table(start, min(start + per_table, len(self)))
+
+    def _table(self, start: int, stop: int) -> OperatorTable:
+        """Members start..stop-1 as one table."""
+        first_seed, first_custom = len(self.named), len(self.named) + self.seeds
+        seeds = range(1, self.seeds + 1)[max(start - first_seed, 0) : max(stop - first_seed, 0)]
+        custom = range(len(self.custom))[max(start - first_custom, 0) : max(stop - first_custom, 0)]
+        parts = [
+            ((name,), _observable_diagonals(_NAMED_SPECS[name], self.basis))
+            for name in self.named[start:stop]
+        ]
+        if seeds:
+            diagonals = _seeded_diagonals(seeds, self.basis, self.max_harmonic, self.degree)
+            parts.append((tuple(f"seed:{seed}" for seed in seeds), diagonals))
+        parts += [
+            ((f"custom:{i}",), _observable_diagonals(self.custom[i], self.basis)) for i in custom
+        ]
+        return OperatorTable.assemble(self.basis.dim, parts)
+
     def member(self, index: int) -> HermitianOperator:
-        """Build member ``index`` (0-based, in ``labels`` order)."""
+        """Member ``index`` (0-based, in ``labels`` order), the row of a table built for it."""
         if not 0 <= index < len(self):
             raise IndexError(f"battery member {index} outside 0..{len(self) - 1}")
-        seeded = index - len(self.named)
-        if seeded < 0:
-            name = self.named[index]
-            op = build_observable(_NAMED_SPECS[name], self.basis, label=name)
-        elif seeded < self.seeds:
-            op = random_cell_periodic(
-                seeded + 1, self.basis, max_harmonic=self.max_harmonic, degree=self.degree
-            )
-        else:
-            i = seeded - self.seeds
-            op = build_observable(self.custom[i], self.basis, label=f"custom:{i}")
-        if op.norm_max == 0.0:
-            raise ValueError(f"battery member {op.label!r} is the zero operator on this basis")
-        return op
+        return self._table(index, index + 1).member(0)
 
     def __iter__(self) -> Iterator[HermitianOperator]:
-        return (self.member(i) for i in range(len(self)))
-
+        return (table.member(i) for table in self.tables() for i in range(len(table)))

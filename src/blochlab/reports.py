@@ -83,12 +83,15 @@ def atomic_write_text(files: dict[str | Path, str]) -> None:
     """Write ``files`` (path -> text) via unique, fsynced temps beside them, renamed in order.
 
     A failure before the first rename leaves every target as it was, a failed
-    rename the ones before it replaced; no temp file is left either way."""
-    temps = []  # (temp, target)
+    rename the ones before it replaced; no temp file is left either way, and
+    the parent directories this call created are removed again if empty."""
+    temps, made = [], []  # (temp, target); directories created here
     try:
         for path, text in files.items():
             path = Path(path)
+            missing = [d for d in (path.parent, *path.parent.parents) if not d.is_dir()]
             path.parent.mkdir(parents=True, exist_ok=True)
+            made += reversed(missing)  # outermost first
             fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
             temps.append((tmp, path))
             with os.fdopen(fd, "w") as f:
@@ -102,6 +105,9 @@ def atomic_write_text(files: dict[str | Path, str]) -> None:
     except BaseException:
         for tmp, _ in temps:
             os.unlink(tmp)
+        for directory in reversed(made):  # innermost first; a renamed target keeps its own
+            if not any(directory.iterdir()):
+                directory.rmdir()
         raise
 
 

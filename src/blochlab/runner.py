@@ -28,10 +28,15 @@ from .floquet import (
     solve_floquet,
     temporal_overlap_probe,
 )
-from .lattice import HermitianOperator, build_basis, build_hamiltonian, build_translation
+from .lattice import OperatorTable, build_basis, build_hamiltonian, build_translation
 from .observables import Battery, breaking_observable, check_cell_periodicity
 from .reports import canonical_hash, render_json
-from .superselection import fringe_scan, sector_decomposition_report, wannier_mixture_residual
+from .superselection import (
+    SectorDecompositionReport,
+    fringe_scan,
+    sector_decomposition_report,
+    wannier_mixture_residual,
+)
 
 TOOL_NAME = "blochlab"
 
@@ -83,18 +88,12 @@ def _solve_lattice(cfg: ScenarioConfig):
     return spec, basis, h, t, solve_bands(h, spec)
 
 
-def _stream(battery: Battery) -> Iterator[HermitianOperator]:
-    """The members one at a time; a member the basis rejects is a config error.
-
-    A consumer that drops each member before taking the next holds one
-    member at a time instead of the whole battery.
-    """
-    for i in range(len(battery)):
-        try:
-            op = battery.member(i)
-        except ValueError as exc:
-            raise ConfigError(str(exc), "/battery") from exc
-        yield op
+def _tables(battery: Battery) -> Iterator[OperatorTable]:
+    """The battery's tables in order; a member the basis rejects is a config error."""
+    try:
+        yield from battery.tables()
+    except ValueError as exc:
+        raise ConfigError(str(exc), "/battery") from exc
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
@@ -190,9 +189,21 @@ def _scan_fields(scan) -> dict:
 
 def _run_superselect(cfg: ScenarioConfig):
     spec, basis, h, t, bands = _solve_lattice(cfg)
-    battery = cfg.battery
-
-    sector_report = sector_decomposition_report(bands, _stream(battery))
+    labels = cfg.battery.labels
+    cross_index = labels.index("cos_a") if "cos_a" in labels else 0
+    # each table is measured and dropped; the members scanned below are kept as they pass
+    parts, start = [], 0
+    strongest, within_member = -1.0, None  # the first member with the largest class-0 element
+    for table in _tables(cfg.battery):
+        part = sector_decomposition_report(bands, table)
+        if start <= cross_index < start + len(table):
+            cross_member = table.member(cross_index - start)
+        if part.within_sector is not None and np.max(part.within_sector[0]) > strongest:
+            i = int(np.argmax(part.within_sector[0]))
+            strongest, within_member = part.within_sector[0, i], table.member(i)
+        parts.append(part)
+        start += len(table)
+    sector_report = SectorDecompositionReport.joined(parts)
     max_leak = sector_report.max_offdiagonal
 
     results: dict = {
@@ -203,10 +214,8 @@ def _run_superselect(cfg: ScenarioConfig):
     }
     checks = {"cross_sector_leakage": max_leak < cfg.tolerance("structural_zero")}
 
-    # the stream is spent: the scanned members are built again, one at a time
-    scan_member = battery.labels.index("cos_a") if "cos_a" in battery.labels else 0
     cross_scan = fringe_scan(
-        battery.member(scan_member), bands.state(0, 0), bands.state(1, 0), cfg.fringe_points
+        cross_member, bands.state(0, 0), bands.state(1, 0), cfg.fringe_points
     )
     results["fringe_cross"] = _scan_fields(cross_scan)
     checks["fringe_flat"] = cross_scan.amplitude < cfg.tolerance("solver_zero")
@@ -219,10 +228,9 @@ def _run_superselect(cfg: ScenarioConfig):
 
         # scan the battery member with the strongest within-sector element, so
         # the fringe-vs-element comparison runs away from parity-forced zeros
-        member = int(np.argmax(within[0]))
-        element = float(within[0, member])
+        element = float(strongest)
         within_scan = fringe_scan(
-            battery.member(member), bands.state(0, 0), bands.state(0, 1), cfg.fringe_points
+            within_member, bands.state(0, 0), bands.state(0, 1), cfg.fringe_points
         )
         results["fringe_within"] = {**_scan_fields(within_scan), "cross_element": element}
         if element > cfg.tolerance("positive_control"):
@@ -270,9 +278,9 @@ def _run_wannier(cfg: ScenarioConfig):
     wanniers = np.array(wanniers)
     band_blocks = bands.blocks[:, list(cfg.wannier.bands)].swapaxes(0, 1)  # (band, class, row)
     per_band_mixture = np.zeros(len(cfg.wannier.bands))
-    for op in _stream(cfg.battery):
-        residual = wannier_mixture_residual(wanniers, band_blocks, bands.rows, op)
-        np.maximum(per_band_mixture, residual, out=per_band_mixture)
+    for table in _tables(cfg.battery):  # one table at a time
+        residual = wannier_mixture_residual(wanniers, band_blocks, bands.rows, table)
+        np.maximum(per_band_mixture, residual.max(axis=0), out=per_band_mixture)
     mixture = float(np.max(per_band_mixture))
     per_band = {
         str(band): {"mixture_residual": float(value)}

@@ -13,12 +13,11 @@ are part of the battery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .bloch import BandStructure, BlochState
-from .lattice import HermitianOperator, class_shift
+from .lattice import HermitianOperator, OperatorTable, class_shift
 
 DEGENERATE_NORM_ATOL = 1e-12
 
@@ -89,6 +88,21 @@ class SectorDecompositionReport:
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
 
+    @classmethod
+    def joined(cls, parts) -> "SectorDecompositionReport":
+        """The report of the tables of ``parts`` read as one battery, in order.
+
+        Leakage entries are maxima, so the joined table is their elementwise
+        maximum (NaN diagonal kept), bit for bit the one-table report.
+        """
+        parts = list(parts)
+        within = [p.within_sector for p in parts]
+        return cls(
+            np.fmax.reduce([p.leakage for p in parts]),
+            sum((p.battery_labels for p in parts), ()),
+            None if within[0] is None else np.hstack(within),
+        )
+
     @property
     def max_offdiagonal(self) -> float:
         off = self.leakage[~np.isnan(self.leakage)]
@@ -146,31 +160,30 @@ def fringe_scan(
 
 
 def sector_decomposition_report(
-    bands: BandStructure, battery: Iterable[HermitianOperator]
+    bands: BandStructure, table: OperatorTable
 ) -> SectorDecompositionReport:
-    """Cross-class leakage table and within-sector elements, all on class blocks.
+    """Cross-class leakage table and within-sector elements of a table's members.
 
     With C_l the class-l states on their d/N rows (``bands.blocks[l]``),
     <psi_{m k_j}|O|psi_{n k_l}> is entry (m, n) of C_j^* O[rows_j, rows_l] C_l^T.
     A diagonal at offset o couples class l only to l +- ``class_shift(o, N)``
-    mod N, so per battery member only the cross blocks j < l it can fill
-    (``HermitianOperator.class_blocks``) are multiplied, in one stacked
-    product; every other block is an exact zero and is skipped, and a
-    cell-periodic member takes no block at all.  Leakage entry [j, l] (bras
-    from the lower class, mirrored) is maximized over both band axes and
-    equals a pairwise class loop bit for bit.  ``within_sector`` needs only
-    bands 0 and 1 of each class: one ``HermitianOperator.class_form`` per
-    member.  ``battery`` is any iterable and is read once, one member at a
-    time, so a generator that builds each member on demand keeps one
-    operator alive.
+    mod N, so a table whose offsets are all multiples of N (every member
+    cell-periodic) multiplies no cross block at all; otherwise, per member,
+    only the cross blocks j < l it can fill (``HermitianOperator.class_blocks``)
+    are multiplied, in one stacked product, and every other block is an exact
+    zero and is skipped.  Leakage entry [j, l] (bras from the lower class,
+    mirrored) is maximized over both band axes and equals a pairwise class
+    loop bit for bit.  ``within_sector`` needs only bands 0 and 1 of each
+    class: one ``OperatorTable.class_form`` for all members.  A battery of
+    several tables gives one report per table; ``joined`` makes them one.
     """
     rows, blocks = bands.rows, bands.blocks  # blocks: (class, band, row)
     n_sectors, n_bands, _ = blocks.shape
     bra_class, ket_class = np.triu_indices(n_sectors, k=1)  # the cross blocks j < l
     step = (ket_class - bra_class) % n_sectors
     worst = np.zeros(len(bra_class))
-    labels, within = [], []
-    for op in battery:
+    crossing = any(class_shift(o, n_sectors) for o in table.offsets)  # can a member fill one?
+    for op in map(table.member, range(len(table) if crossing else 0)):
         reaches = np.zeros(n_sectors, dtype=bool)  # by class step: can op fill it?
         reaches[[class_shift(s, n_sectors) for o in op.diagonals for s in (o, -o)]] = True
         filled = np.flatnonzero(reaches[step])
@@ -182,32 +195,37 @@ def sector_decomposition_report(
                 @ blocks[ket].transpose(0, 2, 1)
             )
             worst[filled] = np.maximum(worst[filled], elements.max(axis=(1, 2)) / op.norm_max)
-        labels.append(op.label)
-        if n_bands >= 2:  # <psi_{0 k_l}|O|psi_{1 k_l}>, one per class
-            within.append(np.abs(op.class_form(rows, blocks[:, 0], blocks[:, 1])))
     leakage = np.full((n_sectors, n_sectors), np.nan)
     leakage[bra_class, ket_class] = worst
     leakage[ket_class, bra_class] = worst
-    within_sector = (
-        np.reshape(within, (len(labels), n_sectors)).T if n_bands >= 2 else None
-    )
-    return SectorDecompositionReport(leakage, tuple(labels), within_sector)
+    within_sector = None
+    if n_bands >= 2:  # <psi_{0 k_l}|O|psi_{1 k_l}>, (class, member)
+        within_sector = np.abs(table.class_form(rows, blocks[:, 0], blocks[:, 1])).T
+    return SectorDecompositionReport(leakage, table.labels, within_sector)
 
 
 def wannier_mixture_residual(
-    wanniers: np.ndarray, band_blocks: np.ndarray, rows: np.ndarray, operator: HermitianOperator
+    wanniers: np.ndarray, band_blocks: np.ndarray, rows: np.ndarray, table: OperatorTable
 ) -> np.ndarray:
-    """Per band b: max_r |<w_br|O|w_br> - mean_l <psi_bl|O|psi_bl>|.
+    """Per member i and band b: max_r |<w_br|O_i|w_br> - mean_l <psi_bl|O_i|psi_bl>|.
 
     ``wanniers`` is (bands, home cells, d), one home cell's Wannier vector per
     row, and ``band_blocks`` is (bands, N, d/N), each band's Bloch states on
-    their class rows ``rows``.  Each Wannier state is an equal-weight phase
-    combination of its band's Bloch states, so for cell-periodic O its
-    expectation must equal the uniform classical average over the band.  The
-    two sides are computed apart: O is applied to the dense Wannier rows in
-    one call, and the band averages come from one
-    ``HermitianOperator.class_form``.
+    their class rows ``rows``; the result is (members, bands).  Each Wannier
+    state is an equal-weight phase combination of its band's Bloch states,
+    so for cell-periodic O its expectation must equal the uniform classical
+    average over the band.  The two sides are computed apart.  The Wannier
+    side reads all d rows: Re<w|O|w> = sum_o c_o Re sum_m v_o[m] conj(w[m+o]) w[m]
+    with c_0 = 1 and c_o = 2 for o > 0 (the mirrored entries are the
+    conjugates), one (members, d - o) @ (d - o, rows) product per offset.  The
+    band averages come from one ``OperatorTable.class_form``.
     """
-    values = (wanniers.conj() * operator.apply(wanniers)).sum(axis=-1).real  # Re <w|O|w>
-    band_avg = operator.class_form(rows, band_blocks, band_blocks).real.mean(axis=1)
-    return np.abs(values - band_avg[:, None]).max(axis=1)
+    w = wanniers.reshape(-1, wanniers.shape[-1])  # one Wannier vector per row
+    d = w.shape[1]
+    values = np.zeros((len(table), len(w)))
+    for k, o in enumerate(table.offsets):
+        pairs = w[:, o:].conj() * w[:, : d - o]  # conj(w[m + o]) w[m]
+        values += (2.0 if o else 1.0) * (table.values[:, k, : d - o] @ pairs.T).real
+    values = values.reshape((len(table),) + wanniers.shape[:2])  # (member, band, home cell)
+    band_avg = table.class_form(rows, band_blocks, band_blocks).real.mean(axis=-1)
+    return np.abs(values - band_avg[..., None]).max(axis=-1)

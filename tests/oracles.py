@@ -228,11 +228,87 @@ def loop_solve_bands(h, rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Per-state measurements: the leakage table one class pair at a time, and the
-# Wannier band average one Bloch state at a time, both over lists of
-# BlochState.  The package computes one Psi^* O Psi^T product per operator on
-# the (sector, band, row) class blocks; these loops are the reference it
-# must reproduce.
+# Per-member and per-state measurements.  The package builds a battery as
+# stacked tables (the seeded members of a table at once) and measures a whole
+# table in one pass; the seeded member built from its own ObservableSpec, the
+# class form and the sector elements one member at a time are the references
+# it must reproduce bit for bit.  The leakage table one class pair at a time
+# and the Wannier band average one Bloch state at a time, over lists of
+# BlochState, are the references it must reproduce to rounding.
+
+
+def loop_class_form(operator, rows, bra, ket) -> np.ndarray:
+    """The (..., N) forms <bra_l|O|ket_l> of one operator, diagonal by diagonal.
+
+    The per-member reference of ``OperatorTable.class_form``: the diagonal at
+    offset qN is offset q on the class rows, with values values[rows[:, :b-q]].
+    """
+    n, b = rows.shape
+    applied = np.zeros(ket.shape, dtype=complex)
+    for q, values in ((o // n, v) for o, v in operator.diagonals.items() if o % n == 0):
+        v = values[rows[:, : b - q]]
+        applied[..., q:] += v * ket[..., : b - q]
+        if q:
+            applied[..., : b - q] += v.conj() * ket[..., q:]
+    return (bra.conj() * applied).sum(axis=-1)
+
+
+def member_sector_elements(bands, battery) -> tuple[np.ndarray, np.ndarray]:
+    """Leakage table and (class, member) within-sector elements, one member at a time.
+
+    Per member: its cross blocks by class step (``class_blocks``, one stacked
+    product) and its ``loop_class_form`` on bands 0 and 1.
+    """
+    rows, blocks = bands.rows, bands.blocks
+    n = bands.sectors
+    bra_class, ket_class = np.triu_indices(n, k=1)
+    step = (ket_class - bra_class) % n
+    worst = np.zeros(len(bra_class))
+    within = []
+    for op in battery:
+        reaches = np.zeros(n, dtype=bool)
+        reaches[[s % n for o in op.diagonals for s in (o, -o)]] = True
+        filled = np.flatnonzero(reaches[step])
+        if filled.size:
+            bra, ket = bra_class[filled], ket_class[filled]
+            elements = np.abs(
+                blocks[bra].conj() @ op.class_blocks(rows, bra, ket)
+                @ blocks[ket].transpose(0, 2, 1)
+            )
+            worst[filled] = np.maximum(worst[filled], elements.max(axis=(1, 2)) / op.norm_max)
+        within.append(np.abs(loop_class_form(op, rows, blocks[:, 0], blocks[:, 1])))
+    leakage = np.full((n, n), np.nan)
+    leakage[bra_class, ket_class] = worst
+    leakage[ket_class, bra_class] = worst
+    return leakage, np.array(within).T
+
+
+def loop_seeded_diagonals(seed: int, basis, max_harmonic: int = 1, degree: int = 2) -> dict:
+    """One seeded battery member's offset diagonals, as its own ObservableSpec.
+
+    The per-member reference of the battery's seeded rows: the seed's LCG
+    draws (constant, harmonics 1..max_harmonic, polynomial coefficients damped
+    by the momentum scale) as one symmetrized term, assembled by
+    ``_observable_diagonals`` and rescaled to max-entry norm 1 outside
+    NORM_WINDOW, each diagonal summed onto zeros as ``HermitianOperator``
+    stores it.
+    """
+    from blochlab.observables import (
+        NORM_WINDOW, Lcg, ObservableSpec, ObservableTerm, _observable_diagonals,
+    )
+
+    rng = Lcg(seed)
+    harmonics = [(0, complex(rng.uniform()))]
+    for j in range(1, max_harmonic + 1):
+        harmonics.append((j, complex(rng.uniform(), rng.uniform())))
+    q_scale = max(1.0, float(np.max(np.abs(basis.hbar * basis.momenta))))
+    poly = tuple(rng.uniform() / q_scale**power for power in range(degree + 1))
+    spec = ObservableSpec(terms=(ObservableTerm(f_harmonics=tuple(harmonics), p_poly=poly),))
+    diagonals = _observable_diagonals(spec, basis)
+    norm = max(float(np.max(np.abs(v))) for v in diagonals.values())
+    if not NORM_WINDOW[0] <= norm <= NORM_WINDOW[1]:
+        diagonals = {offset: v / norm for offset, v in diagonals.items()}
+    return {o: np.zeros(basis.dim - o, complex) + v for o, v in diagonals.items()}
 
 
 def pairwise_leakage(states, battery) -> np.ndarray:

@@ -71,7 +71,7 @@ def test_criterion_1_bloch_superselection():
         for name, pot in POTENTIALS:
             for cells, cutoff in ACCEPTANCE_LATTICES:
                 _, _, _, bands, battery = build_config(cells, cutoff, pot)
-                report = bl.sector_decomposition_report(bands, battery)
+                report = bl.sector_decomposition_report(bands, bl.OperatorTable.stack(battery))
                 worst = max(worst, report.max_offdiagonal)
         elapsed = time.perf_counter() - started
         detail["max_leakage"] = worst
@@ -167,9 +167,9 @@ def test_criterion_6_wannier_mixture_identity(solved):
                 [[bl.wannier_state(band, cell, bands, spec) for cell in (0, 1)] for band in (0, 1)]
             )
             band_blocks = bands.blocks[:, [0, 1]].swapaxes(0, 1)
-            for op in battery:
-                residual = bl.wannier_mixture_residual(wanniers, band_blocks, bands.rows, op)
-                worst = max(worst, float(np.max(residual)))
+            table = bl.OperatorTable.stack(battery)
+            residual = bl.wannier_mixture_residual(wanniers, band_blocks, bands.rows, table)
+            worst = max(worst, float(np.max(residual)))
         detail["max_residual"] = worst
         assert worst < 1e-10
 

@@ -516,6 +516,28 @@ def test_version_flag():
     assert "blochlab 0.1.0" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["wannier", "--config", "c.json", "--out", "x.csv"], "unrecognized arguments: --out"),
+        (["superselect"], "the following arguments are required: --config"),
+        (["superselect", "--config", "c.json", "--seed-battery", "abc"], "invalid int value"),
+    ],
+    ids=["flag_of_another_kind", "missing_config", "seed_battery_not_an_int"],
+)
+def test_usage_errors_exit_1_with_the_usage_line(argv, message):
+    # exit 2 is a numerical failure: argparse's own usage exit would read as one
+    proc = run_python("-m", "blochlab", *argv)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("usage: blochlab") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_help_exits_0():
+    proc = run_python("-m", "blochlab", "superselect", "-h")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: blochlab superselect")
+
+
 def test_module_invocation_end_to_end(tmp_path):
     cfg = bands_config(tmp_path)
     out = tmp_path / "cli_bands.csv"
@@ -946,25 +968,43 @@ def test_zero_battery_member_is_named(tmp_path, capsys):
     [("battery_member_zero_on_small_basis", "cos_a"), ("battery_custom_zero_polynomial", "custom:0")],
 )
 def test_zero_member_found_mid_stream_exits_1_and_writes_nothing(
-    tmp_path, capsys, kind, case, member
+    tmp_path, capsys, monkeypatch, kind, case, member
 ):
-    # members are built while the battery is measured, so a zero member
-    # stops the run part-way; nothing is written and the error is a config one
+    # a table is checked when it is built, so a zero member stops the run at
+    # its table: before any measurement when the battery is one table, after
+    # the tables ahead of it when each member is a table of its own.  Either
+    # way nothing is written and the error is a config one
     data, _, _ = REJECTED[case]
     data = {**data, "kind": kind}
     if kind == "wannier":
         data["wannier"] = {"bands": [0], "home_cells": [0, 1]}
-    out = tmp_path / "out"
-    out.mkdir()
-    argv = [kind, "--config", write_json(tmp_path / "c.json", data), "--report", str(out / "r.json")]
-    if kind == "superselect":
-        argv += ["--fringe-prefix", str(out / "fringe")]
-    code = main(argv)
-    err = capsys.readouterr().err
-    assert code == 1, err
-    assert "(at /battery)" in err and f"'{member}' is the zero operator" in err
-    assert "Traceback" not in err
-    assert list(out.iterdir()) == []
+    labels = validate_config(data).battery.labels
+    measure = "sector_decomposition_report" if kind == "superselect" else "wannier_mixture_residual"
+    measured, original = [], getattr(runner, measure)
+
+    def recording(*args):  # the table is the last argument
+        measured.append(args[-1].labels)
+        return original(*args)
+
+    monkeypatch.setattr(runner, measure, recording)
+    ahead = [(label,) for label in labels[: labels.index(member)]]  # one-member tables
+    for entries, before in ((None, []), (1, ahead)):
+        if entries is not None:
+            monkeypatch.setattr(bl.observables, "_TABLE_ENTRIES", entries)
+        out = tmp_path / f"out{entries}"
+        out.mkdir()
+        config = write_json(tmp_path / "c.json", data)
+        argv = [kind, "--config", config, "--report", str(out / "r.json")]
+        if kind == "superselect":
+            argv += ["--fringe-prefix", str(out / "fringe")]
+        measured.clear()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert "(at /battery)" in err and f"'{member}' is the zero operator" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+        assert measured == before
 
 
 def test_negative_control_shift_past_basis_is_a_subprocess_exit_1(tmp_path):

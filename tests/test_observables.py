@@ -95,17 +95,19 @@ def test_term_canonicalization():
 
 
 def test_battery_builds_only_the_named_members_it_returns(basis_n3, monkeypatch):
+    # named members are written into their table rows from their specs' diagonals
     built = []
-    build = bl.observables.build_observable
+    diagonals = bl.observables._observable_diagonals
+    names = {id(spec): name for name, spec in bl.observables._NAMED_SPECS.items()}
 
-    def counting(spec, basis, label=""):
-        built.append(label)
-        return build(spec, basis, label)
+    def counting(spec, basis):
+        built.append(names.get(id(spec)))
+        return diagonals(spec, basis)
 
-    monkeypatch.setattr(bl.observables, "build_observable", counting)
+    monkeypatch.setattr(bl.observables, "_observable_diagonals", counting)
     battery = list(bl.Battery(basis_n3, seeds=2, named=("cos_a",)))
     assert [op.label for op in battery] == ["cos_a", "seed:1", "seed:2"]
-    assert [label for label in built if label in bl.observables.NAMED_OBSERVABLES] == ["cos_a"]
+    assert built == ["cos_a"]
 
 
 def test_built_observables_pass_periodicity(basis_n3, battery_n3, translation_n3):

@@ -1,0 +1,121 @@
+"""Battery tables against per-member references, bit for bit.
+
+A battery is built as stacked tables: the seeded members of a table in one
+pass, the named and custom members from their specs' diagonals.  Every row
+must equal the member built alone (``oracles.loop_seeded_diagonals`` for a
+seed, ``build_observable`` for a spec), and the measurements made on a whole
+table must equal the same measurements made one member at a time.
+"""
+
+import numpy as np
+import pytest
+
+import blochlab as bl
+from oracles import loop_seeded_diagonals, member_sector_elements
+from test_state_block_oracles import LATTICES, POTENTIAL
+
+TABLE_LATTICES = (*LATTICES, bl.LatticeSpec(cells=15, cutoff=247))  # N=15, d=495
+
+CUSTOM = (
+    bl.ObservableSpec(
+        terms=(
+            bl.ObservableTerm(f_harmonics=((0, 0.3), (2, 0.1 - 0.2j)), p_poly=(0.5, 1.0)),
+            bl.ObservableTerm(p_poly=(0.0, 0.0, 0.2)),
+        )
+    ),
+    bl.ObservableSpec(
+        terms=(bl.ObservableTerm(f_harmonics=((1, 0.25j),), p_poly=(2.0,)),), symmetrize=False
+    ),
+)
+
+BATTERIES = {
+    "default": {"seeds": 20},
+    "named_subset": {"seeds": 3, "named": ("sin_a", "momentum_sq")},
+    "seeds_0": {"seeds": 0},
+    "custom": {"seeds": 4, "named": ("cos_a",), "custom": CUSTOM},
+    "degree_0": {"seeds": 5, "degree": 0, "named": ()},
+}
+
+
+def _lattice_id(spec):
+    return f"N{spec.cells}_d{spec.dim}"
+
+
+def _alone(battery: bl.Battery, label: str) -> dict:
+    """The offset diagonals of the member ``label``, built by itself."""
+    kind, _, index = label.partition(":")
+    if kind == "seed":
+        seed = int(index)
+        return loop_seeded_diagonals(seed, battery.basis, battery.max_harmonic, battery.degree)
+    spec = battery.custom[int(index)] if kind == "custom" else bl.observables._NAMED_SPECS[label]
+    return dict(bl.build_observable(spec, battery.basis).diagonals)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one_table", "split"])
+@pytest.mark.parametrize("name", sorted(BATTERIES))
+@pytest.mark.parametrize("spec", TABLE_LATTICES, ids=_lattice_id)
+def test_table_rows_equal_members_built_alone_bit_for_bit(spec, name, split, monkeypatch):
+    d = spec.dim
+    if split:  # two or three members per table
+        monkeypatch.setattr(bl.observables, "_TABLE_ENTRIES", 2 * 3 * d)
+    battery = bl.Battery(bl.build_basis(spec), **BATTERIES[name])
+    tables = list(battery.tables())
+    assert len(tables) > 1 if split else len(tables) == 1
+    rows = [(table, i) for table in tables for i in range(len(table))]
+    assert tuple(table.labels[i] for table, i in rows) == battery.labels
+    for table, i in rows:
+        label = table.labels[i]
+        alone = _alone(battery, label)
+        assert set(alone) <= set(table.offsets), label
+        for k, o in enumerate(table.offsets):
+            expected = alone.get(o, np.zeros(d - o, complex))
+            assert table.values[i, k, : d - o].tobytes() == expected.tobytes(), (label, o)
+            assert not table.values[i, k, d - o :].any(), (label, o)
+        assert table.norm_max[i] == max(np.max(np.abs(v)) for v in alone.values())
+        assert table.member(i).diagonals.keys() == alone.keys()
+
+
+@pytest.mark.parametrize("spec", TABLE_LATTICES, ids=_lattice_id)
+def test_random_cell_periodic_is_the_one_seed_table(spec):
+    basis = bl.build_basis(spec)
+    for seed in (1, 7, 20):
+        op = bl.random_cell_periodic(seed, basis)
+        alone = loop_seeded_diagonals(seed, basis)
+        assert op.label == f"seed:{seed}" and op.diagonals.keys() == alone.keys()
+        for o, values in alone.items():
+            assert op.diagonals[o].tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("breaking", [False, True], ids=["periodic", "with_breaking"])
+@pytest.mark.parametrize("spec", LATTICES, ids=_lattice_id)
+def test_sector_report_on_a_table_equals_the_member_loop_bit_for_bit(spec, breaking):
+    basis = bl.build_basis(spec)
+    bands = bl.solve_bands(bl.build_hamiltonian(spec, POTENTIAL), spec)
+    members = list(bl.Battery(basis, seeds=5, custom=CUSTOM))
+    if breaking:
+        members += [bl.breaking_observable(s, basis) for s in (1, 2)]
+    report = bl.sector_decomposition_report(bands, bl.OperatorTable.stack(members))
+    leakage, within = member_sector_elements(bands, members)
+    assert report.leakage.tobytes() == leakage.tobytes()
+    assert report.within_sector.tobytes() == within.tobytes()
+    assert report.battery_labels == tuple(op.label for op in members)
+    # a periodic table has exact zeros off the classes; breaking members light them up
+    assert (leakage[0, 1] > 1e-6) if breaking else (report.max_offdiagonal == 0.0)
+
+
+def test_table_checks_every_member_once_with_the_operator_messages():
+    def table(*diagonals):
+        return bl.OperatorTable.assemble(
+            3, [((f"m{i}",), dict(enumerate(v))) for i, v in enumerate(diagonals)]
+        )
+
+    assert len(table([[1.0, 2.0, 3.0]], [[0.0, 0.0, 1.0], 0.5j])) == 2
+    with pytest.raises(ValueError, match="non-finite entry"):
+        table([[1.0, 2.0, 3.0]], [[1.0, np.inf, 0.0]])
+    with pytest.raises(ValueError, match="matrix is not Hermitian"):
+        table([[1.0, 2.0, 3.0]], [[1.0, 1.0 + 1e-9j, 0.0]])
+    with pytest.raises(ValueError, match="'m1' is the zero operator"):
+        table([[1.0, 2.0, 3.0]], [[0.0, 0.0, 0.0], 0.0])
+    with pytest.raises(ValueError, match="outside 0..2"):
+        table([[1.0, 2.0, 3.0], 0.0, 0.0, 1.0])
+

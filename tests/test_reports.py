@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +153,50 @@ def test_staged_write_renames_in_the_order_given(tmp_path, monkeypatch):
     assert renamed == [tmp_path / "b.csv", tmp_path / "a.csv"]
     assert [p.name for p in tmp_path.iterdir()] == ["b.csv"]
     assert (tmp_path / "b.csv").read_text() == "b.csv"
+
+
+def _fsync_failing_on(monkeypatch, name: str):
+    """Make os.fsync fail on the temp file of target ``name`` (its temp is .<name>.*.tmp)."""
+    fsync = os.fsync
+
+    def failing(fd):
+        if Path(os.readlink(f"/proc/self/fd/{fd}")).name.startswith(f".{name}."):
+            raise OSError("disk full")
+        fsync(fd)
+
+    monkeypatch.setattr("blochlab.reports.os.fsync", failing)
+
+
+def test_failed_stage_removes_the_parent_directories_it_made(tmp_path, monkeypatch):
+    # newdir/deep is made for r.json and removed again; the existing ``old``
+    # directory, and a directory another file already sat in, are left alone
+    (tmp_path / "old").mkdir()
+    (tmp_path / "old" / "keep.txt").write_text("")
+    _fsync_failing_on(monkeypatch, "r.json")
+    files = {
+        tmp_path / "old" / "a.csv": "a\n",
+        tmp_path / "old" / "new" / "b.csv": "b\n",
+        tmp_path / "newdir" / "deep" / "r.json": "report\n",
+    }
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write_text(files)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old"]
+    assert [p.name for p in (tmp_path / "old").iterdir()] == ["keep.txt"]
+
+
+def test_failed_rename_keeps_a_made_directory_that_holds_a_renamed_target(tmp_path, monkeypatch):
+    replace = os.replace
+
+    def failing_second_replace(src, dst):
+        if Path(dst).name == "r.json":
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr("blochlab.reports.os.replace", failing_second_replace)
+    files = {tmp_path / "newdir" / "a.csv": "a\n", tmp_path / "newdir" / "deep" / "r.json": "r\n"}
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write_text(files)
+    assert [p.name for p in (tmp_path / "newdir").iterdir()] == ["a.csv"]
 
 
 def test_infinity_never_silently_rendered():

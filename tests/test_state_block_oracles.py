@@ -1,8 +1,8 @@
 """The (sector, band, row) class blocks against per-class and per-state loops.
 
 The stacked eigensolve and gauge must equal one eigh and one cluster-by-
-cluster gauge per class bit for bit, and the leakage table the pairwise class
-loop.  The battery carries a periodicity-breaking member: on cell-periodic
+cluster gauge per class bit for bit, and the leakage table of a battery's
+table the pairwise class loop.  The battery carries a periodicity-breaking member: on cell-periodic
 members every cross-class entry is a literal 0.0, which no reshape or
 mirroring error could change.
 """
@@ -18,6 +18,7 @@ from blochlab.bloch import DEGENERACY_ATOL, _canonical_eigenbasis
 from conftest import every_state
 from oracles import (
     loop_canonical_eigenbasis,
+    loop_class_form,
     loop_solve_bands,
     pairwise_leakage,
     state_mixture_residual,
@@ -121,7 +122,8 @@ def test_one_eigensolve_per_lattice_solve(monkeypatch):
 
 def test_class_form_matches_the_dense_form(solved):
     # random states on the class rows, and an operator that is not cell-
-    # periodic but also carries class-preserving diagonals: only those enter
+    # periodic but also carries class-preserving diagonals: only those enter.
+    # The table's stacked form is each member's own form bit for bit
     spec, bands, battery = solved
     n, b = bands.rows.shape
     rng = np.random.default_rng(11)
@@ -135,9 +137,11 @@ def test_class_form_matches_the_dense_form(solved):
     dense_bra, dense_ket = (np.zeros((3, n, spec.dim), complex) for _ in range(2))
     np.put_along_axis(dense_bra, bands.rows[None], bra, axis=2)
     np.put_along_axis(dense_ket, bands.rows[None], ket, axis=2)
-    for op in [*battery, mixed]:
-        got = op.class_form(bands.rows, bra, ket)
-        assert got.shape == (3, n)
+    members = [*battery, mixed]
+    stacked = bl.OperatorTable.stack(members).class_form(bands.rows, bra, ket)
+    assert stacked.shape == (len(members), 3, n)
+    for op, got in zip(members, stacked):
+        assert got.tobytes() == loop_class_form(op, bands.rows, bra, ket).tobytes(), op.label
         expected = np.sum((dense_bra.conj() @ op.matrix) * dense_ket, axis=-1)  # bra^H O ket
         # both sum the same products in another order: relative to |bra|^T |O| |ket|
         terms = np.sum((np.abs(dense_bra) @ np.abs(op.matrix)) * np.abs(dense_ket), axis=-1)
@@ -148,7 +152,7 @@ def test_class_form_matches_the_dense_form(solved):
 
 def test_leakage_table_equals_pairwise_loop_bit_for_bit(solved):
     _, bands, battery = solved
-    report = bl.sector_decomposition_report(bands, battery)
+    report = bl.sector_decomposition_report(bands, bl.OperatorTable.stack(battery))
     expected = pairwise_leakage(every_state(bands), battery)
     assert np.array_equal(report.leakage, expected, equal_nan=True)
     # the breaking members light up the neighbouring classes, so the
@@ -157,44 +161,56 @@ def test_leakage_table_equals_pairwise_loop_bit_for_bit(solved):
     assert all(expected[l, (l + 1) % n] > 1e-6 for l in range(n))
 
 
-def test_leakage_report_reads_a_generator_like_the_list(solved):
-    # members built one at a time on demand give the same report bit for bit
+def test_leakage_report_reads_a_generator_like_the_list(solved, monkeypatch):
+    # the battery split into tables of at most three members, each measured
+    # alone and the reports joined, gives the one-table report bit for bit
     spec, bands, battery = solved
     basis = bl.build_basis(spec)
-    streamed = itertools.chain(
-        bl.Battery(basis, seeds=5), (bl.breaking_observable(s, basis) for s in (1, 2))
+    monkeypatch.setattr(bl.observables, "_TABLE_ENTRIES", 3 * 2 * spec.dim)
+    tables = itertools.chain(
+        bl.Battery(basis, seeds=5).tables(),
+        (bl.OperatorTable.stack([bl.breaking_observable(s, basis)]) for s in (1, 2)),
     )
-    got = bl.sector_decomposition_report(bands, streamed)
-    expected = bl.sector_decomposition_report(bands, battery)
+    parts = [bl.sector_decomposition_report(bands, table) for table in tables]
+    assert len(parts) == 6 and max(len(p.battery_labels) for p in parts) == 3
+    got = bl.SectorDecompositionReport.joined(parts)
+    expected = bl.sector_decomposition_report(bands, bl.OperatorTable.stack(battery))
     assert got.battery_labels == expected.battery_labels
     assert np.array_equal(got.leakage, expected.leakage, equal_nan=True)
     assert np.array_equal(got.within_sector, expected.within_sector)
 
 
 def test_wannier_mixture_residual_matches_per_state_loop(solved):
-    # one stacked call per member gives every band's residual; the breaking
-    # members are not cell-periodic, so their residuals are far from zero and
-    # the comparison is not between zeros
+    # one call on the table gives every member's and band's residual; the
+    # breaking members are not cell-periodic, so their residuals are far from
+    # zero and the comparison is not between zeros
     spec, bands, battery = solved
     band_list = [0, 1]
     wanniers = np.array(
         [[bl.wannier_state(band, cell, bands, spec) for cell in range(spec.cells)] for band in band_list]
     )
     band_blocks = bands.blocks[:, band_list].swapaxes(0, 1)
-    for op in battery:
-        got = bl.wannier_mixture_residual(wanniers, band_blocks, bands.rows, op)
-        assert got.shape == (len(band_list),)
+    table = bl.OperatorTable.stack(battery)
+    residuals = bl.wannier_mixture_residual(wanniers, band_blocks, bands.rows, table)
+    assert residuals.shape == (len(battery), len(band_list))
+    for op, got in zip(battery, residuals):
+        magnitude = np.abs(op.matrix)
         for i, band in enumerate(band_list):
             band_states = [bands.state(l, band) for l in range(bands.sectors)]
             expected = max(state_mixture_residual(w, band_states, op) for w in wanniers[i])
-            assert abs(got[i] - expected) < 1e-14
+            # both sides sum the same products in other orders: relative to
+            # the largest |w|^T |O| |w| of the band's Wannier and Bloch states
+            vectors = [*wanniers[i], *(s.coeffs for s in band_states)]
+            terms = max(np.abs(v) @ magnitude @ np.abs(v) for v in vectors)
+            assert abs(got[i] - expected) <= 1e-14 * terms, (op.label, band)
             if op.label.startswith("breaking:"):
                 assert expected > 1e-6, (op.label, band)
 
 
 def test_within_sector_elements_match_matrix_element(solved):
     _, bands, battery = solved
-    within = bl.sector_decomposition_report(bands, battery).within_sector
+    report = bl.sector_decomposition_report(bands, bl.OperatorTable.stack(battery))
+    within = report.within_sector
     assert within.shape == (bands.sectors, len(battery))
     for l in range(bands.sectors):
         bra, ket = bands.state(l, 0), bands.state(l, 1)
@@ -223,7 +239,7 @@ def test_row_table_is_frozen_and_matches_class_rows(solved):
 def test_one_band_lattice_has_no_within_sector_elements():
     spec = bl.LatticeSpec(cells=3, cutoff=1)  # d = 3: one band per class
     bands = bl.solve_bands(bl.build_hamiltonian(spec, bl.PotentialSpec()), spec)
-    battery = list(bl.Battery(bl.build_basis(spec), seeds=2, max_harmonic=0, named=()))
-    report = bl.sector_decomposition_report(bands, battery)
+    (table,) = bl.Battery(bl.build_basis(spec), seeds=2, max_harmonic=0, named=()).tables()
+    report = bl.sector_decomposition_report(bands, table)
     assert report.within_sector is None
     assert report.leakage.shape == (3, 3)

@@ -135,7 +135,7 @@ def test_mixture_rejects_non_orthogonal_states(mathieu_solution, battery_n3):
 
 def test_sector_decomposition_structurally_clean(free_solution, battery_n3):
     _, bands = free_solution
-    report = bl.sector_decomposition_report(bands, battery_n3)
+    report = bl.sector_decomposition_report(bands, bl.OperatorTable.stack(battery_n3))
     assert report.leakage.shape == (3, 3)
     assert np.all(np.isnan(np.diag(report.leakage)))
     assert report.max_offdiagonal < 1e-12
@@ -146,7 +146,7 @@ def test_sector_decomposition_lights_up_with_breaking_member(
 ):
     _, bands = free_solution
     extended = battery_n3 + [bl.breaking_observable(1, basis_n3)]
-    report = bl.sector_decomposition_report(bands, extended)
+    report = bl.sector_decomposition_report(bands, bl.OperatorTable.stack(extended))
     for pair in ((0, 1), (1, 2), (2, 0)):
         assert report.leakage[pair] > 1e-6
 
@@ -158,11 +158,11 @@ def test_wannier_expectation_equals_band_average(
     wanniers = np.array(
         [[bl.wannier_state(band, cell, bands, lattice_n3) for cell in range(3)] for band in (0, 1)]
     )
-    for op in battery_n3:
-        band_blocks = bands.blocks[:, [0, 1]].swapaxes(0, 1)
-        residuals = bl.wannier_mixture_residual(wanniers, band_blocks, bands.rows, op)
-        assert residuals.shape == (2,)
-        assert np.all(residuals < 1e-10)
+    band_blocks = bands.blocks[:, [0, 1]].swapaxes(0, 1)
+    table = bl.OperatorTable.stack(battery_n3)
+    residuals = bl.wannier_mixture_residual(wanniers, band_blocks, bands.rows, table)
+    assert residuals.shape == (len(battery_n3), 2)
+    assert np.all(residuals < 1e-10)
 
 
 def test_superselection_survives_on_padded_even_lattice():
@@ -173,7 +173,7 @@ def test_superselection_survives_on_padded_even_lattice():
     h = bl.build_hamiltonian(spec, bl.PotentialSpec.from_cosines([(1, 0.5)]))
     bands = bl.solve_bands(h, spec)
     battery = list(bl.Battery(basis, seeds=10))
-    report = bl.sector_decomposition_report(bands, battery)
+    report = bl.sector_decomposition_report(bands, bl.OperatorTable.stack(battery))
     assert report.leakage.shape == (4, 4)
     assert report.max_offdiagonal < 1e-12
     best = max(bl.matrix_element(op, bands.state(1, 0), bands.state(1, 1)).magnitude for op in battery)
@@ -244,7 +244,7 @@ def test_each_member_multiplies_only_the_class_blocks_it_can_fill(monkeypatch):
     bands = bl.solve_bands(bl.build_hamiltonian(spec, potential), spec)
     asked = _count_class_blocks(monkeypatch)
     members = [bl.random_cell_periodic(1, basis), bl.breaking_observable(1, basis)]
-    report = bl.sector_decomposition_report(bands, members)
+    report = bl.sector_decomposition_report(bands, bl.OperatorTable.stack(members))
     assert asked == [[(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]]
     assert report.leakage[0, 2] == 0.0 and report.leakage[0, 1] > 0.5
     assert np.all(report.within_sector[:, 0] > 0.0)  # the breaking member has none
