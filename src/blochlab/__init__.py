@@ -27,7 +27,6 @@ from .floquet import (
     temporal_overlap_probe,
 )
 from .lattice import (
-    HermitianOperator,
     LatticeSpec,
     OperatorTable,
     PlaneWaveBasis,
@@ -42,17 +41,12 @@ from .observables import (
     ObservableTerm,
     PeriodicityReport,
     breaking_observable,
-    build_observable,
     check_cell_periodicity,
-    named_observables,
-    random_cell_periodic,
 )
 from .superselection import (
     FringeScan,
-    OverlapRecord,
     SectorDecompositionReport,
     fringe_scan,
-    matrix_element,
     sector_decomposition_report,
     wannier_mixture_residual,
 )
@@ -60,18 +54,17 @@ from .superselection import (
 __all__ = [
     "__version__",
     # lattice
-    "LatticeSpec", "PotentialSpec", "PlaneWaveBasis", "HermitianOperator", "OperatorTable",
+    "LatticeSpec", "PotentialSpec", "PlaneWaveBasis", "OperatorTable",
     "build_basis", "build_hamiltonian", "build_translation",
     # bloch
     "BlochState", "BandStructure",
     "solve_bands", "winding_number", "ring_phase_samples", "wannier_state",
     # observables
     "Battery", "ObservableSpec", "ObservableTerm", "PeriodicityReport",
-    "build_observable", "check_cell_periodicity", "random_cell_periodic",
-    "breaking_observable", "named_observables",
+    "check_cell_periodicity", "breaking_observable",
     # superselection
-    "OverlapRecord", "FringeScan", "SectorDecompositionReport",
-    "matrix_element", "fringe_scan", "sector_decomposition_report",
+    "FringeScan", "SectorDecompositionReport",
+    "fringe_scan", "sector_decomposition_report",
     "wannier_mixture_residual",
     # floquet
     "DriveSpec", "DriveTerm", "PeriodicObservableSpec", "FloquetSolution",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, NumericalFailure
-from .lattice import HermitianOperator, LatticeSpec, PlaneWaveBasis, build_basis, class_shift
+from .lattice import LatticeSpec, OperatorTable, PlaneWaveBasis, build_basis, class_shift
 
 DEGENERACY_ATOL = 1e-10
 SUPPORT_ATOL = 1e-12
@@ -156,13 +156,14 @@ def _canonical_eigenbasis(energies: np.ndarray, vectors: np.ndarray) -> np.ndarr
     return out.reshape(vectors.shape)
 
 
-def solve_bands(h: HermitianOperator, spec: LatticeSpec) -> BandStructure:
+def solve_bands(h: OperatorTable, spec: LatticeSpec) -> BandStructure:
     """Diagonalize every wavevector-class block of a cell-periodic H at once.
 
-    Each class's rows (``basis.class_rows``) give one (d/N, d/N) block
-    (``HermitianOperator.class_blocks``); the N blocks go through one
-    stacked eigensolve and one stacked gauge fix, and their eigenvectors are
-    kept on those rows, with the rows as the (N, d/N) ``rows`` table.
+    ``h`` is a one-member table.  Each class's rows (``basis.class_rows``)
+    give one (d/N, d/N) block (``OperatorTable.class_blocks``); the N blocks
+    go through one stacked eigensolve and one stacked gauge fix, and their
+    eigenvectors are kept on those rows, with the rows as the (N, d/N)
+    ``rows`` table.
 
     Raises InvariantViolation if H carries weight between different classes
     (it then is not cell-periodic and has no common eigenbasis with T), and
@@ -175,8 +176,9 @@ def solve_bands(h: HermitianOperator, spec: LatticeSpec) -> BandStructure:
 
     sectors = np.arange(spec.cells)
     class_rows = np.array([basis.class_rows(sector) for sector in sectors])
+    (class_blocks,) = h.class_blocks(class_rows, sectors, sectors)
     try:
-        energies, vectors = np.linalg.eigh(h.class_blocks(class_rows, sectors, sectors))
+        energies, vectors = np.linalg.eigh(class_blocks)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalFailure(f"class-block eigensolver failed: {exc}") from exc
     blocks = _canonical_eigenbasis(energies, vectors).swapaxes(1, 2)  # (class, band, row)
@@ -185,12 +187,10 @@ def solve_bands(h: HermitianOperator, spec: LatticeSpec) -> BandStructure:
     )
 
 
-def _require_block_structure(h: HermitianOperator, basis: PlaneWaveBasis) -> None:
-    off_class = [
-        float(np.max(np.abs(v))) for o, v in h.diagonals.items() if class_shift(o, basis.cells)
-    ]
-    leakage = max(off_class, default=0.0)
-    if leakage > SUPPORT_ATOL * max(h.norm_max, 1.0):
+def _require_block_structure(h: OperatorTable, basis: PlaneWaveBasis) -> None:
+    off_class = [k for k, o in enumerate(h.offsets) if class_shift(o, basis.cells)]
+    leakage = float(np.max(np.abs(h.values[:, off_class]), initial=0.0))
+    if leakage > SUPPORT_ATOL * max(float(np.max(h.norm_max)), 1.0):
         raise InvariantViolation(
             f"operator couples different wavevector classes (leakage {leakage:.3e})"
         )

@@ -6,16 +6,17 @@
     blochlab floquet     --config C --report R
 
 Exit codes: 0 all invariant checks pass, 1 configuration error (a usage
-error and an output path that cannot be written included), 2 numerical
-failure, 3 invariant violation.  Reports are deterministic modulo their
-``timing`` block; a run's files are written after it, whatever its verdict,
-in one staged write.
+error, an output path that cannot be written, and two output paths that
+name one file included), 2 numerical failure, 3 invariant violation.
+Reports are deterministic modulo their ``timing`` block; a run's files are
+written after it, whatever its verdict, in one staged write.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import __version__
@@ -79,6 +80,24 @@ def _config_edits(args: argparse.Namespace) -> tuple[tuple[str, str, object], ..
     return tuple(edits)
 
 
+def _check_distinct(output: dict[str, str], sources: dict[str, str], kind: str) -> None:
+    """Raise ConfigError when two requested files resolve to one path.
+
+    ``sources`` names where each output key was set: its flag, or its
+    /output/<key> pointer.  A fringe prefix requests one file per suffix.
+    """
+    seen: dict[str, str] = {}
+    for key, suffixes in OUTPUT_KEYS[kind].items():
+        for suffix in suffixes if key in output else ():
+            target = os.path.realpath(output[key] + suffix)
+            name = sources[key] + (f" ({suffix})" if suffix else "")
+            if target in seen:
+                raise ConfigError(
+                    f"{seen[target]} and {name} both name the file {target!r}", sources[key]
+                )
+            seen[target] = name
+
+
 def _output_files(report: RunReport, output: dict[str, str]) -> dict[str, str]:
     """Path -> text of each requested file, in OUTPUT_KEYS order, from the report."""
     files = {}
@@ -102,10 +121,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"config kind {cfg.kind!r} does not match command {args.command!r}", "/kind"
             )
         output = dict(cfg.output)
+        sources = {key: f"/output/{key}" for key in output}
         for key, suffixes in OUTPUT_KEYS[cfg.kind].items():
             value = getattr(args, key)  # each flag's dest is its output key
             if value is not None:
                 output[key] = output_path(value, _OUTPUT_FLAGS[key], suffixes)
+                sources[key] = _OUTPUT_FLAGS[key]
+        _check_distinct(output, sources, cfg.kind)
         report = run_scenario(cfg)
         atomic_write_text(_output_files(report, output))
     except ConfigError as exc:

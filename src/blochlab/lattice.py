@@ -9,17 +9,17 @@ Because the potential only carries harmonics of 2*pi/a = 2*pi*N/L, the
 Hamiltonian couples m to m' only when N divides (m - m'): the basis splits
 into N wavevector classes c(m) = m mod N, and every class is an invariant
 block.  A cell-periodic operator is therefore a few offset diagonals at
-multiples of N, and ``HermitianOperator`` holds every lattice operator as
-its offset diagonals only (the DIA sparse format): entries between classes
-are never stored, so the block structure is exact.  The translation is
-diagonal and is held as its phase vector.
+multiples of N, and every lattice operator is an ``OperatorTable``: a stack
+of members held as their offset diagonals only (the DIA sparse format), one
+member for the Hamiltonian or a single observable, many for a battery.
+Entries between classes are never stored, so the block structure is exact.
+The translation is diagonal and is held as its phase vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,24 +31,6 @@ _HERMITICITY_RTOL = 1e-12
 def _freeze(matrix: np.ndarray) -> np.ndarray:
     matrix.setflags(write=False)
     return matrix
-
-
-def _check_entries(scale: np.ndarray, main: np.ndarray) -> None:
-    """Raise ValueError unless each operator's entries are finite and its main diagonal real.
-
-    ``scale`` holds each operator's largest entry magnitude and ``main`` its
-    main diagonal, one row per operator; a diagonal is rejected when
-    max |m_ii - conj(m_ii)| exceeds 1e-12 of the operator's largest entry.
-    """
-    if not np.isfinite(scale).all():
-        raise ValueError("matrix has a non-finite entry")
-    defect = np.max(np.abs(main - main.conj()), axis=-1)
-    bad = np.flatnonzero(defect > _HERMITICITY_RTOL * scale)
-    if bad.size:
-        raise ValueError(
-            f"matrix is not Hermitian: defect {defect[bad[0]]:.3e} exceeds "
-            f"{_HERMITICITY_RTOL:.0e} * scale {scale[bad[0]]:.3e}"
-        )
 
 
 @dataclass(frozen=True)
@@ -176,13 +158,14 @@ def class_shift(offset: int, cells: int) -> int:
 def add_offset_diagonal(matrix: np.ndarray, offset: int, values) -> None:
     """Add ``values`` at (m + offset, m) and their conjugates at (m, m + offset).
 
-    ``values`` is a scalar or one entry per m < dim - offset.  Offset 0 is the
-    main diagonal, written once as given; offset >= dim writes nothing.
+    ``matrix`` is one (d, d) matrix or a stack of them, and ``values`` a
+    scalar or one entry per m < d - offset (per matrix of the stack).  Offset
+    0 is the main diagonal, written once as given; offset >= d writes nothing.
     """
-    m = np.arange(matrix.shape[0] - offset)
-    matrix[m + offset, m] += values
+    m = np.arange(matrix.shape[-1] - offset)
+    matrix[..., m + offset, m] += values
     if offset:
-        matrix[m, m + offset] += np.conj(values)
+        matrix[..., m, m + offset] += np.conj(values)
 
 
 @dataclass(frozen=True)
@@ -223,103 +206,26 @@ class PotentialSpec:
         return out
 
 
-@dataclass(frozen=True)
-class HermitianOperator:
-    """Self-adjoint operator in the plane-wave basis, held as its offset diagonals.
-
-    ``diagonals[o]`` holds the entries at (m + o, m), m = 0 .. dim - o - 1,
-    for offsets 0 <= o < dim: a scalar for a constant diagonal or one value
-    per entry.  The entries at (m, m + o) are their conjugates and are not
-    stored, and every other entry is zero, so an off-diagonal entry cannot be
-    non-Hermitian.  Every entry must be finite, and the main diagonal must be
-    real: it is rejected when max |m_ii - conj(m_ii)| exceeds 1e-12 of the
-    largest entry.  The values are copied to frozen complex arrays, so later
-    writes to the inputs never reach the operator, and ``norm_max`` cannot go
-    stale.
-
-    Callers use ``apply`` (O v) and ``class_blocks`` (O[rows_j, rows_l]);
-    ``matrix`` forms the dense d x d matrix on request.  An ``OperatorTable``
-    holds many operators at once, and its ``member`` is one of them.
-    """
-
-    dim: int
-    diagonals: Mapping[int, np.ndarray]
-    label: str = ""
-    _norm_max: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        dim, diagonals = self.dim, {}
-        for offset, values in sorted(dict(self.diagonals).items()):
-            if not 0 <= offset < dim:
-                raise ValueError(f"diagonal offset {offset} outside 0..{dim - 1}")
-            if np.shape(values) not in ((), (dim - offset,)):
-                raise ValueError(f"diagonal {offset} must have {dim - offset} entries")
-            # summed onto zeros, as a dense matrix is assembled: +0.0, never -0.0
-            diagonals[offset] = _freeze(np.zeros(dim - offset, complex) + values)
-        scale = np.max([np.max(np.abs(v)) for v in diagonals.values()], initial=0.0)
-        _check_entries(scale[None], diagonals.get(0, np.zeros(1))[None])
-        object.__setattr__(self, "diagonals", MappingProxyType(diagonals))
-        object.__setattr__(self, "_norm_max", float(scale))
-
-    @property
-    def norm_max(self) -> float:
-        """Largest entry magnitude; the scale used by relative tolerances."""
-        return self._norm_max
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense d x d matrix, formed anew on each request and read-only."""
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for offset, values in self.diagonals.items():
-            add_offset_diagonal(m, offset, values)
-        return _freeze(m)
-
-    def apply(self, vectors: np.ndarray) -> np.ndarray:
-        """O v for every vector v along the last axis of ``vectors``."""
-        v = np.asarray(vectors)
-        out = np.zeros(v.shape, dtype=complex)
-        for offset, values in self.diagonals.items():
-            n = self.dim - offset
-            out[..., offset:] += values * v[..., :n]
-            if offset:
-                out[..., :n] += values.conj() * v[..., offset:]
-        return out
-
-    def class_blocks(self, rows, bra_class, ket_class) -> np.ndarray:
-        """The (pairs, b, b) stack of blocks O[rows[bra_class[p]], rows[ket_class[p]]].
-
-        ``rows`` is a (classes, b) table of plane-wave rows, one class per row
-        (``BandStructure.rows``).  Each entry is gathered from its diagonal
-        (its conjugate above the main diagonal), so the blocks are bit for
-        bit the entries of ``matrix``.
-        """
-        rows = np.asarray(rows, dtype=np.int32)  # int32 indices: half the index traffic
-        bra, ket = rows[bra_class][:, :, None], rows[ket_class][:, None, :]
-        k = len(self.diagonals)
-        table = np.zeros((2 * k + 1, self.dim), dtype=complex)  # the last row stays zero
-        slot = np.full(2 * self.dim - 1, 2 * k, dtype=np.int32)  # table row of offset r - c
-        for i, (offset, values) in enumerate(self.diagonals.items()):
-            table[i, : self.dim - offset] += values
-            table[k + i, : self.dim - offset] += values.conj()  # zeros + conj, as ``matrix``
-            slot[self.dim - 1 - offset] = k + i
-            slot[self.dim - 1 + offset] = i
-        # entry (r, c) is column min(r, c) of the table row of offset r - c
-        index = np.take(slot, bra - ket + (self.dim - 1)) * self.dim + np.minimum(bra, ket)
-        return np.take(table, index)
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorTable:
     """A stack of Hermitian operators on one basis, held as one array of offset diagonals.
 
     ``values[i, k, :dim - offsets[k]]`` holds member i's entries at (m + o, m)
-    for o = ``offsets[k]`` (sorted), as ``HermitianOperator.diagonals[o]``
-    does; the rest of each row is zero, and so is the diagonal of a member
-    that has none at o.  Member i is ``labels[i]`` and its largest entry
-    magnitude ``norm_max[i]``.  The table is checked once for all members:
-    every entry finite, each main diagonal real within 1e-12 of its member's
-    largest entry (as ``HermitianOperator`` checks), and no member zero
-    (ValueError naming the first).  ``values`` and ``norm_max`` are frozen.
+    for o = ``offsets[k]`` (sorted, 0 <= o < dim); the rest of each row is
+    zero, and so is the diagonal of a member that has none at o.  The
+    entries at (m, m + o) are their conjugates and are not stored, and every
+    other entry is zero, so an off-diagonal entry cannot be non-Hermitian.
+    Member i is ``labels[i]`` and its largest entry magnitude ``norm_max[i]``,
+    the scale used by relative tolerances.  A single operator is a
+    one-member table.
+
+    The table is checked once for all members: every entry finite, each
+    main diagonal real (rejected when max |m_ii - conj(m_ii)| exceeds 1e-12
+    of its member's largest entry), and no member zero (ValueError naming
+    the first).  ``values`` and ``norm_max`` are frozen.  Callers use
+    ``apply`` (O v), ``class_blocks`` (O[rows_j, rows_l]) and ``class_form``,
+    each for every member at once; ``matrix`` forms the dense matrices on
+    request.
     """
 
     labels: tuple[str, ...]
@@ -330,13 +236,19 @@ class OperatorTable:
     def __post_init__(self):
         _freeze(self.values)
         scale = np.max(np.abs(self.values), axis=(1, 2), initial=0.0)  # one per member
+        if not np.isfinite(scale).all():
+            raise ValueError("matrix has a non-finite entry")
         main = self.values[:, 0] if self.offsets[:1] == (0,) else np.zeros((len(scale), 1))
-        _check_entries(scale, main)
+        defect = np.max(np.abs(main - main.conj()), axis=-1)
+        bad = np.flatnonzero(defect > _HERMITICITY_RTOL * scale)
+        if bad.size:
+            raise ValueError(
+                f"matrix is not Hermitian: defect {defect[bad[0]]:.3e} exceeds "
+                f"{_HERMITICITY_RTOL:.0e} * scale {scale[bad[0]]:.3e}"
+            )
         zero = np.flatnonzero(scale == 0.0)
         if zero.size:
-            raise ValueError(
-                f"battery member {self.labels[zero[0]]!r} is the zero operator on this basis"
-            )
+            raise ValueError(f"member {self.labels[zero[0]]!r} is the zero operator on this basis")
         object.__setattr__(self, "norm_max", _freeze(scale))
 
     @classmethod
@@ -345,8 +257,9 @@ class OperatorTable:
 
         ``diagonals`` maps offsets 0 <= o < dim to values that broadcast onto
         the part's (len(labels), dim - o) entries: a scalar, one diagonal, or
-        one diagonal per label.  Each is summed onto zeros, as
-        ``HermitianOperator`` stores it: +0.0, never -0.0.
+        one diagonal per label.  Each is summed onto zeros, as a dense matrix
+        is assembled: +0.0, never -0.0.  The values are copied, so later
+        writes to the inputs never reach the table.
         """
         parts = list(parts)
         labels = tuple(label for names, _ in parts for label in names)
@@ -362,24 +275,67 @@ class OperatorTable:
             row += len(names)
         return cls(labels, offsets, values)
 
-    @classmethod
-    def stack(cls, operators) -> "OperatorTable":
-        """The table of HermitianOperators on one basis, in order."""
-        operators = list(operators)
-        return cls.assemble(operators[0].dim, [((op.label,), op.diagonals) for op in operators])
-
     def __len__(self) -> int:
         return len(self.labels)
+
+    def __getitem__(self, members: slice) -> "OperatorTable":
+        """The members of the slice ``members`` as their own table, on the same offsets.
+
+        The rows are copied, so a kept slice does not hold the whole table.
+        """
+        return OperatorTable(self.labels[members], self.offsets, self.values[members].copy())
 
     @property
     def dim(self) -> int:
         return self.values.shape[2]
 
-    def member(self, index: int) -> HermitianOperator:
-        """Member ``index`` as a HermitianOperator holding its nonzero diagonals."""
-        row = self.values[index]
-        diagonals = {o: row[k, : self.dim - o] for k, o in enumerate(self.offsets) if row[k].any()}
-        return HermitianOperator(self.dim, diagonals, label=self.labels[index])
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (members, d, d) matrices, formed anew on each request and read-only."""
+        m = np.zeros((len(self), self.dim, self.dim), dtype=complex)
+        for k, offset in enumerate(self.offsets):
+            add_offset_diagonal(m, offset, self.values[:, k, : self.dim - offset])
+        return _freeze(m)
+
+    def apply(self, vectors: np.ndarray) -> np.ndarray:
+        """O_i v for every member i and every vector v along the last axis of ``vectors``.
+
+        The result has shape (members,) + vectors.shape.  A member's zero
+        diagonal adds exact zeros, so each member's O v is the one it has
+        alone, bit for bit.
+        """
+        v = np.asarray(vectors)
+        out = np.zeros((len(self),) + v.shape, dtype=complex)
+        lead = (len(self),) + (1,) * (v.ndim - 1)  # members, then the vectors' leading axes
+        for k, offset in enumerate(self.offsets):
+            n = self.dim - offset
+            values = self.values[:, k, :n].reshape(lead + (n,))
+            out[..., offset:] += values * v[..., :n]
+            if offset:
+                out[..., :n] += values.conj() * v[..., offset:]
+        return out
+
+    def class_blocks(self, rows, bra_class, ket_class) -> np.ndarray:
+        """The (members, pairs, b, b) blocks O_i[rows[bra_class[p]], rows[ket_class[p]]].
+
+        ``rows`` is a (classes, b) table of plane-wave rows, one class per row
+        (``BandStructure.rows``).  Each entry is gathered from its diagonal
+        (its conjugate above the main diagonal), so the blocks are bit for
+        bit the entries of ``matrix``.
+        """
+        rows = np.asarray(rows, dtype=np.int32)  # int32 indices: half the index traffic
+        bra, ket = rows[bra_class][:, :, None], rows[ket_class][:, None, :]
+        k, d = len(self.offsets), self.dim
+        table = np.zeros((len(self), 2 * k + 1, d), dtype=complex)  # the last row stays zero
+        table[:, :k] += self.values
+        table[:, k : 2 * k] += self.values.conj()  # zeros + conj, as ``matrix``
+        slot = np.full(2 * d - 1, 2 * k, dtype=np.int32)  # table row of offset r - c
+        offsets = np.array(self.offsets, dtype=np.int32)
+        slot[d - 1 - offsets] = k + np.arange(k)
+        slot[d - 1 + offsets] = np.arange(k)  # offset 0 reads the stored main diagonal
+        # entry (r, c) is column min(r, c) of the table row of offset r - c
+        index = np.take(slot, bra - ket + (d - 1)) * d + np.minimum(bra, ket)
+        return np.take(table.reshape(len(self), -1), index, axis=1)
 
     def class_form(self, rows, bra, ket) -> np.ndarray:
         """The (members, ..., N) forms <bra_l|O|ket_l> of (..., N, b) states on the rows (N, b).
@@ -417,13 +373,15 @@ def build_basis(spec: LatticeSpec) -> PlaneWaveBasis:
     return PlaneWaveBasis(spec=spec, indices=indices, momenta=momenta)
 
 
-def build_hamiltonian(spec: LatticeSpec, potential: PotentialSpec) -> HermitianOperator:
+def build_hamiltonian(spec: LatticeSpec, potential: PotentialSpec) -> OperatorTable:
     """Kinetic-plus-periodic-potential Hamiltonian, exact block structure.
 
-    Main diagonal: hbar^2 q_m^2 / (2 mass) + v0.  The potential harmonic c_j
-    is the diagonal at offset j*N (its conjugate mirror is implied), so the
-    operator is Hermitian by construction; a harmonic whose offset reaches
-    past the basis has no entry.
+    A one-member table, labelled hamiltonian.  Main diagonal:
+    hbar^2 q_m^2 / (2 mass) + v0.  The potential harmonic c_j is the diagonal
+    at offset j*N (its conjugate mirror is implied), so the operator is
+    Hermitian by construction; a harmonic whose offset reaches past the
+    basis has no entry.  A Hamiltonian that is zero on the basis (a kinetic
+    energy that underflows, and no potential) raises ValueError.
     """
     basis = build_basis(spec)
     kinetic = (spec.hbar * basis.momenta) ** 2 / (2.0 * spec.mass)
@@ -431,7 +389,7 @@ def build_hamiltonian(spec: LatticeSpec, potential: PotentialSpec) -> HermitianO
     for j, c in potential.harmonics:
         if j * spec.cells < basis.dim:
             diagonals[j * spec.cells] = c
-    return HermitianOperator(basis.dim, diagonals, label="hamiltonian")
+    return OperatorTable.assemble(basis.dim, [(("hamiltonian",), diagonals)])
 
 
 def build_translation(spec: LatticeSpec) -> np.ndarray:

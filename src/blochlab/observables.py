@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .lattice import HermitianOperator, OperatorTable, PlaneWaveBasis, fold_harmonics
+from .lattice import OperatorTable, PlaneWaveBasis, fold_harmonics
 
 MAX_POLY_DEGREE = 6  # numerical-range guard on momentum polynomials
 PERIODICITY_RTOL = 1e-12
@@ -109,14 +109,7 @@ def _polynomial_diagonal(term: ObservableTerm, basis: PlaneWaveBasis) -> np.ndar
     return diag
 
 
-def build_observable(
-    spec: ObservableSpec, basis: PlaneWaveBasis, label: str = ""
-) -> HermitianOperator:
-    """Realize an ObservableSpec as a Hermitian operator (see ``_observable_diagonals``)."""
-    return HermitianOperator(basis.dim, _observable_diagonals(spec, basis), label=label)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # HermitianOperator rejects what overflows
+@np.errstate(over="ignore", invalid="ignore")  # OperatorTable rejects what overflows
 def _observable_diagonals(spec: ObservableSpec, basis: PlaneWaveBasis) -> dict:
     """The offset diagonals of an ObservableSpec, summed term by term.
 
@@ -156,10 +149,8 @@ def _observable_diagonals(spec: ObservableSpec, basis: PlaneWaveBasis) -> dict:
     return diagonals
 
 
-def check_cell_periodicity(
-    operator: HermitianOperator, translation: np.ndarray
-) -> PeriodicityReport:
-    """Measure || T O T^dagger - O ||_max / ||O||_max.
+def check_cell_periodicity(table: OperatorTable, translation: np.ndarray) -> PeriodicityReport:
+    """Measure || T O T^dagger - O ||_max / ||O||_max, the largest over the table's members.
 
     ``translation`` is T's phase vector t (``build_translation``), so
     T O T^dagger scales the entry (m + o, m) of each stored diagonal by
@@ -168,17 +159,15 @@ def check_cell_periodicity(
     factor is exp(2 pi i dm / N); entries with dm not divisible by N
     therefore show up scaled by at least 2 sin(pi/N) in the violation.
     """
-    t = np.asarray(translation)
-    if t.shape != (operator.dim,):
-        raise ValueError(f"dimension mismatch: operator {operator.dim} vs translation {t.shape}")
-    scale = operator.norm_max
-    if scale == 0.0:
-        return PeriodicityReport(max_violation=0.0, is_cell_periodic=True)
-    worst = 0.0
-    for offset, values in operator.diagonals.items():
-        defect = t[offset:] * values * t[: operator.dim - offset].conj() - values
-        worst = max(worst, float(np.max(np.abs(defect))))
-    violation = worst / scale
+    t, d = np.asarray(translation), table.dim
+    if t.shape != (d,):
+        raise ValueError(f"dimension mismatch: operator {d} vs translation {t.shape}")
+    worst = np.zeros(len(table))  # per member
+    for k, offset in enumerate(table.offsets):
+        values = table.values[:, k, : d - offset]
+        defect = t[offset:] * values * t[: d - offset].conj() - values
+        np.maximum(worst, np.max(np.abs(defect), axis=1), out=worst)
+    violation = float(np.max(worst / table.norm_max))
     return PeriodicityReport(
         max_violation=violation, is_cell_periodic=violation < PERIODICITY_RTOL
     )
@@ -227,20 +216,8 @@ def _seeded_diagonals(seeds, basis: PlaneWaveBasis, max_harmonic: int, degree: i
     return diagonals
 
 
-def random_cell_periodic(
-    seed: int, basis: PlaneWaveBasis, max_harmonic: int = 1, degree: int = 2
-) -> HermitianOperator:
-    """Seeded cell-periodic observable; pure function of its arguments.
-
-    The one-seed case of the battery's seeded members (``_seeded_diagonals``),
-    labelled seed:<seed>.
-    """
-    diagonals = _seeded_diagonals((seed,), basis, max_harmonic, degree)
-    return OperatorTable.assemble(basis.dim, [((f"seed:{seed}",), diagonals)]).member(0)
-
-
-def breaking_observable(shift: int, basis: PlaneWaveBasis) -> HermitianOperator:
-    """Hermitian counterexample coupling plane waves at distance +-shift.
+def breaking_observable(shift: int, basis: PlaneWaveBasis) -> OperatorTable:
+    """Hermitian counterexample coupling plane waves at distance +-shift, as a one-member table.
 
     With shift not a multiple of N this couples class l to class (l + shift)
     mod N and fails the cell-periodicity check by construction; it is the
@@ -252,7 +229,7 @@ def breaking_observable(shift: int, basis: PlaneWaveBasis) -> HermitianOperator:
         raise ValueError(f"shift {shift} is a multiple of {n}: operator would be cell-periodic")
     if not 1 <= shift <= 2 * basis.spec.cutoff:
         raise ValueError(f"shift must lie in [1, {2 * basis.spec.cutoff}], got {shift}")
-    return HermitianOperator(basis.dim, {shift: 1.0}, label=f"breaking:s={shift}")
+    return OperatorTable.assemble(basis.dim, [((f"breaking:s={shift}",), {shift: 1.0})])
 
 
 _NAMED_SPECS = {
@@ -266,17 +243,12 @@ _NAMED_SPECS = {
 NAMED_OBSERVABLES = tuple(_NAMED_SPECS)
 
 
-def named_observables(basis: PlaneWaveBasis) -> dict[str, HermitianOperator]:
-    """The five fixed battery members: identity, cos, sin, p, p^2."""
-    return {name: build_observable(spec, basis, label=name) for name, spec in _NAMED_SPECS.items()}
-
-
 @dataclass(frozen=True, eq=False)
 class Battery:
     """The observable battery, built as stacked tables of its members.
 
     Members are the ``named`` ones in order, then seeds 1..seeds
-    (``random_cell_periodic``, label seed:<s>), then ``custom`` (label
+    (``_seeded_diagonals``, label seed:<s>), then ``custom`` (label
     custom:<i>); ``labels`` lists them without building any.  ``tables``
     builds them in order as ``OperatorTable``s: named and custom members
     term by term, the seeded members of a table in one pass.  A table holds
@@ -339,12 +311,3 @@ class Battery:
             ((f"custom:{i}",), _observable_diagonals(self.custom[i], self.basis)) for i in custom
         ]
         return OperatorTable.assemble(self.basis.dim, parts)
-
-    def member(self, index: int) -> HermitianOperator:
-        """Member ``index`` (0-based, in ``labels`` order), the row of a table built for it."""
-        if not 0 <= index < len(self):
-            raise IndexError(f"battery member {index} outside 0..{len(self) - 1}")
-        return self._table(index, index + 1).member(0)
-
-    def __iter__(self) -> Iterator[HermitianOperator]:
-        return (table.member(i) for table in self.tables() for i in range(len(table)))

@@ -17,27 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BandStructure, BlochState
-from .lattice import HermitianOperator, OperatorTable, class_shift
+from .lattice import OperatorTable, class_shift
 
 DEGENERATE_NORM_ATOL = 1e-12
-
-
-@dataclass(frozen=True)
-class OverlapRecord:
-    """One evaluated matrix element between two Bloch states."""
-
-    bra_band: int
-    bra_sector: int
-    bra_wavevector: float
-    ket_band: int
-    ket_sector: int
-    ket_wavevector: float
-    observable: str
-    value: complex
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
 
 
 @dataclass(frozen=True)
@@ -109,39 +91,21 @@ class SectorDecompositionReport:
         return float(np.max(off)) if off.size else 0.0
 
 
-def matrix_element(
-    operator: HermitianOperator, bra: BlochState, ket: BlochState
-) -> OverlapRecord:
-    """<bra| O |ket> in the plane-wave basis."""
-    if len(bra.coeffs) != operator.dim or len(ket.coeffs) != operator.dim:
-        raise ValueError("state and operator dimensions disagree")
-    value = complex(bra.coeffs.conj() @ operator.apply(ket.coeffs))
-    return OverlapRecord(
-        bra_band=bra.band,
-        bra_sector=bra.sector,
-        bra_wavevector=bra.wavevector,
-        ket_band=ket.band,
-        ket_sector=ket.sector,
-        ket_wavevector=ket.wavevector,
-        observable=operator.label,
-        value=value,
-    )
-
-
 def fringe_scan(
-    operator: HermitianOperator,
+    operator: OperatorTable,
     a: BlochState,
     b: BlochState,
     n_phases: int = 64,
 ) -> FringeScan:
-    """Sweep the relative phase of |a> + e^{i lambda} |b> and average O.
+    """Sweep the relative phase of |a> + e^{i lambda} |b> and average O, a one-member table.
 
     The unnormalized cross term is 2 |<a|O|b>| cos(lambda + Arg<a|O|b>), so a
     vanishing cross element makes the scan flat.  All superpositions are
     stacked as rows and O is applied to all of them at once.  Raises
     ValueError naming the first grid point where the superposition collapses
-    (anti-parallel states).
+    (anti-parallel states), and for a table of more than one member.
     """
+    (label,) = operator.labels  # one member
     if n_phases < 8:
         raise ValueError("need at least 8 phase points")
     phases = 2.0 * np.pi * np.arange(n_phases) / n_phases
@@ -154,9 +118,9 @@ def fringe_scan(
         raise ValueError(
             f"degenerate superposition at lambda={phases[degenerate[0]]:.6f}: states anti-parallel"
         )
-    applied = operator.apply(combined)
+    (applied,) = operator.apply(combined)
     averages = np.real(applied.conj()[:, None, :] @ combined[:, :, None])[:, 0, 0] / norm_sq
-    return FringeScan(phases=phases, averages=averages, observable=operator.label)
+    return FringeScan(phases=phases, averages=averages, observable=label)
 
 
 def sector_decomposition_report(
@@ -169,9 +133,10 @@ def sector_decomposition_report(
     A diagonal at offset o couples class l only to l +- ``class_shift(o, N)``
     mod N, so a table whose offsets are all multiples of N (every member
     cell-periodic) multiplies no cross block at all; otherwise, per member,
-    only the cross blocks j < l it can fill (``HermitianOperator.class_blocks``)
-    are multiplied, in one stacked product, and every other block is an exact
-    zero and is skipped.  Leakage entry [j, l] (bras from the lower class,
+    only the cross blocks j < l its nonzero diagonals can fill (the
+    ``OperatorTable.class_blocks`` of its one-row slice) are multiplied, in
+    one stacked product, and every other block is an exact zero and is
+    skipped.  Leakage entry [j, l] (bras from the lower class,
     mirrored) is maximized over both band axes and equals a pairwise class
     loop bit for bit.  ``within_sector`` needs only bands 0 and 1 of each
     class: one ``OperatorTable.class_form`` for all members.  A battery of
@@ -183,18 +148,17 @@ def sector_decomposition_report(
     step = (ket_class - bra_class) % n_sectors
     worst = np.zeros(len(bra_class))
     crossing = any(class_shift(o, n_sectors) for o in table.offsets)  # can a member fill one?
-    for op in map(table.member, range(len(table) if crossing else 0)):
-        reaches = np.zeros(n_sectors, dtype=bool)  # by class step: can op fill it?
-        reaches[[class_shift(s, n_sectors) for o in op.diagonals for s in (o, -o)]] = True
+    for i in range(len(table) if crossing else 0):
+        nonzero = [o for o, row in zip(table.offsets, table.values[i]) if row.any()]
+        reaches = np.zeros(n_sectors, dtype=bool)  # by class step: can member i fill it?
+        reaches[[class_shift(s, n_sectors) for o in nonzero for s in (o, -o)]] = True
         filled = np.flatnonzero(reaches[step])
         if filled.size:
             bra, ket = bra_class[filled], ket_class[filled]
+            (member_blocks,) = table[i : i + 1].class_blocks(rows, bra, ket)
             # (block, bra band, ket band)
-            elements = np.abs(
-                blocks[bra].conj() @ op.class_blocks(rows, bra, ket)
-                @ blocks[ket].transpose(0, 2, 1)
-            )
-            worst[filled] = np.maximum(worst[filled], elements.max(axis=(1, 2)) / op.norm_max)
+            elements = np.abs(blocks[bra].conj() @ member_blocks @ blocks[ket].transpose(0, 2, 1))
+            worst[filled] = np.maximum(worst[filled], elements.max(axis=(1, 2)) / table.norm_max[i])
     leakage = np.full((n_sectors, n_sectors), np.nan)
     leakage[bra_class, ket_class] = worst
     leakage[ket_class, bra_class] = worst

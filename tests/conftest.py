@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import blochlab as bl
+from oracles import members
 
 
 @pytest.fixture(scope="session")
@@ -34,7 +35,8 @@ def free_solution(lattice_n3):
 
 @pytest.fixture(scope="session")
 def battery_n3(basis_n3):
-    return list(bl.Battery(basis_n3, seeds=20))
+    """The default battery's 25 members, one-member tables each."""
+    return members(bl.Battery(basis_n3, seeds=20).tables())
 
 
 def every_state(bands):

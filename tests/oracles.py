@@ -12,9 +12,78 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from blochlab import LatticeSpec, NumericalFailure, PotentialSpec, fold_quasienergy
+from blochlab import (
+    Battery,
+    LatticeSpec,
+    NumericalFailure,
+    OperatorTable,
+    PotentialSpec,
+    fold_quasienergy,
+)
 from blochlab.bloch import DEGENERACY_ATOL, PIVOT_RTOL
 from blochlab.floquet import _nearest_steps
+from blochlab.observables import _seeded_diagonals
+
+
+# ---------------------------------------------------------------------------
+# Single operators and per-member views.  Every lattice operator is an
+# OperatorTable, and a single operator is a one-member table; these build
+# the single members the tests measure with the package's own table builders
+# (``Battery.tables`` and ``OperatorTable.assemble``), split a table into its
+# members and join members into one table.  A row re-assembled onto zeros
+# keeps its bits, so ``join`` and ``members`` move no entry.
+
+
+def operator(dim: int, diagonals: dict, label: str = "") -> OperatorTable:
+    """The one-member table of ``diagonals`` (offset -> values)."""
+    return OperatorTable.assemble(dim, [((label,), diagonals)])
+
+
+def named(name: str, basis) -> OperatorTable:
+    """The named battery member ``name`` as a one-member table."""
+    (table,) = Battery(basis, seeds=0, named=(name,)).tables()
+    return table
+
+
+def seeded(seed: int, basis, max_harmonic: int = 1, degree: int = 2) -> OperatorTable:
+    """The battery's seeded member ``seed`` (label seed:<seed>) as a one-member table."""
+    diagonals = _seeded_diagonals((seed,), basis, max_harmonic, degree)
+    return OperatorTable.assemble(basis.dim, [((f"seed:{seed}",), diagonals)])
+
+
+def custom(spec, basis) -> OperatorTable:
+    """The custom battery member of an ObservableSpec (label custom:0) as a one-member table."""
+    (table,) = Battery(basis, seeds=0, named=(), custom=(spec,)).tables()
+    return table
+
+
+def members(tables) -> list[OperatorTable]:
+    """Every member of the iterable ``tables``, in order, as a one-member table."""
+    return [table[i : i + 1] for table in tables for i in range(len(table))]
+
+
+def join(tables) -> OperatorTable:
+    """One table of the members of ``tables``, in order."""
+    tables = list(tables)
+    d = tables[0].dim
+    return OperatorTable.assemble(
+        d,
+        [(t.labels, {o: t.values[:, k, : d - o] for k, o in enumerate(t.offsets)}) for t in tables],
+    )
+
+
+def diagonals(op: OperatorTable) -> dict:
+    """The nonzero diagonals of a one-member table, offset -> values."""
+    (row,) = op.values
+    return {o: row[k, : op.dim - o] for k, o in enumerate(op.offsets) if row[k].any()}
+
+
+def matrix_element(op: OperatorTable, bra, ket) -> complex:
+    """<bra|O|ket> of a one-member table between two BlochStates, through ``apply``."""
+    if len(bra.coeffs) != op.dim or len(ket.coeffs) != op.dim:
+        raise ValueError("state and operator dimensions disagree")
+    (applied,) = op.apply(ket.coeffs)
+    return complex(bra.coeffs.conj() @ applied)
 
 
 def fd_ring_hamiltonian(
@@ -144,7 +213,7 @@ def loop_breaking_observable(shift: int, basis) -> np.ndarray:
 def dense_to_diagonals(matrix) -> dict:
     """The offset diagonals of a dense matrix's lower triangle: entries (m + o, m).
 
-    This is what ``HermitianOperator`` stores; the upper triangle is implied
+    This is what an ``OperatorTable`` row stores; the upper triangle is implied
     as their conjugates and is not read.  All-zero diagonals are left out.
     The main diagonal is kept as given, so a complex one reaches the
     operator's Hermiticity check.
@@ -221,7 +290,7 @@ def loop_solve_bands(h, rows) -> tuple[np.ndarray, np.ndarray]:
     """Energies (N, b) and class blocks (N, b, b): one eigh and one gauge per class."""
     energies, blocks = [], []
     for l in range(len(rows)):
-        vals, vecs = np.linalg.eigh(h.class_blocks(rows, [l], [l])[0])
+        vals, vecs = np.linalg.eigh(h.class_blocks(rows, [l], [l])[0, 0])
         energies.append(vals)
         blocks.append(loop_canonical_eigenbasis(vals, vecs).T)
     return np.array(energies), np.array(blocks)
@@ -238,14 +307,14 @@ def loop_solve_bands(h, rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 def loop_class_form(operator, rows, bra, ket) -> np.ndarray:
-    """The (..., N) forms <bra_l|O|ket_l> of one operator, diagonal by diagonal.
+    """The (..., N) forms <bra_l|O|ket_l> of a one-member table, nonzero diagonal by diagonal.
 
     The per-member reference of ``OperatorTable.class_form``: the diagonal at
     offset qN is offset q on the class rows, with values values[rows[:, :b-q]].
     """
     n, b = rows.shape
     applied = np.zeros(ket.shape, dtype=complex)
-    for q, values in ((o // n, v) for o, v in operator.diagonals.items() if o % n == 0):
+    for q, values in ((o // n, v) for o, v in diagonals(operator).items() if o % n == 0):
         v = values[rows[:, : b - q]]
         applied[..., q:] += v * ket[..., : b - q]
         if q:
@@ -256,8 +325,9 @@ def loop_class_form(operator, rows, bra, ket) -> np.ndarray:
 def member_sector_elements(bands, battery) -> tuple[np.ndarray, np.ndarray]:
     """Leakage table and (class, member) within-sector elements, one member at a time.
 
-    Per member: its cross blocks by class step (``class_blocks``, one stacked
-    product) and its ``loop_class_form`` on bands 0 and 1.
+    Per member (one-member tables): its cross blocks by the class steps of its
+    nonzero diagonals (``class_blocks``, one stacked product) and its
+    ``loop_class_form`` on bands 0 and 1.
     """
     rows, blocks = bands.rows, bands.blocks
     n = bands.sectors
@@ -267,15 +337,15 @@ def member_sector_elements(bands, battery) -> tuple[np.ndarray, np.ndarray]:
     within = []
     for op in battery:
         reaches = np.zeros(n, dtype=bool)
-        reaches[[s % n for o in op.diagonals for s in (o, -o)]] = True
+        reaches[[s % n for o in diagonals(op) for s in (o, -o)]] = True
         filled = np.flatnonzero(reaches[step])
         if filled.size:
             bra, ket = bra_class[filled], ket_class[filled]
             elements = np.abs(
-                blocks[bra].conj() @ op.class_blocks(rows, bra, ket)
+                blocks[bra].conj() @ op.class_blocks(rows, bra, ket)[0]
                 @ blocks[ket].transpose(0, 2, 1)
             )
-            worst[filled] = np.maximum(worst[filled], elements.max(axis=(1, 2)) / op.norm_max)
+            worst[filled] = np.maximum(worst[filled], elements.max(axis=(1, 2)) / op.norm_max[0])
         within.append(np.abs(loop_class_form(op, rows, blocks[:, 0], blocks[:, 1])))
     leakage = np.full((n, n), np.nan)
     leakage[bra_class, ket_class] = worst
@@ -290,7 +360,7 @@ def loop_seeded_diagonals(seed: int, basis, max_harmonic: int = 1, degree: int =
     draws (constant, harmonics 1..max_harmonic, polynomial coefficients damped
     by the momentum scale) as one symmetrized term, assembled by
     ``_observable_diagonals`` and rescaled to max-entry norm 1 outside
-    NORM_WINDOW, each diagonal summed onto zeros as ``HermitianOperator``
+    NORM_WINDOW, each diagonal summed onto zeros as an ``OperatorTable`` row
     stores it.
     """
     from blochlab.observables import (
@@ -325,7 +395,7 @@ def pairwise_leakage(states, battery) -> np.ndarray:
             kets = np.column_stack([s.coeffs for s in by_sector[l]])
             worst = 0.0
             for op in battery:
-                elements = np.abs(bras.conj().T @ op.matrix @ kets) / op.norm_max
+                elements = np.abs(bras.conj().T @ op.matrix[0] @ kets) / op.norm_max[0]
                 worst = max(worst, float(np.max(elements)))
             leakage[j, l] = worst
             leakage[l, j] = worst
@@ -334,12 +404,9 @@ def pairwise_leakage(states, battery) -> np.ndarray:
 
 def state_mixture_residual(wannier: np.ndarray, band_states, operator) -> float:
     """|<w|O|w> - mean_l <psi_l|O|psi_l>| for one Wannier vector, band average per state."""
-    w_avg = float(np.real(wannier.conj() @ operator.matrix @ wannier))
-    band_avg = float(
-        np.mean(
-            [np.real(s.coeffs.conj() @ operator.matrix @ s.coeffs) for s in band_states]
-        )
-    )
+    (matrix,) = operator.matrix
+    w_avg = float(np.real(wannier.conj() @ matrix @ wannier))
+    band_avg = float(np.mean([np.real(s.coeffs.conj() @ matrix @ s.coeffs) for s in band_states]))
     return abs(w_avg - band_avg)
 
 
@@ -375,7 +442,8 @@ def mixture_diagnostic(a, b, battery) -> MixtureDiagnostic:
     rho_mix = 0.5 * (np.outer(a.coeffs, a.coeffs.conj()) + np.outer(b.coeffs, b.coeffs.conj()))
     delta = rho_sup - rho_mix
     per_obs = tuple(
-        (op.label, abs(complex(np.trace(delta @ op.matrix))) / op.norm_max) for op in battery
+        (op.labels[0], abs(complex(np.trace(delta @ op.matrix[0]))) / op.norm_max[0])
+        for op in battery
     )
     best = max((v for _, v in per_obs), default=0.0)
     return MixtureDiagnostic(rho_sup, rho_mix, best, per_obs)

@@ -30,6 +30,7 @@ from blochlab.observables import MAX_POLY_DEGREE
 from blochlab.reports import fringe_csv
 from blochlab.runner import run_scenario, stable_report_bytes
 from conftest import random_hermitian
+from oracles import named
 
 
 def write_json(path, data):
@@ -494,7 +495,7 @@ def test_fringe_series_fft_has_single_cycle(tmp_path):
 
 def test_fringe_csv_row_count(mathieu_solution, basis_n3):
     _, bands = mathieu_solution
-    scan = bl.fringe_scan(bl.named_observables(basis_n3)["cos_a"], bands.state(1, 0), bands.state(1, 1), 8)
+    scan = bl.fringe_scan(named("cos_a", basis_n3), bands.state(1, 0), bands.state(1, 1), 8)
     rows = fringe_csv({"phases": scan.phases, "averages": scan.averages}).strip().splitlines()
     assert rows[0] == "lambda,average"
     assert len(rows) == 1 + 8
@@ -862,7 +863,7 @@ REJECTED = {
         [],
         "/lattice",
     ),
-    # two finite harmonics on one index folded to inf: HermitianOperator raised
+    # two finite harmonics on one index folded to inf: the operator check raised
     # ValueError from build_hamiltonian, a traceback
     "potential_harmonics_fold_to_infinity": (
         lattice_config(potential={"harmonics": [{"j": 1, "re": 1e308}, {"j": 1, "re": 1e308}]}),
@@ -928,6 +929,28 @@ REJECTED = {
     "floquet_output_fringe_prefix": (
         {**_floquet(), "output": {"fringe_prefix": "fr"}}, [], "/output/fringe_prefix",
     ),
+    # two requested files on one path: the later one silently replaced the
+    # earlier (the bands CSV lost, or the report written as the cross fringe)
+    "flags_out_and_report_collide": (
+        BANDS, ["--out", "t/r.json", "--report", "t/r.json"], "--report",
+    ),
+    "flag_report_is_the_cross_fringe": (
+        lattice_config(), ["--report", "t/f_cross.csv", "--fringe-prefix", "t/f"], "--report",
+    ),
+    "output_csv_collides_with_flag_report": (
+        {**BANDS, "output": {"csv": "t/r.json"}}, ["--report", "./t/../t/r.json"], "--report",
+    ),
+    # no potential and every kinetic entry underflowed to 0: H was the zero
+    # operator, and the run passed on it
+    "lattice_hamiltonian_zero": (
+        {"kind": "bands", "lattice": {"cells": 3, "cutoff": 4, "hbar": 1e-200}}, [], "/lattice",
+    ),
+}
+
+COLLISIONS = {
+    "flags_out_and_report_collide": ("--out", "--report"),
+    "flag_report_is_the_cross_fringe": ("--fringe-prefix (_cross.csv)", "--report"),
+    "output_csv_collides_with_flag_report": ("/output/csv", "--report"),
 }
 
 HAMILTONIAN_SCALE_CASES = (
@@ -951,6 +974,14 @@ def test_invalid_input_exits_1_with_pointer(tmp_path, capsys, case):
     assert f"(at {pointer})" in err
     assert "Traceback" not in err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("case", sorted(COLLISIONS))
+def test_colliding_output_paths_name_both_sources(tmp_path, capsys, case):
+    data, extra, _ = REJECTED[case]
+    assert main([data["kind"], "--config", write_json(tmp_path / "c.json", data), *extra]) == 1
+    first, second = COLLISIONS[case]
+    assert f"config error: {first} and {second} both name the file" in capsys.readouterr().err
 
 
 def test_zero_battery_member_is_named(tmp_path, capsys):

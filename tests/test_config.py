@@ -227,8 +227,8 @@ def test_custom_battery_observable_schema():
     assert term.f_harmonics == ((1, 0.5 + 0j),)
     assert term.p_poly == (0.0, 1.0)
     basis = bl.build_basis(cfg.lattice)
-    op = bl.build_observable(cfg.battery.custom[0], basis)
-    assert op.norm_max > 0.0
+    (table,) = cfg.battery.tables()
+    assert table.labels[-1] == "custom:0" and table.norm_max[-1] > 0.0
 
     data["battery"]["custom"] = [{"terms": [{"f": [{"j": 1, "re": 0.5}], "p_polyy": []}]}]
     with pytest.raises(ConfigError) as err:

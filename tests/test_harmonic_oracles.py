@@ -9,11 +9,14 @@ import blochlab as bl
 from blochlab.observables import ObservableSpec, ObservableTerm
 
 from oracles import (
+    custom,
     dense_cell_periodicity,
     loop_breaking_observable,
     loop_fold,
     loop_hamiltonian,
     loop_observable,
+    members,
+    operator,
 )
 
 LATTICES = {
@@ -46,7 +49,7 @@ def test_hamiltonian_matches_row_loop(name):
     # the row loop assigns the mirrored entry as conj(h[row, col]), which
     # turns a zero imaginary part into -0.0; the shared helper adds conj(c)
     # onto a zero entry, which gives +0.0.  Every value is identical.
-    assert_exact(bl.build_hamiltonian(spec, potential).matrix, ref)
+    assert_exact(bl.build_hamiltonian(spec, potential).matrix[0], ref)
 
 
 def test_offset_at_or_past_dimension_writes_nothing():
@@ -85,13 +88,22 @@ OBSERVABLE_SPECS = {
 }
 
 
+def assert_built_matches(spec, basis) -> None:
+    """The spec's battery member is the row loop bit for bit; one that is zero raises."""
+    ref = loop_observable(spec, basis)
+    if not ref.any():  # a table refuses a zero member
+        with pytest.raises(ValueError, match="'custom:0' is the zero operator"):
+            custom(spec, basis)
+        return
+    assert_bitwise(custom(spec, basis).matrix[0], ref)
+
+
 @pytest.mark.parametrize("lattice", sorted(LATTICES))
 @pytest.mark.parametrize("name", sorted(OBSERVABLE_SPECS))
 def test_build_observable_matches_row_loop(lattice, name):
     basis = bl.build_basis(LATTICES[lattice])
     spec = OBSERVABLE_SPECS[name]
-    built = bl.build_observable(spec, basis).matrix
-    assert_bitwise(built, loop_observable(spec, basis))
+    assert_built_matches(spec, basis)
 
 
 def test_offset_diagonal_takes_one_value_per_entry():
@@ -140,16 +152,16 @@ def observable_specs(draw, basis):
 def test_build_observable_matches_row_loop_on_drawn_specs(lattice, data):
     basis = bl.build_basis(DRAWN_LATTICES[lattice])
     spec = data.draw(observable_specs(basis))
-    assert_bitwise(bl.build_observable(spec, basis).matrix, loop_observable(spec, basis))
+    assert_built_matches(spec, basis)
 
 
 def test_named_battery_matches_row_loop():
     basis = bl.build_basis(LATTICES["odd_n5_a2"])
-    battery = list(bl.Battery(basis, seeds=5))
-    named = [op for op in battery if not op.label.startswith("seed:")]
-    assert [op.label for op in named] == list(bl.observables.NAMED_OBSERVABLES)
+    battery = members(bl.Battery(basis, seeds=5).tables())
+    named = [op for op in battery if not op.labels[0].startswith("seed:")]
+    assert [op.labels[0] for op in named] == list(bl.observables.NAMED_OBSERVABLES)
     for op, spec in zip(named, bl.observables._NAMED_SPECS.values()):
-        assert_bitwise(op.matrix, loop_observable(spec, basis))
+        assert_bitwise(op.matrix[0], loop_observable(spec, basis))
 
 
 @pytest.mark.parametrize("lattice", sorted(LATTICES))
@@ -157,7 +169,7 @@ def test_breaking_observable_matches_row_loop(lattice):
     basis = bl.build_basis(LATTICES[lattice])
     for shift in range(1, 2 * basis.spec.cutoff + 1):
         if shift % basis.cells:
-            built = bl.breaking_observable(shift, basis).matrix
+            built = bl.breaking_observable(shift, basis).matrix[0]
             assert_bitwise(built, loop_breaking_observable(shift, basis))
 
 
@@ -191,33 +203,38 @@ def test_operator_matches_its_dense_view(lattice, data):
     basis = bl.build_basis(spec)
     d, n = basis.dim, basis.cells
     diagonals = data.draw(operator_diagonals(basis))
-    op = bl.HermitianOperator(d, diagonals, label="drawn")
-    dense = op.matrix
+    op = operator(d, diagonals, label="drawn")
+    (dense,) = op.matrix
     # later writes to the inputs do not reach the operator
     for values in diagonals.values():
         if np.ndim(values):
             values[...] = 99.0
-    assert_bitwise(op.matrix, dense)
+    assert_bitwise(op.matrix[0], dense)
 
     rows = np.array([basis.class_rows(l) for l in range(n)])
     bra, ket = (axis.ravel() for axis in np.indices((n, n)))
-    blocks = op.class_blocks(rows, bra, ket)
+    (blocks,) = op.class_blocks(rows, bra, ket)
     for block, j, l in zip(blocks, bra, ket):
         assert_bitwise(block, dense[np.ix_(rows[j], rows[l])])
 
     rng = np.random.default_rng(d)
     vectors = rng.uniform(-1, 1, (3, d)) + 1j * rng.uniform(-1, 1, (3, d))
-    error = float(np.max(np.abs(op.apply(vectors) - vectors @ dense.T)))
-    assert error <= 1e-14 * op.norm_max
+    error = float(np.max(np.abs(op.apply(vectors)[0] - vectors @ dense.T)))
+    assert error <= 1e-14 * op.norm_max[0]
 
     t = bl.build_translation(spec)
     violation = bl.check_cell_periodicity(op, t).max_violation
     assert abs(violation - dense_cell_periodicity(dense, t)) <= 1e-15
 
-    length = d - max(op.diagonals)
-    for bad in ({-1: 1.0}, {d: 1.0}, {max(op.diagonals): np.ones(length + 1)}, {0: 1j}):
-        with pytest.raises(ValueError):
-            bl.HermitianOperator(d, bad)
+    last = max(op.offsets)
+    for bad, message in (
+        ({-1: 1.0}, "outside 0.."),
+        ({d: 1.0}, "outside 0.."),
+        ({last: np.ones(d - last + 1)}, "broadcast"),
+        ({0: 1j}, "matrix is not Hermitian"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            bl.OperatorTable.assemble(d, [(("bad",), bad)])
 
 
 harmonic_entries = st.lists(

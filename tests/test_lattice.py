@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import blochlab as bl
 
-from oracles import dense_to_diagonals
+from oracles import dense_to_diagonals, named, operator
 
 
 def test_basis_n3_m4_layout():
@@ -56,13 +56,11 @@ def test_padded_basis_for_even_cells():
 
 def test_free_hamiltonian_is_kinetic_diagonal():
     spec = bl.LatticeSpec(cells=3, cutoff=4)
-    h = bl.build_hamiltonian(spec, bl.PotentialSpec())
+    (h,) = bl.build_hamiltonian(spec, bl.PotentialSpec()).matrix
     basis = bl.build_basis(spec)
-    assert h.matrix[basis.row_of(0), basis.row_of(0)] == 0.0
-    assert h.matrix[basis.row_of(1), basis.row_of(1)] == pytest.approx(
-        (2.0 * np.pi / 3.0) ** 2 / 2.0
-    )
-    assert np.all(h.matrix == np.diag(np.diag(h.matrix)))
+    assert h[basis.row_of(0), basis.row_of(0)] == 0.0
+    assert h[basis.row_of(1), basis.row_of(1)] == pytest.approx((2.0 * np.pi / 3.0) ** 2 / 2.0)
+    assert np.all(h == np.diag(np.diag(h)))
 
 
 def test_cosine_coupling_placement():
@@ -70,10 +68,10 @@ def test_cosine_coupling_placement():
     v = 0.37
     spec = bl.LatticeSpec(cells=3, cutoff=4)
     basis = bl.build_basis(spec)
-    h = bl.build_hamiltonian(spec, bl.PotentialSpec(harmonics=((1, v),)))
+    (h,) = bl.build_hamiltonian(spec, bl.PotentialSpec(harmonics=((1, v),))).matrix
     for m in basis.indices:
         for mp in basis.indices:
-            entry = h.matrix[basis.row_of(m), basis.row_of(mp)]
+            entry = h[basis.row_of(m), basis.row_of(mp)]
             if abs(m - mp) == 3:
                 assert entry == pytest.approx(v)
             elif m != mp:
@@ -81,11 +79,11 @@ def test_cosine_coupling_placement():
 
 
 def test_hamiltonian_exactly_hermitian_and_block_structured(basis_n3, mathieu_solution):
-    h, _ = mathieu_solution
-    assert float(np.max(np.abs(h.matrix - h.matrix.conj().T))) == 0.0
+    (h,) = mathieu_solution[0].matrix
+    assert float(np.max(np.abs(h - h.conj().T))) == 0.0
     classes = basis_n3.indices % 3
     off = classes[:, None] != classes[None, :]
-    assert np.all(h.matrix[off] == 0.0)
+    assert np.all(h[off] == 0.0)
 
 
 def test_translation_is_unitary_diagonal_with_unit_roots():
@@ -99,18 +97,19 @@ def test_translation_is_unitary_diagonal_with_unit_roots():
 
 def test_translation_commutes_with_hamiltonian(mathieu_solution):
     # direct matrix-product oracle for the symmetry relation
-    h, _ = mathieu_solution
+    op, _ = mathieu_solution
+    (h,) = op.matrix
     spec = bl.LatticeSpec(cells=3, cutoff=4)
     t = np.diag(bl.build_translation(spec))
-    assert float(np.max(np.abs(h.matrix @ t - t @ h.matrix))) < 1e-12
-    assert float(np.max(np.abs(t.conj().T @ h.matrix @ t - h.matrix))) < 1e-12 * h.norm_max
+    assert float(np.max(np.abs(h @ t - t @ h))) < 1e-12
+    assert float(np.max(np.abs(t.conj().T @ h @ t - h))) < 1e-12 * op.norm_max[0]
 
 
 def test_momentum_commutes_with_translation_exactly():
     spec = bl.LatticeSpec(cells=3, cutoff=4)
-    p = bl.Battery(bl.build_basis(spec), seeds=0, named=("momentum",)).member(0)
+    (p,) = named("momentum", bl.build_basis(spec)).matrix
     t = np.diag(bl.build_translation(spec))
-    assert float(np.max(np.abs(p.matrix @ t - t @ p.matrix))) == 0.0
+    assert float(np.max(np.abs(p @ t - t @ p))) == 0.0
 
 
 def test_potential_canonicalization_folds_negative_harmonics():
@@ -132,12 +131,12 @@ def test_potential_value_matches_cosine_sum():
     assert np.allclose(pot.value(x), expected, atol=1e-15)
 
 
-def test_hermitian_operator_rejects_non_hermitian():
+def test_operator_table_rejects_non_hermitian():
     # off the main diagonal the stored type cannot be non-Hermitian; a
     # complex main diagonal can
     bad = np.array([[0.0, 1.0], [1.0, 0.5j]])
     with pytest.raises(ValueError, match="Hermitian"):
-        bl.HermitianOperator(2, dense_to_diagonals(bad))
+        bl.OperatorTable.assemble(2, [(("bad",), dense_to_diagonals(bad))])
 
 
 def _hermitian_base():
@@ -157,43 +156,43 @@ def _hermitian_base():
     ],
     ids=["view", "transposed_view", "fortran", "list"],
 )
-def test_hermitian_operator_copies_what_it_does_not_own(make):
+def test_operator_table_copies_what_it_does_not_own(make):
     # the diagonals handed over are read-only views into the source when it
-    # is an array; the operator keeps its own copies
+    # is an array; the table keeps its own copies
     base = _hermitian_base()
     source = make(base)
-    op = bl.HermitianOperator(4, dense_to_diagonals(source))
-    norm = op.norm_max
+    op = operator(4, dense_to_diagonals(source))
+    norm = op.norm_max[0]
     before = op.matrix.copy()
-    assert all(v.dtype == np.complex128 and v.flags.c_contiguous for v in op.diagonals.values())
+    assert op.values.dtype == np.complex128 and op.values.flags.c_contiguous
     if isinstance(source, np.ndarray):
-        assert not any(np.shares_memory(v, source) for v in op.diagonals.values())
+        assert not np.shares_memory(op.values, source)
     assert base.flags.writeable
     base[:] = 7.0
     assert np.array_equal(op.matrix, before)
-    assert op.norm_max == norm == 3.0
+    assert op.norm_max[0] == norm == 3.0
 
 
-def test_hermitian_operator_copies_a_real_array():
+def test_operator_table_copies_a_real_array():
     real = np.array([1.0, -2.0, 0.5])
-    op = bl.HermitianOperator(3, {0: real})
-    assert op.diagonals[0].dtype == np.complex128 and op.matrix.dtype == np.complex128
-    assert not np.shares_memory(op.diagonals[0], real) and real.flags.writeable
+    op = operator(3, {0: real})
+    assert op.values.dtype == np.complex128 and op.matrix.dtype == np.complex128
+    assert not np.shares_memory(op.values, real) and real.flags.writeable
     real[1] = 9.0
-    assert op.matrix[1, 1] == -2.0 and op.norm_max == 2.0
+    assert op.matrix[0, 1, 1] == -2.0 and op.norm_max[0] == 2.0
 
 
 def test_rejected_matrix_is_left_writable():
     main = np.array([0.0, 0.25j])
     with pytest.raises(ValueError, match="matrix is not Hermitian: defect 5.000e-01"):
-        bl.HermitianOperator(2, {0: main, 1: 1.0})
+        bl.OperatorTable.assemble(2, [(("m",), {0: main, 1: 1.0})])
     assert main.flags.writeable and main[1] == 0.25j
 
 
 @pytest.mark.parametrize("dim", [1, 2, 63, 64, 65, 130, 495])
 def test_hermiticity_defect_is_the_direct_formula_bit_for_bit(dim):
-    # only the main diagonal can be non-Hermitian, so the constructor's
-    # defect max |d - conj(d)| on it is max |m - m^H| over the dense matrix
+    # only the main diagonal can be non-Hermitian, so the table's defect
+    # max |d - conj(d)| on it is max |m - m^H| over the dense matrix
     rng = np.random.default_rng(dim)
     for imag in (1.0, 1e-13, 0.0):
         diagonals = {
@@ -208,23 +207,27 @@ def test_hermiticity_defect_is_the_direct_formula_bit_for_bit(dim):
         scale = float(np.max(np.abs(dense)))
         if imag == 1.0:
             with pytest.raises(ValueError, match=re.escape(f"defect {direct:.3e} exceeds")):
-                bl.HermitianOperator(dim, diagonals)
+                operator(dim, diagonals)
         else:
-            assert bl.HermitianOperator(dim, diagonals).norm_max == scale
+            assert operator(dim, diagonals).norm_max[0] == scale
 
 
 def test_operator_matrices_are_frozen(mathieu_solution):
     h, _ = mathieu_solution
     with pytest.raises(ValueError):
-        h.matrix[0, 0] = 99.0
+        h.matrix[0, 0, 0] = 99.0
+    with pytest.raises(ValueError):
+        h.values[0, 0, 0] = 99.0
 
 
 def test_operator_norm_max_is_stored_and_cannot_go_stale(mathieu_solution):
     h, _ = mathieu_solution
-    assert h.norm_max == float(np.max(np.abs(h.matrix)))
+    assert h.norm_max[0] == float(np.max(np.abs(h.matrix)))
     with pytest.raises(dataclasses.FrozenInstanceError):
         h.matrix = np.zeros_like(h.matrix)
-    assert h.norm_max == float(np.max(np.abs(h.matrix)))
+    with pytest.raises(ValueError):
+        h.norm_max[0] = 0.0
+    assert h.norm_max[0] == float(np.max(np.abs(h.matrix)))
 
 
 @st.composite
@@ -251,16 +254,17 @@ def test_construction_invariants_hold_for_random_inputs(case):
     spec, pot = case
     basis = bl.build_basis(spec)
     assert basis.dim % spec.cells == 0
-    h = bl.build_hamiltonian(spec, pot)
+    op = bl.build_hamiltonian(spec, pot)
+    (h,) = op.matrix
     t = np.diag(bl.build_translation(spec))
-    assert float(np.max(np.abs(h.matrix - h.matrix.conj().T))) == 0.0
+    assert float(np.max(np.abs(h - h.conj().T))) == 0.0
     assert float(np.max(np.abs(t.conj().T @ t - np.eye(basis.dim)))) < 1e-14
-    scale = max(h.norm_max, 1.0)
-    assert float(np.max(np.abs(t.conj().T @ h.matrix @ t - h.matrix))) < 1e-12 * scale
+    scale = max(op.norm_max[0], 1.0)
+    assert float(np.max(np.abs(t.conj().T @ h @ t - h))) < 1e-12 * scale
     classes = basis.indices % spec.cells
     off = classes[:, None] != classes[None, :]
     if off.any():
-        assert np.all(h.matrix[off] == 0.0)
+        assert np.all(h[off] == 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
@@ -271,4 +275,4 @@ def test_non_finite_entry_is_rejected(bad, offset):
     diagonals = {0: np.ones(4, complex), 2: np.ones(2, complex)}
     diagonals[offset][1] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        bl.HermitianOperator(4, diagonals)
+        bl.OperatorTable.assemble(4, [(("m",), diagonals)])

@@ -22,7 +22,7 @@ import pytest
 
 from blochlab import observables, runner
 from blochlab.config import validate_config
-from blochlab.lattice import HermitianOperator
+from blochlab.lattice import OperatorTable
 from blochlab.runner import run_scenario
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -57,7 +57,7 @@ def test_largest_lattice_run_holds_few_operators(kind):
 
 
 def _refuse_dense(self):
-    raise AssertionError(f"dense matrix of {self.label!r} formed on a run path")
+    raise AssertionError(f"dense matrices of {self.labels!r} formed on a run path")
 
 
 @pytest.mark.parametrize(
@@ -69,7 +69,7 @@ def test_no_run_path_forms_a_dense_operator(source, monkeypatch, tmp_path):
     else:
         data = json.loads((CONFIG_DIR / f"{source}.json").read_text())
         data["output"] = {key: str(tmp_path / Path(p).name) for key, p in data["output"].items()}
-    monkeypatch.setattr(HermitianOperator, "matrix", property(_refuse_dense))
+    monkeypatch.setattr(OperatorTable, "matrix", property(_refuse_dense))
     report = run_scenario(validate_config(data))
     assert report.passed, report.checks
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import blochlab as bl
 from blochlab.observables import ObservableSpec, ObservableTerm
 
-from oracles import dense_to_diagonals
+from oracles import custom, dense_to_diagonals, members, named, operator, seeded
 
 # frozen regression values for the documented LCG battery (computed once)
 SEED1_ENTRY_00 = -0.014689191527796948
@@ -23,18 +23,18 @@ def translation_n3(lattice_n3):
 
 def test_cosine_observable_placement(basis_n3):
     spec = ObservableSpec(terms=(ObservableTerm(f_harmonics=((1, 0.5),)),))
-    op = bl.build_observable(spec, basis_n3)
+    (matrix,) = custom(spec, basis_n3).matrix
     for m in basis_n3.indices:
         for mp in basis_n3.indices:
-            entry = op.matrix[basis_n3.row_of(m), basis_n3.row_of(mp)]
+            entry = matrix[basis_n3.row_of(m), basis_n3.row_of(mp)]
             expected = 0.5 if abs(m - mp) == 3 else 0.0
             assert entry == pytest.approx(expected)
 
 
 def test_momentum_square_is_diagonal(basis_n3):
     spec = ObservableSpec(terms=(ObservableTerm(p_poly=(0.0, 0.0, 1.0)),))
-    op = bl.build_observable(spec, basis_n3)
-    assert np.allclose(op.matrix, np.diag(basis_n3.momenta**2))
+    (matrix,) = custom(spec, basis_n3).matrix
+    assert np.allclose(matrix, np.diag(basis_n3.momenta**2))
 
 
 def test_symmetrized_mixed_term_against_product_oracle(basis_n3):
@@ -49,15 +49,15 @@ def test_symmetrized_mixed_term_against_product_oracle(basis_n3):
     spec = ObservableSpec(
         terms=(ObservableTerm(f_harmonics=((1, 0.5),), p_poly=(0.0, 1.0)),)
     )
-    op = bl.build_observable(spec, basis_n3)
-    assert np.allclose(op.matrix, oracle, atol=1e-15)
+    (matrix,) = custom(spec, basis_n3).matrix
+    assert np.allclose(matrix, oracle, atol=1e-15)
     # closed form: entries 0.25 hbar (q_m + q_m') at |dm| = 3
     q = basis_n3.momenta
     for m in basis_n3.indices:
         for mp in basis_n3.indices:
             if abs(m - mp) == 3:
                 i, j = basis_n3.row_of(m), basis_n3.row_of(mp)
-                assert op.matrix[i, j] == pytest.approx(0.25 * (q[i] + q[j]))
+                assert matrix[i, j] == pytest.approx(0.25 * (q[i] + q[j]))
 
 
 def test_unsymmetrized_mixed_term_requires_commuting_factors(basis_n3):
@@ -66,20 +66,20 @@ def test_unsymmetrized_mixed_term_requires_commuting_factors(basis_n3):
         symmetrize=False,
     )
     with pytest.raises(ValueError, match="symmetrize"):
-        bl.build_observable(spec, basis_n3)
+        custom(spec, basis_n3)
     # constant polynomial commutes, so the flag is fine there
     ok = ObservableSpec(
         terms=(ObservableTerm(f_harmonics=((1, 0.5),), p_poly=(2.0,)),), symmetrize=False
     )
-    built = bl.build_observable(ok, basis_n3)
-    assert built.norm_max == pytest.approx(1.0)
+    built = custom(ok, basis_n3)
+    assert built.norm_max[0] == pytest.approx(1.0)
 
 
 def test_polynomial_degree_guard(basis_n3):
     with pytest.raises(ValueError, match="degree"):
         ObservableTerm(p_poly=(0.0,) * 8)
     with pytest.raises(ValueError, match="degree"):
-        bl.random_cell_periodic(1, basis_n3, degree=7)
+        next(bl.Battery(basis_n3, seeds=1, degree=7).tables())
 
 
 def test_term_canonicalization():
@@ -89,7 +89,7 @@ def test_term_canonicalization():
     with pytest.raises(ValueError, match="real"):
         ObservableTerm(f_harmonics=((0, 1.0j),))
     with pytest.raises(ValueError, match="function part or a polynomial"):
-        bl.build_observable(
+        custom(
             ObservableSpec(terms=(ObservableTerm(),)), bl.build_basis(bl.LatticeSpec(cells=3, cutoff=4))
         )
 
@@ -105,8 +105,8 @@ def test_battery_builds_only_the_named_members_it_returns(basis_n3, monkeypatch)
         return diagonals(spec, basis)
 
     monkeypatch.setattr(bl.observables, "_observable_diagonals", counting)
-    battery = list(bl.Battery(basis_n3, seeds=2, named=("cos_a",)))
-    assert [op.label for op in battery] == ["cos_a", "seed:1", "seed:2"]
+    (table,) = bl.Battery(basis_n3, seeds=2, named=("cos_a",)).tables()
+    assert table.labels == ("cos_a", "seed:1", "seed:2")
     assert built == ["cos_a"]
 
 
@@ -124,7 +124,7 @@ def test_ring_harmonic_fails_periodicity(translation_n3):
     for row in range(1, d):
         ring[row, row - 1] = 1.0
         ring[row - 1, row] = 1.0
-    op = bl.HermitianOperator(d, dense_to_diagonals(ring))
+    op = operator(d, dense_to_diagonals(ring))
     report = bl.check_cell_periodicity(op, translation_n3)
     assert not report.is_cell_periodic
     # conjugation scales the entries by exp(2 pi i/3), so the violation is
@@ -134,70 +134,72 @@ def test_ring_harmonic_fails_periodicity(translation_n3):
 
 
 def test_identity_passes_periodicity(translation_n3):
-    identity = bl.HermitianOperator(9, dense_to_diagonals(np.eye(9)))
+    identity = operator(9, dense_to_diagonals(np.eye(9)))
     report = bl.check_cell_periodicity(identity, translation_n3)
     assert report.is_cell_periodic
     assert report.max_violation < 1e-15  # |phase|^2 rounding only
 
 
 def test_periodicity_check_rejects_translation_of_wrong_shape(translation_n3):
-    identity = bl.HermitianOperator(9, {0: 1.0})
+    identity = operator(9, {0: 1.0})
     for wrong in (np.diag(translation_n3), translation_n3[:-1], translation_n3[None]):
         with pytest.raises(ValueError, match="dimension mismatch"):
             bl.check_cell_periodicity(identity, wrong)
 
 
 def test_random_battery_is_deterministic(basis_n3):
-    a = bl.random_cell_periodic(1, basis_n3)
-    b = bl.random_cell_periodic(1, basis_n3)
+    a = seeded(1, basis_n3)
+    b = seeded(1, basis_n3)
     assert np.array_equal(a.matrix, b.matrix)
 
 
 def test_random_battery_regression_values(basis_n3):
-    op = bl.random_cell_periodic(1, basis_n3)
-    assert op.matrix[0, 0] == pytest.approx(SEED1_ENTRY_00, rel=1e-12)
-    assert op.matrix[3, 0] == pytest.approx(SEED1_ENTRY_30, rel=1e-12)
-    other = bl.random_cell_periodic(2, basis_n3)
-    diff = float(np.max(np.abs(op.matrix - other.matrix)))
+    (matrix,) = seeded(1, basis_n3).matrix
+    assert matrix[0, 0] == pytest.approx(SEED1_ENTRY_00, rel=1e-12)
+    assert matrix[3, 0] == pytest.approx(SEED1_ENTRY_30, rel=1e-12)
+    (other,) = seeded(2, basis_n3).matrix
+    diff = float(np.max(np.abs(matrix - other)))
     assert diff == pytest.approx(SEED1_VS_SEED2_DIFF, rel=1e-12)
     assert diff > 0.0
 
 
 def test_rescaled_random_member_is_built_once(basis_n3, monkeypatch):
     built = []
-    post_init = bl.HermitianOperator.__post_init__
+    post_init = bl.OperatorTable.__post_init__
 
     def counting(self):
-        built.append(self.label)
+        built.append(self.labels)
         post_init(self)
 
-    monkeypatch.setattr(bl.HermitianOperator, "__post_init__", counting)
-    op = bl.random_cell_periodic(1, basis_n3)  # its raw max-entry norm is outside NORM_WINDOW
-    assert op.norm_max == pytest.approx(1.0, rel=1e-15)
-    assert built == ["seed:1"]
+    monkeypatch.setattr(bl.OperatorTable, "__post_init__", counting)
+    # seed 1's raw max-entry norm is outside NORM_WINDOW
+    (table,) = bl.Battery(basis_n3, seeds=1, named=()).tables()
+    assert table.norm_max[0] == pytest.approx(1.0, rel=1e-15)
+    assert built == [("seed:1",)]
 
 
 def test_random_battery_structure(basis_n3):
     classes = basis_n3.indices % 3
     off = classes[:, None] != classes[None, :]
-    for seed in range(1, 21):
-        op = bl.random_cell_periodic(seed, basis_n3)
-        assert float(np.max(np.abs(op.matrix - op.matrix.conj().T))) < 1e-14
-        assert np.all(op.matrix[off] == 0.0)
-        assert 0.5 <= op.norm_max <= 50.0
+    (table,) = bl.Battery(basis_n3, seeds=20, named=()).tables()
+    for matrix, norm in zip(table.matrix, table.norm_max):
+        assert float(np.max(np.abs(matrix - matrix.conj().T))) < 1e-14
+        assert np.all(matrix[off] == 0.0)
+        assert 0.5 <= norm <= 50.0
 
 
 def test_random_battery_harmonic_reach_guard(basis_n3):
     with pytest.raises(ValueError, match="unreachable"):
-        bl.random_cell_periodic(1, basis_n3, max_harmonic=2)  # 2*3 > 4
+        next(bl.Battery(basis_n3, seeds=1, max_harmonic=2).tables())  # 2*3 > 4
 
 
 def test_breaking_observable_couples_adjacent_classes(basis_n3, translation_n3):
     op = bl.breaking_observable(1, basis_n3)
+    (matrix,) = op.matrix
     coupled = set()
     for i in range(9):
         for j in range(9):
-            if op.matrix[i, j] != 0.0:
+            if matrix[i, j] != 0.0:
                 coupled.add((int(basis_n3.indices[i] % 3), int(basis_n3.indices[j] % 3)))
     assert coupled == {(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)}
     assert not bl.check_cell_periodicity(op, translation_n3).is_cell_periodic
@@ -211,44 +213,47 @@ def test_breaking_observable_rejects_cell_periodic_shift(basis_n3):
 
 
 def test_battery_composition(basis_n3):
-    battery = list(bl.Battery(basis_n3, seeds=4))
-    labels = [op.label for op in battery]
+    (table,) = bl.Battery(basis_n3, seeds=4).tables()
+    labels = list(table.labels)
     assert labels[:5] == ["identity", "cos_a", "sin_a", "momentum", "momentum_sq"]
     assert labels[5:] == ["seed:1", "seed:2", "seed:3", "seed:4"]
 
 
-def test_battery_builds_each_member_on_demand(basis_n3):
-    custom = (bl.ObservableSpec(terms=(bl.ObservableTerm(p_poly=(0.5, 1.0)),)),)
-    battery = bl.Battery(basis_n3, seeds=3, named=("sin_a", "identity"), custom=custom)
+def test_battery_lists_its_members_and_builds_them_in_order(basis_n3, monkeypatch):
+    # labels name every member without building one; the tables hold them
+    # in that order, however the battery is split
+    spec = bl.ObservableSpec(terms=(bl.ObservableTerm(p_poly=(0.5, 1.0)),))
+    battery = bl.Battery(basis_n3, seeds=3, named=("sin_a", "identity"), custom=(spec,))
     expected = ("sin_a", "identity", "seed:1", "seed:2", "seed:3", "custom:0")
     assert len(battery) == len(expected) and battery.labels == expected
-    listed = list(bl.Battery(basis_n3, seeds=3, named=("sin_a", "identity"), custom=custom))
-    for i, op in enumerate(battery):
-        assert op.label == expected[i]
-        assert np.array_equal(op.matrix, listed[i].matrix)
-        assert np.array_equal(battery.member(i).matrix, op.matrix)
-    with pytest.raises(IndexError):
-        battery.member(len(expected))
+    (table,) = battery.tables()
+    assert table.labels == expected
+    monkeypatch.setattr(bl.observables, "_TABLE_ENTRIES", 1)  # one member per table
+    alone = members(battery.tables())
+    assert [op.labels for op in alone] == [(label,) for label in expected]
+    for i, op in enumerate(alone):
+        assert np.array_equal(op.matrix[0], table.matrix[i])
+    assert np.array_equal(custom(spec, basis_n3).matrix[0], table.matrix[-1])
     with pytest.raises(ValueError, match="empty"):
         bl.Battery(basis_n3, seeds=0, named=())
 
 
-def test_zero_battery_member_raises_when_it_is_built():
+def test_zero_battery_member_raises_when_its_table_is_built(monkeypatch):
     # cells=3, cutoff=1: cos_a's offset 3 reaches past the 3-dim basis
     basis = bl.build_basis(bl.LatticeSpec(cells=3, cutoff=1))
     battery = bl.Battery(basis, seeds=1, max_harmonic=0, named=("identity", "cos_a"))
-    assert battery.member(0).label == "identity"
+    monkeypatch.setattr(bl.observables, "_TABLE_ENTRIES", 1)  # one member per table
+    tables = battery.tables()
+    assert next(tables).labels == ("identity",)
     with pytest.raises(ValueError, match="'cos_a' is the zero operator"):
-        battery.member(1)
-    assert battery.member(2).label == "seed:1"
+        next(tables)
 
 
 def test_named_observables_match_their_functions(basis_n3):
-    named = bl.named_observables(basis_n3)
-    assert np.allclose(named["identity"].matrix, np.eye(9))
-    assert np.allclose(named["momentum"].matrix, np.diag(basis_n3.momenta))
+    assert np.allclose(named("identity", basis_n3).matrix[0], np.eye(9))
+    assert np.allclose(named("momentum", basis_n3).matrix[0], np.diag(basis_n3.momenta))
     # sin must be Hermitian with +-i/2 couplings
-    sin = named["sin_a"].matrix
+    (sin,) = named("sin_a", basis_n3).matrix
     assert sin[basis_n3.row_of(3), basis_n3.row_of(0)] == pytest.approx(-0.5j)
     assert sin[basis_n3.row_of(0), basis_n3.row_of(3)] == pytest.approx(0.5j)
 
@@ -260,12 +265,10 @@ def test_algebra_closure_under_sum_and_symmetrized_product(seed_a, seed_b):
     spec = bl.LatticeSpec(cells=3, cutoff=4)
     basis = bl.build_basis(spec)
     t = bl.build_translation(spec)
-    a = bl.random_cell_periodic(seed_a, basis)
-    b = bl.random_cell_periodic(seed_b, basis)
-    total = bl.HermitianOperator(9, dense_to_diagonals(a.matrix + b.matrix))
-    sym = bl.HermitianOperator(
-        9, dense_to_diagonals(0.5 * (a.matrix @ b.matrix + b.matrix @ a.matrix))
-    )
+    (a,) = seeded(seed_a, basis).matrix
+    (b,) = seeded(seed_b, basis).matrix
+    total = operator(9, dense_to_diagonals(a + b))
+    sym = operator(9, dense_to_diagonals(0.5 * (a @ b + b @ a)))
     assert bl.check_cell_periodicity(total, t).is_cell_periodic
     assert bl.check_cell_periodicity(sym, t).is_cell_periodic
 
@@ -275,8 +278,8 @@ def test_periodicity_pass_implies_small_off_class_entries(basis_n3, translation_
     # violation / (2 sin(pi/N)); built operators have the entries exactly zero
     classes = basis_n3.indices % 3
     off = classes[:, None] != classes[None, :]
-    for op in bl.Battery(basis_n3, seeds=10):
+    for op in members(bl.Battery(basis_n3, seeds=10).tables()):
         report = bl.check_cell_periodicity(op, translation_n3)
         assert report.is_cell_periodic
-        bound = report.max_violation * op.norm_max / (2.0 * np.sin(np.pi / 3.0))
-        assert float(np.max(np.abs(op.matrix[off]))) <= bound
+        bound = report.max_violation * op.norm_max[0] / (2.0 * np.sin(np.pi / 3.0))
+        assert float(np.max(np.abs(op.matrix[0][off]))) <= bound

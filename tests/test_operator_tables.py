@@ -3,15 +3,24 @@
 A battery is built as stacked tables: the seeded members of a table in one
 pass, the named and custom members from their specs' diagonals.  Every row
 must equal the member built alone (``oracles.loop_seeded_diagonals`` for a
-seed, ``build_observable`` for a spec), and the measurements made on a whole
-table must equal the same measurements made one member at a time.
+seed, the spec's ``_observable_diagonals`` for a named or custom member), and
+the measurements made on a whole table must equal the same measurements made
+one member at a time.
 """
 
 import numpy as np
 import pytest
 
 import blochlab as bl
-from oracles import loop_seeded_diagonals, member_sector_elements
+from oracles import (
+    diagonals,
+    join,
+    loop_seeded_diagonals,
+    member_sector_elements,
+    members,
+    operator,
+    seeded,
+)
 from test_state_block_oracles import LATTICES, POTENTIAL
 
 TABLE_LATTICES = (*LATTICES, bl.LatticeSpec(cells=15, cutoff=247))  # N=15, d=495
@@ -48,7 +57,9 @@ def _alone(battery: bl.Battery, label: str) -> dict:
         seed = int(index)
         return loop_seeded_diagonals(seed, battery.basis, battery.max_harmonic, battery.degree)
     spec = battery.custom[int(index)] if kind == "custom" else bl.observables._NAMED_SPECS[label]
-    return dict(bl.build_observable(spec, battery.basis).diagonals)
+    d = battery.basis.dim
+    alone = bl.observables._observable_diagonals(spec, battery.basis)
+    return {o: np.zeros(d - o, complex) + v for o, v in alone.items()}  # summed onto zeros
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["one_table", "split"])
@@ -72,18 +83,18 @@ def test_table_rows_equal_members_built_alone_bit_for_bit(spec, name, split, mon
             assert table.values[i, k, : d - o].tobytes() == expected.tobytes(), (label, o)
             assert not table.values[i, k, d - o :].any(), (label, o)
         assert table.norm_max[i] == max(np.max(np.abs(v)) for v in alone.values())
-        assert table.member(i).diagonals.keys() == alone.keys()
+        assert diagonals(table[i : i + 1]).keys() == alone.keys()
 
 
 @pytest.mark.parametrize("spec", TABLE_LATTICES, ids=_lattice_id)
-def test_random_cell_periodic_is_the_one_seed_table(spec):
+def test_one_seed_table_is_the_seeded_member(spec):
     basis = bl.build_basis(spec)
     for seed in (1, 7, 20):
-        op = bl.random_cell_periodic(seed, basis)
+        op = seeded(seed, basis)
         alone = loop_seeded_diagonals(seed, basis)
-        assert op.label == f"seed:{seed}" and op.diagonals.keys() == alone.keys()
+        assert op.labels == (f"seed:{seed}",) and diagonals(op).keys() == alone.keys()
         for o, values in alone.items():
-            assert op.diagonals[o].tobytes() == values.tobytes()
+            assert diagonals(op)[o].tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("breaking", [False, True], ids=["periodic", "with_breaking"])
@@ -91,16 +102,52 @@ def test_random_cell_periodic_is_the_one_seed_table(spec):
 def test_sector_report_on_a_table_equals_the_member_loop_bit_for_bit(spec, breaking):
     basis = bl.build_basis(spec)
     bands = bl.solve_bands(bl.build_hamiltonian(spec, POTENTIAL), spec)
-    members = list(bl.Battery(basis, seeds=5, custom=CUSTOM))
+    alone = members(bl.Battery(basis, seeds=5, custom=CUSTOM).tables())
     if breaking:
-        members += [bl.breaking_observable(s, basis) for s in (1, 2)]
-    report = bl.sector_decomposition_report(bands, bl.OperatorTable.stack(members))
-    leakage, within = member_sector_elements(bands, members)
+        alone += [bl.breaking_observable(s, basis) for s in (1, 2)]
+    table = join(alone)
+    report = bl.sector_decomposition_report(bands, table)
+    leakage, within = member_sector_elements(bands, alone)
     assert report.leakage.tobytes() == leakage.tobytes()
     assert report.within_sector.tobytes() == within.tobytes()
-    assert report.battery_labels == tuple(op.label for op in members)
+    assert report.battery_labels == table.labels == sum((op.labels for op in alone), ())
     # a periodic table has exact zeros off the classes; breaking members light them up
     assert (leakage[0, 1] > 1e-6) if breaking else (report.max_offdiagonal == 0.0)
+
+
+@pytest.mark.parametrize("spec", LATTICES, ids=_lattice_id)
+def test_stacked_methods_equal_each_member_alone_bit_for_bit(spec):
+    # apply, class_blocks and matrix on the whole table give each member's
+    # own, zero signs included: the member assembled alone holds only its
+    # nonzero diagonals, where its table row also carries the zero rows of
+    # the other members' offsets
+    basis = bl.build_basis(spec)
+    n, d = spec.cells, spec.dim
+    alone = members(bl.Battery(basis, seeds=5, custom=CUSTOM).tables())
+    table = join([*alone, bl.breaking_observable(1, basis)])
+    rng = np.random.default_rng(d)
+    vectors = rng.normal(size=(2, 3, d)) + 1j * rng.normal(size=(2, 3, d))
+    rows = np.array([basis.class_rows(l) for l in range(n)])
+    bra, ket = (axis.ravel() for axis in np.indices((n, n)))
+    applied, blocks, dense = table.apply(vectors), table.class_blocks(rows, bra, ket), table.matrix
+    assert applied.shape == (len(table), 2, 3, d) and blocks.shape[:2] == (len(table), n * n)
+    for i, label in enumerate(table.labels):
+        row = table[i : i + 1]
+        assert row.labels == (label,) and not np.shares_memory(row.values, table.values)
+        op = operator(d, diagonals(row), label)
+        assert set(op.offsets) < set(table.offsets) and op.norm_max[0] == table.norm_max[i]
+        assert applied[i].tobytes() == op.apply(vectors)[0].tobytes(), label
+        assert blocks[i].tobytes() == op.class_blocks(rows, bra, ket)[0].tobytes(), label
+        assert dense[i].tobytes() == op.matrix[0].tobytes(), label
+
+
+def test_periodicity_of_a_table_is_its_worst_member(basis_n3):
+    t = bl.build_translation(basis_n3.spec)
+    alone = members(bl.Battery(basis_n3, seeds=3).tables()) + [bl.breaking_observable(1, basis_n3)]
+    each = [bl.check_cell_periodicity(op, t).max_violation for op in alone]
+    assert max(each[:-1]) < 1e-14 < each[-1]
+    assert bl.check_cell_periodicity(join(alone), t).max_violation == each[-1]
+    assert bl.check_cell_periodicity(join(alone[:-1]), t).max_violation == max(each[:-1])
 
 
 def test_table_checks_every_member_once_with_the_operator_messages():

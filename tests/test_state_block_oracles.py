@@ -17,9 +17,13 @@ import blochlab as bl
 from blochlab.bloch import DEGENERACY_ATOL, _canonical_eigenbasis
 from conftest import every_state
 from oracles import (
+    join,
     loop_canonical_eigenbasis,
     loop_class_form,
     loop_solve_bands,
+    matrix_element,
+    members,
+    operator,
     pairwise_leakage,
     state_mixture_residual,
 )
@@ -38,7 +42,7 @@ def solved(request):
     spec = request.param
     basis = bl.build_basis(spec)
     bands = bl.solve_bands(bl.build_hamiltonian(spec, POTENTIAL), spec)
-    battery = list(bl.Battery(basis, seeds=5)) + [
+    battery = members(bl.Battery(basis, seeds=5).tables()) + [
         bl.breaking_observable(1, basis),
         bl.breaking_observable(2, basis),
     ]
@@ -128,7 +132,7 @@ def test_class_form_matches_the_dense_form(solved):
     n, b = bands.rows.shape
     rng = np.random.default_rng(11)
     bra, ket = rng.normal(size=(2, 3, n, b)) + 1j * rng.normal(size=(2, 3, n, b))
-    mixed = bl.HermitianOperator(
+    mixed = operator(
         spec.dim,
         {o: rng.normal(size=spec.dim - o) + 1j * rng.normal(size=spec.dim - o) * (o > 0)
          for o in (0, 1, n, 2 * n + 1)},
@@ -138,21 +142,23 @@ def test_class_form_matches_the_dense_form(solved):
     np.put_along_axis(dense_bra, bands.rows[None], bra, axis=2)
     np.put_along_axis(dense_ket, bands.rows[None], ket, axis=2)
     members = [*battery, mixed]
-    stacked = bl.OperatorTable.stack(members).class_form(bands.rows, bra, ket)
-    assert stacked.shape == (len(members), 3, n)
-    for op, got in zip(members, stacked):
-        assert got.tobytes() == loop_class_form(op, bands.rows, bra, ket).tobytes(), op.label
-        expected = np.sum((dense_bra.conj() @ op.matrix) * dense_ket, axis=-1)  # bra^H O ket
+    alone = [*battery, mixed]
+    table = join(alone)
+    stacked = table.class_form(bands.rows, bra, ket)
+    assert stacked.shape == (len(alone), 3, n)
+    for op, label, matrix, got in zip(alone, table.labels, table.matrix, stacked):
+        assert got.tobytes() == loop_class_form(op, bands.rows, bra, ket).tobytes(), label
+        expected = np.sum((dense_bra.conj() @ matrix) * dense_ket, axis=-1)  # bra^H O ket
         # both sum the same products in another order: relative to |bra|^T |O| |ket|
-        terms = np.sum((np.abs(dense_bra) @ np.abs(op.matrix)) * np.abs(dense_ket), axis=-1)
-        assert np.all(np.abs(got - expected) <= 1e-14 * terms), op.label
-        if op.label.startswith("breaking:"):  # every diagonal couples other classes
+        terms = np.sum((np.abs(dense_bra) @ np.abs(matrix)) * np.abs(dense_ket), axis=-1)
+        assert np.all(np.abs(got - expected) <= 1e-14 * terms), label
+        if label.startswith("breaking:"):  # every diagonal couples other classes
             assert not np.any(got)
 
 
 def test_leakage_table_equals_pairwise_loop_bit_for_bit(solved):
     _, bands, battery = solved
-    report = bl.sector_decomposition_report(bands, bl.OperatorTable.stack(battery))
+    report = bl.sector_decomposition_report(bands, join(battery))
     expected = pairwise_leakage(every_state(bands), battery)
     assert np.array_equal(report.leakage, expected, equal_nan=True)
     # the breaking members light up the neighbouring classes, so the
@@ -169,12 +175,12 @@ def test_leakage_report_reads_a_generator_like_the_list(solved, monkeypatch):
     monkeypatch.setattr(bl.observables, "_TABLE_ENTRIES", 3 * 2 * spec.dim)
     tables = itertools.chain(
         bl.Battery(basis, seeds=5).tables(),
-        (bl.OperatorTable.stack([bl.breaking_observable(s, basis)]) for s in (1, 2)),
+        (bl.breaking_observable(s, basis) for s in (1, 2)),
     )
     parts = [bl.sector_decomposition_report(bands, table) for table in tables]
     assert len(parts) == 6 and max(len(p.battery_labels) for p in parts) == 3
     got = bl.SectorDecompositionReport.joined(parts)
-    expected = bl.sector_decomposition_report(bands, bl.OperatorTable.stack(battery))
+    expected = bl.sector_decomposition_report(bands, join(battery))
     assert got.battery_labels == expected.battery_labels
     assert np.array_equal(got.leakage, expected.leakage, equal_nan=True)
     assert np.array_equal(got.within_sector, expected.within_sector)
@@ -190,11 +196,11 @@ def test_wannier_mixture_residual_matches_per_state_loop(solved):
         [[bl.wannier_state(band, cell, bands, spec) for cell in range(spec.cells)] for band in band_list]
     )
     band_blocks = bands.blocks[:, band_list].swapaxes(0, 1)
-    table = bl.OperatorTable.stack(battery)
+    table = join(battery)
     residuals = bl.wannier_mixture_residual(wanniers, band_blocks, bands.rows, table)
     assert residuals.shape == (len(battery), len(band_list))
-    for op, got in zip(battery, residuals):
-        magnitude = np.abs(op.matrix)
+    for op, label, got in zip(battery, table.labels, residuals):
+        magnitude = np.abs(op.matrix[0])
         for i, band in enumerate(band_list):
             band_states = [bands.state(l, band) for l in range(bands.sectors)]
             expected = max(state_mixture_residual(w, band_states, op) for w in wanniers[i])
@@ -202,24 +208,24 @@ def test_wannier_mixture_residual_matches_per_state_loop(solved):
             # the largest |w|^T |O| |w| of the band's Wannier and Bloch states
             vectors = [*wanniers[i], *(s.coeffs for s in band_states)]
             terms = max(np.abs(v) @ magnitude @ np.abs(v) for v in vectors)
-            assert abs(got[i] - expected) <= 1e-14 * terms, (op.label, band)
-            if op.label.startswith("breaking:"):
-                assert expected > 1e-6, (op.label, band)
+            assert abs(got[i] - expected) <= 1e-14 * terms, (label, band)
+            if label.startswith("breaking:"):
+                assert expected > 1e-6, (label, band)
 
 
 def test_within_sector_elements_match_matrix_element(solved):
     _, bands, battery = solved
-    report = bl.sector_decomposition_report(bands, bl.OperatorTable.stack(battery))
+    report = bl.sector_decomposition_report(bands, join(battery))
     within = report.within_sector
     assert within.shape == (bands.sectors, len(battery))
     for l in range(bands.sectors):
         bra, ket = bands.state(l, 0), bands.state(l, 1)
         for i, op in enumerate(battery):
-            ref = bl.matrix_element(op, bra, ket).magnitude
+            ref = abs(matrix_element(op, bra, ket))
             # both sum the same products in another order, and the element can
             # be a cancellation (or a parity-forced zero): relative to |bra|^T |O| |ket|
-            terms = np.abs(bra.coeffs) @ np.abs(op.matrix) @ np.abs(ket.coeffs)
-            assert abs(within[l, i] - ref) <= 1e-14 * terms, (l, op.label)
+            terms = np.abs(bra.coeffs) @ np.abs(op.matrix[0]) @ np.abs(ket.coeffs)
+            assert abs(within[l, i] - ref) <= 1e-14 * terms, (l, op.labels)
 
 
 def test_row_table_is_frozen_and_matches_class_rows(solved):

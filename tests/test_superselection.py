@@ -7,7 +7,7 @@ import blochlab as bl
 from blochlab.config import validate_config
 from blochlab.runner import run_scenario
 from conftest import every_state
-from oracles import mixture_diagnostic
+from oracles import join, matrix_element, members, mixture_diagnostic, named, seeded
 
 # frozen from a direct computation on the 0.5*cos lattice (cells=3, cutoff=4):
 # distinguishability of the (band0, band1) pair at k=0 over the 25-member battery
@@ -16,21 +16,21 @@ MATHIEU_K0_DISTINGUISHABILITY = 0.3193521445398395
 
 def test_identity_elements(mathieu_solution, basis_n3):
     _, bands = mathieu_solution
-    identity = bl.named_observables(basis_n3)["identity"]
-    same = bl.matrix_element(identity, bands.state(0, 0), bands.state(0, 0))
-    assert same.value == pytest.approx(1.0, abs=1e-12)
-    other_band = bl.matrix_element(identity, bands.state(0, 0), bands.state(0, 1))
-    assert other_band.magnitude < 1e-12
+    identity = named("identity", basis_n3)
+    same = matrix_element(identity, bands.state(0, 0), bands.state(0, 0))
+    assert same == pytest.approx(1.0, abs=1e-12)
+    other_band = matrix_element(identity, bands.state(0, 0), bands.state(0, 1))
+    assert abs(other_band) < 1e-12
 
 
 def test_cross_sector_elements_vanish_for_seeded_observable(
     mathieu_solution, basis_n3
 ):
     _, bands = mathieu_solution
-    op = bl.random_cell_periodic(7, basis_n3)
+    op = seeded(7, basis_n3)
     for low, high in ((0, 0), (0, 1), (2, 1)):
-        rec = bl.matrix_element(op, bands.state(0, low), bands.state(1, high))
-        assert rec.magnitude < 1e-12 * op.norm_max
+        element = matrix_element(op, bands.state(0, low), bands.state(1, high))
+        assert abs(element) < 1e-12 * op.norm_max[0]
 
 
 def test_superselection_invariant_full_battery(mathieu_solution, battery_n3):
@@ -41,7 +41,7 @@ def test_superselection_invariant_full_battery(mathieu_solution, battery_n3):
             for ket in every_state(bands):
                 if bra.sector == ket.sector:
                     continue
-                worst = max(worst, bl.matrix_element(op, bra, ket).magnitude / op.norm_max)
+                worst = max(worst, abs(matrix_element(op, bra, ket)) / op.norm_max[0])
     assert worst < 1e-12
 
 
@@ -54,16 +54,17 @@ def test_fringe_scan_flat_across_sectors(mathieu_solution, battery_n3):
 def test_fringe_scan_within_sector_matches_element(mathieu_solution, basis_n3):
     _, bands = mathieu_solution
     a, b = bands.state(1, 0), bands.state(1, 1)
-    op = bl.named_observables(basis_n3)["cos_a"]
-    element = bl.matrix_element(op, a, b)
-    assert element.magnitude > 1e-4
+    op = named("cos_a", basis_n3)
+    element = matrix_element(op, a, b)
+    assert abs(element) > 1e-4
     scan = bl.fringe_scan(op, a, b, 64)
-    assert scan.amplitude == pytest.approx(2.0 * element.magnitude, rel=1e-2)
+    assert scan.amplitude == pytest.approx(2.0 * abs(element), rel=1e-2)
     # analytic shape: averages = const + |c| cos(lambda + arg c)
+    (matrix,) = op.matrix
     expected = (
-        np.real(a.coeffs.conj() @ op.matrix @ a.coeffs)
-        + np.real(b.coeffs.conj() @ op.matrix @ b.coeffs)
-        + 2.0 * element.magnitude * np.cos(scan.phases + np.angle(element.value))
+        np.real(a.coeffs.conj() @ matrix @ a.coeffs)
+        + np.real(b.coeffs.conj() @ matrix @ b.coeffs)
+        + 2.0 * abs(element) * np.cos(scan.phases + np.angle(element))
     ) / 2.0
     assert np.allclose(scan.averages, expected, atol=1e-12)
 
@@ -71,9 +72,9 @@ def test_fringe_scan_within_sector_matches_element(mathieu_solution, basis_n3):
 def test_fringe_scan_same_state_is_constant(mathieu_solution, basis_n3):
     _, bands = mathieu_solution
     a = bands.state(1, 0)
-    op = bl.named_observables(basis_n3)["momentum"]
+    op = named("momentum", basis_n3)
     scan = bl.fringe_scan(op, a, a, 9)  # odd grid avoids lambda = pi
-    level = float(np.real(a.coeffs.conj() @ op.matrix @ a.coeffs))
+    level = float(np.real(a.coeffs.conj() @ op.matrix[0] @ a.coeffs))
     assert np.allclose(scan.averages, level, atol=1e-12)
     with pytest.raises(ValueError, match="degenerate"):
         bl.fringe_scan(op, a, a, 8)  # even grid hits the anti-parallel point
@@ -83,6 +84,8 @@ def test_fringe_scan_needs_enough_points(mathieu_solution, battery_n3):
     _, bands = mathieu_solution
     with pytest.raises(ValueError, match="phase points"):
         bl.fringe_scan(battery_n3[0], bands.state(0, 0), bands.state(1, 0), 4)
+    with pytest.raises(ValueError):  # a scan measures one member
+        bl.fringe_scan(join(battery_n3[:2]), bands.state(0, 0), bands.state(1, 0), 64)
 
 
 def test_breaking_observable_restores_cross_sector_fringes(
@@ -90,16 +93,16 @@ def test_breaking_observable_restores_cross_sector_fringes(
 ):
     _, bands = mathieu_solution
     op = bl.breaking_observable(1, basis_n3)
-    rec = bl.matrix_element(op, bands.state(0, 0), bands.state(1, 0))
-    assert rec.magnitude > 1e-6
+    assert abs(matrix_element(op, bands.state(0, 0), bands.state(1, 0))) > 1e-6
     scan = bl.fringe_scan(op, bands.state(0, 0), bands.state(1, 0), 64)
     assert scan.amplitude > 1e-6
 
 
 def test_free_particle_breaking_ground_pair_element(free_solution, basis_n3):
     _, bands = free_solution
-    rec = bl.matrix_element(bl.breaking_observable(1, basis_n3), bands.state(0, 0), bands.state(1, 0))
-    assert rec.magnitude == pytest.approx(1.0, abs=1e-12)
+    breaker = bl.breaking_observable(1, basis_n3)
+    element = matrix_element(breaker, bands.state(0, 0), bands.state(1, 0))
+    assert abs(element) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mixture_cross_sector_is_indistinguishable(mathieu_solution, battery_n3):
@@ -121,7 +124,7 @@ def test_mixture_within_sector_is_distinguishable(mathieu_solution, battery_n3):
 
 def test_mixture_identity_battery_cannot_distinguish(mathieu_solution, basis_n3):
     _, bands = mathieu_solution
-    identity = bl.named_observables(basis_n3)["identity"]
+    identity = named("identity", basis_n3)
     diag = mixture_diagnostic(bands.state(0, 0), bands.state(2, 1), [identity])
     assert diag.distinguishability < 1e-14
 
@@ -135,7 +138,7 @@ def test_mixture_rejects_non_orthogonal_states(mathieu_solution, battery_n3):
 
 def test_sector_decomposition_structurally_clean(free_solution, battery_n3):
     _, bands = free_solution
-    report = bl.sector_decomposition_report(bands, bl.OperatorTable.stack(battery_n3))
+    report = bl.sector_decomposition_report(bands, join(battery_n3))
     assert report.leakage.shape == (3, 3)
     assert np.all(np.isnan(np.diag(report.leakage)))
     assert report.max_offdiagonal < 1e-12
@@ -146,7 +149,7 @@ def test_sector_decomposition_lights_up_with_breaking_member(
 ):
     _, bands = free_solution
     extended = battery_n3 + [bl.breaking_observable(1, basis_n3)]
-    report = bl.sector_decomposition_report(bands, bl.OperatorTable.stack(extended))
+    report = bl.sector_decomposition_report(bands, join(extended))
     for pair in ((0, 1), (1, 2), (2, 0)):
         assert report.leakage[pair] > 1e-6
 
@@ -159,7 +162,7 @@ def test_wannier_expectation_equals_band_average(
         [[bl.wannier_state(band, cell, bands, lattice_n3) for cell in range(3)] for band in (0, 1)]
     )
     band_blocks = bands.blocks[:, [0, 1]].swapaxes(0, 1)
-    table = bl.OperatorTable.stack(battery_n3)
+    table = join(battery_n3)
     residuals = bl.wannier_mixture_residual(wanniers, band_blocks, bands.rows, table)
     assert residuals.shape == (len(battery_n3), 2)
     assert np.all(residuals < 1e-10)
@@ -172,11 +175,12 @@ def test_superselection_survives_on_padded_even_lattice():
     basis = bl.build_basis(spec)
     h = bl.build_hamiltonian(spec, bl.PotentialSpec.from_cosines([(1, 0.5)]))
     bands = bl.solve_bands(h, spec)
-    battery = list(bl.Battery(basis, seeds=10))
-    report = bl.sector_decomposition_report(bands, bl.OperatorTable.stack(battery))
+    (table,) = bl.Battery(basis, seeds=10).tables()
+    report = bl.sector_decomposition_report(bands, table)
     assert report.leakage.shape == (4, 4)
     assert report.max_offdiagonal < 1e-12
-    best = max(bl.matrix_element(op, bands.state(1, 0), bands.state(1, 1)).magnitude for op in battery)
+    a, b = bands.state(1, 0), bands.state(1, 1)
+    best = max(abs(matrix_element(op, a, b)) for op in members([table]))
     assert best > 1e-4
 
 
@@ -186,7 +190,7 @@ def test_every_adjacent_band_pair_has_coherence(mathieu_solution, battery_n3):
     for sector in range(3):
         for low, high in ((0, 1), (1, 2)):
             best = max(
-                bl.matrix_element(op, bands.state(sector, low), bands.state(sector, high)).magnitude
+                abs(matrix_element(op, bands.state(sector, low), bands.state(sector, high)))
                 for op in battery_n3
             )
             assert best > 1e-4, (sector, low, high)
@@ -199,8 +203,8 @@ def test_phase_redefinition_covariance(mathieu_solution, basis_n3, beta):
     # never move
     _, bands = mathieu_solution
     a, b = bands.state(1, 0), bands.state(1, 1)
-    op = bl.named_observables(basis_n3)["cos_a"]
-    base = bl.matrix_element(op, a, b)
+    op = named("cos_a", basis_n3)
+    base = matrix_element(op, a, b)
 
     def rotated(state, phase):
         return bl.BlochState(
@@ -208,43 +212,40 @@ def test_phase_redefinition_covariance(mathieu_solution, basis_n3, beta):
             energy=state.energy, coeffs=np.exp(1j * phase) * state.coeffs,
         )
 
-    ket_shift = bl.matrix_element(op, a, rotated(b, beta))
-    bra_shift = bl.matrix_element(op, rotated(a, beta), b)
+    ket_shift = matrix_element(op, a, rotated(b, beta))
+    bra_shift = matrix_element(op, rotated(a, beta), b)
     wrap = lambda x: (x + np.pi) % (2 * np.pi) - np.pi
-    assert wrap(np.angle(ket_shift.value) - np.angle(base.value)) == pytest.approx(
-        beta, abs=1e-12
-    )
-    assert wrap(np.angle(bra_shift.value) - np.angle(base.value)) == pytest.approx(
-        -beta, abs=1e-12
-    )
-    assert ket_shift.magnitude == pytest.approx(base.magnitude, abs=1e-14)
-    assert bra_shift.magnitude == pytest.approx(base.magnitude, abs=1e-14)
+    assert wrap(np.angle(ket_shift) - np.angle(base)) == pytest.approx(beta, abs=1e-12)
+    assert wrap(np.angle(bra_shift) - np.angle(base)) == pytest.approx(-beta, abs=1e-12)
+    assert abs(ket_shift) == pytest.approx(abs(base), abs=1e-14)
+    assert abs(bra_shift) == pytest.approx(abs(base), abs=1e-14)
 
 
 def _count_class_blocks(monkeypatch):
     """Patch ``class_blocks`` to record each call's sorted (bra, ket) class pairs."""
     asked = []
-    class_blocks = bl.HermitianOperator.class_blocks
+    class_blocks = bl.OperatorTable.class_blocks
 
     def counting(self, rows, bra_class, ket_class):
         asked.append(sorted(zip(np.asarray(bra_class).tolist(), np.asarray(ket_class).tolist())))
         return class_blocks(self, rows, bra_class, ket_class)
 
-    monkeypatch.setattr(bl.HermitianOperator, "class_blocks", counting)
+    monkeypatch.setattr(bl.OperatorTable, "class_blocks", counting)
     return asked
 
 
 def test_each_member_multiplies_only_the_class_blocks_it_can_fill(monkeypatch):
     # block (j, l) holds only offsets = j - l (mod N): a cell-periodic member
-    # fills no cross block, breaking_observable(s) the j - l = +-s ones; the
-    # within-sector elements come from apply, not from the diagonal blocks
+    # fills no cross block, breaking_observable(s) the j - l = +-s ones, each
+    # member by its own nonzero diagonals; the within-sector elements come
+    # from the class form, not from the diagonal blocks
     spec = bl.LatticeSpec(cells=5, cutoff=7)
     basis = bl.build_basis(spec)
     potential = bl.PotentialSpec.from_cosines([(1, 0.5)])
     bands = bl.solve_bands(bl.build_hamiltonian(spec, potential), spec)
     asked = _count_class_blocks(monkeypatch)
-    members = [bl.random_cell_periodic(1, basis), bl.breaking_observable(1, basis)]
-    report = bl.sector_decomposition_report(bands, bl.OperatorTable.stack(members))
+    table = join([seeded(1, basis), bl.breaking_observable(1, basis)])
+    report = bl.sector_decomposition_report(bands, table)
     assert asked == [[(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]]
     assert report.leakage[0, 2] == 0.0 and report.leakage[0, 1] > 0.5
     assert np.all(report.within_sector[:, 0] > 0.0)  # the breaking member has none
