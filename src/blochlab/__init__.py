@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .bloch import (
     BandStructure,
-    BlochState,
     ring_phase_samples,
     solve_bands,
     wannier_state,
@@ -39,7 +38,6 @@ from .observables import (
     Battery,
     ObservableSpec,
     ObservableTerm,
-    PeriodicityReport,
     breaking_observable,
     check_cell_periodicity,
 )
@@ -57,10 +55,10 @@ __all__ = [
     "LatticeSpec", "PotentialSpec", "PlaneWaveBasis", "OperatorTable",
     "build_basis", "build_hamiltonian", "build_translation",
     # bloch
-    "BlochState", "BandStructure",
+    "BandStructure",
     "solve_bands", "winding_number", "ring_phase_samples", "wannier_state",
     # observables
-    "Battery", "ObservableSpec", "ObservableTerm", "PeriodicityReport",
+    "Battery", "ObservableSpec", "ObservableTerm",
     "check_cell_periodicity", "breaking_observable",
     # superselection
     "FringeScan", "SectorDecompositionReport",

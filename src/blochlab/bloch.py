@@ -5,7 +5,9 @@ wavevector class, diagonalizing each class block yields simultaneous
 eigenvectors of H and of the translation operator T: the class label l fixes
 the translation eigenvalue exp(i k_l a) with k_l = 2*pi*l/(N*a), and sorting
 each block's eigenvalues defines the band index n = 0, 1, ... (one state per
-class and band, so every band holds N states).
+class and band, so every band holds N states).  A state is kept as its
+class block alone; ``BandStructure.dense`` forms its plane-wave vector for a
+measurement that needs one.
 
 Eigenvector gauge is pinned deterministically: degenerate clusters are
 re-spanned by greedy pivoting of the cluster projector onto plane-wave axes
@@ -35,26 +37,6 @@ MIN_SAMPLE_MODULUS = 0.5
 
 
 @dataclass(frozen=True)
-class BlochState:
-    """Simultaneous eigenstate of H and T.
-
-    ``coeffs`` is the full-dimension coefficient vector in the plane-wave
-    basis, supported only on indices m with m mod N == sector.
-    """
-
-    band: int
-    sector: int
-    wavevector: float
-    energy: float
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=complex)  # own copy; frozen
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-
-
-@dataclass(frozen=True)
 class BandStructure:
     """Every Bloch state of the lattice as its (sector, band, row) class block.
 
@@ -62,7 +44,7 @@ class BandStructure:
     ``blocks[l, n]`` is psi_{n k_l} on those rows: a Bloch state is zero on
     every other row, so nothing else is stored.  ``energies[l, n]`` is its
     energy and ``k_values[l]`` its wavevector; bands are sorted ascending per
-    class.  ``dense``, ``state`` and ``coeffs`` form plane-wave vectors on request.
+    class.  ``dense`` and ``coeffs`` form plane-wave vectors on request.
     """
 
     k_values: np.ndarray
@@ -101,16 +83,6 @@ class BandStructure:
     def coeffs(self) -> np.ndarray:
         """Every state as a (sector, band, d) dense block, formed anew."""
         return self.dense(*np.indices(self.energies.shape))
-
-    def state(self, sector: int, band: int) -> BlochState:
-        """The Bloch state psi_{band, k_sector}, as a dense vector."""
-        return BlochState(
-            band=band,
-            sector=sector,
-            wavevector=float(self.k_values[sector]),
-            energy=float(self.energies[sector, band]),
-            coeffs=self.dense(sector, band),
-        )
 
 
 def _canonical_eigenbasis(energies: np.ndarray, vectors: np.ndarray) -> np.ndarray:

@@ -6,8 +6,9 @@
     blochlab floquet     --config C --report R
 
 Exit codes: 0 all invariant checks pass, 1 configuration error (a usage
-error, an output path that cannot be written, and two output paths that
-name one file included), 2 numerical failure, 3 invariant violation.
+error, an output path that cannot be written, and two output paths, or an
+output and the config, that name one file included), 2 numerical failure,
+3 invariant violation.
 Reports are deterministic modulo their ``timing`` block; a run's files are
 written after it, whatever its verdict, in one staged write.
 """
@@ -80,13 +81,16 @@ def _config_edits(args: argparse.Namespace) -> tuple[tuple[str, str, object], ..
     return tuple(edits)
 
 
-def _check_distinct(output: dict[str, str], sources: dict[str, str], kind: str) -> None:
-    """Raise ConfigError when two requested files resolve to one path.
+def _check_distinct(
+    output: dict[str, str], sources: dict[str, str], kind: str, config: str
+) -> None:
+    """Raise ConfigError when two requested files, or one and ``config``, resolve to one path.
 
     ``sources`` names where each output key was set: its flag, or its
-    /output/<key> pointer.  A fringe prefix requests one file per suffix.
+    /output/<key> pointer; ``config`` is named --config.  A fringe prefix
+    requests one file per suffix.
     """
-    seen: dict[str, str] = {}
+    seen = {os.path.realpath(config): "--config"}
     for key, suffixes in OUTPUT_KEYS[kind].items():
         for suffix in suffixes if key in output else ():
             target = os.path.realpath(output[key] + suffix)
@@ -127,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
             if value is not None:
                 output[key] = output_path(value, _OUTPUT_FLAGS[key], suffixes)
                 sources[key] = _OUTPUT_FLAGS[key]
-        _check_distinct(output, sources, cfg.kind)
+        _check_distinct(output, sources, cfg.kind, args.config)
         report = run_scenario(cfg)
         atomic_write_text(_output_files(report, output))
     except ConfigError as exc:

@@ -8,7 +8,8 @@ only within a wavevector class, and momentum is diagonal.  Self-adjointness
 of mixed terms is restored by the symmetrized product (F*P + P*F)/2.  Every
 term is assembled straight onto its offset diagonals: harmonic j at offset
 j*N, the momentum polynomial as a vector along them, so no dense F or P is
-formed.
+formed.  ``check_cell_periodicity`` returns the relative violation itself.
+The battery is built one table at a time, or one member alone to rebuild it.
 
 The randomized battery uses a small integer recurrence (64-bit MMIX linear
 congruential generator, x -> 6364136223846793005*x + 1442695040888963407
@@ -92,14 +93,6 @@ class ObservableSpec:
     symmetrize: bool = True
 
 
-@dataclass(frozen=True)
-class PeriodicityReport:
-    """Outcome of the translation-conjugation check."""
-
-    max_violation: float
-    is_cell_periodic: bool
-
-
 def _polynomial_diagonal(term: ObservableTerm, basis: PlaneWaveBasis) -> np.ndarray:
     """Diagonal of P: the polynomial in hbar*q_m, one real entry per plane wave."""
     hq = basis.hbar * basis.momenta
@@ -149,10 +142,11 @@ def _observable_diagonals(spec: ObservableSpec, basis: PlaneWaveBasis) -> dict:
     return diagonals
 
 
-def check_cell_periodicity(table: OperatorTable, translation: np.ndarray) -> PeriodicityReport:
-    """Measure || T O T^dagger - O ||_max / ||O||_max, the largest over the table's members.
+def check_cell_periodicity(table: OperatorTable, translation: np.ndarray) -> float:
+    """|| T O T^dagger - O ||_max / ||O||_max, the largest over the table's members.
 
-    ``translation`` is T's phase vector t (``build_translation``), so
+    The table is cell-periodic when this is below PERIODICITY_RTOL (a NaN is
+    not).  ``translation`` is T's phase vector t (``build_translation``), so
     T O T^dagger scales the entry (m + o, m) of each stored diagonal by
     t[m + o] conj(t[m]); the mirrored entries are their conjugates and are
     not visited.  For operators with support at plane-wave distance dm that
@@ -167,10 +161,7 @@ def check_cell_periodicity(table: OperatorTable, translation: np.ndarray) -> Per
         values = table.values[:, k, : d - offset]
         defect = t[offset:] * values * t[: d - offset].conj() - values
         np.maximum(worst, np.max(np.abs(defect), axis=1), out=worst)
-    violation = float(np.max(worst / table.norm_max))
-    return PeriodicityReport(
-        max_violation=violation, is_cell_periodic=violation < PERIODICITY_RTOL
-    )
+    return float(np.max(worst / table.norm_max))
 
 
 def _seeded_diagonals(seeds, basis: PlaneWaveBasis, max_harmonic: int, degree: int) -> dict:
@@ -294,6 +285,10 @@ class Battery:
         per_table = max(1, _TABLE_ENTRIES // (width * d))
         for start in range(0, len(self), per_table):
             yield self._table(start, min(start + per_table, len(self)))
+
+    def member(self, i: int) -> OperatorTable:
+        """Member ``i`` (in ``labels`` order) alone, as a one-member table built anew."""
+        return self._table(i, i + 1)
 
     def _table(self, start: int, stop: int) -> OperatorTable:
         """Members start..stop-1 as one table."""

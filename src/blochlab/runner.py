@@ -29,14 +29,9 @@ from .floquet import (
     temporal_overlap_probe,
 )
 from .lattice import OperatorTable, build_basis, build_hamiltonian, build_translation
-from .observables import Battery, breaking_observable, check_cell_periodicity
+from .observables import PERIODICITY_RTOL, Battery, breaking_observable, check_cell_periodicity
 from .reports import canonical_hash, render_json
-from .superselection import (
-    SectorDecompositionReport,
-    fringe_scan,
-    sector_decomposition_report,
-    wannier_mixture_residual,
-)
+from .superselection import fringe_scan, sector_decomposition_report, wannier_mixture_residual
 
 TOOL_NAME = "blochlab"
 
@@ -193,35 +188,19 @@ def _scan_fields(scan) -> dict:
 
 def _run_superselect(cfg: ScenarioConfig):
     spec, basis, h, t, bands = _solve_lattice(cfg)
-    labels = cfg.battery.labels
-    cross_index = labels.index("cos_a") if "cos_a" in labels else 0
-    # each table is measured and dropped; the members scanned below are kept as they
-    # pass, as one-row slices of their tables
-    parts, start = [], 0
-    strongest, within_member = -1.0, None  # the first member with the largest class-0 element
-    for table in _tables(cfg.battery):
-        part = sector_decomposition_report(bands, table)
-        if start <= cross_index < start + len(table):
-            cross_member = table[cross_index - start : cross_index - start + 1]
-        if part.within_sector is not None and np.max(part.within_sector[0]) > strongest:
-            i = int(np.argmax(part.within_sector[0]))
-            strongest, within_member = part.within_sector[0, i], table[i : i + 1]
-        parts.append(part)
-        start += len(table)
-    sector_report = SectorDecompositionReport.joined(parts)
-    max_leak = sector_report.max_offdiagonal
+    sector_report = sector_decomposition_report(bands, _tables(cfg.battery))
+    labels, max_leak = sector_report.battery_labels, sector_report.max_offdiagonal
 
     results: dict = {
         "dimension": basis.dim,
-        "battery": list(sector_report.battery_labels),
+        "battery": list(labels),
         "leakage": [list(row) for row in sector_report.leakage],
         "max_cross_leakage": max_leak,
     }
     checks = {"cross_sector_leakage": max_leak < cfg.tolerance("structural_zero")}
 
-    cross_scan = fringe_scan(
-        cross_member, bands.state(0, 0), bands.state(1, 0), cfg.fringe_points
-    )
+    cross_member = cfg.battery.member(labels.index("cos_a") if "cos_a" in labels else 0)
+    cross_scan = fringe_scan(cross_member, bands.dense(0, 0), bands.dense(1, 0), cfg.fringe_points)
     results["fringe_cross"] = _scan_fields(cross_scan)
     checks["fringe_flat"] = cross_scan.amplitude < cfg.tolerance("solver_zero")
 
@@ -231,11 +210,12 @@ def _run_superselect(cfg: ScenarioConfig):
         results["positive_control_min"] = worst_sector
         checks["positive_control"] = worst_sector > cfg.tolerance("positive_control")
 
-        # scan the battery member with the strongest within-sector element, so
+        # scan the first battery member with the strongest class-0 element, so
         # the fringe-vs-element comparison runs away from parity-forced zeros
-        element = float(strongest)
+        strongest = int(np.argmax(within[0]))
+        element = float(within[0, strongest])
         within_scan = fringe_scan(
-            within_member, bands.state(0, 0), bands.state(0, 1), cfg.fringe_points
+            cfg.battery.member(strongest), bands.dense(0, 0), bands.dense(0, 1), cfg.fringe_points
         )
         results["fringe_within"] = {**_scan_fields(within_scan), "cross_element": element}
         if element > cfg.tolerance("positive_control"):
@@ -246,17 +226,17 @@ def _run_superselect(cfg: ScenarioConfig):
     if cfg.negative_control_shift is not None:
         shift = cfg.negative_control_shift
         breaker = breaking_observable(shift, basis)
-        periodicity = check_cell_periodicity(breaker, t)
+        violation = check_cell_periodicity(breaker, t)
         breaking_scan = fringe_scan(
-            breaker, bands.state(0, 0), bands.state(shift % spec.cells, 0), cfg.fringe_points
+            breaker, bands.dense(0, 0), bands.dense(shift % spec.cells, 0), cfg.fringe_points
         )
         results["negative_control"] = {
             "shift": shift,
-            "periodicity_violation": periodicity.max_violation,
+            "periodicity_violation": violation,
             "fringe_amplitude": breaking_scan.amplitude,
         }
         checks["negative_control"] = (
-            not periodicity.is_cell_periodic
+            not violation < PERIODICITY_RTOL
             and breaking_scan.amplitude > cfg.tolerance("negative_control")
         )
 
@@ -282,10 +262,8 @@ def _run_wannier(cfg: ScenarioConfig):
         wanniers.append(rows)
     wanniers = np.array(wanniers)
     band_blocks = bands.blocks[:, list(cfg.wannier.bands)].swapaxes(0, 1)  # (band, class, row)
-    per_band_mixture = np.zeros(len(cfg.wannier.bands))
-    for table in _tables(cfg.battery):  # one table at a time
-        residual = wannier_mixture_residual(wanniers, band_blocks, bands.rows, table)
-        np.maximum(per_band_mixture, residual.max(axis=0), out=per_band_mixture)
+    residual = wannier_mixture_residual(wanniers, band_blocks, bands.rows, _tables(cfg.battery))
+    per_band_mixture = residual.max(axis=0)
     mixture = float(np.max(per_band_mixture))
     per_band = {
         str(band): {"mixture_residual": float(value)}

@@ -6,8 +6,9 @@ and Bloch states with different wavevectors, the matrix element
 wavevector classes show no interference fringes and are indistinguishable
 from the 50/50 classical mixture by every valid measurement.  Within one
 class coherence is real and the fringes are there; deliberately
-periodicity-breaking operators restore cross-class fringes.  Both controls
-are part of the battery.
+periodicity-breaking operators restore cross-class fringes.  The battery is
+read as the stream of tables ``Battery.tables`` yields, once, and the states
+as ``BandStructure`` class blocks, or as plane-wave vectors in a fringe scan.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BandStructure, BlochState
+from .bloch import BandStructure
 from .lattice import OperatorTable, class_shift
 
 DEGENERATE_NORM_ATOL = 1e-12
@@ -70,21 +71,6 @@ class SectorDecompositionReport:
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
 
-    @classmethod
-    def joined(cls, parts) -> "SectorDecompositionReport":
-        """The report of the tables of ``parts`` read as one battery, in order.
-
-        Leakage entries are maxima, so the joined table is their elementwise
-        maximum (NaN diagonal kept), bit for bit the one-table report.
-        """
-        parts = list(parts)
-        within = [p.within_sector for p in parts]
-        return cls(
-            np.fmax.reduce([p.leakage for p in parts]),
-            sum((p.battery_labels for p in parts), ()),
-            None if within[0] is None else np.hstack(within),
-        )
-
     @property
     def max_offdiagonal(self) -> float:
         off = self.leakage[~np.isnan(self.leakage)]
@@ -92,14 +78,12 @@ class SectorDecompositionReport:
 
 
 def fringe_scan(
-    operator: OperatorTable,
-    a: BlochState,
-    b: BlochState,
-    n_phases: int = 64,
+    operator: OperatorTable, a: np.ndarray, b: np.ndarray, n_phases: int = 64
 ) -> FringeScan:
     """Sweep the relative phase of |a> + e^{i lambda} |b> and average O, a one-member table.
 
-    The unnormalized cross term is 2 |<a|O|b>| cos(lambda + Arg<a|O|b>), so a
+    ``a`` and ``b`` are plane-wave vectors (``BandStructure.dense``).  The
+    unnormalized cross term is 2 |<a|O|b>| cos(lambda + Arg<a|O|b>), so a
     vanishing cross element makes the scan flat.  All superpositions are
     stacked as rows and O is applied to all of them at once.  Raises
     ValueError naming the first grid point where the superposition collapses
@@ -109,7 +93,7 @@ def fringe_scan(
     if n_phases < 8:
         raise ValueError("need at least 8 phase points")
     phases = 2.0 * np.pi * np.arange(n_phases) / n_phases
-    combined = a.coeffs + np.exp(1j * phases)[:, None] * b.coeffs  # one row per phase
+    combined = a + np.exp(1j * phases)[:, None] * b  # one row per phase
     # row dots as stacked (1, d) @ (d, 1) products: the same sums as one
     # vector product per row
     norm_sq = np.real(combined.conj()[:, None, :] @ combined[:, :, None])[:, 0, 0]
@@ -123,73 +107,81 @@ def fringe_scan(
     return FringeScan(phases=phases, averages=averages, observable=label)
 
 
-def sector_decomposition_report(
-    bands: BandStructure, table: OperatorTable
-) -> SectorDecompositionReport:
-    """Cross-class leakage table and within-sector elements of a table's members.
+def sector_decomposition_report(bands: BandStructure, tables) -> SectorDecompositionReport:
+    """Cross-class leakage table and within-sector elements of the tables of ``tables``.
 
-    With C_l the class-l states on their d/N rows (``bands.blocks[l]``),
-    <psi_{m k_j}|O|psi_{n k_l}> is entry (m, n) of C_j^* O[rows_j, rows_l] C_l^T.
-    A diagonal at offset o couples class l only to l +- ``class_shift(o, N)``
-    mod N, so a table whose offsets are all multiples of N (every member
-    cell-periodic) multiplies no cross block at all; otherwise, per member,
-    only the cross blocks j < l its nonzero diagonals can fill (the
-    ``OperatorTable.class_blocks`` of its one-row slice) are multiplied, in
-    one stacked product, and every other block is an exact zero and is
-    skipped.  Leakage entry [j, l] (bras from the lower class,
-    mirrored) is maximized over both band axes and equals a pairwise class
-    loop bit for bit.  ``within_sector`` needs only bands 0 and 1 of each
-    class: one ``OperatorTable.class_form`` for all members.  A battery of
-    several tables gives one report per table; ``joined`` makes them one.
+    ``tables`` is read once, in order (``Battery.tables``), and each table is
+    measured and dropped before the next is taken.  With C_l the class-l
+    states on their d/N rows (``bands.blocks[l]``), <psi_{m k_j}|O|psi_{n k_l}>
+    is entry (m, n) of C_j^* O[rows_j, rows_l] C_l^T.  A diagonal at offset o
+    couples class l only to l +- ``class_shift(o, N)`` mod N, so a table whose
+    offsets are all multiples of N (every member cell-periodic) multiplies no
+    cross block at all; otherwise, per member, only the cross blocks j < l its
+    nonzero diagonals can fill (the ``OperatorTable.class_blocks`` of its
+    one-row slice) are multiplied, in one stacked product, and every other
+    block is an exact zero and is skipped.  Leakage entry [j, l] (bras from
+    the lower class, mirrored) is maximized over both band axes and all
+    members and equals a pairwise class loop bit for bit, however the battery
+    is split.  ``within_sector`` needs only bands 0 and 1 of each class: one
+    ``OperatorTable.class_form`` per table.
     """
     rows, blocks = bands.rows, bands.blocks  # blocks: (class, band, row)
     n_sectors, n_bands, _ = blocks.shape
     bra_class, ket_class = np.triu_indices(n_sectors, k=1)  # the cross blocks j < l
     step = (ket_class - bra_class) % n_sectors
     worst = np.zeros(len(bra_class))
-    crossing = any(class_shift(o, n_sectors) for o in table.offsets)  # can a member fill one?
-    for i in range(len(table) if crossing else 0):
-        nonzero = [o for o, row in zip(table.offsets, table.values[i]) if row.any()]
-        reaches = np.zeros(n_sectors, dtype=bool)  # by class step: can member i fill it?
-        reaches[[class_shift(s, n_sectors) for o in nonzero for s in (o, -o)]] = True
-        filled = np.flatnonzero(reaches[step])
-        if filled.size:
-            bra, ket = bra_class[filled], ket_class[filled]
-            (member_blocks,) = table[i : i + 1].class_blocks(rows, bra, ket)
-            # (block, bra band, ket band)
-            elements = np.abs(blocks[bra].conj() @ member_blocks @ blocks[ket].transpose(0, 2, 1))
-            worst[filled] = np.maximum(worst[filled], elements.max(axis=(1, 2)) / table.norm_max[i])
+    labels, within = [], []
+    for table in tables:
+        labels += table.labels
+        crossing = any(class_shift(o, n_sectors) for o in table.offsets)  # can a member fill one?
+        for i in range(len(table) if crossing else 0):
+            nonzero = [o for o, row in zip(table.offsets, table.values[i]) if row.any()]
+            reaches = np.zeros(n_sectors, dtype=bool)  # by class step: can member i fill it?
+            reaches[[class_shift(s, n_sectors) for o in nonzero for s in (o, -o)]] = True
+            filled = np.flatnonzero(reaches[step])
+            if filled.size:
+                bra, ket = bra_class[filled], ket_class[filled]
+                (cross,) = table[i : i + 1].class_blocks(rows, bra, ket)
+                # (block, bra band, ket band)
+                elements = np.abs(blocks[bra].conj() @ cross @ blocks[ket].transpose(0, 2, 1))
+                np.maximum.at(worst, filled, elements.max(axis=(1, 2)) / table.norm_max[i])
+        if n_bands >= 2:  # <psi_{0 k_l}|O|psi_{1 k_l}>, (class, member)
+            within.append(np.abs(table.class_form(rows, blocks[:, 0], blocks[:, 1])).T)
     leakage = np.full((n_sectors, n_sectors), np.nan)
     leakage[bra_class, ket_class] = worst
     leakage[ket_class, bra_class] = worst
-    within_sector = None
-    if n_bands >= 2:  # <psi_{0 k_l}|O|psi_{1 k_l}>, (class, member)
-        within_sector = np.abs(table.class_form(rows, blocks[:, 0], blocks[:, 1])).T
-    return SectorDecompositionReport(leakage, table.labels, within_sector)
+    return SectorDecompositionReport(leakage, tuple(labels), np.hstack(within) if within else None)
 
 
 def wannier_mixture_residual(
-    wanniers: np.ndarray, band_blocks: np.ndarray, rows: np.ndarray, table: OperatorTable
+    wanniers: np.ndarray, band_blocks: np.ndarray, rows: np.ndarray, tables
 ) -> np.ndarray:
     """Per member i and band b: max_r |<w_br|O_i|w_br> - mean_l <psi_bl|O_i|psi_bl>|.
 
     ``wanniers`` is (bands, home cells, d), one home cell's Wannier vector per
     row, and ``band_blocks`` is (bands, N, d/N), each band's Bloch states on
-    their class rows ``rows``; the result is (members, bands).  Each Wannier
-    state is an equal-weight phase combination of its band's Bloch states,
-    so for cell-periodic O its expectation must equal the uniform classical
-    average over the band.  The two sides are computed apart.  The Wannier
-    side reads all d rows: Re<w|O|w> = sum_o c_o Re sum_m v_o[m] conj(w[m+o]) w[m]
-    with c_0 = 1 and c_o = 2 for o > 0 (the mirrored entries are the
-    conjugates), one (members, d - o) @ (d - o, rows) product per offset.  The
-    band averages come from one ``OperatorTable.class_form``.
+    their class rows ``rows``.  ``tables`` is read once, in order, as in
+    ``sector_decomposition_report``; the result is (members, bands).  Each
+    Wannier state is an equal-weight phase combination of its band's Bloch
+    states, so for cell-periodic O its expectation must equal the uniform
+    classical average over the band.  The two sides are computed apart.  The
+    Wannier side reads all d rows: Re<w|O|w> = sum_o c_o Re sum_m v_o[m]
+    conj(w[m+o]) w[m] with c_0 = 1 and c_o = 2 for o > 0 (the mirrored
+    entries are the conjugates), one (members, d - o) @ (d - o, rows) product
+    per offset and table, which BLAS rounds differently for one member than
+    for several: a residual can move at rounding with the battery's split
+    (band 1 of the shipped Mathieu config: 7.1e-15 in one table, 3.6e-15 in
+    one table per member).  The band averages come from one ``class_form``.
     """
     w = wanniers.reshape(-1, wanniers.shape[-1])  # one Wannier vector per row
     d = w.shape[1]
-    values = np.zeros((len(table), len(w)))
-    for k, o in enumerate(table.offsets):
-        pairs = w[:, o:].conj() * w[:, : d - o]  # conj(w[m + o]) w[m]
-        values += (2.0 if o else 1.0) * (table.values[:, k, : d - o] @ pairs.T).real
-    values = values.reshape((len(table),) + wanniers.shape[:2])  # (member, band, home cell)
-    band_avg = table.class_form(rows, band_blocks, band_blocks).real.mean(axis=-1)
-    return np.abs(values - band_avg[..., None]).max(axis=-1)
+    residuals = []
+    for table in tables:
+        values = np.zeros((len(table), len(w)))
+        for k, o in enumerate(table.offsets):
+            pairs = w[:, o:].conj() * w[:, : d - o]  # conj(w[m + o]) w[m]
+            values += (2.0 if o else 1.0) * (table.values[:, k, : d - o] @ pairs.T).real
+        values = values.reshape((len(table),) + wanniers.shape[:2])  # (member, band, home cell)
+        band_avg = table.class_form(rows, band_blocks, band_blocks).real.mean(axis=-1)
+        residuals.append(np.abs(values - band_avg[..., None]).max(axis=-1))
+    return np.concatenate(residuals)

@@ -40,8 +40,8 @@ def battery_n3(basis_n3):
 
 
 def every_state(bands):
-    """All Bloch states of a BandStructure as BlochState objects, (sector, band) order."""
-    return [bands.state(l, n) for l in range(bands.sectors) for n in range(bands.bands)]
+    """All Bloch states of a BandStructure as (sector, band, plane-wave vector), in that order."""
+    return [(l, n, bands.dense(l, n)) for l in range(bands.sectors) for n in range(bands.bands)]
 
 
 def random_hermitian(rng, dim, spectral_norm):

@@ -78,12 +78,12 @@ def diagonals(op: OperatorTable) -> dict:
     return {o: row[k, : op.dim - o] for k, o in enumerate(op.offsets) if row[k].any()}
 
 
-def matrix_element(op: OperatorTable, bra, ket) -> complex:
-    """<bra|O|ket> of a one-member table between two BlochStates, through ``apply``."""
-    if len(bra.coeffs) != op.dim or len(ket.coeffs) != op.dim:
+def matrix_element(op: OperatorTable, bra: np.ndarray, ket: np.ndarray) -> complex:
+    """<bra|O|ket> of a one-member table between two plane-wave vectors, through ``apply``."""
+    if len(bra) != op.dim or len(ket) != op.dim:
         raise ValueError("state and operator dimensions disagree")
-    (applied,) = op.apply(ket.coeffs)
-    return complex(bra.coeffs.conj() @ applied)
+    (applied,) = op.apply(ket)
+    return complex(bra.conj() @ applied)
 
 
 def fd_ring_hamiltonian(
@@ -302,8 +302,8 @@ def loop_solve_bands(h, rows) -> tuple[np.ndarray, np.ndarray]:
 # table in one pass; the seeded member built from its own ObservableSpec, the
 # class form and the sector elements one member at a time are the references
 # it must reproduce bit for bit.  The leakage table one class pair at a time
-# and the Wannier band average one Bloch state at a time, over lists of
-# BlochState, are the references it must reproduce to rounding.
+# and the Wannier band average one Bloch state at a time, over dense
+# plane-wave vectors, are the references it must reproduce to rounding.
 
 
 def loop_class_form(operator, rows, bra, ket) -> np.ndarray:
@@ -381,18 +381,17 @@ def loop_seeded_diagonals(seed: int, basis, max_harmonic: int = 1, degree: int =
     return {o: np.zeros(basis.dim - o, complex) + v for o, v in diagonals.items()}
 
 
-def pairwise_leakage(states, battery) -> np.ndarray:
-    """Max over bands and battery of |bras^H O kets| / ||O||_max per class pair j < l, mirrored."""
-    sectors = sorted({s.sector for s in states})
-    n = len(sectors)
+def pairwise_leakage(states: np.ndarray, battery) -> np.ndarray:
+    """Max over bands and battery of |bras^H O kets| / ||O||_max per class pair j < l, mirrored.
+
+    ``states`` is (sector, band, d): each class's states as dense plane-wave rows.
+    """
+    n = len(states)
     leakage = np.full((n, n), np.nan)
-    by_sector = {l: [s for s in states if s.sector == l] for l in sectors}
-    for j in sectors:
-        bras = np.column_stack([s.coeffs for s in by_sector[j]])
-        for l in sectors:
-            if l <= j:
-                continue
-            kets = np.column_stack([s.coeffs for s in by_sector[l]])
+    for j in range(n):
+        bras = np.column_stack(list(states[j]))  # one state per column
+        for l in range(j + 1, n):
+            kets = np.column_stack(list(states[l]))
             worst = 0.0
             for op in battery:
                 elements = np.abs(bras.conj().T @ op.matrix[0] @ kets) / op.norm_max[0]
@@ -403,10 +402,10 @@ def pairwise_leakage(states, battery) -> np.ndarray:
 
 
 def state_mixture_residual(wannier: np.ndarray, band_states, operator) -> float:
-    """|<w|O|w> - mean_l <psi_l|O|psi_l>| for one Wannier vector, band average per state."""
+    """|<w|O|w> - mean_l <psi_l|O|psi_l>| for one Wannier vector, band average per state vector."""
     (matrix,) = operator.matrix
     w_avg = float(np.real(wannier.conj() @ matrix @ wannier))
-    band_avg = float(np.mean([np.real(s.coeffs.conj() @ matrix @ s.coeffs) for s in band_states]))
+    band_avg = float(np.mean([np.real(psi.conj() @ matrix @ psi) for psi in band_states]))
     return abs(w_avg - band_avg)
 
 
@@ -428,18 +427,18 @@ class MixtureDiagnostic:
 def mixture_diagnostic(a, b, battery) -> MixtureDiagnostic:
     """Compare |a>+|b> (equal weights) against the 50/50 classical mixture, densely.
 
-    Requires orthogonal unit-norm BlochStates, so the mixture weights are
+    Requires orthogonal unit-norm plane-wave vectors, so the mixture weights are
     exactly one half and the superposition normalizes to <Phi|Phi> = 2.  For
     such a, b the difference under O is Re<a|O|b>, which the leakage table
     bounds.
     """
-    overlap = abs(complex(a.coeffs.conj() @ b.coeffs))
+    overlap = abs(complex(a.conj() @ b))
     if overlap > 1e-10:
         raise ValueError(f"states are not orthogonal: |<a|b>| = {overlap:.3e}")
-    combined = a.coeffs + b.coeffs
+    combined = a + b
     norm_sq = float(np.real(combined.conj() @ combined))
     rho_sup = np.outer(combined, combined.conj()) / norm_sq
-    rho_mix = 0.5 * (np.outer(a.coeffs, a.coeffs.conj()) + np.outer(b.coeffs, b.coeffs.conj()))
+    rho_mix = 0.5 * (np.outer(a, a.conj()) + np.outer(b, b.conj()))
     delta = rho_sup - rho_mix
     per_obs = tuple(
         (op.labels[0], abs(complex(np.trace(delta @ op.matrix[0]))) / op.norm_max[0])

@@ -14,7 +14,7 @@ import pytest
 
 import blochlab as bl
 from blochlab.config import validate_config
-from blochlab.observables import Lcg
+from blochlab.observables import PERIODICITY_RTOL, Lcg
 from blochlab.runner import run_scenario, stable_report_bytes
 from oracles import fd_ring_energies, matrix_element, members
 
@@ -71,7 +71,7 @@ def test_criterion_1_bloch_superselection():
         for name, pot in POTENTIALS:
             for cells, cutoff in ACCEPTANCE_LATTICES:
                 _, _, _, bands, table = build_config(cells, cutoff, pot)
-                report = bl.sector_decomposition_report(bands, table)
+                report = bl.sector_decomposition_report(bands, [table])
                 worst = max(worst, report.max_offdiagonal)
         elapsed = time.perf_counter() - started
         detail["max_leakage"] = worst
@@ -86,7 +86,7 @@ def test_criterion_2_positive_control(solved):
         worst_mismatch = 0.0
         for (name, cells), (spec, basis, h, bands, table) in solved.items():
             for sector in range(spec.cells):
-                a, b = bands.state(sector, 0), bands.state(sector, 1)
+                a, b = bands.dense(sector, 0), bands.dense(sector, 1)
                 best_op = max(members([table]), key=lambda op: abs(matrix_element(op, a, b)))
                 element = abs(matrix_element(best_op, a, b))
                 weakest = element if weakest is None else min(weakest, element)
@@ -105,9 +105,9 @@ def test_criterion_3_negative_control(solved):
         for (name, cells), (spec, basis, h, bands, table) in solved.items():
             t = bl.build_translation(spec)
             breaker = bl.breaking_observable(1, basis)
-            report = bl.check_cell_periodicity(breaker, t)
-            assert not report.is_cell_periodic, (name, cells)
-            scan = bl.fringe_scan(breaker, bands.state(0, 0), bands.state(1, 0), 64)
+            violation = bl.check_cell_periodicity(breaker, t)
+            assert not violation < PERIODICITY_RTOL, (name, cells)
+            scan = bl.fringe_scan(breaker, bands.dense(0, 0), bands.dense(1, 0), 64)
             weakest_fringe = (
                 scan.amplitude if weakest_fringe is None else min(weakest_fringe, scan.amplitude)
             )
@@ -167,7 +167,7 @@ def test_criterion_6_wannier_mixture_identity(solved):
                 [[bl.wannier_state(band, cell, bands, spec) for cell in (0, 1)] for band in (0, 1)]
             )
             band_blocks = bands.blocks[:, [0, 1]].swapaxes(0, 1)
-            residual = bl.wannier_mixture_residual(wanniers, band_blocks, bands.rows, table)
+            residual = bl.wannier_mixture_residual(wanniers, band_blocks, bands.rows, [table])
             worst = max(worst, float(np.max(residual)))
         detail["max_residual"] = worst
         assert worst < 1e-10

@@ -61,15 +61,16 @@ def test_m4_truncation_floor_against_oracle(mathieu_solution, fd_oracle_energies
 def test_simultaneous_eigenvector_property(lattice_n3, mathieu_solution):
     h, bands = mathieu_solution
     t = np.diag(bl.build_translation(lattice_n3))
-    for s in every_state(bands):
-        assert np.linalg.norm(h.matrix[0] @ s.coeffs - s.energy * s.coeffs) < 1e-9 * h.norm_max[0]
-        phase = np.exp(1j * s.wavevector * lattice_n3.a)
-        assert np.linalg.norm(t @ s.coeffs - phase * s.coeffs) < 1e-10
+    for l, n, psi in every_state(bands):
+        energy = bands.energies[l, n]
+        assert np.linalg.norm(h.matrix[0] @ psi - energy * psi) < 1e-9 * h.norm_max[0]
+        phase = np.exp(1j * bands.k_values[l] * lattice_n3.a)
+        assert np.linalg.norm(t @ psi - phase * psi) < 1e-10
 
 
 def test_states_form_orthonormal_set(mathieu_solution):
     _, bands = mathieu_solution
-    psi = np.column_stack([s.coeffs for s in every_state(bands)])
+    psi = np.column_stack([v for _, _, v in every_state(bands)])
     gram = psi.conj().T @ psi
     assert float(np.max(np.abs(gram - np.eye(psi.shape[1])))) < 1e-10
 
@@ -84,8 +85,8 @@ def test_solver_is_bitwise_deterministic(lattice_n3, mathieu_potential):
 
 def test_gauge_fixing_makes_dominant_coefficient_real_positive(free_solution):
     _, bands = free_solution
-    for s in every_state(bands):
-        pivot = s.coeffs[np.argmax(np.abs(s.coeffs))]
+    for _, _, psi in every_state(bands):
+        pivot = psi[np.argmax(np.abs(psi))]
         assert pivot.imag == pytest.approx(0.0, abs=1e-14)
         assert pivot.real > 0.0
 
@@ -109,9 +110,9 @@ def test_degenerate_free_pair_resolved_by_plane_wave_pivot(free_solution, basis_
     # class 0 bands 1 and 2 are degenerate at |m| = 3; the canonical basis
     # pins them to the m = -3 and m = +3 axes, in that order
     _, bands = free_solution
-    b1, b2 = bands.state(0, 1), bands.state(0, 2)
-    assert abs(b1.coeffs[basis_n3.row_of(-3)]) == pytest.approx(1.0, abs=1e-12)
-    assert abs(b2.coeffs[basis_n3.row_of(3)]) == pytest.approx(1.0, abs=1e-12)
+    b1, b2 = bands.dense(0, 1), bands.dense(0, 2)
+    assert abs(b1[basis_n3.row_of(-3)]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(b2[basis_n3.row_of(3)]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_solver_rejects_class_coupling_operator(lattice_n3, basis_n3):
@@ -202,7 +203,7 @@ def test_wannier_direct_summation_oracle(mathieu_solution, lattice_n3):
     _, bands = mathieu_solution
     r = 2
     expected = sum(
-        np.exp(-1j * bands.state(l, 1).wavevector * r * lattice_n3.a) * bands.state(l, 1).coeffs
+        np.exp(-1j * bands.k_values[l] * r * lattice_n3.a) * bands.dense(l, 1)
         for l in range(3)
     ) / np.sqrt(3.0)
     assert np.allclose(bl.wannier_state(1, r, bands, lattice_n3), expected, atol=1e-15)

@@ -495,7 +495,7 @@ def test_fringe_series_fft_has_single_cycle(tmp_path):
 
 def test_fringe_csv_row_count(mathieu_solution, basis_n3):
     _, bands = mathieu_solution
-    scan = bl.fringe_scan(named("cos_a", basis_n3), bands.state(1, 0), bands.state(1, 1), 8)
+    scan = bl.fringe_scan(named("cos_a", basis_n3), bands.dense(1, 0), bands.dense(1, 1), 8)
     rows = fringe_csv({"phases": scan.phases, "averages": scan.averages}).strip().splitlines()
     assert rows[0] == "lambda,average"
     assert len(rows) == 1 + 8
@@ -984,6 +984,26 @@ def test_colliding_output_paths_name_both_sources(tmp_path, capsys, case):
     assert f"config error: {first} and {second} both name the file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["--report", "/output/report"])
+def test_an_output_on_the_config_file_exits_1_and_leaves_it(tmp_path, capsys, monkeypatch, source):
+    # the report was written over the scenario file it came from, and the
+    # rerun then exited 1 on the report's own keys
+    def no_solve(*args):
+        raise AssertionError("solve_bands reached")
+
+    monkeypatch.setattr("blochlab.runner.solve_bands", no_solve)
+    config = tmp_path / "c.json"
+    data = json.loads((SHIPPED_DRIVE.parent / "wannier_mathieu.json").read_text())
+    data["output"] = {"report": str(config)} if source == "/output/report" else {}
+    original = write_json(config, data)
+    before = config.read_bytes()
+    extra = ["--report", str(tmp_path / "." / "c.json")] if source == "--report" else []
+    assert main(["wannier", "--config", original, *extra]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: --config and {source} both name the file" in err
+    assert config.read_bytes() == before
+
+
 def test_zero_battery_member_is_named(tmp_path, capsys):
     data, _, _ = REJECTED["battery_member_zero_on_small_basis"]
     assert main(["superselect", "--config", write_json(tmp_path / "c.json", data)]) == 1
@@ -1010,14 +1030,14 @@ def test_zero_member_found_mid_stream_exits_1_and_writes_nothing(
     if kind == "wannier":
         data["wannier"] = {"bands": [0], "home_cells": [0, 1]}
     labels = validate_config(data).battery.labels
-    measure = "sector_decomposition_report" if kind == "superselect" else "wannier_mixture_residual"
-    measured, original = [], getattr(runner, measure)
+    measured, tables = [], bl.Battery.tables
 
-    def recording(*args):  # the table is the last argument
-        measured.append(args[-1].labels)
-        return original(*args)
+    def recording(battery):  # each table as it is built, before it is measured
+        for table in tables(battery):
+            measured.append(table.labels)
+            yield table
 
-    monkeypatch.setattr(runner, measure, recording)
+    monkeypatch.setattr(bl.Battery, "tables", recording)
     ahead = [(label,) for label in labels[: labels.index(member)]]  # one-member tables
     for entries, before in ((None, []), (1, ahead)):
         if entries is not None:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from blochlab import observables, runner
+from blochlab import observables
 from blochlab.config import validate_config
 from blochlab.lattice import OperatorTable
 from blochlab.runner import run_scenario
@@ -94,13 +94,14 @@ WIDE_BATTERY_SECONDS = 20.0
 def test_widest_battery_spans_many_tables_in_the_memory_of_a_few(monkeypatch):
     cfg = validate_config(WIDE_BATTERY)
     measured = []
-    residual = runner.wannier_mixture_residual
+    tables = observables.Battery.tables
 
-    def recording(wanniers, band_blocks, rows, table):
-        measured.append(table.values.nbytes)
-        return residual(wanniers, band_blocks, rows, table)
+    def recording(battery):  # each table as it is built
+        for table in tables(battery):
+            measured.append(table.values.nbytes)
+            yield table
 
-    monkeypatch.setattr(runner, "wannier_mixture_residual", recording)
+    monkeypatch.setattr(observables.Battery, "tables", recording)
     tracemalloc.start()
     started = time.perf_counter()
     try:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blochlab as bl
-from blochlab.observables import ObservableSpec, ObservableTerm
+from blochlab.observables import PERIODICITY_RTOL, ObservableSpec, ObservableTerm
 
 from oracles import custom, dense_to_diagonals, members, named, operator, seeded
 
@@ -112,9 +112,9 @@ def test_battery_builds_only_the_named_members_it_returns(basis_n3, monkeypatch)
 
 def test_built_observables_pass_periodicity(basis_n3, battery_n3, translation_n3):
     for op in battery_n3:
-        report = bl.check_cell_periodicity(op, translation_n3)
-        assert report.is_cell_periodic
-        assert report.max_violation < 1e-14
+        violation = bl.check_cell_periodicity(op, translation_n3)
+        assert violation < PERIODICITY_RTOL
+        assert violation < 1e-14
 
 
 def test_ring_harmonic_fails_periodicity(translation_n3):
@@ -125,19 +125,19 @@ def test_ring_harmonic_fails_periodicity(translation_n3):
         ring[row, row - 1] = 1.0
         ring[row - 1, row] = 1.0
     op = operator(d, dense_to_diagonals(ring))
-    report = bl.check_cell_periodicity(op, translation_n3)
-    assert not report.is_cell_periodic
+    violation = bl.check_cell_periodicity(op, translation_n3)
+    assert not violation < PERIODICITY_RTOL
     # conjugation scales the entries by exp(2 pi i/3), so the violation is
     # |exp(2 pi i/3) - 1| = sqrt(3)
-    assert report.max_violation == pytest.approx(np.sqrt(3.0), rel=1e-12)
-    assert report.max_violation > 0.5
+    assert violation == pytest.approx(np.sqrt(3.0), rel=1e-12)
+    assert violation > 0.5
 
 
 def test_identity_passes_periodicity(translation_n3):
     identity = operator(9, dense_to_diagonals(np.eye(9)))
-    report = bl.check_cell_periodicity(identity, translation_n3)
-    assert report.is_cell_periodic
-    assert report.max_violation < 1e-15  # |phase|^2 rounding only
+    violation = bl.check_cell_periodicity(identity, translation_n3)
+    assert violation < PERIODICITY_RTOL
+    assert violation < 1e-15  # |phase|^2 rounding only
 
 
 def test_periodicity_check_rejects_translation_of_wrong_shape(translation_n3):
@@ -202,7 +202,7 @@ def test_breaking_observable_couples_adjacent_classes(basis_n3, translation_n3):
             if matrix[i, j] != 0.0:
                 coupled.add((int(basis_n3.indices[i] % 3), int(basis_n3.indices[j] % 3)))
     assert coupled == {(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)}
-    assert not bl.check_cell_periodicity(op, translation_n3).is_cell_periodic
+    assert not bl.check_cell_periodicity(op, translation_n3) < PERIODICITY_RTOL
 
 
 def test_breaking_observable_rejects_cell_periodic_shift(basis_n3):
@@ -269,8 +269,8 @@ def test_algebra_closure_under_sum_and_symmetrized_product(seed_a, seed_b):
     (b,) = seeded(seed_b, basis).matrix
     total = operator(9, dense_to_diagonals(a + b))
     sym = operator(9, dense_to_diagonals(0.5 * (a @ b + b @ a)))
-    assert bl.check_cell_periodicity(total, t).is_cell_periodic
-    assert bl.check_cell_periodicity(sym, t).is_cell_periodic
+    assert bl.check_cell_periodicity(total, t) < PERIODICITY_RTOL
+    assert bl.check_cell_periodicity(sym, t) < PERIODICITY_RTOL
 
 
 def test_periodicity_pass_implies_small_off_class_entries(basis_n3, translation_n3):
@@ -279,7 +279,7 @@ def test_periodicity_pass_implies_small_off_class_entries(basis_n3, translation_
     classes = basis_n3.indices % 3
     off = classes[:, None] != classes[None, :]
     for op in members(bl.Battery(basis_n3, seeds=10).tables()):
-        report = bl.check_cell_periodicity(op, translation_n3)
-        assert report.is_cell_periodic
-        bound = report.max_violation * op.norm_max[0] / (2.0 * np.sin(np.pi / 3.0))
+        violation = bl.check_cell_periodicity(op, translation_n3)
+        assert violation < PERIODICITY_RTOL
+        bound = violation * op.norm_max[0] / (2.0 * np.sin(np.pi / 3.0))
         assert float(np.max(np.abs(op.matrix[0][off]))) <= bound

@@ -8,10 +8,15 @@ the measurements made on a whole table must equal the same measurements made
 one member at a time.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import blochlab as bl
+from blochlab.config import validate_config
+from blochlab.runner import run_scenario, stable_report_bytes
 from oracles import (
     diagonals,
     join,
@@ -24,6 +29,7 @@ from oracles import (
 from test_state_block_oracles import LATTICES, POTENTIAL
 
 TABLE_LATTICES = (*LATTICES, bl.LatticeSpec(cells=15, cutoff=247))  # N=15, d=495
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 CUSTOM = (
     bl.ObservableSpec(
@@ -106,7 +112,7 @@ def test_sector_report_on_a_table_equals_the_member_loop_bit_for_bit(spec, break
     if breaking:
         alone += [bl.breaking_observable(s, basis) for s in (1, 2)]
     table = join(alone)
-    report = bl.sector_decomposition_report(bands, table)
+    report = bl.sector_decomposition_report(bands, [table])
     leakage, within = member_sector_elements(bands, alone)
     assert report.leakage.tobytes() == leakage.tobytes()
     assert report.within_sector.tobytes() == within.tobytes()
@@ -144,10 +150,10 @@ def test_stacked_methods_equal_each_member_alone_bit_for_bit(spec):
 def test_periodicity_of_a_table_is_its_worst_member(basis_n3):
     t = bl.build_translation(basis_n3.spec)
     alone = members(bl.Battery(basis_n3, seeds=3).tables()) + [bl.breaking_observable(1, basis_n3)]
-    each = [bl.check_cell_periodicity(op, t).max_violation for op in alone]
+    each = [bl.check_cell_periodicity(op, t) for op in alone]
     assert max(each[:-1]) < 1e-14 < each[-1]
-    assert bl.check_cell_periodicity(join(alone), t).max_violation == each[-1]
-    assert bl.check_cell_periodicity(join(alone[:-1]), t).max_violation == max(each[:-1])
+    assert bl.check_cell_periodicity(join(alone), t) == each[-1]
+    assert bl.check_cell_periodicity(join(alone[:-1]), t) == max(each[:-1])
 
 
 def test_table_checks_every_member_once_with_the_operator_messages():
@@ -166,3 +172,58 @@ def test_table_checks_every_member_once_with_the_operator_messages():
     with pytest.raises(ValueError, match="outside 0..2"):
         table([[1.0, 2.0, 3.0], 0.0, 0.0, 1.0])
 
+
+
+def _shipped(name: str) -> dict:
+    return json.loads((CONFIG_DIR / f"{name}.json").read_text())
+
+
+def test_a_run_does_not_depend_on_how_the_battery_splits_into_tables(monkeypatch):
+    # one table against one member per table.  The superselect report is the
+    # same bytes.  The Wannier side's per-offset (members, d - o) @ (d - o, rows)
+    # product rounds apart for a one-member table (band 1's residual reads
+    # 7.1e-15 in one table, 3.6e-15 split), so there the checks are compared
+    cfgs = [validate_config(_shipped(name)) for name in ("superselect_mathieu", "wannier_mathieu")]
+    whole = [run_scenario(cfg) for cfg in cfgs]
+    monkeypatch.setattr(bl.observables, "_TABLE_ENTRIES", 1)
+    assert all(len(list(cfg.battery.tables())) == len(cfg.battery) for cfg in cfgs)
+    split = [run_scenario(cfg) for cfg in cfgs]
+    assert stable_report_bytes(split[0]) == stable_report_bytes(whole[0])
+    assert split[1].checks == whole[1].checks and split[1].passed
+
+
+# a custom member equal to sin_a, the strongest of these named members, ties
+# it bit for bit in a later table; there is no cos_a to scan across classes
+TWIN_BATTERY = {
+    "seeds": 0,
+    "named": ["identity", "sin_a", "momentum", "momentum_sq"],
+    "custom": [{"terms": [{"f": [{"j": 1, "re": 0.0, "im": -0.5}]}]}],
+}
+
+
+@pytest.mark.parametrize("per_table", [1, 2])
+@pytest.mark.parametrize(
+    "battery",
+    [{"seeds": 20}, TWIN_BATTERY],
+    ids=["shipped", "sin_a_twin"],
+)
+def test_scanned_members_survive_a_split_battery(monkeypatch, battery, per_table):
+    data = {**_shipped("superselect_mathieu"), "battery": battery}
+    cfg = validate_config(data)
+    whole = run_scenario(cfg).results
+    spec = cfg.lattice  # every member fills offsets 0 and N only: two diagonals
+    monkeypatch.setattr(bl.observables, "_TABLE_ENTRIES", per_table * 2 * spec.dim)
+    assert len(list(cfg.battery.tables())) >= 3
+    split = run_scenario(cfg).results
+    labels = cfg.battery.labels
+    bands = bl.solve_bands(bl.build_hamiltonian(spec, cfg.potential), spec)
+    _, within = member_sector_elements(bands, members(cfg.battery.tables()))
+    strongest = labels[int(np.argmax(within[0]))]  # the first of the largest
+    if "custom" in battery:
+        assert strongest == "sin_a" and within[0, 1] == within[0, 4] == within[0].max()
+    assert split["fringe_within"]["observable"] == strongest
+    assert split["fringe_within"]["cross_element"] == within[0].max()
+    assert split["fringe_cross"]["observable"] == ("cos_a" if "cos_a" in labels else labels[0])
+    for scan in ("fringe_cross", "fringe_within"):
+        assert np.array(split[scan]["averages"]).tobytes() == np.array(whole[scan]["averages"]).tobytes()
+        assert split[scan]["observable"] == whole[scan]["observable"]

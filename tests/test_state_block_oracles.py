@@ -15,7 +15,6 @@ import pytest
 
 import blochlab as bl
 from blochlab.bloch import DEGENERACY_ATOL, _canonical_eigenbasis
-from conftest import every_state
 from oracles import (
     join,
     loop_canonical_eigenbasis,
@@ -158,8 +157,8 @@ def test_class_form_matches_the_dense_form(solved):
 
 def test_leakage_table_equals_pairwise_loop_bit_for_bit(solved):
     _, bands, battery = solved
-    report = bl.sector_decomposition_report(bands, join(battery))
-    expected = pairwise_leakage(every_state(bands), battery)
+    report = bl.sector_decomposition_report(bands, [join(battery)])
+    expected = pairwise_leakage(bands.coeffs, battery)
     assert np.array_equal(report.leakage, expected, equal_nan=True)
     # the breaking members light up the neighbouring classes, so the
     # comparison is not between two tables of zeros
@@ -168,8 +167,8 @@ def test_leakage_table_equals_pairwise_loop_bit_for_bit(solved):
 
 
 def test_leakage_report_reads_a_generator_like_the_list(solved, monkeypatch):
-    # the battery split into tables of at most three members, each measured
-    # alone and the reports joined, gives the one-table report bit for bit
+    # the battery split into tables of at most three members, read from a
+    # generator one table at a time, gives the one-table report bit for bit
     spec, bands, battery = solved
     basis = bl.build_basis(spec)
     monkeypatch.setattr(bl.observables, "_TABLE_ENTRIES", 3 * 2 * spec.dim)
@@ -177,10 +176,16 @@ def test_leakage_report_reads_a_generator_like_the_list(solved, monkeypatch):
         bl.Battery(basis, seeds=5).tables(),
         (bl.breaking_observable(s, basis) for s in (1, 2)),
     )
-    parts = [bl.sector_decomposition_report(bands, table) for table in tables]
-    assert len(parts) == 6 and max(len(p.battery_labels) for p in parts) == 3
-    got = bl.SectorDecompositionReport.joined(parts)
-    expected = bl.sector_decomposition_report(bands, join(battery))
+    sizes = []
+
+    def counted(tables):
+        for table in tables:
+            sizes.append(len(table))
+            yield table
+
+    got = bl.sector_decomposition_report(bands, counted(tables))
+    assert len(sizes) == 6 and max(sizes) == 3
+    expected = bl.sector_decomposition_report(bands, [join(battery)])
     assert got.battery_labels == expected.battery_labels
     assert np.array_equal(got.leakage, expected.leakage, equal_nan=True)
     assert np.array_equal(got.within_sector, expected.within_sector)
@@ -197,16 +202,16 @@ def test_wannier_mixture_residual_matches_per_state_loop(solved):
     )
     band_blocks = bands.blocks[:, band_list].swapaxes(0, 1)
     table = join(battery)
-    residuals = bl.wannier_mixture_residual(wanniers, band_blocks, bands.rows, table)
+    residuals = bl.wannier_mixture_residual(wanniers, band_blocks, bands.rows, [table])
     assert residuals.shape == (len(battery), len(band_list))
     for op, label, got in zip(battery, table.labels, residuals):
         magnitude = np.abs(op.matrix[0])
         for i, band in enumerate(band_list):
-            band_states = [bands.state(l, band) for l in range(bands.sectors)]
+            band_states = bands.dense(np.arange(bands.sectors), band)
             expected = max(state_mixture_residual(w, band_states, op) for w in wanniers[i])
             # both sides sum the same products in other orders: relative to
             # the largest |w|^T |O| |w| of the band's Wannier and Bloch states
-            vectors = [*wanniers[i], *(s.coeffs for s in band_states)]
+            vectors = [*wanniers[i], *band_states]
             terms = max(np.abs(v) @ magnitude @ np.abs(v) for v in vectors)
             assert abs(got[i] - expected) <= 1e-14 * terms, (label, band)
             if label.startswith("breaking:"):
@@ -215,16 +220,16 @@ def test_wannier_mixture_residual_matches_per_state_loop(solved):
 
 def test_within_sector_elements_match_matrix_element(solved):
     _, bands, battery = solved
-    report = bl.sector_decomposition_report(bands, join(battery))
+    report = bl.sector_decomposition_report(bands, [join(battery)])
     within = report.within_sector
     assert within.shape == (bands.sectors, len(battery))
     for l in range(bands.sectors):
-        bra, ket = bands.state(l, 0), bands.state(l, 1)
+        bra, ket = bands.dense(l, 0), bands.dense(l, 1)
         for i, op in enumerate(battery):
             ref = abs(matrix_element(op, bra, ket))
             # both sum the same products in another order, and the element can
             # be a cancellation (or a parity-forced zero): relative to |bra|^T |O| |ket|
-            terms = np.abs(bra.coeffs) @ np.abs(op.matrix[0]) @ np.abs(ket.coeffs)
+            terms = np.abs(bra) @ np.abs(op.matrix[0]) @ np.abs(ket)
             assert abs(within[l, i] - ref) <= 1e-14 * terms, (l, op.labels)
 
 
@@ -246,6 +251,6 @@ def test_one_band_lattice_has_no_within_sector_elements():
     spec = bl.LatticeSpec(cells=3, cutoff=1)  # d = 3: one band per class
     bands = bl.solve_bands(bl.build_hamiltonian(spec, bl.PotentialSpec()), spec)
     (table,) = bl.Battery(bl.build_basis(spec), seeds=2, max_harmonic=0, named=()).tables()
-    report = bl.sector_decomposition_report(bands, table)
+    report = bl.sector_decomposition_report(bands, [table])
     assert report.within_sector is None
     assert report.leakage.shape == (3, 3)

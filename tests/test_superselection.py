@@ -17,9 +17,9 @@ MATHIEU_K0_DISTINGUISHABILITY = 0.3193521445398395
 def test_identity_elements(mathieu_solution, basis_n3):
     _, bands = mathieu_solution
     identity = named("identity", basis_n3)
-    same = matrix_element(identity, bands.state(0, 0), bands.state(0, 0))
+    same = matrix_element(identity, bands.dense(0, 0), bands.dense(0, 0))
     assert same == pytest.approx(1.0, abs=1e-12)
-    other_band = matrix_element(identity, bands.state(0, 0), bands.state(0, 1))
+    other_band = matrix_element(identity, bands.dense(0, 0), bands.dense(0, 1))
     assert abs(other_band) < 1e-12
 
 
@@ -29,7 +29,7 @@ def test_cross_sector_elements_vanish_for_seeded_observable(
     _, bands = mathieu_solution
     op = seeded(7, basis_n3)
     for low, high in ((0, 0), (0, 1), (2, 1)):
-        element = matrix_element(op, bands.state(0, low), bands.state(1, high))
+        element = matrix_element(op, bands.dense(0, low), bands.dense(1, high))
         assert abs(element) < 1e-12 * op.norm_max[0]
 
 
@@ -37,9 +37,9 @@ def test_superselection_invariant_full_battery(mathieu_solution, battery_n3):
     _, bands = mathieu_solution
     worst = 0.0
     for op in battery_n3:
-        for bra in every_state(bands):
-            for ket in every_state(bands):
-                if bra.sector == ket.sector:
+        for bra_sector, _, bra in every_state(bands):
+            for ket_sector, _, ket in every_state(bands):
+                if bra_sector == ket_sector:
                     continue
                 worst = max(worst, abs(matrix_element(op, bra, ket)) / op.norm_max[0])
     assert worst < 1e-12
@@ -47,13 +47,13 @@ def test_superselection_invariant_full_battery(mathieu_solution, battery_n3):
 
 def test_fringe_scan_flat_across_sectors(mathieu_solution, battery_n3):
     _, bands = mathieu_solution
-    scan = bl.fringe_scan(battery_n3[1], bands.state(0, 0), bands.state(1, 0), 64)
+    scan = bl.fringe_scan(battery_n3[1], bands.dense(0, 0), bands.dense(1, 0), 64)
     assert scan.amplitude < 1e-10
 
 
 def test_fringe_scan_within_sector_matches_element(mathieu_solution, basis_n3):
     _, bands = mathieu_solution
-    a, b = bands.state(1, 0), bands.state(1, 1)
+    a, b = bands.dense(1, 0), bands.dense(1, 1)
     op = named("cos_a", basis_n3)
     element = matrix_element(op, a, b)
     assert abs(element) > 1e-4
@@ -62,8 +62,8 @@ def test_fringe_scan_within_sector_matches_element(mathieu_solution, basis_n3):
     # analytic shape: averages = const + |c| cos(lambda + arg c)
     (matrix,) = op.matrix
     expected = (
-        np.real(a.coeffs.conj() @ matrix @ a.coeffs)
-        + np.real(b.coeffs.conj() @ matrix @ b.coeffs)
+        np.real(a.conj() @ matrix @ a)
+        + np.real(b.conj() @ matrix @ b)
         + 2.0 * abs(element) * np.cos(scan.phases + np.angle(element))
     ) / 2.0
     assert np.allclose(scan.averages, expected, atol=1e-12)
@@ -71,10 +71,10 @@ def test_fringe_scan_within_sector_matches_element(mathieu_solution, basis_n3):
 
 def test_fringe_scan_same_state_is_constant(mathieu_solution, basis_n3):
     _, bands = mathieu_solution
-    a = bands.state(1, 0)
+    a = bands.dense(1, 0)
     op = named("momentum", basis_n3)
     scan = bl.fringe_scan(op, a, a, 9)  # odd grid avoids lambda = pi
-    level = float(np.real(a.coeffs.conj() @ op.matrix[0] @ a.coeffs))
+    level = float(np.real(a.conj() @ op.matrix[0] @ a))
     assert np.allclose(scan.averages, level, atol=1e-12)
     with pytest.raises(ValueError, match="degenerate"):
         bl.fringe_scan(op, a, a, 8)  # even grid hits the anti-parallel point
@@ -83,9 +83,9 @@ def test_fringe_scan_same_state_is_constant(mathieu_solution, basis_n3):
 def test_fringe_scan_needs_enough_points(mathieu_solution, battery_n3):
     _, bands = mathieu_solution
     with pytest.raises(ValueError, match="phase points"):
-        bl.fringe_scan(battery_n3[0], bands.state(0, 0), bands.state(1, 0), 4)
+        bl.fringe_scan(battery_n3[0], bands.dense(0, 0), bands.dense(1, 0), 4)
     with pytest.raises(ValueError):  # a scan measures one member
-        bl.fringe_scan(join(battery_n3[:2]), bands.state(0, 0), bands.state(1, 0), 64)
+        bl.fringe_scan(join(battery_n3[:2]), bands.dense(0, 0), bands.dense(1, 0), 64)
 
 
 def test_breaking_observable_restores_cross_sector_fringes(
@@ -93,21 +93,21 @@ def test_breaking_observable_restores_cross_sector_fringes(
 ):
     _, bands = mathieu_solution
     op = bl.breaking_observable(1, basis_n3)
-    assert abs(matrix_element(op, bands.state(0, 0), bands.state(1, 0))) > 1e-6
-    scan = bl.fringe_scan(op, bands.state(0, 0), bands.state(1, 0), 64)
+    assert abs(matrix_element(op, bands.dense(0, 0), bands.dense(1, 0))) > 1e-6
+    scan = bl.fringe_scan(op, bands.dense(0, 0), bands.dense(1, 0), 64)
     assert scan.amplitude > 1e-6
 
 
 def test_free_particle_breaking_ground_pair_element(free_solution, basis_n3):
     _, bands = free_solution
     breaker = bl.breaking_observable(1, basis_n3)
-    element = matrix_element(breaker, bands.state(0, 0), bands.state(1, 0))
+    element = matrix_element(breaker, bands.dense(0, 0), bands.dense(1, 0))
     assert abs(element) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mixture_cross_sector_is_indistinguishable(mathieu_solution, battery_n3):
     _, bands = mathieu_solution
-    diag = mixture_diagnostic(bands.state(0, 0), bands.state(1, 0), battery_n3)
+    diag = mixture_diagnostic(bands.dense(0, 0), bands.dense(1, 0), battery_n3)
     assert diag.distinguishability < 1e-10
     assert np.trace(diag.rho_superposition).real == pytest.approx(1.0, abs=1e-12)
     assert np.trace(diag.rho_mixture).real == pytest.approx(1.0, abs=1e-12)
@@ -115,7 +115,7 @@ def test_mixture_cross_sector_is_indistinguishable(mathieu_solution, battery_n3)
 
 def test_mixture_within_sector_is_distinguishable(mathieu_solution, battery_n3):
     _, bands = mathieu_solution
-    diag = mixture_diagnostic(bands.state(0, 0), bands.state(0, 1), battery_n3)
+    diag = mixture_diagnostic(bands.dense(0, 0), bands.dense(0, 1), battery_n3)
     assert diag.distinguishability > 1e-4
     assert diag.distinguishability == pytest.approx(
         MATHIEU_K0_DISTINGUISHABILITY, rel=1e-9
@@ -125,20 +125,20 @@ def test_mixture_within_sector_is_distinguishable(mathieu_solution, battery_n3):
 def test_mixture_identity_battery_cannot_distinguish(mathieu_solution, basis_n3):
     _, bands = mathieu_solution
     identity = named("identity", basis_n3)
-    diag = mixture_diagnostic(bands.state(0, 0), bands.state(2, 1), [identity])
+    diag = mixture_diagnostic(bands.dense(0, 0), bands.dense(2, 1), [identity])
     assert diag.distinguishability < 1e-14
 
 
 def test_mixture_rejects_non_orthogonal_states(mathieu_solution, battery_n3):
     _, bands = mathieu_solution
-    a = bands.state(0, 0)
+    a = bands.dense(0, 0)
     with pytest.raises(ValueError, match="orthogonal"):
         mixture_diagnostic(a, a, battery_n3)
 
 
 def test_sector_decomposition_structurally_clean(free_solution, battery_n3):
     _, bands = free_solution
-    report = bl.sector_decomposition_report(bands, join(battery_n3))
+    report = bl.sector_decomposition_report(bands, [join(battery_n3)])
     assert report.leakage.shape == (3, 3)
     assert np.all(np.isnan(np.diag(report.leakage)))
     assert report.max_offdiagonal < 1e-12
@@ -149,7 +149,7 @@ def test_sector_decomposition_lights_up_with_breaking_member(
 ):
     _, bands = free_solution
     extended = battery_n3 + [bl.breaking_observable(1, basis_n3)]
-    report = bl.sector_decomposition_report(bands, join(extended))
+    report = bl.sector_decomposition_report(bands, [join(extended)])
     for pair in ((0, 1), (1, 2), (2, 0)):
         assert report.leakage[pair] > 1e-6
 
@@ -163,9 +163,20 @@ def test_wannier_expectation_equals_band_average(
     )
     band_blocks = bands.blocks[:, [0, 1]].swapaxes(0, 1)
     table = join(battery_n3)
-    residuals = bl.wannier_mixture_residual(wanniers, band_blocks, bands.rows, table)
+    residuals = bl.wannier_mixture_residual(wanniers, band_blocks, bands.rows, [table])
     assert residuals.shape == (len(battery_n3), 2)
     assert np.all(residuals < 1e-10)
+
+
+def test_wannier_residual_reads_a_stream_of_tables(mathieu_solution, battery_n3, lattice_n3):
+    # one row per member in stream order, each the residual of its table alone
+    _, bands = mathieu_solution
+    wanniers = np.array([[bl.wannier_state(0, cell, bands, lattice_n3) for cell in range(3)]])
+    band_blocks = bands.blocks[:, [0]].swapaxes(0, 1)
+    stream = bl.wannier_mixture_residual(wanniers, band_blocks, bands.rows, iter(battery_n3))
+    alone = [bl.wannier_mixture_residual(wanniers, band_blocks, bands.rows, [op]) for op in battery_n3]
+    assert stream.shape == (len(battery_n3), 1)
+    assert stream.tobytes() == np.concatenate(alone).tobytes()
 
 
 def test_superselection_survives_on_padded_even_lattice():
@@ -176,10 +187,10 @@ def test_superselection_survives_on_padded_even_lattice():
     h = bl.build_hamiltonian(spec, bl.PotentialSpec.from_cosines([(1, 0.5)]))
     bands = bl.solve_bands(h, spec)
     (table,) = bl.Battery(basis, seeds=10).tables()
-    report = bl.sector_decomposition_report(bands, table)
+    report = bl.sector_decomposition_report(bands, [table])
     assert report.leakage.shape == (4, 4)
     assert report.max_offdiagonal < 1e-12
-    a, b = bands.state(1, 0), bands.state(1, 1)
+    a, b = bands.dense(1, 0), bands.dense(1, 1)
     best = max(abs(matrix_element(op, a, b)) for op in members([table]))
     assert best > 1e-4
 
@@ -190,7 +201,7 @@ def test_every_adjacent_band_pair_has_coherence(mathieu_solution, battery_n3):
     for sector in range(3):
         for low, high in ((0, 1), (1, 2)):
             best = max(
-                abs(matrix_element(op, bands.state(sector, low), bands.state(sector, high)))
+                abs(matrix_element(op, bands.dense(sector, low), bands.dense(sector, high)))
                 for op in battery_n3
             )
             assert best > 1e-4, (sector, low, high)
@@ -202,18 +213,12 @@ def test_phase_redefinition_covariance(mathieu_solution, basis_n3, beta):
     # (the bra side, being conjugate-linear, shifts it by -beta); magnitudes
     # never move
     _, bands = mathieu_solution
-    a, b = bands.state(1, 0), bands.state(1, 1)
+    a, b = bands.dense(1, 0), bands.dense(1, 1)
     op = named("cos_a", basis_n3)
     base = matrix_element(op, a, b)
 
-    def rotated(state, phase):
-        return bl.BlochState(
-            band=state.band, sector=state.sector, wavevector=state.wavevector,
-            energy=state.energy, coeffs=np.exp(1j * phase) * state.coeffs,
-        )
-
-    ket_shift = matrix_element(op, a, rotated(b, beta))
-    bra_shift = matrix_element(op, rotated(a, beta), b)
+    ket_shift = matrix_element(op, a, np.exp(1j * beta) * b)
+    bra_shift = matrix_element(op, np.exp(1j * beta) * a, b)
     wrap = lambda x: (x + np.pi) % (2 * np.pi) - np.pi
     assert wrap(np.angle(ket_shift) - np.angle(base)) == pytest.approx(beta, abs=1e-12)
     assert wrap(np.angle(bra_shift) - np.angle(base)) == pytest.approx(-beta, abs=1e-12)
@@ -245,7 +250,7 @@ def test_each_member_multiplies_only_the_class_blocks_it_can_fill(monkeypatch):
     bands = bl.solve_bands(bl.build_hamiltonian(spec, potential), spec)
     asked = _count_class_blocks(monkeypatch)
     table = join([seeded(1, basis), bl.breaking_observable(1, basis)])
-    report = bl.sector_decomposition_report(bands, table)
+    report = bl.sector_decomposition_report(bands, [table])
     assert asked == [[(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]]
     assert report.leakage[0, 2] == 0.0 and report.leakage[0, 1] > 0.5
     assert np.all(report.within_sector[:, 0] > 0.0)  # the breaking member has none
