@@ -28,9 +28,7 @@ from .floquet import (
 from .lattice import (
     LatticeSpec,
     OperatorTable,
-    PlaneWaveBasis,
     PotentialSpec,
-    build_basis,
     build_hamiltonian,
     build_translation,
 )
@@ -52,8 +50,8 @@ from .superselection import (
 __all__ = [
     "__version__",
     # lattice
-    "LatticeSpec", "PotentialSpec", "PlaneWaveBasis", "OperatorTable",
-    "build_basis", "build_hamiltonian", "build_translation",
+    "LatticeSpec", "PotentialSpec", "OperatorTable",
+    "build_hamiltonian", "build_translation",
     # bloch
     "BandStructure",
     "solve_bands", "winding_number", "ring_phase_samples", "wannier_state",

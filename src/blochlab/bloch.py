@@ -5,9 +5,11 @@ wavevector class, diagonalizing each class block yields simultaneous
 eigenvectors of H and of the translation operator T: the class label l fixes
 the translation eigenvalue exp(i k_l a) with k_l = 2*pi*l/(N*a), and sorting
 each block's eigenvalues defines the band index n = 0, 1, ... (one state per
-class and band, so every band holds N states).  A state is kept as its
-class block alone; ``BandStructure.dense`` forms its plane-wave vector for a
-measurement that needs one.
+class and band, so every band holds N states).  The class rows and the
+wavevectors are read from the lattice's own grid (``LatticeSpec.class_rows``
+and ``.wavevector``).  A state is kept as its class block alone;
+``BandStructure.dense`` forms its plane-wave vector for a measurement that
+needs one.
 
 Eigenvector gauge is pinned deterministically: degenerate clusters are
 re-spanned by greedy pivoting of the cluster projector onto plane-wave axes
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, NumericalFailure
-from .lattice import LatticeSpec, OperatorTable, PlaneWaveBasis, build_basis, class_shift
+from .lattice import LatticeSpec, OperatorTable, class_shift
 
 DEGENERACY_ATOL = 1e-10
 SUPPORT_ATOL = 1e-12
@@ -59,10 +61,6 @@ class BandStructure:
             arr = np.array(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def sectors(self) -> int:
-        return self.energies.shape[0]
 
     @property
     def bands(self) -> int:
@@ -131,36 +129,34 @@ def _canonical_eigenbasis(energies: np.ndarray, vectors: np.ndarray) -> np.ndarr
 def solve_bands(h: OperatorTable, spec: LatticeSpec) -> BandStructure:
     """Diagonalize every wavevector-class block of a cell-periodic H at once.
 
-    ``h`` is a one-member table.  Each class's rows (``basis.class_rows``)
-    give one (d/N, d/N) block (``OperatorTable.class_blocks``); the N blocks
-    go through one stacked eigensolve and one stacked gauge fix, and their
-    eigenvectors are kept on those rows, with the rows as the (N, d/N)
-    ``rows`` table.
+    ``h`` is a one-member table on the spec's grid.  Each class's rows (a
+    row of ``spec.class_rows``) give one (d/N, d/N) block
+    (``OperatorTable.class_blocks``); the N blocks go through one stacked
+    eigensolve and one stacked gauge fix, and their eigenvectors are kept on
+    those rows, with the (N, d/N) row table as ``rows``.
 
     Raises InvariantViolation if H carries weight between different classes
     (it then is not cell-periodic and has no common eigenbasis with T), and
     NumericalFailure if the block eigensolve fails.
     """
-    basis = build_basis(spec)
-    if h.dim != basis.dim:
-        raise ValueError(f"operator dimension {h.dim} does not match basis {basis.dim}")
-    _require_block_structure(h, basis)
+    if h.dim != spec.dim:
+        raise ValueError(f"operator dimension {h.dim} does not match basis {spec.dim}")
+    _require_block_structure(h, spec.cells)
 
     sectors = np.arange(spec.cells)
-    class_rows = np.array([basis.class_rows(sector) for sector in sectors])
-    (class_blocks,) = h.class_blocks(class_rows, sectors, sectors)
+    (class_blocks,) = h.class_blocks(spec.class_rows, sectors, sectors)
     try:
         energies, vectors = np.linalg.eigh(class_blocks)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalFailure(f"class-block eigensolver failed: {exc}") from exc
     blocks = _canonical_eigenbasis(energies, vectors).swapaxes(1, 2)  # (class, band, row)
     return BandStructure(
-        k_values=basis.wavevector(sectors), energies=energies, blocks=blocks, rows=class_rows
+        k_values=spec.wavevector(sectors), energies=energies, blocks=blocks, rows=spec.class_rows
     )
 
 
-def _require_block_structure(h: OperatorTable, basis: PlaneWaveBasis) -> None:
-    off_class = [k for k, o in enumerate(h.offsets) if class_shift(o, basis.cells)]
+def _require_block_structure(h: OperatorTable, cells: int) -> None:
+    off_class = [k for k, o in enumerate(h.offsets) if class_shift(o, cells)]
     leakage = float(np.max(np.abs(h.values[:, off_class]), initial=0.0))
     if leakage > SUPPORT_ATOL * max(float(np.max(h.norm_max)), 1.0):
         raise InvariantViolation(

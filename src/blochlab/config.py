@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .floquet import MIN_STEPS, DriveSpec, DriveTerm, PeriodicObservableSpec
-from .lattice import LatticeSpec, PotentialSpec, build_basis
+from .lattice import LatticeSpec, PotentialSpec
 from .observables import (
     MAX_POLY_DEGREE,
     NAMED_OBSERVABLES,
@@ -104,17 +104,10 @@ class ScenarioConfig:
     floquet: FloquetConfig | None = None
     negative_control_shift: int | None = None
     fringe_points: int = 64
-    tolerances: dict[str, float] = field(default_factory=dict)
+    # every key of DEFAULT_TOLERANCES, the config's overrides merged in
+    tolerances: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     output: dict[str, str] = field(default_factory=dict)
-    echo: dict = field(default_factory=dict)
-
-    def tolerance(self, key: str) -> float:
-        return self.tolerances.get(key, DEFAULT_TOLERANCES[key])
-
-    def resolved_tolerances(self) -> dict[str, float]:
-        out = dict(DEFAULT_TOLERANCES)
-        out.update(self.tolerances)
-        return out
+    echo: dict = field(default_factory=dict)  # the config as given, output section aside
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +266,15 @@ def _matrix(value, pointer: str) -> np.ndarray:
 
 
 def _check_momentum_scale(spec: LatticeSpec) -> None:
-    """Refuse a lattice whose operators overflow at the largest |q| of its basis.
+    """Refuse a lattice whose operators overflow at the largest |q| of its grid.
 
     The kinetic energy (hbar q)^2 / 2m must stay within MAX_HAMILTONIAN_ENTRY,
-    and the battery's momentum powers up to MAX_POLY_DEGREE finite.  q_max =
-    2 pi max|m| / L is formed here as ``build_basis`` forms it, before any
-    basis exists, so a lattice constant that overflows it warns nowhere.
+    and the battery's momentum powers up to MAX_POLY_DEGREE finite.  The
+    spec's momenta are first formed here, so a lattice constant that
+    overflows them warns nowhere.
     """
     with np.errstate(over="ignore"):
-        p = spec.hbar * (2.0 * np.pi * (spec.cutoff + spec.pad) / spec.circumference)
+        p = spec.hbar * float(np.max(np.abs(spec.momenta)))
         kinetic = p * p / (2.0 * spec.mass)
         power = np.float64(p) ** MAX_POLY_DEGREE
         if not (kinetic <= MAX_HAMILTONIAN_ENTRY and np.isfinite(power)):
@@ -439,7 +432,7 @@ _SECTIONS = {
     # LatticeSpec's own errors are divisibility and the dimension cap
     "lattice": (partial(_object, table=_LATTICE, build=LatticeSpec, at="/cutoff"), _REQUIRED),
     "potential": (partial(_object, table=_POTENTIAL, build=PotentialSpec), {}),
-    "battery": (partial(_read, table=_BATTERY), {}),  # built on the lattice's basis
+    "battery": (partial(_read, table=_BATTERY), {}),  # built on the lattice
     "negative_control": (
         partial(_read, table={"s": (partial(_int, minimum=1), _REQUIRED)}), None
     ),
@@ -484,9 +477,8 @@ def validate_config(data: dict) -> ScenarioConfig:
             )
         _check_momentum_scale(lattice)
         _check_potential_scale(values["potential"])
-        basis = build_basis(lattice)
     if "battery" in values:  # superselect and wannier
-        battery = _built(partial(Battery, basis), "/battery", **values["battery"])
+        battery = _built(partial(Battery, lattice), "/battery", **values["battery"])
         values["battery"] = battery
         if battery.max_harmonic * lattice.cells > lattice.cutoff:
             raise ConfigError(
@@ -496,7 +488,7 @@ def validate_config(data: dict) -> ScenarioConfig:
             )
     if "negative_control" in values:
         shift = values.pop("negative_control")["s"]
-        _built(breaking_observable, "/negative_control/s", shift=shift, basis=basis)
+        _built(breaking_observable, "/negative_control/s", shift=shift, lattice=lattice)
         values["negative_control_shift"] = shift
     if kind == "wannier":
         for key, limit in (("bands", lattice.dim // lattice.cells), ("home_cells", lattice.cells)):
@@ -505,7 +497,12 @@ def validate_config(data: dict) -> ScenarioConfig:
                     raise ConfigError(
                         f"must be < {limit} on this lattice, got {index}", f"/wannier/{key}/{i}"
                     )
-    return ScenarioConfig(**values, echo=data)
+    # merged once: every run reads, and its report echoes, the resolved map
+    values["tolerances"] = {**DEFAULT_TOLERANCES, **values.get("tolerances", {})}
+    # output paths are where a run is written, not what it computes: the file's
+    # output section stays out of the echo and its hash, as the flags do
+    echo = {key: value for key, value in data.items() if key != "output"}
+    return ScenarioConfig(**values, echo=echo)
 
 
 def parse_config(

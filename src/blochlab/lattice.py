@@ -1,9 +1,12 @@
-"""Plane-wave basis and operators for a particle on a ring lattice.
+"""The ring lattice, its plane-wave grid, and operators on it.
 
 The configuration space is a ring of circumference L = N*a (N unit cells of
 lattice constant a, periodic boundary conditions).  Everything is expanded in
 the orthonormal plane waves exp(i*q_m*x)/sqrt(L) with q_m = 2*pi*m/L, so an
-operator is a complex matrix indexed by the integer m.
+operator is a complex matrix indexed by the integer m.  ``LatticeSpec`` is
+the one lattice type: its fields fix the geometry and the cutoff, and it
+carries the grid they imply (indices m, momenta q_m, the rows of each
+class), formed once per spec.
 
 Because the potential only carries harmonics of 2*pi/a = 2*pi*N/L, the
 Hamiltonian couples m to m' only when N divides (m - m'): the basis splits
@@ -19,7 +22,7 @@ The translation is diagonal and is held as its phase vector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +38,7 @@ def _freeze(matrix: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Ring geometry and basis resolution.
+    """Ring geometry, basis resolution and the plane-wave grid they fix.
 
     Parameters
     ----------
@@ -51,6 +54,10 @@ class LatticeSpec:
         If True, extend the index set to {-M..M+r} with the smallest r
         making the dimension divisible by N.  Required for even N, where
         the symmetric dimension 2M+1 is odd and can never divide.
+
+    The grid (``indices``, ``momenta``, ``class_rows``) is formed on first
+    use, once per spec, and is read-only; equality, hashing and repr see
+    the six fields alone.
     """
 
     cells: int
@@ -89,44 +96,25 @@ class LatticeSpec:
     def dim(self) -> int:
         return 2 * self.cutoff + 1 + self.pad
 
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """The plane-wave indices m, ascending: -M..M + pad, row r holding m = r - M."""
+        return _freeze(np.arange(-self.cutoff, self.cutoff + self.pad + 1))
 
-@dataclass(frozen=True)
-class PlaneWaveBasis:
-    """Momentum grid and wavevector-class bookkeeping for a LatticeSpec."""
+    @cached_property
+    def momenta(self) -> np.ndarray:
+        """q_m = 2*pi*m/(N*a), one per row."""
+        return _freeze(2.0 * np.pi * self.indices / self.circumference)
 
-    spec: LatticeSpec
-    indices: np.ndarray  # integer m values, ascending
-    momenta: np.ndarray  # q_m = 2*pi*m/L
-
-    def __post_init__(self):
-        _freeze(self.indices)
-        _freeze(self.momenta)
-
-    @property
-    def dim(self) -> int:
-        return len(self.indices)
-
-    @property
-    def cells(self) -> int:
-        return self.spec.cells
-
-    @property
-    def hbar(self) -> float:
-        return self.spec.hbar
-
-    def row_of(self, m: int) -> int:
-        row = int(m) + self.spec.cutoff
-        if not 0 <= row < self.dim or self.indices[row] != m:
-            raise ValueError(f"plane-wave index {m} outside basis")
-        return row
-
-    def class_rows(self, sector: int) -> np.ndarray:
-        """Row positions of all plane waves in wavevector class ``sector``."""
-        return np.nonzero(self.indices % self.spec.cells == sector % self.spec.cells)[0]
+    @cached_property
+    def class_rows(self) -> np.ndarray:
+        """The (N, d/N) class-row table: entry l holds the rows with m mod N = l, ascending."""
+        classes = self.indices % self.cells
+        return _freeze(np.argsort(classes, kind="stable").reshape(self.cells, -1))
 
     def wavevector(self, sector: int) -> float:
         """k_l = 2*pi*l / (N*a) for class label l."""
-        return 2.0 * np.pi * sector / self.spec.circumference
+        return 2.0 * np.pi * sector / self.circumference
 
 
 def fold_harmonics(harmonics) -> tuple[tuple[int, complex], ...]:
@@ -187,11 +175,6 @@ class PotentialSpec:
             raise ValueError("harmonic index 0 is the constant offset; use v0")
         object.__setattr__(self, "harmonics", fold_harmonics(self.harmonics))
         object.__setattr__(self, "v0", float(self.v0))
-
-    @classmethod
-    def from_cosines(cls, terms: Sequence[tuple[int, float]], v0: float = 0.0) -> "PotentialSpec":
-        """Build V(x) = v0 + sum A_j cos(2 pi j x / a) from (j, A_j) pairs."""
-        return cls(harmonics=tuple((j, amp / 2.0) for j, amp in terms), v0=v0)
 
     @property
     def is_free(self) -> bool:
@@ -361,18 +344,6 @@ class OperatorTable:
         return (bra.conj() * applied).sum(axis=-1)
 
 
-def build_basis(spec: LatticeSpec) -> PlaneWaveBasis:
-    """Construct the plane-wave basis for a valid LatticeSpec.
-
-    The momenta are q_m = 2*pi*m/(N*a); class membership is m mod N.
-    Divisibility of the dimension by N is enforced by LatticeSpec itself.
-    """
-    m_lo, m_hi = -spec.cutoff, spec.cutoff + spec.pad
-    indices = np.arange(m_lo, m_hi + 1, dtype=int)
-    momenta = 2.0 * np.pi * indices / spec.circumference
-    return PlaneWaveBasis(spec=spec, indices=indices, momenta=momenta)
-
-
 def build_hamiltonian(spec: LatticeSpec, potential: PotentialSpec) -> OperatorTable:
     """Kinetic-plus-periodic-potential Hamiltonian, exact block structure.
 
@@ -383,13 +354,12 @@ def build_hamiltonian(spec: LatticeSpec, potential: PotentialSpec) -> OperatorTa
     basis has no entry.  A Hamiltonian that is zero on the basis (a kinetic
     energy that underflows, and no potential) raises ValueError.
     """
-    basis = build_basis(spec)
-    kinetic = (spec.hbar * basis.momenta) ** 2 / (2.0 * spec.mass)
+    kinetic = (spec.hbar * spec.momenta) ** 2 / (2.0 * spec.mass)
     diagonals = {0: kinetic + potential.v0}
     for j, c in potential.harmonics:
-        if j * spec.cells < basis.dim:
+        if j * spec.cells < spec.dim:
             diagonals[j * spec.cells] = c
-    return OperatorTable.assemble(basis.dim, [(("hamiltonian",), diagonals)])
+    return OperatorTable.assemble(spec.dim, [(("hamiltonian",), diagonals)])
 
 
 def build_translation(spec: LatticeSpec) -> np.ndarray:
@@ -399,5 +369,4 @@ def build_translation(spec: LatticeSpec) -> np.ndarray:
     t_m = exp(i q_m a) = exp(2 pi i m / N).  T v is ``t * v`` and T^dagger v
     is ``t.conj() * v``; the returned vector is frozen.
     """
-    basis = build_basis(spec)
-    return _freeze(np.exp(2j * np.pi * basis.indices / spec.cells))
+    return _freeze(np.exp(2j * np.pi * spec.indices / spec.cells))

@@ -8,7 +8,8 @@ only within a wavevector class, and momentum is diagonal.  Self-adjointness
 of mixed terms is restored by the symmetrized product (F*P + P*F)/2.  Every
 term is assembled straight onto its offset diagonals: harmonic j at offset
 j*N, the momentum polynomial as a vector along them, so no dense F or P is
-formed.  ``check_cell_periodicity`` returns the relative violation itself.
+formed; each builder takes the ``LatticeSpec`` and reads its momenta and
+class count.  ``check_cell_periodicity`` returns the relative violation itself.
 The battery is built one table at a time, or one member alone to rebuild it.
 
 The randomized battery uses a small integer recurrence (64-bit MMIX linear
@@ -24,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .lattice import OperatorTable, PlaneWaveBasis, fold_harmonics
+from .lattice import LatticeSpec, OperatorTable, fold_harmonics
 
 MAX_POLY_DEGREE = 6  # numerical-range guard on momentum polynomials
 PERIODICITY_RTOL = 1e-12
@@ -93,17 +94,17 @@ class ObservableSpec:
     symmetrize: bool = True
 
 
-def _polynomial_diagonal(term: ObservableTerm, basis: PlaneWaveBasis) -> np.ndarray:
+def _polynomial_diagonal(term: ObservableTerm, lattice: LatticeSpec) -> np.ndarray:
     """Diagonal of P: the polynomial in hbar*q_m, one real entry per plane wave."""
-    hq = basis.hbar * basis.momenta
-    diag = np.zeros(basis.dim)
+    hq = lattice.hbar * lattice.momenta
+    diag = np.zeros(lattice.dim)
     for power, coeff in enumerate(term.p_poly):
         diag = diag + coeff * hq**power
     return diag
 
 
 @np.errstate(over="ignore", invalid="ignore")  # OperatorTable rejects what overflows
-def _observable_diagonals(spec: ObservableSpec, basis: PlaneWaveBasis) -> dict:
+def _observable_diagonals(spec: ObservableSpec, lattice: LatticeSpec) -> dict:
     """The offset diagonals of an ObservableSpec, summed term by term.
 
     P is diagonal (its vector p) and harmonic (j, c) of F is offset k = j*N,
@@ -114,18 +115,18 @@ def _observable_diagonals(spec: ObservableSpec, basis: PlaneWaveBasis) -> dict:
     entry at (m, m + k), conj(c)*p[m + k], is off the conjugate of (m + k, m)
     by more than 1e-12 of the term's largest entry, ValueError is raised.
     """
-    d = basis.dim
+    d = lattice.dim
     diagonals: dict = {}
     for term in spec.terms:
         if not term.f_harmonics and not term.p_poly:
             raise ValueError("observable term needs a function part or a polynomial part")
-        p = _polynomial_diagonal(term, basis)
+        p = _polynomial_diagonal(term, lattice)
         if not term.f_harmonics:
             diagonals[0] = diagonals.get(0, 0.0) + p
             continue
         defect, scale = 0.0, 1e-300
         for j, c in term.f_harmonics:
-            k = j * basis.cells
+            k = j * lattice.cells
             if k >= d:
                 continue  # the harmonic reaches past the basis
             if not term.p_poly:
@@ -164,24 +165,24 @@ def check_cell_periodicity(table: OperatorTable, translation: np.ndarray) -> flo
     return float(np.max(worst / table.norm_max))
 
 
-def _seeded_diagonals(seeds, basis: PlaneWaveBasis, max_harmonic: int, degree: int) -> dict:
+def _seeded_diagonals(seeds, lattice: LatticeSpec, max_harmonic: int, degree: int) -> dict:
     """The offset diagonals of the seeded members, one row per seed, formed at once.
 
     Each seed's LCG stream draws, in order, the real constant, the complex
     coefficients of harmonics 1..max_harmonic and the momentum-polynomial
-    coefficients; power p is pre-damped by the basis momentum scale to the
+    coefficients; power p is pre-damped by the lattice's momentum scale to the
     p-th power, to keep the window rescaling mild.  Each member is the
     symmetrized term (F*P + P*F)/2 of ``_observable_diagonals``, rescaled to
     max-entry norm 1 if its raw norm falls outside the window [0.5, 50].
     """
-    if max_harmonic < 0 or max_harmonic * basis.cells > basis.spec.cutoff:
+    if max_harmonic < 0 or max_harmonic * lattice.cells > lattice.cutoff:
         raise ValueError(
             f"max_harmonic {max_harmonic} unreachable: need j*N <= cutoff "
-            f"({basis.cells}*j <= {basis.spec.cutoff})"
+            f"({lattice.cells}*j <= {lattice.cutoff})"
         )
     if degree > MAX_POLY_DEGREE:
         raise ValueError(f"degree {degree} exceeds cap {MAX_POLY_DEGREE}")
-    hq = basis.hbar * basis.momenta
+    hq = lattice.hbar * lattice.momenta
     q_scale = max(1.0, float(np.max(np.abs(hq))))
     harmonics, poly = [], []  # the draws stay scalar Python: one stream per seed
     for seed in seeds:
@@ -192,13 +193,13 @@ def _seeded_diagonals(seeds, basis: PlaneWaveBasis, max_harmonic: int, degree: i
         )
         poly.append([rng.uniform() / q_scale**power for power in range(degree + 1)])
     harmonics, poly = np.array(harmonics), np.array(poly)
-    p = np.zeros((len(poly), basis.dim))
+    p = np.zeros((len(poly), lattice.dim))
     for power in range(degree + 1):
         p = p + poly[:, power, None] * hq**power
-    d = basis.dim
+    d = lattice.dim
     diagonals = {}
     for j in range(max_harmonic + 1):
-        k, c = j * basis.cells, harmonics[:, j, None]
+        k, c = j * lattice.cells, harmonics[:, j, None]
         diagonals[k] = 0.5 * (c * p[:, : d - k] + p[:, k:] * c)
     norm = np.max([np.max(np.abs(v), axis=1) for v in diagonals.values()], axis=0)[:, None]
     outside = ~((NORM_WINDOW[0] <= norm) & (norm <= NORM_WINDOW[1]))
@@ -207,7 +208,7 @@ def _seeded_diagonals(seeds, basis: PlaneWaveBasis, max_harmonic: int, degree: i
     return diagonals
 
 
-def breaking_observable(shift: int, basis: PlaneWaveBasis) -> OperatorTable:
+def breaking_observable(shift: int, lattice: LatticeSpec) -> OperatorTable:
     """Hermitian counterexample coupling plane waves at distance +-shift, as a one-member table.
 
     With shift not a multiple of N this couples class l to class (l + shift)
@@ -215,12 +216,12 @@ def breaking_observable(shift: int, basis: PlaneWaveBasis) -> OperatorTable:
     negative control showing that non-periodic self-adjoint operators do see
     cross-sector coherence.
     """
-    n = basis.cells
+    n = lattice.cells
     if shift % n == 0:
         raise ValueError(f"shift {shift} is a multiple of {n}: operator would be cell-periodic")
-    if not 1 <= shift <= 2 * basis.spec.cutoff:
-        raise ValueError(f"shift must lie in [1, {2 * basis.spec.cutoff}], got {shift}")
-    return OperatorTable.assemble(basis.dim, [((f"breaking:s={shift}",), {shift: 1.0})])
+    if not 1 <= shift <= 2 * lattice.cutoff:
+        raise ValueError(f"shift must lie in [1, {2 * lattice.cutoff}], got {shift}")
+    return OperatorTable.assemble(lattice.dim, [((f"breaking:s={shift}",), {shift: 1.0})])
 
 
 _NAMED_SPECS = {
@@ -252,7 +253,7 @@ class Battery:
     raises ValueError too.
     """
 
-    basis: PlaneWaveBasis
+    lattice: LatticeSpec
     seeds: int = 20
     max_harmonic: int = 1
     degree: int = 2
@@ -280,8 +281,8 @@ class Battery:
             [self.max_harmonic if self.seeds else 0]
             + [j for spec in specs for term in spec.terms for j, _ in term.f_harmonics]
         )
-        d = self.basis.dim
-        width = min(reach, (d - 1) // self.basis.cells) + 1  # offsets j*N < d a member can fill
+        d = self.lattice.dim
+        width = min(reach, (d - 1) // self.lattice.cells) + 1  # offsets j*N < d a member can fill
         per_table = max(1, _TABLE_ENTRIES // (width * d))
         for start in range(0, len(self), per_table):
             yield self._table(start, min(start + per_table, len(self)))
@@ -296,13 +297,13 @@ class Battery:
         seeds = range(1, self.seeds + 1)[max(start - first_seed, 0) : max(stop - first_seed, 0)]
         custom = range(len(self.custom))[max(start - first_custom, 0) : max(stop - first_custom, 0)]
         parts = [
-            ((name,), _observable_diagonals(_NAMED_SPECS[name], self.basis))
+            ((name,), _observable_diagonals(_NAMED_SPECS[name], self.lattice))
             for name in self.named[start:stop]
         ]
         if seeds:
-            diagonals = _seeded_diagonals(seeds, self.basis, self.max_harmonic, self.degree)
+            diagonals = _seeded_diagonals(seeds, self.lattice, self.max_harmonic, self.degree)
             parts.append((tuple(f"seed:{seed}" for seed in seeds), diagonals))
         parts += [
-            ((f"custom:{i}",), _observable_diagonals(self.custom[i], self.basis)) for i in custom
+            ((f"custom:{i}",), _observable_diagonals(self.custom[i], self.lattice)) for i in custom
         ]
-        return OperatorTable.assemble(self.basis.dim, parts)
+        return OperatorTable.assemble(self.lattice.dim, parts)

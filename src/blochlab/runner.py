@@ -1,9 +1,10 @@
 """Scenario execution: compute and check invariants, and write nothing.
 
-Every run produces a RunReport that is self-contained (full config echo plus
-its hash, the tolerances actually used, per-invariant pass flags) and
-deterministic except for the trailing ``timing`` block.  Nothing is written
-here: ``cli.main`` renders a run's files from its report and writes them.
+Every run produces a RunReport that is self-contained (config echo, output
+paths aside, plus its hash, the tolerances actually used, per-invariant pass
+flags) and deterministic except for the trailing ``timing`` block.  Nothing
+is written here: ``cli.main`` renders a run's files from its report and
+writes them.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .floquet import (
     solve_floquet,
     temporal_overlap_probe,
 )
-from .lattice import OperatorTable, build_basis, build_hamiltonian, build_translation
+from .lattice import OperatorTable, build_hamiltonian, build_translation
 from .observables import PERIODICITY_RTOL, Battery, breaking_observable, check_cell_periodicity
 from .reports import canonical_hash, render_json
 from .superselection import fringe_scan, sector_decomposition_report, wannier_mixture_residual
@@ -77,13 +78,12 @@ def stable_report_bytes(report: RunReport) -> bytes:
 
 def _solve_lattice(cfg: ScenarioConfig):
     spec = cfg.lattice
-    basis = build_basis(spec)
     try:
         h = build_hamiltonian(spec, cfg.potential)
     except ValueError as exc:  # zero on this basis: the kinetic energy underflows
         raise ConfigError(str(exc), "/lattice") from exc
     t = build_translation(spec)
-    return spec, basis, h, t, solve_bands(h, spec)
+    return spec, h, t, solve_bands(h, spec)
 
 
 def _tables(battery: Battery) -> Iterator[OperatorTable]:
@@ -111,7 +111,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         kind=cfg.kind,
         config=cfg.echo,
         config_sha256=canonical_hash(cfg.echo),
-        tolerances=cfg.resolved_tolerances(),
+        tolerances=cfg.tolerances,
         results=results,
         checks=checks,
         timing=timing,
@@ -123,11 +123,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
 
 
 def _run_bands(cfg: ScenarioConfig):
-    spec, basis, h, t, structure = _solve_lattice(cfg)
+    spec, h, t, structure = _solve_lattice(cfg)
     quality = _solver_quality_checks(cfg, h, t, structure)
 
     results = {
-        "dimension": basis.dim,
+        "dimension": spec.dim,
         "bands_per_class": structure.bands,
         "k_values": list(structure.k_values),
         "energies": [list(row) for row in structure.energies],
@@ -139,13 +139,13 @@ def _run_bands(cfg: ScenarioConfig):
         # class l holds the plane waves k_l + 2 pi n / a, n = (m - l) / N: an
         # expression apart from the q_m = 2 pi m / L that H was built from
         labels = np.arange(spec.cells)[:, None]
-        n = (basis.indices[structure.rows] - labels) // spec.cells
-        q = basis.wavevector(labels) + 2.0 * np.pi * n / spec.a
+        n = (spec.indices[structure.rows] - labels) // spec.cells
+        q = spec.wavevector(labels) + 2.0 * np.pi * n / spec.a
         kinetic = (spec.hbar * q) ** 2 / (2.0 * spec.mass)
         worst = float(np.max(np.abs(structure.energies - np.sort(kinetic, axis=1))))
         results["deviations"]["free_particle"] = worst
         scale = max(1.0, float(h.norm_max[0]))
-        checks["free_particle_exact"] = worst < cfg.tolerance("free_particle") * scale
+        checks["free_particle_exact"] = worst < cfg.tolerances["free_particle"] * scale
 
     return results, checks
 
@@ -166,9 +166,9 @@ def _solver_quality_checks(cfg: ScenarioConfig, h, t, bands):
         "translation_eigen": trans_resid,
     }
     checks = {
-        "orthonormal": ortho < cfg.tolerance("solver_zero"),
-        "eigen_residual": eig_resid < cfg.tolerance("eigen_residual"),
-        "translation_eigen": trans_resid < cfg.tolerance("solver_zero"),
+        "orthonormal": ortho < cfg.tolerances["solver_zero"],
+        "eigen_residual": eig_resid < cfg.tolerances["eigen_residual"],
+        "translation_eigen": trans_resid < cfg.tolerances["solver_zero"],
     }
     return {"deviations": deviations, "checks": checks}
 
@@ -187,28 +187,28 @@ def _scan_fields(scan) -> dict:
 
 
 def _run_superselect(cfg: ScenarioConfig):
-    spec, basis, h, t, bands = _solve_lattice(cfg)
+    spec, h, t, bands = _solve_lattice(cfg)
     sector_report = sector_decomposition_report(bands, _tables(cfg.battery))
     labels, max_leak = sector_report.battery_labels, sector_report.max_offdiagonal
 
     results: dict = {
-        "dimension": basis.dim,
+        "dimension": spec.dim,
         "battery": list(labels),
         "leakage": [list(row) for row in sector_report.leakage],
         "max_cross_leakage": max_leak,
     }
-    checks = {"cross_sector_leakage": max_leak < cfg.tolerance("structural_zero")}
+    checks = {"cross_sector_leakage": max_leak < cfg.tolerances["structural_zero"]}
 
     cross_member = cfg.battery.member(labels.index("cos_a") if "cos_a" in labels else 0)
     cross_scan = fringe_scan(cross_member, bands.dense(0, 0), bands.dense(1, 0), cfg.fringe_points)
     results["fringe_cross"] = _scan_fields(cross_scan)
-    checks["fringe_flat"] = cross_scan.amplitude < cfg.tolerance("solver_zero")
+    checks["fringe_flat"] = cross_scan.amplitude < cfg.tolerances["solver_zero"]
 
     within = sector_report.within_sector  # [sector, member], None for one band
     if within is not None:
         worst_sector = float(np.min(np.max(within, axis=1)))
         results["positive_control_min"] = worst_sector
-        checks["positive_control"] = worst_sector > cfg.tolerance("positive_control")
+        checks["positive_control"] = worst_sector > cfg.tolerances["positive_control"]
 
         # scan the first battery member with the strongest class-0 element, so
         # the fringe-vs-element comparison runs away from parity-forced zeros
@@ -218,14 +218,14 @@ def _run_superselect(cfg: ScenarioConfig):
             cfg.battery.member(strongest), bands.dense(0, 0), bands.dense(0, 1), cfg.fringe_points
         )
         results["fringe_within"] = {**_scan_fields(within_scan), "cross_element": element}
-        if element > cfg.tolerance("positive_control"):
+        if element > cfg.tolerances["positive_control"]:
             ratio_error = abs(within_scan.first_harmonic - element) / element
             results["fringe_within"]["relative_mismatch"] = ratio_error
-            checks["fringe_matches_element"] = ratio_error < cfg.tolerance("fringe_match")
+            checks["fringe_matches_element"] = ratio_error < cfg.tolerances["fringe_match"]
 
     if cfg.negative_control_shift is not None:
         shift = cfg.negative_control_shift
-        breaker = breaking_observable(shift, basis)
+        breaker = breaking_observable(shift, spec)
         violation = check_cell_periodicity(breaker, t)
         breaking_scan = fringe_scan(
             breaker, bands.dense(0, 0), bands.dense(shift % spec.cells, 0), cfg.fringe_points
@@ -237,7 +237,7 @@ def _run_superselect(cfg: ScenarioConfig):
         }
         checks["negative_control"] = (
             not violation < PERIODICITY_RTOL
-            and breaking_scan.amplitude > cfg.tolerance("negative_control")
+            and breaking_scan.amplitude > cfg.tolerances["negative_control"]
         )
 
     return results, checks
@@ -248,7 +248,7 @@ def _run_superselect(cfg: ScenarioConfig):
 
 
 def _run_wannier(cfg: ScenarioConfig):
-    spec, basis, h, t, bands = _solve_lattice(cfg)
+    spec, h, t, bands = _solve_lattice(cfg)
 
     norm_dev = 0.0
     covariance = 0.0
@@ -279,9 +279,9 @@ def _run_wannier(cfg: ScenarioConfig):
         "mixture_residual": mixture,
     }
     checks = {
-        "unit_norm": norm_dev < cfg.tolerance("solver_zero"),
-        "translation_covariance": covariance < cfg.tolerance("solver_zero"),
-        "mixture_identity": mixture < cfg.tolerance("wannier_mixture"),
+        "unit_norm": norm_dev < cfg.tolerances["solver_zero"],
+        "translation_covariance": covariance < cfg.tolerances["solver_zero"],
+        "mixture_identity": mixture < cfg.tolerances["wannier_mixture"],
     }
     return results, checks
 
@@ -326,10 +326,10 @@ def _run_floquet(cfg: ScenarioConfig):
         "mode_periodicity_residual": periodicity,
     }
     checks = {
-        "unitarity": unitarity < cfg.tolerance("unitarity"),
-        "cross_method": cross < cfg.tolerance("cross_method"),
-        "sambe_match": sambe_diff < cfg.tolerance("sambe_match"),
-        "mode_periodicity": periodicity < cfg.tolerance("mode_periodicity"),
+        "unitarity": unitarity < cfg.tolerances["unitarity"],
+        "cross_method": cross < cfg.tolerances["cross_method"],
+        "sambe_match": sambe_diff < cfg.tolerances["sambe_match"],
+        "mode_periodicity": periodicity < cfg.tolerances["mode_periodicity"],
     }
 
     observable = fl.probe.observable or _default_probe_observable(drive.dim)
@@ -340,15 +340,15 @@ def _run_floquet(cfg: ScenarioConfig):
     except ValueError as exc:
         raise NumericalFailure(f"temporal probe rejected: {exc}") from exc
 
-    slack = 1.0 + cfg.tolerance("average_slack")
+    slack = 1.0 + cfg.tolerances["average_slack"]
     # a commensurate splitting makes bound_K zero up to rounding, so the
     # averages are also allowed an absolute floor on the scale of |F|
-    floor = cfg.tolerance("average_floor") * probe.max_overlap
+    floor = cfg.tolerances["average_floor"] * probe.max_overlap
     results["probe"] = asdict(probe)
-    checks["phase_relation"] = probe.phase_relation_residual < cfg.tolerance("phase_relation")
+    checks["phase_relation"] = probe.phase_relation_residual < cfg.tolerances["phase_relation"]
     pairs = zip(probe.period_averages, probe.geometric_bounds)
     checks["average_bound"] = all(avg <= slack * bound + floor for (_, avg), (_, bound) in pairs)
     checks["monodromy_commuting"] = (
-        probe.monodromy_commuting_element < cfg.tolerance("monodromy_commuting")
+        probe.monodromy_commuting_element < cfg.tolerances["monodromy_commuting"]
     )
     return results, checks

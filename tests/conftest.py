@@ -11,14 +11,9 @@ def lattice_n3():
 
 
 @pytest.fixture(scope="session")
-def basis_n3(lattice_n3):
-    return bl.build_basis(lattice_n3)
-
-
-@pytest.fixture(scope="session")
 def mathieu_potential():
     # V(x) = 0.5 cos(2 pi x / a)
-    return bl.PotentialSpec.from_cosines([(1, 0.5)])
+    return bl.PotentialSpec(harmonics=((1, 0.25),))
 
 
 @pytest.fixture(scope="session")
@@ -34,14 +29,15 @@ def free_solution(lattice_n3):
 
 
 @pytest.fixture(scope="session")
-def battery_n3(basis_n3):
+def battery_n3(lattice_n3):
     """The default battery's 25 members, one-member tables each."""
-    return members(bl.Battery(basis_n3, seeds=20).tables())
+    return members(bl.Battery(lattice_n3, seeds=20).tables())
 
 
 def every_state(bands):
     """All Bloch states of a BandStructure as (sector, band, plane-wave vector), in that order."""
-    return [(l, n, bands.dense(l, n)) for l in range(bands.sectors) for n in range(bands.bands)]
+    sectors = len(bands.k_values)
+    return [(l, n, bands.dense(l, n)) for l in range(sectors) for n in range(bands.bands)]
 
 
 def random_hermitian(rng, dim, spectral_norm):

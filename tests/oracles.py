@@ -34,26 +34,48 @@ from blochlab.observables import _seeded_diagonals
 # keeps its bits, so ``join`` and ``members`` move no entry.
 
 
+def plane_wave_grid(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference (indices, momenta, class rows) of a LatticeSpec, formed from its fields.
+
+    m runs over -M..M + pad, q_m = 2 pi m / (N a), and class l's rows are
+    searched one class at a time: the rows whose m mod N is l.  The spec's
+    own ``indices``, ``momenta`` and ``class_rows`` must equal these bit for
+    bit.
+    """
+    indices = np.arange(-spec.cutoff, spec.cutoff + spec.pad + 1, dtype=int)
+    momenta = 2.0 * np.pi * indices / spec.circumference
+    rows = np.array([np.nonzero(indices % spec.cells == l)[0] for l in range(spec.cells)])
+    return indices, momenta, rows
+
+
+def row_of(spec: LatticeSpec, m: int) -> int:
+    """The row of plane wave ``m`` on the spec's grid."""
+    (row,) = np.flatnonzero(spec.indices == m)
+    return int(row)
+
+
 def operator(dim: int, diagonals: dict, label: str = "") -> OperatorTable:
     """The one-member table of ``diagonals`` (offset -> values)."""
     return OperatorTable.assemble(dim, [((label,), diagonals)])
 
 
-def named(name: str, basis) -> OperatorTable:
+def named(name: str, lattice: LatticeSpec) -> OperatorTable:
     """The named battery member ``name`` as a one-member table."""
-    (table,) = Battery(basis, seeds=0, named=(name,)).tables()
+    (table,) = Battery(lattice, seeds=0, named=(name,)).tables()
     return table
 
 
-def seeded(seed: int, basis, max_harmonic: int = 1, degree: int = 2) -> OperatorTable:
+def seeded(
+    seed: int, lattice: LatticeSpec, max_harmonic: int = 1, degree: int = 2
+) -> OperatorTable:
     """The battery's seeded member ``seed`` (label seed:<seed>) as a one-member table."""
-    diagonals = _seeded_diagonals((seed,), basis, max_harmonic, degree)
-    return OperatorTable.assemble(basis.dim, [((f"seed:{seed}",), diagonals)])
+    diagonals = _seeded_diagonals((seed,), lattice, max_harmonic, degree)
+    return OperatorTable.assemble(lattice.dim, [((f"seed:{seed}",), diagonals)])
 
 
-def custom(spec, basis) -> OperatorTable:
+def custom(spec, lattice: LatticeSpec) -> OperatorTable:
     """The custom battery member of an ObservableSpec (label custom:0) as a one-member table."""
-    (table,) = Battery(basis, seeds=0, named=(), custom=(spec,)).tables()
+    (table,) = Battery(lattice, seeds=0, named=(), custom=(spec,)).tables()
     return table
 
 
@@ -160,14 +182,14 @@ def loop_fold(harmonics) -> tuple:
     return tuple(canonical)
 
 
-def _loop_function_matrix(f_harmonics, basis) -> np.ndarray:
-    d = basis.dim
+def _loop_function_matrix(f_harmonics, lattice) -> np.ndarray:
+    d = lattice.dim
     out = np.zeros((d, d), dtype=complex)
     for j, c in f_harmonics:
         if j == 0:
             out[np.diag_indices(d)] += c
             continue
-        dm = j * basis.cells
+        dm = j * lattice.cells
         for row in range(d):
             col = row - dm
             if 0 <= col < d:
@@ -176,33 +198,33 @@ def _loop_function_matrix(f_harmonics, basis) -> np.ndarray:
     return out
 
 
-def _dense_polynomial_matrix(p_poly, basis) -> np.ndarray:
-    hq = basis.hbar * basis.momenta
-    diag = np.zeros(basis.dim)
+def _dense_polynomial_matrix(p_poly, lattice) -> np.ndarray:
+    hq = lattice.hbar * lattice.momenta
+    diag = np.zeros(lattice.dim)
     for power, coeff in enumerate(p_poly):
         diag = diag + coeff * hq**power
     return np.diag(diag).astype(complex)
 
 
-def loop_observable(spec, basis) -> np.ndarray:
+def loop_observable(spec, lattice) -> np.ndarray:
     """Sum of terms with F and P as dense matrices; (F@P + P@F)/2 or F@P."""
-    d = basis.dim
+    d = lattice.dim
     total = np.zeros((d, d), dtype=complex)
     for term in spec.terms:
         if term.f_harmonics and term.p_poly:
-            f = _loop_function_matrix(term.f_harmonics, basis)
-            p = _dense_polynomial_matrix(term.p_poly, basis)
+            f = _loop_function_matrix(term.f_harmonics, lattice)
+            p = _dense_polynomial_matrix(term.p_poly, lattice)
             total += 0.5 * (f @ p + p @ f) if spec.symmetrize else f @ p
         elif term.f_harmonics:
-            total += _loop_function_matrix(term.f_harmonics, basis)
+            total += _loop_function_matrix(term.f_harmonics, lattice)
         else:
-            total += _dense_polynomial_matrix(term.p_poly, basis)
+            total += _dense_polynomial_matrix(term.p_poly, lattice)
     return total
 
 
-def loop_breaking_observable(shift: int, basis) -> np.ndarray:
+def loop_breaking_observable(shift: int, lattice) -> np.ndarray:
     """Ones at plane-wave distance +-shift."""
-    d = basis.dim
+    d = lattice.dim
     out = np.zeros((d, d), dtype=complex)
     for row in range(shift, d):
         out[row, row - shift] = 1.0
@@ -330,7 +352,7 @@ def member_sector_elements(bands, battery) -> tuple[np.ndarray, np.ndarray]:
     ``loop_class_form`` on bands 0 and 1.
     """
     rows, blocks = bands.rows, bands.blocks
-    n = bands.sectors
+    n = len(bands.k_values)
     bra_class, ket_class = np.triu_indices(n, k=1)
     step = (ket_class - bra_class) % n
     worst = np.zeros(len(bra_class))
@@ -353,7 +375,7 @@ def member_sector_elements(bands, battery) -> tuple[np.ndarray, np.ndarray]:
     return leakage, np.array(within).T
 
 
-def loop_seeded_diagonals(seed: int, basis, max_harmonic: int = 1, degree: int = 2) -> dict:
+def loop_seeded_diagonals(seed: int, lattice, max_harmonic: int = 1, degree: int = 2) -> dict:
     """One seeded battery member's offset diagonals, as its own ObservableSpec.
 
     The per-member reference of the battery's seeded rows: the seed's LCG
@@ -371,14 +393,14 @@ def loop_seeded_diagonals(seed: int, basis, max_harmonic: int = 1, degree: int =
     harmonics = [(0, complex(rng.uniform()))]
     for j in range(1, max_harmonic + 1):
         harmonics.append((j, complex(rng.uniform(), rng.uniform())))
-    q_scale = max(1.0, float(np.max(np.abs(basis.hbar * basis.momenta))))
+    q_scale = max(1.0, float(np.max(np.abs(lattice.hbar * lattice.momenta))))
     poly = tuple(rng.uniform() / q_scale**power for power in range(degree + 1))
     spec = ObservableSpec(terms=(ObservableTerm(f_harmonics=tuple(harmonics), p_poly=poly),))
-    diagonals = _observable_diagonals(spec, basis)
+    diagonals = _observable_diagonals(spec, lattice)
     norm = max(float(np.max(np.abs(v))) for v in diagonals.values())
     if not NORM_WINDOW[0] <= norm <= NORM_WINDOW[1]:
         diagonals = {offset: v / norm for offset, v in diagonals.items()}
-    return {o: np.zeros(basis.dim - o, complex) + v for o, v in diagonals.items()}
+    return {o: np.zeros(lattice.dim - o, complex) + v for o, v in diagonals.items()}
 
 
 def pairwise_leakage(states: np.ndarray, battery) -> np.ndarray:

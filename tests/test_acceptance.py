@@ -21,8 +21,8 @@ from oracles import fd_ring_energies, matrix_element, members
 ACCEPTANCE_LATTICES = ((3, 4), (5, 7), (7, 10))
 POTENTIALS = (
     ("free", bl.PotentialSpec()),
-    ("cos", bl.PotentialSpec.from_cosines([(1, 0.5)])),
-    ("cos+cos2", bl.PotentialSpec.from_cosines([(1, 0.5), (2, 0.2)])),
+    ("cos", bl.PotentialSpec(harmonics=((1, 0.25),))),
+    ("cos+cos2", bl.PotentialSpec(harmonics=((1, 0.25), (2, 0.1)))),
 )
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -46,11 +46,10 @@ def criterion(number, label):
 
 def build_config(cells, cutoff, potential):
     spec = bl.LatticeSpec(cells=cells, cutoff=cutoff)
-    basis = bl.build_basis(spec)
     h = bl.build_hamiltonian(spec, potential)
     bands = bl.solve_bands(h, spec)
-    (table,) = bl.Battery(basis, seeds=20).tables()
-    return spec, basis, h, bands, table
+    (table,) = bl.Battery(spec, seeds=20).tables()
+    return spec, h, bands, table
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +69,7 @@ def test_criterion_1_bloch_superselection():
         worst = 0.0
         for name, pot in POTENTIALS:
             for cells, cutoff in ACCEPTANCE_LATTICES:
-                _, _, _, bands, table = build_config(cells, cutoff, pot)
+                _, _, bands, table = build_config(cells, cutoff, pot)
                 report = bl.sector_decomposition_report(bands, [table])
                 worst = max(worst, report.max_offdiagonal)
         elapsed = time.perf_counter() - started
@@ -84,7 +83,7 @@ def test_criterion_2_positive_control(solved):
     with criterion(2, "within-sector coherence") as detail:
         weakest = None
         worst_mismatch = 0.0
-        for (name, cells), (spec, basis, h, bands, table) in solved.items():
+        for (name, cells), (spec, h, bands, table) in solved.items():
             for sector in range(spec.cells):
                 a, b = bands.dense(sector, 0), bands.dense(sector, 1)
                 best_op = max(members([table]), key=lambda op: abs(matrix_element(op, a, b)))
@@ -102,9 +101,9 @@ def test_criterion_2_positive_control(solved):
 def test_criterion_3_negative_control(solved):
     with criterion(3, "periodicity-breaking control") as detail:
         weakest_fringe = None
-        for (name, cells), (spec, basis, h, bands, table) in solved.items():
+        for (name, cells), (spec, h, bands, table) in solved.items():
             t = bl.build_translation(spec)
-            breaker = bl.breaking_observable(1, basis)
+            breaker = bl.breaking_observable(1, spec)
             violation = bl.check_cell_periodicity(breaker, t)
             assert not violation < PERIODICITY_RTOL, (name, cells)
             scan = bl.fringe_scan(breaker, bands.dense(0, 0), bands.dense(1, 0), 64)
@@ -120,9 +119,9 @@ def test_criterion_4_band_structure_correctness(solved):
         # free-particle closed form at every acceptance lattice
         worst_free = 0.0
         for cells, cutoff in ACCEPTANCE_LATTICES:
-            spec, basis, h, structure, _ = solved[("free", cells)]
+            spec, h, structure, _ = solved[("free", cells)]
             for sector in range(cells):
-                kinetic = np.sort(basis.momenta[basis.class_rows(sector)] ** 2 / 2.0)
+                kinetic = np.sort(spec.momenta[spec.class_rows[sector]] ** 2 / 2.0)
                 worst_free = max(
                     worst_free, float(np.max(np.abs(structure.energies[sector] - kinetic)))
                 )
@@ -162,7 +161,7 @@ def test_criterion_5_winding_numbers():
 def test_criterion_6_wannier_mixture_identity(solved):
     with criterion(6, "Wannier mixture identity") as detail:
         worst = 0.0
-        for (name, cells), (spec, basis, h, bands, table) in solved.items():
+        for (name, cells), (spec, h, bands, table) in solved.items():
             wanniers = np.array(
                 [[bl.wannier_state(band, cell, bands, spec) for cell in (0, 1)] for band in (0, 1)]
             )

@@ -9,7 +9,7 @@ import blochlab as bl
 from blochlab.bloch import PIVOT_RTOL, _canonical_eigenbasis
 from blochlab.observables import Lcg
 from conftest import every_state
-from oracles import fd_ring_energies
+from oracles import fd_ring_energies, row_of
 
 # measured once against the 2048-point oracle: with cutoff M=4 the plane-wave
 # truncation floor on the lowest three bands sits at ~1.5e-4 relative (the
@@ -25,11 +25,11 @@ def test_free_particle_band_heads(free_solution):
     assert structure.energies[2, 0] == pytest.approx((2 * np.pi / 3) ** 2 / 2, rel=1e-12)
 
 
-def test_free_particle_closed_form(lattice_n3, free_solution, basis_n3):
+def test_free_particle_closed_form(lattice_n3, free_solution):
     # every energy must be some hbar^2 q_m^2 / (2 mass), essentially exactly
     _, structure = free_solution
     for sector in range(3):
-        kinetic = np.sort(basis_n3.momenta[basis_n3.class_rows(sector)] ** 2 / 2.0)
+        kinetic = np.sort(lattice_n3.momenta[lattice_n3.class_rows[sector]] ** 2 / 2.0)
         assert np.max(np.abs(structure.energies[sector] - kinetic)) < 1e-12
 
 
@@ -106,17 +106,17 @@ def test_gauge_pivot_is_the_first_of_entries_tied_to_rounding():
     assert abs(out[1].imag) < 1e-15 and out[1].real > 0.0
 
 
-def test_degenerate_free_pair_resolved_by_plane_wave_pivot(free_solution, basis_n3):
+def test_degenerate_free_pair_resolved_by_plane_wave_pivot(free_solution, lattice_n3):
     # class 0 bands 1 and 2 are degenerate at |m| = 3; the canonical basis
     # pins them to the m = -3 and m = +3 axes, in that order
     _, bands = free_solution
     b1, b2 = bands.dense(0, 1), bands.dense(0, 2)
-    assert abs(b1[basis_n3.row_of(-3)]) == pytest.approx(1.0, abs=1e-12)
-    assert abs(b2[basis_n3.row_of(3)]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(b1[row_of(lattice_n3, -3)]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(b2[row_of(lattice_n3, 3)]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_solver_rejects_class_coupling_operator(lattice_n3, basis_n3):
-    broken = bl.breaking_observable(1, basis_n3)
+def test_solver_rejects_class_coupling_operator(lattice_n3):
+    broken = bl.breaking_observable(1, lattice_n3)
     with pytest.raises(bl.InvariantViolation, match="couples"):
         bl.solve_bands(broken, lattice_n3)
 
@@ -166,7 +166,7 @@ def test_winding_additivity_with_smooth_modulation(l1, l2, wobble):
 
 
 def test_wannier_free_band0_is_equal_weight_combination(
-    lattice_n3, free_solution, basis_n3
+    lattice_n3, free_solution
 ):
     # direct-summation oracle: band 0 states are the phase-fixed plane waves
     # m = 0, 1, -1, so w at home cell 0 weights them equally
@@ -174,7 +174,7 @@ def test_wannier_free_band0_is_equal_weight_combination(
     w = bl.wannier_state(0, 0, bands, lattice_n3)
     expected = np.zeros(9, dtype=complex)
     for m in (0, 1, -1):
-        expected[basis_n3.row_of(m)] = 1.0 / np.sqrt(3.0)
+        expected[row_of(lattice_n3, m)] = 1.0 / np.sqrt(3.0)
     assert np.allclose(w, expected, atol=1e-12)
 
 

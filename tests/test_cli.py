@@ -479,6 +479,28 @@ def test_emitted_files_are_deterministic(tmp_path):
     assert ra == rb
 
 
+def test_config_output_section_stays_out_of_the_echo_and_hash(tmp_path, monkeypatch):
+    # the shipped config names its outputs in its file; a copy without the
+    # section that gets the same paths by flags must report byte for byte the
+    # same outside timing, echo and hash included
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "superselect_mathieu.json"
+    data = json.loads(shipped.read_text())
+    output = data.pop("output")
+    monkeypatch.chdir(tmp_path)  # the section's paths are relative
+    with_section, without = tmp_path / "with_section.json", tmp_path / "without.json"
+    shutil.copy(shipped, with_section)
+    write_json(without, data)
+    flags = ["--report", output["report"], "--fringe-prefix", output["fringe_prefix"]]
+    written = []
+    for argv in (["--config", str(with_section)], ["--config", str(without), *flags]):
+        assert main(["superselect", *argv]) == 0
+        report = Path(output["report"]).read_text()
+        fringes = [Path(output["fringe_prefix"] + s).read_bytes() for s in ("_cross.csv", "_within.csv")]
+        written.append((report[: report.rindex('"timing"')], fringes))
+    assert written[0] == written[1]
+    assert "output" not in json.loads(report)["config"]
+
+
 def test_fringe_series_fft_has_single_cycle(tmp_path):
     cfg = superselect_config(tmp_path)
     prefix = str(tmp_path / "fr")
@@ -493,9 +515,9 @@ def test_fringe_series_fft_has_single_cycle(tmp_path):
     assert float(np.max(flat) - np.min(flat)) < 1e-10
 
 
-def test_fringe_csv_row_count(mathieu_solution, basis_n3):
+def test_fringe_csv_row_count(mathieu_solution, lattice_n3):
     _, bands = mathieu_solution
-    scan = bl.fringe_scan(named("cos_a", basis_n3), bands.dense(1, 0), bands.dense(1, 1), 8)
+    scan = bl.fringe_scan(named("cos_a", lattice_n3), bands.dense(1, 0), bands.dense(1, 1), 8)
     rows = fringe_csv({"phases": scan.phases, "averages": scan.averages}).strip().splitlines()
     assert rows[0] == "lambda,average"
     assert len(rows) == 1 + 8
@@ -595,6 +617,31 @@ def test_shipped_config_runs_with_scipy_blocked(config, tmp_path):
     for report in reports:
         report.pop("timing")
     assert reports[0] == reports[1]
+
+
+SHIPPED_LATTICES = [config for config in SHIPPED if "floquet" not in config.stem]
+
+
+@pytest.mark.parametrize("config", SHIPPED_LATTICES, ids=lambda p: p.stem)
+def test_a_lattice_run_forms_its_plane_wave_grid_once(config, tmp_path, monkeypatch):
+    # validation, the Hamiltonian, the translation, the bands and the battery
+    # all read the one LatticeSpec's grid
+    formed = []
+
+    def counting(name, func):
+        def form(spec):
+            formed.append(name)
+            return func(spec)
+
+        return form
+
+    for name in ("indices", "momenta", "class_rows"):
+        grid = vars(bl.LatticeSpec)[name]
+        monkeypatch.setattr(grid, "func", counting(name, grid.func))
+    monkeypatch.chdir(tmp_path)  # the config's output paths are relative
+    kind = json.loads(config.read_text())["kind"]
+    assert main([kind, "--config", str(config)]) == 0
+    assert sorted(formed) == ["class_rows", "indices", "momenta"]
 
 
 # ---------------------------------------------------------------------------

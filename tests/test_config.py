@@ -25,7 +25,14 @@ def test_minimal_bands_config_is_valid():
     assert cfg.kind == "bands"
     assert cfg.lattice.cells == 3 and cfg.lattice.cutoff == 4
     assert cfg.potential.is_free
-    assert cfg.tolerance("structural_zero") == DEFAULT_TOLERANCES["structural_zero"]
+    assert cfg.tolerances == DEFAULT_TOLERANCES
+
+
+def test_tolerance_overrides_are_merged_once_in_default_order():
+    data = {**minimal_bands(), "tolerances": {"solver_zero": 1e-8, "structural_zero": 1e-11}}
+    cfg = validate_config(data)
+    assert list(cfg.tolerances) == list(DEFAULT_TOLERANCES)
+    assert cfg.tolerances == {**DEFAULT_TOLERANCES, "solver_zero": 1e-8, "structural_zero": 1e-11}
 
 
 def test_single_cell_rejected_with_pointer():
@@ -226,7 +233,6 @@ def test_custom_battery_observable_schema():
     term = cfg.battery.custom[0].terms[0]
     assert term.f_harmonics == ((1, 0.5 + 0j),)
     assert term.p_poly == (0.0, 1.0)
-    basis = bl.build_basis(cfg.lattice)
     (table,) = cfg.battery.tables()
     assert table.labels[-1] == "custom:0" and table.norm_max[-1] > 0.0
 

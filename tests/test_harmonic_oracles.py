@@ -88,22 +88,22 @@ OBSERVABLE_SPECS = {
 }
 
 
-def assert_built_matches(spec, basis) -> None:
+def assert_built_matches(spec, lattice) -> None:
     """The spec's battery member is the row loop bit for bit; one that is zero raises."""
-    ref = loop_observable(spec, basis)
+    ref = loop_observable(spec, lattice)
     if not ref.any():  # a table refuses a zero member
         with pytest.raises(ValueError, match="'custom:0' is the zero operator"):
-            custom(spec, basis)
+            custom(spec, lattice)
         return
-    assert_bitwise(custom(spec, basis).matrix[0], ref)
+    assert_bitwise(custom(spec, lattice).matrix[0], ref)
 
 
 @pytest.mark.parametrize("lattice", sorted(LATTICES))
 @pytest.mark.parametrize("name", sorted(OBSERVABLE_SPECS))
 def test_build_observable_matches_row_loop(lattice, name):
-    basis = bl.build_basis(LATTICES[lattice])
+    ring = LATTICES[lattice]
     spec = OBSERVABLE_SPECS[name]
-    assert_built_matches(spec, basis)
+    assert_built_matches(spec, ring)
 
 
 def test_offset_diagonal_takes_one_value_per_entry():
@@ -124,14 +124,14 @@ complex_coefficients = st.complex_numbers(max_magnitude=10.0, allow_nan=False, a
 
 
 @st.composite
-def observable_specs(draw, basis):
+def observable_specs(draw, lattice):
     """One to three terms F*P on this basis.
 
     F mixes real j = 0 constants with harmonics of either sign, up to an
     offset j*N past the basis; P has degree up to 6.  An unsymmetrized spec
     keeps F or P constant in each term, so that F*P is Hermitian.
     """
-    reach = basis.dim // basis.cells + 1  # offset reach*N lies past the basis
+    reach = lattice.dim // lattice.cells + 1  # offset reach*N lies past the basis
     constants = st.tuples(st.just(0), real_coefficients.map(complex))
     harmonics = st.tuples(st.integers(-reach, reach).filter(bool), complex_coefficients)
     symmetrize = draw(st.booleans())
@@ -150,38 +150,38 @@ def observable_specs(draw, basis):
 @given(data=st.data())
 @settings(max_examples=15, deadline=None, derandomize=True)
 def test_build_observable_matches_row_loop_on_drawn_specs(lattice, data):
-    basis = bl.build_basis(DRAWN_LATTICES[lattice])
-    spec = data.draw(observable_specs(basis))
-    assert_built_matches(spec, basis)
+    ring = DRAWN_LATTICES[lattice]
+    spec = data.draw(observable_specs(ring))
+    assert_built_matches(spec, ring)
 
 
 def test_named_battery_matches_row_loop():
-    basis = bl.build_basis(LATTICES["odd_n5_a2"])
-    battery = members(bl.Battery(basis, seeds=5).tables())
+    lattice = LATTICES["odd_n5_a2"]
+    battery = members(bl.Battery(lattice, seeds=5).tables())
     named = [op for op in battery if not op.labels[0].startswith("seed:")]
     assert [op.labels[0] for op in named] == list(bl.observables.NAMED_OBSERVABLES)
     for op, spec in zip(named, bl.observables._NAMED_SPECS.values()):
-        assert_bitwise(op.matrix[0], loop_observable(spec, basis))
+        assert_bitwise(op.matrix[0], loop_observable(spec, lattice))
 
 
 @pytest.mark.parametrize("lattice", sorted(LATTICES))
 def test_breaking_observable_matches_row_loop(lattice):
-    basis = bl.build_basis(LATTICES[lattice])
-    for shift in range(1, 2 * basis.spec.cutoff + 1):
-        if shift % basis.cells:
-            built = bl.breaking_observable(shift, basis).matrix[0]
-            assert_bitwise(built, loop_breaking_observable(shift, basis))
+    ring = LATTICES[lattice]
+    for shift in range(1, 2 * ring.cutoff + 1):
+        if shift % ring.cells:
+            built = bl.breaking_observable(shift, ring).matrix[0]
+            assert_bitwise(built, loop_breaking_observable(shift, ring))
 
 
 @st.composite
-def operator_diagonals(draw, basis):
-    """Offset diagonals on this basis: multiples of N and others, scalars and vectors.
+def operator_diagonals(draw, lattice):
+    """Offset diagonals on this lattice: multiples of N and others, scalars and vectors.
 
     The main diagonal is real, every other diagonal real or complex (a real
     one has conjugates that differ only in the sign of a zero).  Magnitudes
     span six decades, so small diagonals sit beside large ones.
     """
-    d, n = basis.dim, basis.cells
+    d, n = lattice.dim, lattice.cells
     periodic = st.sampled_from(range(0, d, n))
     breaking = st.integers(0, d - 1).filter(lambda o: o % n)
     offsets = draw(st.sets(periodic | breaking, min_size=1, max_size=6))
@@ -200,9 +200,8 @@ def operator_diagonals(draw, basis):
 @settings(max_examples=15, deadline=None, derandomize=True)
 def test_operator_matches_its_dense_view(lattice, data):
     spec = DRAWN_LATTICES[lattice]
-    basis = bl.build_basis(spec)
-    d, n = basis.dim, basis.cells
-    diagonals = data.draw(operator_diagonals(basis))
+    d, n = spec.dim, spec.cells
+    diagonals = data.draw(operator_diagonals(spec))
     op = operator(d, diagonals, label="drawn")
     (dense,) = op.matrix
     # later writes to the inputs do not reach the operator
@@ -211,7 +210,7 @@ def test_operator_matches_its_dense_view(lattice, data):
             values[...] = 99.0
     assert_bitwise(op.matrix[0], dense)
 
-    rows = np.array([basis.class_rows(l) for l in range(n)])
+    rows = spec.class_rows
     bra, ket = (axis.ravel() for axis in np.indices((n, n)))
     (blocks,) = op.class_blocks(rows, bra, ket)
     for block, j, l in zip(blocks, bra, ket):

@@ -1,4 +1,4 @@
-"""Basis construction, Hamiltonian assembly and translation-operator structure."""
+"""The lattice's plane-wave grid, Hamiltonian assembly and translation-operator structure."""
 
 import dataclasses
 import re
@@ -10,17 +10,59 @@ from hypothesis import strategies as st
 
 import blochlab as bl
 
-from oracles import dense_to_diagonals, named, operator
+from oracles import dense_to_diagonals, named, operator, plane_wave_grid, row_of
 
 
 def test_basis_n3_m4_layout():
     spec = bl.LatticeSpec(cells=3, cutoff=4)
-    basis = bl.build_basis(spec)
-    assert basis.dim == 9
-    assert basis.momenta[basis.row_of(1)] == pytest.approx(2.0 * np.pi / 3.0)
-    assert basis.indices[basis.class_rows(0)].tolist() == [-3, 0, 3]
-    assert basis.indices[basis.class_rows(1)].tolist() == [-2, 1, 4]
-    assert basis.indices[basis.class_rows(2)].tolist() == [-4, -1, 2]
+    assert spec.dim == 9
+    assert spec.momenta[row_of(spec, 1)] == pytest.approx(2.0 * np.pi / 3.0)
+    assert spec.indices[spec.class_rows[0]].tolist() == [-3, 0, 3]
+    assert spec.indices[spec.class_rows[1]].tolist() == [-2, 1, 4]
+    assert spec.indices[spec.class_rows[2]].tolist() == [-4, -1, 2]
+
+
+GRID_LATTICES = [
+    bl.LatticeSpec(cells=3, cutoff=4),
+    bl.LatticeSpec(cells=5, cutoff=7, a=2.0, hbar=0.7),
+    bl.LatticeSpec(cells=4, cutoff=4, pad_basis=True),
+    bl.LatticeSpec(cells=2, cutoff=255, pad_basis=True),
+    bl.LatticeSpec(cells=15, cutoff=247, a=0.3),
+]
+
+
+@pytest.mark.parametrize("spec", GRID_LATTICES, ids=repr)
+def test_grid_matches_the_reference_bit_for_bit(spec):
+    indices, momenta, rows = plane_wave_grid(spec)
+    assert np.array_equal(spec.indices, indices) and spec.indices.dtype == indices.dtype
+    assert spec.momenta.tobytes() == momenta.tobytes()
+    assert spec.class_rows.shape == (spec.cells, spec.dim // spec.cells)
+    assert np.array_equal(spec.class_rows, rows)
+    labels = np.arange(spec.cells)
+    expected = 2.0 * np.pi * labels / spec.circumference
+    assert spec.wavevector(labels).tobytes() == expected.tobytes()
+
+
+def test_grid_is_formed_once_and_refuses_writes():
+    spec = bl.LatticeSpec(cells=3, cutoff=4)
+    for name in ("indices", "momenta", "class_rows"):
+        arr = getattr(spec, name)
+        assert getattr(spec, name) is arr  # cached: the same array on every read
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, arr.copy())
+
+
+def test_spec_with_a_formed_grid_equals_and_hashes_like_a_fresh_one():
+    formed = bl.LatticeSpec(cells=4, cutoff=4, a=1.5, pad_basis=True)
+    assert formed.class_rows.shape == (4, 3) and formed.momenta.shape == (12,)
+    assert {"indices", "momenta", "class_rows"} <= set(vars(formed))  # the grid is formed
+    fresh = bl.LatticeSpec(cells=4, cutoff=4, a=1.5, pad_basis=True)
+    assert formed == fresh and hash(formed) == hash(fresh)
+    assert repr(formed) == repr(fresh) and "momenta" not in repr(formed)
+    assert {formed: 1}[fresh] == 1
+    assert formed != dataclasses.replace(fresh, a=2.0)
 
 
 def test_basis_rejects_indivisible_dimension():
@@ -30,9 +72,8 @@ def test_basis_rejects_indivisible_dimension():
 
 def test_basis_a2_n5_m7():
     spec = bl.LatticeSpec(cells=5, cutoff=7, a=2.0)
-    basis = bl.build_basis(spec)
-    assert basis.dim == 15
-    assert basis.momenta[basis.row_of(1)] == pytest.approx(2.0 * np.pi / 10.0)
+    assert spec.dim == 15
+    assert spec.momenta[row_of(spec, 1)] == pytest.approx(2.0 * np.pi / 10.0)
 
 
 def test_basis_validation_errors():
@@ -48,18 +89,16 @@ def test_padded_basis_for_even_cells():
     # 2M+1 is odd, so even N can never divide it; the padded index set
     # {-M .. M+r} restores equal class sizes
     spec = bl.LatticeSpec(cells=4, cutoff=4, pad_basis=True)
-    basis = bl.build_basis(spec)
-    assert basis.dim == 12
-    assert list(basis.indices[:2]) == [-4, -3] and list(basis.indices[-2:]) == [6, 7]
-    assert all(len(basis.class_rows(l)) == 3 for l in range(4))
+    assert spec.dim == 12
+    assert list(spec.indices[:2]) == [-4, -3] and list(spec.indices[-2:]) == [6, 7]
+    assert spec.class_rows.shape == (4, 3)
 
 
 def test_free_hamiltonian_is_kinetic_diagonal():
     spec = bl.LatticeSpec(cells=3, cutoff=4)
     (h,) = bl.build_hamiltonian(spec, bl.PotentialSpec()).matrix
-    basis = bl.build_basis(spec)
-    assert h[basis.row_of(0), basis.row_of(0)] == 0.0
-    assert h[basis.row_of(1), basis.row_of(1)] == pytest.approx((2.0 * np.pi / 3.0) ** 2 / 2.0)
+    assert h[row_of(spec, 0), row_of(spec, 0)] == 0.0
+    assert h[row_of(spec, 1), row_of(spec, 1)] == pytest.approx((2.0 * np.pi / 3.0) ** 2 / 2.0)
     assert np.all(h == np.diag(np.diag(h)))
 
 
@@ -67,31 +106,29 @@ def test_cosine_coupling_placement():
     # V(x) = 2 v cos(2 pi x / a) stores the single harmonic c_1 = v
     v = 0.37
     spec = bl.LatticeSpec(cells=3, cutoff=4)
-    basis = bl.build_basis(spec)
     (h,) = bl.build_hamiltonian(spec, bl.PotentialSpec(harmonics=((1, v),))).matrix
-    for m in basis.indices:
-        for mp in basis.indices:
-            entry = h[basis.row_of(m), basis.row_of(mp)]
+    for m in spec.indices:
+        for mp in spec.indices:
+            entry = h[row_of(spec, m), row_of(spec, mp)]
             if abs(m - mp) == 3:
                 assert entry == pytest.approx(v)
             elif m != mp:
                 assert entry == 0.0  # literal zero, never a computed sum
 
 
-def test_hamiltonian_exactly_hermitian_and_block_structured(basis_n3, mathieu_solution):
+def test_hamiltonian_exactly_hermitian_and_block_structured(lattice_n3, mathieu_solution):
     (h,) = mathieu_solution[0].matrix
     assert float(np.max(np.abs(h - h.conj().T))) == 0.0
-    classes = basis_n3.indices % 3
+    classes = lattice_n3.indices % 3
     off = classes[:, None] != classes[None, :]
     assert np.all(h[off] == 0.0)
 
 
 def test_translation_is_unitary_diagonal_with_unit_roots():
     spec = bl.LatticeSpec(cells=3, cutoff=4)
-    basis = bl.build_basis(spec)
     t = np.diag(bl.build_translation(spec))
-    assert t[basis.row_of(3), basis.row_of(3)] == pytest.approx(1.0)
-    assert t[basis.row_of(1), basis.row_of(1)] == pytest.approx(-0.5 + 0.8660254j, abs=1e-6)
+    assert t[row_of(spec, 3), row_of(spec, 3)] == pytest.approx(1.0)
+    assert t[row_of(spec, 1), row_of(spec, 1)] == pytest.approx(-0.5 + 0.8660254j, abs=1e-6)
     assert float(np.max(np.abs(t.conj().T @ t - np.eye(9)))) < 1e-14
 
 
@@ -107,7 +144,7 @@ def test_translation_commutes_with_hamiltonian(mathieu_solution):
 
 def test_momentum_commutes_with_translation_exactly():
     spec = bl.LatticeSpec(cells=3, cutoff=4)
-    (p,) = named("momentum", bl.build_basis(spec)).matrix
+    (p,) = named("momentum", spec).matrix
     t = np.diag(bl.build_translation(spec))
     assert float(np.max(np.abs(p @ t - t @ p))) == 0.0
 
@@ -125,7 +162,7 @@ def test_potential_canonicalization_folds_negative_harmonics():
 
 
 def test_potential_value_matches_cosine_sum():
-    pot = bl.PotentialSpec.from_cosines([(1, 0.5), (2, 0.2)], v0=0.3)
+    pot = bl.PotentialSpec(harmonics=((1, 0.25), (2, 0.1)), v0=0.3)
     x = np.linspace(0.0, 2.0, 11)
     expected = 0.3 + 0.5 * np.cos(2 * np.pi * x) + 0.2 * np.cos(4 * np.pi * x)
     assert np.allclose(pot.value(x), expected, atol=1e-15)
@@ -252,16 +289,15 @@ def lattice_and_potential(draw):
 @settings(max_examples=40, deadline=None)
 def test_construction_invariants_hold_for_random_inputs(case):
     spec, pot = case
-    basis = bl.build_basis(spec)
-    assert basis.dim % spec.cells == 0
+    assert spec.dim % spec.cells == 0
     op = bl.build_hamiltonian(spec, pot)
     (h,) = op.matrix
     t = np.diag(bl.build_translation(spec))
     assert float(np.max(np.abs(h - h.conj().T))) == 0.0
-    assert float(np.max(np.abs(t.conj().T @ t - np.eye(basis.dim)))) < 1e-14
+    assert float(np.max(np.abs(t.conj().T @ t - np.eye(spec.dim)))) < 1e-14
     scale = max(op.norm_max[0], 1.0)
     assert float(np.max(np.abs(t.conj().T @ h @ t - h))) < 1e-12 * scale
-    classes = basis.indices % spec.cells
+    classes = spec.indices % spec.cells
     off = classes[:, None] != classes[None, :]
     if off.any():
         assert np.all(h[off] == 0.0)

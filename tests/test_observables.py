@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import blochlab as bl
 from blochlab.observables import PERIODICITY_RTOL, ObservableSpec, ObservableTerm
 
-from oracles import custom, dense_to_diagonals, members, named, operator, seeded
+from oracles import custom, dense_to_diagonals, members, named, operator, row_of, seeded
 
 # frozen regression values for the documented LCG battery (computed once)
 SEED1_ENTRY_00 = -0.014689191527796948
@@ -21,65 +21,65 @@ def translation_n3(lattice_n3):
     return bl.build_translation(lattice_n3)
 
 
-def test_cosine_observable_placement(basis_n3):
+def test_cosine_observable_placement(lattice_n3):
     spec = ObservableSpec(terms=(ObservableTerm(f_harmonics=((1, 0.5),)),))
-    (matrix,) = custom(spec, basis_n3).matrix
-    for m in basis_n3.indices:
-        for mp in basis_n3.indices:
-            entry = matrix[basis_n3.row_of(m), basis_n3.row_of(mp)]
+    (matrix,) = custom(spec, lattice_n3).matrix
+    for m in lattice_n3.indices:
+        for mp in lattice_n3.indices:
+            entry = matrix[row_of(lattice_n3, m), row_of(lattice_n3, mp)]
             expected = 0.5 if abs(m - mp) == 3 else 0.0
             assert entry == pytest.approx(expected)
 
 
-def test_momentum_square_is_diagonal(basis_n3):
+def test_momentum_square_is_diagonal(lattice_n3):
     spec = ObservableSpec(terms=(ObservableTerm(p_poly=(0.0, 0.0, 1.0)),))
-    (matrix,) = custom(spec, basis_n3).matrix
-    assert np.allclose(matrix, np.diag(basis_n3.momenta**2))
+    (matrix,) = custom(spec, lattice_n3).matrix
+    assert np.allclose(matrix, np.diag(lattice_n3.momenta**2))
 
 
-def test_symmetrized_mixed_term_against_product_oracle(basis_n3):
+def test_symmetrized_mixed_term_against_product_oracle(lattice_n3):
     # build F and P densely and take (F P + P F)/2 directly
     f = np.zeros((9, 9), dtype=complex)
-    for m in basis_n3.indices:
-        for mp in basis_n3.indices:
+    for m in lattice_n3.indices:
+        for mp in lattice_n3.indices:
             if abs(m - mp) == 3:
-                f[basis_n3.row_of(m), basis_n3.row_of(mp)] = 0.5
-    p = np.diag(basis_n3.momenta).astype(complex)
+                f[row_of(lattice_n3, m), row_of(lattice_n3, mp)] = 0.5
+    p = np.diag(lattice_n3.momenta).astype(complex)
     oracle = 0.5 * (f @ p + p @ f)
     spec = ObservableSpec(
         terms=(ObservableTerm(f_harmonics=((1, 0.5),), p_poly=(0.0, 1.0)),)
     )
-    (matrix,) = custom(spec, basis_n3).matrix
+    (matrix,) = custom(spec, lattice_n3).matrix
     assert np.allclose(matrix, oracle, atol=1e-15)
     # closed form: entries 0.25 hbar (q_m + q_m') at |dm| = 3
-    q = basis_n3.momenta
-    for m in basis_n3.indices:
-        for mp in basis_n3.indices:
+    q = lattice_n3.momenta
+    for m in lattice_n3.indices:
+        for mp in lattice_n3.indices:
             if abs(m - mp) == 3:
-                i, j = basis_n3.row_of(m), basis_n3.row_of(mp)
+                i, j = row_of(lattice_n3, m), row_of(lattice_n3, mp)
                 assert matrix[i, j] == pytest.approx(0.25 * (q[i] + q[j]))
 
 
-def test_unsymmetrized_mixed_term_requires_commuting_factors(basis_n3):
+def test_unsymmetrized_mixed_term_requires_commuting_factors(lattice_n3):
     spec = ObservableSpec(
         terms=(ObservableTerm(f_harmonics=((1, 0.5),), p_poly=(0.0, 1.0)),),
         symmetrize=False,
     )
     with pytest.raises(ValueError, match="symmetrize"):
-        custom(spec, basis_n3)
+        custom(spec, lattice_n3)
     # constant polynomial commutes, so the flag is fine there
     ok = ObservableSpec(
         terms=(ObservableTerm(f_harmonics=((1, 0.5),), p_poly=(2.0,)),), symmetrize=False
     )
-    built = custom(ok, basis_n3)
+    built = custom(ok, lattice_n3)
     assert built.norm_max[0] == pytest.approx(1.0)
 
 
-def test_polynomial_degree_guard(basis_n3):
+def test_polynomial_degree_guard(lattice_n3):
     with pytest.raises(ValueError, match="degree"):
         ObservableTerm(p_poly=(0.0,) * 8)
     with pytest.raises(ValueError, match="degree"):
-        next(bl.Battery(basis_n3, seeds=1, degree=7).tables())
+        next(bl.Battery(lattice_n3, seeds=1, degree=7).tables())
 
 
 def test_term_canonicalization():
@@ -90,27 +90,27 @@ def test_term_canonicalization():
         ObservableTerm(f_harmonics=((0, 1.0j),))
     with pytest.raises(ValueError, match="function part or a polynomial"):
         custom(
-            ObservableSpec(terms=(ObservableTerm(),)), bl.build_basis(bl.LatticeSpec(cells=3, cutoff=4))
+            ObservableSpec(terms=(ObservableTerm(),)), bl.LatticeSpec(cells=3, cutoff=4)
         )
 
 
-def test_battery_builds_only_the_named_members_it_returns(basis_n3, monkeypatch):
+def test_battery_builds_only_the_named_members_it_returns(lattice_n3, monkeypatch):
     # named members are written into their table rows from their specs' diagonals
     built = []
     diagonals = bl.observables._observable_diagonals
     names = {id(spec): name for name, spec in bl.observables._NAMED_SPECS.items()}
 
-    def counting(spec, basis):
+    def counting(spec, lattice):
         built.append(names.get(id(spec)))
-        return diagonals(spec, basis)
+        return diagonals(spec, lattice)
 
     monkeypatch.setattr(bl.observables, "_observable_diagonals", counting)
-    (table,) = bl.Battery(basis_n3, seeds=2, named=("cos_a",)).tables()
+    (table,) = bl.Battery(lattice_n3, seeds=2, named=("cos_a",)).tables()
     assert table.labels == ("cos_a", "seed:1", "seed:2")
     assert built == ["cos_a"]
 
 
-def test_built_observables_pass_periodicity(basis_n3, battery_n3, translation_n3):
+def test_built_observables_pass_periodicity(lattice_n3, battery_n3, translation_n3):
     for op in battery_n3:
         violation = bl.check_cell_periodicity(op, translation_n3)
         assert violation < PERIODICITY_RTOL
@@ -147,23 +147,23 @@ def test_periodicity_check_rejects_translation_of_wrong_shape(translation_n3):
             bl.check_cell_periodicity(identity, wrong)
 
 
-def test_random_battery_is_deterministic(basis_n3):
-    a = seeded(1, basis_n3)
-    b = seeded(1, basis_n3)
+def test_random_battery_is_deterministic(lattice_n3):
+    a = seeded(1, lattice_n3)
+    b = seeded(1, lattice_n3)
     assert np.array_equal(a.matrix, b.matrix)
 
 
-def test_random_battery_regression_values(basis_n3):
-    (matrix,) = seeded(1, basis_n3).matrix
+def test_random_battery_regression_values(lattice_n3):
+    (matrix,) = seeded(1, lattice_n3).matrix
     assert matrix[0, 0] == pytest.approx(SEED1_ENTRY_00, rel=1e-12)
     assert matrix[3, 0] == pytest.approx(SEED1_ENTRY_30, rel=1e-12)
-    (other,) = seeded(2, basis_n3).matrix
+    (other,) = seeded(2, lattice_n3).matrix
     diff = float(np.max(np.abs(matrix - other)))
     assert diff == pytest.approx(SEED1_VS_SEED2_DIFF, rel=1e-12)
     assert diff > 0.0
 
 
-def test_rescaled_random_member_is_built_once(basis_n3, monkeypatch):
+def test_rescaled_random_member_is_built_once(lattice_n3, monkeypatch):
     built = []
     post_init = bl.OperatorTable.__post_init__
 
@@ -173,57 +173,57 @@ def test_rescaled_random_member_is_built_once(basis_n3, monkeypatch):
 
     monkeypatch.setattr(bl.OperatorTable, "__post_init__", counting)
     # seed 1's raw max-entry norm is outside NORM_WINDOW
-    (table,) = bl.Battery(basis_n3, seeds=1, named=()).tables()
+    (table,) = bl.Battery(lattice_n3, seeds=1, named=()).tables()
     assert table.norm_max[0] == pytest.approx(1.0, rel=1e-15)
     assert built == [("seed:1",)]
 
 
-def test_random_battery_structure(basis_n3):
-    classes = basis_n3.indices % 3
+def test_random_battery_structure(lattice_n3):
+    classes = lattice_n3.indices % 3
     off = classes[:, None] != classes[None, :]
-    (table,) = bl.Battery(basis_n3, seeds=20, named=()).tables()
+    (table,) = bl.Battery(lattice_n3, seeds=20, named=()).tables()
     for matrix, norm in zip(table.matrix, table.norm_max):
         assert float(np.max(np.abs(matrix - matrix.conj().T))) < 1e-14
         assert np.all(matrix[off] == 0.0)
         assert 0.5 <= norm <= 50.0
 
 
-def test_random_battery_harmonic_reach_guard(basis_n3):
+def test_random_battery_harmonic_reach_guard(lattice_n3):
     with pytest.raises(ValueError, match="unreachable"):
-        next(bl.Battery(basis_n3, seeds=1, max_harmonic=2).tables())  # 2*3 > 4
+        next(bl.Battery(lattice_n3, seeds=1, max_harmonic=2).tables())  # 2*3 > 4
 
 
-def test_breaking_observable_couples_adjacent_classes(basis_n3, translation_n3):
-    op = bl.breaking_observable(1, basis_n3)
+def test_breaking_observable_couples_adjacent_classes(lattice_n3, translation_n3):
+    op = bl.breaking_observable(1, lattice_n3)
     (matrix,) = op.matrix
     coupled = set()
     for i in range(9):
         for j in range(9):
             if matrix[i, j] != 0.0:
-                coupled.add((int(basis_n3.indices[i] % 3), int(basis_n3.indices[j] % 3)))
+                coupled.add((int(lattice_n3.indices[i] % 3), int(lattice_n3.indices[j] % 3)))
     assert coupled == {(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)}
     assert not bl.check_cell_periodicity(op, translation_n3) < PERIODICITY_RTOL
 
 
-def test_breaking_observable_rejects_cell_periodic_shift(basis_n3):
+def test_breaking_observable_rejects_cell_periodic_shift(lattice_n3):
     with pytest.raises(ValueError, match="multiple"):
-        bl.breaking_observable(3, basis_n3)
+        bl.breaking_observable(3, lattice_n3)
     with pytest.raises(ValueError, match="lie in"):
-        bl.breaking_observable(11, basis_n3)
+        bl.breaking_observable(11, lattice_n3)
 
 
-def test_battery_composition(basis_n3):
-    (table,) = bl.Battery(basis_n3, seeds=4).tables()
+def test_battery_composition(lattice_n3):
+    (table,) = bl.Battery(lattice_n3, seeds=4).tables()
     labels = list(table.labels)
     assert labels[:5] == ["identity", "cos_a", "sin_a", "momentum", "momentum_sq"]
     assert labels[5:] == ["seed:1", "seed:2", "seed:3", "seed:4"]
 
 
-def test_battery_lists_its_members_and_builds_them_in_order(basis_n3, monkeypatch):
+def test_battery_lists_its_members_and_builds_them_in_order(lattice_n3, monkeypatch):
     # labels name every member without building one; the tables hold them
     # in that order, however the battery is split
     spec = bl.ObservableSpec(terms=(bl.ObservableTerm(p_poly=(0.5, 1.0)),))
-    battery = bl.Battery(basis_n3, seeds=3, named=("sin_a", "identity"), custom=(spec,))
+    battery = bl.Battery(lattice_n3, seeds=3, named=("sin_a", "identity"), custom=(spec,))
     expected = ("sin_a", "identity", "seed:1", "seed:2", "seed:3", "custom:0")
     assert len(battery) == len(expected) and battery.labels == expected
     (table,) = battery.tables()
@@ -233,15 +233,15 @@ def test_battery_lists_its_members_and_builds_them_in_order(basis_n3, monkeypatc
     assert [op.labels for op in alone] == [(label,) for label in expected]
     for i, op in enumerate(alone):
         assert np.array_equal(op.matrix[0], table.matrix[i])
-    assert np.array_equal(custom(spec, basis_n3).matrix[0], table.matrix[-1])
+    assert np.array_equal(custom(spec, lattice_n3).matrix[0], table.matrix[-1])
     with pytest.raises(ValueError, match="empty"):
-        bl.Battery(basis_n3, seeds=0, named=())
+        bl.Battery(lattice_n3, seeds=0, named=())
 
 
 def test_zero_battery_member_raises_when_its_table_is_built(monkeypatch):
     # cells=3, cutoff=1: cos_a's offset 3 reaches past the 3-dim basis
-    basis = bl.build_basis(bl.LatticeSpec(cells=3, cutoff=1))
-    battery = bl.Battery(basis, seeds=1, max_harmonic=0, named=("identity", "cos_a"))
+    lattice = bl.LatticeSpec(cells=3, cutoff=1)
+    battery = bl.Battery(lattice, seeds=1, max_harmonic=0, named=("identity", "cos_a"))
     monkeypatch.setattr(bl.observables, "_TABLE_ENTRIES", 1)  # one member per table
     tables = battery.tables()
     assert next(tables).labels == ("identity",)
@@ -249,13 +249,13 @@ def test_zero_battery_member_raises_when_its_table_is_built(monkeypatch):
         next(tables)
 
 
-def test_named_observables_match_their_functions(basis_n3):
-    assert np.allclose(named("identity", basis_n3).matrix[0], np.eye(9))
-    assert np.allclose(named("momentum", basis_n3).matrix[0], np.diag(basis_n3.momenta))
+def test_named_observables_match_their_functions(lattice_n3):
+    assert np.allclose(named("identity", lattice_n3).matrix[0], np.eye(9))
+    assert np.allclose(named("momentum", lattice_n3).matrix[0], np.diag(lattice_n3.momenta))
     # sin must be Hermitian with +-i/2 couplings
-    (sin,) = named("sin_a", basis_n3).matrix
-    assert sin[basis_n3.row_of(3), basis_n3.row_of(0)] == pytest.approx(-0.5j)
-    assert sin[basis_n3.row_of(0), basis_n3.row_of(3)] == pytest.approx(0.5j)
+    (sin,) = named("sin_a", lattice_n3).matrix
+    assert sin[row_of(lattice_n3, 3), row_of(lattice_n3, 0)] == pytest.approx(-0.5j)
+    assert sin[row_of(lattice_n3, 0), row_of(lattice_n3, 3)] == pytest.approx(0.5j)
 
 
 @given(seed_a=st.integers(1, 50), seed_b=st.integers(1, 50))
@@ -263,22 +263,21 @@ def test_named_observables_match_their_functions(basis_n3):
 def test_algebra_closure_under_sum_and_symmetrized_product(seed_a, seed_b):
     # sums and symmetrized products of passing operators pass again
     spec = bl.LatticeSpec(cells=3, cutoff=4)
-    basis = bl.build_basis(spec)
     t = bl.build_translation(spec)
-    (a,) = seeded(seed_a, basis).matrix
-    (b,) = seeded(seed_b, basis).matrix
+    (a,) = seeded(seed_a, spec).matrix
+    (b,) = seeded(seed_b, spec).matrix
     total = operator(9, dense_to_diagonals(a + b))
     sym = operator(9, dense_to_diagonals(0.5 * (a @ b + b @ a)))
     assert bl.check_cell_periodicity(total, t) < PERIODICITY_RTOL
     assert bl.check_cell_periodicity(sym, t) < PERIODICITY_RTOL
 
 
-def test_periodicity_pass_implies_small_off_class_entries(basis_n3, translation_n3):
+def test_periodicity_pass_implies_small_off_class_entries(lattice_n3, translation_n3):
     # numerical validity theorem: a pass at 1e-12 bounds off-class weight by
     # violation / (2 sin(pi/N)); built operators have the entries exactly zero
-    classes = basis_n3.indices % 3
+    classes = lattice_n3.indices % 3
     off = classes[:, None] != classes[None, :]
-    for op in members(bl.Battery(basis_n3, seeds=10).tables()):
+    for op in members(bl.Battery(lattice_n3, seeds=10).tables()):
         violation = bl.check_cell_periodicity(op, translation_n3)
         assert violation < PERIODICITY_RTOL
         bound = violation * op.norm_max[0] / (2.0 * np.sin(np.pi / 3.0))

@@ -61,10 +61,10 @@ def _alone(battery: bl.Battery, label: str) -> dict:
     kind, _, index = label.partition(":")
     if kind == "seed":
         seed = int(index)
-        return loop_seeded_diagonals(seed, battery.basis, battery.max_harmonic, battery.degree)
+        return loop_seeded_diagonals(seed, battery.lattice, battery.max_harmonic, battery.degree)
     spec = battery.custom[int(index)] if kind == "custom" else bl.observables._NAMED_SPECS[label]
-    d = battery.basis.dim
-    alone = bl.observables._observable_diagonals(spec, battery.basis)
+    d = battery.lattice.dim
+    alone = bl.observables._observable_diagonals(spec, battery.lattice)
     return {o: np.zeros(d - o, complex) + v for o, v in alone.items()}  # summed onto zeros
 
 
@@ -75,7 +75,7 @@ def test_table_rows_equal_members_built_alone_bit_for_bit(spec, name, split, mon
     d = spec.dim
     if split:  # two or three members per table
         monkeypatch.setattr(bl.observables, "_TABLE_ENTRIES", 2 * 3 * d)
-    battery = bl.Battery(bl.build_basis(spec), **BATTERIES[name])
+    battery = bl.Battery(spec, **BATTERIES[name])
     tables = list(battery.tables())
     assert len(tables) > 1 if split else len(tables) == 1
     rows = [(table, i) for table in tables for i in range(len(table))]
@@ -94,10 +94,9 @@ def test_table_rows_equal_members_built_alone_bit_for_bit(spec, name, split, mon
 
 @pytest.mark.parametrize("spec", TABLE_LATTICES, ids=_lattice_id)
 def test_one_seed_table_is_the_seeded_member(spec):
-    basis = bl.build_basis(spec)
     for seed in (1, 7, 20):
-        op = seeded(seed, basis)
-        alone = loop_seeded_diagonals(seed, basis)
+        op = seeded(seed, spec)
+        alone = loop_seeded_diagonals(seed, spec)
         assert op.labels == (f"seed:{seed}",) and diagonals(op).keys() == alone.keys()
         for o, values in alone.items():
             assert diagonals(op)[o].tobytes() == values.tobytes()
@@ -106,11 +105,10 @@ def test_one_seed_table_is_the_seeded_member(spec):
 @pytest.mark.parametrize("breaking", [False, True], ids=["periodic", "with_breaking"])
 @pytest.mark.parametrize("spec", LATTICES, ids=_lattice_id)
 def test_sector_report_on_a_table_equals_the_member_loop_bit_for_bit(spec, breaking):
-    basis = bl.build_basis(spec)
     bands = bl.solve_bands(bl.build_hamiltonian(spec, POTENTIAL), spec)
-    alone = members(bl.Battery(basis, seeds=5, custom=CUSTOM).tables())
+    alone = members(bl.Battery(spec, seeds=5, custom=CUSTOM).tables())
     if breaking:
-        alone += [bl.breaking_observable(s, basis) for s in (1, 2)]
+        alone += [bl.breaking_observable(s, spec) for s in (1, 2)]
     table = join(alone)
     report = bl.sector_decomposition_report(bands, [table])
     leakage, within = member_sector_elements(bands, alone)
@@ -127,13 +125,12 @@ def test_stacked_methods_equal_each_member_alone_bit_for_bit(spec):
     # own, zero signs included: the member assembled alone holds only its
     # nonzero diagonals, where its table row also carries the zero rows of
     # the other members' offsets
-    basis = bl.build_basis(spec)
     n, d = spec.cells, spec.dim
-    alone = members(bl.Battery(basis, seeds=5, custom=CUSTOM).tables())
-    table = join([*alone, bl.breaking_observable(1, basis)])
+    alone = members(bl.Battery(spec, seeds=5, custom=CUSTOM).tables())
+    table = join([*alone, bl.breaking_observable(1, spec)])
     rng = np.random.default_rng(d)
     vectors = rng.normal(size=(2, 3, d)) + 1j * rng.normal(size=(2, 3, d))
-    rows = np.array([basis.class_rows(l) for l in range(n)])
+    rows = spec.class_rows
     bra, ket = (axis.ravel() for axis in np.indices((n, n)))
     applied, blocks, dense = table.apply(vectors), table.class_blocks(rows, bra, ket), table.matrix
     assert applied.shape == (len(table), 2, 3, d) and blocks.shape[:2] == (len(table), n * n)
@@ -147,9 +144,9 @@ def test_stacked_methods_equal_each_member_alone_bit_for_bit(spec):
         assert dense[i].tobytes() == op.matrix[0].tobytes(), label
 
 
-def test_periodicity_of_a_table_is_its_worst_member(basis_n3):
-    t = bl.build_translation(basis_n3.spec)
-    alone = members(bl.Battery(basis_n3, seeds=3).tables()) + [bl.breaking_observable(1, basis_n3)]
+def test_periodicity_of_a_table_is_its_worst_member(lattice_n3):
+    t = bl.build_translation(lattice_n3)
+    alone = members(bl.Battery(lattice_n3, seeds=3).tables()) + [bl.breaking_observable(1, lattice_n3)]
     each = [bl.check_cell_periodicity(op, t) for op in alone]
     assert max(each[:-1]) < 1e-14 < each[-1]
     assert bl.check_cell_periodicity(join(alone), t) == each[-1]

@@ -39,11 +39,10 @@ LATTICES = (
 @pytest.fixture(scope="module", params=LATTICES, ids=lambda s: f"N{s.cells}_d{s.dim}")
 def solved(request):
     spec = request.param
-    basis = bl.build_basis(spec)
     bands = bl.solve_bands(bl.build_hamiltonian(spec, POTENTIAL), spec)
-    battery = members(bl.Battery(basis, seeds=5).tables()) + [
-        bl.breaking_observable(1, basis),
-        bl.breaking_observable(2, basis),
+    battery = members(bl.Battery(spec, seeds=5).tables()) + [
+        bl.breaking_observable(1, spec),
+        bl.breaking_observable(2, spec),
     ]
     return spec, bands, battery
 
@@ -162,7 +161,7 @@ def test_leakage_table_equals_pairwise_loop_bit_for_bit(solved):
     assert np.array_equal(report.leakage, expected, equal_nan=True)
     # the breaking members light up the neighbouring classes, so the
     # comparison is not between two tables of zeros
-    n = bands.sectors
+    n = len(bands.k_values)
     assert all(expected[l, (l + 1) % n] > 1e-6 for l in range(n))
 
 
@@ -170,11 +169,10 @@ def test_leakage_report_reads_a_generator_like_the_list(solved, monkeypatch):
     # the battery split into tables of at most three members, read from a
     # generator one table at a time, gives the one-table report bit for bit
     spec, bands, battery = solved
-    basis = bl.build_basis(spec)
     monkeypatch.setattr(bl.observables, "_TABLE_ENTRIES", 3 * 2 * spec.dim)
     tables = itertools.chain(
-        bl.Battery(basis, seeds=5).tables(),
-        (bl.breaking_observable(s, basis) for s in (1, 2)),
+        bl.Battery(spec, seeds=5).tables(),
+        (bl.breaking_observable(s, spec) for s in (1, 2)),
     )
     sizes = []
 
@@ -207,7 +205,7 @@ def test_wannier_mixture_residual_matches_per_state_loop(solved):
     for op, label, got in zip(battery, table.labels, residuals):
         magnitude = np.abs(op.matrix[0])
         for i, band in enumerate(band_list):
-            band_states = bands.dense(np.arange(bands.sectors), band)
+            band_states = bands.dense(np.arange(len(bands.k_values)), band)
             expected = max(state_mixture_residual(w, band_states, op) for w in wanniers[i])
             # both sides sum the same products in other orders: relative to
             # the largest |w|^T |O| |w| of the band's Wannier and Bloch states
@@ -222,8 +220,8 @@ def test_within_sector_elements_match_matrix_element(solved):
     _, bands, battery = solved
     report = bl.sector_decomposition_report(bands, [join(battery)])
     within = report.within_sector
-    assert within.shape == (bands.sectors, len(battery))
-    for l in range(bands.sectors):
+    assert within.shape == (len(bands.k_values), len(battery))
+    for l in range(len(bands.k_values)):
         bra, ket = bands.dense(l, 0), bands.dense(l, 1)
         for i, op in enumerate(battery):
             ref = abs(matrix_element(op, bra, ket))
@@ -235,10 +233,9 @@ def test_within_sector_elements_match_matrix_element(solved):
 
 def test_row_table_is_frozen_and_matches_class_rows(solved):
     spec, bands, _ = solved
-    basis = bl.build_basis(spec)
     assert bands.rows.shape == (spec.cells, spec.dim // spec.cells)
     for l in range(spec.cells):
-        assert np.array_equal(bands.rows[l], basis.class_rows(l))
+        assert np.array_equal(bands.rows[l], spec.class_rows[l])
     # each class block holds a whole unit state: no weight is left off its rows
     assert np.allclose(np.linalg.norm(bands.blocks, axis=2), 1.0, rtol=0, atol=1e-14)
     with pytest.raises(ValueError):
@@ -250,7 +247,7 @@ def test_row_table_is_frozen_and_matches_class_rows(solved):
 def test_one_band_lattice_has_no_within_sector_elements():
     spec = bl.LatticeSpec(cells=3, cutoff=1)  # d = 3: one band per class
     bands = bl.solve_bands(bl.build_hamiltonian(spec, bl.PotentialSpec()), spec)
-    (table,) = bl.Battery(bl.build_basis(spec), seeds=2, max_harmonic=0, named=()).tables()
+    (table,) = bl.Battery(spec, seeds=2, max_harmonic=0, named=()).tables()
     report = bl.sector_decomposition_report(bands, [table])
     assert report.within_sector is None
     assert report.leakage.shape == (3, 3)

@@ -14,9 +14,9 @@ from oracles import join, matrix_element, members, mixture_diagnostic, named, se
 MATHIEU_K0_DISTINGUISHABILITY = 0.3193521445398395
 
 
-def test_identity_elements(mathieu_solution, basis_n3):
+def test_identity_elements(mathieu_solution, lattice_n3):
     _, bands = mathieu_solution
-    identity = named("identity", basis_n3)
+    identity = named("identity", lattice_n3)
     same = matrix_element(identity, bands.dense(0, 0), bands.dense(0, 0))
     assert same == pytest.approx(1.0, abs=1e-12)
     other_band = matrix_element(identity, bands.dense(0, 0), bands.dense(0, 1))
@@ -24,10 +24,10 @@ def test_identity_elements(mathieu_solution, basis_n3):
 
 
 def test_cross_sector_elements_vanish_for_seeded_observable(
-    mathieu_solution, basis_n3
+    mathieu_solution, lattice_n3
 ):
     _, bands = mathieu_solution
-    op = seeded(7, basis_n3)
+    op = seeded(7, lattice_n3)
     for low, high in ((0, 0), (0, 1), (2, 1)):
         element = matrix_element(op, bands.dense(0, low), bands.dense(1, high))
         assert abs(element) < 1e-12 * op.norm_max[0]
@@ -51,10 +51,10 @@ def test_fringe_scan_flat_across_sectors(mathieu_solution, battery_n3):
     assert scan.amplitude < 1e-10
 
 
-def test_fringe_scan_within_sector_matches_element(mathieu_solution, basis_n3):
+def test_fringe_scan_within_sector_matches_element(mathieu_solution, lattice_n3):
     _, bands = mathieu_solution
     a, b = bands.dense(1, 0), bands.dense(1, 1)
-    op = named("cos_a", basis_n3)
+    op = named("cos_a", lattice_n3)
     element = matrix_element(op, a, b)
     assert abs(element) > 1e-4
     scan = bl.fringe_scan(op, a, b, 64)
@@ -69,10 +69,10 @@ def test_fringe_scan_within_sector_matches_element(mathieu_solution, basis_n3):
     assert np.allclose(scan.averages, expected, atol=1e-12)
 
 
-def test_fringe_scan_same_state_is_constant(mathieu_solution, basis_n3):
+def test_fringe_scan_same_state_is_constant(mathieu_solution, lattice_n3):
     _, bands = mathieu_solution
     a = bands.dense(1, 0)
-    op = named("momentum", basis_n3)
+    op = named("momentum", lattice_n3)
     scan = bl.fringe_scan(op, a, a, 9)  # odd grid avoids lambda = pi
     level = float(np.real(a.conj() @ op.matrix[0] @ a))
     assert np.allclose(scan.averages, level, atol=1e-12)
@@ -89,18 +89,18 @@ def test_fringe_scan_needs_enough_points(mathieu_solution, battery_n3):
 
 
 def test_breaking_observable_restores_cross_sector_fringes(
-    mathieu_solution, basis_n3
+    mathieu_solution, lattice_n3
 ):
     _, bands = mathieu_solution
-    op = bl.breaking_observable(1, basis_n3)
+    op = bl.breaking_observable(1, lattice_n3)
     assert abs(matrix_element(op, bands.dense(0, 0), bands.dense(1, 0))) > 1e-6
     scan = bl.fringe_scan(op, bands.dense(0, 0), bands.dense(1, 0), 64)
     assert scan.amplitude > 1e-6
 
 
-def test_free_particle_breaking_ground_pair_element(free_solution, basis_n3):
+def test_free_particle_breaking_ground_pair_element(free_solution, lattice_n3):
     _, bands = free_solution
-    breaker = bl.breaking_observable(1, basis_n3)
+    breaker = bl.breaking_observable(1, lattice_n3)
     element = matrix_element(breaker, bands.dense(0, 0), bands.dense(1, 0))
     assert abs(element) == pytest.approx(1.0, abs=1e-12)
 
@@ -122,9 +122,9 @@ def test_mixture_within_sector_is_distinguishable(mathieu_solution, battery_n3):
     )
 
 
-def test_mixture_identity_battery_cannot_distinguish(mathieu_solution, basis_n3):
+def test_mixture_identity_battery_cannot_distinguish(mathieu_solution, lattice_n3):
     _, bands = mathieu_solution
-    identity = named("identity", basis_n3)
+    identity = named("identity", lattice_n3)
     diag = mixture_diagnostic(bands.dense(0, 0), bands.dense(2, 1), [identity])
     assert diag.distinguishability < 1e-14
 
@@ -145,10 +145,10 @@ def test_sector_decomposition_structurally_clean(free_solution, battery_n3):
 
 
 def test_sector_decomposition_lights_up_with_breaking_member(
-    free_solution, battery_n3, basis_n3
+    free_solution, battery_n3, lattice_n3
 ):
     _, bands = free_solution
-    extended = battery_n3 + [bl.breaking_observable(1, basis_n3)]
+    extended = battery_n3 + [bl.breaking_observable(1, lattice_n3)]
     report = bl.sector_decomposition_report(bands, [join(extended)])
     for pair in ((0, 1), (1, 2), (2, 0)):
         assert report.leakage[pair] > 1e-6
@@ -183,10 +183,9 @@ def test_superselection_survives_on_padded_even_lattice():
     # even cell counts use the asymmetric padded basis; the block structure
     # and the cross-sector zeros must be just as exact there
     spec = bl.LatticeSpec(cells=4, cutoff=4, pad_basis=True)
-    basis = bl.build_basis(spec)
-    h = bl.build_hamiltonian(spec, bl.PotentialSpec.from_cosines([(1, 0.5)]))
+    h = bl.build_hamiltonian(spec, bl.PotentialSpec(harmonics=((1, 0.25),)))
     bands = bl.solve_bands(h, spec)
-    (table,) = bl.Battery(basis, seeds=10).tables()
+    (table,) = bl.Battery(spec, seeds=10).tables()
     report = bl.sector_decomposition_report(bands, [table])
     assert report.leakage.shape == (4, 4)
     assert report.max_offdiagonal < 1e-12
@@ -208,13 +207,13 @@ def test_every_adjacent_band_pair_has_coherence(mathieu_solution, battery_n3):
 
 
 @pytest.mark.parametrize("beta", [np.pi / 7, np.pi / 3, 1.0])
-def test_phase_redefinition_covariance(mathieu_solution, basis_n3, beta):
+def test_phase_redefinition_covariance(mathieu_solution, lattice_n3, beta):
     # rotating the ket by e^{i beta} shifts the element's argument by +beta
     # (the bra side, being conjugate-linear, shifts it by -beta); magnitudes
     # never move
     _, bands = mathieu_solution
     a, b = bands.dense(1, 0), bands.dense(1, 1)
-    op = named("cos_a", basis_n3)
+    op = named("cos_a", lattice_n3)
     base = matrix_element(op, a, b)
 
     ket_shift = matrix_element(op, a, np.exp(1j * beta) * b)
@@ -245,11 +244,10 @@ def test_each_member_multiplies_only_the_class_blocks_it_can_fill(monkeypatch):
     # member by its own nonzero diagonals; the within-sector elements come
     # from the class form, not from the diagonal blocks
     spec = bl.LatticeSpec(cells=5, cutoff=7)
-    basis = bl.build_basis(spec)
-    potential = bl.PotentialSpec.from_cosines([(1, 0.5)])
+    potential = bl.PotentialSpec(harmonics=((1, 0.25),))
     bands = bl.solve_bands(bl.build_hamiltonian(spec, potential), spec)
     asked = _count_class_blocks(monkeypatch)
-    table = join([seeded(1, basis), bl.breaking_observable(1, basis)])
+    table = join([seeded(1, spec), bl.breaking_observable(1, spec)])
     report = bl.sector_decomposition_report(bands, [table])
     assert asked == [[(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]]
     assert report.leakage[0, 2] == 0.0 and report.leakage[0, 1] > 0.5
