@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, NumericalFailure
-from .lattice import LatticeSpec, OperatorTable, class_shift
+from .lattice import LatticeSpec, OperatorTable, add_offset_diagonal, class_shift
 
 DEGENERACY_ATOL = 1e-10
 SUPPORT_ATOL = 1e-12
@@ -130,10 +130,12 @@ def solve_bands(h: OperatorTable, spec: LatticeSpec) -> BandStructure:
     """Diagonalize every wavevector-class block of a cell-periodic H at once.
 
     ``h`` is a one-member table on the spec's grid.  Each class's rows (a
-    row of ``spec.class_rows``) give one (d/N, d/N) block
-    (``OperatorTable.class_blocks``); the N blocks go through one stacked
-    eigensolve and one stacked gauge fix, and their eigenvectors are kept on
-    those rows, with the (N, d/N) row table as ``rows``.
+    row of ``spec.class_rows``) give one (d/N, d/N) block, written onto
+    zeros one class-row diagonal at a time (``OperatorTable.class_diagonals``
+    and ``add_offset_diagonal``, as ``matrix`` writes the dense one); the N
+    blocks go through one stacked eigensolve and one stacked gauge fix, and
+    their eigenvectors are kept on those rows, with the (N, d/N) row table
+    as ``rows``.
 
     Raises InvariantViolation if H carries weight between different classes
     (it then is not cell-periodic and has no common eigenbasis with T), and
@@ -143,16 +145,17 @@ def solve_bands(h: OperatorTable, spec: LatticeSpec) -> BandStructure:
         raise ValueError(f"operator dimension {h.dim} does not match basis {spec.dim}")
     _require_block_structure(h, spec.cells)
 
-    sectors = np.arange(spec.cells)
-    (class_blocks,) = h.class_blocks(spec.class_rows, sectors, sectors)
+    n, b = spec.class_rows.shape
+    h_blocks = np.zeros((n, b, b), dtype=complex)
+    for q, (values,) in h.class_diagonals(spec.class_rows):
+        add_offset_diagonal(h_blocks, q, values)
     try:
-        energies, vectors = np.linalg.eigh(class_blocks)
+        energies, vectors = np.linalg.eigh(h_blocks)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalFailure(f"class-block eigensolver failed: {exc}") from exc
     blocks = _canonical_eigenbasis(energies, vectors).swapaxes(1, 2)  # (class, band, row)
-    return BandStructure(
-        k_values=spec.wavevector(sectors), energies=energies, blocks=blocks, rows=spec.class_rows
-    )
+    k_values = spec.wavevector(np.arange(n))
+    return BandStructure(k_values=k_values, energies=energies, blocks=blocks, rows=spec.class_rows)
 
 
 def _require_block_structure(h: OperatorTable, cells: int) -> None:
@@ -201,19 +204,20 @@ def ring_phase_samples(winding: int, points: int) -> np.ndarray:
     return np.exp(2j * np.pi * winding * p / points)
 
 
-def wannier_state(
-    band: int, home_cell: int, bands: BandStructure, spec: LatticeSpec
-) -> np.ndarray:
-    """Localized combination of all same-band Bloch states.
+def wannier_state(band, home_cell, bands: BandStructure, spec: LatticeSpec) -> np.ndarray:
+    """Localized combinations of all same-band Bloch states.
 
     w_{n,r} = N^{-1/2} sum_l exp(-i k_l r a) psi_{n k_l}.  The inverse of the
     translation operator advances the home cell: T^dagger w_{n,r} = w_{n,r+1}
     (T itself maps w_{n,r} to w_{n,r-1}, indices mod N).  Unit norm follows
-    from orthonormality of the Bloch states.  The N states lie on disjoint
-    class rows, so the sum is each phased block written on its own rows: the
-    dense sum's values, without forming N dense vectors.
+    from orthonormality of the Bloch states.  ``band`` and ``home_cell`` are
+    integer indices, broadcast together as in ``BandStructure.dense``; the
+    result has their shape plus (d,).  The N states lie on disjoint class
+    rows, so the sum is each phased block written on its own rows: the dense
+    sum's values, without forming N dense vectors.
     """
-    phases = np.exp(-1j * bands.k_values * (home_cell * spec.a))
-    out = np.zeros(bands.rows.size, dtype=complex)
-    out[bands.rows] = phases[:, None] * bands.blocks[:, band]
+    band, home_cell = np.broadcast_arrays(band, home_cell)
+    phases = np.exp(-1j * bands.k_values * (home_cell[..., None] * spec.a))  # (..., class)
+    out = np.zeros(band.shape + (bands.rows.size,), dtype=complex)
+    out[..., bands.rows] = phases[..., None] * bands.blocks.swapaxes(0, 1)[band]
     return out / np.sqrt(spec.cells)

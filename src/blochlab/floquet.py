@@ -321,23 +321,25 @@ def _aligned_blocks(deviations: np.ndarray) -> list[np.ndarray]:
     return levels
 
 
-def _ordered_product(spec: DriveSpec, steps: int, marks, factors) -> np.ndarray:
+def _ordered_product(spec: DriveSpec, steps: int, marks, method: str) -> np.ndarray:
     """U(s dt, 0), dt = T / steps, at each step index s of the ascending ``marks``.
 
-    A mark may repeat, and mark 0 is the identity.  ``factors(spec, s, dt)``
-    builds the steps' deviations from I, _FACTOR_CHUNK step indices s at a
-    time, which bounds the memory at the step cap; ``_aligned_blocks``
-    multiplies them in log-depth stacked calls.  U at a mark inside the chunk,
+    A mark may repeat, and mark 0 is the identity.  The ``method``'s factor
+    builder (``_FACTOR_BUILDERS``), called as ``factors(spec, s, dt)``, builds
+    the steps' deviations from I, _FACTOR_CHUNK step indices s at a time,
+    which bounds the memory at the step cap; ``_aligned_blocks`` multiplies
+    them in log-depth stacked calls.  U at a mark inside the chunk,
     and at the chunk end (carried into the next chunk), is the carried U times
     the blocks of its offset's binary digits, highest digit first, in one
     stacked call per digit over the marks that have it.  So each snapshot's
     rounding depends on its own step index only, never on which other marks
     were asked for.  Raises ValueError below MIN_STEPS, and NumericalFailure
-    when U(T, 0) drifts off the unitary group by more than 1e-6 or is not
-    finite (advice: increase ``steps``).
+    naming the method and the step count when U(T, 0) drifts off the unitary
+    group by more than 1e-6 or is not finite.
     """
     if steps < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} steps, got {steps}")
+    factors = _FACTOR_BUILDERS[method]
     marks = np.asarray(marks)
     dt = spec.period / steps
     snapshots = np.empty((len(marks), spec.dim, spec.dim), dtype=complex)
@@ -363,8 +365,8 @@ def _ordered_product(spec: DriveSpec, steps: int, marks, factors) -> np.ndarray:
         drift = _unitarity_defect(u)
     if not drift <= UNITARITY_LIMIT:  # NaN compares False, so a NaN product fails too
         raise NumericalFailure(
-            f"monodromy unitarity drift {drift:.3e} exceeds {UNITARITY_LIMIT:.0e}; "
-            "increase steps"
+            f"{method} monodromy unitarity drift {drift:.3e} exceeds {UNITARITY_LIMIT:.0e} "
+            f"over {steps} steps; increase steps or reduce the drive's scale"
         )
     return snapshots
 
@@ -387,12 +389,12 @@ def propagate_period(
 ) -> np.ndarray:
     """Monodromy U(T) by the chosen integrator: "midpoint-exponential" or "fourth-order".
 
-    Raises NumericalFailure when the result drifts off the unitary group by
-    more than 1e-6 (advice: increase ``steps``).
+    Raises NumericalFailure, naming the method and the step count, when the
+    result drifts off the unitary group by more than 1e-6.
     """
     if method not in _FACTOR_BUILDERS:
         raise ValueError(f"unknown method {method!r}")
-    return _ordered_product(spec, steps, [steps], _FACTOR_BUILDERS[method])[-1]
+    return _ordered_product(spec, steps, [steps], method)[-1]
 
 
 def fold_quasienergy(value: float | np.ndarray, omega: float, hbar: float = 1.0):
@@ -477,7 +479,7 @@ def solve_floquet(spec: DriveSpec, steps: int = 4096, grid: int = 256) -> Floque
     """
     if grid < 1:
         raise ValueError(f"the grid needs at least one interval, got {grid}")
-    snapshots = _ordered_product(spec, steps, _nearest_steps(steps, grid), _midpoint_factors)
+    snapshots = _ordered_product(spec, steps, _nearest_steps(steps, grid), "midpoint-exponential")
     snapshots.setflags(write=False)
     eps, modes = quasienergies(snapshots[-1], spec.omega, spec.hbar)
     return FloquetSolution(spec, steps, eps, modes, snapshots)

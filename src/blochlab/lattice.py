@@ -15,8 +15,10 @@ block.  A cell-periodic operator is therefore a few offset diagonals at
 multiples of N, and every lattice operator is an ``OperatorTable``: a stack
 of members held as their offset diagonals only (the DIA sparse format), one
 member for the Hamiltonian or a single observable, many for a battery.
-Entries between classes are never stored, so the block structure is exact.
-The translation is diagonal and is held as its phase vector.
+Entries between classes are never stored, so the block structure is exact,
+and a class block is the diagonals at offsets qN read on that class's rows
+(``OperatorTable.class_diagonals``).  The translation is diagonal and is held
+as its phase vector.
 """
 
 from __future__ import annotations
@@ -206,9 +208,9 @@ class OperatorTable:
     main diagonal real (rejected when max |m_ii - conj(m_ii)| exceeds 1e-12
     of its member's largest entry), and no member zero (ValueError naming
     the first).  ``values`` and ``norm_max`` are frozen.  Callers use
-    ``apply`` (O v), ``class_blocks`` (O[rows_j, rows_l]) and ``class_form``,
-    each for every member at once; ``matrix`` forms the dense matrices on
-    request.
+    ``apply`` (O v), ``class_diagonals`` (the diagonals on the class rows)
+    and ``class_form``, each for every member at once; ``matrix`` forms the
+    dense matrices on request.
     """
 
     labels: tuple[str, ...]
@@ -298,46 +300,33 @@ class OperatorTable:
                 out[..., :n] += values.conj() * v[..., offset:]
         return out
 
-    def class_blocks(self, rows, bra_class, ket_class) -> np.ndarray:
-        """The (members, pairs, b, b) blocks O_i[rows[bra_class[p]], rows[ket_class[p]]].
+    def class_diagonals(self, rows):
+        """(q, values) for each stored diagonal that reads as offset q on the class rows.
 
-        ``rows`` is a (classes, b) table of plane-wave rows, one class per row
-        (``BandStructure.rows``).  Each entry is gathered from its diagonal
-        (its conjugate above the main diagonal), so the blocks are bit for
-        bit the entries of ``matrix``.
+        ``rows`` is a (N, b) table of class rows (``LatticeSpec.class_rows``),
+        ascending in steps of N, so the diagonal at offset qN is offset q on
+        them, with the (members, N, b - q) values ``values[:, k][:, rows[:, :b-q]]``.
+        Every other diagonal couples different classes and is skipped.
         """
-        rows = np.asarray(rows, dtype=np.int32)  # int32 indices: half the index traffic
-        bra, ket = rows[bra_class][:, :, None], rows[ket_class][:, None, :]
-        k, d = len(self.offsets), self.dim
-        table = np.zeros((len(self), 2 * k + 1, d), dtype=complex)  # the last row stays zero
-        table[:, :k] += self.values
-        table[:, k : 2 * k] += self.values.conj()  # zeros + conj, as ``matrix``
-        slot = np.full(2 * d - 1, 2 * k, dtype=np.int32)  # table row of offset r - c
-        offsets = np.array(self.offsets, dtype=np.int32)
-        slot[d - 1 - offsets] = k + np.arange(k)
-        slot[d - 1 + offsets] = np.arange(k)  # offset 0 reads the stored main diagonal
-        # entry (r, c) is column min(r, c) of the table row of offset r - c
-        index = np.take(slot, bra - ket + (d - 1)) * d + np.minimum(bra, ket)
-        return np.take(table.reshape(len(self), -1), index, axis=1)
+        n, b = rows.shape
+        for k, o in enumerate(self.offsets):
+            if o % n == 0:
+                yield o // n, self.values[:, k][:, rows[:, : b - o // n]]
 
     def class_form(self, rows, bra, ket) -> np.ndarray:
         """The (members, ..., N) forms <bra_l|O|ket_l> of (..., N, b) states on the rows (N, b).
 
-        Class rows step by N, so the diagonal at offset qN is offset q on them,
-        with values values[:, k, rows[:, :b-q]]; every other diagonal meets
-        class-supported states in exact zeros, so the form is exact for any
-        member.  O ket is summed on the class rows as ``apply`` sums it on all
-        rows, every member at once; a member's zero diagonal adds exact zeros,
-        so each member's form is the one it has alone.
+        The diagonals come from ``class_diagonals``; every other diagonal
+        meets class-supported states in exact zeros, so the form is exact for
+        any member.  O ket is summed on the class rows as ``apply`` sums it on
+        all rows, every member at once; a member's zero diagonal adds exact
+        zeros, so each member's form is the one it has alone.
         """
-        n, b = rows.shape
+        b = rows.shape[1]
         lead = (len(self),) + (1,) * (np.ndim(ket) - 2)  # members, then ket's leading axes
         applied = np.zeros(lead[:1] + np.shape(ket), dtype=complex)
-        for k, o in enumerate(self.offsets):
-            if o % n:
-                continue
-            q = o // n
-            v = self.values[:, k][:, rows[:, : b - q]].reshape(lead + (n, b - q))
+        for q, v in self.class_diagonals(rows):
+            v = v.reshape(lead + v.shape[1:])
             applied[..., q:] += v * ket[..., : b - q]
             if q:
                 applied[..., : b - q] += v.conj() * ket[..., q:]

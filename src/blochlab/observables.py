@@ -241,8 +241,8 @@ class Battery:
 
     Members are the ``named`` ones in order, then seeds 1..seeds
     (``_seeded_diagonals``, label seed:<s>), then ``custom`` (label
-    custom:<i>); ``labels`` lists them without building any.  ``tables``
-    builds them in order as ``OperatorTable``s: named and custom members
+    custom:<i>); the tables carry the labels.  ``tables`` builds the
+    members in this order as ``OperatorTable``s: named and custom members
     term by term, the seeded members of a table in one pass.  A table holds
     at most _TABLE_ENTRIES entries (at least one member), so a caller that
     drops each table before taking the next holds one table, not the whole
@@ -269,13 +269,8 @@ class Battery:
     def __len__(self) -> int:
         return len(self.named) + self.seeds + len(self.custom)
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        seeded = tuple(f"seed:{seed}" for seed in range(1, self.seeds + 1))
-        return self.named + seeded + tuple(f"custom:{i}" for i in range(len(self.custom)))
-
     def tables(self) -> Iterator[OperatorTable]:
-        """The members in ``labels`` order, as consecutive tables built one at a time."""
+        """The members in order, as consecutive tables built one at a time."""
         specs = [_NAMED_SPECS[name] for name in self.named] + list(self.custom)
         reach = max(
             [self.max_harmonic if self.seeds else 0]
@@ -288,7 +283,7 @@ class Battery:
             yield self._table(start, min(start + per_table, len(self)))
 
     def member(self, i: int) -> OperatorTable:
-        """Member ``i`` (in ``labels`` order) alone, as a one-member table built anew."""
+        """Member ``i`` (in member order) alone, as a one-member table built anew."""
         return self._table(i, i + 1)
 
     def _table(self, start: int, stop: int) -> OperatorTable:

@@ -250,17 +250,11 @@ def _run_superselect(cfg: ScenarioConfig):
 def _run_wannier(cfg: ScenarioConfig):
     spec, h, t, bands = _solve_lattice(cfg)
 
-    norm_dev = 0.0
-    covariance = 0.0
-    wanniers = []  # (band, home cell, d)
-    for band in cfg.wannier.bands:
-        w0 = wannier_state(band, 0, bands, spec)
-        w1 = wannier_state(band, 1, bands, spec)
-        covariance = max(covariance, float(np.linalg.norm(t.conj() * w0 - w1)))
-        rows = np.array([wannier_state(band, cell, bands, spec) for cell in cfg.wannier.home_cells])
-        norm_dev = max(norm_dev, float(np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0))))
-        wanniers.append(rows)
-    wanniers = np.array(wanniers)
+    band_index = np.array(cfg.wannier.bands)[:, None]
+    pairs = wannier_state(band_index, [0, 1], bands, spec)  # (band, home cell 0 and 1, d)
+    covariance = max(float(np.linalg.norm(t.conj() * w0 - w1)) for w0, w1 in pairs)
+    wanniers = wannier_state(band_index, cfg.wannier.home_cells, bands, spec)  # (band, cell, d)
+    norm_dev = float(np.max(np.abs(np.linalg.norm(wanniers, axis=-1) - 1.0)))
     band_blocks = bands.blocks[:, list(cfg.wannier.bands)].swapaxes(0, 1)  # (band, class, row)
     residual = wannier_mixture_residual(wanniers, band_blocks, bands.rows, _tables(cfg.battery))
     per_band_mixture = residual.max(axis=0)

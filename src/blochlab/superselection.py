@@ -114,37 +114,31 @@ def sector_decomposition_report(bands: BandStructure, tables) -> SectorDecomposi
     measured and dropped before the next is taken.  With C_l the class-l
     states on their d/N rows (``bands.blocks[l]``), <psi_{m k_j}|O|psi_{n k_l}>
     is entry (m, n) of C_j^* O[rows_j, rows_l] C_l^T.  A diagonal at offset o
-    couples class l only to l +- ``class_shift(o, N)`` mod N, so a table whose
-    offsets are all multiples of N (every member cell-periodic) multiplies no
-    cross block at all; otherwise, per member, only the cross blocks j < l its
-    nonzero diagonals can fill (the ``OperatorTable.class_blocks`` of its
-    one-row slice) are multiplied, in one stacked product, and every other
-    block is an exact zero and is skipped.  Leakage entry [j, l] (bras from
-    the lower class, mirrored) is maximized over both band axes and all
-    members and equals a pairwise class loop bit for bit, however the battery
-    is split.  ``within_sector`` needs only bands 0 and 1 of each class: one
-    ``OperatorTable.class_form`` per table.
+    couples class l only to l +- ``class_shift(o, N)`` mod N, so a member
+    whose nonzero diagonals all have shift 0 (a cell-periodic one) fills no
+    cross block, and nothing is multiplied for it.  A member that can couple
+    classes is read as its dense matrix (``matrix`` of its one-row slice),
+    and all N(N-1)/2 cross blocks j < l are gathered from it and multiplied in
+    one stacked product; a block it cannot fill is exact zeros.  Leakage entry
+    [j, l] (bras from the lower class, mirrored) is maximized over both band
+    axes and all members and equals a pairwise class loop bit for bit,
+    however the battery is split.  ``within_sector`` needs only bands 0 and 1
+    of each class: one ``OperatorTable.class_form`` per table.
     """
     rows, blocks = bands.rows, bands.blocks  # blocks: (class, band, row)
     n_sectors, n_bands, _ = blocks.shape
     bra_class, ket_class = np.triu_indices(n_sectors, k=1)  # the cross blocks j < l
-    step = (ket_class - bra_class) % n_sectors
     worst = np.zeros(len(bra_class))
     labels, within = [], []
     for table in tables:
         labels += table.labels
-        crossing = any(class_shift(o, n_sectors) for o in table.offsets)  # can a member fill one?
-        for i in range(len(table) if crossing else 0):
-            nonzero = [o for o, row in zip(table.offsets, table.values[i]) if row.any()]
-            reaches = np.zeros(n_sectors, dtype=bool)  # by class step: can member i fill it?
-            reaches[[class_shift(s, n_sectors) for o in nonzero for s in (o, -o)]] = True
-            filled = np.flatnonzero(reaches[step])
-            if filled.size:
-                bra, ket = bra_class[filled], ket_class[filled]
-                (cross,) = table[i : i + 1].class_blocks(rows, bra, ket)
-                # (block, bra band, ket band)
-                elements = np.abs(blocks[bra].conj() @ cross @ blocks[ket].transpose(0, 2, 1))
-                np.maximum.at(worst, filled, elements.max(axis=(1, 2)) / table.norm_max[i])
+        crossing = [class_shift(o, n_sectors) != 0 for o in table.offsets]  # couple classes
+        for i in np.flatnonzero(table.values[:, crossing].any(axis=(1, 2))):  # nonzero on one
+            (dense,) = table[i : i + 1].matrix
+            cross = dense[rows[bra_class][:, :, None], rows[ket_class][:, None, :]]
+            bra, ket = blocks[bra_class].conj(), blocks[ket_class].transpose(0, 2, 1)
+            elements = np.abs(bra @ cross @ ket)  # (block, bra band, ket band)
+            np.maximum(worst, elements.max(axis=(1, 2)) / table.norm_max[i], out=worst)
         if n_bands >= 2:  # <psi_{0 k_l}|O|psi_{1 k_l}>, (class, member)
             within.append(np.abs(table.class_form(rows, blocks[:, 0], blocks[:, 1])).T)
     leakage = np.full((n_sectors, n_sectors), np.nan)

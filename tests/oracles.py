@@ -79,6 +79,12 @@ def custom(spec, lattice: LatticeSpec) -> OperatorTable:
     return table
 
 
+def member_labels(battery: Battery) -> tuple[str, ...]:
+    """The battery's member labels in order, without building a member: named, seeds, custom."""
+    seeds = tuple(f"seed:{seed}" for seed in range(1, battery.seeds + 1))
+    return battery.named + seeds + tuple(f"custom:{i}" for i in range(len(battery.custom)))
+
+
 def members(tables) -> list[OperatorTable]:
     """Every member of the iterable ``tables``, in order, as a one-member table."""
     return [table[i : i + 1] for table in tables for i in range(len(table))]
@@ -310,9 +316,10 @@ def loop_canonical_eigenbasis(energies: np.ndarray, vectors: np.ndarray) -> np.n
 
 def loop_solve_bands(h, rows) -> tuple[np.ndarray, np.ndarray]:
     """Energies (N, b) and class blocks (N, b, b): one eigh and one gauge per class."""
+    (dense,) = h.matrix
     energies, blocks = [], []
     for l in range(len(rows)):
-        vals, vecs = np.linalg.eigh(h.class_blocks(rows, [l], [l])[0, 0])
+        vals, vecs = np.linalg.eigh(dense[np.ix_(rows[l], rows[l])])
         energies.append(vals)
         blocks.append(loop_canonical_eigenbasis(vals, vecs).T)
     return np.array(energies), np.array(blocks)
@@ -347,9 +354,9 @@ def loop_class_form(operator, rows, bra, ket) -> np.ndarray:
 def member_sector_elements(bands, battery) -> tuple[np.ndarray, np.ndarray]:
     """Leakage table and (class, member) within-sector elements, one member at a time.
 
-    Per member (one-member tables): its cross blocks by the class steps of its
-    nonzero diagonals (``class_blocks``, one stacked product) and its
-    ``loop_class_form`` on bands 0 and 1.
+    Per member (one-member tables): the cross blocks its nonzero diagonals can
+    fill, by their class steps, sliced from its dense matrix and multiplied
+    in one stacked product, and its ``loop_class_form`` on bands 0 and 1.
     """
     rows, blocks = bands.rows, bands.blocks
     n = len(bands.k_values)
@@ -363,10 +370,9 @@ def member_sector_elements(bands, battery) -> tuple[np.ndarray, np.ndarray]:
         filled = np.flatnonzero(reaches[step])
         if filled.size:
             bra, ket = bra_class[filled], ket_class[filled]
-            elements = np.abs(
-                blocks[bra].conj() @ op.class_blocks(rows, bra, ket)[0]
-                @ blocks[ket].transpose(0, 2, 1)
-            )
+            (dense,) = op.matrix
+            cross = np.array([dense[np.ix_(rows[j], rows[l])] for j, l in zip(bra, ket)])
+            elements = np.abs(blocks[bra].conj() @ cross @ blocks[ket].transpose(0, 2, 1))
             worst[filled] = np.maximum(worst[filled], elements.max(axis=(1, 2)) / op.norm_max[0])
         within.append(np.abs(loop_class_form(op, rows, blocks[:, 0], blocks[:, 1])))
     leakage = np.full((n, n), np.nan)

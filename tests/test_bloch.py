@@ -209,6 +209,20 @@ def test_wannier_direct_summation_oracle(mathieu_solution, lattice_n3):
     assert np.allclose(bl.wannier_state(1, r, bands, lattice_n3), expected, atol=1e-15)
 
 
+def test_wannier_states_broadcast_their_indices(mathieu_solution, lattice_n3):
+    # band and home cell broadcast as in BandStructure.dense: the stack holds
+    # the scalar calls' vectors, bit for bit
+    _, bands = mathieu_solution
+    band_index, cells = np.array([[1], [0]]), np.array([2, 0, 1])
+    stacked = bl.wannier_state(band_index, cells, bands, lattice_n3)
+    assert stacked.shape == (2, 3, lattice_n3.dim)
+    for i, band in enumerate((1, 0)):
+        for j, cell in enumerate((2, 0, 1)):
+            alone = bl.wannier_state(band, cell, bands, lattice_n3)
+            assert alone.shape == (lattice_n3.dim,)
+            assert stacked[i, j].tobytes() == alone.tobytes(), (band, cell)
+
+
 def test_lcg_stream_is_stable():
     # documented generator: first draws from seed 1 are fixed for all time
     rng = Lcg(1)

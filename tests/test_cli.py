@@ -30,7 +30,7 @@ from blochlab.observables import MAX_POLY_DEGREE
 from blochlab.reports import fringe_csv
 from blochlab.runner import run_scenario, stable_report_bytes
 from conftest import random_hermitian
-from oracles import named
+from oracles import member_labels, named
 
 
 def write_json(path, data):
@@ -201,6 +201,21 @@ def test_overflowed_rk4_monodromy_exits_2(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_drifting_rk4_monodromy_at_the_step_cap_names_its_integrator(tmp_path, capsys):
+    # a stiff h0 at the step cap: the midpoint product stays unitary (defect
+    # ~1e-13), the RK4 cross-check drifts ~7e-4, and more steps are refused
+    report = tmp_path / "rep.json"
+    sigma_x = [[[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]
+    drive = {"harmonic": 1, "kind": "sin", "matrix": sigma_x}
+    h0 = ((1000.0, 0.0), (0.0, -1000.0))
+    cfg = floquet_config(tmp_path, h0=h0, drives=[drive], steps=MAX_STEPS)
+    code = main(["floquet", "--config", cfg, "--report", str(report)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "fourth-order" in err and f"{MAX_STEPS} steps" in err and "Traceback" not in err
+    assert not report.exists()
+
+
 def test_retired_trajectory_points_changes_nothing():
     # still accepted and range-checked (see CAPPED), but read by nothing
     assert "trajectory_points" not in shipped_drive()["floquet"]
@@ -365,13 +380,13 @@ def test_floquet_run_integrates_the_period_once_per_integrator(monkeypatch):
     seen = []
     product = floquet._ordered_product
 
-    def recording_product(spec, steps, marks, factors):
-        seen.append(factors)
-        return product(spec, steps, marks, factors)
+    def recording_product(spec, steps, marks, method):
+        seen.append(method)
+        return product(spec, steps, marks, method)
 
     monkeypatch.setattr(floquet, "_ordered_product", recording_product)
     assert run_scenario(validate_config(shipped_drive())).passed
-    assert seen == [floquet._midpoint_factors, floquet._rk4_factors]
+    assert seen == ["midpoint-exponential", "fourth-order"]
 
 
 def test_invariant_violation_exit_code(tmp_path, capsys):
@@ -1076,7 +1091,7 @@ def test_zero_member_found_mid_stream_exits_1_and_writes_nothing(
     data = {**data, "kind": kind}
     if kind == "wannier":
         data["wannier"] = {"bands": [0], "home_cells": [0, 1]}
-    labels = validate_config(data).battery.labels
+    labels = member_labels(validate_config(data).battery)
     measured, tables = [], bl.Battery.tables
 
     def recording(battery):  # each table as it is built, before it is measured

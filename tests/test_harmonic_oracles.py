@@ -210,11 +210,18 @@ def test_operator_matches_its_dense_view(lattice, data):
             values[...] = 99.0
     assert_bitwise(op.matrix[0], dense)
 
+    # each diagonal at offset qN is the q-th subdiagonal of every dense class
+    # block, and written onto zeros those diagonals are the whole block
     rows = spec.class_rows
-    bra, ket = (axis.ravel() for axis in np.indices((n, n)))
-    (blocks,) = op.class_blocks(rows, bra, ket)
-    for block, j, l in zip(blocks, bra, ket):
-        assert_bitwise(block, dense[np.ix_(rows[j], rows[l])])
+    on_rows = list(op.class_diagonals(rows))
+    assert [q for q, _ in on_rows] == [o // n for o in op.offsets if o % n == 0]
+    for l, class_rows in enumerate(rows):
+        block = dense[np.ix_(class_rows, class_rows)]
+        written = np.zeros_like(block)
+        for q, (values,) in on_rows:
+            assert_bitwise(values[l], np.diagonal(block, -q))
+            bl.lattice.add_offset_diagonal(written, q, values[l])
+        assert_bitwise(written, block)
 
     rng = np.random.default_rng(d)
     vectors = rng.uniform(-1, 1, (3, d)) + 1j * rng.uniform(-1, 1, (3, d))

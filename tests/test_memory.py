@@ -6,9 +6,10 @@ holds at most ``observables._TABLE_ENTRIES`` entries (4 MiB), and is built,
 measured and dropped before the next one is built.  At N = 15, d = 495 (the
 largest lattice of the benchmark sweeps) the default battery is one table of
 ~0.4 MB, and what is d x d in a run is the block of Bloch states and its
-Gram matrix in the solver checks.  No default battery member takes a class
-block (only the eigensolve does: H's 15 diagonal 33 x 33 blocks), and no
-run forms an operator's dense matrix.  The widest battery (every battery
+Gram matrix in the solver checks.  No default battery member can fill a
+cross-class block, so none is formed; the eigensolve writes H's 15 diagonal
+33 x 33 class blocks from its diagonals, and no run forms an operator's
+dense matrix.  The widest battery (every battery
 knob at its cap, d = 501) spans dozens of tables and runs in the memory of
 a few.
 """

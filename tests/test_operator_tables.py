@@ -21,6 +21,7 @@ from oracles import (
     diagonals,
     join,
     loop_seeded_diagonals,
+    member_labels,
     member_sector_elements,
     members,
     operator,
@@ -79,7 +80,7 @@ def test_table_rows_equal_members_built_alone_bit_for_bit(spec, name, split, mon
     tables = list(battery.tables())
     assert len(tables) > 1 if split else len(tables) == 1
     rows = [(table, i) for table in tables for i in range(len(table))]
-    assert tuple(table.labels[i] for table, i in rows) == battery.labels
+    assert tuple(table.labels[i] for table, i in rows) == member_labels(battery)
     for table, i in rows:
         label = table.labels[i]
         alone = _alone(battery, label)
@@ -121,7 +122,7 @@ def test_sector_report_on_a_table_equals_the_member_loop_bit_for_bit(spec, break
 
 @pytest.mark.parametrize("spec", LATTICES, ids=_lattice_id)
 def test_stacked_methods_equal_each_member_alone_bit_for_bit(spec):
-    # apply, class_blocks and matrix on the whole table give each member's
+    # apply, class_diagonals and matrix on the whole table give each member's
     # own, zero signs included: the member assembled alone holds only its
     # nonzero diagonals, where its table row also carries the zero rows of
     # the other members' offsets
@@ -131,16 +132,20 @@ def test_stacked_methods_equal_each_member_alone_bit_for_bit(spec):
     rng = np.random.default_rng(d)
     vectors = rng.normal(size=(2, 3, d)) + 1j * rng.normal(size=(2, 3, d))
     rows = spec.class_rows
-    bra, ket = (axis.ravel() for axis in np.indices((n, n)))
-    applied, blocks, dense = table.apply(vectors), table.class_blocks(rows, bra, ket), table.matrix
-    assert applied.shape == (len(table), 2, 3, d) and blocks.shape[:2] == (len(table), n * n)
+    applied, dense = table.apply(vectors), table.matrix
+    on_rows = dict(table.class_diagonals(rows))  # q -> (members, N, b - q)
+    assert applied.shape == (len(table), 2, 3, d)
+    assert list(on_rows) == [o // n for o in table.offsets if o % n == 0]
     for i, label in enumerate(table.labels):
         row = table[i : i + 1]
         assert row.labels == (label,) and not np.shares_memory(row.values, table.values)
         op = operator(d, diagonals(row), label)
         assert set(op.offsets) < set(table.offsets) and op.norm_max[0] == table.norm_max[i]
         assert applied[i].tobytes() == op.apply(vectors)[0].tobytes(), label
-        assert blocks[i].tobytes() == op.class_blocks(rows, bra, ket)[0].tobytes(), label
+        own = dict(op.class_diagonals(rows))
+        for q, values in on_rows.items():  # a diagonal the member lacks reads exact zeros
+            expected = own[q][0] if q in own else np.zeros_like(values[i])
+            assert values[i].tobytes() == expected.tobytes(), (label, q)
         assert dense[i].tobytes() == op.matrix[0].tobytes(), label
 
 
@@ -212,7 +217,7 @@ def test_scanned_members_survive_a_split_battery(monkeypatch, battery, per_table
     monkeypatch.setattr(bl.observables, "_TABLE_ENTRIES", per_table * 2 * spec.dim)
     assert len(list(cfg.battery.tables())) >= 3
     split = run_scenario(cfg).results
-    labels = cfg.battery.labels
+    labels = member_labels(cfg.battery)
     bands = bl.solve_bands(bl.build_hamiltonian(spec, cfg.potential), spec)
     _, within = member_sector_elements(bands, members(cfg.battery.tables()))
     strongest = labels[int(np.argmax(within[0]))]  # the first of the largest

@@ -78,7 +78,7 @@ def marked_stepping(draw):
 def test_midpoint_snapshots_match_stepwise_loop(case):
     dim, steps, marks, seed = case
     spec = random_drive(dim, seed)
-    snapshots = floquet._ordered_product(spec, steps, marks, floquet._midpoint_factors)
+    snapshots = floquet._ordered_product(spec, steps, marks, "midpoint-exponential")
     assert snapshots.shape == (len(marks), dim, dim)
     reference = stepwise_midpoint_snapshots(spec, steps, 1)[marks]
     assert np.max(np.abs(snapshots - reference)) < 1e-13
@@ -97,10 +97,10 @@ def test_rk4_monodromy_matches_stepwise_loop(case):
     expected = stepwise_rk4_monodromy(spec, steps)
     if floquet._unitarity_defect(expected) > floquet.UNITARITY_LIMIT:
         # the per-step loop drifts past the limit, so the product must refuse
-        with pytest.raises(bl.NumericalFailure, match="unitarity drift"):
-            floquet._ordered_product(spec, steps, [steps], floquet._rk4_factors)
+        with pytest.raises(bl.NumericalFailure, match="fourth-order .* unitarity drift"):
+            floquet._ordered_product(spec, steps, [steps], "fourth-order")
         return
-    monodromy = floquet._ordered_product(spec, steps, [steps], floquet._rk4_factors)[-1]
+    monodromy = floquet._ordered_product(spec, steps, [steps], "fourth-order")[-1]
     assert np.max(np.abs(monodromy - expected)) < 1e-13
 
 
@@ -140,7 +140,7 @@ def test_block_product_is_as_accurate_as_the_loop(drive, dim, steps, grid, metho
     eye = np.eye(dim)
     exact = running_product(deviations.astype(np.clongdouble) + eye, marks, np.clongdouble)
     loop_error = np.max(np.abs(running_product(deviations + eye, marks) - exact))
-    block_error = np.max(np.abs(floquet._ordered_product(spec, steps, marks, builder) - exact))
+    block_error = np.max(np.abs(floquet._ordered_product(spec, steps, marks, method) - exact))
     assert block_error <= 4.0 * loop_error + 1e-15, (block_error, loop_error)
 
 
@@ -185,10 +185,11 @@ def test_each_chunk_takes_logarithmically_many_stacked_products(monkeypatch):
         spec = random_drive(dim, 5)
         steps = 2 * floquet._FACTOR_CHUNK + 1000
         marks = np.unique(np.concatenate(([steps], floquet._nearest_steps(steps, 600))))
-        expected = floquet._ordered_product(spec, steps, marks, floquet._midpoint_factors)
+        expected = floquet._ordered_product(spec, steps, marks, "midpoint-exponential")
         with monkeypatch.context() as patch:
             patch.setattr(floquet, "_product", counting_product)
-            snapshots = floquet._ordered_product(spec, steps, marks, counting_factors)
+            patch.setitem(floquet._FACTOR_BUILDERS, "midpoint-exponential", counting_factors)
+            snapshots = floquet._ordered_product(spec, steps, marks, "midpoint-exponential")
         assert np.array_equal(snapshots, expected)
         starts = range(0, steps, floquet._FACTOR_CHUNK)
         assert len(sizes) == len(starts)
@@ -299,7 +300,7 @@ def test_factor_stacks_stay_within_the_chunk(monkeypatch):
     steps = 3 * floquet._FACTOR_CHUNK + 5
     for dim in (2, 3):
         spec = random_drive(dim, 3)
-        for builder in floquet._FACTOR_BUILDERS.values():
+        for method, builder in list(floquet._FACTOR_BUILDERS.items()):
             built = []
 
             def recording_factors(spec, s, dt, builder=builder):
@@ -308,7 +309,9 @@ def test_factor_stacks_stay_within_the_chunk(monkeypatch):
                 return factors
 
             seen.clear()
-            floquet._ordered_product(spec, steps, [steps], recording_factors)
+            with monkeypatch.context() as patch:
+                patch.setitem(floquet._FACTOR_BUILDERS, method, recording_factors)
+                floquet._ordered_product(spec, steps, [steps], method)
             chunks = [floquet._FACTOR_CHUNK] * 3 + [5]
             assert built == [(n, dim, dim) for n in chunks]
             assert max(seen) <= floquet._FACTOR_CHUNK

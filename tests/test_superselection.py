@@ -225,38 +225,48 @@ def test_phase_redefinition_covariance(mathieu_solution, lattice_n3, beta):
     assert abs(bra_shift) == pytest.approx(abs(base), abs=1e-14)
 
 
-def _count_class_blocks(monkeypatch):
-    """Patch ``class_blocks`` to record each call's sorted (bra, ket) class pairs."""
-    asked = []
-    class_blocks = bl.OperatorTable.class_blocks
+def _count_dense_reads(monkeypatch):
+    """Patch ``OperatorTable.matrix`` to record the labels of each dense read."""
+    read = []
+    matrix = bl.OperatorTable.matrix
 
-    def counting(self, rows, bra_class, ket_class):
-        asked.append(sorted(zip(np.asarray(bra_class).tolist(), np.asarray(ket_class).tolist())))
-        return class_blocks(self, rows, bra_class, ket_class)
+    def counting(self):
+        read.append(self.labels)
+        return matrix.fget(self)
 
-    monkeypatch.setattr(bl.OperatorTable, "class_blocks", counting)
-    return asked
+    monkeypatch.setattr(bl.OperatorTable, "matrix", property(counting))
+    return read
 
 
-def test_each_member_multiplies_only_the_class_blocks_it_can_fill(monkeypatch):
+def test_only_a_member_that_can_couple_classes_is_read_dense(monkeypatch):
     # block (j, l) holds only offsets = j - l (mod N): a cell-periodic member
-    # fills no cross block, breaking_observable(s) the j - l = +-s ones, each
-    # member by its own nonzero diagonals; the within-sector elements come
-    # from the class form, not from the diagonal blocks
+    # fills no cross block and is not read; breaking_observable(1) is read as
+    # its dense matrix once, for every cross block, and lights up the
+    # j - l = +-1 ones alone; the within-sector elements come from the class
+    # form, not from the dense read
     spec = bl.LatticeSpec(cells=5, cutoff=7)
     potential = bl.PotentialSpec(harmonics=((1, 0.25),))
     bands = bl.solve_bands(bl.build_hamiltonian(spec, potential), spec)
-    asked = _count_class_blocks(monkeypatch)
     table = join([seeded(1, spec), bl.breaking_observable(1, spec)])
+    read = _count_dense_reads(monkeypatch)
     report = bl.sector_decomposition_report(bands, [table])
-    assert asked == [[(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]]
+    assert read == [("breaking:s=1",)]
     assert report.leakage[0, 2] == 0.0 and report.leakage[0, 1] > 0.5
     assert np.all(report.within_sector[:, 0] > 0.0)  # the breaking member has none
 
 
-def test_superselect_run_takes_class_blocks_only_for_the_eigensolve(monkeypatch):
+def test_superselect_run_reads_no_operator_dense(monkeypatch):
     # N = 15, d = 495 with the default battery: every member is cell-periodic,
-    # so the one call is solve_bands' N diagonal blocks
+    # so no cross block is formed; H's class blocks and the battery's class
+    # form read the class-row diagonals, once each
+    read_on_rows = []
+    class_diagonals = bl.OperatorTable.class_diagonals
+
+    def recording(self, rows):
+        read_on_rows.append(self.labels)
+        return class_diagonals(self, rows)
+
+    monkeypatch.setattr(bl.OperatorTable, "class_diagonals", recording)
     cfg = validate_config(
         {
             "kind": "superselect",
@@ -265,7 +275,8 @@ def test_superselect_run_takes_class_blocks_only_for_the_eigensolve(monkeypatch)
             "negative_control": {"s": 1},
         }
     )
-    asked = _count_class_blocks(monkeypatch)
+    read = _count_dense_reads(monkeypatch)
     report = run_scenario(cfg)
     assert report.passed, report.checks
-    assert asked == [[(l, l) for l in range(15)]]
+    assert read == []
+    assert read_on_rows == [("hamiltonian",), tuple(report.results["battery"])]

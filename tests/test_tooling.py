@@ -1,16 +1,27 @@
-"""The benchmark's tracer still finds every program name it traces.
+"""Guards on the program's names: traced ones resolve, and defined ones are reached.
 
 ``perfbench/tracer.py`` wraps program functions by name; a name it cannot
 find is reported absent, and its per-layer metrics read zero.  A renamed or
 deleted function would so look like a gain.  The tracer is imported from
 its file and used as it is.
+
+Every function defined in the package is either called by a run of the
+shipped configs (every output written) or listed in ``UNREACHED`` with the
+reason it stays; a function no run reaches and no reason keeps is dead code.
 """
 
+import cProfile
 import importlib.util
+import inspect
+import json
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import blochlab
+from blochlab import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 # traced names the program no longer has, each listed in ROADMAP.md
 ALREADY_MISSING = {
@@ -42,3 +53,58 @@ def test_every_traced_program_name_resolves():
     with tracer.Tracer().installed() as installed:
         absent = set(installed.absent)
     assert absent <= ALREADY_MISSING, f"traced names not found: {sorted(absent - ALREADY_MISSING)}"
+
+
+# functions no shipped run calls, by module and qualified name, each with the
+# reason it is kept
+UNREACHED = {
+    "bloch.winding_number": "acceptance criterion 5, on the product rule; no run samples a state",
+    "bloch.ring_phase_samples": "acceptance criterion 5: the states winding_number is tested on",
+    "cli._Parser.error": "error path: an argparse usage error exits 1",
+    "cli.entrypoint": "the console script; the runs call main",
+    "config._bool": "parses pad_basis and symmetrize, which no shipped config sets",
+    "errors.ConfigError.__init__": "error path: an invalid config",
+    "lattice.PotentialSpec.value": "the real-space reference of the Hamiltonian's cross-checks",
+    "lattice.OperatorTable.__getitem__": "a member's slice: the sector report's dense read of a "
+    "member that couples classes, which no battery member does",
+    "lattice.OperatorTable.matrix": "dense matrices on request: tests, and the same class-coupling "
+    "member",
+    "observables.ObservableTerm.__post_init__": "runs at import for the named members, and for "
+    "custom members, which no shipped config has",
+    "runner.stable_report_bytes": "the determinism contract, which the tests compare reports by",
+}
+
+
+def defined_functions() -> dict[tuple[str, int], str]:
+    """(file, first line) -> module.qualname of every function in the package's sources."""
+    found = {}
+    for path in sorted(Path(blochlab.__file__).parent.glob("*.py")):
+        stack = [compile(path.read_text(), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            for inner in code.co_consts:
+                if inspect.iscode(inner):
+                    stack.append(inner)
+                    if inner.co_flags & inspect.CO_NEWLOCALS and not inner.co_name.startswith("<"):
+                        found[str(path), inner.co_firstlineno] = f"{path.stem}.{inner.co_qualname}"
+    return found
+
+
+def test_every_function_is_reached_by_a_shipped_run_or_kept_for_a_reason(tmp_path):
+    cli._build_parser.cache_clear()  # built once per process: maybe by an earlier test
+    profile = cProfile.Profile()
+    (tmp_path / "out").mkdir()
+    for config in sorted((ROOT / "configs").glob("*.json")):
+        data = json.loads(config.read_text())  # every output the config names, in tmp_path
+        data["output"] = {key: str(tmp_path / p) for key, p in data["output"].items()}
+        path = tmp_path / config.name
+        path.write_text(json.dumps(data))
+        profile.enable()
+        code = cli.main([data["kind"], "--config", str(path)])
+        profile.disable()
+        assert code == 0, config.name
+    codes = [entry.code for entry in profile.getstats() if inspect.iscode(entry.code)]
+    called = {(code.co_filename, code.co_firstlineno) for code in codes}
+    unreached = {name for key, name in defined_functions().items() if key not in called}
+    assert unreached - set(UNREACHED) == set(), "dead code: no run and no reason reaches it"
+    assert set(UNREACHED) - unreached == set(), "listed as unreached, but a run reaches it"
