@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, NumericalFailure
-from .lattice import LatticeSpec, OperatorTable, add_offset_diagonal, class_shift
+from .lattice import LatticeSpec, OperatorTable, add_offset_diagonal
 
 DEGENERACY_ATOL = 1e-10
 SUPPORT_ATOL = 1e-12
@@ -138,7 +138,8 @@ def solve_bands(h: OperatorTable, spec: LatticeSpec) -> BandStructure:
     as ``rows``.
 
     Raises InvariantViolation if H carries weight between different classes
-    (it then is not cell-periodic and has no common eigenbasis with T), and
+    (``OperatorTable.class_coupling``: it then is not cell-periodic and has
+    no common eigenbasis with T), and
     NumericalFailure if the block eigensolve fails.
     """
     if h.dim != spec.dim:
@@ -159,8 +160,8 @@ def solve_bands(h: OperatorTable, spec: LatticeSpec) -> BandStructure:
 
 
 def _require_block_structure(h: OperatorTable, cells: int) -> None:
-    off_class = [k for k, o in enumerate(h.offsets) if class_shift(o, cells)]
-    leakage = float(np.max(np.abs(h.values[:, off_class]), initial=0.0))
+    """Raise InvariantViolation if H's ``class_coupling`` > SUPPORT_ATOL * max(||H||_max, 1)."""
+    leakage = float(np.max(h.class_coupling(cells), initial=0.0))
     if leakage > SUPPORT_ATOL * max(float(np.max(h.norm_max)), 1.0):
         raise InvariantViolation(
             f"operator couples different wavevector classes (leakage {leakage:.3e})"

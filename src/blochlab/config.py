@@ -487,8 +487,13 @@ def validate_config(data: dict) -> ScenarioConfig:
                 "/battery/max_harmonic",
             )
     if "negative_control" in values:
-        shift = values.pop("negative_control")["s"]
-        _built(breaking_observable, "/negative_control/s", shift=shift, lattice=lattice)
+        shift, at = values.pop("negative_control")["s"], "/negative_control/s"
+        _built(breaking_observable, at, shift=shift, lattice=lattice)
+        # the run scans class 0 against class s mod N, which the entries (m, m + s)
+        # join only from a class-0 plane wave m at or below the top index minus s
+        reach = int(lattice.indices[-1] - lattice.indices[lattice.class_rows[0, 0]])
+        if shift > reach:
+            raise ConfigError(f"must be <= {reach} to reach class 0 on this basis, got {shift}", at)
         values["negative_control_shift"] = shift
     if kind == "wannier":
         for key, limit in (("bands", lattice.dim // lattice.cells), ("home_cells", lattice.cells)):

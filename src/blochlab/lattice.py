@@ -17,8 +17,9 @@ of members held as their offset diagonals only (the DIA sparse format), one
 member for the Hamiltonian or a single observable, many for a battery.
 Entries between classes are never stored, so the block structure is exact,
 and a class block is the diagonals at offsets qN read on that class's rows
-(``OperatorTable.class_diagonals``).  The translation is diagonal and is held
-as its phase vector.
+(``OperatorTable.class_diagonals``).  The padded layout and the rule "N
+divides the offset" live here alone: other modules read a table through
+its methods.  The translation is diagonal and is held as its phase vector.
 """
 
 from __future__ import annotations
@@ -134,17 +135,6 @@ def fold_harmonics(harmonics) -> tuple[tuple[int, complex], ...]:
     return tuple(sorted(folded.items()))
 
 
-def class_shift(offset: int, cells: int) -> int:
-    """The class step (mod N) of the entries (m + offset, m) of an operator.
-
-    Plane wave m lies in class m mod N, so those entries couple class l to
-    class l + offset, and their conjugate mirror class l to l - offset: a
-    block O[rows_j, rows_l] can hold diagonal ``offset`` only when j - l is
-    +-``class_shift(offset, N)`` mod N.  A shift of 0 keeps every class.
-    """
-    return offset % cells
-
-
 def add_offset_diagonal(matrix: np.ndarray, offset: int, values) -> None:
     """Add ``values`` at (m + offset, m) and their conjugates at (m, m + offset).
 
@@ -207,10 +197,11 @@ class OperatorTable:
     The table is checked once for all members: every entry finite, each
     main diagonal real (rejected when max |m_ii - conj(m_ii)| exceeds 1e-12
     of its member's largest entry), and no member zero (ValueError naming
-    the first).  ``values`` and ``norm_max`` are frozen.  Callers use
-    ``apply`` (O v), ``class_diagonals`` (the diagonals on the class rows)
-    and ``class_form``, each for every member at once; ``matrix`` forms the
-    dense matrices on request.
+    the first).  ``values`` and ``norm_max`` are frozen.  Other modules read
+    a table through its methods, each for every member at once: ``diagonals``,
+    ``class_diagonals`` (on the class rows), ``class_coupling`` (the largest
+    entry between classes), and ``apply`` (O v) and ``class_form``, which
+    share one banded sum; ``matrix`` forms the dense matrices on request.
     """
 
     labels: tuple[str, ...]
@@ -274,12 +265,17 @@ class OperatorTable:
     def dim(self) -> int:
         return self.values.shape[2]
 
+    def diagonals(self):
+        """(o, the (members, dim - o) read-only entries at (m + o, m)) per stored diagonal."""
+        for k, offset in enumerate(self.offsets):
+            yield offset, self.values[:, k, : self.dim - offset]
+
     @property
     def matrix(self) -> np.ndarray:
         """The dense (members, d, d) matrices, formed anew on each request and read-only."""
         m = np.zeros((len(self), self.dim, self.dim), dtype=complex)
-        for k, offset in enumerate(self.offsets):
-            add_offset_diagonal(m, offset, self.values[:, k, : self.dim - offset])
+        for offset, values in self.diagonals():
+            add_offset_diagonal(m, offset, values)
         return _freeze(m)
 
     def apply(self, vectors: np.ndarray) -> np.ndarray:
@@ -289,48 +285,50 @@ class OperatorTable:
         diagonal adds exact zeros, so each member's O v is the one it has
         alone, bit for bit.
         """
-        v = np.asarray(vectors)
-        out = np.zeros((len(self),) + v.shape, dtype=complex)
-        lead = (len(self),) + (1,) * (v.ndim - 1)  # members, then the vectors' leading axes
-        for k, offset in enumerate(self.offsets):
-            n = self.dim - offset
-            values = self.values[:, k, :n].reshape(lead + (n,))
-            out[..., offset:] += values * v[..., :n]
-            if offset:
-                out[..., :n] += values.conj() * v[..., offset:]
-        return out
+        return _banded_sum(self.diagonals(), np.asarray(vectors), len(self))
 
     def class_diagonals(self, rows):
         """(q, values) for each stored diagonal that reads as offset q on the class rows.
 
         ``rows`` is a (N, b) table of class rows (``LatticeSpec.class_rows``),
         ascending in steps of N, so the diagonal at offset qN is offset q on
-        them, with the (members, N, b - q) values ``values[:, k][:, rows[:, :b-q]]``.
+        them, with the (members, N, b - q) values read at ``rows[:, :b-q]``.
         Every other diagonal couples different classes and is skipped.
         """
         n, b = rows.shape
-        for k, o in enumerate(self.offsets):
+        for o, values in self.diagonals():
             if o % n == 0:
-                yield o // n, self.values[:, k][:, rows[:, : b - o // n]]
+                yield o // n, values[:, rows[:, : b - o // n]]
+
+    def class_coupling(self, cells: int) -> np.ndarray:
+        """Per member, the largest |entry| on a diagonal whose offset ``cells`` does not divide."""
+        between = [np.max(np.abs(v), axis=1) for o, v in self.diagonals() if o % cells]
+        return np.max([np.zeros(len(self))] + between, axis=0)
 
     def class_form(self, rows, bra, ket) -> np.ndarray:
         """The (members, ..., N) forms <bra_l|O|ket_l> of (..., N, b) states on the rows (N, b).
 
-        The diagonals come from ``class_diagonals``; every other diagonal
-        meets class-supported states in exact zeros, so the form is exact for
-        any member.  O ket is summed on the class rows as ``apply`` sums it on
-        all rows, every member at once; a member's zero diagonal adds exact
-        zeros, so each member's form is the one it has alone.
+        O ket is the banded sum of ``apply`` over ``class_diagonals``, every
+        member at once: every other diagonal meets class-supported states in
+        exact zeros, and a member's zero diagonal adds exact zeros, so each
+        member's form is exact and the one it has alone.
         """
-        b = rows.shape[1]
-        lead = (len(self),) + (1,) * (np.ndim(ket) - 2)  # members, then ket's leading axes
-        applied = np.zeros(lead[:1] + np.shape(ket), dtype=complex)
-        for q, v in self.class_diagonals(rows):
-            v = v.reshape(lead + v.shape[1:])
-            applied[..., q:] += v * ket[..., : b - q]
-            if q:
-                applied[..., : b - q] += v.conj() * ket[..., q:]
+        applied = _banded_sum(self.class_diagonals(rows), ket, len(self))
         return (bra.conj() * applied).sum(axis=-1)
+
+
+def _banded_sum(diagonals, vectors: np.ndarray, members: int) -> np.ndarray:
+    """O x for (o, v) ``diagonals``, v (members, ..., n), along x = ``vectors``' last axis:
+    out[..., o:] += v x[..., :n] and out[..., :n] += conj(v) x[..., o:]."""
+    out = np.zeros((members,) + vectors.shape, dtype=complex)
+    for offset, values in diagonals:
+        n = values.shape[-1]
+        lead = (1,) * (vectors.ndim + 1 - values.ndim)  # the vectors' leading axes
+        values = values.reshape((members,) + lead + values.shape[1:])
+        out[..., offset:] += values * vectors[..., :n]
+        if offset:
+            out[..., :n] += values.conj() * vectors[..., offset:]
+    return out
 
 
 def build_hamiltonian(spec: LatticeSpec, potential: PotentialSpec) -> OperatorTable:

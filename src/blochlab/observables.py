@@ -148,18 +148,17 @@ def check_cell_periodicity(table: OperatorTable, translation: np.ndarray) -> flo
 
     The table is cell-periodic when this is below PERIODICITY_RTOL (a NaN is
     not).  ``translation`` is T's phase vector t (``build_translation``), so
-    T O T^dagger scales the entry (m + o, m) of each stored diagonal by
-    t[m + o] conj(t[m]); the mirrored entries are their conjugates and are
-    not visited.  For operators with support at plane-wave distance dm that
-    factor is exp(2 pi i dm / N); entries with dm not divisible by N
-    therefore show up scaled by at least 2 sin(pi/N) in the violation.
+    T O T^dagger scales the entry (m + o, m) of each stored diagonal
+    (``OperatorTable.diagonals``) by t[m + o] conj(t[m]); the mirrored
+    entries are their conjugates and are not visited.  For support at
+    plane-wave distance dm that factor is exp(2 pi i dm / N), so entries with
+    dm not divisible by N show up scaled by at least 2 sin(pi/N).
     """
     t, d = np.asarray(translation), table.dim
     if t.shape != (d,):
         raise ValueError(f"dimension mismatch: operator {d} vs translation {t.shape}")
     worst = np.zeros(len(table))  # per member
-    for k, offset in enumerate(table.offsets):
-        values = table.values[:, k, : d - offset]
+    for offset, values in table.diagonals():
         defect = t[offset:] * values * t[: d - offset].conj() - values
         np.maximum(worst, np.max(np.abs(defect), axis=1), out=worst)
     return float(np.max(worst / table.norm_max))

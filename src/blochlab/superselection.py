@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BandStructure
-from .lattice import OperatorTable, class_shift
+from .lattice import OperatorTable
 
 DEGENERATE_NORM_ATOL = 1e-12
 
@@ -113,17 +113,15 @@ def sector_decomposition_report(bands: BandStructure, tables) -> SectorDecomposi
     ``tables`` is read once, in order (``Battery.tables``), and each table is
     measured and dropped before the next is taken.  With C_l the class-l
     states on their d/N rows (``bands.blocks[l]``), <psi_{m k_j}|O|psi_{n k_l}>
-    is entry (m, n) of C_j^* O[rows_j, rows_l] C_l^T.  A diagonal at offset o
-    couples class l only to l +- ``class_shift(o, N)`` mod N, so a member
-    whose nonzero diagonals all have shift 0 (a cell-periodic one) fills no
-    cross block, and nothing is multiplied for it.  A member that can couple
+    is entry (m, n) of C_j^* O[rows_j, rows_l] C_l^T.  A member whose
+    ``OperatorTable.class_coupling`` is 0 (a cell-periodic one) fills no
+    cross block, and nothing is multiplied for it.  A member that couples
     classes is read as its dense matrix (``matrix`` of its one-row slice),
-    and all N(N-1)/2 cross blocks j < l are gathered from it and multiplied in
-    one stacked product; a block it cannot fill is exact zeros.  Leakage entry
-    [j, l] (bras from the lower class, mirrored) is maximized over both band
-    axes and all members and equals a pairwise class loop bit for bit,
-    however the battery is split.  ``within_sector`` needs only bands 0 and 1
-    of each class: one ``OperatorTable.class_form`` per table.
+    and all N(N-1)/2 cross blocks j < l are gathered from it and multiplied
+    in one stacked product.  Leakage entry [j, l] (bras from the lower class,
+    mirrored) is maximized over both band axes and all members and equals a
+    pairwise class loop bit for bit, however the battery is split.
+    ``within_sector`` needs bands 0 and 1 of each class: one ``class_form``.
     """
     rows, blocks = bands.rows, bands.blocks  # blocks: (class, band, row)
     n_sectors, n_bands, _ = blocks.shape
@@ -132,8 +130,7 @@ def sector_decomposition_report(bands: BandStructure, tables) -> SectorDecomposi
     labels, within = [], []
     for table in tables:
         labels += table.labels
-        crossing = [class_shift(o, n_sectors) != 0 for o in table.offsets]  # couple classes
-        for i in np.flatnonzero(table.values[:, crossing].any(axis=(1, 2))):  # nonzero on one
+        for i in np.flatnonzero(table.class_coupling(n_sectors)):  # the members coupling classes
             (dense,) = table[i : i + 1].matrix
             cross = dense[rows[bra_class][:, :, None], rows[ket_class][:, None, :]]
             bra, ket = blocks[bra_class].conj(), blocks[ket_class].transpose(0, 2, 1)
@@ -158,23 +155,23 @@ def wannier_mixture_residual(
     ``sector_decomposition_report``; the result is (members, bands).  Each
     Wannier state is an equal-weight phase combination of its band's Bloch
     states, so for cell-periodic O its expectation must equal the uniform
-    classical average over the band.  The two sides are computed apart.  The
-    Wannier side reads all d rows: Re<w|O|w> = sum_o c_o Re sum_m v_o[m]
-    conj(w[m+o]) w[m] with c_0 = 1 and c_o = 2 for o > 0 (the mirrored
-    entries are the conjugates), one (members, d - o) @ (d - o, rows) product
-    per offset and table, which BLAS rounds differently for one member than
-    for several: a residual can move at rounding with the battery's split
-    (band 1 of the shipped Mathieu config: 7.1e-15 in one table, 3.6e-15 in
-    one table per member).  The band averages come from one ``class_form``.
+    classical average over the band; the two sides are computed apart.  The
+    Wannier side reads each stored diagonal v_o (``OperatorTable.diagonals``)
+    on all d rows: Re<w|O|w> = sum_o c_o Re sum_m v_o[m] conj(w[m+o]) w[m]
+    with c_0 = 1 and c_o = 2 for o > 0, one (members, d - o) @ (d - o, rows)
+    product per offset and table, which BLAS rounds differently for one member
+    than for several: a residual can move at rounding with the battery's
+    split (band 1 of the shipped Mathieu config: 7.1e-15 in one table,
+    3.6e-15 in one table per member).  The band averages: one ``class_form``.
     """
     w = wanniers.reshape(-1, wanniers.shape[-1])  # one Wannier vector per row
     d = w.shape[1]
     residuals = []
     for table in tables:
         values = np.zeros((len(table), len(w)))
-        for k, o in enumerate(table.offsets):
+        for o, v in table.diagonals():
             pairs = w[:, o:].conj() * w[:, : d - o]  # conj(w[m + o]) w[m]
-            values += (2.0 if o else 1.0) * (table.values[:, k, : d - o] @ pairs.T).real
+            values += (2.0 if o else 1.0) * (v @ pairs.T).real
         values = values.reshape((len(table),) + wanniers.shape[:2])  # (member, band, home cell)
         band_avg = table.class_form(rows, band_blocks, band_blocks).real.mean(axis=-1)
         residuals.append(np.abs(values - band_avg[..., None]).max(axis=-1))

@@ -1129,6 +1129,53 @@ def test_negative_control_shift_past_basis_is_a_subprocess_exit_1(tmp_path):
     assert "/negative_control/s" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def negative_control_config(tmp_path, cells, cutoff, shift):
+    return write_json(
+        tmp_path / "negative.json",
+        {
+            "kind": "superselect",
+            "lattice": {"cells": cells, "cutoff": cutoff},
+            "potential": {"harmonics": [{"j": 1, "re": 0.25}]},
+            "battery": {"seeds": 2},
+            "negative_control": {"s": shift},
+        },
+    )
+
+
+# The negative control scans band 0 of class 0 against class s mod N.  Its
+# entries (m, m + s) start from a class-0 index m only while m + s is on the
+# basis, so the largest shift that reaches class 0 is the top index minus the
+# lowest class-0 one; past it the fringe is exactly flat.
+@pytest.mark.parametrize(
+    "cells, cutoff, shift, reach",
+    [(3, 4, 8, 7), (5, 7, 13, 12), (5, 7, 14, 12), (7, 108, 214, 213), (7, 108, 216, 213)],
+)
+def test_negative_control_past_class_0_exits_1_before_any_solve(
+    tmp_path, capsys, monkeypatch, cells, cutoff, shift, reach
+):
+    def no_solve(*args):
+        raise AssertionError("a rejected config reached the solver")
+
+    monkeypatch.setattr(runner, "solve_bands", no_solve)
+    report = tmp_path / "report.json"
+    cfg = negative_control_config(tmp_path, cells, cutoff, shift)
+    code = main(["superselect", "--config", cfg, "--report", str(report)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"must be <= {reach} to reach class 0" in err and "(at /negative_control/s)" in err
+    assert "Traceback" not in err and not report.exists()
+
+
+@pytest.mark.parametrize("cells, cutoff, shift", [(3, 4, 7), (5, 7, 12)])
+def test_negative_control_at_the_largest_reaching_shift_passes(tmp_path, cells, cutoff, shift):
+    report_path = tmp_path / "report.json"
+    cfg = negative_control_config(tmp_path, cells, cutoff, shift)
+    assert main(["superselect", "--config", cfg, "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["checks"]["negative_control"] is True
+    assert report["results"]["negative_control"]["fringe_amplitude"] > 1e-6
+
+
 @pytest.mark.parametrize("case", HAMILTONIAN_SCALE_CASES)
 def test_hamiltonian_scale_is_a_subprocess_exit_1_without_warning(tmp_path, case):
     # the plain interpreter with RuntimeWarning made an error, as a user may run it

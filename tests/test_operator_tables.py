@@ -18,8 +18,11 @@ import blochlab as bl
 from blochlab.config import validate_config
 from blochlab.runner import run_scenario, stable_report_bytes
 from oracles import (
+    dense_to_diagonals,
     diagonals,
     join,
+    loop_breaking_observable,
+    loop_hamiltonian,
     loop_seeded_diagonals,
     member_labels,
     member_sector_elements,
@@ -147,6 +150,48 @@ def test_stacked_methods_equal_each_member_alone_bit_for_bit(spec):
             expected = own[q][0] if q in own else np.zeros_like(values[i])
             assert values[i].tobytes() == expected.tobytes(), (label, q)
         assert dense[i].tobytes() == op.matrix[0].tobytes(), label
+
+
+@pytest.mark.parametrize("spec", TABLE_LATTICES, ids=_lattice_id)
+def test_diagonals_read_the_stored_entries_bit_for_bit(spec):
+    # every stored diagonal, in offset order, zero rows included: the nonzero
+    # ones of a member are oracles.diagonals and the dense oracle's, and all
+    # of them are the subdiagonals of the member's dense matrix
+    d = spec.dim
+    h = bl.build_hamiltonian(spec, POTENTIAL)
+    breaker = bl.breaking_observable(2, spec)
+    table = join([*bl.Battery(spec, seeds=3, custom=CUSTOM).tables(), h, breaker])
+    read = list(table.diagonals())
+    assert [o for o, _ in read] == list(table.offsets)
+    for i, label in enumerate(table.labels):
+        (dense,) = table[i : i + 1].matrix
+        stored = {o: v[i] for o, v in read}
+        assert all(v.shape == (d - o,) for o, v in stored.items()), label
+        for o, v in stored.items():
+            assert v.tobytes() == np.diagonal(dense, -o).tobytes(), (label, o)
+        nonzero = {o: v for o, v in stored.items() if v.any()}
+        expected = diagonals(table[i : i + 1])
+        assert nonzero.keys() == expected.keys(), label
+        assert all(nonzero[o].tobytes() == v.tobytes() for o, v in expected.items()), label
+    loops = (loop_hamiltonian(spec, POTENTIAL), loop_breaking_observable(2, spec))
+    for op, loop in zip((h, breaker), loops):
+        nonzero = {o: v[0] for o, v in op.diagonals() if v[0].any()}
+        reference = dense_to_diagonals(loop)
+        assert nonzero.keys() == reference.keys()
+        assert all(nonzero[o].tobytes() == v.tobytes() for o, v in reference.items())
+
+
+@pytest.mark.parametrize("spec", TABLE_LATTICES, ids=_lattice_id)
+def test_class_coupling_is_zero_on_the_battery_and_the_entries_of_a_breaker(spec):
+    n = spec.cells
+    for name, battery in BATTERIES.items():
+        for table in bl.Battery(spec, **battery).tables():
+            assert table.class_coupling(n).tolist() == [0.0] * len(table), name
+    for shift in (1, 2):
+        breaker = bl.breaking_observable(shift, spec)
+        expected = float(np.max(np.abs(loop_breaking_observable(shift, spec))))
+        assert breaker.class_coupling(n).tolist() == [expected]
+        assert expected == np.max(np.abs(breaker.matrix))
 
 
 def test_periodicity_of_a_table_is_its_worst_member(lattice_n3):

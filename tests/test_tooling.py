@@ -8,8 +8,12 @@ its file and used as it is.
 Every function defined in the package is either called by a run of the
 shipped configs (every output written) or listed in ``UNREACHED`` with the
 reason it stays; a function no run reaches and no reason keeps is dead code.
+
+An ``OperatorTable``'s padded diagonal layout is read in ``lattice.py``
+alone: every other module reads a table through its methods.
 """
 
+import ast
 import cProfile
 import importlib.util
 import inspect
@@ -108,3 +112,20 @@ def test_every_function_is_reached_by_a_shipped_run_or_kept_for_a_reason(tmp_pat
     unreached = {name for key, name in defined_functions().items() if key not in called}
     assert unreached - set(UNREACHED) == set(), "dead code: no run and no reason reaches it"
     assert set(UNREACHED) - unreached == set(), "listed as unreached, but a run reaches it"
+
+
+def test_only_the_lattice_module_reads_a_tables_layout():
+    # no .offsets and no .values outside lattice.py, but a call such as dict.values()
+    found = []
+    for path in sorted(Path(blochlab.__file__).parent.glob("*.py")):
+        if path.name == "lattice.py":
+            continue
+        tree = ast.parse(path.read_text())
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        found += [
+            f"{path.name}:{node.lineno} .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and (node.attr == "offsets" or node.attr == "values" and id(node) not in called)
+        ]
+    assert found == [], "a table's layout read outside lattice.py"
