@@ -13,11 +13,13 @@ needs one.
 
 Eigenvector gauge is pinned deterministically: degenerate clusters are
 re-spanned by greedy pivoting of the cluster projector onto plane-wave axes
-(ordered by the plane-wave index of the dominant coefficient), and every
-vector is phased so its largest-magnitude coefficient is real positive; of
-coefficients equal in magnitude to within PIVOT_RTOL, the first one is used,
-so a tie that symmetry makes is not broken by rounding.  Repeat runs are
-then bitwise comparable on one platform.
+(ordered by the plane-wave index of the dominant coefficient), the projector
+read through the cluster's own vectors and never formed, all clusters of one
+size at once (``_respan``).  Every vector is phased so its largest-magnitude
+coefficient is real positive; of coefficients equal in magnitude to within
+PIVOT_RTOL, the first one is used, so a tie that symmetry makes is not
+broken by rounding.  Repeat runs are then bitwise comparable on one
+platform.
 """
 
 from __future__ import annotations
@@ -87,8 +89,9 @@ def _canonical_eigenbasis(energies: np.ndarray, vectors: np.ndarray) -> np.ndarr
     """Cluster canonicalization and phase fixing of (..., n), (..., d, n) eigh output.
 
     The clusters (neighbours closer than DEGENERACY_ATOL * max(1, max |E|))
-    of every system are found at once and re-spanned one by one, each with
-    one d x d projector.  Each column is then rotated so its largest-magnitude
+    of every system are found at once, and all clusters of one size s are
+    re-spanned at once, as one (clusters, s, d) stack of their vectors
+    (``_respan``).  Each column is then rotated so its largest-magnitude
     entry is real positive; entries equal in magnitude up to rounding (by
     symmetry, say) tie, and the first of them is the pivot.
     """
@@ -100,22 +103,10 @@ def _canonical_eigenbasis(energies: np.ndarray, vectors: np.ndarray) -> np.ndarr
     starts[:, 1:] = ~(np.diff(e, axis=1) < (DEGENERACY_ATOL * scale)[:, None])
     first = np.flatnonzero(starts)  # flat (system, column) positions, row-major
     sizes = np.diff(first, append=starts.size)
-    for flat, size in zip(first[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
-        system, col0 = divmod(flat, n)
-        cluster = out[system, :, col0 : col0 + size]  # a view
-        # greedy pivoting of the cluster projector: pick the axis of largest
-        # remaining diagonal weight, normalize its projection, deflate
-        residual = cluster @ cluster.conj().T
-        picked = []
-        for _ in range(size):
-            col = residual[:, int(np.argmax(np.real(np.diag(residual))))]
-            nrm = np.linalg.norm(col)
-            if nrm < 1e-8:
-                raise NumericalFailure("degenerate-cluster pivoting lost rank")
-            picked.append(col / nrm)
-            residual = residual - np.outer(picked[-1], picked[-1].conj())
-        picked.sort(key=lambda v: int(np.argmax(np.abs(v))))  # by dominant row
-        cluster[:] = np.column_stack(picked)
+    for size in sorted(set(sizes[sizes > 1].tolist())):  # np.unique would import numpy.ma
+        system, col0 = np.divmod(first[sizes == size], n)
+        cols = col0[:, None] + np.arange(size)  # (clusters, s)
+        out[system[:, None], :, cols] = _respan(out[system[:, None], :, cols])
     magnitudes = np.abs(out)
     tied = magnitudes >= (1.0 - PIVOT_RTOL) * magnitudes.max(axis=1, keepdims=True, initial=0.0)
     pivots = out[np.arange(len(out))[:, None], tied.argmax(axis=1), np.arange(n)]  # (system, n)
@@ -124,6 +115,36 @@ def _canonical_eigenbasis(energies: np.ndarray, vectors: np.ndarray) -> np.ndarr
     radius = np.hypot(pivots.real, pivots.imag)
     out *= (pivots.conj() / np.where(radius > 0.0, radius, 1.0))[:, None, :]
     return out.reshape(vectors.shape)
+
+
+def _respan(clusters: np.ndarray) -> np.ndarray:
+    """Deterministic orthonormal bases of (clusters, s, d) degenerate eigenspaces, vectors as rows.
+
+    Greedy pivoting of each cluster's projector P = sum_j c_j c_j^H, without
+    forming it: the weight diag P is the sum of |c_j|^2; the axis of largest
+    remaining weight is picked, P's column there (sum_j c_j conj(c_j[p]),
+    minus v conj(v[p]) for each vector v already picked) is normalized, and
+    |v|^2 leaves the weight.  The picked vectors are ordered by the row of
+    their dominant entry, stably.  Every sum is elementwise, along the s axis
+    or along each row, so each cluster's bits do not depend on its stack.
+    Raises NumericalFailure if a cluster's column has lost its rank.
+    """
+    count, size, _ = clusters.shape
+    at = np.arange(count)
+    weight = (clusters.real**2 + clusters.imag**2).sum(axis=1)  # (clusters, d)
+    picked = np.empty_like(clusters)
+    for t in range(size):
+        pivot = np.argmax(weight, axis=1)
+        col = (clusters * clusters[at, :, pivot].conj()[:, :, None]).sum(axis=1)
+        for j in range(t):
+            col -= picked[:, j] * picked[at, j, pivot].conj()[:, None]
+        nrm = np.sqrt((col.real**2 + col.imag**2).sum(axis=1))
+        if np.any(nrm < 1e-8):
+            raise NumericalFailure("degenerate-cluster pivoting lost rank")
+        picked[:, t] = col / nrm[:, None]
+        weight -= picked[:, t].real ** 2 + picked[:, t].imag ** 2
+    order = np.argsort(np.abs(picked).argmax(axis=2), axis=1, kind="stable")  # by dominant row
+    return np.take_along_axis(picked, order[:, :, None], axis=1)
 
 
 def solve_bands(h: OperatorTable, spec: LatticeSpec) -> BandStructure:

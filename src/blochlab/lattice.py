@@ -138,14 +138,20 @@ def fold_harmonics(harmonics) -> tuple[tuple[int, complex], ...]:
 def add_offset_diagonal(matrix: np.ndarray, offset: int, values) -> None:
     """Add ``values`` at (m + offset, m) and their conjugates at (m, m + offset).
 
-    ``matrix`` is one (d, d) matrix or a stack of them, and ``values`` a
-    scalar or one entry per m < d - offset (per matrix of the stack).  Offset
-    0 is the main diagonal, written once as given; offset >= d writes nothing.
+    ``matrix`` is one (d, d) matrix or a stack of them, C-contiguous in its
+    last two axes, and ``values`` a scalar or one entry per m < d - offset
+    (per matrix of the stack).  Offset 0 is the main diagonal, written once
+    as given; offset >= d writes nothing.  Both diagonals are strided views of
+    the flattened last two axes: (m + offset, m) at offset * d + m (d + 1),
+    and its mirror at offset + m (d + 1).
     """
-    m = np.arange(matrix.shape[-1] - offset)
-    matrix[..., m + offset, m] += values
+    d = matrix.shape[-1]
+    flat = matrix.reshape(matrix.shape[:-2] + (d * d,))
+    if not np.may_share_memory(flat, matrix):
+        raise ValueError("matrix must be C-contiguous in its last two axes")
+    flat[..., offset * d :: d + 1] += values
     if offset:
-        matrix[..., m, m + offset] += np.conj(values)
+        flat[..., offset : max(d - offset, 0) * d : d + 1] += np.conj(values)
 
 
 @dataclass(frozen=True)
@@ -200,8 +206,10 @@ class OperatorTable:
     the first).  ``values`` and ``norm_max`` are frozen.  Other modules read
     a table through its methods, each for every member at once: ``diagonals``,
     ``class_diagonals`` (on the class rows), ``class_coupling`` (the largest
-    entry between classes), and ``apply`` (O v) and ``class_form``, which
-    share one banded sum; ``matrix`` forms the dense matrices on request.
+    entry between classes), ``apply`` (O v), and ``expectation`` and
+    ``class_form``, which contract each stored diagonal with the bra-ket
+    products it meets and form no O v; ``matrix`` forms the dense matrices on
+    request.
     """
 
     labels: tuple[str, ...]
@@ -281,11 +289,41 @@ class OperatorTable:
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         """O_i v for every member i and every vector v along the last axis of ``vectors``.
 
-        The result has shape (members,) + vectors.shape.  A member's zero
-        diagonal adds exact zeros, so each member's O v is the one it has
-        alone, bit for bit.
+        The result has shape (members,) + vectors.shape: out[..., o:] += v
+        x[..., :d - o] and out[..., :d - o] += conj(v) x[..., o:] per stored
+        diagonal v at offset o.  A member's zero diagonal adds exact zeros, so
+        each member's O v is the one it has alone, bit for bit.  A run reaches
+        it only in the bands run's eigenvector residual; a measurement takes
+        ``expectation`` or ``class_form``.
         """
-        return _banded_sum(self.diagonals(), np.asarray(vectors), len(self))
+        x = np.asarray(vectors)
+        out = np.zeros((len(self),) + x.shape, dtype=complex)
+        lead = (1,) * (x.ndim - 1)  # the vectors' leading axes
+        for offset, values in self.diagonals():
+            n = values.shape[-1]
+            values = values.reshape((len(self),) + lead + (n,))
+            out[..., offset:] += values * x[..., :n]
+            if offset:
+                out[..., :n] += values.conj() * x[..., offset:]
+        return out
+
+    def expectation(self, vectors: np.ndarray) -> np.ndarray:
+        """Re<x|O_i|x> for every member i and every row x of the (rows, d) ``vectors``.
+
+        The result is real, (members, rows).  Per stored diagonal v at offset
+        o, sum_m v[m] conj(x[m + o]) x[m] is one (members, d - o) @ (d - o,
+        rows) product, weighted 1 for o = 0 and 2 for its mirror otherwise;
+        no O x is formed.  BLAS rounds a product of several members
+        differently from one member's, so a member's value can move at
+        rounding with the table it sits in.
+        """
+        x = np.asarray(vectors)
+        d = self.dim
+        out = np.zeros((len(self), len(x)))
+        for offset, values in self.diagonals():
+            pairs = x[:, offset:].conj() * x[:, : d - offset]  # conj(x[m + o]) x[m]
+            out += (2.0 if offset else 1.0) * (values @ pairs.T).real
+        return out
 
     def class_diagonals(self, rows):
         """(q, values) for each stored diagonal that reads as offset q on the class rows.
@@ -308,27 +346,25 @@ class OperatorTable:
     def class_form(self, rows, bra, ket) -> np.ndarray:
         """The (members, ..., N) forms <bra_l|O|ket_l> of (..., N, b) states on the rows (N, b).
 
-        O ket is the banded sum of ``apply`` over ``class_diagonals``, every
-        member at once: every other diagonal meets class-supported states in
-        exact zeros, and a member's zero diagonal adds exact zeros, so each
-        member's form is exact and the one it has alone.
+        Only ``class_diagonals`` enter: every other diagonal meets class-
+        supported states in exact zeros.  Per class diagonal v at offset q,
+        the bra-ket products conj(bra[i + q]) ket[i] (and for q > 0 their
+        mirror conj(bra[i]) ket[i + q], against conj(v)) are formed once, as
+        (N, b - q, K) with K the states' leading size, and contracted with
+        every member at once, the members a batch axis of one matmul: each
+        member's form is the one it has alone, bit for bit, and a member with
+        no class diagonal reads exact zeros.  No O ket is formed.
         """
-        applied = _banded_sum(self.class_diagonals(rows), ket, len(self))
-        return (bra.conj() * applied).sum(axis=-1)
-
-
-def _banded_sum(diagonals, vectors: np.ndarray, members: int) -> np.ndarray:
-    """O x for (o, v) ``diagonals``, v (members, ..., n), along x = ``vectors``' last axis:
-    out[..., o:] += v x[..., :n] and out[..., :n] += conj(v) x[..., o:]."""
-    out = np.zeros((members,) + vectors.shape, dtype=complex)
-    for offset, values in diagonals:
-        n = values.shape[-1]
-        lead = (1,) * (vectors.ndim + 1 - values.ndim)  # the vectors' leading axes
-        values = values.reshape((members,) + lead + values.shape[1:])
-        out[..., offset:] += values * vectors[..., :n]
-        if offset:
-            out[..., :n] += values.conj() * vectors[..., offset:]
-    return out
+        bra, ket = np.broadcast_arrays(np.conj(bra), ket)
+        lead = bra.shape[:-2]
+        n, b = rows.shape
+        bra, ket = (np.moveaxis(s.reshape(-1, n, b), 0, -1).copy() for s in (bra, ket))  # (N, b, K)
+        out = np.zeros((len(self), n, 1, bra.shape[-1]), dtype=complex)  # (members, N, 1, K)
+        for q, values in self.class_diagonals(rows):
+            out += values[:, :, None, :] @ (bra[:, q:] * ket[:, : b - q])
+            if q:
+                out += values.conj()[:, :, None, :] @ (bra[:, : b - q] * ket[:, q:])
+        return np.moveaxis(out[:, :, 0], 1, -1).reshape((len(self),) + lead + (n,))
 
 
 def build_hamiltonian(spec: LatticeSpec, potential: PotentialSpec) -> OperatorTable:

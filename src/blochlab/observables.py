@@ -213,13 +213,14 @@ def breaking_observable(shift: int, lattice: LatticeSpec) -> OperatorTable:
     With shift not a multiple of N this couples class l to class (l + shift)
     mod N and fails the cell-periodicity check by construction; it is the
     negative control showing that non-periodic self-adjoint operators do see
-    cross-sector coherence.
+    cross-sector coherence.  The shift lies in [1, d - 1], the offsets a
+    d-row basis holds (on a padded basis d - 1 exceeds 2 * cutoff).
     """
     n = lattice.cells
     if shift % n == 0:
         raise ValueError(f"shift {shift} is a multiple of {n}: operator would be cell-periodic")
-    if not 1 <= shift <= 2 * lattice.cutoff:
-        raise ValueError(f"shift must lie in [1, {2 * lattice.cutoff}], got {shift}")
+    if not 1 <= shift <= lattice.dim - 1:
+        raise ValueError(f"shift must lie in [1, {lattice.dim - 1}], got {shift}")
     return OperatorTable.assemble(lattice.dim, [((f"breaking:s={shift}",), {shift: 1.0})])
 
 

@@ -85,9 +85,10 @@ def fringe_scan(
     ``a`` and ``b`` are plane-wave vectors (``BandStructure.dense``).  The
     unnormalized cross term is 2 |<a|O|b>| cos(lambda + Arg<a|O|b>), so a
     vanishing cross element makes the scan flat.  All superpositions are
-    stacked as rows and O is applied to all of them at once.  Raises
-    ValueError naming the first grid point where the superposition collapses
-    (anti-parallel states), and for a table of more than one member.
+    stacked as rows, and their <O> is one ``OperatorTable.expectation`` of
+    the rows over their norms; no O v is formed.  Raises ValueError naming
+    the first grid point where the superposition collapses (anti-parallel
+    states), and for a table of more than one member.
     """
     (label,) = operator.labels  # one member
     if n_phases < 8:
@@ -102,8 +103,7 @@ def fringe_scan(
         raise ValueError(
             f"degenerate superposition at lambda={phases[degenerate[0]]:.6f}: states anti-parallel"
         )
-    (applied,) = operator.apply(combined)
-    averages = np.real(applied.conj()[:, None, :] @ combined[:, :, None])[:, 0, 0] / norm_sq
+    (averages,) = operator.expectation(combined) / norm_sq
     return FringeScan(phases=phases, averages=averages, observable=label)
 
 
@@ -156,23 +156,16 @@ def wannier_mixture_residual(
     Wannier state is an equal-weight phase combination of its band's Bloch
     states, so for cell-periodic O its expectation must equal the uniform
     classical average over the band; the two sides are computed apart.  The
-    Wannier side reads each stored diagonal v_o (``OperatorTable.diagonals``)
-    on all d rows: Re<w|O|w> = sum_o c_o Re sum_m v_o[m] conj(w[m+o]) w[m]
-    with c_0 = 1 and c_o = 2 for o > 0, one (members, d - o) @ (d - o, rows)
-    product per offset and table, which BLAS rounds differently for one member
-    than for several: a residual can move at rounding with the battery's
-    split (band 1 of the shipped Mathieu config: 7.1e-15 in one table,
-    3.6e-15 in one table per member).  The band averages: one ``class_form``.
+    Wannier side reads the dense Wannier vectors on all d rows, with every
+    stored diagonal (``OperatorTable.expectation``), which BLAS rounds
+    differently for one member than for several: a residual can move at
+    rounding with the battery's split.  The band averages read the class
+    blocks on the class diagonals alone: one ``class_form``.
     """
     w = wanniers.reshape(-1, wanniers.shape[-1])  # one Wannier vector per row
-    d = w.shape[1]
     residuals = []
     for table in tables:
-        values = np.zeros((len(table), len(w)))
-        for o, v in table.diagonals():
-            pairs = w[:, o:].conj() * w[:, : d - o]  # conj(w[m + o]) w[m]
-            values += (2.0 if o else 1.0) * (v @ pairs.T).real
-        values = values.reshape((len(table),) + wanniers.shape[:2])  # (member, band, home cell)
+        values = table.expectation(w).reshape((len(table),) + wanniers.shape[:2])
         band_avg = table.class_form(rows, band_blocks, band_blocks).real.mean(axis=-1)
         residuals.append(np.abs(values - band_avg[..., None]).max(axis=-1))
     return np.concatenate(residuals)

@@ -262,33 +262,39 @@ def dense_cell_periodicity(matrix: np.ndarray, phases: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # The eigenvector gauge one eigensystem and one degenerate cluster at a time.
-# The package finds the clusters of a whole stack of eigensystems at once and
-# fixes every phase in one array-wide pass; this loop is the reference it must
-# reproduce bit for bit.
+# The package finds the clusters of a whole stack of eigensystems at once,
+# re-spans all clusters of one size in one stacked pass and fixes every phase
+# in one array-wide pass; this loop is the reference it must reproduce bit for
+# bit.
 
 
 def _canonicalize_cluster(vectors: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis for one degenerate eigenspace (d, s).
 
-    Greedy pivoting of the basis-independent projector: pick the axis with
-    the largest remaining diagonal weight, normalize its projection, deflate;
-    then order the vectors by the row of their dominant coefficient.
+    Greedy pivoting of the basis-independent projector P = sum_j c_j c_j^H,
+    one picked vector at a time and without forming P: pick the axis with
+    the largest remaining weight (diag P, less |v|^2 per picked v), normalize
+    P's column there less v conj(v[p]) per picked v; then order the vectors
+    by the row of their dominant coefficient.  The sums are the package's:
+    along the cluster's s vectors, in order, and along each vector.
     """
     size = vectors.shape[1]
     if size == 1:
         return vectors
-    proj = vectors @ vectors.conj().T
+    rows = vectors.T.copy()  # the cluster's vectors as C-ordered rows: sums over s run in order
+    weight = (rows.real**2 + rows.imag**2).sum(axis=0)
     picked = []
-    residual = proj.copy()
     for _ in range(size):
-        pivot = int(np.argmax(np.real(np.diag(residual))))
-        col = residual[:, pivot]
-        nrm = np.linalg.norm(col)
+        pivot = int(np.argmax(weight))
+        col = (rows * rows[:, pivot].conj()[:, None]).sum(axis=0)
+        for v in picked:
+            col -= v * v[pivot].conj()
+        nrm = np.sqrt((col.real**2 + col.imag**2).sum())
         if nrm < 1e-8:
             raise NumericalFailure("degenerate-cluster pivoting lost rank")
         vec = col / nrm
         picked.append(vec)
-        residual = residual - np.outer(vec, vec.conj())
+        weight -= vec.real**2 + vec.imag**2
     picked.sort(key=lambda v: int(np.argmax(np.abs(v))))
     return np.column_stack(picked)
 
@@ -339,16 +345,23 @@ def loop_class_form(operator, rows, bra, ket) -> np.ndarray:
     """The (..., N) forms <bra_l|O|ket_l> of a one-member table, nonzero diagonal by diagonal.
 
     The per-member reference of ``OperatorTable.class_form``: the diagonal at
-    offset qN is offset q on the class rows, with values values[rows[:, :b-q]].
+    offset qN is offset q on the class rows, with values values[rows[:, :b-q]],
+    contracted in one (N, 1, b - q) @ (N, b - q, K) product with the (N, b - q, K)
+    bra-ket products conj(bra[i + q]) ket[i], and for q > 0 its conjugate with
+    conj(bra[i]) ket[i + q].
     """
     n, b = rows.shape
-    applied = np.zeros(ket.shape, dtype=complex)
+    bra, ket = np.broadcast_arrays(np.conj(bra), ket)
+    lead = bra.shape[:-2]
+    bra_t = np.moveaxis(bra.reshape(-1, n, b), 0, -1).copy()  # (N, b, K)
+    ket_t = np.moveaxis(ket.reshape(-1, n, b), 0, -1).copy()
+    form = np.zeros((n, 1, bra_t.shape[-1]), dtype=complex)
     for q, values in ((o // n, v) for o, v in diagonals(operator).items() if o % n == 0):
         v = values[rows[:, : b - q]]
-        applied[..., q:] += v * ket[..., : b - q]
+        form += v[:, None, :] @ (bra_t[:, q:] * ket_t[:, : b - q])
         if q:
-            applied[..., : b - q] += v.conj() * ket[..., q:]
-    return (bra.conj() * applied).sum(axis=-1)
+            form += v.conj()[:, None, :] @ (bra_t[:, : b - q] * ket_t[:, q:])
+    return np.moveaxis(form[:, 0], 0, -1).reshape(lead + (n,))
 
 
 def member_sector_elements(bands, battery) -> tuple[np.ndarray, np.ndarray]:

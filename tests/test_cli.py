@@ -1176,6 +1176,21 @@ def test_negative_control_at_the_largest_reaching_shift_passes(tmp_path, cells, 
     assert report["results"]["negative_control"]["fringe_amplitude"] > 1e-6
 
 
+# A padded basis (N = 4, cutoff 4: m = -4..7, d = 12) holds offsets up to
+# d - 1 = 11, past 2 * cutoff = 8, and reaches class 0 up to the top index 7
+# minus the lowest class-0 index -4: shifts 9 to 11 are valid negative controls
+@pytest.mark.parametrize("shift", [9, 10, 11])
+def test_negative_control_past_twice_the_cutoff_on_a_padded_basis_passes(tmp_path, shift):
+    data = json.loads(Path(negative_control_config(tmp_path, 4, 4, shift)).read_text())
+    data["lattice"]["pad_basis"] = True
+    report_path = tmp_path / "report.json"
+    cfg = write_json(tmp_path / "padded.json", data)
+    assert main(["superselect", "--config", cfg, "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["checks"]["negative_control"] is True
+    assert report["results"]["negative_control"]["fringe_amplitude"] > 1e-6
+
+
 @pytest.mark.parametrize("case", HAMILTONIAN_SCALE_CASES)
 def test_hamiltonian_scale_is_a_subprocess_exit_1_without_warning(tmp_path, case):
     # the plain interpreter with RuntimeWarning made an error, as a user may run it

@@ -263,7 +263,7 @@ UNCAPPED = {
     "potential.harmonics.j": "an offset past the basis adds nothing",
     "battery.custom.terms.f.j": "an offset past the basis adds nothing",
     "battery.max_harmonic": "at most cutoff / cells",
-    "negative_control.s": "at most 2 * cutoff",
+    "negative_control.s": "at most d - 1, and within the reach of class 0",
     "wannier.bands": "below the bands per class",
     "wannier.home_cells": "below the cells",
     "floquet.drives.harmonic": "the run's cost does not depend on it",

@@ -106,6 +106,19 @@ def test_build_observable_matches_row_loop(lattice, name):
     assert_built_matches(spec, ring)
 
 
+def test_offset_diagonal_refuses_a_matrix_it_cannot_write_in_place():
+    # the diagonals are strided views of the flattened last two axes; a
+    # transposed matrix has no such view, and a copy would drop the writes
+    matrix = np.zeros((4, 4), dtype=complex)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        bl.lattice.add_offset_diagonal(matrix.T, 1, 1.0)
+    assert not matrix.any()
+    stack = np.zeros((3, 4, 4), dtype=complex)
+    bl.lattice.add_offset_diagonal(stack[::2], 1, 2.0j)  # strided stack, contiguous matrices
+    assert np.count_nonzero(stack) == 12 and not stack[1].any()
+    assert stack[2, 3, 2] == 2.0j and stack[2, 2, 3] == -2.0j
+
+
 def test_offset_diagonal_takes_one_value_per_entry():
     matrix = np.zeros((4, 4), dtype=complex)
     bl.lattice.add_offset_diagonal(matrix, 2, np.array([1.0 + 1.0j, 2.0 - 3.0j]))

@@ -115,3 +115,32 @@ def test_widest_battery_spans_many_tables_in_the_memory_of_a_few(monkeypatch):
     assert len(measured) > 10 and max(measured) <= TABLE_BYTES
     assert peak < PEAK_TABLES * TABLE_BYTES, f"peak {peak / 2**20:.1f} MiB"
     assert elapsed < WIDE_BATTERY_SECONDS
+
+
+# Time bounds of the two cap runs whose time grows past the gated sweeps.
+# Each was measured with run_scenario in process, BLAS at one thread, on a
+# 2-core VM: the free bands run at N = 2, d = 512 (255 degenerate pairs) took
+# 0.08-0.13 s (0.33-0.44 s when each cluster was re-spanned through its own
+# b x b projector); the widest battery with 100 bands took 12.4-14.8 s
+# (23.3-25.7 s when class_form formed O ket for every member).  The bounds
+# leave room for load.
+FREE_CAP = {"kind": "bands", "lattice": {"cells": 2, "cutoff": 255, "pad_basis": True}}
+FREE_CAP_SECONDS = 1.0
+WIDE_BATTERY_100_BANDS = {
+    **WIDE_BATTERY, "wannier": {"bands": list(range(100)), "home_cells": [0, 1, 2]}
+}
+WIDE_BATTERY_100_BANDS_SECONDS = 30.0
+
+
+@pytest.mark.parametrize(
+    "data, bound",
+    [(FREE_CAP, FREE_CAP_SECONDS), (WIDE_BATTERY_100_BANDS, WIDE_BATTERY_100_BANDS_SECONDS)],
+    ids=["free_cap_bands", "widest_battery_100_bands"],
+)
+def test_cap_run_finishes_within_its_bound(data, bound):
+    cfg = validate_config(data)
+    started = time.perf_counter()
+    report = run_scenario(cfg)
+    elapsed = time.perf_counter() - started
+    assert report.passed, report.checks
+    assert elapsed < bound, f"{elapsed:.2f} s"

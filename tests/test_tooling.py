@@ -23,6 +23,7 @@ from pathlib import Path
 
 import blochlab
 from blochlab import cli
+from blochlab.lattice import OperatorTable
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -129,3 +130,27 @@ def test_only_the_lattice_module_reads_a_tables_layout():
             and (node.attr == "offsets" or node.attr == "values" and id(node) not in called)
         ]
     assert found == [], "a table's layout read outside lattice.py"
+
+
+def test_only_the_bands_run_applies_an_operator(tmp_path, monkeypatch):
+    # measurements contract diagonals with bra-ket products (expectation and
+    # class_form); O v is formed once, for the bands run's eigen residual
+    calls = []
+    apply = OperatorTable.apply
+
+    def counted(self, vectors):
+        calls[-1][1] += 1
+        return apply(self, vectors)
+
+    monkeypatch.setattr(OperatorTable, "apply", counted)
+    (tmp_path / "out").mkdir()
+    for config in sorted((ROOT / "configs").glob("*.json")):
+        data = json.loads(config.read_text())
+        data["output"] = {key: str(tmp_path / p) for key, p in data["output"].items()}
+        path = tmp_path / config.name
+        path.write_text(json.dumps(data))
+        calls.append([data["kind"], 0])
+        assert cli.main([data["kind"], "--config", str(path)]) == 0, config.name
+    assert sorted(map(tuple, calls)) == [
+        ("bands", 1), ("floquet", 0), ("superselect", 0), ("wannier", 0)
+    ]
