@@ -159,13 +159,13 @@ def solve_bands(h: OperatorTable, spec: LatticeSpec) -> BandStructure:
     as ``rows``.
 
     Raises InvariantViolation if H carries weight between different classes
-    (``OperatorTable.class_coupling``: it then is not cell-periodic and has
-    no common eigenbasis with T), and
+    (the largest entry of ``OperatorTable.class_coupling``: H then is not
+    cell-periodic and has no common eigenbasis with T), and
     NumericalFailure if the block eigensolve fails.
     """
     if h.dim != spec.dim:
         raise ValueError(f"operator dimension {h.dim} does not match basis {spec.dim}")
-    _require_block_structure(h, spec.cells)
+    _require_block_structure(h, spec.class_rows)
 
     n, b = spec.class_rows.shape
     h_blocks = np.zeros((n, b, b), dtype=complex)
@@ -180,9 +180,9 @@ def solve_bands(h: OperatorTable, spec: LatticeSpec) -> BandStructure:
     return BandStructure(k_values=k_values, energies=energies, blocks=blocks, rows=spec.class_rows)
 
 
-def _require_block_structure(h: OperatorTable, cells: int) -> None:
-    """Raise InvariantViolation if H's ``class_coupling`` > SUPPORT_ATOL * max(||H||_max, 1)."""
-    leakage = float(np.max(h.class_coupling(cells), initial=0.0))
+def _require_block_structure(h: OperatorTable, rows: np.ndarray) -> None:
+    """Raise InvariantViolation if H's ``class_coupling`` tops SUPPORT_ATOL * max(||H||_max, 1)."""
+    leakage = float(np.max(h.class_coupling(rows)))
     if leakage > SUPPORT_ATOL * max(float(np.max(h.norm_max)), 1.0):
         raise InvariantViolation(
             f"operator couples different wavevector classes (leakage {leakage:.3e})"

@@ -239,10 +239,17 @@ def output_path(value, pointer: str, suffixes: tuple[str, ...]) -> str:
     return path
 
 
-def _list(value, pointer: str, item, nonempty: bool = False) -> tuple:
+def _list(value, pointer: str, item, nonempty: bool = False, distinct: bool = False) -> tuple:
+    """The array's entries, each read by ``item``; with ``distinct``, a repeat is an error."""
     if not isinstance(value, list) or (nonempty and not value):
         raise ConfigError(f"expected {'a non-empty' if nonempty else 'an'} array", pointer)
-    return tuple(item(v, f"{pointer}/{i}") for i, v in enumerate(value))
+    entries, first = [], {}  # first: the index each entry was first read at
+    for i, v in enumerate(value):
+        entry = item(v, f"{pointer}/{i}")
+        if distinct and first.setdefault(entry, i) != i:
+            raise ConfigError(f"repeats entry {first[entry]} ({entry!r})", f"{pointer}/{i}")
+        entries.append(entry)
+    return tuple(entries)
 
 
 def _complex(value, pointer: str) -> complex:
@@ -377,7 +384,7 @@ _POTENTIAL = {
 
 _BATTERY = {  # no defaults: Battery keeps the only ones
     "seeds": (partial(_int, minimum=0, maximum=MAX_BATTERY_SEEDS), None),
-    "named": (partial(_list, item=partial(_str, choices=NAMED_OBSERVABLES)), None),
+    "named": (partial(_list, item=partial(_str, choices=NAMED_OBSERVABLES), distinct=True), None),
     "max_harmonic": (partial(_int, minimum=0), None),
     "degree": (partial(_int, minimum=0, maximum=MAX_POLY_DEGREE), None),
     "custom": (
@@ -385,7 +392,7 @@ _BATTERY = {  # no defaults: Battery keeps the only ones
     ),
 }
 
-_indices = partial(_list, item=partial(_int, minimum=0), nonempty=True)
+_indices = partial(_list, item=partial(_int, minimum=0), nonempty=True, distinct=True)
 _WANNIER = {"bands": (_indices, None), "home_cells": (_indices, None)}
 
 _DRIVE_TERM = {

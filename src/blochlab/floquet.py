@@ -31,13 +31,15 @@ The temporal-overlap probe reports three quantities for a pair of modes with
 quasienergy splitting Delta: the one-period phase relation
 F(t+T) = exp(i Delta T/hbar) F(t) of F(t) = <phi_j(t)|O(t)|phi_j'(t)>, the
 K-period running average of F against the geometric-sum bound, and the
-element at t=0 for a real polynomial in U(T) and its adjoint (it commutes
-with the monodromy, so the element vanishes).  Since U(t + nT) = U(t) U(T)^n,
-every F value is a bilinear form of the Heisenberg stack
-U(t_i)^dagger O(t_i) U(t_i), formed once on the grid.  For exact modes avg_K
-is the geometric sum itself, so the bound tests mode accuracy, not the decay.
-Instantaneous vanishing for generic periodic observables is NOT claimed: for
-those the suppression shows up as the averaged decay.
+element at t=0 for a Hermitian polynomial in U(T) and its adjoint (it
+commutes with the monodromy, so the element vanishes; its odd term makes
+the element see the modes' error also when the eigenphases are +-theta).
+Since U(t + nT) = U(t) U(T)^n, every F value is a bilinear form of the
+Heisenberg stack U(t_i)^dagger O(t_i) U(t_i), formed once on the grid.
+For exact modes avg_K is the geometric sum itself, so the bound tests mode
+accuracy, not the decay.  Instantaneous vanishing for generic periodic
+observables is NOT claimed: for those the suppression shows up as the
+averaged decay.
 """
 
 from __future__ import annotations
@@ -530,10 +532,15 @@ def quasienergy_distance(a: np.ndarray, b: np.ndarray, omega: float, hbar: float
 def monodromy_polynomial(
     monodromy: np.ndarray, coefficients: tuple[float, ...] = (0.4, 0.3, 0.2)
 ) -> np.ndarray:
-    """Hermitian observable c0 I + sum_r c_r (U^r + U^dagger^r).
+    """Hermitian observable c0 I + sum_r c_r (U^r + U^dagger^r) + 0.3 i (U - U^dagger).
 
     By construction it commutes with U(T), so its matrix elements between
-    Floquet modes of distinct monodromy eigenvalues vanish identically.
+    Floquet modes of distinct monodromy eigenvalues vanish identically.  The
+    even terms read an eigenphase theta as cos(r theta) alone, so on a
+    two-level drive with eigenphases +-theta (a traceless one) they are a
+    multiple of I and give 0 on any orthonormal pair, exact modes or not; the
+    fixed odd term, -0.6 sin(theta_j) on mode j, makes the element measure
+    the modes' error.
     """
     d = monodromy.shape[0]
     out = coefficients[0] * np.eye(d, dtype=complex)
@@ -541,7 +548,7 @@ def monodromy_polynomial(
     for c in coefficients[1:]:
         power = power @ monodromy
         out = out + c * (power + power.conj().T)
-    return out
+    return out + 0.3j * (monodromy - monodromy.conj().T)
 
 
 def _pair_form(h: np.ndarray, vecs: np.ndarray):

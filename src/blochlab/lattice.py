@@ -15,11 +15,11 @@ block.  A cell-periodic operator is therefore a few offset diagonals at
 multiples of N, and every lattice operator is an ``OperatorTable``: a stack
 of members held as their offset diagonals only (the DIA sparse format), one
 member for the Hamiltonian or a single observable, many for a battery.
-Entries between classes are never stored, so the block structure is exact,
-and a class block is the diagonals at offsets qN read on that class's rows
-(``OperatorTable.class_diagonals``).  The padded layout and the rule "N
-divides the offset" live here alone: other modules read a table through
-its methods.  The translation is diagonal and is held as its phase vector.
+A cell-periodic operator stores no entry between classes, so its block
+structure is exact: a class block is the diagonals at offsets qN on its rows
+(``OperatorTable.class_diagonals``), any other diagonal bounds blocks between
+classes (``class_coupling``), and this rule, "N divides the offset", lives
+here alone.  The translation is diagonal and is held as its phase vector.
 """
 
 from __future__ import annotations
@@ -205,11 +205,11 @@ class OperatorTable:
     of its member's largest entry), and no member zero (ValueError naming
     the first).  ``values`` and ``norm_max`` are frozen.  Other modules read
     a table through its methods, each for every member at once: ``diagonals``,
-    ``class_diagonals`` (on the class rows), ``class_coupling`` (the largest
-    entry between classes), ``apply`` (O v), and ``expectation`` and
+    ``class_diagonals`` (on the class rows), ``class_coupling`` (a bound on
+    each block between classes), ``apply`` (O v), and ``expectation`` and
     ``class_form``, which contract each stored diagonal with the bra-ket
-    products it meets and form no O v; ``matrix`` forms the dense matrices on
-    request.
+    products it meets and form no O v; ``matrix`` forms the dense matrices,
+    a reference for tests: no measurement forms a dense operator.
     """
 
     labels: tuple[str, ...]
@@ -261,13 +261,6 @@ class OperatorTable:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def __getitem__(self, members: slice) -> "OperatorTable":
-        """The members of the slice ``members`` as their own table, on the same offsets.
-
-        The rows are copied, so a kept slice does not hold the whole table.
-        """
-        return OperatorTable(self.labels[members], self.offsets, self.values[members].copy())
 
     @property
     def dim(self) -> int:
@@ -338,10 +331,23 @@ class OperatorTable:
             if o % n == 0:
                 yield o // n, values[:, rows[:, : b - o // n]]
 
-    def class_coupling(self, cells: int) -> np.ndarray:
-        """Per member, the largest |entry| on a diagonal whose offset ``cells`` does not divide."""
-        between = [np.max(np.abs(v), axis=1) for o, v in self.diagonals() if o % cells]
-        return np.max([np.zeros(len(self))] + between, axis=0)
+    def class_coupling(self, rows) -> np.ndarray:
+        """Per member, a (N, N) bound on the blocks between the classes of the (N, b) ``rows``.
+
+        A diagonal at an offset o that N does not divide is one shifted
+        diagonal of block (l + o, l) for each class l, and its mirror one of
+        block (l, l + o).  Entry [j, l] sums their largest |entry| in block
+        (j, l), so |<u|O|v>| <= [j, l] for unit states u on class j, v on l.
+        """
+        n, _ = rows.shape
+        out = np.zeros((len(self), n, n))
+        column = np.arange(n)
+        for o, values in self.diagonals():
+            if o % n:  # |entry| at (m + o, m) on all d rows, maximized per class of m
+                largest = np.pad(np.abs(values), ((0, 0), (0, o)))[:, rows].max(axis=-1)
+                out[:, (column + o) % n, column] += largest
+                out[:, column, (column + o) % n] += largest  # the mirror
+        return out
 
     def class_form(self, rows, bra, ket) -> np.ndarray:
         """The (members, ..., N) forms <bra_l|O|ket_l> of (..., N, b) states on the rows (N, b).

@@ -6,9 +6,11 @@ and Bloch states with different wavevectors, the matrix element
 wavevector classes show no interference fringes and are indistinguishable
 from the 50/50 classical mixture by every valid measurement.  Within one
 class coherence is real and the fringes are there; deliberately
-periodicity-breaking operators restore cross-class fringes.  The battery is
-read as the stream of tables ``Battery.tables`` yields, once, and the states
-as ``BandStructure`` class blocks, or as plane-wave vectors in a fringe scan.
+periodicity-breaking operators restore cross-class fringes.  The leakage
+table reads the entries between classes, which a cell-periodic O does not
+store.  The battery is read as the stream of tables ``Battery.tables``
+yields, once, and the states as ``BandStructure`` class blocks, or as
+plane-wave vectors in a fringe scan.
 """
 
 from __future__ import annotations
@@ -52,9 +54,10 @@ class FringeScan:
 class SectorDecompositionReport:
     """Pairwise cross-class leakage and the within-sector elements.
 
-    ``leakage[j][l]`` is the largest |<psi_{m k_j}|O|psi_{n k_l}>| / ||O||_max
-    over all bands m, n and battery members O; the diagonal (within-sector
-    coherence, which is allowed) is not part of the table and stays NaN.
+    ``leakage[j][l]`` bounds |<psi_{m k_j}|O|psi_{n k_l}>| / ||O||_max over all
+    bands m, n and battery members O (``OperatorTable.class_coupling``), and
+    is 0 where no member stores an entry between the classes; the diagonal
+    (within-sector coherence, which is allowed) is not part of the table and stays NaN.
     ``within_sector[l, i]`` is |<psi_{0 k_l}|O_i|psi_{1 k_l}>| for battery
     member i, unnormalized: the element the positive control needs.  It is
     None when a class holds a single band.
@@ -111,36 +114,25 @@ def sector_decomposition_report(bands: BandStructure, tables) -> SectorDecomposi
     """Cross-class leakage table and within-sector elements of the tables of ``tables``.
 
     ``tables`` is read once, in order (``Battery.tables``), and each table is
-    measured and dropped before the next is taken.  With C_l the class-l
-    states on their d/N rows (``bands.blocks[l]``), <psi_{m k_j}|O|psi_{n k_l}>
-    is entry (m, n) of C_j^* O[rows_j, rows_l] C_l^T.  A member whose
-    ``OperatorTable.class_coupling`` is 0 (a cell-periodic one) fills no
-    cross block, and nothing is multiplied for it.  A member that couples
-    classes is read as its dense matrix (``matrix`` of its one-row slice),
-    and all N(N-1)/2 cross blocks j < l are gathered from it and multiplied
-    in one stacked product.  Leakage entry [j, l] (bras from the lower class,
-    mirrored) is maximized over both band axes and all members and equals a
-    pairwise class loop bit for bit, however the battery is split.
+    measured and dropped before the next is taken.  Leakage entry [j, l] is
+    the largest ``OperatorTable.class_coupling(bands.rows)[:, j, l]`` over the
+    members, each relative to its ||O||_max: a bound on every
+    |<psi_{m k_j}|O|psi_{n k_l}>| / ||O||_max, read from the entries alone and
+    exactly 0 for a cell-periodic member, which stores none.  It is a maximum
+    over members, so it is the same bits however the battery is split.
     ``within_sector`` needs bands 0 and 1 of each class: one ``class_form``.
     """
     rows, blocks = bands.rows, bands.blocks  # blocks: (class, band, row)
     n_sectors, n_bands, _ = blocks.shape
-    bra_class, ket_class = np.triu_indices(n_sectors, k=1)  # the cross blocks j < l
-    worst = np.zeros(len(bra_class))
+    leakage = np.zeros((n_sectors, n_sectors))
     labels, within = [], []
     for table in tables:
         labels += table.labels
-        for i in np.flatnonzero(table.class_coupling(n_sectors)):  # the members coupling classes
-            (dense,) = table[i : i + 1].matrix
-            cross = dense[rows[bra_class][:, :, None], rows[ket_class][:, None, :]]
-            bra, ket = blocks[bra_class].conj(), blocks[ket_class].transpose(0, 2, 1)
-            elements = np.abs(bra @ cross @ ket)  # (block, bra band, ket band)
-            np.maximum(worst, elements.max(axis=(1, 2)) / table.norm_max[i], out=worst)
+        coupling = table.class_coupling(rows) / table.norm_max[:, None, None]
+        np.maximum(leakage, coupling.max(axis=0, initial=0.0), out=leakage)
         if n_bands >= 2:  # <psi_{0 k_l}|O|psi_{1 k_l}>, (class, member)
             within.append(np.abs(table.class_form(rows, blocks[:, 0], blocks[:, 1])).T)
-    leakage = np.full((n_sectors, n_sectors), np.nan)
-    leakage[bra_class, ket_class] = worst
-    leakage[ket_class, bra_class] = worst
+    np.fill_diagonal(leakage, np.nan)  # within-sector coherence is allowed
     return SectorDecompositionReport(leakage, tuple(labels), np.hstack(within) if within else None)
 
 

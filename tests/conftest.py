@@ -31,7 +31,7 @@ def free_solution(lattice_n3):
 @pytest.fixture(scope="session")
 def battery_n3(lattice_n3):
     """The default battery's 25 members, one-member tables each."""
-    return members(bl.Battery(lattice_n3, seeds=20).tables())
+    return members(bl.Battery(lattice_n3, seeds=20))
 
 
 def every_state(bands):

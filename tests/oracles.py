@@ -7,6 +7,7 @@ periodic fourth-order finite-difference Laplacian and diagonalizes that.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +30,9 @@ from blochlab.observables import _seeded_diagonals
 # Single operators and per-member views.  Every lattice operator is an
 # OperatorTable, and a single operator is a one-member table; these build
 # the single members the tests measure with the package's own table builders
-# (``Battery.tables`` and ``OperatorTable.assemble``), split a table into its
-# members and join members into one table.  A row re-assembled onto zeros
-# keeps its bits, so ``join`` and ``members`` move no entry.
+# (``Battery.tables``, ``Battery.member`` and ``OperatorTable.assemble``) and
+# join members into one table.  A row re-assembled onto zeros keeps its
+# bits, so ``join`` moves no entry.
 
 
 def plane_wave_grid(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -85,9 +86,9 @@ def member_labels(battery: Battery) -> tuple[str, ...]:
     return battery.named + seeds + tuple(f"custom:{i}" for i in range(len(battery.custom)))
 
 
-def members(tables) -> list[OperatorTable]:
-    """Every member of the iterable ``tables``, in order, as a one-member table."""
-    return [table[i : i + 1] for table in tables for i in range(len(table))]
+def members(battery: Battery) -> list[OperatorTable]:
+    """Every member of ``battery``, in order, as a one-member table (``Battery.member``)."""
+    return [battery.member(i) for i in range(len(battery))]
 
 
 def join(tables) -> OperatorTable:
@@ -364,33 +365,40 @@ def loop_class_form(operator, rows, bra, ket) -> np.ndarray:
     return np.moveaxis(form[:, 0], 0, -1).reshape(lead + (n,))
 
 
+def loop_class_coupling(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (N, N) block bounds of one dense matrix, one class pair at a time.
+
+    The per-member reference of ``OperatorTable.class_coupling``: block (j, l)
+    is sliced from the matrix, its entries are grouped by their plane-wave
+    offset r - c (a diagonal at +o and its mirror at -o apart), and the
+    largest |entry| of each group is summed, groups in the order +1, -1, +2,
+    -2, ...  The diagonal blocks are left at 0.
+    """
+    n = len(rows)
+    out = np.zeros((n, n))
+    for j, l in itertools.permutations(range(n), 2):
+        block = np.abs(matrix[np.ix_(rows[j], rows[l])])
+        offset = rows[j][:, None] - rows[l][None, :]
+        for o in sorted(set(offset.ravel().tolist()), key=lambda o: (abs(o), -o)):
+            out[j, l] += block[offset == o].max()
+    return out
+
+
 def member_sector_elements(bands, battery) -> tuple[np.ndarray, np.ndarray]:
     """Leakage table and (class, member) within-sector elements, one member at a time.
 
-    Per member (one-member tables): the cross blocks its nonzero diagonals can
-    fill, by their class steps, sliced from its dense matrix and multiplied
-    in one stacked product, and its ``loop_class_form`` on bands 0 and 1.
+    Per member (one-member tables): the ``loop_class_coupling`` of its dense
+    matrix over its ||O||_max, maximized over members with the diagonal NaN,
+    and its ``loop_class_form`` on bands 0 and 1.
     """
     rows, blocks = bands.rows, bands.blocks
-    n = len(bands.k_values)
-    bra_class, ket_class = np.triu_indices(n, k=1)
-    step = (ket_class - bra_class) % n
-    worst = np.zeros(len(bra_class))
+    leakage = np.zeros((len(rows), len(rows)))
     within = []
     for op in battery:
-        reaches = np.zeros(n, dtype=bool)
-        reaches[[s % n for o in diagonals(op) for s in (o, -o)]] = True
-        filled = np.flatnonzero(reaches[step])
-        if filled.size:
-            bra, ket = bra_class[filled], ket_class[filled]
-            (dense,) = op.matrix
-            cross = np.array([dense[np.ix_(rows[j], rows[l])] for j, l in zip(bra, ket)])
-            elements = np.abs(blocks[bra].conj() @ cross @ blocks[ket].transpose(0, 2, 1))
-            worst[filled] = np.maximum(worst[filled], elements.max(axis=(1, 2)) / op.norm_max[0])
+        (dense,) = op.matrix
+        np.maximum(leakage, loop_class_coupling(dense, rows) / op.norm_max[0], out=leakage)
         within.append(np.abs(loop_class_form(op, rows, blocks[:, 0], blocks[:, 1])))
-    leakage = np.full((n, n), np.nan)
-    leakage[bra_class, ket_class] = worst
-    leakage[ket_class, bra_class] = worst
+    np.fill_diagonal(leakage, np.nan)
     return leakage, np.array(within).T
 
 

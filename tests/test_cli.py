@@ -799,6 +799,17 @@ REJECTED = {
     "wannier_home_cell_out_of_range": (
         lattice_config("wannier", wannier={"home_cells": [3]}), [], "/wannier/home_cells/0",
     ),
+    # a repeat is rejected at its first recurrence: a repeated band would share
+    # one per_band entry, and repeated home cells would grow the Wannier array
+    "wannier_band_repeated": (
+        lattice_config("wannier", wannier={"bands": [0, 1, 0, 1]}), [], "/wannier/bands/2",
+    ),
+    "wannier_home_cell_repeated": (
+        lattice_config("wannier", wannier={"home_cells": [1, 1]}), [], "/wannier/home_cells/1",
+    ),
+    "battery_named_repeated": (
+        lattice_config(battery={"named": ["cos_a", "sin_a", "cos_a"]}), [], "/battery/named/2",
+    ),
     "lattice_constant_400_digits": (
         # float() of the integer overflows: not finite
         {"kind": "bands", "lattice": {"cells": 3, "cutoff": 4, "a": 10**400}}, [], "/lattice/a",

@@ -294,12 +294,27 @@ def test_every_integer_key_has_a_cap_or_a_reason():
     assert keys["floquet.steps"] == config.MAX_STEPS  # the walk reaches nested tables
 
 
+def distinct_lists(table=config._SECTIONS, path=""):
+    """Dotted path of every array read below ``table`` whose entries may not repeat."""
+    for key, (reader, _) in table.items():
+        keywords = getattr(reader, "keywords", {})
+        if keywords.get("distinct"):
+            yield path + key
+        elif "table" in keywords:
+            yield from distinct_lists(keywords["table"], f"{path}{key}.")
+
+
 def test_readme_caps_table_matches_the_schema():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = readme.split("| field | cap |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
-    documented = {}
+    documented, distinct = {}, set()
     for row in rows.splitlines():
         field, cap = row.strip("| ").split(" | ")
-        documented[re.search(r"`([^`]+)`", field).group(1)] = int(cap)
+        if cap == "no entry repeated":
+            distinct |= set(re.findall(r"`([^`]+)`", field))
+        else:
+            documented[re.search(r"`([^`]+)`", field).group(1)] = int(cap)
     capped = {path: maximum for path, maximum in integer_keys() if maximum is not None}
     assert documented == capped
+    assert distinct == set(distinct_lists())
+    assert distinct == {"battery.named", "wannier.bands", "wannier.home_cells"}

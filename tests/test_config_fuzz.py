@@ -84,8 +84,10 @@ def lattice_sections(draw, kind):
     if kind == "wannier":
         bands = (2 * cutoff + 1 + (-(2 * cutoff + 1)) % cells) // cells
         tree["wannier"] = {
-            "bands": draw(st.lists(st.integers(0, bands - 1), min_size=1, max_size=2)),
-            "home_cells": draw(st.lists(st.integers(0, cells - 1), min_size=1, max_size=2)),
+            "bands": draw(st.lists(st.integers(0, bands - 1), min_size=1, max_size=2, unique=True)),
+            "home_cells": draw(
+                st.lists(st.integers(0, cells - 1), min_size=1, max_size=2, unique=True)
+            ),
         }
     return tree
 

@@ -1,5 +1,6 @@
 """Monodromy, quasienergies, Sambe cross-validation and temporal probes."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -9,10 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blochlab as bl
-from blochlab import floquet
+from blochlab import floquet, runner
 from blochlab.config import validate_config
 from blochlab.errors import NumericalFailure
-from blochlab.runner import _default_probe_observable
+from blochlab.runner import _default_probe_observable, run_scenario
 from conftest import random_hermitian
 from oracles import loop_period_averages, schur_quasienergies, stepwise_midpoint_snapshots
 
@@ -438,6 +439,26 @@ def test_monodromy_polynomial_commutes(two_level_solution):
     obs = bl.monodromy_polynomial(u)
     assert float(np.max(np.abs(obs - obs.conj().T))) < 1e-12
     assert float(np.max(np.abs(obs @ u - u @ obs))) < 1e-12
+
+
+def test_modes_rotated_by_1e_9_fail_the_commuting_check_alone(monkeypatch):
+    # the shipped drive's eigenphases are +-theta, where the even terms of the
+    # monodromy polynomial are a multiple of I and read 0 on any orthonormal
+    # pair; the odd term makes the element read ~1.157 eps for the pair
+    # rotated by eps, above the 1e-10 tolerance, while every other check holds
+    cfg = validate_config(json.loads(SHIPPED_DRIVE.read_text()))
+    eps, solve = 1e-9, runner.solve_floquet
+    rotation = np.array([[np.cos(eps), -np.sin(eps)], [np.sin(eps), np.cos(eps)]])
+
+    def rotated(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        return dataclasses.replace(solution, modes=solution.modes @ rotation)
+
+    assert run_scenario(cfg).passed
+    monkeypatch.setattr(runner, "solve_floquet", rotated)
+    report = run_scenario(cfg)
+    assert [name for name, ok in report.checks.items() if not ok] == ["monodromy_commuting"]
+    assert 1e-9 < report.results["probe"]["monodromy_commuting_element"] < 2e-9
 
 
 def test_traceless_quasienergy_sum_vanishes():

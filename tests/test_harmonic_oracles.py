@@ -170,7 +170,7 @@ def test_build_observable_matches_row_loop_on_drawn_specs(lattice, data):
 
 def test_named_battery_matches_row_loop():
     lattice = LATTICES["odd_n5_a2"]
-    battery = members(bl.Battery(lattice, seeds=5).tables())
+    battery = members(bl.Battery(lattice, seeds=5))
     named = [op for op in battery if not op.labels[0].startswith("seed:")]
     assert [op.labels[0] for op in named] == list(bl.observables.NAMED_OBSERVABLES)
     for op, spec in zip(named, bl.observables._NAMED_SPECS.values()):

@@ -229,7 +229,7 @@ def test_battery_lists_its_members_and_builds_them_in_order(lattice_n3, monkeypa
     (table,) = battery.tables()
     assert table.labels == expected
     monkeypatch.setattr(bl.observables, "_TABLE_ENTRIES", 1)  # one member per table
-    alone = members(battery.tables())
+    alone = list(battery.tables())
     assert [op.labels for op in alone] == [(label,) for label in expected]
     for i, op in enumerate(alone):
         assert np.array_equal(op.matrix[0], table.matrix[i])
@@ -277,7 +277,7 @@ def test_periodicity_pass_implies_small_off_class_entries(lattice_n3, translatio
     # violation / (2 sin(pi/N)); built operators have the entries exactly zero
     classes = lattice_n3.indices % 3
     off = classes[:, None] != classes[None, :]
-    for op in members(bl.Battery(lattice_n3, seeds=10).tables()):
+    for op in members(bl.Battery(lattice_n3, seeds=10)):
         violation = bl.check_cell_periodicity(op, translation_n3)
         assert violation < PERIODICITY_RTOL
         bound = violation * op.norm_max[0] / (2.0 * np.sin(np.pi / 3.0))

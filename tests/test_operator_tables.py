@@ -22,12 +22,12 @@ from oracles import (
     diagonals,
     join,
     loop_breaking_observable,
+    loop_class_coupling,
     loop_hamiltonian,
     loop_seeded_diagonals,
     member_labels,
     member_sector_elements,
     members,
-    operator,
     seeded,
 )
 from test_state_block_oracles import LATTICES, POTENTIAL
@@ -84,7 +84,7 @@ def test_table_rows_equal_members_built_alone_bit_for_bit(spec, name, split, mon
     assert len(tables) > 1 if split else len(tables) == 1
     rows = [(table, i) for table in tables for i in range(len(table))]
     assert tuple(table.labels[i] for table, i in rows) == member_labels(battery)
-    for table, i in rows:
+    for index, (table, i) in enumerate(rows):
         label = table.labels[i]
         alone = _alone(battery, label)
         assert set(alone) <= set(table.offsets), label
@@ -93,7 +93,7 @@ def test_table_rows_equal_members_built_alone_bit_for_bit(spec, name, split, mon
             assert table.values[i, k, : d - o].tobytes() == expected.tobytes(), (label, o)
             assert not table.values[i, k, d - o :].any(), (label, o)
         assert table.norm_max[i] == max(np.max(np.abs(v)) for v in alone.values())
-        assert diagonals(table[i : i + 1]).keys() == alone.keys()
+        assert diagonals(battery.member(index)).keys() == alone.keys()
 
 
 @pytest.mark.parametrize("spec", TABLE_LATTICES, ids=_lattice_id)
@@ -110,7 +110,7 @@ def test_one_seed_table_is_the_seeded_member(spec):
 @pytest.mark.parametrize("spec", LATTICES, ids=_lattice_id)
 def test_sector_report_on_a_table_equals_the_member_loop_bit_for_bit(spec, breaking):
     bands = bl.solve_bands(bl.build_hamiltonian(spec, POTENTIAL), spec)
-    alone = members(bl.Battery(spec, seeds=5, custom=CUSTOM).tables())
+    alone = members(bl.Battery(spec, seeds=5, custom=CUSTOM))
     if breaking:
         alone += [bl.breaking_observable(s, spec) for s in (1, 2)]
     table = join(alone)
@@ -125,31 +125,30 @@ def test_sector_report_on_a_table_equals_the_member_loop_bit_for_bit(spec, break
 
 @pytest.mark.parametrize("spec", LATTICES, ids=_lattice_id)
 def test_stacked_methods_equal_each_member_alone_bit_for_bit(spec):
-    # apply, class_diagonals and matrix on the whole table give each member's
-    # own, zero signs included: the member assembled alone holds only its
-    # nonzero diagonals, where its table row also carries the zero rows of
-    # the other members' offsets
+    # apply, class_diagonals, class_coupling and matrix on the whole table give
+    # each member's own, zero signs included: the member assembled alone holds
+    # only its nonzero diagonals, where its table row also carries the zero
+    # rows of the other members' offsets
     n, d = spec.cells, spec.dim
-    alone = members(bl.Battery(spec, seeds=5, custom=CUSTOM).tables())
-    table = join([*alone, bl.breaking_observable(1, spec)])
+    alone = [*members(bl.Battery(spec, seeds=5, custom=CUSTOM)), bl.breaking_observable(1, spec)]
+    table = join(alone)
     rng = np.random.default_rng(d)
     vectors = rng.normal(size=(2, 3, d)) + 1j * rng.normal(size=(2, 3, d))
     rows = spec.class_rows
-    applied, dense = table.apply(vectors), table.matrix
+    applied, dense, coupling = table.apply(vectors), table.matrix, table.class_coupling(rows)
     on_rows = dict(table.class_diagonals(rows))  # q -> (members, N, b - q)
-    assert applied.shape == (len(table), 2, 3, d)
+    assert applied.shape == (len(table), 2, 3, d) and coupling.shape == (len(table), n, n)
     assert list(on_rows) == [o // n for o in table.offsets if o % n == 0]
-    for i, label in enumerate(table.labels):
-        row = table[i : i + 1]
-        assert row.labels == (label,) and not np.shares_memory(row.values, table.values)
-        op = operator(d, diagonals(row), label)
-        assert set(op.offsets) < set(table.offsets) and op.norm_max[0] == table.norm_max[i]
+    for i, (label, op) in enumerate(zip(table.labels, alone)):
+        assert op.labels == (label,) and op.norm_max[0] == table.norm_max[i]
+        assert set(op.offsets) < set(table.offsets)
         assert applied[i].tobytes() == op.apply(vectors)[0].tobytes(), label
         own = dict(op.class_diagonals(rows))
         for q, values in on_rows.items():  # a diagonal the member lacks reads exact zeros
             expected = own[q][0] if q in own else np.zeros_like(values[i])
             assert values[i].tobytes() == expected.tobytes(), (label, q)
         assert dense[i].tobytes() == op.matrix[0].tobytes(), label
+        assert coupling[i].tobytes() == op.class_coupling(rows)[0].tobytes(), label
 
 
 @pytest.mark.parametrize("spec", TABLE_LATTICES, ids=_lattice_id)
@@ -160,17 +159,17 @@ def test_diagonals_read_the_stored_entries_bit_for_bit(spec):
     d = spec.dim
     h = bl.build_hamiltonian(spec, POTENTIAL)
     breaker = bl.breaking_observable(2, spec)
-    table = join([*bl.Battery(spec, seeds=3, custom=CUSTOM).tables(), h, breaker])
+    alone = [*members(bl.Battery(spec, seeds=3, custom=CUSTOM)), h, breaker]
+    table = join(alone)
     read = list(table.diagonals())
     assert [o for o, _ in read] == list(table.offsets)
-    for i, label in enumerate(table.labels):
-        (dense,) = table[i : i + 1].matrix
+    for i, (label, op, dense) in enumerate(zip(table.labels, alone, table.matrix)):
         stored = {o: v[i] for o, v in read}
         assert all(v.shape == (d - o,) for o, v in stored.items()), label
         for o, v in stored.items():
             assert v.tobytes() == np.diagonal(dense, -o).tobytes(), (label, o)
         nonzero = {o: v for o, v in stored.items() if v.any()}
-        expected = diagonals(table[i : i + 1])
+        expected = diagonals(op)
         assert nonzero.keys() == expected.keys(), label
         assert all(nonzero[o].tobytes() == v.tobytes() for o, v in expected.items()), label
     loops = (loop_hamiltonian(spec, POTENTIAL), loop_breaking_observable(2, spec))
@@ -183,20 +182,25 @@ def test_diagonals_read_the_stored_entries_bit_for_bit(spec):
 
 @pytest.mark.parametrize("spec", TABLE_LATTICES, ids=_lattice_id)
 def test_class_coupling_is_zero_on_the_battery_and_the_entries_of_a_breaker(spec):
-    n = spec.cells
+    n, rows = spec.cells, spec.class_rows
     for name, battery in BATTERIES.items():
         for table in bl.Battery(spec, **battery).tables():
-            assert table.class_coupling(n).tolist() == [0.0] * len(table), name
+            zeros = np.zeros((len(table), n, n))
+            assert table.class_coupling(rows).tobytes() == zeros.tobytes(), name
     for shift in (1, 2):
         breaker = bl.breaking_observable(shift, spec)
-        expected = float(np.max(np.abs(loop_breaking_observable(shift, spec))))
-        assert breaker.class_coupling(n).tolist() == [expected]
-        assert expected == np.max(np.abs(breaker.matrix))
+        (coupling,) = breaker.class_coupling(rows)
+        expected = loop_class_coupling(loop_breaking_observable(shift, spec), rows)
+        assert coupling.tobytes() == expected.tobytes()
+        # unit entries: block (l + s, l) holds the diagonal, block (l, l + s) its mirror
+        step = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+        assert np.all((coupling > 0) == ((step == shift % n) | (step == -shift % n)))
+        assert coupling.max() == (2.0 if 2 * shift % n == 0 else 1.0)
 
 
 def test_periodicity_of_a_table_is_its_worst_member(lattice_n3):
     t = bl.build_translation(lattice_n3)
-    alone = members(bl.Battery(lattice_n3, seeds=3).tables()) + [bl.breaking_observable(1, lattice_n3)]
+    alone = members(bl.Battery(lattice_n3, seeds=3)) + [bl.breaking_observable(1, lattice_n3)]
     each = [bl.check_cell_periodicity(op, t) for op in alone]
     assert max(each[:-1]) < 1e-14 < each[-1]
     assert bl.check_cell_periodicity(join(alone), t) == each[-1]
@@ -264,7 +268,7 @@ def test_scanned_members_survive_a_split_battery(monkeypatch, battery, per_table
     split = run_scenario(cfg).results
     labels = member_labels(cfg.battery)
     bands = bl.solve_bands(bl.build_hamiltonian(spec, cfg.potential), spec)
-    _, within = member_sector_elements(bands, members(cfg.battery.tables()))
+    _, within = member_sector_elements(bands, members(cfg.battery))
     strongest = labels[int(np.argmax(within[0]))]  # the first of the largest
     if "custom" in battery:
         assert strongest == "sin_a" and within[0, 1] == within[0, 4] == within[0].max()

@@ -21,6 +21,7 @@ from oracles import (
     loop_class_form,
     loop_solve_bands,
     matrix_element,
+    member_sector_elements,
     members,
     operator,
     pairwise_leakage,
@@ -40,7 +41,7 @@ LATTICES = (
 def solved(request):
     spec = request.param
     bands = bl.solve_bands(bl.build_hamiltonian(spec, POTENTIAL), spec)
-    battery = members(bl.Battery(spec, seeds=5).tables()) + [
+    battery = members(bl.Battery(spec, seeds=5)) + [
         bl.breaking_observable(1, spec),
         bl.breaking_observable(2, spec),
     ]
@@ -155,14 +156,51 @@ def test_class_form_matches_the_dense_form(solved):
 
 
 def test_leakage_table_equals_pairwise_loop_bit_for_bit(solved):
+    # the loop slices each member's dense (j, l) blocks one class pair at a
+    # time and sums the largest |entry| of each plane-wave offset
     _, bands, battery = solved
     report = bl.sector_decomposition_report(bands, [join(battery)])
-    expected = pairwise_leakage(bands.coeffs, battery)
-    assert np.array_equal(report.leakage, expected, equal_nan=True)
+    expected, _ = member_sector_elements(bands, battery)
+    assert report.leakage.tobytes() == expected.tobytes()
     # the breaking members light up the neighbouring classes, so the
     # comparison is not between two tables of zeros
     n = len(bands.k_values)
     assert all(expected[l, (l + 1) % n] > 1e-6 for l in range(n))
+
+
+def _coupling_members(spec):
+    """A breaker at every shift the basis holds, and two members with several coupling diagonals.
+
+    The random one comes close to its bound; the uniform one has unit entries
+    at offsets 1, N + 1 and 2N + 1, which all join class l to l + 1.
+    """
+    n, d = spec.cells, spec.dim
+    rng = np.random.default_rng(d)
+    diagonals = {o: rng.normal(size=d - o) + 1j * rng.normal(size=d - o) for o in (1, 2, n + 1)}
+    random = operator(d, {0: rng.normal(size=d), **diagonals}, "random")
+    uniform = operator(d, {1: 1.0, n + 1: 1.0, 2 * n + 1: 1.0}, "uniform")
+    return [bl.breaking_observable(s, spec) for s in range(1, d) if s % n] + [random, uniform]
+
+
+def test_every_element_between_classes_is_within_its_leakage_entry(solved):
+    # the dense elements max |<psi_{m k_j}|O|psi_{n k_l}>| / ||O||_max are at most
+    # leakage[j, l] (up to the products' rounding), and exactly 0 where it is 0.  The
+    # largest |entry| of a block alone is no bound: the diagonals in one block (a
+    # diagonal and its mirror when 2s = 0 mod N, or offsets 1 and N + 1) add up
+    spec, bands, _ = solved
+    n, rows = spec.cells, bands.rows
+    off = ~np.eye(n, dtype=bool)
+    over_largest_entry = 0.0
+    for op in _coupling_members(spec):
+        elements = pairwise_leakage(bands.coeffs, [op])[off]
+        bound = bl.sector_decomposition_report(bands, [op]).leakage[off]
+        assert np.all(elements <= bound * (1.0 + 1e-12)), op.labels
+        assert not np.any(elements[bound == 0.0]), op.labels
+        (dense,) = np.abs(op.matrix) / op.norm_max[0]
+        largest = np.array([[dense[np.ix_(r, c)].max() for c in rows] for r in rows])[off]
+        ratio = np.divide(elements, largest, out=np.zeros_like(elements), where=largest > 0)
+        over_largest_entry = max(over_largest_entry, float(ratio.max()))
+    assert over_largest_entry > 1.0
 
 
 def test_leakage_report_reads_a_generator_like_the_list(solved, monkeypatch):

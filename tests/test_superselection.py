@@ -190,7 +190,7 @@ def test_superselection_survives_on_padded_even_lattice():
     assert report.leakage.shape == (4, 4)
     assert report.max_offdiagonal < 1e-12
     a, b = bands.dense(1, 0), bands.dense(1, 1)
-    best = max(abs(matrix_element(op, a, b)) for op in members([table]))
+    best = max(abs(matrix_element(op, a, b)) for op in members(bl.Battery(spec, seeds=10)))
     assert best > 1e-4
 
 
@@ -236,23 +236,6 @@ def _count_dense_reads(monkeypatch):
 
     monkeypatch.setattr(bl.OperatorTable, "matrix", property(counting))
     return read
-
-
-def test_only_a_member_that_can_couple_classes_is_read_dense(monkeypatch):
-    # block (j, l) holds only offsets = j - l (mod N): a cell-periodic member
-    # fills no cross block and is not read; breaking_observable(1) is read as
-    # its dense matrix once, for every cross block, and lights up the
-    # j - l = +-1 ones alone; the within-sector elements come from the class
-    # form, not from the dense read
-    spec = bl.LatticeSpec(cells=5, cutoff=7)
-    potential = bl.PotentialSpec(harmonics=((1, 0.25),))
-    bands = bl.solve_bands(bl.build_hamiltonian(spec, potential), spec)
-    table = join([seeded(1, spec), bl.breaking_observable(1, spec)])
-    read = _count_dense_reads(monkeypatch)
-    report = bl.sector_decomposition_report(bands, [table])
-    assert read == [("breaking:s=1",)]
-    assert report.leakage[0, 2] == 0.0 and report.leakage[0, 1] > 0.5
-    assert np.all(report.within_sector[:, 0] > 0.0)  # the breaking member has none
 
 
 def test_superselect_run_reads_no_operator_dense(monkeypatch):

@@ -70,10 +70,7 @@ UNREACHED = {
     "config._bool": "parses pad_basis and symmetrize, which no shipped config sets",
     "errors.ConfigError.__init__": "error path: an invalid config",
     "lattice.PotentialSpec.value": "the real-space reference of the Hamiltonian's cross-checks",
-    "lattice.OperatorTable.__getitem__": "a member's slice: the sector report's dense read of a "
-    "member that couples classes, which no battery member does",
-    "lattice.OperatorTable.matrix": "dense matrices on request: tests, and the same class-coupling "
-    "member",
+    "lattice.OperatorTable.matrix": "dense references for tests; no run forms a dense operator",
     "observables.ObservableTerm.__post_init__": "runs at import for the named members, and for "
     "custom members, which no shipped config has",
     "runner.stable_report_bytes": "the determinism contract, which the tests compare reports by",
