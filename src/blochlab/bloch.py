@@ -9,7 +9,10 @@ class and band, so every band holds N states).  The class rows and the
 wavevectors are read from the lattice's own grid (``LatticeSpec.class_rows``
 and ``.wavevector``).  A state is kept as its class block alone;
 ``BandStructure.dense`` forms its plane-wave vector for a measurement that
-needs one.
+needs one.  A real potential on a basis symmetric under m -> -m is time-
+reversal even, so E_n(k_{-l}) = E_n(k_l) and psi_{n,-k} = conj(psi_{n,k}):
+only classes 0..N//2 are diagonalized, and class N - l holds the time-
+reversed states of class l (``OperatorTable.independent_classes`` decides).
 
 Eigenvector gauge is pinned deterministically: degenerate clusters are
 re-spanned by greedy pivoting of the cluster projector onto plane-wave axes
@@ -18,7 +21,10 @@ read through the cluster's own vectors and never formed, all clusters of one
 size at once (``_respan``).  Every vector is phased so its largest-magnitude
 coefficient is real positive; of coefficients equal in magnitude to within
 PIVOT_RTOL, the first one is used, so a tie that symmetry makes is not
-broken by rounding.  Repeat runs are then bitwise comparable on one
+broken by rounding.  A class filled by time reversal carries its
+partner's gauge read backwards: its rows are its partner's reversed, so its
+pivot is the last of the tied entries and its clusters are ordered by
+descending dominant row.  Repeat runs are then bitwise comparable on one
 platform.
 """
 
@@ -48,7 +54,11 @@ class BandStructure:
     ``blocks[l, n]`` is psi_{n k_l} on those rows: a Bloch state is zero on
     every other row, so nothing else is stored.  ``energies[l, n]`` is its
     energy and ``k_values[l]`` its wavevector; bands are sorted ascending per
-    class.  ``dense`` and ``coeffs`` form plane-wave vectors on request.
+    class.  When ``solve_bands`` pairs the classes by time reversal, class
+    N - l holds the time-reversed states of class l: ``blocks[N - l] ==
+    conj(blocks[l])[:, ::-1]`` and the same energies, so its pivot and
+    cluster-order rules read in reverse row order.  ``dense`` and ``coeffs``
+    form plane-wave vectors on request.
     """
 
     k_values: np.ndarray
@@ -148,15 +158,19 @@ def _respan(clusters: np.ndarray) -> np.ndarray:
 
 
 def solve_bands(h: OperatorTable, spec: LatticeSpec) -> BandStructure:
-    """Diagonalize every wavevector-class block of a cell-periodic H at once.
+    """Diagonalize the wavevector-class blocks of a cell-periodic H, each time-reversal pair once.
 
     ``h`` is a one-member table on the spec's grid.  Each class's rows (a
     row of ``spec.class_rows``) give one (d/N, d/N) block, written onto
     zeros one class-row diagonal at a time (``OperatorTable.class_diagonals``
-    and ``add_offset_diagonal``, as ``matrix`` writes the dense one); the N
-    blocks go through one stacked eigensolve and one stacked gauge fix, and
-    their eigenvectors are kept on those rows, with the (N, d/N) row table
-    as ``rows``.
+    and ``add_offset_diagonal``, as ``matrix`` writes the dense one).  The
+    first ``h.independent_classes(spec.class_rows)`` blocks go through one
+    stacked eigensolve and one stacked gauge fix: classes 0..N//2 when H is
+    time-reversal even on a mirror-symmetric basis, every class otherwise
+    (a padded basis, a flux).  Class c beyond them is the time reverse of
+    class N - c: its states the conjugated block with its rows reversed, its
+    energies the partner's.  The eigenvectors are kept on the class rows,
+    with the (N, d/N) row table as ``rows``.
 
     Raises InvariantViolation if H carries weight between different classes
     (the largest entry of ``OperatorTable.class_coupling``: H then is not
@@ -165,19 +179,28 @@ def solve_bands(h: OperatorTable, spec: LatticeSpec) -> BandStructure:
     """
     if h.dim != spec.dim:
         raise ValueError(f"operator dimension {h.dim} does not match basis {spec.dim}")
-    _require_block_structure(h, spec.class_rows)
+    rows = spec.class_rows
+    _require_block_structure(h, rows)
 
-    n, b = spec.class_rows.shape
-    h_blocks = np.zeros((n, b, b), dtype=complex)
-    for q, (values,) in h.class_diagonals(spec.class_rows):
-        add_offset_diagonal(h_blocks, q, values)
+    n, b = rows.shape
+    solved = h.independent_classes(rows)
+    h_blocks = np.zeros((solved, b, b), dtype=complex)
+    for q, (values,) in h.class_diagonals(rows):
+        add_offset_diagonal(h_blocks, q, values[:solved])
     try:
         energies, vectors = np.linalg.eigh(h_blocks)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalFailure(f"class-block eigensolver failed: {exc}") from exc
-    blocks = _canonical_eigenbasis(energies, vectors).swapaxes(1, 2)  # (class, band, row)
-    k_values = spec.wavevector(np.arange(n))
-    return BandStructure(k_values=k_values, energies=energies, blocks=blocks, rows=spec.class_rows)
+    blocks = np.empty((n, b, b), dtype=complex)  # (class, band, row)
+    blocks[:solved] = _canonical_eigenbasis(energies, vectors).swapaxes(1, 2)
+    partners = slice(n - solved, 0, -1)  # class c >= solved reverses class N - c
+    np.conjugate(blocks[partners, :, ::-1], out=blocks[solved:])
+    return BandStructure(
+        k_values=spec.wavevector(np.arange(n)),
+        energies=np.concatenate([energies, energies[partners]]),
+        blocks=blocks,
+        rows=rows,
+    )
 
 
 def _require_block_structure(h: OperatorTable, rows: np.ndarray) -> None:

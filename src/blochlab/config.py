@@ -42,6 +42,14 @@ MAX_SAMBE_HMAX = 64  # one dense eigvalsh d (2 h + 1) wide: 2064, ~6 s at d = 16
 MAX_GRID_POINTS = 4096  # probe.grid and fringe_points
 MAX_PROBE_PERIODS = 1024
 MAX_BATTERY_SEEDS = 200
+# Lengths of the lists whose entries each add work (README caps table).  A
+# drive term is summed into H(t) at every step sample: the d = 16 cap run
+# took 10.5 s with one term and 13.3 s with 16 and 64 observable harmonics,
+# which are summed on the probe grid alone.  The widest custom member sets
+# every table's width: the widest battery took 11.1 s with one, 19.6 s with 100.
+MAX_DRIVE_TERMS = 16
+MAX_OBSERVABLE_HARMONICS = 64
+MAX_BATTERY_CUSTOM = 100
 
 # Bound on each Hamiltonian input: the kinetic energy at the largest |q|, v0,
 # and the real and imaginary part of every folded potential harmonic.  H's
@@ -239,10 +247,18 @@ def output_path(value, pointer: str, suffixes: tuple[str, ...]) -> str:
     return path
 
 
-def _list(value, pointer: str, item, nonempty: bool = False, distinct: bool = False) -> tuple:
-    """The array's entries, each read by ``item``; with ``distinct``, a repeat is an error."""
+def _list(
+    value, pointer: str, item, nonempty: bool = False, distinct: bool = False, maximum=None
+) -> tuple:
+    """The array's entries, each read by ``item``.
+
+    With ``distinct``, a repeat is an error at its own pointer; with
+    ``maximum``, an array longer than that is an error at the array's.
+    """
     if not isinstance(value, list) or (nonempty and not value):
         raise ConfigError(f"expected {'a non-empty' if nonempty else 'an'} array", pointer)
+    if maximum is not None and len(value) > maximum:
+        raise ConfigError(f"must hold <= {maximum} entries, got {len(value)}", pointer)
     entries, first = [], {}  # first: the index each entry was first read at
     for i, v in enumerate(value):
         entry = item(v, f"{pointer}/{i}")
@@ -388,7 +404,12 @@ _BATTERY = {  # no defaults: Battery keeps the only ones
     "max_harmonic": (partial(_int, minimum=0), None),
     "degree": (partial(_int, minimum=0, maximum=MAX_POLY_DEGREE), None),
     "custom": (
-        partial(_list, item=partial(_object, table=_OBSERVABLE, build=ObservableSpec)), None
+        partial(
+            _list,
+            item=partial(_object, table=_OBSERVABLE, build=ObservableSpec),
+            maximum=MAX_BATTERY_CUSTOM,
+        ),
+        None,
     ),
 }
 
@@ -400,21 +421,29 @@ _DRIVE_TERM = {
     "kind": (partial(_str, choices=("cos", "sin")), _REQUIRED),
     "matrix": (_matrix, _REQUIRED),
 }
-_drive_terms = partial(
-    _list, item=partial(_object, table=_DRIVE_TERM, build=DriveTerm, at="/matrix")
-)
+_drive_term = partial(_object, table=_DRIVE_TERM, build=DriveTerm, at="/matrix")
 
 _PROBE = {
     "pair": (partial(_list, item=partial(_int, minimum=0)), None),
     "periods": (
-        partial(_list, item=partial(_int, minimum=1, maximum=MAX_PROBE_PERIODS), nonempty=True),
+        partial(
+            _list,
+            item=partial(_int, minimum=1, maximum=MAX_PROBE_PERIODS),
+            nonempty=True,
+            distinct=True,
+        ),
         None,
     ),
     "grid": (partial(_int, minimum=8, maximum=MAX_GRID_POINTS), None),
     "observable": (
         partial(
             _object,
-            table={"static": (_matrix, _REQUIRED), "harmonics": (_drive_terms, None)},
+            table={
+                "static": (_matrix, _REQUIRED),
+                "harmonics": (
+                    partial(_list, item=_drive_term, maximum=MAX_OBSERVABLE_HARMONICS), None
+                ),
+            },
             build=PeriodicObservableSpec,
         ),
         None,
@@ -424,7 +453,7 @@ _PROBE = {
 _FLOQUET = {
     "h0": (_matrix, _REQUIRED),
     "omega": (_positive, _REQUIRED),
-    "drives": (_drive_terms, None),
+    "drives": (partial(_list, item=_drive_term, maximum=MAX_DRIVE_TERMS), None),
     "hbar": (_positive, None),
     "steps": (partial(_int, minimum=MIN_STEPS, maximum=MAX_STEPS), None),
     "trajectory_points": (partial(_int, minimum=2, maximum=MAX_TRAJECTORY_POINTS), None),

@@ -19,7 +19,12 @@ A cell-periodic operator stores no entry between classes, so its block
 structure is exact: a class block is the diagonals at offsets qN on its rows
 (``OperatorTable.class_diagonals``), any other diagonal bounds blocks between
 classes (``class_coupling``), and this rule, "N divides the offset", lives
-here alone.  The translation is diagonal and is held as its phase vector.
+here alone.  So does the mirror rule: on a basis symmetric under m -> -m,
+row r and row d - 1 - r hold m and -m, class l meets class N - l, and an
+operator whose every stored diagonal is a palindrome is time-reversal even,
+so class N - l's block is class l's, conjugated and read in reverse
+(``OperatorTable.independent_classes``).  The translation is diagonal and is
+held as its phase vector.
 """
 
 from __future__ import annotations
@@ -318,15 +323,28 @@ class OperatorTable:
             out += (2.0 if offset else 1.0) * (values @ pairs.T).real
         return out
 
+    def _class_shape(self, rows) -> tuple[int, int]:
+        """(N, b) of a class-row table, which must hold every one of the d rows.
+
+        N is read from the table's own shape, so a slice of it (the first k
+        classes) would read the wrong class of every offset: ValueError.
+        """
+        if rows.size != self.dim:
+            raise ValueError(
+                f"class-row table of shape {rows.shape} does not hold the {self.dim} rows"
+            )
+        return rows.shape
+
     def class_diagonals(self, rows):
         """(q, values) for each stored diagonal that reads as offset q on the class rows.
 
-        ``rows`` is a (N, b) table of class rows (``LatticeSpec.class_rows``),
+        ``rows`` is the full (N, b) table of class rows (``LatticeSpec.class_rows``),
         ascending in steps of N, so the diagonal at offset qN is offset q on
         them, with the (members, N, b - q) values read at ``rows[:, :b-q]``.
-        Every other diagonal couples different classes and is skipped.
+        Every other diagonal couples different classes and is skipped.  A
+        table that does not hold all d rows raises ValueError.
         """
-        n, b = rows.shape
+        n, b = self._class_shape(rows)
         for o, values in self.diagonals():
             if o % n == 0:
                 yield o // n, values[:, rows[:, : b - o // n]]
@@ -338,8 +356,9 @@ class OperatorTable:
         diagonal of block (l + o, l) for each class l, and its mirror one of
         block (l, l + o).  Entry [j, l] sums their largest |entry| in block
         (j, l), so |<u|O|v>| <= [j, l] for unit states u on class j, v on l.
+        A table that does not hold all d rows raises ValueError.
         """
-        n, _ = rows.shape
+        n, _ = self._class_shape(rows)
         out = np.zeros((len(self), n, n))
         column = np.arange(n)
         for o, values in self.diagonals():
@@ -348,6 +367,23 @@ class OperatorTable:
                 out[:, (column + o) % n, column] += largest
                 out[:, column, (column + o) % n] += largest  # the mirror
         return out
+
+    def independent_classes(self, rows) -> int:
+        """How many leading classes of the (N, b) ``rows`` fix every class block.
+
+        N // 2 + 1 when time reversal pairs the classes: the rows are mirror
+        symmetric (row r <-> d - 1 - r maps class l onto class N - l, in
+        reverse order, as on a basis symmetric under m -> -m) and every stored
+        diagonal of every member is a palindrome, which is exactly O(-m', -m)
+        = conj O(m', m).  Class N - l's block is then class l's conjugated,
+        rows and columns reversed, for 0 < l < N - N // 2.  Otherwise N: every
+        class is its own.  O(d) per stored diagonal.
+        """
+        n, _ = self._class_shape(rows)
+        mirrored = np.array_equal(rows[-np.arange(n) % n, ::-1], self.dim - 1 - rows)
+        if mirrored and all(np.array_equal(v, v[:, ::-1]) for _, v in self.diagonals()):
+            return n // 2 + 1
+        return n
 
     def class_form(self, rows, bra, ket) -> np.ndarray:
         """The (members, ..., N) forms <bra_l|O|ket_l> of (..., N, b) states on the rows (N, b).

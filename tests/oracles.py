@@ -322,10 +322,24 @@ def loop_canonical_eigenbasis(energies: np.ndarray, vectors: np.ndarray) -> np.n
 
 
 def loop_solve_bands(h, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Energies (N, b) and class blocks (N, b, b): one eigh and one gauge per class."""
+    """Energies (N, b) and class blocks (N, b, b): one eigh and one gauge per class.
+
+    When the dense H read backwards is its conjugate (time reversal on a
+    basis symmetric under m -> -m) and row r of class l mirrors to row
+    d - 1 - r of class N - l, the classes past N // 2 are their partners'
+    blocks conjugated with the rows reversed, with the partners' energies.
+    """
     (dense,) = h.matrix
+    n, d = len(rows), len(dense)
+    mirrored = np.array_equal(dense[::-1, ::-1], dense.conj()) and all(
+        np.array_equal(rows[-l % n][::-1], d - 1 - rows[l]) for l in range(n)
+    )
     energies, blocks = [], []
-    for l in range(len(rows)):
+    for l in range(n):
+        if mirrored and l > n // 2:
+            energies.append(energies[n - l])
+            blocks.append(blocks[n - l][:, ::-1].conj())
+            continue
         vals, vecs = np.linalg.eigh(dense[np.ix_(rows[l], rows[l])])
         energies.append(vals)
         blocks.append(loop_canonical_eigenbasis(vals, vecs).T)

@@ -17,8 +17,11 @@ import blochlab as bl
 from blochlab import floquet, runner
 from blochlab.cli import main
 from blochlab.config import (
+    MAX_BATTERY_CUSTOM,
     MAX_BATTERY_SEEDS,
+    MAX_DRIVE_TERMS,
     MAX_GRID_POINTS,
+    MAX_OBSERVABLE_HARMONICS,
     MAX_PROBE_PERIODS,
     MAX_SAMBE_HMAX,
     MAX_STEPS,
@@ -877,6 +880,10 @@ REJECTED = {
     ),
     "probe_periods_empty": (_floquet(probe={"periods": []}), [], "/floquet/probe/periods"),
     "probe_periods_zero": (_floquet(probe={"periods": [0]}), [], "/floquet/probe/periods/0"),
+    # the averages are keyed by K: [8, 8, 8] reported one entry and echoed three
+    "probe_periods_repeated": (
+        _floquet(probe={"periods": [8, 8, 8]}), [], "/floquet/probe/periods/1",
+    ),
     "output_path_empty": (lattice_config(output={"report": ""}), [], "/output/report"),
     # the observable must match the drive: a 3 x 3 one on a two-level drive
     # failed in the probe, after the propagation, RK4 and Sambe (exit 2)
@@ -1227,6 +1234,9 @@ def test_wannier_index_out_of_range_stops_before_any_eigensolve(tmp_path, capsys
 # bounds on the fields that set a run's length or its numerical range: the
 # bound passes, one step beyond it exits 1
 
+SIN_X = {"kind": "sin", "matrix": [[0, 1], [1, 0]]}
+P_ONLY = {"p_poly": [0, 1]}
+
 # field: (config builder, bound, pointer, step beyond the bound)
 CAPPED = {
     "steps": (lambda n: _floquet(steps=n), MAX_STEPS, "/floquet/steps", 1),
@@ -1253,6 +1263,21 @@ CAPPED = {
     ),
     "battery_degree": (
         lambda n: lattice_config(battery={"degree": n}), MAX_POLY_DEGREE, "/battery/degree", 1,
+    ),
+    # list lengths, at the list's own pointer
+    "floquet_drives": (
+        lambda n: _floquet(drives=[{"kind": "cos", "matrix": [[0, 1], [1, 0]]}] * n),
+        MAX_DRIVE_TERMS, "/floquet/drives", 1,
+    ),
+    "probe_observable_harmonics": (
+        lambda n: _floquet(
+            probe={"observable": {"static": [[1, 0], [0, -1]], "harmonics": [SIN_X] * n}}
+        ),
+        MAX_OBSERVABLE_HARMONICS, "/floquet/probe/observable/harmonics", 1,
+    ),
+    "battery_custom": (
+        lambda n: lattice_config(battery={"seeds": 2, "custom": [{"terms": [P_ONLY]}] * n}),
+        MAX_BATTERY_CUSTOM, "/battery/custom", 1,
     ),
 }
 

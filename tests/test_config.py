@@ -294,27 +294,68 @@ def test_every_integer_key_has_a_cap_or_a_reason():
     assert keys["floquet.steps"] == config.MAX_STEPS  # the walk reaches nested tables
 
 
-def distinct_lists(table=config._SECTIONS, path=""):
-    """Dotted path of every array read below ``table`` whose entries may not repeat."""
-    for key, (reader, _) in table.items():
+# arrays without a length cap or a no-repeats rule, each with what bounds it
+UNCAPPED_LISTS = {
+    "potential.harmonics": "folds onto one diagonal per index j; at most d/N reach the basis",
+    "battery.custom.terms": "each term adds into its member's diagonals, at most d/N + 1",
+    "battery.custom.terms.f": "folds onto one diagonal per index j; at most d/N reach the basis",
+    "battery.custom.terms.p_poly": "at most MAX_POLY_DEGREE + 1 coefficients (ObservableTerm)",
+    "floquet.h0": "a square matrix of the drive's dimension, at most MAX_DIM",
+    "floquet.drives.matrix": "a square matrix of the drive's dimension, at most MAX_DIM",
+    "floquet.probe.pair": "two distinct mode indices below the drive dimension",
+    "floquet.probe.observable.static": "a square matrix of the drive's dimension, at most MAX_DIM",
+    "floquet.probe.observable.harmonics.matrix": "a square matrix of the drive's dimension",
+}
+
+
+def list_keys(table=config._SECTIONS, path=""):
+    """(dotted path, maximum length, distinct) of every array read below ``table``.
+
+    A matrix is an array of rows; it has no maximum and may repeat.
+    """
+
+    def walk(reader, path):
         keywords = getattr(reader, "keywords", {})
-        if keywords.get("distinct"):
-            yield path + key
+        func = getattr(reader, "func", reader)
+        if func is config._list:
+            yield path, keywords.get("maximum"), keywords.get("distinct", False)
+            yield from walk(keywords["item"], path)
+        elif func is config._matrix:
+            yield path, None, False
         elif "table" in keywords:
-            yield from distinct_lists(keywords["table"], f"{path}{key}.")
+            yield from list_keys(keywords["table"], f"{path}.")
+
+    for key, (reader, _) in table.items():
+        yield from walk(reader, path + key)
+
+
+def test_every_list_has_a_length_cap_a_no_repeats_rule_or_a_reason():
+    lists = {path: (maximum, distinct) for path, maximum, distinct in list_keys()}
+    bare = {path for path, (maximum, distinct) in lists.items() if maximum is None and not distinct}
+    assert bare == set(UNCAPPED_LISTS)
+    assert lists["floquet.probe.observable.harmonics"] == (config.MAX_OBSERVABLE_HARMONICS, False)
 
 
 def test_readme_caps_table_matches_the_schema():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = readme.split("| field | cap |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
-    documented, distinct = {}, set()
+    documented, lengths, distinct = {}, {}, set()
     for row in rows.splitlines():
         field, cap = row.strip("| ").split(" | ")
         if cap == "no entry repeated":
             distinct |= set(re.findall(r"`([^`]+)`", field))
+        elif field.startswith("length of "):
+            lengths[re.search(r"`([^`]+)`", field).group(1)] = int(cap)
         else:
             documented[re.search(r"`([^`]+)`", field).group(1)] = int(cap)
     capped = {path: maximum for path, maximum in integer_keys() if maximum is not None}
     assert documented == capped
-    assert distinct == set(distinct_lists())
-    assert distinct == {"battery.named", "wannier.bands", "wannier.home_cells"}
+    lists = list(list_keys())
+    assert lengths == {path: maximum for path, maximum, _ in lists if maximum is not None}
+    assert distinct == {path for path, _, repeats_refused in lists if repeats_refused}
+    assert distinct == {
+        "battery.named", "wannier.bands", "wannier.home_cells", "floquet.probe.periods"
+    }
+    assert set(lengths) == {
+        "battery.custom", "floquet.drives", "floquet.probe.observable.harmonics"
+    }

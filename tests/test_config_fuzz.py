@@ -115,7 +115,7 @@ def floquet_tree(draw):
         {},
         optional={
             "pair": st.just(pair),
-            "periods": st.lists(st.integers(1, 8), min_size=1, max_size=3),
+            "periods": st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True),
             "grid": st.integers(8, 32),
             "observable": st.fixed_dictionaries({"static": hermitian(dim)}),
         },

@@ -7,9 +7,9 @@ measured and dropped before the next one is built.  At N = 15, d = 495 (the
 largest lattice of the benchmark sweeps) the default battery is one table of
 ~0.4 MB, and what is d x d in a run is the block of Bloch states and its
 Gram matrix in the solver checks.  No default battery member can fill a
-cross-class block, so none is formed; the eigensolve writes H's 15 diagonal
-33 x 33 class blocks from its diagonals, and no run forms an operator's
-dense matrix.  The widest battery (every battery
+cross-class block, so none is formed; the eigensolve writes 8 of H's 15
+diagonal 33 x 33 class blocks from its diagonals (the other 7 are their
+time reverses), and no run forms an operator's dense matrix.  The widest battery (every battery
 knob at its cap, d = 501) spans dozens of tables and runs in the memory of
 a few.
 """

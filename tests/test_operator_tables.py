@@ -181,6 +181,39 @@ def test_diagonals_read_the_stored_entries_bit_for_bit(spec):
 
 
 @pytest.mark.parametrize("spec", TABLE_LATTICES, ids=_lattice_id)
+def test_a_class_row_table_without_every_row_is_refused(spec):
+    # N is read from the table's shape: the first k classes alone would read
+    # every offset's class wrongly, and a solve on them would drop the potential
+    h = bl.build_hamiltonian(spec, POTENTIAL)
+    for k in range(1, spec.cells):
+        rows = spec.class_rows[:k]
+        with pytest.raises(ValueError, match="does not hold the"):
+            list(h.class_diagonals(rows))
+        with pytest.raises(ValueError, match="does not hold the"):
+            h.class_coupling(rows)
+        with pytest.raises(ValueError, match="does not hold the"):
+            h.independent_classes(rows)
+
+
+@pytest.mark.parametrize("spec", TABLE_LATTICES, ids=_lattice_id)
+def test_time_reversal_pairs_classes_on_a_symmetric_basis_alone(spec):
+    # a real potential is time-reversal even: half the zone fixes the rest on
+    # a basis symmetric under m -> -m; a padded basis, the momentum (odd under
+    # time reversal) and one entry off a palindrome solve every class
+    n, rows = spec.cells, spec.class_rows
+    half = n if spec.pad else n // 2 + 1
+    assert bl.build_hamiltonian(spec, POTENTIAL).independent_classes(rows) == half
+    even = bl.Battery(spec, seeds=0, named=("cos_a", "sin_a", "momentum_sq"))
+    assert [table.independent_classes(rows) for table in even.tables()] == [half]
+    momentum = bl.Battery(spec, seeds=0, named=("momentum",))
+    assert [table.independent_classes(rows) for table in momentum.tables()] == [n]
+    values = np.ones(spec.dim - n, dtype=complex)
+    values[0] += 1e-15
+    tilted = bl.OperatorTable.assemble(spec.dim, [(("tilted",), {0: 1.0, n: values})])
+    assert tilted.independent_classes(rows) == n
+
+
+@pytest.mark.parametrize("spec", TABLE_LATTICES, ids=_lattice_id)
 def test_class_coupling_is_zero_on_the_battery_and_the_entries_of_a_breaker(spec):
     n, rows = spec.cells, spec.class_rows
     for name, battery in BATTERIES.items():

@@ -9,12 +9,14 @@ mirroring error could change.
 
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import blochlab as bl
 from blochlab.bloch import DEGENERACY_ATOL, _canonical_eigenbasis
+from blochlab.config import parse_config
 from oracles import (
     join,
     loop_canonical_eigenbasis,
@@ -108,7 +110,10 @@ def test_free_lattice_solve_holds_one_cluster_projector_at_a_time():
     assert np.array_equal(bands.blocks, loop_solve_bands(h, bands.rows)[1])
 
 
-def test_one_eigensolve_per_lattice_solve(monkeypatch):
+@pytest.mark.parametrize("spec", LATTICES, ids=lambda s: f"N{s.cells}_d{s.dim}")
+def test_one_eigensolve_per_lattice_solve(spec, monkeypatch):
+    # a basis symmetric under m -> -m solves classes 0..N//2 only; a padded
+    # one has no time-reversal partners and solves every class
     shapes = []
     eigh = np.linalg.eigh
 
@@ -117,10 +122,53 @@ def test_one_eigensolve_per_lattice_solve(monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    spec = LATTICES[2]
     bl.solve_bands(bl.build_hamiltonian(spec, POTENTIAL), spec)
     b = spec.dim // spec.cells
-    assert shapes == [(spec.cells, b, b)]
+    solved = spec.cells if spec.pad_basis else spec.cells // 2 + 1
+    assert shapes == [(solved, b, b)]
+
+
+def _own_class_states(h, rows, sector):
+    """Energies and gauged states of one class from its own dense block.
+
+    A class past N // 2 is read in descending row order, the order its
+    time-reversal partner's rows take under m -> -m, and turned back.
+    """
+    (dense,) = h.matrix
+    step = -1 if sector > len(rows) // 2 else 1
+    order = rows[sector][::step]
+    vals, vecs = np.linalg.eigh(dense[np.ix_(order, order)])
+    return vals, loop_canonical_eigenbasis(vals, vecs).T[:, ::step]
+
+
+SWEEP_LATTICES = tuple(  # (N, d) of the benchmark's lattice sweep
+    bl.LatticeSpec(cells=n, cutoff=(d - 1) // 2)
+    for n, d in ((3, 81), (7, 217), (9, 405), (15, 495))
+)
+
+
+def _shipped_lattices():
+    for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")):
+        cfg = parse_config(path)
+        if cfg.lattice is not None:
+            yield pytest.param(cfg.lattice, cfg.potential, id=path.stem)
+
+
+@pytest.mark.parametrize(
+    "spec, potential",
+    [pytest.param(s, POTENTIAL, id=f"N{s.cells}_d{s.dim}") for s in SWEEP_LATTICES]
+    + list(_shipped_lattices()),
+)
+def test_half_zone_states_match_each_class_solved_alone(spec, potential):
+    # independent of the mirror: every class's own dense eigh, gauged on its
+    # own rows, against the states filled by time reversal
+    h = bl.build_hamiltonian(spec, potential)
+    bands = bl.solve_bands(h, spec)
+    scale = max(1.0, float(np.max(np.abs(bands.energies))))
+    for sector in range(spec.cells):
+        vals, states = _own_class_states(h, bands.rows, sector)
+        assert np.max(np.abs(bands.energies[sector] - vals)) <= 1e-13 * scale
+        assert np.max(np.abs(bands.blocks[sector] - states)) <= 1e-13
 
 
 def test_class_form_matches_the_dense_form(solved):
