@@ -39,6 +39,10 @@ KINDS = ("bands", "superselect", "wannier", "floquet")
 MAX_STEPS = 65536
 MAX_TRAJECTORY_POINTS = 4097
 MAX_SAMBE_HMAX = 64  # one dense eigvalsh d (2 h + 1) wide: 2064, ~6 s at d = 16
+# A drive or probe harmonic h couples Sambe blocks n and n + h, so one above
+# 2 * MAX_SAMBE_HMAX couples no two blocks of the largest Sambe space (and an
+# h past the float range overflowed the phase h * omega * t to an OverflowError).
+MAX_DRIVE_HARMONIC = 2 * MAX_SAMBE_HMAX
 MAX_GRID_POINTS = 4096  # probe.grid and fringe_points
 MAX_PROBE_PERIODS = 1024
 MAX_BATTERY_SEEDS = 200
@@ -67,7 +71,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "positive_control": 1e-4,
     "fringe_match": 0.01,  # within-sector fringe's first harmonic vs |element|, relative
     "negative_control": 1e-6,
-    "wannier_mixture": 1e-10,
+    "wannier_mixture": 1e-10,  # Wannier vs band-averaged <O>, relative to max(1, ||O||_max)
     # driven side
     "unitarity": 1e-10,
     "cross_method": 1e-6,
@@ -366,7 +370,8 @@ _TERM = {
     "p_poly": (partial(_list, item=_float), []),
 }
 
-# {"terms": [{"f": [{"j": 1, "re": 0.5, "im": 0.0}], "p_poly": [0.0, 1.0]}], "symmetrize": true}
+# {"terms": [{"f": [{"j": 1, "re": 0.5, "im": 0.0}], "p_poly": [0.0, 1.0]}]}
+# reads a sum of terms, each the symmetrized product (F*P + P*F)/2
 _OBSERVABLE = {
     "terms": (
         partial(
@@ -376,7 +381,6 @@ _OBSERVABLE = {
         ),
         [],
     ),
-    "symmetrize": (_bool, None),
 }
 
 _LATTICE = {
@@ -417,7 +421,7 @@ _indices = partial(_list, item=partial(_int, minimum=0), nonempty=True, distinct
 _WANNIER = {"bands": (_indices, None), "home_cells": (_indices, None)}
 
 _DRIVE_TERM = {
-    "harmonic": (partial(_int, minimum=1), 1),
+    "harmonic": (partial(_int, minimum=1, maximum=MAX_DRIVE_HARMONIC), 1),
     "kind": (partial(_str, choices=("cos", "sin")), _REQUIRED),
     "matrix": (_matrix, _REQUIRED),
 }
@@ -546,20 +550,33 @@ def validate_config(data: dict) -> ScenarioConfig:
     return ScenarioConfig(**values, echo=echo)
 
 
+def _distinct_keys(pairs) -> dict:
+    """One JSON object's dict; a repeated key raises ValueError instead of the last one winning."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_config(
     path: str | Path, edits: tuple[tuple[str, str, object], ...] = ()
 ) -> ScenarioConfig:
     """Read, parse and validate a scenario file.
 
+    A key repeated within one object is malformed JSON here, so that a
+    repeat cannot silently replace a value (a check's tolerance, say).
     ``edits`` are (section, key, value) settings written into the parsed JSON
     tree before validation, so they pass the file's own checks and appear in
     the echoed config and its hash.
     """
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(), object_pairs_hook=_distinct_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", "") from exc
-    # bad JSON or UTF-8, an integer past Python's digit limit, or too deep a nesting
+    # bad JSON or UTF-8, a repeated key, an integer past Python's digit limit,
+    # or too deep a nesting
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"malformed JSON: {exc}", "") from exc
     for section, key, value in edits:

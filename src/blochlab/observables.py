@@ -4,13 +4,13 @@ A valid observable of the ring-lattice problem must be invariant under
 conjugation by the unit-cell translation T.  Operators assembled from
 periodic functions of position (harmonics of 2*pi/a) and polynomials in the
 momentum satisfy this structurally: position harmonics couple plane waves
-only within a wavevector class, and momentum is diagonal.  Self-adjointness
-of mixed terms is restored by the symmetrized product (F*P + P*F)/2.  Every
-term is assembled straight onto its offset diagonals: harmonic j at offset
-j*N, the momentum polynomial as a vector along them, so no dense F or P is
-formed; each builder takes the ``LatticeSpec`` and reads its momenta and
-class count.  ``check_cell_periodicity`` returns the relative violation itself.
-The battery is built one table at a time, or one member alone to rebuild it.
+only within a wavevector class, and momentum is diagonal.  Every term, named,
+seeded or custom, is the symmetrized product (F*P + P*F)/2, Hermitian by
+construction, and one builder (``_term_diagonals``) forms it for a stack of
+members straight onto its offset diagonals: harmonic j at offset j*N, the
+momentum polynomial as a vector along them, so no dense F or P is formed.
+``check_cell_periodicity`` returns the relative violation itself.  The
+battery is built one table at a time, or one member alone to rebuild it.
 
 The randomized battery uses a small integer recurrence (64-bit MMIX linear
 congruential generator, x -> 6364136223846793005*x + 1442695040888963407
@@ -88,58 +88,51 @@ class ObservableTerm:
 
 @dataclass(frozen=True)
 class ObservableSpec:
-    """Sum of ObservableTerms, symmetrized into a Hermitian operator."""
+    """Sum of ObservableTerms, each the Hermitian symmetrized product (F*P + P*F)/2."""
 
     terms: tuple[ObservableTerm, ...]
-    symmetrize: bool = True
 
 
-def _polynomial_diagonal(term: ObservableTerm, lattice: LatticeSpec) -> np.ndarray:
-    """Diagonal of P: the polynomial in hbar*q_m, one real entry per plane wave."""
-    hq = lattice.hbar * lattice.momenta
-    diag = np.zeros(lattice.dim)
-    for power, coeff in enumerate(term.p_poly):
-        diag = diag + coeff * hq**power
-    return diag
+def _term_diagonals(lattice: LatticeSpec, harmonics, poly) -> dict:
+    """The offset diagonals of a stack of one-term members (F*P + P*F)/2, one row each.
+
+    ``harmonics`` pairs each j >= 0 with the members' coefficients of
+    exp(i 2 pi j x / a), and ``poly`` is (members, degree + 1), each row the
+    real coefficients of P in hbar*q, constant term first.  P is diagonal
+    (its vector p) and harmonic j of F is offset k = j*N, so the entry at
+    (m + k, m) is 0.5*(c*p[m] + p[m + k]*c); a harmonic whose offset reaches
+    past the basis is dropped.  Overflow warns: a caller whose inputs can
+    overflow silences it.
+    """
+    poly = np.asarray(poly)
+    if poly.shape[1] > MAX_POLY_DEGREE + 1:
+        raise ValueError(f"degree {poly.shape[1] - 1} exceeds cap {MAX_POLY_DEGREE}")
+    hq, d = lattice.hbar * lattice.momenta, lattice.dim
+    p = np.zeros((len(poly), d))
+    for power in range(poly.shape[1]):
+        p = p + poly[:, power, None] * hq**power
+    diagonals = {}
+    for j, c in harmonics:
+        k, c = j * lattice.cells, np.asarray(c)[:, None]
+        if k < d:
+            diagonals[k] = 0.5 * (c * p[:, : d - k] + p[:, k:] * c)
+    return diagonals
 
 
 @np.errstate(over="ignore", invalid="ignore")  # OperatorTable rejects what overflows
 def _observable_diagonals(spec: ObservableSpec, lattice: LatticeSpec) -> dict:
-    """The offset diagonals of an ObservableSpec, summed term by term.
+    """The offset diagonals of an ObservableSpec, one row, its terms summed in order.
 
-    P is diagonal (its vector p) and harmonic (j, c) of F is offset k = j*N,
-    so a term's entry at (m + k, m) is c without polynomial, 0.5*(c*p[m] +
-    p[m + k]*c) for (F*P + P*F)/2 and c*p[m] for F*P; terms that share an
-    offset are added in order.  A term without function part is p itself.
-    Unsymmetrized, F*P must already be Hermitian (constant F or P): when its
-    entry at (m, m + k), conj(c)*p[m + k], is off the conjugate of (m + k, m)
-    by more than 1e-12 of the term's largest entry, ValueError is raised.
+    Each term is one ``_term_diagonals`` row.  A term without function part
+    is F = 1 and one without polynomial P = 1: both exact, as 0.5*(x + x) = x.
     """
-    d = lattice.dim
     diagonals: dict = {}
     for term in spec.terms:
         if not term.f_harmonics and not term.p_poly:
             raise ValueError("observable term needs a function part or a polynomial part")
-        p = _polynomial_diagonal(term, lattice)
-        if not term.f_harmonics:
-            diagonals[0] = diagonals.get(0, 0.0) + p
-            continue
-        defect, scale = 0.0, 1e-300
-        for j, c in term.f_harmonics:
-            k = j * lattice.cells
-            if k >= d:
-                continue  # the harmonic reaches past the basis
-            if not term.p_poly:
-                values = c
-            elif spec.symmetrize:
-                values = 0.5 * (c * p[: d - k] + p[k:] * c)
-            else:
-                values, mirror = c * p[: d - k], c * p[k:]  # mirror: conj of F*P at (m, m + k)
-                defect = max(defect, float(np.max(np.abs(values - mirror))))
-                scale = max(scale, float(np.max(np.abs(values))), float(np.max(np.abs(mirror))))
+        harmonics = [(j, [c]) for j, c in term.f_harmonics or ((0, 1.0),)]
+        for k, values in _term_diagonals(lattice, harmonics, [term.p_poly or (1.0,)]).items():
             diagonals[k] = diagonals.get(k, 0.0) + values
-        if defect > 1e-12 * scale:
-            raise ValueError("unsymmetrized F*P term is not Hermitian; enable symmetrize")
     return diagonals
 
 
@@ -170,19 +163,17 @@ def _seeded_diagonals(seeds, lattice: LatticeSpec, max_harmonic: int, degree: in
     Each seed's LCG stream draws, in order, the real constant, the complex
     coefficients of harmonics 1..max_harmonic and the momentum-polynomial
     coefficients; power p is pre-damped by the lattice's momentum scale to the
-    p-th power, to keep the window rescaling mild.  Each member is the
-    symmetrized term (F*P + P*F)/2 of ``_observable_diagonals``, rescaled to
-    max-entry norm 1 if its raw norm falls outside the window [0.5, 50].
+    p-th power, to keep the window rescaling mild (and |p| <= degree + 1,
+    so nothing overflows).  The draws are one stack of
+    ``_term_diagonals`` rows; each member is rescaled to max-entry norm 1 if
+    its raw norm falls outside the window [0.5, 50].
     """
     if max_harmonic < 0 or max_harmonic * lattice.cells > lattice.cutoff:
         raise ValueError(
             f"max_harmonic {max_harmonic} unreachable: need j*N <= cutoff "
             f"({lattice.cells}*j <= {lattice.cutoff})"
         )
-    if degree > MAX_POLY_DEGREE:
-        raise ValueError(f"degree {degree} exceeds cap {MAX_POLY_DEGREE}")
-    hq = lattice.hbar * lattice.momenta
-    q_scale = max(1.0, float(np.max(np.abs(hq))))
+    q_scale = max(1.0, float(np.max(np.abs(lattice.hbar * lattice.momenta))))
     harmonics, poly = [], []  # the draws stay scalar Python: one stream per seed
     for seed in seeds:
         rng = Lcg(seed)
@@ -191,15 +182,8 @@ def _seeded_diagonals(seeds, lattice: LatticeSpec, max_harmonic: int, degree: in
             + [complex(rng.uniform(), rng.uniform()) for _ in range(max_harmonic)]
         )
         poly.append([rng.uniform() / q_scale**power for power in range(degree + 1)])
-    harmonics, poly = np.array(harmonics), np.array(poly)
-    p = np.zeros((len(poly), lattice.dim))
-    for power in range(degree + 1):
-        p = p + poly[:, power, None] * hq**power
-    d = lattice.dim
-    diagonals = {}
-    for j in range(max_harmonic + 1):
-        k, c = j * lattice.cells, harmonics[:, j, None]
-        diagonals[k] = 0.5 * (c * p[:, : d - k] + p[:, k:] * c)
+    harmonics = np.array(harmonics)
+    diagonals = _term_diagonals(lattice, enumerate(harmonics.T), poly)
     norm = np.max([np.max(np.abs(v), axis=1) for v in diagonals.values()], axis=0)[:, None]
     outside = ~((NORM_WINDOW[0] <= norm) & (norm <= NORM_WINDOW[1]))
     for v in diagonals.values():
@@ -249,8 +233,7 @@ class Battery:
     battery.  An empty battery raises ValueError.  Leakage is measured
     relative to each member's max-entry norm, so building a table raises
     ValueError naming a member that is zero on this basis (say a harmonic
-    whose offset j*N reaches past it); a custom member that is not Hermitian
-    raises ValueError too.
+    whose offset j*N reaches past it).
     """
 
     lattice: LatticeSpec

@@ -139,7 +139,7 @@ def sector_decomposition_report(bands: BandStructure, tables) -> SectorDecomposi
 def wannier_mixture_residual(
     wanniers: np.ndarray, band_blocks: np.ndarray, rows: np.ndarray, tables
 ) -> np.ndarray:
-    """Per member i and band b: max_r |<w_br|O_i|w_br> - mean_l <psi_bl|O_i|psi_bl>|.
+    """Per member i and band b: max_r |<w_br|O_i|w_br> - mean_l <psi_bl|O_i|psi_bl>| / s_i.
 
     ``wanniers`` is (bands, home cells, d), one home cell's Wannier vector per
     row, and ``band_blocks`` is (bands, N, d/N), each band's Bloch states on
@@ -147,8 +147,11 @@ def wannier_mixture_residual(
     ``sector_decomposition_report``; the result is (members, bands).  Each
     Wannier state is an equal-weight phase combination of its band's Bloch
     states, so for cell-periodic O its expectation must equal the uniform
-    classical average over the band; the two sides are computed apart.  The
-    Wannier side reads the dense Wannier vectors on all d rows, with every
+    classical average over the band; the two sides are computed apart.  Both
+    round relative to the member's scale, so s_i = max(1, ||O_i||_max), as
+    the free-particle check scales by max(1, ||H||_max): no residual grows,
+    and a large member's verdict does not depend on its scale.  The Wannier
+    side reads the dense Wannier vectors on all d rows, with every
     stored diagonal (``OperatorTable.expectation``), which BLAS rounds
     differently for one member than for several: a residual can move at
     rounding with the battery's split.  The band averages read the class
@@ -159,5 +162,6 @@ def wannier_mixture_residual(
     for table in tables:
         values = table.expectation(w).reshape((len(table),) + wanniers.shape[:2])
         band_avg = table.class_form(rows, band_blocks, band_blocks).real.mean(axis=-1)
-        residuals.append(np.abs(values - band_avg[..., None]).max(axis=-1))
+        scale = np.maximum(1.0, table.norm_max)[:, None]
+        residuals.append(np.abs(values - band_avg[..., None]).max(axis=-1) / scale)
     return np.concatenate(residuals)

@@ -213,15 +213,20 @@ def _dense_polynomial_matrix(p_poly, lattice) -> np.ndarray:
     return np.diag(diag).astype(complex)
 
 
-def loop_observable(spec, lattice) -> np.ndarray:
-    """Sum of terms with F and P as dense matrices; (F@P + P@F)/2 or F@P."""
+def loop_observable(spec, lattice, symmetrized: bool = True) -> np.ndarray:
+    """Sum of terms with F and P as dense matrices; (F@P + P@F)/2, or F@P unsymmetrized.
+
+    The battery forms every term as (F*P + P*F)/2.  F@P is Hermitian, and
+    the same operator, only when F or P is constant in each term; taking it
+    here shows that no such operator is lost.
+    """
     d = lattice.dim
     total = np.zeros((d, d), dtype=complex)
     for term in spec.terms:
         if term.f_harmonics and term.p_poly:
             f = _loop_function_matrix(term.f_harmonics, lattice)
             p = _dense_polynomial_matrix(term.p_poly, lattice)
-            total += 0.5 * (f @ p + p @ f) if spec.symmetrize else f @ p
+            total += 0.5 * (f @ p + p @ f) if symmetrized else f @ p
         elif term.f_harmonics:
             total += _loop_function_matrix(term.f_harmonics, lattice)
         else:
@@ -421,10 +426,11 @@ def loop_seeded_diagonals(seed: int, lattice, max_harmonic: int = 1, degree: int
 
     The per-member reference of the battery's seeded rows: the seed's LCG
     draws (constant, harmonics 1..max_harmonic, polynomial coefficients damped
-    by the momentum scale) as one symmetrized term, assembled by
-    ``_observable_diagonals`` and rescaled to max-entry norm 1 outside
-    NORM_WINDOW, each diagonal summed onto zeros as an ``OperatorTable`` row
-    stores it.
+    by the momentum scale) as one term of its own ObservableSpec, assembled
+    by ``_observable_diagonals`` (one ``_term_diagonals`` row, where the
+    battery forms every seed of a table in one stack) and rescaled to
+    max-entry norm 1 outside NORM_WINDOW, each diagonal summed onto zeros as
+    an ``OperatorTable`` row stores it.
     """
     from blochlab.observables import (
         NORM_WINDOW, Lcg, ObservableSpec, ObservableTerm, _observable_diagonals,

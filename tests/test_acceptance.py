@@ -160,6 +160,7 @@ def test_criterion_5_winding_numbers():
 
 
 def test_criterion_6_wannier_mixture_identity(solved):
+    # each member's residual is relative to max(1, ||O||_max), as the run's check reads it
     with criterion(6, "Wannier mixture identity") as detail:
         worst = 0.0
         for (name, cells), (spec, h, bands, table) in solved.items():

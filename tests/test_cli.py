@@ -19,6 +19,7 @@ from blochlab.cli import main
 from blochlab.config import (
     MAX_BATTERY_CUSTOM,
     MAX_BATTERY_SEEDS,
+    MAX_DRIVE_HARMONIC,
     MAX_DRIVE_TERMS,
     MAX_GRID_POINTS,
     MAX_OBSERVABLE_HARMONICS,
@@ -88,6 +89,25 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["bands", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert "/lattice/cells" in err
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        # the last value won silently, so a repeat could replace a check's tolerance
+        ('{"kind": "bands", "lattice": {"cells": 3, "cutoff": 4}, "tolerances": '
+         '{"eigen_residual": 1e-30, "eigen_residual": 1e-9}}', "eigen_residual"),
+        ('{"kind": "bands", "lattice": {"cells": 3, "cutoff": 4}, "kind": "bands"}', "kind"),
+    ],
+)
+def test_repeated_config_key_exits_1_naming_it(tmp_path, capsys, text, key):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    report = tmp_path / "r.json"
+    assert main(["bands", "--config", str(path), "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert f"duplicate key {key!r}" in err and "Traceback" not in err
+    assert not report.exists()
 
 
 def test_kind_mismatch_is_config_error(tmp_path):
@@ -683,10 +703,6 @@ def _floquet(**fields):
     return {"kind": "floquet", "floquet": {**FLOQUET_BASE, **fields}}
 
 
-NON_HERMITIAN_CUSTOM = {
-    "terms": [{"f": [{"j": 1, "re": 0.5}], "p_poly": [0, 1]}], "symmetrize": False,
-}
-
 REJECTED = {
     "tolerance_infinity": (
         lattice_config(tolerances={"structural_zero": INF}), [], "/tolerances/structural_zero",
@@ -780,15 +796,6 @@ REJECTED = {
         [],
         "/battery",
     ),
-    # F*P with F = cos and P = p is not Hermitian unless symmetrized
-    "battery_custom_non_hermitian": (
-        lattice_config(battery={"seeds": 2, "custom": [NON_HERMITIAN_CUSTOM]}), [], "/battery",
-    ),
-    "battery_custom_non_hermitian_wannier": (
-        lattice_config("wannier", battery={"seeds": 2, "custom": [NON_HERMITIAN_CUSTOM]}),
-        [],
-        "/battery",
-    ),
     "wannier_bands_empty": (
         lattice_config("wannier", wannier={"bands": []}), [], "/wannier/bands",
     ),
@@ -836,9 +843,10 @@ REJECTED = {
         [],
         "/battery/custom/0/terms",
     ),
-    "custom_symmetrize_not_boolean": (
+    # every term is (F*P + P*F)/2: the retired switch is an unknown key
+    "custom_symmetrize_unknown": (
         lattice_config(
-            battery={"seeds": 2, "custom": [{"terms": [{"p_poly": [0, 1]}], "symmetrize": 1}]}
+            battery={"seeds": 2, "custom": [{"terms": [{"p_poly": [0, 1]}], "symmetrize": True}]}
         ),
         [],
         "/battery/custom/0/symmetrize",
@@ -931,6 +939,20 @@ REJECTED = {
                 "seeds": 2,
                 "custom": [{"terms": [{"f": [{"j": 1, "re": 1e308}], "p_poly": [0, 10]}]}],
             }
+        ),
+        [],
+        "/battery",
+    ),
+    # a harmonic past the float range overflowed the phase harmonic * omega * t: a traceback
+    "drive_harmonic_past_float_range": (
+        _floquet(drives=[{"harmonic": 10**400, "kind": "cos", "matrix": [[0, 1], [1, 0]]}]),
+        [],
+        "/floquet/drives/0/harmonic",
+    ),
+    # a term without p_poly is P = 1, and 0.5*(c + c) overflows past half the float range
+    "custom_function_only_overflow": (
+        lattice_config(
+            battery={"seeds": 2, "custom": [{"terms": [{"f": [{"j": 1, "re": 1e308}]}]}]}
         ),
         [],
         "/battery",
@@ -1263,6 +1285,19 @@ CAPPED = {
     ),
     "battery_degree": (
         lambda n: lattice_config(battery={"degree": n}), MAX_POLY_DEGREE, "/battery/degree", 1,
+    ),
+    # a harmonic above 2 * MAX_SAMBE_HMAX couples no two blocks of the largest Sambe space
+    "drive_harmonic": (
+        lambda n: _floquet(drives=[{**SIN_X, "harmonic": n}]), MAX_DRIVE_HARMONIC,
+        "/floquet/drives/0/harmonic", 1,
+    ),
+    "probe_observable_harmonic": (
+        lambda n: _floquet(
+            probe={
+                "observable": {"static": [[1, 0], [0, -1]], "harmonics": [{**SIN_X, "harmonic": n}]}
+            }
+        ),
+        MAX_DRIVE_HARMONIC, "/floquet/probe/observable/harmonics/0/harmonic", 1,
     ),
     # list lengths, at the list's own pointer
     "floquet_drives": (

@@ -223,8 +223,7 @@ def test_custom_battery_observable_schema():
         "battery": {
             "seeds": 2,
             "custom": [
-                {"terms": [{"f": [{"j": 1, "re": 0.5, "im": 0.0}], "p_poly": [0.0, 1.0]}],
-                 "symmetrize": True}
+                {"terms": [{"f": [{"j": 1, "re": 0.5, "im": 0.0}], "p_poly": [0.0, 1.0]}]}
             ],
         },
     }
@@ -266,8 +265,6 @@ UNCAPPED = {
     "negative_control.s": "at most d - 1, and within the reach of class 0",
     "wannier.bands": "below the bands per class",
     "wannier.home_cells": "below the cells",
-    "floquet.drives.harmonic": "the run's cost does not depend on it",
-    "floquet.probe.observable.harmonics.harmonic": "the run's cost does not depend on it",
     "floquet.probe.pair": "below the drive dimension",
 }
 

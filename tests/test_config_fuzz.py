@@ -62,10 +62,7 @@ def lattice_sections(draw, kind):
     term = st.fixed_dictionaries(
         {"p_poly": st.lists(amplitudes, min_size=1, max_size=3)}, optional={"f": harmonics(3)}
     )
-    custom = st.fixed_dictionaries(
-        {"terms": st.lists(term, min_size=1, max_size=2)},
-        optional={"symmetrize": st.booleans()},
-    )
+    custom = st.fixed_dictionaries({"terms": st.lists(term, min_size=1, max_size=2)})
     tree["battery"] = draw(
         st.fixed_dictionaries(
             {"seeds": st.integers(0, 4), "max_harmonic": st.integers(0, cutoff // cells)},

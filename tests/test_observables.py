@@ -60,21 +60,6 @@ def test_symmetrized_mixed_term_against_product_oracle(lattice_n3):
                 assert matrix[i, j] == pytest.approx(0.25 * (q[i] + q[j]))
 
 
-def test_unsymmetrized_mixed_term_requires_commuting_factors(lattice_n3):
-    spec = ObservableSpec(
-        terms=(ObservableTerm(f_harmonics=((1, 0.5),), p_poly=(0.0, 1.0)),),
-        symmetrize=False,
-    )
-    with pytest.raises(ValueError, match="symmetrize"):
-        custom(spec, lattice_n3)
-    # constant polynomial commutes, so the flag is fine there
-    ok = ObservableSpec(
-        terms=(ObservableTerm(f_harmonics=((1, 0.5),), p_poly=(2.0,)),), symmetrize=False
-    )
-    built = custom(ok, lattice_n3)
-    assert built.norm_max[0] == pytest.approx(1.0)
-
-
 def test_polynomial_degree_guard(lattice_n3):
     with pytest.raises(ValueError, match="degree"):
         ObservableTerm(p_poly=(0.0,) * 8)

@@ -42,9 +42,7 @@ CUSTOM = (
             bl.ObservableTerm(p_poly=(0.0, 0.0, 0.2)),
         )
     ),
-    bl.ObservableSpec(
-        terms=(bl.ObservableTerm(f_harmonics=((1, 0.25j),), p_poly=(2.0,)),), symmetrize=False
-    ),
+    bl.ObservableSpec(terms=(bl.ObservableTerm(f_harmonics=((1, 0.25j),), p_poly=(2.0,)),)),
 )
 
 BATTERIES = {

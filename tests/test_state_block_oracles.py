@@ -276,9 +276,9 @@ def test_leakage_report_reads_a_generator_like_the_list(solved, monkeypatch):
 
 
 def test_wannier_mixture_residual_matches_per_state_loop(solved):
-    # one call on the table gives every member's and band's residual; the
-    # breaking members are not cell-periodic, so their residuals are far from
-    # zero and the comparison is not between zeros
+    # one call on the table gives every member's and band's residual, over
+    # max(1, ||O||_max); the breaking members are not cell-periodic, so their
+    # residuals are far from zero and the comparison is not between zeros
     spec, bands, battery = solved
     band_list = [0, 1]
     wanniers = np.array(
@@ -290,6 +290,7 @@ def test_wannier_mixture_residual_matches_per_state_loop(solved):
     assert residuals.shape == (len(battery), len(band_list))
     for op, label, got in zip(battery, table.labels, residuals):
         magnitude = np.abs(op.matrix[0])
+        scale = max(1.0, op.norm_max[0])
         for i, band in enumerate(band_list):
             band_states = bands.dense(np.arange(len(bands.k_values)), band)
             expected = max(state_mixture_residual(w, band_states, op) for w in wanniers[i])
@@ -297,7 +298,7 @@ def test_wannier_mixture_residual_matches_per_state_loop(solved):
             # the largest |w|^T |O| |w| of the band's Wannier and Bloch states
             vectors = [*wanniers[i], *band_states]
             terms = max(np.abs(v) @ magnitude @ np.abs(v) for v in vectors)
-            assert abs(got[i] - expected) <= 1e-14 * terms, (label, band)
+            assert abs(got[i] - expected / scale) <= 1e-14 * terms / scale, (label, band)
             if label.startswith("breaking:"):
                 assert expected > 1e-6, (label, band)
 

@@ -7,7 +7,7 @@ import blochlab as bl
 from blochlab.config import validate_config
 from blochlab.runner import run_scenario
 from conftest import every_state
-from oracles import join, matrix_element, members, mixture_diagnostic, named, seeded
+from oracles import custom, join, matrix_element, members, mixture_diagnostic, named, seeded
 
 # frozen from a direct computation on the 0.5*cos lattice (cells=3, cutoff=4):
 # distinguishability of the (band0, band1) pair at k=0 over the 25-member battery
@@ -166,6 +166,18 @@ def test_wannier_expectation_equals_band_average(
     residuals = bl.wannier_mixture_residual(wanniers, band_blocks, bands.rows, [table])
     assert residuals.shape == (len(battery_n3), 2)
     assert np.all(residuals < 1e-10)
+
+
+def test_wannier_residual_is_relative_to_the_member_scale(mathieu_solution, lattice_n3):
+    # both sides of the identity round relative to ||O||_max, so a member
+    # scaled by 1e8 must pass the 1e-10 check as the unscaled one does
+    _, bands = mathieu_solution
+    wanniers = np.array([[bl.wannier_state(0, cell, bands, lattice_n3) for cell in range(3)]])
+    band_blocks = bands.blocks[:, [0]].swapaxes(0, 1)
+    term = bl.ObservableTerm(f_harmonics=((1, 0.3e8 - 0.2e8j),), p_poly=(1.0, 0.5))
+    table = custom(bl.ObservableSpec(terms=(term,)), lattice_n3)
+    (residual,) = bl.wannier_mixture_residual(wanniers, band_blocks, bands.rows, [table])
+    assert table.norm_max[0] > 1e7 and residual[0] < 1e-10
 
 
 def test_wannier_residual_reads_a_stream_of_tables(mathieu_solution, battery_n3, lattice_n3):

@@ -67,7 +67,7 @@ UNREACHED = {
     "bloch.ring_phase_samples": "acceptance criterion 5: the states winding_number is tested on",
     "cli._Parser.error": "error path: an argparse usage error exits 1",
     "cli.entrypoint": "the console script; the runs call main",
-    "config._bool": "parses pad_basis and symmetrize, which no shipped config sets",
+    "config._bool": "parses pad_basis, which no shipped config sets",
     "errors.ConfigError.__init__": "error path: an invalid config",
     "lattice.PotentialSpec.value": "the real-space reference of the Hamiltonian's cross-checks",
     "lattice.OperatorTable.matrix": "dense references for tests; no run forms a dense operator",
