@@ -24,6 +24,7 @@ from .errors import ConfigError
 from .floquet import MIN_STEPS, DriveSpec, DriveTerm, PeriodicObservableSpec
 from .lattice import LatticeSpec, PotentialSpec
 from .observables import (
+    MAX_MEMBER_ENTRY,
     MAX_POLY_DEGREE,
     NAMED_OBSERVABLES,
     Battery,
@@ -342,21 +343,41 @@ def _potential_harmonic(j: int, re: float, im: float) -> tuple[int, complex]:
 def _floquet(probe: ProbeConfig, trajectory_points=None, **values) -> FloquetConfig:
     """The floquet section, its probe checked against the drive's dimension.
 
-    ``trajectory_points`` is retired: no result reads it, but the benchmark's
-    generated configs still set it and an unknown key is a config error, so it
-    is range-checked by the table and dropped here.
+    The Sambe diagonal h*hbar*omega, up to |h| = MAX_SAMBE_HMAX, is a
+    Hamiltonian entry and stays within MAX_HAMILTONIAN_ENTRY (past the float
+    range the Sambe eigensolve raised LinAlgError), and the probe observable
+    is bounded as a battery member is: every real and imaginary part of its
+    entries within MAX_MEMBER_ENTRY (near the float range its period sums
+    overflowed to inf).  ``trajectory_points`` is retired: no result reads
+    it, but the benchmark's generated configs still set it and an unknown key
+    is a config error, so it is range-checked by the table and dropped here.
     """
     run = {key: values.pop(key) for key in ("steps", "sambe_hmax") if key in values}
     drive = DriveSpec(**values)
+    zone = drive.hbar * drive.omega  # Python floats: an overflow is inf, with no warning
+    if not zone * MAX_SAMBE_HMAX <= MAX_HAMILTONIAN_ENTRY:
+        raise ConfigError(
+            f"hbar*omega = {zone:.3g} times the Sambe cap {MAX_SAMBE_HMAX} exceeds "
+            f"{MAX_HAMILTONIAN_ENTRY:.0e}",
+            "/floquet",
+        )
     d, pair = drive.dim, probe.pair
     if len(pair) != 2 or pair[0] == pair[1] or max(pair) >= d:
         raise ConfigError(f"expected two distinct mode indices in [0, {d})", "/floquet/probe/pair")
     observable = probe.observable
-    if observable is not None and observable.static.shape != drive.h0.shape:
-        raise ConfigError(
-            f"observable dimension {len(observable.static)} differs from the drive's {d}",
-            "/floquet/probe/observable",
-        )
+    if observable is not None:
+        if observable.static.shape != drive.h0.shape:
+            raise ConfigError(
+                f"observable dimension {len(observable.static)} differs from the drive's {d}",
+                "/floquet/probe/observable",
+            )
+        parts = np.array([observable.static] + [term.matrix for term in observable.harmonics])
+        worst = float(np.max(np.abs([parts.real, parts.imag])))
+        if not worst <= MAX_MEMBER_ENTRY:
+            raise ConfigError(
+                f"observable entry part of magnitude {worst:.3g} exceeds {MAX_MEMBER_ENTRY:.0e}",
+                "/floquet/probe/observable",
+            )
     return FloquetConfig(drive=drive, probe=probe, **run)
 
 

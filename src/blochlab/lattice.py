@@ -140,6 +140,16 @@ def fold_harmonics(harmonics) -> tuple[tuple[int, complex], ...]:
     return tuple(sorted(folded.items()))
 
 
+def _as_slice(index: np.ndarray):
+    """An ascending, distinct ``index`` as a slice when its entries are consecutive.
+
+    Both select the same entries; the slice reads them as a view, not a copy.
+    """
+    if index[-1] - index[0] + 1 == index.size:
+        return slice(index[0], index[-1] + 1)
+    return index
+
+
 def add_offset_diagonal(matrix: np.ndarray, offset: int, values) -> None:
     """Add ``values`` at (m + offset, m) and their conjugates at (m, m + offset).
 
@@ -205,13 +215,14 @@ class OperatorTable:
     the scale used by relative tolerances.  A single operator is a
     one-member table.
 
-    The table is checked once for all members: every entry finite, each
+    The table is checked once for all members: every entry finite and no
+    member zero (ValueError naming the first member that fails), and each
     main diagonal real (rejected when max |m_ii - conj(m_ii)| exceeds 1e-12
-    of its member's largest entry), and no member zero (ValueError naming
-    the first).  ``values`` and ``norm_max`` are frozen.  Other modules read
-    a table through its methods, each for every member at once: ``diagonals``,
-    ``class_diagonals`` (on the class rows), ``class_coupling`` (a bound on
-    each block between classes), ``apply`` (O v), and ``expectation`` and
+    of its member's largest entry).  ``values`` and ``norm_max`` are frozen.
+    Other modules read a table through its methods, each for every member at
+    once: ``diagonals``, ``class_diagonals`` (on the class rows),
+    ``class_coupling`` (a bound on each block between classes), ``apply``
+    (O v), and ``expectation`` (of vectors on a set of rows) and
     ``class_form``, which contract each stored diagonal with the bra-ket
     products it meets and form no O v; ``matrix`` forms the dense matrices,
     a reference for tests: no measurement forms a dense operator.
@@ -225,8 +236,9 @@ class OperatorTable:
     def __post_init__(self):
         _freeze(self.values)
         scale = np.max(np.abs(self.values), axis=(1, 2), initial=0.0)  # one per member
-        if not np.isfinite(scale).all():
-            raise ValueError("matrix has a non-finite entry")
+        bad = np.flatnonzero(~np.isfinite(scale))
+        if bad.size:
+            raise ValueError(f"member {self.labels[bad[0]]!r} has a non-finite entry")
         main = self.values[:, 0] if self.offsets[:1] == (0,) else np.zeros((len(scale), 1))
         defect = np.max(np.abs(main - main.conj()), axis=-1)
         bad = np.flatnonzero(defect > _HERMITICITY_RTOL * scale)
@@ -305,22 +317,33 @@ class OperatorTable:
                 out[..., :n] += values.conj() * x[..., offset:]
         return out
 
-    def expectation(self, vectors: np.ndarray) -> np.ndarray:
-        """Re<x|O_i|x> for every member i and every row x of the (rows, d) ``vectors``.
+    def expectation(self, vectors: np.ndarray, rows=None) -> np.ndarray:
+        """Re<x|O_i|x> for every member i and every row x of the (K, r) ``vectors``.
 
-        The result is real, (members, rows).  Per stored diagonal v at offset
-        o, sum_m v[m] conj(x[m + o]) x[m] is one (members, d - o) @ (d - o,
-        rows) product, weighted 1 for o = 0 and 2 for its mirror otherwise;
-        no O x is formed.  BLAS rounds a product of several members
-        differently from one member's, so a member's value can move at
-        rounding with the table it sits in.
+        Each vector holds its entries on the r ascending plane-wave ``rows``
+        (all d rows when None) and is zero on every other row.  The result is
+        real, (members, K).  Per stored diagonal v at offset o, only the
+        pairs (m, m + o) with both rows in ``rows`` meet nonzero entries:
+        sum_m v[m] conj(x[m + o]) x[m] over them is one (members, pairs) @
+        (pairs, K) product, weighted 1 for o = 0 and 2 for its mirror
+        otherwise, and a diagonal that meets no pair is skipped; no O x is
+        formed.  BLAS rounds a product of several members differently from
+        one member's, so a member's value can move at rounding with the table
+        it sits in.
         """
         x = np.asarray(vectors)
         d = self.dim
+        rows = np.arange(d) if rows is None else np.asarray(rows)
+        at = np.full(2 * d, -1)  # each row's position in ``rows``, -1 off them and past d
+        at[rows] = np.arange(rows.size)
         out = np.zeros((len(self), len(x)))
-        for offset, values in self.diagonals():
-            pairs = x[:, offset:].conj() * x[:, : d - offset]  # conj(x[m + o]) x[m]
-            out += (2.0 if offset else 1.0) * (values @ pairs.T).real
+        for k, offset in enumerate(self.offsets):
+            upper = at[rows + offset]  # the position of m + o for each m of ``rows``, or -1
+            lower = np.flatnonzero(upper >= 0)  # the positions of the m whose m + o is there
+            if lower.size:
+                m, upper, lower = (_as_slice(i) for i in (rows[lower], upper[lower], lower))
+                pairs = x[:, upper].conj() * x[:, lower]  # conj(x[m + o]) x[m]
+                out += (2.0 if offset else 1.0) * (self.values[:, k, m] @ pairs.T).real
         return out
 
     def _class_shape(self, rows) -> tuple[int, int]:

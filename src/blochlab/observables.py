@@ -28,6 +28,15 @@ import numpy as np
 from .lattice import LatticeSpec, OperatorTable, fold_harmonics
 
 MAX_POLY_DEGREE = 6  # numerical-range guard on momentum polynomials
+
+# Bound on each battery member's largest entry, as MAX_HAMILTONIAN_ENTRY bounds
+# H's.  Every measurement of a member sums at most 2 d^2 <= 5.3e5 of its
+# entries, each times two unit-state amplitudes, so it stays below 1e156, and
+# the band averages, fringe averages and the differences and ratios formed of
+# them stay finite.  A member of entries near the float range (8e307) passed
+# every check on the table and overflowed those sums to inf.
+MAX_MEMBER_ENTRY = 1e150
+
 PERIODICITY_RTOL = 1e-12
 
 # target window for the max-entry norm of generated battery operators
@@ -233,7 +242,8 @@ class Battery:
     battery.  An empty battery raises ValueError.  Leakage is measured
     relative to each member's max-entry norm, so building a table raises
     ValueError naming a member that is zero on this basis (say a harmonic
-    whose offset j*N reaches past it).
+    whose offset j*N reaches past it), and one naming a member whose largest
+    entry exceeds MAX_MEMBER_ENTRY or is not finite.
     """
 
     lattice: LatticeSpec
@@ -284,4 +294,11 @@ class Battery:
         parts += [
             ((f"custom:{i}",), _observable_diagonals(self.custom[i], self.lattice)) for i in custom
         ]
-        return OperatorTable.assemble(self.lattice.dim, parts)
+        table = OperatorTable.assemble(self.lattice.dim, parts)
+        large = np.flatnonzero(table.norm_max > MAX_MEMBER_ENTRY)
+        if large.size:
+            raise ValueError(
+                f"member {table.labels[large[0]]!r} has an entry of magnitude "
+                f"{table.norm_max[large[0]]:.3g}, beyond {MAX_MEMBER_ENTRY:.0e}"
+            )
+        return table

@@ -67,7 +67,10 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        rendered = [render_json(v, indent + 1) for v in obj]
+        if all(isinstance(v, (float, np.floating)) for v in obj):  # the scalar rule, inline
+            rendered = ["null" if v != v else format_float(v) for v in obj]
+        else:
+            rendered = [render_json(v, indent + 1) for v in obj]
         if not any(isinstance(v, _NESTED) for v in obj) and sum(map(len, rendered)) < 72:
             return "[" + ", ".join(rendered) + "]"
         return "[\n" + ",\n".join(f"{inner}{r}" for r in rendered) + f"\n{pad}]"

@@ -9,8 +9,9 @@ class coherence is real and the fringes are there; deliberately
 periodicity-breaking operators restore cross-class fringes.  The leakage
 table reads the entries between classes, which a cell-periodic O does not
 store.  The battery is read as the stream of tables ``Battery.tables``
-yields, once, and the states as ``BandStructure`` class blocks, or as
-plane-wave vectors in a fringe scan.
+yields, once, and the states as ``BandStructure`` class blocks, or, in a
+fringe scan, as plane-wave vectors read on their support: the rows the two
+states occupy.
 """
 
 from __future__ import annotations
@@ -87,18 +88,22 @@ def fringe_scan(
 
     ``a`` and ``b`` are plane-wave vectors (``BandStructure.dense``).  The
     unnormalized cross term is 2 |<a|O|b>| cos(lambda + Arg<a|O|b>), so a
-    vanishing cross element makes the scan flat.  All superpositions are
-    stacked as rows, and their <O> is one ``OperatorTable.expectation`` of
-    the rows over their norms; no O v is formed.  Raises ValueError naming
-    the first grid point where the superposition collapses (anti-parallel
-    states), and for a table of more than one member.
+    vanishing cross element makes the scan flat.  The scan reads ``a`` and
+    ``b`` on their support, the rows where either is nonzero: two Bloch
+    states occupy their class rows alone, 2d/N rows for two classes and d/N
+    for one.  All superpositions are stacked as rows on the support, and
+    their <O> is one ``OperatorTable.expectation`` on those rows over their
+    norms; no O v is formed.  Raises ValueError naming the first grid point
+    where the superposition collapses (anti-parallel states), and for a
+    table of more than one member.
     """
     (label,) = operator.labels  # one member
     if n_phases < 8:
         raise ValueError("need at least 8 phase points")
     phases = 2.0 * np.pi * np.arange(n_phases) / n_phases
-    combined = a + np.exp(1j * phases)[:, None] * b  # one row per phase
-    # row dots as stacked (1, d) @ (d, 1) products: the same sums as one
+    support = np.flatnonzero((a != 0) | (b != 0))  # the rows off it hold exact zeros
+    combined = a[support] + np.exp(1j * phases)[:, None] * b[support]  # one row per phase
+    # row dots as stacked (1, r) @ (r, 1) products: the same sums as one
     # vector product per row
     norm_sq = np.real(combined.conj()[:, None, :] @ combined[:, :, None])[:, 0, 0]
     degenerate = np.flatnonzero(norm_sq < DEGENERATE_NORM_ATOL)
@@ -106,7 +111,7 @@ def fringe_scan(
         raise ValueError(
             f"degenerate superposition at lambda={phases[degenerate[0]]:.6f}: states anti-parallel"
         )
-    (averages,) = operator.expectation(combined) / norm_sq
+    (averages,) = operator.expectation(combined, support) / norm_sq
     return FringeScan(phases=phases, averages=averages, observable=label)
 
 

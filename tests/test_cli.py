@@ -30,7 +30,7 @@ from blochlab.config import (
     validate_config,
 )
 from blochlab.floquet import MIN_STEPS
-from blochlab.observables import MAX_POLY_DEGREE
+from blochlab.observables import MAX_MEMBER_ENTRY, MAX_POLY_DEGREE
 from blochlab.reports import fringe_csv
 from blochlab.runner import run_scenario, stable_report_bytes
 from conftest import random_hermitian
@@ -943,6 +943,29 @@ REJECTED = {
         [],
         "/battery",
     ),
+    # a Sambe diagonal h*hbar*omega past the float range: LinAlgError from the
+    # Sambe eigensolve, a traceback
+    "floquet_omega_near_float_range": (_floquet(omega=8e307), [], "/floquet"),
+    "floquet_hbar_near_float_range": (_floquet(hbar=8e307), [], "/floquet"),
+    # a probe observable entry near the float range overflowed the period sums:
+    # exit 3 and inf or NaN in the report
+    "floquet_probe_observable_near_float_range": (
+        _floquet(probe={"observable": {"static": [[8e307, 0], [0, 1]]}}),
+        [],
+        "/floquet/probe/observable",
+    ),
+    "floquet_probe_observable_harmonic_near_float_range": (
+        _floquet(
+            probe={
+                "observable": {
+                    "static": [[1, 0], [0, -1]],
+                    "harmonics": [{"kind": "sin", "matrix": [[0, [0, 1e308]], [[0, -1e308], 0]]}],
+                }
+            }
+        ),
+        [],
+        "/floquet/probe/observable",
+    ),
     # a harmonic past the float range overflowed the phase harmonic * omega * t: a traceback
     "drive_harmonic_past_float_range": (
         _floquet(drives=[{"harmonic": 10**400, "kind": "cos", "matrix": [[0, 1], [1, 0]]}]),
@@ -954,6 +977,19 @@ REJECTED = {
         lattice_config(
             battery={"seeds": 2, "custom": [{"terms": [{"f": [{"j": 1, "re": 1e308}]}]}]}
         ),
+        [],
+        "/battery",
+    ),
+    # a member of finite entries near the float range passed the table's checks and
+    # overflowed its measurements: the Wannier band average (a RuntimeWarning, exit 3
+    # and bare inf tokens in the report) and the fringe scans (exit 3)
+    "battery_member_beyond_entry_bound_wannier": (
+        lattice_config("wannier", battery={"custom": [{"terms": [{"p_poly": [8e307]}]}]}),
+        [],
+        "/battery",
+    ),
+    "battery_member_beyond_entry_bound_superselect": (
+        lattice_config(battery={"custom": [{"terms": [{"f": [{"j": 1, "re": 8e307}]}]}]}),
         [],
         "/battery",
     ),
@@ -1240,6 +1276,26 @@ def test_hamiltonian_scale_is_a_subprocess_exit_1_without_warning(tmp_path, case
     assert proc.returncode == 1, proc.stderr
     assert f"(at {pointer})" in proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["battery_member_beyond_entry_bound_wannier", "battery_member_beyond_entry_bound_superselect"],
+)
+def test_battery_member_beyond_the_entry_bound_exits_1_naming_it_without_warning(tmp_path, case):
+    data, _, pointer = REJECTED[case]
+    cfg = write_json(tmp_path / "c.json", data)
+    report = tmp_path / "report.json"
+    proc = run_python(
+        "-W", "error::RuntimeWarning", "-m", "blochlab", data["kind"], "--config", cfg,
+        "--report", str(report),
+    )
+    assert proc.returncode == 1, proc.stderr
+    bound = f"{MAX_MEMBER_ENTRY:.0e}"
+    assert f"member 'custom:0' has an entry of magnitude 8e+307, beyond {bound}" in proc.stderr
+    assert f"(at {pointer})" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not report.exists()
 
 
 def test_wannier_index_out_of_range_stops_before_any_eigensolve(tmp_path, capsys, monkeypatch):

@@ -4,15 +4,19 @@ A tree is drawn valid for one of the four kinds and then, in most examples,
 one of its values is replaced by a hostile one (NaN, infinities, wrong types,
 out-of-range numbers), a key is dropped or an unknown key is added.  Every
 tree must end in exit 0, 1, 2 or 3 without a traceback, and a report that is
-written holds no NaN in ``checks`` or ``results``.  Hostile output paths,
-in the config or on the command line, exit 1 with a pointer before any
-solve, and so does a config file that cannot be decoded.  The trees stay small
-(d <= 13 plane waves, floquet steps <= 256) so the derandomized run is
-reproducible and fast.
+written is strict JSON (no NaN or Infinity token) and holds no null but on
+the leakage table's diagonal, where a NaN renders as null.  One small tree
+per kind is also swept without drawing: each numeric leaf in turn takes each
+value near the ends of the float range, under the same contract.  Hostile
+output paths, in the config or on the command line, exit 1 with a pointer
+before any solve, and so does a config file that cannot be decoded.  The
+trees stay small (d <= 13 plane waves, floquet steps <= 1024) so the
+derandomized run is reproducible and fast.
 """
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -24,9 +28,11 @@ from blochlab.cli import main
 from blochlab.config import DEFAULT_TOLERANCES, OUTPUT_KEYS
 from blochlab.observables import NAMED_OBSERVABLES
 
+# 8e307 and 1.6e308 are near half of the float range and near all of it: a
+# battery member of such entries is finite, and its sums are not
 HOSTILE = (
-    float("nan"), float("inf"), -float("inf"), 1e308, 1e160, 1e-160, -1, 0, 0.0, 10**9,
-    -(10**20), 2.5, True, None, "x", [], {}, [[1.0]],
+    float("nan"), float("inf"), -float("inf"), 1e308, 1.6e308, 8e307, 1e160, 1e-160, -1, 0,
+    0.0, 10**9, -(10**20), 2.5, True, None, "x", [], {}, [[1.0]],
 )
 
 amplitudes = st.floats(-1.0, 1.0)
@@ -184,15 +190,28 @@ cli_flags = st.lists(
 )
 
 
-def non_finite_paths(value, path=""):
-    if isinstance(value, float) and not math.isfinite(value):
+def strict_json(text: str):
+    """``text`` parsed as JSON proper: a NaN, Infinity or -Infinity token raises."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def null_paths(value, path=""):
+    """The path of every null and every non-finite number in a parsed report."""
+    if value is None or isinstance(value, float) and not math.isfinite(value):
         yield path
     elif isinstance(value, dict):
         for key, item in value.items():
-            yield from non_finite_paths(item, f"{path}/{key}")
+            yield from null_paths(item, f"{path}/{key}")
     elif isinstance(value, list):
         for i, item in enumerate(value):
-            yield from non_finite_paths(item, f"{path}/{i}")
+            yield from null_paths(item, f"{path}/{i}")
+
+
+LEAKAGE_DIAGONAL = re.compile(r"/results/leakage/(\d+)/\1")  # within-class: NaN, by design
 
 
 @settings(
@@ -215,11 +234,98 @@ def test_every_config_tree_keeps_the_exit_code_contract(capsys, tree, flags):
         assert code in (0, 1, 2, 3), err
         assert "Traceback" not in err
         if code in (0, 3):
-            written = json.loads(report.read_text())
-            assert list(non_finite_paths(written["checks"])) == []
-            assert list(non_finite_paths(written["results"])) == []
+            written = strict_json(report.read_text())
+            nulls = [p for p in null_paths(written) if not LEAKAGE_DIAGONAL.fullmatch(p)]
+            assert nulls == []
         else:
             assert not report.exists()
+
+
+# one small tree per kind with every numeric key set, and the values each
+# numeric leaf takes in turn: near half of the float range, near all of it,
+# and tiny.  The draws above missed each overflow these reach: a battery
+# member's sums, a probe observable's period sums, hbar*omega in the Sambe
+# eigensolve
+LEAF_TREES = {
+    "bands": {
+        "kind": "bands",
+        "lattice": {"cells": 3, "cutoff": 4, "a": 1.0, "mass": 1.0, "hbar": 1.0},
+        "potential": {"v0": 0.1, "harmonics": [{"j": 1, "re": 0.25, "im": 0.1}]},
+    },
+    "superselect": {
+        "kind": "superselect",
+        "lattice": {"cells": 3, "cutoff": 4, "a": 1.0, "mass": 1.0, "hbar": 1.0},
+        "potential": {"v0": 0.1, "harmonics": [{"j": 1, "re": 0.25, "im": 0.1}]},
+        "battery": {
+            "seeds": 2,
+            "max_harmonic": 1,
+            "degree": 2,
+            "custom": [
+                {"terms": [{"f": [{"j": 1, "re": 0.3, "im": 0.2}], "p_poly": [0.5, 1.0, 0.2]}]}
+            ],
+        },
+        "negative_control": {"s": 1},
+        "fringe_points": 16,
+        "tolerances": {"fringe_match": 0.01},
+    },
+    "wannier": {
+        "kind": "wannier",
+        "lattice": {"cells": 3, "cutoff": 4},
+        "potential": {"harmonics": [{"j": 1, "re": 0.25}]},
+        "battery": {
+            "seeds": 2,
+            "custom": [{"terms": [{"p_poly": [0.5]}]}, {"terms": [{"f": [{"j": 1, "re": 0.3}]}]}],
+        },
+        "wannier": {"bands": [0, 1], "home_cells": [0, 1]},
+    },
+    "floquet": {
+        "kind": "floquet",
+        "floquet": {
+            "omega": 1.0,
+            "hbar": 1.0,
+            "h0": [[0.3, [0.1, 0.05]], [[0.1, -0.05], -0.3]],
+            "steps": 1024,  # the fewest that pass cross_method on this drive
+            "sambe_hmax": 4,
+            "drives": [{"harmonic": 1, "kind": "cos", "matrix": [[0.1, 0.2], [0.2, -0.1]]}],
+            "probe": {
+                "pair": [0, 1],
+                "periods": [1, 2],
+                "grid": 16,
+                "observable": {
+                    "static": [[1.0, 0.0], [0.0, -1.0]],
+                    "harmonics": [{"kind": "sin", "matrix": [[0.0, 0.3], [0.3, 0.0]]}],
+                },
+            },
+        },
+    },
+}
+LEAF_VALUES = (8e307, 1.6e308, -8e307, 1e-300)
+
+
+@pytest.mark.parametrize("kind", sorted(LEAF_TREES))
+def test_every_numeric_leaf_near_the_float_range_keeps_the_contract(tmp_path, capsys, kind):
+    config, report = tmp_path / "config.json", tmp_path / "report.json"
+    for path in paths(LEAF_TREES[kind]):
+        for value in LEAF_VALUES:
+            tree = json.loads(json.dumps(LEAF_TREES[kind]))
+            *parent_path, key = path
+            parent = tree
+            for step in parent_path:
+                parent = parent[step]
+            if isinstance(parent[key], bool) or not isinstance(parent[key], (int, float)):
+                continue
+            parent[key] = value
+            config.write_text(json.dumps(tree))
+            report.unlink(missing_ok=True)
+            code = main([kind, "--config", str(config), "--report", str(report)])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), (path, value, err)
+            assert "Traceback" not in err, (path, value)
+            if code in (0, 3):
+                nulls = null_paths(strict_json(report.read_text()))
+                assert [p for p in nulls if not LEAKAGE_DIAGONAL.fullmatch(p)] == [], (path, value)
+            else:
+                assert not report.exists(), (path, value)
 
 
 # each kind reads the output keys it writes, and takes a flag for each

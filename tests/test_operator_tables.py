@@ -229,6 +229,63 @@ def test_class_coupling_is_zero_on_the_battery_and_the_entries_of_a_breaker(spec
         assert coupling.max() == (2.0 if 2 * shift % n == 0 else 1.0)
 
 
+def _random_table(spec, rng):
+    """Four members on diagonals at offsets N divides and offsets it does not, up to d - 1."""
+    n, d = spec.cells, spec.dim
+    offsets = sorted({0, 1, 2, n, n + 1, 2 * n, d - 1})
+    parts = []
+    for i in range(4):
+        diagonals = {0: rng.normal(size=d)}  # a real main diagonal
+        for o in rng.choice(offsets[1:], size=3, replace=False):
+            diagonals[int(o)] = rng.normal(size=d - o) + 1j * rng.normal(size=d - o)
+        parts.append(((f"r{i}",), diagonals))
+    return bl.OperatorTable.assemble(d, parts)
+
+
+def _row_subsets(spec, rng):
+    """Ascending row sets: one class, two classes, a random set, a run, one row, all rows."""
+    rows, d = spec.class_rows, spec.dim
+    return {
+        "one_class": rows[1],
+        "two_classes": np.sort(np.concatenate([rows[0], rows[-1]])),
+        "random": np.sort(rng.choice(d, size=d // 3, replace=False)),
+        "run": np.arange(2, d - 3),
+        "one_row": np.array([d // 2]),
+        "all": np.arange(d),
+    }
+
+
+@pytest.mark.parametrize("spec", TABLE_LATTICES, ids=_lattice_id)
+def test_expectation_on_rows_equals_the_zero_padded_vectors(spec):
+    # on a subset of rows a diagonal meets only the pairs (m, m + o) with both
+    # rows in it; the padded rows add exact zeros, so only the summation order
+    # moves.  On one class, offsets N does not divide meet no pair at all
+    d = spec.dim
+    rng = np.random.default_rng(spec.cells * d)
+    table = _random_table(spec, rng)
+    assert any(o % spec.cells for o in table.offsets) and table.offsets[-1] == d - 1
+    for name, rows in _row_subsets(spec, rng).items():
+        x = rng.normal(size=(5, rows.size)) + 1j * rng.normal(size=(5, rows.size))
+        padded = np.zeros((5, d), dtype=complex)
+        padded[:, rows] = x
+        dense = table.expectation(padded)
+        on_rows = table.expectation(x, rows)
+        assert on_rows.shape == (len(table), 5)
+        scale = np.abs(dense).max()
+        assert np.all(np.abs(on_rows - dense) <= 1e-14 * scale), name
+    x = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+    assert table.expectation(x).tobytes() == table.expectation(x, np.arange(d)).tobytes()
+
+
+def test_a_diagonal_that_meets_no_pair_of_the_rows_adds_nothing(lattice_n3):
+    # class 0 alone meets the diagonal at offset 1 nowhere: an exact zero
+    spec = lattice_n3
+    rows = spec.class_rows[0]
+    table = bl.OperatorTable.assemble(spec.dim, [(("shift",), {1: 1.0})])
+    x = np.ones((2, rows.size), dtype=complex)
+    assert table.expectation(x, rows).tobytes() == np.zeros((1, 2)).tobytes()
+
+
 def test_periodicity_of_a_table_is_its_worst_member(lattice_n3):
     t = bl.build_translation(lattice_n3)
     alone = members(bl.Battery(lattice_n3, seeds=3)) + [bl.breaking_observable(1, lattice_n3)]

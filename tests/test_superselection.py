@@ -7,7 +7,18 @@ import blochlab as bl
 from blochlab.config import validate_config
 from blochlab.runner import run_scenario
 from conftest import every_state
-from oracles import custom, join, matrix_element, members, mixture_diagnostic, named, seeded
+from oracles import (
+    custom,
+    join,
+    loop_breaking_observable,
+    loop_observable,
+    matrix_element,
+    members,
+    mixture_diagnostic,
+    named,
+    seeded,
+)
+from test_state_block_oracles import LATTICES, POTENTIAL
 
 # frozen from a direct computation on the 0.5*cos lattice (cells=3, cutoff=4):
 # distinguishability of the (band0, band1) pair at k=0 over the 25-member battery
@@ -78,6 +89,27 @@ def test_fringe_scan_same_state_is_constant(mathieu_solution, lattice_n3):
     assert np.allclose(scan.averages, level, atol=1e-12)
     with pytest.raises(ValueError, match="degenerate"):
         bl.fringe_scan(op, a, a, 8)  # even grid hits the anti-parallel point
+
+
+@pytest.mark.parametrize("spec", LATTICES, ids=lambda spec: f"N{spec.cells}_d{spec.dim}")
+def test_scans_read_on_the_support_match_the_dense_reference(spec):
+    # the cross, within-class and breaker scans of the superselect run, each
+    # against <v|O|v> / <v|v> of the dense superposition and the loop-built O
+    bands = bl.solve_bands(bl.build_hamiltonian(spec, POTENTIAL), spec)
+    cos_a = bl.observables._NAMED_SPECS["cos_a"]
+    scans = {
+        "cross": (named("cos_a", spec), loop_observable(cos_a, spec), (0, 0), (1, 0)),
+        "within": (named("cos_a", spec), loop_observable(cos_a, spec), (0, 0), (0, 1)),
+        "breaker": (
+            bl.breaking_observable(1, spec), loop_breaking_observable(1, spec), (0, 0), (1, 0)
+        ),
+    }
+    for name, (op, matrix, first, second) in scans.items():
+        a, b = bands.dense(*first), bands.dense(*second)
+        scan = bl.fringe_scan(op, a, b, 64)
+        v = a + np.exp(1j * scan.phases)[:, None] * b  # one dense superposition per row
+        reference = np.einsum("pi,ij,pj->p", v.conj(), matrix, v).real / (np.abs(v) ** 2).sum(1)
+        assert np.abs(scan.averages - reference).max() <= 1e-13 * op.norm_max[0], name
 
 
 def test_fringe_scan_needs_enough_points(mathieu_solution, battery_n3):

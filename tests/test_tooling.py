@@ -151,3 +151,25 @@ def test_only_the_bands_run_applies_an_operator(tmp_path, monkeypatch):
     assert sorted(map(tuple, calls)) == [
         ("bands", 1), ("floquet", 0), ("superselect", 0), ("wannier", 0)
     ]
+
+
+def test_fringe_scans_hand_expectation_only_the_rows_their_states_occupy(tmp_path, monkeypatch):
+    # a superselect run's expectation calls are its three fringe scans: the
+    # cross and breaker scans read two classes' rows, the within-class scan
+    # one class's, never all d rows of a dense superposition
+    calls = []
+    expectation = OperatorTable.expectation
+
+    def counted(self, vectors, rows=None):
+        calls.append(self.dim if rows is None else len(rows))
+        return expectation(self, vectors, rows)
+
+    monkeypatch.setattr(OperatorTable, "expectation", counted)
+    data = json.loads((ROOT / "configs" / "superselect_mathieu.json").read_text())
+    data["output"] = {key: str(tmp_path / p) for key, p in data["output"].items()}
+    path = tmp_path / "superselect.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["superselect", "--config", str(path)]) == 0
+    cells = data["lattice"]["cells"]
+    d = 2 * data["lattice"]["cutoff"] + 1
+    assert calls == [2 * d // cells, d // cells, 2 * d // cells]  # cross, within, breaker
