@@ -9,8 +9,10 @@ Exit codes: 0 all invariant checks pass, 1 configuration error (a usage
 error, an output path that cannot be written, and two output paths, or an
 output and the config, that name one file included), 2 numerical failure,
 3 invariant violation.
-Reports are deterministic modulo their ``timing`` block; a run's files are
-written after it, whatever its verdict, in one staged write.
+Reports are strict JSON, deterministic modulo their ``timing`` block; a
+run's files are written after it, whatever its verdict, in one staged write.
+A result that is not a finite number is a numerical failure naming its JSON
+pointer, and its run writes no file.
 """
 
 from __future__ import annotations

@@ -2,13 +2,16 @@
 
 Every run produces a RunReport that is self-contained (config echo, output
 paths aside, plus its hash, the tolerances actually used, per-invariant pass
-flags) and deterministic except for the trailing ``timing`` block.  Nothing
-is written here: ``cli.main`` renders a run's files from its report and
-writes them.
+flags) and deterministic except for the trailing ``timing`` block.  Each
+result is given its JSON form where it is made (the leakage diagonal, "not
+applicable", is None), and a result holding a non-finite float is a
+``NumericalFailure`` that names the float's JSON pointer.  Nothing is written
+here: ``cli.main`` renders a run's files from its report and writes them.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -86,6 +89,19 @@ def _solve_lattice(cfg: ScenarioConfig):
     return spec, h, t, solve_bands(h, spec)
 
 
+def _require_finite(value, pointer: str) -> None:
+    """Raise NumericalFailure naming the JSON pointer of a non-finite float in ``value``."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise NumericalFailure(f"non-finite result {value} at {pointer}")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{pointer}/{key}")
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            _require_finite(item, f"{pointer}/{index}")
+
+
 def _tables(battery: Battery) -> Iterator[OperatorTable]:
     """The battery's tables in order; a member the basis rejects is a config error."""
     try:
@@ -103,6 +119,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         "floquet": _run_floquet,
     }[cfg.kind]
     results, checks = runner(cfg)
+    _require_finite(results, "/results")
     timing = {
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "wall_clock_s": time.perf_counter() - started,
@@ -191,10 +208,13 @@ def _run_superselect(cfg: ScenarioConfig):
     sector_report = sector_decomposition_report(bands, _tables(cfg.battery))
     labels, max_leak = sector_report.battery_labels, sector_report.max_offdiagonal
 
+    leakage = sector_report.leakage.tolist()
+    for sector, row in enumerate(leakage):
+        row[sector] = None  # within one class: not applicable
     results: dict = {
         "dimension": spec.dim,
         "battery": list(labels),
-        "leakage": [list(row) for row in sector_report.leakage],
+        "leakage": leakage,
         "max_cross_leakage": max_leak,
     }
     checks = {"cross_sector_leakage": max_leak < cfg.tolerances["structural_zero"]}
@@ -219,7 +239,7 @@ def _run_superselect(cfg: ScenarioConfig):
         )
         results["fringe_within"] = {**_scan_fields(within_scan), "cross_element": element}
         if element > cfg.tolerances["positive_control"]:
-            ratio_error = abs(within_scan.first_harmonic - element) / element
+            ratio_error = float(abs(within_scan.first_harmonic - element) / element)
             results["fringe_within"]["relative_mismatch"] = ratio_error
             checks["fringe_matches_element"] = ratio_error < cfg.tolerances["fringe_match"]
 

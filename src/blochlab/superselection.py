@@ -58,7 +58,8 @@ class SectorDecompositionReport:
     ``leakage[j][l]`` bounds |<psi_{m k_j}|O|psi_{n k_l}>| / ||O||_max over all
     bands m, n and battery members O (``OperatorTable.class_coupling``), and
     is 0 where no member stores an entry between the classes; the diagonal
-    (within-sector coherence, which is allowed) is not part of the table and stays NaN.
+    (within-sector coherence, which is allowed) is not part of the table and stays NaN
+    here, and the runner writes it as ``null`` in a report.
     ``within_sector[l, i]`` is |<psi_{0 k_l}|O_i|psi_{1 k_l}>| for battery
     member i, unnormalized: the element the positive control needs.  It is
     None when a class holds a single band.

@@ -73,7 +73,7 @@ def test_bands_writes_csv_with_one_row_per_state(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "l,k,band,energy"
     assert len(lines) == 1 + 9  # header + D rows
-    # 17-significant-digit rendering survives a float round-trip
+    # the repr rendering survives a float round-trip
     _, k, _, energy = lines[2].split(",")
     assert float(energy) == pytest.approx(19.739208802178716, rel=1e-15)
 
@@ -237,6 +237,43 @@ def test_drifting_rk4_monodromy_at_the_step_cap_names_its_integrator(tmp_path, c
     assert code == 2, err
     assert "fourth-order" in err and f"{MAX_STEPS} steps" in err and "Traceback" not in err
     assert not report.exists()
+
+
+# kind -> (the pointer of a result set non-finite after its run, that value)
+NON_FINITE_RESULTS = {
+    "wannier": ("/results/per_band/0/mixture_residual", float("nan")),
+    "superselect": ("/results/fringe_cross/averages/3", float("inf")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_FINITE_RESULTS))
+def test_a_non_finite_result_exits_2_naming_its_pointer_and_writes_nothing(
+    tmp_path, monkeypatch, capsys, kind
+):
+    pointer, value = NON_FINITE_RESULTS[kind]
+    *parents, last = pointer.split("/")[2:]
+    run = getattr(runner, f"_run_{kind}")
+
+    def poisoned(cfg):
+        results, checks = run(cfg)
+        node = results
+        for key in parents:
+            node = node[key]
+        node[int(last) if isinstance(node, list) else last] = value
+        return results, checks
+
+    monkeypatch.setattr(runner, f"_run_{kind}", poisoned)
+    potential = {"harmonics": [{"j": 1, "re": 0.25}]}
+    config = write_json(tmp_path / "c.json", lattice_config(kind, potential=potential))
+    out = tmp_path / "out"
+    argv = [kind, "--config", config, "--report", str(out / "r.json")]
+    if kind == "superselect":
+        argv += ["--fringe-prefix", str(out / "fringe")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert pointer in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 def test_retired_trajectory_points_changes_nothing():

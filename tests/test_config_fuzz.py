@@ -1,17 +1,18 @@
 """Fuzzed config trees through the CLI: the exit-code contract holds for every input.
 
 A tree is drawn valid for one of the four kinds and then, in most examples,
-one of its values is replaced by a hostile one (NaN, infinities, wrong types,
-out-of-range numbers), a key is dropped or an unknown key is added.  Every
-tree must end in exit 0, 1, 2 or 3 without a traceback, and a report that is
-written is strict JSON (no NaN or Infinity token) and holds no null but on
-the leakage table's diagonal, where a NaN renders as null.  One small tree
-per kind is also swept without drawing: each numeric leaf in turn takes each
-value near the ends of the float range, under the same contract.  Hostile
-output paths, in the config or on the command line, exit 1 with a pointer
-before any solve, and so does a config file that cannot be decoded.  The
-trees stay small (d <= 13 plane waves, floquet steps <= 1024) so the
-derandomized run is reproducible and fast.
+one of its values is replaced by a hostile one (NaN, infinities, wrong
+types, out-of-range numbers), a key is dropped or an unknown key is added.
+Every tree must end in exit 0, 1, 2 or 3 without a traceback, and a report
+that is written is strict JSON (no NaN or Infinity token) and holds no null
+but on the leakage table's diagonal, which the runner writes as an explicit
+null ("not applicable").  One small tree per kind is also swept without
+drawing: each numeric leaf in turn takes each value near the ends of the
+float range, under the same contract.  Hostile output paths, in the config
+or on the command line, exit 1 with a pointer before any solve, and so does
+a config file that cannot be decoded.  The trees stay small (d <= 13 plane
+waves, floquet steps <= 1024) so the derandomized run is reproducible and
+fast.
 """
 
 import json
@@ -211,7 +212,7 @@ def null_paths(value, path=""):
             yield from null_paths(item, f"{path}/{i}")
 
 
-LEAKAGE_DIAGONAL = re.compile(r"/results/leakage/(\d+)/\1")  # within-class: NaN, by design
+LEAKAGE_DIAGONAL = re.compile(r"/results/leakage/(\d+)/\1")  # within one class: explicit null
 
 
 @settings(

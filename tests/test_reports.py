@@ -1,8 +1,8 @@
-"""Deterministic rendering: float formatting, complex encoding, atomic writes."""
+"""Deterministic rendering: strict JSON, repr floats, atomic writes."""
 
 import json
-import math
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -10,53 +10,51 @@ import pytest
 
 from blochlab.reports import (
     atomic_write_text,
+    bands_csv,
     canonical_hash,
-    format_float,
+    fringe_csv,
     render_json,
 )
 
-
-def test_float_rendering_roundtrips_doubles():
-    values = [0.1, -0.0, 1.0 / 3.0, 2.0**-52, 19.739208802178716, 1e300, -2.5e-308]
-    for v in values:
-        assert float(format_float(v)) == v
+FLOATS = [0.1, -0.0, 1.0 / 3.0, 2.0**-52, 5e-324, 1e300, np.float64(19.739208802178716)]
 
 
-def test_complex_values_become_pairs():
-    assert json.loads(render_json(1.5 - 2.0j)) == [1.5, -2.0]
-    assert render_json(np.complex64(0.5j)) == render_json([0.0, 0.5])
-    matrix = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
-    assert json.loads(render_json(matrix)) == [
-        [[0.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [0.0, 0.0]]
-    ]
+def same_bits(a: float, b: float) -> bool:
+    return struct.pack("<d", a) == struct.pack("<d", b)
 
 
-def test_nan_becomes_null():
-    for diag in ([float("nan"), 1.0], np.array([np.nan, 1.0]), (np.float64("nan"), 1.0)):
-        parsed = json.loads(render_json({"diag": diag}))
-        assert parsed["diag"] == [None, 1.0]
-    assert render_json(complex(float("nan"), 1.0)) == "[null, 1]"
+def test_floats_roundtrip_bit_for_bit_through_the_report_and_both_csvs():
+    parsed = json.loads(render_json({"values": FLOATS}))["values"]
+    assert all(same_bits(got, v) for got, v in zip(parsed, FLOATS, strict=True))
+    bands = bands_csv({"k_values": FLOATS, "energies": [FLOATS[::-1]] * len(FLOATS)})
+    rows = [line.split(",") for line in bands.splitlines()[1:]]
+    assert len(rows) == len(FLOATS) ** 2
+    for l, k, band, energy in rows:
+        assert same_bits(float(k), FLOATS[int(l)])
+        assert same_bits(float(energy), FLOATS[::-1][int(band)])
+    fringe = fringe_csv({"phases": FLOATS, "averages": FLOATS[::-1]})
+    rows = [line.split(",") for line in fringe.splitlines()[1:]]
+    assert [float(lam) for lam, _ in rows] == FLOATS
+    assert all(same_bits(float(lam), v) for (lam, _), v in zip(rows, FLOATS))
+    assert all(same_bits(float(avg), v) for (_, avg), v in zip(rows, FLOATS[::-1]))
 
 
-def test_numpy_scalars_normalize():
-    rendered = render_json({"i": np.int64(3), "f": np.float64(0.25), "b": np.bool_(True)})
-    assert rendered == render_json({"i": 3, "f": 0.25, "b": True})
-    data = json.loads(rendered)
-    assert data == {"i": 3, "f": 0.25, "b": True}
-    assert isinstance(data["i"], int) and isinstance(data["b"], bool)
-    assert render_json({1: np.float32(0.5)}) == render_json({"1": 0.5})  # keys as strings
+def test_floats_are_written_as_repr_one_list_entry_per_line():
+    assert render_json(FLOATS) == "[\n" + ",\n".join(f"  {float(v)!r}" for v in FLOATS) + "\n]"
+    assert fringe_csv({"phases": [0.1], "averages": [np.float64(1.0)]}) == "lambda,average\n0.1,1.0\n"
 
 
-def test_arrays_and_tuples_render_as_the_lists_they_hold():
-    # the layout follows the rendered values: an entry that renders as an
-    # array (array, tuple, complex) keeps its list on separate lines
-    nested = [[1.0, 2.0], [3.0, 4.0]]
-    assert render_json(np.array(nested)) == render_json(nested)
-    assert render_json(((1.0, 2.0), (3.0, 4.0))) == render_json(nested)
-    assert render_json([np.array([1.0]), 2]) == render_json([[1.0], 2])
-    assert render_json([1j, 2]) == render_json([[0.0, 1.0], 2])
-    assert render_json((1, 2.5, "x")) == "[1, 2.5, \"x\"]"
-    assert render_json(np.arange(3)) == "[0, 1, 2]"
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("kind", [float, np.float64])
+def test_a_non_finite_float_is_refused(kind, value):
+    with pytest.raises(ValueError):
+        render_json({"nested": [1.0, kind(value)]})
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.bool_(True), 1j, np.complex128(0.5j)])
+def test_a_value_json_has_no_form_for_is_refused(value):
+    with pytest.raises(TypeError):
+        render_json({"nested": [1, value]})
 
 
 def test_rendering_is_valid_json_and_stable():
@@ -197,10 +195,3 @@ def test_failed_rename_keeps_a_made_directory_that_holds_a_renamed_target(tmp_pa
     with pytest.raises(OSError, match="disk full"):
         atomic_write_text(files)
     assert [p.name for p in (tmp_path / "newdir").iterdir()] == ["a.csv"]
-
-
-def test_infinity_never_silently_rendered():
-    # reports should never contain inf; the renderer keeps it loud
-    assert not math.isfinite(float("inf"))
-    rendered = format_float(float("inf"))
-    assert rendered == "inf"  # would fail json.loads, by design

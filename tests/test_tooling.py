@@ -9,6 +9,9 @@ Every function defined in the package is either called by a run of the
 shipped configs (every output written) or listed in ``UNREACHED`` with the
 reason it stays; a function no run reaches and no reason keeps is dead code.
 
+The shipped runs write strict JSON reports (no NaN or Infinity token, the
+leakage diagonal null) and CSV floats in ``repr`` form.
+
 An ``OperatorTable``'s padded diagonal layout is read in ``lattice.py``
 alone: every other module reads a table through its methods.
 """
@@ -92,24 +95,53 @@ def defined_functions() -> dict[tuple[str, int], str]:
     return found
 
 
-def test_every_function_is_reached_by_a_shipped_run_or_kept_for_a_reason(tmp_path):
-    cli._build_parser.cache_clear()  # built once per process: maybe by an earlier test
-    profile = cProfile.Profile()
+def shipped_runs(tmp_path) -> list[list[str]]:
+    """The CLI arguments of each shipped config, every output it names moved into tmp_path."""
     (tmp_path / "out").mkdir()
+    argvs = []
     for config in sorted((ROOT / "configs").glob("*.json")):
-        data = json.loads(config.read_text())  # every output the config names, in tmp_path
+        data = json.loads(config.read_text())
         data["output"] = {key: str(tmp_path / p) for key, p in data["output"].items()}
         path = tmp_path / config.name
         path.write_text(json.dumps(data))
+        argvs.append([data["kind"], "--config", str(path)])
+    return argvs
+
+
+def test_every_function_is_reached_by_a_shipped_run_or_kept_for_a_reason(tmp_path):
+    cli._build_parser.cache_clear()  # built once per process: maybe by an earlier test
+    profile = cProfile.Profile()
+    for argv in shipped_runs(tmp_path):
         profile.enable()
-        code = cli.main([data["kind"], "--config", str(path)])
+        code = cli.main(argv)
         profile.disable()
-        assert code == 0, config.name
+        assert code == 0, argv
     codes = [entry.code for entry in profile.getstats() if inspect.iscode(entry.code)]
     called = {(code.co_filename, code.co_firstlineno) for code in codes}
     unreached = {name for key, name in defined_functions().items() if key not in called}
     assert unreached - set(UNREACHED) == set(), "dead code: no run and no reason reaches it"
     assert set(UNREACHED) - unreached == set(), "listed as unreached, but a run reaches it"
+
+
+def test_shipped_runs_write_strict_json_and_repr_floats(tmp_path):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    for argv in shipped_runs(tmp_path):
+        assert cli.main(argv) == 0, argv
+    reports = sorted((tmp_path / "out").glob("*.json"))
+    tables = sorted((tmp_path / "out").glob("*.csv"))
+    assert len(reports) == 4 and len(tables) == 3
+    for path in reports:
+        report = json.loads(path.read_text(), parse_constant=refuse)
+        if report["kind"] == "superselect":
+            leakage = report["results"]["leakage"]
+            assert all(row[sector] is None for sector, row in enumerate(leakage))
+    for path in tables:
+        header, *rows = (line.split(",") for line in path.read_text().splitlines())
+        floats = [i for i, column in enumerate(header) if column not in ("l", "band")]
+        fields = [row[i] for row in rows for i in floats]
+        assert fields and all(field == repr(float(field)) for field in fields), path.name
 
 
 def test_only_the_lattice_module_reads_a_tables_layout():
