@@ -163,8 +163,8 @@ def solve_bands(h: OperatorTable, spec: LatticeSpec) -> BandStructure:
     ``h`` is a one-member table on the spec's grid.  Each class's rows (a
     row of ``spec.class_rows``) give one (d/N, d/N) block, written onto
     zeros one class-row diagonal at a time (``OperatorTable.class_diagonals``
-    and ``add_offset_diagonal``, as ``matrix`` writes the dense one).  The
-    first ``h.independent_classes(spec.class_rows)`` blocks go through one
+    and ``add_offset_diagonal``).  The first
+    ``h.independent_classes(spec.class_rows)`` blocks go through one
     stacked eigensolve and one stacked gauge fix: classes 0..N//2 when H is
     time-reversal even on a mirror-symmetric basis, every class otherwise
     (a padded basis, a flux).  Class c beyond them is the time reverse of

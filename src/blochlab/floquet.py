@@ -56,6 +56,7 @@ MIN_STEPS = 64
 HERMITICITY_ATOL = 1e-12
 UNITARITY_LIMIT = 1e-6  # propagation aborts beyond this drift
 DEGENERATE_SPLITTING = 1e-8
+MONODROMY_POLYNOMIAL = (0.4, 0.3, 0.2)  # c0, c1, c2 of ``monodromy_polynomial``
 
 _VALID_KINDS = ("cos", "sin")
 _FACTOR_CHUNK = 4096  # step matrices are built this many steps at a time
@@ -529,9 +530,7 @@ def quasienergy_distance(a: np.ndarray, b: np.ndarray, omega: float, hbar: float
     return min(float(np.max(np.abs(g - zone * np.round(g / zone)))) for g in gaps)
 
 
-def monodromy_polynomial(
-    monodromy: np.ndarray, coefficients: tuple[float, ...] = (0.4, 0.3, 0.2)
-) -> np.ndarray:
+def monodromy_polynomial(monodromy: np.ndarray) -> np.ndarray:
     """Hermitian observable c0 I + sum_r c_r (U^r + U^dagger^r) + 0.3 i (U - U^dagger).
 
     By construction it commutes with U(T), so its matrix elements between
@@ -543,9 +542,9 @@ def monodromy_polynomial(
     the modes' error.
     """
     d = monodromy.shape[0]
-    out = coefficients[0] * np.eye(d, dtype=complex)
+    out = MONODROMY_POLYNOMIAL[0] * np.eye(d, dtype=complex)
     power = np.eye(d, dtype=complex)
-    for c in coefficients[1:]:
+    for c in MONODROMY_POLYNOMIAL[1:]:
         power = power @ monodromy
         out = out + c * (power + power.conj().T)
     return out + 0.3j * (monodromy - monodromy.conj().T)

@@ -14,7 +14,8 @@ into N wavevector classes c(m) = m mod N, and every class is an invariant
 block.  A cell-periodic operator is therefore a few offset diagonals at
 multiples of N, and every lattice operator is an ``OperatorTable``: a stack
 of members held as their offset diagonals only (the DIA sparse format), one
-member for the Hamiltonian or a single observable, many for a battery.
+member for the Hamiltonian or a single observable, many for a battery; no
+dense operator is formed.
 A cell-periodic operator stores no entry between classes, so its block
 structure is exact: a class block is the diagonals at offsets qN on its rows
 (``OperatorTable.class_diagonals``), any other diagonal bounds blocks between
@@ -193,14 +194,6 @@ class PotentialSpec:
     def is_free(self) -> bool:
         return not self.harmonics and self.v0 == 0.0
 
-    def value(self, x: np.ndarray, a: float = 1.0) -> np.ndarray:
-        """Evaluate V on a grid (used by real-space cross-checks)."""
-        x = np.asarray(x, dtype=float)
-        out = np.full_like(x, self.v0)
-        for j, c in self.harmonics:
-            out += 2.0 * np.real(c * np.exp(2j * np.pi * j * x / a))
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class OperatorTable:
@@ -224,8 +217,7 @@ class OperatorTable:
     ``class_coupling`` (a bound on each block between classes), ``apply``
     (O v), and ``expectation`` (of vectors on a set of rows) and
     ``class_form``, which contract each stored diagonal with the bra-ket
-    products it meets and form no O v; ``matrix`` forms the dense matrices,
-    a reference for tests: no measurement forms a dense operator.
+    products it meets and form no O v.  No method forms a dense operator.
     """
 
     labels: tuple[str, ...]
@@ -288,14 +280,6 @@ class OperatorTable:
         for k, offset in enumerate(self.offsets):
             yield offset, self.values[:, k, : self.dim - offset]
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense (members, d, d) matrices, formed anew on each request and read-only."""
-        m = np.zeros((len(self), self.dim, self.dim), dtype=complex)
-        for offset, values in self.diagonals():
-            add_offset_diagonal(m, offset, values)
-        return _freeze(m)
-
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         """O_i v for every member i and every vector v along the last axis of ``vectors``.
 
@@ -303,8 +287,12 @@ class OperatorTable:
         x[..., :d - o] and out[..., :d - o] += conj(v) x[..., o:] per stored
         diagonal v at offset o.  A member's zero diagonal adds exact zeros, so
         each member's O v is the one it has alone, bit for bit.  A run reaches
-        it only in the bands run's eigenvector residual; a measurement takes
-        ``expectation`` or ``class_form``.
+        it only in the bands run's eigenvector residual, and it is kept for
+        that check: it reads the stored diagonals, not the ``class_diagonals``
+        that ``solve_bands`` builds its blocks from, so a fault in that
+        reading fails the residual; a residual formed on the class blocks
+        would share the fault and pass.  A measurement takes ``expectation``
+        or ``class_form``.
         """
         x = np.asarray(vectors)
         out = np.zeros((len(self),) + x.shape, dtype=complex)

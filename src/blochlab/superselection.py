@@ -57,9 +57,10 @@ class SectorDecompositionReport:
 
     ``leakage[j][l]`` bounds |<psi_{m k_j}|O|psi_{n k_l}>| / ||O||_max over all
     bands m, n and battery members O (``OperatorTable.class_coupling``), and
-    is 0 where no member stores an entry between the classes; the diagonal
-    (within-sector coherence, which is allowed) is not part of the table and stays NaN
-    here, and the runner writes it as ``null`` in a report.
+    is 0 where no member stores an entry between the classes.  The diagonal
+    (within-sector coherence, which is allowed) is not part of the table:
+    ``class_coupling`` writes no entry there, so it stays 0, and the runner
+    writes it as ``null`` in a report.
     ``within_sector[l, i]`` is |<psi_{0 k_l}|O_i|psi_{1 k_l}>| for battery
     member i, unnormalized: the element the positive control needs.  It is
     None when a class holds a single band.
@@ -78,8 +79,7 @@ class SectorDecompositionReport:
 
     @property
     def max_offdiagonal(self) -> float:
-        off = self.leakage[~np.isnan(self.leakage)]
-        return float(np.max(off)) if off.size else 0.0
+        return float(np.max(self.leakage))
 
 
 def fringe_scan(
@@ -138,7 +138,6 @@ def sector_decomposition_report(bands: BandStructure, tables) -> SectorDecomposi
         np.maximum(leakage, coupling.max(axis=0, initial=0.0), out=leakage)
         if n_bands >= 2:  # <psi_{0 k_l}|O|psi_{1 k_l}>, (class, member)
             within.append(np.abs(table.class_form(rows, blocks[:, 0], blocks[:, 1])).T)
-    np.fill_diagonal(leakage, np.nan)  # within-sector coherence is allowed
     return SectorDecompositionReport(leakage, tuple(labels), np.hstack(within) if within else None)
 
 

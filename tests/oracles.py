@@ -107,12 +107,32 @@ def diagonals(op: OperatorTable) -> dict:
     return {o: row[k, : op.dim - o] for k, o in enumerate(op.offsets) if row[k].any()}
 
 
+def dense(table: OperatorTable) -> np.ndarray:
+    """The dense (members, d, d) matrices of ``table``: each member applied to the identity.
+
+    Column c of a member is O e_c, so the matrix is ``apply`` of the unit
+    vectors, transposed.  Each stored entry is added onto zeros once, beside
+    exact zeros from the other diagonals, so every entry holds its stored
+    bits and every other entry is +0.0.
+    """
+    return table.apply(np.eye(table.dim)).swapaxes(-1, -2)
+
+
 def matrix_element(op: OperatorTable, bra: np.ndarray, ket: np.ndarray) -> complex:
     """<bra|O|ket> of a one-member table between two plane-wave vectors, through ``apply``."""
     if len(bra) != op.dim or len(ket) != op.dim:
         raise ValueError("state and operator dimensions disagree")
     (applied,) = op.apply(ket)
     return complex(bra.conj() @ applied)
+
+
+def potential_value(potential: PotentialSpec, x: np.ndarray, a: float = 1.0) -> np.ndarray:
+    """V(x) = v0 + sum_j 2 Re(c_j exp(i 2 pi j x / a)) of a PotentialSpec on a grid."""
+    x = np.asarray(x, dtype=float)
+    out = np.full_like(x, potential.v0)
+    for j, c in potential.harmonics:
+        out += 2.0 * np.real(c * np.exp(2j * np.pi * j * x / a))
+    return out
 
 
 def fd_ring_hamiltonian(
@@ -133,7 +153,7 @@ def fd_ring_hamiltonian(
         idx = np.arange(points)
         lap[idx, (idx + offset) % points] += c / (12.0 * h * h)
     kinetic = -(spec.hbar**2) / (2.0 * spec.mass) * lap
-    return kinetic + np.diag(potential.value(x, a=spec.a))
+    return kinetic + np.diag(potential_value(potential, x, a=spec.a))
 
 
 def fd_ring_energies(
@@ -334,9 +354,9 @@ def loop_solve_bands(h, rows) -> tuple[np.ndarray, np.ndarray]:
     d - 1 - r of class N - l, the classes past N // 2 are their partners'
     blocks conjugated with the rows reversed, with the partners' energies.
     """
-    (dense,) = h.matrix
-    n, d = len(rows), len(dense)
-    mirrored = np.array_equal(dense[::-1, ::-1], dense.conj()) and all(
+    (matrix,) = dense(h)
+    n, d = len(rows), len(matrix)
+    mirrored = np.array_equal(matrix[::-1, ::-1], matrix.conj()) and all(
         np.array_equal(rows[-l % n][::-1], d - 1 - rows[l]) for l in range(n)
     )
     energies, blocks = [], []
@@ -345,7 +365,7 @@ def loop_solve_bands(h, rows) -> tuple[np.ndarray, np.ndarray]:
             energies.append(energies[n - l])
             blocks.append(blocks[n - l][:, ::-1].conj())
             continue
-        vals, vecs = np.linalg.eigh(dense[np.ix_(rows[l], rows[l])])
+        vals, vecs = np.linalg.eigh(matrix[np.ix_(rows[l], rows[l])])
         energies.append(vals)
         blocks.append(loop_canonical_eigenbasis(vals, vecs).T)
     return np.array(energies), np.array(blocks)
@@ -407,17 +427,16 @@ def member_sector_elements(bands, battery) -> tuple[np.ndarray, np.ndarray]:
     """Leakage table and (class, member) within-sector elements, one member at a time.
 
     Per member (one-member tables): the ``loop_class_coupling`` of its dense
-    matrix over its ||O||_max, maximized over members with the diagonal NaN,
-    and its ``loop_class_form`` on bands 0 and 1.
+    matrix over its ||O||_max, maximized over members (the diagonal blocks
+    stay 0), and its ``loop_class_form`` on bands 0 and 1.
     """
     rows, blocks = bands.rows, bands.blocks
     leakage = np.zeros((len(rows), len(rows)))
     within = []
     for op in battery:
-        (dense,) = op.matrix
-        np.maximum(leakage, loop_class_coupling(dense, rows) / op.norm_max[0], out=leakage)
+        (matrix,) = dense(op)
+        np.maximum(leakage, loop_class_coupling(matrix, rows) / op.norm_max[0], out=leakage)
         within.append(np.abs(loop_class_form(op, rows, blocks[:, 0], blocks[:, 1])))
-    np.fill_diagonal(leakage, np.nan)
     return leakage, np.array(within).T
 
 
@@ -456,14 +475,15 @@ def pairwise_leakage(states: np.ndarray, battery) -> np.ndarray:
     ``states`` is (sector, band, d): each class's states as dense plane-wave rows.
     """
     n = len(states)
+    matrices = [(dense(op)[0], op.norm_max[0]) for op in battery]
     leakage = np.full((n, n), np.nan)
     for j in range(n):
         bras = np.column_stack(list(states[j]))  # one state per column
         for l in range(j + 1, n):
             kets = np.column_stack(list(states[l]))
             worst = 0.0
-            for op in battery:
-                elements = np.abs(bras.conj().T @ op.matrix[0] @ kets) / op.norm_max[0]
+            for matrix, norm in matrices:
+                elements = np.abs(bras.conj().T @ matrix @ kets) / norm
                 worst = max(worst, float(np.max(elements)))
             leakage[j, l] = worst
             leakage[l, j] = worst
@@ -472,7 +492,7 @@ def pairwise_leakage(states: np.ndarray, battery) -> np.ndarray:
 
 def state_mixture_residual(wannier: np.ndarray, band_states, operator) -> float:
     """|<w|O|w> - mean_l <psi_l|O|psi_l>| for one Wannier vector, band average per state vector."""
-    (matrix,) = operator.matrix
+    (matrix,) = dense(operator)
     w_avg = float(np.real(wannier.conj() @ matrix @ wannier))
     band_avg = float(np.mean([np.real(psi.conj() @ matrix @ psi) for psi in band_states]))
     return abs(w_avg - band_avg)
@@ -510,7 +530,7 @@ def mixture_diagnostic(a, b, battery) -> MixtureDiagnostic:
     rho_mix = 0.5 * (np.outer(a, a.conj()) + np.outer(b, b.conj()))
     delta = rho_sup - rho_mix
     per_obs = tuple(
-        (op.labels[0], abs(complex(np.trace(delta @ op.matrix[0]))) / op.norm_max[0])
+        (op.labels[0], abs(complex(np.trace(delta @ dense(op)[0]))) / op.norm_max[0])
         for op in battery
     )
     best = max((v for _, v in per_obs), default=0.0)

@@ -9,7 +9,7 @@ import blochlab as bl
 from blochlab.bloch import PIVOT_RTOL, _canonical_eigenbasis
 from blochlab.observables import Lcg
 from conftest import every_state
-from oracles import fd_ring_energies, row_of
+from oracles import dense, fd_ring_energies, row_of
 
 # measured once against the 2048-point oracle: with cutoff M=4 the plane-wave
 # truncation floor on the lowest three bands sits at ~1.5e-4 relative (the
@@ -63,7 +63,7 @@ def test_simultaneous_eigenvector_property(lattice_n3, mathieu_solution):
     t = np.diag(bl.build_translation(lattice_n3))
     for l, n, psi in every_state(bands):
         energy = bands.energies[l, n]
-        assert np.linalg.norm(h.matrix[0] @ psi - energy * psi) < 1e-9 * h.norm_max[0]
+        assert np.linalg.norm(dense(h)[0] @ psi - energy * psi) < 1e-9 * h.norm_max[0]
         phase = np.exp(1j * bands.k_values[l] * lattice_n3.a)
         assert np.linalg.norm(t @ psi - phase * psi) < 1e-10
 

@@ -359,29 +359,44 @@ def test_fringe_match_override_reaches_its_check(tmp_path, monkeypatch):
     assert not runs["1e-6"][1]["checks"]["fringe_matches_element"]
 
 
-# check -> (module, a line of it, its mutant): a named one-line perturbation
-# of the package that must flip that check and leave every other one true
+SHIPPED_SUPERSELECT = json.loads((SHIPPED_DRIVE.parent / "superselect_mathieu.json").read_text())
+# the shipped superselect lattice and potential as a bands run
+MATHIEU_BANDS = {"kind": "bands", **{k: SHIPPED_SUPERSELECT[k] for k in ("lattice", "potential")}}
+
+# check -> (module, a line of it, its mutant, the config run): a named one-line
+# perturbation of the package that must flip that check and leave every other
+# one true
 MUTANTS = {
     # the second harmonic of a pure first-harmonic scan is zero
     "fringe_matches_element": (
         "superselection.py",
         "return 2.0 * abs(np.sum(self.averages * np.exp(-1j * self.phases))) / len(self.phases)",
         "return 2.0 * abs(np.sum(self.averages * np.exp(-2j * self.phases))) / len(self.phases)",
+        SHIPPED_SUPERSELECT,
+    ),
+    # the class blocks solve_bands diagonalizes are read through class_diagonals,
+    # here with their q > 0 entries scaled: the states are exact for the wrong
+    # blocks, and only apply, which reads the stored diagonals, sees it
+    "eigen_residual": (
+        "lattice.py",
+        "yield o // n, values[:, rows[:, : b - o // n]]",
+        "yield o // n, values[:, rows[:, : b - o // n]] * (1.0 + 1e-5 * (o > 0))",
+        MATHIEU_BANDS,
     ),
 }
 
 
 @pytest.mark.parametrize("check", sorted(MUTANTS))
 def test_mutant_fails_its_check_alone(tmp_path, check):
-    module, line, mutant = MUTANTS[check]
+    module, line, mutant, data = MUTANTS[check]
     package = tmp_path / "blochlab"
     shutil.copytree(Path(bl.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
     source = (package / module).read_text()
     assert source.count(line) == 1
     (package / module).write_text(source.replace(line, mutant))
     report = tmp_path / "report.json"
-    config = str(SHIPPED_DRIVE.parent / "superselect_mathieu.json")
-    argv = ["superselect", "--config", config, "--report", str(report)]
+    config = write_json(tmp_path / "config.json", data)
+    argv = [data["kind"], "--config", config, "--report", str(report)]
     proc = subprocess.run(
         [sys.executable, "-m", "blochlab", *argv],
         capture_output=True, text=True, cwd=tmp_path,
@@ -937,6 +952,23 @@ REJECTED = {
         [],
         "/floquet/probe/observable",
     ),
+    "drive_matrix_wrong_size": (
+        _floquet(drives=[{"kind": "cos", "matrix": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]}]),
+        [],
+        "/floquet",
+    ),
+    "probe_observable_harmonic_wrong_size": (
+        _floquet(
+            probe={
+                "observable": {
+                    "static": [[1, 0], [0, -1]],
+                    "harmonics": [{"kind": "cos", "matrix": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]}],
+                }
+            }
+        ),
+        [],
+        "/floquet/probe/observable",
+    ),
     # momentum scales whose kinetic energy or momentum power 6 overflows: the
     # battery's q_scale**power raised OverflowError, the bands report held nulls
     "lattice_hbar_1e160": (
@@ -1157,6 +1189,22 @@ def test_colliding_output_paths_name_both_sources(tmp_path, capsys, case):
     assert main([data["kind"], "--config", write_json(tmp_path / "c.json", data), *extra]) == 1
     first, second = COLLISIONS[case]
     assert f"config error: {first} and {second} both name the file" in capsys.readouterr().err
+
+
+# a matrix of another size than the one it is added to, refused by the drive's
+# own types with these messages
+SIZE_MISMATCHES = {
+    "drive_matrix_wrong_size": "drive matrix dimension differs from H0",
+    "probe_observable_harmonic_wrong_size": "harmonic matrix dimension differs from static part",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIZE_MISMATCHES))
+def test_a_matrix_of_another_size_is_named(tmp_path, capsys, case):
+    data, _, pointer = REJECTED[case]
+    assert main([data["kind"], "--config", write_json(tmp_path / "c.json", data)]) == 1
+    message = f"config error: {SIZE_MISMATCHES[case]} (at {pointer})"
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", ["--report", "/output/report"])

@@ -10,6 +10,7 @@ from blochlab.observables import ObservableSpec, ObservableTerm
 
 from oracles import (
     custom,
+    dense,
     dense_cell_periodicity,
     loop_breaking_observable,
     loop_fold,
@@ -49,7 +50,7 @@ def test_hamiltonian_matches_row_loop(name):
     # the row loop assigns the mirrored entry as conj(h[row, col]), which
     # turns a zero imaginary part into -0.0; the shared helper adds conj(c)
     # onto a zero entry, which gives +0.0.  Every value is identical.
-    assert_exact(bl.build_hamiltonian(spec, potential).matrix[0], ref)
+    assert_exact(dense(bl.build_hamiltonian(spec, potential))[0], ref)
 
 
 def test_offset_at_or_past_dimension_writes_nothing():
@@ -98,7 +99,7 @@ def assert_built_matches(spec, lattice, symmetrized: bool = True) -> None:
         with pytest.raises(ValueError, match="'custom:0' is the zero operator"):
             custom(spec, lattice)
         return
-    assert_bitwise(custom(spec, lattice).matrix[0], ref)
+    assert_bitwise(dense(custom(spec, lattice))[0], ref)
 
 
 @pytest.mark.parametrize("lattice", sorted(LATTICES))
@@ -180,7 +181,7 @@ def test_named_battery_matches_row_loop():
     named = [op for op in battery if not op.labels[0].startswith("seed:")]
     assert [op.labels[0] for op in named] == list(bl.observables.NAMED_OBSERVABLES)
     for op, spec in zip(named, bl.observables._NAMED_SPECS.values()):
-        assert_bitwise(op.matrix[0], loop_observable(spec, lattice))
+        assert_bitwise(dense(op)[0], loop_observable(spec, lattice))
 
 
 @pytest.mark.parametrize("lattice", sorted(LATTICES))
@@ -188,7 +189,7 @@ def test_breaking_observable_matches_row_loop(lattice):
     ring = LATTICES[lattice]
     for shift in range(1, 2 * ring.cutoff + 1):
         if shift % ring.cells:
-            built = bl.breaking_observable(shift, ring).matrix[0]
+            built = dense(bl.breaking_observable(shift, ring))[0]
             assert_bitwise(built, loop_breaking_observable(shift, ring))
 
 
@@ -222,12 +223,20 @@ def test_operator_matches_its_dense_view(lattice, data):
     d, n = spec.dim, spec.cells
     diagonals = data.draw(operator_diagonals(spec))
     op = operator(d, diagonals, label="drawn")
-    (dense,) = op.matrix
+    # the reference, one entry at a time from the drawn diagonals, added onto
+    # zeros; ``dense`` is ``apply`` of the unit vectors, so checking ``apply``
+    # against it alone would check ``apply`` against itself
+    reference = np.zeros((d, d), dtype=complex)
+    for offset, values in diagonals.items():
+        for m, v in enumerate(np.broadcast_to(values, (d - offset,))):
+            reference[m + offset, m] += v
+            if offset:
+                reference[m, m + offset] += np.conj(v)
     # later writes to the inputs do not reach the operator
     for values in diagonals.values():
         if np.ndim(values):
             values[...] = 99.0
-    assert_bitwise(op.matrix[0], dense)
+    assert_bitwise(dense(op)[0], reference)
 
     # each diagonal at offset qN is the q-th subdiagonal of every dense class
     # block, and written onto zeros those diagonals are the whole block
@@ -235,7 +244,7 @@ def test_operator_matches_its_dense_view(lattice, data):
     on_rows = list(op.class_diagonals(rows))
     assert [q for q, _ in on_rows] == [o // n for o in op.offsets if o % n == 0]
     for l, class_rows in enumerate(rows):
-        block = dense[np.ix_(class_rows, class_rows)]
+        block = reference[np.ix_(class_rows, class_rows)]
         written = np.zeros_like(block)
         for q, (values,) in on_rows:
             assert_bitwise(values[l], np.diagonal(block, -q))
@@ -244,12 +253,12 @@ def test_operator_matches_its_dense_view(lattice, data):
 
     rng = np.random.default_rng(d)
     vectors = rng.uniform(-1, 1, (3, d)) + 1j * rng.uniform(-1, 1, (3, d))
-    error = float(np.max(np.abs(op.apply(vectors)[0] - vectors @ dense.T)))
+    error = float(np.max(np.abs(op.apply(vectors)[0] - vectors @ reference.T)))
     assert error <= 1e-14 * op.norm_max[0]
 
     t = bl.build_translation(spec)
     violation = bl.check_cell_periodicity(op, t)
-    assert abs(violation - dense_cell_periodicity(dense, t)) <= 1e-15
+    assert abs(violation - dense_cell_periodicity(reference, t)) <= 1e-15
 
     last = max(op.offsets)
     for bad, message in (

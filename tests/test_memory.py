@@ -9,9 +9,11 @@ largest lattice of the benchmark sweeps) the default battery is one table of
 Gram matrix in the solver checks.  No default battery member can fill a
 cross-class block, so none is formed; the eigensolve writes 8 of H's 15
 diagonal 33 x 33 class blocks from its diagonals (the other 7 are their
-time reverses), and no run forms an operator's dense matrix.  The widest battery (every battery
-knob at its cap, d = 501) spans dozens of tables and runs in the memory of
-a few.
+time reverses), and no run forms an operator's dense matrix: a table has
+no dense form, and the one writer of diagonals into a matrix,
+``add_offset_diagonal``, writes class blocks only.  The widest battery
+(every battery knob at its cap, d = 501) spans dozens of tables and runs in
+the memory of a few.
 """
 
 import json
@@ -21,9 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from blochlab import observables
+from blochlab import bloch, observables
 from blochlab.config import validate_config
-from blochlab.lattice import OperatorTable
 from blochlab.runner import run_scenario
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -57,10 +58,6 @@ def test_largest_lattice_run_holds_few_operators(kind):
     assert peak < PEAK_OPERATORS * OPERATOR_BYTES, f"peak {peak / 2**20:.1f} MiB"
 
 
-def _refuse_dense(self):
-    raise AssertionError(f"dense matrices of {self.labels!r} formed on a run path")
-
-
 @pytest.mark.parametrize(
     "source", ["bands_free", "superselect_mathieu", "wannier_mathieu", *sorted(CONFIGS)]
 )
@@ -70,9 +67,20 @@ def test_no_run_path_forms_a_dense_operator(source, monkeypatch, tmp_path):
     else:
         data = json.loads((CONFIG_DIR / f"{source}.json").read_text())
         data["output"] = {key: str(tmp_path / Path(p).name) for key, p in data["output"].items()}
-    monkeypatch.setattr(OperatorTable, "matrix", property(_refuse_dense))
-    report = run_scenario(validate_config(data))
+    cfg = validate_config(data)
+    written = []
+    add_offset_diagonal = bloch.add_offset_diagonal
+
+    def refuse_dense(matrix, offset, values):
+        if matrix.shape[-1] >= cfg.lattice.dim:
+            raise AssertionError(f"a dense {matrix.shape} operator formed on a run path")
+        written.append(matrix.shape[-1])
+        return add_offset_diagonal(matrix, offset, values)
+
+    monkeypatch.setattr(bloch, "add_offset_diagonal", refuse_dense)
+    report = run_scenario(cfg)
     assert report.passed, report.checks
+    assert written  # the class blocks are written through it
 
 
 # seeds, max_harmonic and degree at their caps for N = 3, d = 501: 205 members of

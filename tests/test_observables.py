@@ -8,7 +8,16 @@ from hypothesis import strategies as st
 import blochlab as bl
 from blochlab.observables import PERIODICITY_RTOL, ObservableSpec, ObservableTerm
 
-from oracles import custom, dense_to_diagonals, members, named, operator, row_of, seeded
+from oracles import (
+    custom,
+    dense,
+    dense_to_diagonals,
+    members,
+    named,
+    operator,
+    row_of,
+    seeded,
+)
 
 # frozen regression values for the documented LCG battery (computed once)
 SEED1_ENTRY_00 = -0.014689191527796948
@@ -23,7 +32,7 @@ def translation_n3(lattice_n3):
 
 def test_cosine_observable_placement(lattice_n3):
     spec = ObservableSpec(terms=(ObservableTerm(f_harmonics=((1, 0.5),)),))
-    (matrix,) = custom(spec, lattice_n3).matrix
+    (matrix,) = dense(custom(spec, lattice_n3))
     for m in lattice_n3.indices:
         for mp in lattice_n3.indices:
             entry = matrix[row_of(lattice_n3, m), row_of(lattice_n3, mp)]
@@ -33,7 +42,7 @@ def test_cosine_observable_placement(lattice_n3):
 
 def test_momentum_square_is_diagonal(lattice_n3):
     spec = ObservableSpec(terms=(ObservableTerm(p_poly=(0.0, 0.0, 1.0)),))
-    (matrix,) = custom(spec, lattice_n3).matrix
+    (matrix,) = dense(custom(spec, lattice_n3))
     assert np.allclose(matrix, np.diag(lattice_n3.momenta**2))
 
 
@@ -49,7 +58,7 @@ def test_symmetrized_mixed_term_against_product_oracle(lattice_n3):
     spec = ObservableSpec(
         terms=(ObservableTerm(f_harmonics=((1, 0.5),), p_poly=(0.0, 1.0)),)
     )
-    (matrix,) = custom(spec, lattice_n3).matrix
+    (matrix,) = dense(custom(spec, lattice_n3))
     assert np.allclose(matrix, oracle, atol=1e-15)
     # closed form: entries 0.25 hbar (q_m + q_m') at |dm| = 3
     q = lattice_n3.momenta
@@ -135,14 +144,14 @@ def test_periodicity_check_rejects_translation_of_wrong_shape(translation_n3):
 def test_random_battery_is_deterministic(lattice_n3):
     a = seeded(1, lattice_n3)
     b = seeded(1, lattice_n3)
-    assert np.array_equal(a.matrix, b.matrix)
+    assert np.array_equal(dense(a), dense(b))
 
 
 def test_random_battery_regression_values(lattice_n3):
-    (matrix,) = seeded(1, lattice_n3).matrix
+    (matrix,) = dense(seeded(1, lattice_n3))
     assert matrix[0, 0] == pytest.approx(SEED1_ENTRY_00, rel=1e-12)
     assert matrix[3, 0] == pytest.approx(SEED1_ENTRY_30, rel=1e-12)
-    (other,) = seeded(2, lattice_n3).matrix
+    (other,) = dense(seeded(2, lattice_n3))
     diff = float(np.max(np.abs(matrix - other)))
     assert diff == pytest.approx(SEED1_VS_SEED2_DIFF, rel=1e-12)
     assert diff > 0.0
@@ -167,7 +176,7 @@ def test_random_battery_structure(lattice_n3):
     classes = lattice_n3.indices % 3
     off = classes[:, None] != classes[None, :]
     (table,) = bl.Battery(lattice_n3, seeds=20, named=()).tables()
-    for matrix, norm in zip(table.matrix, table.norm_max):
+    for matrix, norm in zip(dense(table), table.norm_max):
         assert float(np.max(np.abs(matrix - matrix.conj().T))) < 1e-14
         assert np.all(matrix[off] == 0.0)
         assert 0.5 <= norm <= 50.0
@@ -180,7 +189,7 @@ def test_random_battery_harmonic_reach_guard(lattice_n3):
 
 def test_breaking_observable_couples_adjacent_classes(lattice_n3, translation_n3):
     op = bl.breaking_observable(1, lattice_n3)
-    (matrix,) = op.matrix
+    (matrix,) = dense(op)
     coupled = set()
     for i in range(9):
         for j in range(9):
@@ -217,8 +226,8 @@ def test_battery_lists_its_members_and_builds_them_in_order(lattice_n3, monkeypa
     alone = list(battery.tables())
     assert [op.labels for op in alone] == [(label,) for label in expected]
     for i, op in enumerate(alone):
-        assert np.array_equal(op.matrix[0], table.matrix[i])
-    assert np.array_equal(custom(spec, lattice_n3).matrix[0], table.matrix[-1])
+        assert np.array_equal(dense(op)[0], dense(table)[i])
+    assert np.array_equal(dense(custom(spec, lattice_n3))[0], dense(table)[-1])
     with pytest.raises(ValueError, match="empty"):
         bl.Battery(lattice_n3, seeds=0, named=())
 
@@ -235,10 +244,10 @@ def test_zero_battery_member_raises_when_its_table_is_built(monkeypatch):
 
 
 def test_named_observables_match_their_functions(lattice_n3):
-    assert np.allclose(named("identity", lattice_n3).matrix[0], np.eye(9))
-    assert np.allclose(named("momentum", lattice_n3).matrix[0], np.diag(lattice_n3.momenta))
+    assert np.allclose(dense(named("identity", lattice_n3))[0], np.eye(9))
+    assert np.allclose(dense(named("momentum", lattice_n3))[0], np.diag(lattice_n3.momenta))
     # sin must be Hermitian with +-i/2 couplings
-    (sin,) = named("sin_a", lattice_n3).matrix
+    (sin,) = dense(named("sin_a", lattice_n3))
     assert sin[row_of(lattice_n3, 3), row_of(lattice_n3, 0)] == pytest.approx(-0.5j)
     assert sin[row_of(lattice_n3, 0), row_of(lattice_n3, 3)] == pytest.approx(0.5j)
 
@@ -249,8 +258,8 @@ def test_algebra_closure_under_sum_and_symmetrized_product(seed_a, seed_b):
     # sums and symmetrized products of passing operators pass again
     spec = bl.LatticeSpec(cells=3, cutoff=4)
     t = bl.build_translation(spec)
-    (a,) = seeded(seed_a, spec).matrix
-    (b,) = seeded(seed_b, spec).matrix
+    (a,) = dense(seeded(seed_a, spec))
+    (b,) = dense(seeded(seed_b, spec))
     total = operator(9, dense_to_diagonals(a + b))
     sym = operator(9, dense_to_diagonals(0.5 * (a @ b + b @ a)))
     assert bl.check_cell_periodicity(total, t) < PERIODICITY_RTOL
@@ -266,4 +275,4 @@ def test_periodicity_pass_implies_small_off_class_entries(lattice_n3, translatio
         violation = bl.check_cell_periodicity(op, translation_n3)
         assert violation < PERIODICITY_RTOL
         bound = violation * op.norm_max[0] / (2.0 * np.sin(np.pi / 3.0))
-        assert float(np.max(np.abs(op.matrix[0][off]))) <= bound
+        assert float(np.max(np.abs(dense(op)[0][off]))) <= bound

@@ -18,6 +18,7 @@ import blochlab as bl
 from blochlab.config import validate_config
 from blochlab.runner import run_scenario, stable_report_bytes
 from oracles import (
+    dense,
     dense_to_diagonals,
     diagonals,
     join,
@@ -133,7 +134,7 @@ def test_stacked_methods_equal_each_member_alone_bit_for_bit(spec):
     rng = np.random.default_rng(d)
     vectors = rng.normal(size=(2, 3, d)) + 1j * rng.normal(size=(2, 3, d))
     rows = spec.class_rows
-    applied, dense, coupling = table.apply(vectors), table.matrix, table.class_coupling(rows)
+    applied, matrices, coupling = table.apply(vectors), dense(table), table.class_coupling(rows)
     on_rows = dict(table.class_diagonals(rows))  # q -> (members, N, b - q)
     assert applied.shape == (len(table), 2, 3, d) and coupling.shape == (len(table), n, n)
     assert list(on_rows) == [o // n for o in table.offsets if o % n == 0]
@@ -145,7 +146,7 @@ def test_stacked_methods_equal_each_member_alone_bit_for_bit(spec):
         for q, values in on_rows.items():  # a diagonal the member lacks reads exact zeros
             expected = own[q][0] if q in own else np.zeros_like(values[i])
             assert values[i].tobytes() == expected.tobytes(), (label, q)
-        assert dense[i].tobytes() == op.matrix[0].tobytes(), label
+        assert matrices[i].tobytes() == dense(op)[0].tobytes(), label
         assert coupling[i].tobytes() == op.class_coupling(rows)[0].tobytes(), label
 
 
@@ -161,11 +162,11 @@ def test_diagonals_read_the_stored_entries_bit_for_bit(spec):
     table = join(alone)
     read = list(table.diagonals())
     assert [o for o, _ in read] == list(table.offsets)
-    for i, (label, op, dense) in enumerate(zip(table.labels, alone, table.matrix)):
+    for i, (label, op, matrix) in enumerate(zip(table.labels, alone, dense(table))):
         stored = {o: v[i] for o, v in read}
         assert all(v.shape == (d - o,) for o, v in stored.items()), label
         for o, v in stored.items():
-            assert v.tobytes() == np.diagonal(dense, -o).tobytes(), (label, o)
+            assert v.tobytes() == np.diagonal(matrix, -o).tobytes(), (label, o)
         nonzero = {o: v for o, v in stored.items() if v.any()}
         expected = diagonals(op)
         assert nonzero.keys() == expected.keys(), label

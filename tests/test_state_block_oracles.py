@@ -18,6 +18,7 @@ import blochlab as bl
 from blochlab.bloch import DEGENERACY_ATOL, _canonical_eigenbasis
 from blochlab.config import parse_config
 from oracles import (
+    dense,
     join,
     loop_canonical_eigenbasis,
     loop_class_form,
@@ -134,10 +135,10 @@ def _own_class_states(h, rows, sector):
     A class past N // 2 is read in descending row order, the order its
     time-reversal partner's rows take under m -> -m, and turned back.
     """
-    (dense,) = h.matrix
+    (matrix,) = dense(h)
     step = -1 if sector > len(rows) // 2 else 1
     order = rows[sector][::step]
-    vals, vecs = np.linalg.eigh(dense[np.ix_(order, order)])
+    vals, vecs = np.linalg.eigh(matrix[np.ix_(order, order)])
     return vals, loop_canonical_eigenbasis(vals, vecs).T[:, ::step]
 
 
@@ -193,7 +194,7 @@ def test_class_form_matches_the_dense_form(solved):
     table = join(alone)
     stacked = table.class_form(bands.rows, bra, ket)
     assert stacked.shape == (len(alone), 3, n)
-    for op, label, matrix, got in zip(alone, table.labels, table.matrix, stacked):
+    for op, label, matrix, got in zip(alone, table.labels, dense(table), stacked):
         assert got.tobytes() == loop_class_form(op, bands.rows, bra, ket).tobytes(), label
         expected = np.sum((dense_bra.conj() @ matrix) * dense_ket, axis=-1)  # bra^H O ket
         # both sum the same products in another order: relative to |bra|^T |O| |ket|
@@ -244,8 +245,8 @@ def test_every_element_between_classes_is_within_its_leakage_entry(solved):
         bound = bl.sector_decomposition_report(bands, [op]).leakage[off]
         assert np.all(elements <= bound * (1.0 + 1e-12)), op.labels
         assert not np.any(elements[bound == 0.0]), op.labels
-        (dense,) = np.abs(op.matrix) / op.norm_max[0]
-        largest = np.array([[dense[np.ix_(r, c)].max() for c in rows] for r in rows])[off]
+        (magnitude,) = np.abs(dense(op)) / op.norm_max[0]
+        largest = np.array([[magnitude[np.ix_(r, c)].max() for c in rows] for r in rows])[off]
         ratio = np.divide(elements, largest, out=np.zeros_like(elements), where=largest > 0)
         over_largest_entry = max(over_largest_entry, float(ratio.max()))
     assert over_largest_entry > 1.0
@@ -289,7 +290,7 @@ def test_wannier_mixture_residual_matches_per_state_loop(solved):
     residuals = bl.wannier_mixture_residual(wanniers, band_blocks, bands.rows, [table])
     assert residuals.shape == (len(battery), len(band_list))
     for op, label, got in zip(battery, table.labels, residuals):
-        magnitude = np.abs(op.matrix[0])
+        magnitude = np.abs(dense(op)[0])
         scale = max(1.0, op.norm_max[0])
         for i, band in enumerate(band_list):
             band_states = bands.dense(np.arange(len(bands.k_values)), band)
@@ -314,7 +315,7 @@ def test_within_sector_elements_match_matrix_element(solved):
             ref = abs(matrix_element(op, bra, ket))
             # both sum the same products in another order, and the element can
             # be a cancellation (or a parity-forced zero): relative to |bra|^T |O| |ket|
-            terms = np.abs(bra) @ np.abs(op.matrix[0]) @ np.abs(ket)
+            terms = np.abs(bra) @ np.abs(dense(op)[0]) @ np.abs(ket)
             assert abs(within[l, i] - ref) <= 1e-14 * terms, (l, op.labels)
 
 

@@ -27,6 +27,7 @@ from pathlib import Path
 import blochlab
 from blochlab import cli
 from blochlab.lattice import OperatorTable
+from test_cli import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -66,14 +67,14 @@ def test_every_traced_program_name_resolves():
 # functions no shipped run calls, by module and qualified name, each with the
 # reason it is kept
 UNREACHED = {
-    "bloch.winding_number": "acceptance criterion 5, on the product rule; no run samples a state",
-    "bloch.ring_phase_samples": "acceptance criterion 5: the states winding_number is tested on",
+    "bloch.winding_number": "the paper's topological claim (acceptance criterion 5, on the "
+    "product rule), which a run is planned to carry; no run samples a state yet",
+    "bloch.ring_phase_samples": "the states of the paper's topological claim, which "
+    "winding_number is tested on; kept for the same planned run",
     "cli._Parser.error": "error path: an argparse usage error exits 1",
     "cli.entrypoint": "the console script; the runs call main",
     "config._bool": "parses pad_basis, which no shipped config sets",
     "errors.ConfigError.__init__": "error path: an invalid config",
-    "lattice.PotentialSpec.value": "the real-space reference of the Hamiltonian's cross-checks",
-    "lattice.OperatorTable.matrix": "dense references for tests; no run forms a dense operator",
     "observables.ObservableTerm.__post_init__": "runs at import for the named members, and for "
     "custom members, which no shipped config has",
     "runner.stable_report_bytes": "the determinism contract, which the tests compare reports by",
@@ -121,6 +122,27 @@ def test_every_function_is_reached_by_a_shipped_run_or_kept_for_a_reason(tmp_pat
     unreached = {name for key, name in defined_functions().items() if key not in called}
     assert unreached - set(UNREACHED) == set(), "dead code: no run and no reason reaches it"
     assert set(UNREACHED) - unreached == set(), "listed as unreached, but a run reaches it"
+
+
+# every module a CLI process loads counts towards the benchmark's setup time:
+# scipy.linalg alone takes longer to import than the rest of a run's setup
+LOADED_BY_RUNS = """
+import json, sys
+from blochlab import cli
+
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_shipped_runs_load_no_scipy_and_no_numpy_ma(tmp_path):
+    proc = run_python("-c", LOADED_BY_RUNS, json.dumps(shipped_runs(tmp_path)))
+    assert proc.returncode == 0, proc.stderr
+    assert len(list((tmp_path / "out").glob("*.json"))) == 4
+    loaded = json.loads(proc.stdout.splitlines()[-1])  # after the runs' summaries
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    assert [m for m in loaded if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
 
 
 def test_shipped_runs_write_strict_json_and_repr_floats(tmp_path):
