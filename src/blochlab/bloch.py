@@ -25,7 +25,8 @@ broken by rounding.  A class filled by time reversal carries its
 partner's gauge read backwards: its rows are its partner's reversed, so its
 pivot is the last of the tied entries and its clusters are ordered by
 descending dominant row.  Repeat runs are then bitwise comparable on one
-platform.
+platform.  Parts of a state below SUBNORMAL_FLUSH are then zeroed, so no
+product of two entries is subnormal.
 """
 
 from __future__ import annotations
@@ -40,6 +41,14 @@ from .lattice import LatticeSpec, OperatorTable, add_offset_diagonal
 DEGENERACY_ATOL = 1e-10
 SUPPORT_ATOL = 1e-12
 PIVOT_RTOL = 1e-12  # entries this close to a column's largest magnitude tie for its pivot
+
+# Real and imaginary parts of a Bloch state below this are set to zero.  It is
+# about the square root of the smallest normal double (2.2e-308), so no
+# product of two entries is subnormal: numpy has no flush-to-zero switch, and
+# the processor's is a process-wide setting that the program does not touch.
+# Subnormal operands are slow: on a lattice whose states decay far below
+# 1e-154 (N = 3, d = 501, 100 bands) they took two thirds of a Wannier run.
+SUBNORMAL_FLUSH = 1.5e-154
 
 # winding extraction: phase steps at or beyond this are treated as undersampled
 MAX_PHASE_STEP = np.pi / 2
@@ -170,7 +179,8 @@ def solve_bands(h: OperatorTable, spec: LatticeSpec) -> BandStructure:
     (a padded basis, a flux).  Class c beyond them is the time reverse of
     class N - c: its states the conjugated block with its rows reversed, its
     energies the partner's.  The eigenvectors are kept on the class rows,
-    with the (N, d/N) row table as ``rows``.
+    with the (N, d/N) row table as ``rows``; parts below SUBNORMAL_FLUSH are
+    zeroed after the gauge, and the time-reversed classes copy the zeros.
 
     Raises InvariantViolation if H carries weight between different classes
     (the largest entry of ``OperatorTable.class_coupling``: H then is not
@@ -193,6 +203,8 @@ def solve_bands(h: OperatorTable, spec: LatticeSpec) -> BandStructure:
         raise NumericalFailure(f"class-block eigensolver failed: {exc}") from exc
     blocks = np.empty((n, b, b), dtype=complex)  # (class, band, row)
     blocks[:solved] = _canonical_eigenbasis(energies, vectors).swapaxes(1, 2)
+    for part in (blocks[:solved].real, blocks[:solved].imag):
+        part[np.abs(part) < SUBNORMAL_FLUSH] = 0.0
     partners = slice(n - solved, 0, -1)  # class c >= solved reverses class N - c
     np.conjugate(blocks[partners, :, ::-1], out=blocks[solved:])
     return BandStructure(

@@ -6,21 +6,22 @@ periodic functions of position (harmonics of 2*pi/a) and polynomials in the
 momentum satisfy this structurally: position harmonics couple plane waves
 only within a wavevector class, and momentum is diagonal.  Every term, named,
 seeded or custom, is the symmetrized product (F*P + P*F)/2, Hermitian by
-construction, and one builder (``_term_diagonals``) forms it for a stack of
-members straight onto its offset diagonals: harmonic j at offset j*N, the
-momentum polynomial as a vector along them, so no dense F or P is formed.
-``check_cell_periodicity`` returns the relative violation itself.  The
-battery is built one table at a time, or one member alone to rebuild it.
+construction.  A battery table is built in one pass (``Battery._table``),
+every term of its members one row of a stack formed straight onto the offset
+diagonals, so no dense F or P is formed.  ``check_cell_periodicity`` returns
+the relative violation itself.
 
 The randomized battery uses a small integer recurrence (64-bit MMIX linear
 congruential generator, x -> 6364136223846793005*x + 1442695040888963407
 mod 2^64, top 53 bits mapped to [0, 1)) rather than a library RNG so that the
-seed -> operator map is reproducible across platforms and library versions.
+seed -> operator map is reproducible across platforms and library versions;
+``_draws`` forms the streams of a table's seeds at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator
 
 import numpy as np
@@ -52,19 +53,21 @@ _LCG_INC = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
 
 
-class Lcg:
-    """Deterministic 64-bit linear congruential generator (MMIX constants)."""
+def _draws(seeds, count: int) -> np.ndarray:
+    """(len(seeds), count) uniform draws in [-1, 1), row i the start of seed i's stream.
 
-    def __init__(self, seed: int):
-        self.state = (int(seed) * 0x9E3779B97F4A7C15 + 1) & _LCG_MASK
-
-    def next_uint(self) -> int:
-        self.state = (_LCG_MULT * self.state + _LCG_INC) & _LCG_MASK
-        return self.state
-
-    def uniform(self, lo: float = -1.0, hi: float = 1.0) -> float:
-        u = (self.next_uint() >> 11) / float(1 << 53)  # 53-bit mantissa in [0, 1)
-        return lo + (hi - lo) * u
+    Seed s starts at x = s * 0x9E3779B97F4A7C15 + 1 and draw i reads x after
+    i + 1 steps, which is mult_i * s + inc_i (mod 2^64): the coefficients are
+    composed in Python integers, and the draws of every seed are one uint64
+    product and sum, which wrap mod 2^64 as the generator does.
+    """
+    mult, inc, steps = 0x9E3779B97F4A7C15, 1, []  # x = mult * s + inc, from the start on
+    for _ in range(count):
+        mult, inc = mult * _LCG_MULT & _LCG_MASK, (inc * _LCG_MULT + _LCG_INC) & _LCG_MASK
+        steps.append((mult, inc))
+    mult, inc = np.array(steps, dtype=np.uint64).reshape(count, 2).T
+    x = np.array(seeds, dtype=np.uint64)[:, None] * mult + inc
+    return -1.0 + (x >> 11) * 2.0**-52  # -1 + 2 (x / 2^53), exact
 
 
 @dataclass(frozen=True)
@@ -102,49 +105,6 @@ class ObservableSpec:
     terms: tuple[ObservableTerm, ...]
 
 
-def _term_diagonals(lattice: LatticeSpec, harmonics, poly) -> dict:
-    """The offset diagonals of a stack of one-term members (F*P + P*F)/2, one row each.
-
-    ``harmonics`` pairs each j >= 0 with the members' coefficients of
-    exp(i 2 pi j x / a), and ``poly`` is (members, degree + 1), each row the
-    real coefficients of P in hbar*q, constant term first.  P is diagonal
-    (its vector p) and harmonic j of F is offset k = j*N, so the entry at
-    (m + k, m) is 0.5*(c*p[m] + p[m + k]*c); a harmonic whose offset reaches
-    past the basis is dropped.  Overflow warns: a caller whose inputs can
-    overflow silences it.
-    """
-    poly = np.asarray(poly)
-    if poly.shape[1] > MAX_POLY_DEGREE + 1:
-        raise ValueError(f"degree {poly.shape[1] - 1} exceeds cap {MAX_POLY_DEGREE}")
-    hq, d = lattice.hbar * lattice.momenta, lattice.dim
-    p = np.zeros((len(poly), d))
-    for power in range(poly.shape[1]):
-        p = p + poly[:, power, None] * hq**power
-    diagonals = {}
-    for j, c in harmonics:
-        k, c = j * lattice.cells, np.asarray(c)[:, None]
-        if k < d:
-            diagonals[k] = 0.5 * (c * p[:, : d - k] + p[:, k:] * c)
-    return diagonals
-
-
-@np.errstate(over="ignore", invalid="ignore")  # OperatorTable rejects what overflows
-def _observable_diagonals(spec: ObservableSpec, lattice: LatticeSpec) -> dict:
-    """The offset diagonals of an ObservableSpec, one row, its terms summed in order.
-
-    Each term is one ``_term_diagonals`` row.  A term without function part
-    is F = 1 and one without polynomial P = 1: both exact, as 0.5*(x + x) = x.
-    """
-    diagonals: dict = {}
-    for term in spec.terms:
-        if not term.f_harmonics and not term.p_poly:
-            raise ValueError("observable term needs a function part or a polynomial part")
-        harmonics = [(j, [c]) for j, c in term.f_harmonics or ((0, 1.0),)]
-        for k, values in _term_diagonals(lattice, harmonics, [term.p_poly or (1.0,)]).items():
-            diagonals[k] = diagonals.get(k, 0.0) + values
-    return diagonals
-
-
 def check_cell_periodicity(table: OperatorTable, translation: np.ndarray) -> float:
     """|| T O T^dagger - O ||_max / ||O||_max, the largest over the table's members.
 
@@ -164,40 +124,6 @@ def check_cell_periodicity(table: OperatorTable, translation: np.ndarray) -> flo
         defect = t[offset:] * values * t[: d - offset].conj() - values
         np.maximum(worst, np.max(np.abs(defect), axis=1), out=worst)
     return float(np.max(worst / table.norm_max))
-
-
-def _seeded_diagonals(seeds, lattice: LatticeSpec, max_harmonic: int, degree: int) -> dict:
-    """The offset diagonals of the seeded members, one row per seed, formed at once.
-
-    Each seed's LCG stream draws, in order, the real constant, the complex
-    coefficients of harmonics 1..max_harmonic and the momentum-polynomial
-    coefficients; power p is pre-damped by the lattice's momentum scale to the
-    p-th power, to keep the window rescaling mild (and |p| <= degree + 1,
-    so nothing overflows).  The draws are one stack of
-    ``_term_diagonals`` rows; each member is rescaled to max-entry norm 1 if
-    its raw norm falls outside the window [0.5, 50].
-    """
-    if max_harmonic < 0 or max_harmonic * lattice.cells > lattice.cutoff:
-        raise ValueError(
-            f"max_harmonic {max_harmonic} unreachable: need j*N <= cutoff "
-            f"({lattice.cells}*j <= {lattice.cutoff})"
-        )
-    q_scale = max(1.0, float(np.max(np.abs(lattice.hbar * lattice.momenta))))
-    harmonics, poly = [], []  # the draws stay scalar Python: one stream per seed
-    for seed in seeds:
-        rng = Lcg(seed)
-        harmonics.append(
-            [complex(rng.uniform())]
-            + [complex(rng.uniform(), rng.uniform()) for _ in range(max_harmonic)]
-        )
-        poly.append([rng.uniform() / q_scale**power for power in range(degree + 1)])
-    harmonics = np.array(harmonics)
-    diagonals = _term_diagonals(lattice, enumerate(harmonics.T), poly)
-    norm = np.max([np.max(np.abs(v), axis=1) for v in diagonals.values()], axis=0)[:, None]
-    outside = ~((NORM_WINDOW[0] <= norm) & (norm <= NORM_WINDOW[1]))
-    for v in diagonals.values():
-        np.divide(v, norm, out=v, where=outside)
-    return diagonals
 
 
 def breaking_observable(shift: int, lattice: LatticeSpec) -> OperatorTable:
@@ -232,11 +158,11 @@ NAMED_OBSERVABLES = tuple(_NAMED_SPECS)
 class Battery:
     """The observable battery, built as stacked tables of its members.
 
-    Members are the ``named`` ones in order, then seeds 1..seeds
-    (``_seeded_diagonals``, label seed:<s>), then ``custom`` (label
-    custom:<i>); the tables carry the labels.  ``tables`` builds the
-    members in this order as ``OperatorTable``s: named and custom members
-    term by term, the seeded members of a table in one pass.  A table holds
+    Members are the ``named`` ones in order, then seeds 1..seeds (label
+    seed:<s>), then ``custom`` (label custom:<i>); the tables carry the
+    labels.  ``tables`` builds the members in this order as
+    ``OperatorTable``s, each in one pass over its members' terms
+    (``_table``), and ``member`` one member alone.  A table holds
     at most _TABLE_ENTRIES entries (at least one member), so a caller that
     drops each table before taking the next holds one table, not the whole
     battery.  An empty battery raises ValueError.  Leakage is measured
@@ -279,22 +205,76 @@ class Battery:
         """Member ``i`` (in member order) alone, as a one-member table built anew."""
         return self._table(i, i + 1)
 
+    @np.errstate(over="ignore", invalid="ignore")  # the table refuses a member that overflows
     def _table(self, start: int, stop: int) -> OperatorTable:
-        """Members start..stop-1 as one table."""
+        """Members start..stop-1 as one table, every term of theirs one row of a stack.
+
+        A row holds the coefficients c_j of the harmonics its term gives (a
+        zero one still counts; F = 1 if none), its momentum polynomial P (P = 1
+        if none) and its member.  A seed's row is its stream (``_draws``): the
+        real constant, harmonics 1..max_harmonic, then P, power k divided by
+        the momentum scale to the k-th power (so |P| <= degree + 1).  For all
+        rows at once, with p the diagonal of P, each offset k = j*N < d that a
+        row gives holds 0.5*(c_j p[m] + p[m + k] c_j) at (m + k, m).  A member's
+        rows are summed in term order; a seeded member whose max-entry norm is
+        outside NORM_WINDOW is rescaled to norm 1.
+        """
+        lattice, named, d = self.lattice, self.named[start:stop], self.lattice.dim
         first_seed, first_custom = len(self.named), len(self.named) + self.seeds
         seeds = range(1, self.seeds + 1)[max(start - first_seed, 0) : max(stop - first_seed, 0)]
         custom = range(len(self.custom))[max(start - first_custom, 0) : max(stop - first_custom, 0)]
-        parts = [
-            ((name,), _observable_diagonals(_NAMED_SPECS[name], self.lattice))
-            for name in self.named[start:stop]
-        ]
+        labels = (*named, *(f"seed:{seed}" for seed in seeds), *(f"custom:{i}" for i in custom))
+        harmonic, degree = (self.max_harmonic, self.degree) if seeds else (0, -1)
+        if seeds and (harmonic < 0 or harmonic * lattice.cells > lattice.cutoff):
+            raise ValueError(
+                f"max_harmonic {harmonic} unreachable: need j*N <= cutoff "
+                f"({lattice.cells}*j <= {lattice.cutoff})"
+            )
+        if degree > MAX_POLY_DEGREE:
+            raise ValueError(f"degree {degree} exceeds cap {MAX_POLY_DEGREE}")
+        members = [_NAMED_SPECS[name].terms for name in named] + [(None,)] * len(seeds)
+        members += [self.custom[i].terms for i in custom]
+        rows = [(m, term) for m, terms in enumerate(members) for term in terms]  # a seed's is None
+        seeded = slice(len(named), len(named) + len(seeds))  # rows and members: named are one term
+        terms = [(row, term) for row, (_, term) in enumerate(rows) if term]
+        reach = max([harmonic] + [j for _, term in terms for j, _ in term.f_harmonics])
+        coef = np.zeros((len(rows), reach + 1), dtype=complex)
+        poly = np.zeros((len(rows), max([degree + 1] + [len(t.p_poly) or 1 for _, t in terms])))
+        given = set(range(harmonic + 1 if seeds else 0))  # the harmonics some row gives
+        for row, term in terms:  # F = 1 and P = 1 where a term has no such part
+            if not term.f_harmonics and not term.p_poly:
+                raise ValueError("observable term needs a function part or a polynomial part")
+            poly[row, : len(term.p_poly) or 1] = term.p_poly or 1.0
+            for j, c in term.f_harmonics or ((0, 1.0),):
+                coef[row, j] = c
+                given.add(j)
+        hq = lattice.hbar * lattice.momenta
         if seeds:
-            diagonals = _seeded_diagonals(seeds, self.lattice, self.max_harmonic, self.degree)
-            parts.append((tuple(f"seed:{seed}" for seed in seeds), diagonals))
-        parts += [
-            ((f"custom:{i}",), _observable_diagonals(self.custom[i], self.lattice)) for i in custom
-        ]
-        table = OperatorTable.assemble(self.lattice.dim, parts)
+            draws = _draws(seeds, 2 * harmonic + degree + 2)
+            coef[seeded, 0] = draws[:, 0]
+            coef[seeded, 1 : harmonic + 1].real = draws[:, 1 : 2 * harmonic + 1 : 2]
+            coef[seeded, 1 : harmonic + 1].imag = draws[:, 2 : 2 * harmonic + 1 : 2]
+            q_scale = max(1.0, float(np.max(np.abs(hq))))
+            powers = [q_scale**power for power in range(degree + 1)]  # Python floats
+            poly[seeded, : degree + 1] = draws[:, 2 * harmonic + 1 :] / powers
+        p = np.zeros((len(rows), d))
+        for power in range(poly.shape[1]):
+            p = p + poly[:, power, None] * hq**power
+        diagonals = {}
+        for k in sorted(j * lattice.cells for j in given if j * lattice.cells < d):
+            c = coef[:, k // lattice.cells, None]
+            diagonals[k] = 0.5 * (c * p[:, : d - k] + p[:, k:] * c)
+        member = [m for m, _ in rows]
+        if member != [*range(len(labels))]:  # a member of several terms: its rows in term order
+            for k, v in diagonals.items():
+                diagonals[k] = np.zeros((len(labels), d - k), complex)
+                np.add.at(diagonals[k], member, v)
+        if seeds:
+            norm = reduce(np.maximum, [np.abs(v[seeded]).max(axis=1) for v in diagonals.values()])
+            outside = ~((NORM_WINDOW[0] <= norm) & (norm <= NORM_WINDOW[1]))[:, None]
+            for v in diagonals.values():
+                np.divide(v[seeded], norm[:, None], out=v[seeded], where=outside)
+        table = OperatorTable.assemble(d, [(labels, diagonals)])
         large = np.flatnonzero(table.norm_max > MAX_MEMBER_ENTRY)
         if large.size:
             raise ValueError(

@@ -23,7 +23,7 @@ from blochlab import (
 )
 from blochlab.bloch import DEGENERACY_ATOL, PIVOT_RTOL
 from blochlab.floquet import _nearest_steps
-from blochlab.observables import _seeded_diagonals
+from blochlab.observables import MAX_POLY_DEGREE, NORM_WINDOW, ObservableSpec, ObservableTerm
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +70,8 @@ def seeded(
     seed: int, lattice: LatticeSpec, max_harmonic: int = 1, degree: int = 2
 ) -> OperatorTable:
     """The battery's seeded member ``seed`` (label seed:<seed>) as a one-member table."""
-    diagonals = _seeded_diagonals((seed,), lattice, max_harmonic, degree)
-    return OperatorTable.assemble(lattice.dim, [((f"seed:{seed}",), diagonals)])
+    battery = Battery(lattice, seeds=seed, max_harmonic=max_harmonic, degree=degree, named=())
+    return battery.member(seed - 1)
 
 
 def custom(spec, lattice: LatticeSpec) -> OperatorTable:
@@ -372,9 +372,115 @@ def loop_solve_bands(h, rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Per-member and per-state measurements.  The package builds a battery as
-# stacked tables (the seeded members of a table at once) and measures a whole
-# table in one pass; the seeded member built from its own ObservableSpec, the
+# Battery members built alone.  The package builds each battery table in one
+# pass, every term of its members one row of a stack, and the seeds' streams
+# at once; the builders it had before are the references it must reproduce
+# bit for bit: the scalar generator (``Lcg``), the diagonals of a stack of
+# one-term members (``term_diagonals``), a named or custom member summed term
+# by term (``observable_diagonals``), and the seeded members of a table
+# (``seeded_diagonals``), each drawn one scalar at a time.
+
+
+_LCG_MULT = 6364136223846793005
+_LCG_INC = 1442695040888963407
+_LCG_MASK = (1 << 64) - 1
+
+
+class Lcg:
+    """Deterministic 64-bit linear congruential generator (MMIX constants)."""
+
+    def __init__(self, seed: int):
+        self.state = (int(seed) * 0x9E3779B97F4A7C15 + 1) & _LCG_MASK
+
+    def next_uint(self) -> int:
+        self.state = (_LCG_MULT * self.state + _LCG_INC) & _LCG_MASK
+        return self.state
+
+    def uniform(self, lo: float = -1.0, hi: float = 1.0) -> float:
+        u = (self.next_uint() >> 11) / float(1 << 53)  # 53-bit mantissa in [0, 1)
+        return lo + (hi - lo) * u
+
+
+def term_diagonals(lattice: LatticeSpec, harmonics, poly) -> dict:
+    """The offset diagonals of a stack of one-term members (F*P + P*F)/2, one row each.
+
+    ``harmonics`` pairs each j >= 0 with the members' coefficients of
+    exp(i 2 pi j x / a), and ``poly`` is (members, degree + 1), each row the
+    real coefficients of P in hbar*q, constant term first.  P is diagonal
+    (its vector p) and harmonic j of F is offset k = j*N, so the entry at
+    (m + k, m) is 0.5*(c*p[m] + p[m + k]*c); a harmonic whose offset reaches
+    past the basis is dropped.  Overflow warns: a caller whose inputs can
+    overflow silences it.
+    """
+    poly = np.asarray(poly)
+    if poly.shape[1] > MAX_POLY_DEGREE + 1:
+        raise ValueError(f"degree {poly.shape[1] - 1} exceeds cap {MAX_POLY_DEGREE}")
+    hq, d = lattice.hbar * lattice.momenta, lattice.dim
+    p = np.zeros((len(poly), d))
+    for power in range(poly.shape[1]):
+        p = p + poly[:, power, None] * hq**power
+    diagonals = {}
+    for j, c in harmonics:
+        k, c = j * lattice.cells, np.asarray(c)[:, None]
+        if k < d:
+            diagonals[k] = 0.5 * (c * p[:, : d - k] + p[:, k:] * c)
+    return diagonals
+
+
+@np.errstate(over="ignore", invalid="ignore")  # OperatorTable rejects what overflows
+def observable_diagonals(spec: ObservableSpec, lattice: LatticeSpec) -> dict:
+    """The offset diagonals of an ObservableSpec, one row, its terms summed in order.
+
+    Each term is one ``term_diagonals`` row.  A term without function part
+    is F = 1 and one without polynomial P = 1: both exact, as 0.5*(x + x) = x.
+    """
+    diagonals: dict = {}
+    for term in spec.terms:
+        if not term.f_harmonics and not term.p_poly:
+            raise ValueError("observable term needs a function part or a polynomial part")
+        harmonics = [(j, [c]) for j, c in term.f_harmonics or ((0, 1.0),)]
+        for k, values in term_diagonals(lattice, harmonics, [term.p_poly or (1.0,)]).items():
+            diagonals[k] = diagonals.get(k, 0.0) + values
+    return diagonals
+
+
+def seeded_diagonals(seeds, lattice: LatticeSpec, max_harmonic: int, degree: int) -> dict:
+    """The offset diagonals of the seeded members, one row per seed, formed at once.
+
+    Each seed's LCG stream draws, in order, the real constant, the complex
+    coefficients of harmonics 1..max_harmonic and the momentum-polynomial
+    coefficients; power p is pre-damped by the lattice's momentum scale to the
+    p-th power, to keep the window rescaling mild (and |p| <= degree + 1,
+    so nothing overflows).  The draws are one stack of
+    ``term_diagonals`` rows; each member is rescaled to max-entry norm 1 if
+    its raw norm falls outside the window [0.5, 50].
+    """
+    if max_harmonic < 0 or max_harmonic * lattice.cells > lattice.cutoff:
+        raise ValueError(
+            f"max_harmonic {max_harmonic} unreachable: need j*N <= cutoff "
+            f"({lattice.cells}*j <= {lattice.cutoff})"
+        )
+    q_scale = max(1.0, float(np.max(np.abs(lattice.hbar * lattice.momenta))))
+    harmonics, poly = [], []  # the draws stay scalar Python: one stream per seed
+    for seed in seeds:
+        rng = Lcg(seed)
+        harmonics.append(
+            [complex(rng.uniform())]
+            + [complex(rng.uniform(), rng.uniform()) for _ in range(max_harmonic)]
+        )
+        poly.append([rng.uniform() / q_scale**power for power in range(degree + 1)])
+    harmonics = np.array(harmonics)
+    diagonals = term_diagonals(lattice, enumerate(harmonics.T), poly)
+    norm = np.max([np.max(np.abs(v), axis=1) for v in diagonals.values()], axis=0)[:, None]
+    outside = ~((NORM_WINDOW[0] <= norm) & (norm <= NORM_WINDOW[1]))
+    for v in diagonals.values():
+        np.divide(v, norm, out=v, where=outside)
+    return diagonals
+
+
+# ---------------------------------------------------------------------------
+# Per-member and per-state measurements.  The package measures a whole table
+# in one pass; the seeded member built from its own ObservableSpec, the
 # class form and the sector elements one member at a time are the references
 # it must reproduce bit for bit.  The leakage table one class pair at a time
 # and the Wannier band average one Bloch state at a time, over dense
@@ -446,15 +552,11 @@ def loop_seeded_diagonals(seed: int, lattice, max_harmonic: int = 1, degree: int
     The per-member reference of the battery's seeded rows: the seed's LCG
     draws (constant, harmonics 1..max_harmonic, polynomial coefficients damped
     by the momentum scale) as one term of its own ObservableSpec, assembled
-    by ``_observable_diagonals`` (one ``_term_diagonals`` row, where the
-    battery forms every seed of a table in one stack) and rescaled to
-    max-entry norm 1 outside NORM_WINDOW, each diagonal summed onto zeros as
-    an ``OperatorTable`` row stores it.
+    by ``observable_diagonals`` (one ``term_diagonals`` row, where
+    ``seeded_diagonals`` forms every seed of a table in one stack) and
+    rescaled to max-entry norm 1 outside NORM_WINDOW, each diagonal summed onto
+    zeros as an ``OperatorTable`` row stores it.
     """
-    from blochlab.observables import (
-        NORM_WINDOW, Lcg, ObservableSpec, ObservableTerm, _observable_diagonals,
-    )
-
     rng = Lcg(seed)
     harmonics = [(0, complex(rng.uniform()))]
     for j in range(1, max_harmonic + 1):
@@ -462,7 +564,7 @@ def loop_seeded_diagonals(seed: int, lattice, max_harmonic: int = 1, degree: int
     q_scale = max(1.0, float(np.max(np.abs(lattice.hbar * lattice.momenta))))
     poly = tuple(rng.uniform() / q_scale**power for power in range(degree + 1))
     spec = ObservableSpec(terms=(ObservableTerm(f_harmonics=tuple(harmonics), p_poly=poly),))
-    diagonals = _observable_diagonals(spec, lattice)
+    diagonals = observable_diagonals(spec, lattice)
     norm = max(float(np.max(np.abs(v))) for v in diagonals.values())
     if not NORM_WINDOW[0] <= norm <= NORM_WINDOW[1]:
         diagonals = {offset: v / norm for offset, v in diagonals.items()}

@@ -14,9 +14,9 @@ import pytest
 
 import blochlab as bl
 from blochlab.config import validate_config
-from blochlab.observables import PERIODICITY_RTOL, Lcg
+from blochlab.observables import PERIODICITY_RTOL
 from blochlab.runner import run_scenario, stable_report_bytes
-from oracles import fd_ring_energies, matrix_element, members
+from oracles import Lcg, fd_ring_energies, matrix_element, members
 
 ACCEPTANCE_LATTICES = ((3, 4), (5, 7), (7, 10))
 POTENTIALS = (

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 import blochlab as bl
 from blochlab.bloch import PIVOT_RTOL, _canonical_eigenbasis
-from blochlab.observables import Lcg
 from conftest import every_state
-from oracles import dense, fd_ring_energies, row_of
+from oracles import Lcg, dense, fd_ring_energies, row_of
 
 # measured once against the 2048-point oracle: with cutoff M=4 the plane-wave
 # truncation floor on the lowest three bands sits at ~1.5e-4 relative (the

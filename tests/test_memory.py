@@ -21,6 +21,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from blochlab import bloch, observables
@@ -129,9 +130,9 @@ def test_widest_battery_spans_many_tables_in_the_memory_of_a_few(monkeypatch):
 # Each was measured with run_scenario in process, BLAS at one thread, on a
 # 2-core VM: the free bands run at N = 2, d = 512 (255 degenerate pairs) took
 # 0.08-0.13 s (0.33-0.44 s when each cluster was re-spanned through its own
-# b x b projector); the widest battery with 100 bands took 12.4-14.8 s
-# (23.3-25.7 s when class_form formed O ket for every member).  The bounds
-# leave room for load.
+# b x b projector); the widest battery with 100 bands took 3.1-3.4 s (9.5-9.8 s
+# before its Bloch states were cleared of subnormal parts, 23.3-25.7 s when
+# class_form formed O ket for every member).  The bounds leave room for load.
 FREE_CAP = {"kind": "bands", "lattice": {"cells": 2, "cutoff": 255, "pad_basis": True}}
 FREE_CAP_SECONDS = 1.0
 WIDE_BATTERY_100_BANDS = {
@@ -152,3 +153,47 @@ def test_cap_run_finishes_within_its_bound(data, bound):
     elapsed = time.perf_counter() - started
     assert report.passed, report.checks
     assert elapsed < bound, f"{elapsed:.2f} s"
+
+
+def _random_hermitian(rng, dim: int, spectral_norm: float) -> list:
+    """A random Hermitian matrix of the given spectral norm, as config JSON."""
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = 0.5 * (a + a.conj().T)
+    h *= spectral_norm / np.max(np.abs(np.linalg.eigvalsh(h)))
+    return [[[float(z.real), float(z.imag)] for z in row] for row in h]
+
+
+# a random d = 16 drive with every Floquet knob at its cap: 65536 steps, a
+# 4096-point probe grid over up to 1024 periods, and a Sambe space 129 blocks
+# wide (one 2064-wide eigvalsh)
+_RNG = np.random.default_rng(16)
+FLOQUET_CAP = {
+    "kind": "floquet",
+    "floquet": {
+        "omega": 1.0,
+        "h0": _random_hermitian(_RNG, 16, 0.3),
+        "drives": [{"harmonic": 1, "kind": "cos", "matrix": _random_hermitian(_RNG, 16, 0.3)}],
+        "steps": 65536,
+        "sambe_hmax": 64,
+        "probe": {"pair": [0, 1], "periods": [8, 1024], "grid": 4096},
+    },
+}
+# the run took 9.7-13.6 s traced (10.6 s untraced) at a traced peak of 98.1 MiB,
+# BLAS at one thread on a 2-core VM; the bounds leave room for load
+FLOQUET_CAP_SECONDS = 40.0
+FLOQUET_CAP_PEAK = 160 * 2**20
+
+
+def test_floquet_cap_run_finishes_within_its_time_and_memory_bounds():
+    cfg = validate_config(FLOQUET_CAP)
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        report = run_scenario(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - started
+    assert report.passed and len(report.checks) == 7, report.checks
+    assert elapsed < FLOQUET_CAP_SECONDS, f"{elapsed:.2f} s"
+    assert peak < FLOQUET_CAP_PEAK, f"peak {peak / 2**20:.1f} MiB"

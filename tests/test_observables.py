@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blochlab as bl
-from blochlab.observables import PERIODICITY_RTOL, ObservableSpec, ObservableTerm
+from blochlab.observables import PERIODICITY_RTOL, ObservableSpec, ObservableTerm, _draws
 
 from oracles import (
+    Lcg,
     custom,
     dense,
     dense_to_diagonals,
@@ -89,19 +90,32 @@ def test_term_canonicalization():
 
 
 def test_battery_builds_only_the_named_members_it_returns(lattice_n3, monkeypatch):
-    # named members are written into their table rows from their specs' diagonals
-    built = []
-    diagonals = bl.observables._observable_diagonals
-    names = {id(spec): name for name, spec in bl.observables._NAMED_SPECS.items()}
+    # a table reads the specs of the named members it holds, and no other; a
+    # seeded member built alone reads none
+    read = []
 
-    def counting(spec, lattice):
-        built.append(names.get(id(spec)))
-        return diagonals(spec, lattice)
+    class Recording(dict):
+        def __getitem__(self, name):
+            read.append(name)
+            return super().__getitem__(name)
 
-    monkeypatch.setattr(bl.observables, "_observable_diagonals", counting)
-    (table,) = bl.Battery(lattice_n3, seeds=2, named=("cos_a",)).tables()
+    monkeypatch.setattr(bl.observables, "_NAMED_SPECS", Recording(bl.observables._NAMED_SPECS))
+    battery = bl.Battery(lattice_n3, seeds=2, named=("cos_a",))
+    (table,) = battery.tables()
     assert table.labels == ("cos_a", "seed:1", "seed:2")
-    assert built == ["cos_a"]
+    assert set(read) == {"cos_a"}
+    read.clear()
+    assert battery.member(2).labels == ("seed:2",) and read == []
+
+
+def test_draws_are_the_scalar_generator_bit_for_bit():
+    # every seed's stream at once, against each seed drawn one scalar at a time,
+    # over the widest battery's 168 draws (1 + 2 * 80 harmonics + 7 coefficients)
+    draws = _draws(range(1, 201), 168)
+    reference = [[rng.uniform() for _ in range(168)] for rng in map(Lcg, range(1, 201))]
+    assert draws.shape == (200, 168)
+    assert draws.tobytes() == np.array(reference).tobytes()
+    assert _draws([7], 5).tobytes() == draws[6, :5].tobytes()  # a stream does not see its stack
 
 
 def test_built_observables_pass_periodicity(lattice_n3, battery_n3, translation_n3):

@@ -1,11 +1,10 @@
 """Battery tables against per-member references, bit for bit.
 
-A battery is built as stacked tables: the seeded members of a table in one
-pass, the named and custom members from their specs' diagonals.  Every row
-must equal the member built alone (``oracles.loop_seeded_diagonals`` for a
-seed, the spec's ``_observable_diagonals`` for a named or custom member), and
-the measurements made on a whole table must equal the same measurements made
-one member at a time.
+A battery is built as stacked tables, each in one pass over the terms of its
+members.  Every row must equal the member built alone
+(``oracles.loop_seeded_diagonals`` for a seed, ``oracles.observable_diagonals``
+for a named or custom member), and the measurements made on a whole table
+must equal the same measurements made one member at a time.
 """
 
 import json
@@ -29,7 +28,9 @@ from oracles import (
     member_labels,
     member_sector_elements,
     members,
+    observable_diagonals,
     seeded,
+    seeded_diagonals,
 )
 from test_state_block_oracles import LATTICES, POTENTIAL
 
@@ -44,6 +45,17 @@ CUSTOM = (
         )
     ),
     bl.ObservableSpec(terms=(bl.ObservableTerm(f_harmonics=((1, 0.25j),), p_poly=(2.0,)),)),
+    # three terms at j = 0, 1, 2, up to degree 6; harmonic 2 is given at
+    # coefficient 0 alone, so the member holds an all-zero diagonal at 2N
+    bl.ObservableSpec(
+        terms=(
+            bl.ObservableTerm(
+                f_harmonics=((0, -0.4), (1, 0.3 + 0.1j)), p_poly=(0.1, 0, 0, 0, 0, 0, 0.02)
+            ),
+            bl.ObservableTerm(f_harmonics=((1, -0.2 + 0.6j),), p_poly=(0.0, -0.5, 0.25)),
+            bl.ObservableTerm(f_harmonics=((2, 0j),), p_poly=(1.0, 2.0)),
+        )
+    ),
 )
 
 BATTERIES = {
@@ -67,7 +79,7 @@ def _alone(battery: bl.Battery, label: str) -> dict:
         return loop_seeded_diagonals(seed, battery.lattice, battery.max_harmonic, battery.degree)
     spec = battery.custom[int(index)] if kind == "custom" else bl.observables._NAMED_SPECS[label]
     d = battery.lattice.dim
-    alone = bl.observables._observable_diagonals(spec, battery.lattice)
+    alone = observable_diagonals(spec, battery.lattice)
     return {o: np.zeros(d - o, complex) + v for o, v in alone.items()}  # summed onto zeros
 
 
@@ -92,7 +104,8 @@ def test_table_rows_equal_members_built_alone_bit_for_bit(spec, name, split, mon
             assert table.values[i, k, : d - o].tobytes() == expected.tobytes(), (label, o)
             assert not table.values[i, k, d - o :].any(), (label, o)
         assert table.norm_max[i] == max(np.max(np.abs(v)) for v in alone.values())
-        assert diagonals(battery.member(index)).keys() == alone.keys()
+        # a member alone holds its own offsets, a zero diagonal it gives included
+        assert battery.member(index).offsets == tuple(sorted(alone)), label
 
 
 @pytest.mark.parametrize("spec", TABLE_LATTICES, ids=_lattice_id)
@@ -103,6 +116,20 @@ def test_one_seed_table_is_the_seeded_member(spec):
         assert op.labels == (f"seed:{seed}",) and diagonals(op).keys() == alone.keys()
         for o, values in alone.items():
             assert diagonals(op)[o].tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("spec", TABLE_LATTICES, ids=_lattice_id)
+def test_seeded_rows_equal_the_seeds_drawn_one_scalar_at_a_time(spec):
+    # the seeds of a table against the same seeds drawn by the scalar generator
+    # and stacked as one-term rows, at the widest reach and degree the lattice holds
+    harmonic = spec.cutoff // spec.cells
+    battery = bl.Battery(spec, seeds=9, max_harmonic=harmonic, degree=6, named=())
+    (table,) = battery.tables()
+    reference = seeded_diagonals(range(1, 10), spec, harmonic, 6)
+    assert table.offsets == tuple(sorted(reference))
+    for k, o in enumerate(table.offsets):
+        expected = np.zeros((9, spec.dim - o), complex) + reference[o]  # summed onto zeros
+        assert table.values[:, k, : spec.dim - o].tobytes() == expected.tobytes(), o
 
 
 @pytest.mark.parametrize("breaking", [False, True], ids=["periodic", "with_breaking"])

@@ -13,7 +13,8 @@ The shipped runs write strict JSON reports (no NaN or Infinity token, the
 leakage diagonal null) and CSV floats in ``repr`` form.
 
 An ``OperatorTable``'s padded diagonal layout is read in ``lattice.py``
-alone: every other module reads a table through its methods.
+alone: every other module reads a table through its methods.  A battery
+table, and a battery member built alone, costs one ``OperatorTable.assemble``.
 """
 
 import ast
@@ -27,6 +28,7 @@ from pathlib import Path
 import blochlab
 from blochlab import cli
 from blochlab.lattice import OperatorTable
+from blochlab.observables import Battery
 from test_cli import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -227,3 +229,40 @@ def test_fringe_scans_hand_expectation_only_the_rows_their_states_occupy(tmp_pat
     cells = data["lattice"]["cells"]
     d = 2 * data["lattice"]["cutoff"] + 1
     assert calls == [2 * d // cells, d // cells, 2 * d // cells]  # cross, within, breaker
+
+
+def test_each_battery_table_and_member_costs_one_assemble(tmp_path, monkeypatch):
+    # over the shipped superselect and wannier runs: the assemble calls made
+    # while Battery.tables yields one table, and while Battery.member builds one
+    calls, per_table, per_member = [0], [], []
+    assemble, tables, member = OperatorTable.assemble.__func__, Battery.tables, Battery.member
+
+    def counted_assemble(cls, dim, parts):
+        calls[0] += 1
+        return assemble(cls, dim, parts)
+
+    def counted_tables(self):
+        built = tables(self)
+        while True:
+            before = calls[0]
+            table = next(built, None)
+            if table is None:
+                return
+            per_table.append(calls[0] - before)
+            yield table
+
+    def counted_member(self, i):
+        before = calls[0]
+        table = member(self, i)
+        per_member.append(calls[0] - before)
+        return table
+
+    monkeypatch.setattr(OperatorTable, "assemble", classmethod(counted_assemble))
+    monkeypatch.setattr(Battery, "tables", counted_tables)
+    monkeypatch.setattr(Battery, "member", counted_member)
+    argvs = [argv for argv in shipped_runs(tmp_path) if argv[0] in ("superselect", "wannier")]
+    assert len(argvs) == 2
+    for argv in argvs:
+        assert cli.main(argv) == 0, argv
+    assert per_table == [1, 1]  # the shipped batteries are one table each
+    assert per_member == [1, 1]  # the superselect run's two fringe observables
