@@ -26,7 +26,7 @@ from . import __version__
 from .config import KINDS, OUTPUT_KEYS, output_path, parse_config
 from .errors import ConfigError, InvariantViolation, NumericalFailure
 from .reports import atomic_write_text, bands_csv, fringe_csv
-from .runner import RunReport, render_report, run_scenario
+from .runner import render_report, run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -104,17 +104,17 @@ def _check_distinct(
             seen[target] = name
 
 
-def _output_files(report: RunReport, output: dict[str, str]) -> dict[str, str]:
+def _output_files(report: dict, output: dict[str, str]) -> dict[str, str]:
     """Path -> text of each requested file, in OUTPUT_KEYS order, from the report."""
     files = {}
-    for key, suffixes in OUTPUT_KEYS[report.kind].items():
+    for key, suffixes in OUTPUT_KEYS[report["kind"]].items():
         for suffix in suffixes if key in output else ():
             if key == "report":
                 files[output[key]] = render_report(report)
             elif key == "csv":
-                files[output[key]] = bands_csv(report.results)
-            elif _FRINGE_SERIES[suffix] in report.results:  # no within scan on one band
-                files[output[key] + suffix] = fringe_csv(report.results[_FRINGE_SERIES[suffix]])
+                files[output[key]] = bands_csv(report["results"])
+            elif _FRINGE_SERIES[suffix] in report["results"]:  # no within scan on one band
+                files[output[key] + suffix] = fringe_csv(report["results"][_FRINGE_SERIES[suffix]])
     return files
 
 
@@ -149,10 +149,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
-    for name, ok in report.checks.items():
-        print(f"{report.kind}: {name}: {'pass' if ok else 'FAIL'}")
-    if not report.passed:
-        print(f"{report.kind}: invariant checks failed", file=sys.stderr)
+    for name, ok in report["checks"].items():
+        print(f"{report['kind']}: {name}: {'pass' if ok else 'FAIL'}")
+    if not report["passed"]:
+        print(f"{report['kind']}: invariant checks failed", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK
 

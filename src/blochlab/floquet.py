@@ -176,8 +176,9 @@ class FloquetSolution:
     """Quasienergies and modes, and the midpoint product they came from.
 
     ``snapshots`` holds U(s_i T / steps, 0) at the steps s_i nearest the probe
-    grid times i T / grid, i = 0 .. grid; ``temporal_overlap_probe`` reads its
-    grid from them.
+    grid times i T / grid, i = 0 .. grid, and ``times`` the kept steps' times
+    s_i T / steps for i < grid; ``temporal_overlap_probe`` reads its grid from
+    them.
     """
 
     spec: DriveSpec
@@ -185,6 +186,7 @@ class FloquetSolution:
     quasienergies: np.ndarray
     modes: np.ndarray  # columns phi_j(0), orthonormal
     snapshots: np.ndarray  # [grid point, row, column], read-only
+    times: np.ndarray  # [grid point], t < T
 
     @property
     def monodromy(self) -> np.ndarray:
@@ -482,10 +484,15 @@ def solve_floquet(spec: DriveSpec, steps: int = 4096, grid: int = 256) -> Floque
     """
     if grid < 1:
         raise ValueError(f"the grid needs at least one interval, got {grid}")
-    snapshots = _ordered_product(spec, steps, _nearest_steps(steps, grid), "midpoint-exponential")
+    marks = _nearest_steps(steps, grid)
+    snapshots = _ordered_product(spec, steps, marks, "midpoint-exponential")
     snapshots.setflags(write=False)
+    # the kept steps' time offsets s_i dt - i T / grid: 0.0 where a grid time is a step
+    offsets = (marks * grid - np.arange(grid + 1) * steps) * (spec.period / (steps * grid))
+    times = np.arange(grid) * spec.period / grid + offsets[:-1]
+    times.setflags(write=False)
     eps, modes = quasienergies(snapshots[-1], spec.omega, spec.hbar)
-    return FloquetSolution(spec, steps, eps, modes, snapshots)
+    return FloquetSolution(spec, steps, eps, modes, snapshots, times)
 
 
 def sambe_quasienergies(spec: DriveSpec, h_max: int = 12) -> np.ndarray:
@@ -588,14 +595,8 @@ def temporal_overlap_probe(
             f"(splitting {folded:.3e})"
         )
 
-    # the kept steps' time offsets s_i dt - i T / grid: 0.0 where a grid time is a step
-    marks = _nearest_steps(solution.steps, grid_points)
-    offsets = (marks * grid_points - np.arange(grid_points + 1) * solution.steps) * (
-        spec.period / (solution.steps * grid_points)
-    )
-    times = np.arange(grid_points) * spec.period / grid_points + offsets[:-1]
     # H_i = U(t_i)^dagger O(t_i) U(t_i) as conj(U^T conj(O U)): no conjugate copy of U
-    heisenberg = observable.value(times, spec.omega) @ snapshots
+    heisenberg = observable.value(solution.times, spec.omega) @ snapshots
     np.conj(heisenberg, out=heisenberg)
     heisenberg = snapshots.transpose(0, 2, 1) @ heisenberg
     np.conj(heisenberg, out=heisenberg)

@@ -1,19 +1,20 @@
 """Scenario execution: compute and check invariants, and write nothing.
 
-Every run produces a RunReport that is self-contained (config echo, output
-paths aside, plus its hash, the tolerances actually used, per-invariant pass
-flags) and deterministic except for the trailing ``timing`` block.  Each
-result is given its JSON form where it is made (the leakage diagonal, "not
-applicable", is None), and a result holding a non-finite float is a
-``NumericalFailure`` that names the float's JSON pointer.  Nothing is written
-here: ``cli.main`` renders a run's files from its report and writes them.
+Every run returns its report as the dict that is written: self-contained
+(config echo, output paths aside, plus its hash, the tolerances actually
+used, per-invariant pass flags) and deterministic except for the trailing
+``timing`` block.  Each result is given its JSON form where it is made (the
+leakage diagonal, "not applicable", is None), and a result holding a
+non-finite float is a ``NumericalFailure`` that names the float's JSON
+pointer.  Nothing is written here: ``cli.main`` renders a run's files from its
+report and writes them.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import Iterator
 
@@ -40,43 +41,13 @@ from .superselection import fringe_scan, sector_decomposition_report, wannier_mi
 TOOL_NAME = "blochlab"
 
 
-@dataclass
-class RunReport:
-    kind: str
-    config: dict
-    config_sha256: str
-    tolerances: dict
-    results: dict
-    checks: dict
-    timing: dict
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
-    def as_dict(self) -> dict:
-        return {
-            "tool": {"name": TOOL_NAME, "version": __version__},
-            "kind": self.kind,
-            "config_sha256": self.config_sha256,
-            "config": self.config,
-            "tolerances": self.tolerances,
-            "results": self.results,
-            "checks": self.checks,
-            "passed": self.passed,
-            "timing": self.timing,
-        }
+def render_report(report: dict) -> str:
+    return render_json(report) + "\n"
 
 
-def render_report(report: RunReport) -> str:
-    return render_json(report.as_dict()) + "\n"
-
-
-def stable_report_bytes(report: RunReport) -> bytes:
+def stable_report_bytes(report: dict) -> bytes:
     """Rendering with the timing block dropped; the determinism contract."""
-    payload = report.as_dict()
-    payload.pop("timing")
-    return (render_json(payload) + "\n").encode()
+    return render_report({key: value for key, value in report.items() if key != "timing"}).encode()
 
 
 def _solve_lattice(cfg: ScenarioConfig):
@@ -110,7 +81,8 @@ def _tables(battery: Battery) -> Iterator[OperatorTable]:
         raise ConfigError(str(exc), "/battery") from exc
 
 
-def run_scenario(cfg: ScenarioConfig) -> RunReport:
+def run_scenario(cfg: ScenarioConfig) -> dict:
+    """The report of one run, keys in their written order."""
     started = time.perf_counter()
     runner = {
         "bands": _run_bands,
@@ -120,19 +92,20 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     }[cfg.kind]
     results, checks = runner(cfg)
     _require_finite(results, "/results")
-    timing = {
-        "timestamp_utc": datetime.now(timezone.utc).isoformat(),
-        "wall_clock_s": time.perf_counter() - started,
+    return {
+        "tool": {"name": TOOL_NAME, "version": __version__},
+        "kind": cfg.kind,
+        "config_sha256": canonical_hash(cfg.echo),
+        "config": cfg.echo,
+        "tolerances": cfg.tolerances,
+        "results": results,
+        "checks": checks,
+        "passed": all(checks.values()),
+        "timing": {
+            "timestamp_utc": datetime.now(timezone.utc).isoformat(),
+            "wall_clock_s": time.perf_counter() - started,
+        },
     }
-    return RunReport(
-        kind=cfg.kind,
-        config=cfg.echo,
-        config_sha256=canonical_hash(cfg.echo),
-        tolerances=cfg.tolerances,
-        results=results,
-        checks=checks,
-        timing=timing,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +114,33 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
 
 def _run_bands(cfg: ScenarioConfig):
     spec, h, t, structure = _solve_lattice(cfg)
-    quality = _solver_quality_checks(cfg, h, t, structure)
+
+    psi = structure.coeffs.reshape(-1, h.dim)  # one state per row
+    gram = psi.conj() @ psi.T
+    ortho = float(np.max(np.abs(gram - np.eye(len(psi)))))
+    eigenphases = np.repeat(np.exp(1j * structure.k_values * spec.a), structure.bands)[:, None]
+    trans_resid = float(np.max(np.linalg.norm(t * psi - eigenphases * psi, axis=1)))
+    # last and in place, so that H psi is the only extra d x d block alive at the peak
+    (residual,) = h.apply(psi)
+    residual -= structure.energies.reshape(-1, 1) * psi
+    eig_resid = float(np.max(np.linalg.norm(residual, axis=1))) / float(h.norm_max[0])
 
     results = {
         "dimension": spec.dim,
         "bands_per_class": structure.bands,
         "k_values": list(structure.k_values),
         "energies": [list(row) for row in structure.energies],
-        "deviations": quality["deviations"],
+        "deviations": {
+            "orthonormality": ortho,
+            "eigen_residual": eig_resid,
+            "translation_eigen": trans_resid,
+        },
     }
-    checks = dict(quality["checks"])
+    checks = {
+        "orthonormal": ortho < cfg.tolerances["solver_zero"],
+        "eigen_residual": eig_resid < cfg.tolerances["eigen_residual"],
+        "translation_eigen": trans_resid < cfg.tolerances["solver_zero"],
+    }
 
     if cfg.potential.is_free:
         # class l holds the plane waves k_l + 2 pi n / a, n = (m - l) / N: an
@@ -165,29 +155,6 @@ def _run_bands(cfg: ScenarioConfig):
         checks["free_particle_exact"] = worst < cfg.tolerances["free_particle"] * scale
 
     return results, checks
-
-
-def _solver_quality_checks(cfg: ScenarioConfig, h, t, bands):
-    psi = bands.coeffs.reshape(-1, h.dim)  # one state per row
-    gram = psi.conj() @ psi.T
-    ortho = float(np.max(np.abs(gram - np.eye(len(psi)))))
-    eigenphases = np.repeat(np.exp(1j * bands.k_values * cfg.lattice.a), bands.bands)[:, None]
-    trans_resid = float(np.max(np.linalg.norm(t * psi - eigenphases * psi, axis=1)))
-    # last and in place, so that H psi is the only extra d x d block alive at the peak
-    (residual,) = h.apply(psi)
-    residual -= bands.energies.reshape(-1, 1) * psi
-    eig_resid = float(np.max(np.linalg.norm(residual, axis=1))) / float(h.norm_max[0])
-    deviations = {
-        "orthonormality": ortho,
-        "eigen_residual": eig_resid,
-        "translation_eigen": trans_resid,
-    }
-    checks = {
-        "orthonormal": ortho < cfg.tolerances["solver_zero"],
-        "eigen_residual": eig_resid < cfg.tolerances["eigen_residual"],
-        "translation_eigen": trans_resid < cfg.tolerances["solver_zero"],
-    }
-    return {"deviations": deviations, "checks": checks}
 
 
 # ---------------------------------------------------------------------------

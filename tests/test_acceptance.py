@@ -238,6 +238,6 @@ def test_criterion_9_determinism():
             cfg = validate_config(raw)
             first = run_scenario(cfg)
             second = run_scenario(cfg)
-            assert first.passed and second.passed, raw["kind"]
+            assert first["passed"] and second["passed"], raw["kind"]
             assert stable_report_bytes(first) == stable_report_bytes(second), raw["kind"]
         detail["scenarios"] = len(scenarios)

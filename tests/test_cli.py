@@ -282,7 +282,7 @@ def test_retired_trajectory_points_changes_nothing():
     base = run_scenario(validate_config(shipped_drive()))
     for n in (2, 257, 4097):
         report = run_scenario(validate_config(shipped_drive(trajectory_points=n)))
-        assert report.results == base.results and report.checks == base.checks
+        assert report["results"] == base["results"] and report["checks"] == base["checks"]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -292,7 +292,7 @@ def test_retired_trajectory_points_changes_nothing():
 def test_shipped_drive_temporal_checks_pass_on_any_grid(steps, grid):
     probe = {**shipped_drive()["floquet"]["probe"], "grid": grid}
     cfg = validate_config(shipped_drive(steps=steps, probe=probe))
-    checks = run_scenario(cfg).checks
+    checks = run_scenario(cfg)["checks"]
     assert checks["mode_periodicity"] and checks["phase_relation"] and checks["average_bound"]
 
 
@@ -332,7 +332,7 @@ def test_commensurate_splittings_pass_average_bound(kp):
     # omega = hbar = 1, T = 2 pi: splitting 2e gives Delta T / hbar = 2 pi p / K at e = p / 2K
     k, p = kp
     report = run_scenario(validate_config(commensurate_drive(p / (2 * k))))
-    assert report.passed, report.checks
+    assert report["passed"], report["checks"]
 
 
 def test_fringe_match_override_reaches_its_check(tmp_path, monkeypatch):
@@ -359,13 +359,16 @@ def test_fringe_match_override_reaches_its_check(tmp_path, monkeypatch):
     assert not runs["1e-6"][1]["checks"]["fringe_matches_element"]
 
 
-SHIPPED_SUPERSELECT = json.loads((SHIPPED_DRIVE.parent / "superselect_mathieu.json").read_text())
+SHIPPED_DATA = {p.stem: json.loads(p.read_text()) for p in SHIPPED_DRIVE.parent.glob("*.json")}
+SHIPPED_SUPERSELECT = SHIPPED_DATA["superselect_mathieu"]
 # the shipped superselect lattice and potential as a bands run
 MATHIEU_BANDS = {"kind": "bands", **{k: SHIPPED_SUPERSELECT[k] for k in ("lattice", "potential")}}
 
 # check -> (module, a line of it, its mutant, the config run): a named one-line
 # perturbation of the package that must flip that check and leave every other
-# one true
+# one true.  Every check a shipped config runs is measured this way, or by a
+# test of its own (OWN_TEST), or restates another check or is structural, as
+# CHECK_REASONS says: a new check must join one of the three.
 MUTANTS = {
     # the second harmonic of a pure first-harmonic scan is zero
     "fringe_matches_element": (
@@ -383,6 +386,100 @@ MUTANTS = {
         "yield o // n, values[:, rows[:, : b - o // n]] * (1.0 + 1e-5 * (o > 0))",
         MATHIEU_BANDS,
     ),
+    # each Bloch state's norm off 1 by 1e-9
+    "orthonormal": (
+        "bloch.py",
+        "picked[:, t] = col / nrm[:, None]",
+        "picked[:, t] = col / nrm[:, None] * (1.0 + 1e-9)",
+        SHIPPED_DATA["bands_free"],
+    ),
+    # T's eigenphases off by a relative 1e-9: the states, built on H alone, are not
+    "translation_eigen": (
+        "lattice.py",
+        "np.exp(2j * np.pi * spec.indices / spec.cells)",
+        "np.exp(2j * np.pi * (1.0 + 1e-9) * spec.indices / spec.cells)",
+        SHIPPED_DATA["bands_free"],
+    ),
+    # H's kinetic energies off their independent plane-wave reference by 1e-11
+    "free_particle_exact": (
+        "lattice.py",
+        "kinetic = (spec.hbar * spec.momenta) ** 2 / (2.0 * spec.mass)",
+        "kinetic = (spec.hbar * spec.momenta) ** 2 / (2.0 * spec.mass) * (1.0 + 1e-11)",
+        SHIPPED_DATA["bands_free"],
+    ),
+    # the within-class elements scaled down to below their floor
+    "positive_control": (
+        "superselection.py",
+        "table.class_form(rows, blocks[:, 0], blocks[:, 1])",
+        "table.class_form(rows, blocks[:, 0], blocks[:, 1]) * 1e-9",
+        SHIPPED_SUPERSELECT,
+    ),
+    # a breaker too weak for its fringe to clear the tolerance
+    "negative_control": (
+        "observables.py",
+        "{shift: 1.0}",
+        "{shift: 1e-7}",
+        SHIPPED_SUPERSELECT,
+    ),
+    # each Wannier state's phases off by a relative 1e-9: still unit vectors
+    "translation_covariance": (
+        "bloch.py",
+        "np.exp(-1j * bands.k_values * (home_cell[..., None] * spec.a))",
+        "np.exp(-1j * bands.k_values * (home_cell[..., None] * spec.a) * (1.0 + 1e-9))",
+        SHIPPED_DATA["wannier_mathieu"],
+    ),
+    # the band averages, the classical side of the mixture, off by 1e-9
+    "mixture_identity": (
+        "superselection.py",
+        "band_avg = table.class_form(rows, band_blocks, band_blocks).real.mean(axis=-1)",
+        "band_avg = table.class_form(rows, band_blocks, band_blocks).real.mean(axis=-1)"
+        " * (1.0 + 1e-9)",
+        SHIPPED_DATA["wannier_mathieu"],
+    ),
+    # each midpoint step's first diagonal entry off by 1e-13
+    "unitarity": (
+        "floquet.py",
+        "h[:, 0, 0] = diagonal + rotation * z",
+        "h[:, 0, 0] = diagonal + rotation * z + 1e-13",
+        SHIPPED_DATA["floquet_two_level"],
+    ),
+    # each RK4 step's Taylor series scaled by 1 + 1e-5
+    "cross_method": (
+        "floquet.py",
+        "m *= dt / 6.0",
+        "m *= dt / 6.0 * (1.0 + 1e-5)",
+        SHIPPED_DATA["floquet_two_level"],
+    ),
+    # the Sambe blocks' photon energies off by a relative 1e-5
+    "sambe_match": (
+        "floquet.py",
+        "(index - h_max)[:, None, None] * spec.hbar * spec.omega * np.eye(d)",
+        "(index - h_max)[:, None, None] * spec.hbar * spec.omega * np.eye(d) * (1.0 + 1e-5)",
+        SHIPPED_DATA["floquet_two_level"],
+    ),
+    # the pair advanced by one period with a norm off by 1e-6
+    "phase_relation": (
+        "floquet.py",
+        "f_second = _pair_form(heisenberg, u_period @ vecs)",
+        "f_second = _pair_form(heisenberg, u_period @ vecs * (1.0 + 1e-6))",
+        SHIPPED_DATA["floquet_two_level"],
+    ),
+}
+# failed alone by a test of its own, in process
+OWN_TEST = {
+    "monodromy_commuting": (
+        "test_floquet.py::test_modes_rotated_by_1e_9_fail_the_commuting_check_alone"
+    ),
+}
+# why no one-line mutant fails the check alone
+EIGENBASIS_GUARD = "restates the 1e-8 eigenbasis residual guard in floquet.quasienergies"
+NO_CROSS_DIAGONAL = "structural: no battery member stores a diagonal between classes"
+CHECK_REASONS = {
+    "unit_norm": "restated by mixture_identity: the identity member makes <w|I|w> = ||w||^2",
+    "mode_periodicity": EIGENBASIS_GUARD,
+    "average_bound": EIGENBASIS_GUARD,
+    "fringe_flat": NO_CROSS_DIAGONAL,
+    "cross_sector_leakage": NO_CROSS_DIAGONAL,
 }
 
 
@@ -401,10 +498,20 @@ def test_mutant_fails_its_check_alone(tmp_path, check):
         [sys.executable, "-m", "blochlab", *argv],
         capture_output=True, text=True, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        timeout=120,  # a mutant that hangs fails here instead of stalling the suite
     )
     assert proc.returncode == 3, proc.stderr
     checks = json.loads(report.read_text())["checks"]
     assert [name for name, ok in checks.items() if not ok] == [check]
+
+
+def test_every_shipped_check_has_a_mutant_a_test_or_a_reason():
+    names = set()
+    for data in SHIPPED_DATA.values():
+        names |= set(run_scenario(validate_config(data))["checks"])
+    groups = (set(MUTANTS), set(OWN_TEST), set(CHECK_REASONS))
+    assert sum(map(len, groups)) == len(set().union(*groups))  # each check in one group
+    assert set().union(*groups) == names
 
 
 def test_free_particle_override_reaches_its_check(tmp_path, monkeypatch):
@@ -445,9 +552,9 @@ def test_one_mistaken_free_energy_fails_only_free_particle_exact(monkeypatch):
     data = json.loads((SHIPPED_DRIVE.parent / "bands_free.json").read_text())
     data.pop("output")
     cfg = validate_config(data)
-    assert run_scenario(cfg).passed
+    assert run_scenario(cfg)["passed"]
     monkeypatch.setattr(runner, "solve_bands", mistaken)
-    checks = run_scenario(cfg).checks
+    checks = run_scenario(cfg)["checks"]
     assert [name for name, ok in checks.items() if not ok] == ["free_particle_exact"]
 
 
@@ -460,7 +567,7 @@ def test_floquet_run_integrates_the_period_once_per_integrator(monkeypatch):
         return product(spec, steps, marks, method)
 
     monkeypatch.setattr(floquet, "_ordered_product", recording_product)
-    assert run_scenario(validate_config(shipped_drive())).passed
+    assert run_scenario(validate_config(shipped_drive()))["passed"]
     assert seen == ["midpoint-exponential", "fourth-order"]
 
 
@@ -1505,8 +1612,25 @@ def test_run_scenario_writes_no_file(config, tmp_path, monkeypatch):
     data = json.loads(config.read_text())
     data["output"] = {key: str(tmp_path / "out" / key) for key in data["output"]}
     monkeypatch.chdir(tmp_path)  # nor at a path relative to the working directory
-    assert run_scenario(validate_config(data)).passed
+    assert run_scenario(validate_config(data))["passed"]
     assert list(tmp_path.iterdir()) == []
+
+
+REPORT_KEYS = [
+    "tool", "kind", "config_sha256", "config", "tolerances", "results", "checks", "passed", "timing"
+]
+
+
+@pytest.mark.parametrize("config", SHIPPED, ids=lambda p: p.stem)
+def test_run_scenario_returns_the_report_main_writes(config, tmp_path, monkeypatch):
+    data = json.loads(config.read_text())
+    report = run_scenario(validate_config(data))
+    assert type(report) is dict and list(report) == REPORT_KEYS
+    assert report["kind"] == data["kind"] and report["passed"] == all(report["checks"].values())
+    monkeypatch.chdir(tmp_path)  # the config's other outputs land here
+    assert main([data["kind"], "--config", str(config), "--report", "report.json"]) == 0
+    text = (tmp_path / "report.json").read_text()
+    assert text == runner.render_report({**report, "timing": json.loads(text)["timing"]})
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])

@@ -454,11 +454,11 @@ def test_modes_rotated_by_1e_9_fail_the_commuting_check_alone(monkeypatch):
         solution = solve(*args, **kwargs)
         return dataclasses.replace(solution, modes=solution.modes @ rotation)
 
-    assert run_scenario(cfg).passed
+    assert run_scenario(cfg)["passed"]
     monkeypatch.setattr(runner, "solve_floquet", rotated)
     report = run_scenario(cfg)
-    assert [name for name, ok in report.checks.items() if not ok] == ["monodromy_commuting"]
-    assert 1e-9 < report.results["probe"]["monodromy_commuting_element"] < 2e-9
+    assert [name for name, ok in report["checks"].items() if not ok] == ["monodromy_commuting"]
+    assert 1e-9 < report["results"]["probe"]["monodromy_commuting_element"] < 2e-9
 
 
 def test_traceless_quasienergy_sum_vanishes():

@@ -55,7 +55,7 @@ def test_largest_lattice_run_holds_few_operators(kind):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.passed, report.checks
+    assert report["passed"], report["checks"]
     assert peak < PEAK_OPERATORS * OPERATOR_BYTES, f"peak {peak / 2**20:.1f} MiB"
 
 
@@ -80,7 +80,7 @@ def test_no_run_path_forms_a_dense_operator(source, monkeypatch, tmp_path):
 
     monkeypatch.setattr(bloch, "add_offset_diagonal", refuse_dense)
     report = run_scenario(cfg)
-    assert report.passed, report.checks
+    assert report["passed"], report["checks"]
     assert written  # the class blocks are written through it
 
 
@@ -120,7 +120,7 @@ def test_widest_battery_spans_many_tables_in_the_memory_of_a_few(monkeypatch):
     finally:
         tracemalloc.stop()
     elapsed = time.perf_counter() - started
-    assert report.passed, report.checks
+    assert report["passed"], report["checks"]
     assert len(measured) > 10 and max(measured) <= TABLE_BYTES
     assert peak < PEAK_TABLES * TABLE_BYTES, f"peak {peak / 2**20:.1f} MiB"
     assert elapsed < WIDE_BATTERY_SECONDS
@@ -151,7 +151,7 @@ def test_cap_run_finishes_within_its_bound(data, bound):
     started = time.perf_counter()
     report = run_scenario(cfg)
     elapsed = time.perf_counter() - started
-    assert report.passed, report.checks
+    assert report["passed"], report["checks"]
     assert elapsed < bound, f"{elapsed:.2f} s"
 
 
@@ -194,6 +194,6 @@ def test_floquet_cap_run_finishes_within_its_time_and_memory_bounds():
     finally:
         tracemalloc.stop()
     elapsed = time.perf_counter() - started
-    assert report.passed and len(report.checks) == 7, report.checks
+    assert report["passed"] and len(report["checks"]) == 7, report["checks"]
     assert elapsed < FLOQUET_CAP_SECONDS, f"{elapsed:.2f} s"
     assert peak < FLOQUET_CAP_PEAK, f"peak {peak / 2**20:.1f} MiB"

@@ -356,7 +356,7 @@ def test_a_run_does_not_depend_on_how_the_battery_splits_into_tables(monkeypatch
     assert all(len(list(cfg.battery.tables())) == len(cfg.battery) for cfg in cfgs)
     split = [run_scenario(cfg) for cfg in cfgs]
     assert stable_report_bytes(split[0]) == stable_report_bytes(whole[0])
-    assert split[1].checks == whole[1].checks and split[1].passed
+    assert split[1]["checks"] == whole[1]["checks"] and split[1]["passed"]
 
 
 # a custom member equal to sin_a, the strongest of these named members, ties
@@ -377,11 +377,11 @@ TWIN_BATTERY = {
 def test_scanned_members_survive_a_split_battery(monkeypatch, battery, per_table):
     data = {**_shipped("superselect_mathieu"), "battery": battery}
     cfg = validate_config(data)
-    whole = run_scenario(cfg).results
+    whole = run_scenario(cfg)["results"]
     spec = cfg.lattice  # every member fills offsets 0 and N only: two diagonals
     monkeypatch.setattr(bl.observables, "_TABLE_ENTRIES", per_table * 2 * spec.dim)
     assert len(list(cfg.battery.tables())) >= 3
-    split = run_scenario(cfg).results
+    split = run_scenario(cfg)["results"]
     labels = member_labels(cfg.battery)
     bands = bl.solve_bands(bl.build_hamiltonian(spec, cfg.potential), spec)
     _, within = member_sector_elements(bands, members(cfg.battery))

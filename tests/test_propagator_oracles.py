@@ -341,6 +341,7 @@ def test_propagator_fields_match_stepwise_loop():
     probed = bl.solve_floquet(spec, steps=300, grid=9)
     bl.temporal_overlap_probe(probed, Recording(static=spec.h0), periods=(1,))
     (times,) = seen
+    assert np.array_equal(times, probed.times)  # the times the product kept, read as they are
     dt = spec.period / 300
     assert times[0] == 0.0
     assert np.allclose(times, floquet._nearest_steps(300, 9)[:-1] * dt, rtol=0, atol=1e-14)

@@ -296,5 +296,5 @@ def test_superselect_run_reads_no_operator_dense(monkeypatch):
         }
     )
     report = run_scenario(cfg)
-    assert report.passed, report.checks
-    assert read_on_rows == [("hamiltonian",), tuple(report.results["battery"])]
+    assert report["passed"], report["checks"]
+    assert read_on_rows == [("hamiltonian",), tuple(report["results"]["battery"])]
